@@ -60,7 +60,6 @@ from .expharness import (
     Scenario,
     builtin_scenario,
     builtin_scenarios,
-    exponent_regression,
     run_scenario,
 )
 

@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 domain error (message names the violated
 precondition), 2 usage or expression-parse error.  Numeric output is
 printed at a configurable number of significant digits (default 6);
 exact rationals print as a/b.  Output goes to stdout unless --out is
-given.  --threads (default from EXPLAB_THREADS) caps internal
-parallelism; all library results are deterministic and independent of
-the thread count, and the current build executes sequentially.
+given.
 """
 
 from __future__ import annotations
@@ -386,12 +384,6 @@ def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--precision", type=int, default=6, help="significant digits")
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("EXPLAB_THREADS", "1")),
-        help="cap internal parallelism (results are thread-count independent)",
-    )
 
 
 def _add_generator(p):

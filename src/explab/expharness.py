@@ -1,4 +1,4 @@
-"""Named, configurable scenarios with multi-scale exponent regression.
+"""Named, configurable scenarios with multi-scale exponent fits.
 
 A Scenario bundles a parameter map with a list of expectations
 (metric, comparator, target, tolerance, provenance tag); running one
@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from . import geomdecomp, gridset
 from .geomdecomp import pinned_distance_map
@@ -225,11 +225,6 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 # ---------------------------------------------------------------------------
 # Shared measurement helpers
 # ---------------------------------------------------------------------------
-
-
-def exponent_regression(points: Sequence[Tuple[int, float]]) -> ExponentFit:
-    """OLS fit of log2(value) against k (the delta^-slope exponent)."""
-    return fit_exponent(points)
 
 
 def _generator(parameters: Dict[str, str]):
@@ -568,12 +563,22 @@ def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict
     return tuple(scales), rows, fits, scalars
 
 
+_PROJECTION_KEYS = frozenset({"alpha", "offset", "scales", "pins", "window"})
+
+# Each family's runner and the parameter keys it reads; any other key is
+# rejected before the run, so a misspelling cannot fall back to a default.
 _FAMILIES = {
-    "poly_growth": _run_poly_growth,
-    "eps_d_energy": _run_eps_d_energy,
-    "sum_product": _run_sum_product,
-    "three_projection": _run_three_projection,
-    "pinned_distance": _run_pinned_distance,
+    "poly_growth": (
+        _run_poly_growth,
+        frozenset({"poly", "baseline_poly", "generator", "alpha", "eta", "scales"}),
+    ),
+    "eps_d_energy": (
+        _run_eps_d_energy,
+        frozenset({"alpha", "eta", "c", "d_small", "d_large", "scales", "restricted_scales"}),
+    ),
+    "sum_product": (_run_sum_product, frozenset({"scales", "growth_exponent"})),
+    "three_projection": (_run_three_projection, _PROJECTION_KEYS),
+    "pinned_distance": (_run_pinned_distance, _PROJECTION_KEYS),
 }
 
 
@@ -585,8 +590,15 @@ def run_scenario(s: Scenario) -> Report:
     """
     if s.family not in _FAMILIES:
         raise ValueError(f"unknown scenario family {s.family!r}")
+    run, accepted = _FAMILIES[s.family]
+    for key in sorted(s.parameters):
+        if key not in accepted:
+            raise ValueError(
+                f"unknown parameter {key!r} for scenario family {s.family!r}; "
+                f"accepted: {', '.join(sorted(accepted))}"
+            )
     start = time.perf_counter()
-    scales, rows, fits, scalars = _FAMILIES[s.family](s)
+    scales, rows, fits, scalars = run(s)
     elapsed = time.perf_counter() - start
 
     outcomes = []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
 from .polyexpr import Interval, Poly, Rect, interval_range
@@ -281,7 +281,31 @@ def format_cube_decomposition(decomp: CubeDecomposition) -> str:
     return (text + "\n" if text else "") + format_gridset(decomp.leftover)
 
 
+def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, Tuple[Fraction, ...], bool]:
+    fields = dict(t.split("=", 1) for t in tokens[1:4] if "=" in t)
+    if tokens[0] != "cube" or set(fields) != {"k", "i", "j"}:
+        raise ValueError("expected 'cube k=<depth> i=<i> j=<j>'")
+    cube = DyadicSquare(int(fields["k"]), int(fields["i"]), int(fields["j"]))
+    values = []
+    flagged = False
+    rest = iter(tokens[4:])
+    for tok in rest:
+        if tok == "flagged":
+            flagged = True
+        elif tok == "band":
+            index, value = next(rest, ""), next(rest, "")
+            # Bands are stored in order, so the j=<idx> field is not kept.
+            if not (index.startswith("j=") and value.startswith("v=")):
+                raise ValueError("a band needs 'j=<idx> v=<rational>'")
+            values.append(Fraction(value[2:]))
+        else:
+            raise ValueError(f"unknown token {tok!r}")
+    return cube, tuple(values), flagged
+
+
 def parse_cube_decomposition(text: str) -> CubeDecomposition:
+    """Inverse of format_cube_decomposition; malformed text raises
+    ValueError naming the offending line."""
     from .gridset import parse_gridset
 
     cube_lines = []
@@ -297,25 +321,14 @@ def parse_cube_decomposition(text: str) -> CubeDecomposition:
     for ln in cube_lines:
         if not ln.strip():
             continue
-        tokens = ln.split()
-        if tokens[0] != "cube":
-            raise ValueError(f"bad cube line {ln!r}")
-        fields = dict(t.split("=", 1) for t in tokens[1:4])
-        cubes.append(DyadicSquare(int(fields["k"]), int(fields["i"]), int(fields["j"])))
-        vs = []
-        rest = tokens[4:]
-        while rest:
-            tok = rest.pop(0)
-            if tok == "flagged":
-                flagged.add(len(cubes) - 1)
-            elif tok == "band":
-                rest.pop(0)  # j=<idx>; bands are stored in order
-                v = rest.pop(0)
-                assert v.startswith("v=")
-                vs.append(Fraction(v[2:]))
-            else:
-                raise ValueError(f"bad cube token {tok!r}")
-        bands.append(tuple(vs))
+        try:
+            cube, values, is_flagged = _parse_cube_line(ln.split())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad cube line {ln!r}: {exc}") from None
+        cubes.append(cube)
+        bands.append(values)
+        if is_flagged:
+            flagged.add(len(cubes) - 1)
     leftover = parse_gridset("\n".join(grid_lines))
     if not isinstance(leftover, GridSet2D):
         raise ValueError("leftover block must be a gridset2d")

@@ -10,14 +10,21 @@ exponents over the dyadic interval tree, image sets P(A, B) through sound
 interval enclosures, collision ("energy") counts of value quadruples
 P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
+
+Image sets and energies share one kernel, _pair_bounds: the enclosure of
+P on every cell product as exact integers over a common denominator,
+built with numpy outer products (int64 when a bit budget allows, Python
+ints otherwise).  Energies are counted by sorting the lower ends and
+binary-searching the upper ends; image cells come from exact integer
+floor division.  energy_count_brute_force stays on the Fraction
+enclosures of polyexpr.interval_range as an independent oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, log2
+from math import ceil, floor, lcm, log2
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -295,18 +302,6 @@ def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
     return GridSet1D.from_cells(Scale(k_new), (c >> shift for c in S.cells))
 
 
-def refine(S: GridSet1D, k_new: int) -> GridSet1D:
-    """Refine each cell into all its descendants at the finer scale."""
-    if k_new < S.scale.k:
-        raise ValueError("refine target must not precede the current scale")
-    shift = k_new - S.scale.k
-    cells = []
-    for c in S.cells:
-        start = c << shift
-        cells.extend(range(start, start + (1 << shift)))
-    return GridSet1D(Scale(k_new), tuple(cells))
-
-
 # ---------------------------------------------------------------------------
 # Image sets
 # ---------------------------------------------------------------------------
@@ -326,52 +321,51 @@ class ImageSet:
     value_hi: Fraction
 
 
-def _cells_of_value_interval(iv: Interval, k: int) -> Tuple[int, int]:
-    """Closed value interval -> inclusive range of half-open grid cells."""
-    n = 2**k
-    j0 = floor(iv.lo * n)
-    j1 = floor(iv.hi * n)
-    return max(0, min(j0, n - 1)), max(0, min(j1, n - 1))
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of range(s, s + c) over paired starts and counts."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
-def _pair_interval_table(
-    P: Poly, A: GridSet1D, B: GridSet1D
-) -> list:
-    """Interval of P on every closed cell product S x T, as a flat list
-    aligned with itertools-style (a-major) pair order."""
-    d = A.scale.delta
-    x_exps = sorted({e[0] for e in P.terms})
-    y_exps = sorted({e[1] for e in P.terms})
-    xpows = {}
-    for a in A.cells:
-        iv = Interval(a * d, (a + 1) * d)
-        xpows[a] = {e: iv.pow(e) for e in x_exps}
-    ypows = {}
-    for b in B.cells:
-        iv = Interval(b * d, (b + 1) * d)
-        ypows[b] = {e: iv.pow(e) for e in y_exps}
-    terms = list(P.terms.items())
-    out = []
-    for a in A.cells:
-        xp = xpows[a]
-        for b in B.cells:
-            yp = ypows[b]
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for (i, j), coeff in terms:
-                if i and j:
-                    t = xp[i] * yp[j]
-                elif i:
-                    t = xp[i]
-                elif j:
-                    t = yp[j]
-                else:
-                    t = Interval.point(1)
-                t = t.scaled(coeff)
-                lo += t.lo
-                hi += t.hi
-            out.append(Interval(lo, hi))
-    return out
+def _pair_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact enclosures of P on every closed cell product S x T.
+
+    Returns flat a-major integer arrays lo, hi and an integer scale such
+    that [lo/scale, hi/scale] is interval_range(P, S x T) for each pair.
+    Cells lie in [0, 1], where every monomial is monotone: on the cell
+    product [a, a+1] x [b, b+1] (in units of 2^-k) the range of x^i y^j
+    is [a^i b^j, (a+1)^i (b+1)^j] / 2^(k(i+j)), and the sign of the
+    coefficient picks which end feeds lo.  scale = lcm(coefficient
+    denominators) * 2^(k deg) clears every denominator.
+
+    Every term and partial sum is at most sum|c| * scale in magnitude, so
+    the arrays are int64 when that bound is below 2^63 and hold Python
+    ints (dtype object) otherwise.
+    """
+    k = A.scale.k
+    deg = P.degree() or 0
+    den = lcm(*(c.denominator for c in P.terms.values()))
+    scale = den << (k * deg)
+    terms = [(i, j, int(c * den)) for (i, j), c in P.terms.items()]
+    bound = sum(abs(c) for _, _, c in terms) << (k * deg)
+    dtype = np.int64 if bound < 2**63 else object
+    a = np.array(A.cells, dtype=dtype)
+    b = np.array(B.cells, dtype=dtype)
+    lo = np.zeros((len(a), len(b)), dtype=dtype)
+    hi = np.zeros_like(lo)
+    for i, j, c in terms:
+        # All factors are nonnegative integers, so no intermediate product
+        # exceeds the finished term |c| a^i b^j 2^(k(deg-i-j)) <= bound.
+        weight = c << (k * (deg - i - j))
+        x_small, x_big = a**i, (a + 1) ** i
+        y_small, y_big = b**j * weight, (b + 1) ** j * weight
+        if c > 0:
+            lo += np.multiply.outer(x_small, y_small)
+            hi += np.multiply.outer(x_big, y_big)
+        else:
+            lo += np.multiply.outer(x_big, y_big)
+            hi += np.multiply.outer(x_small, y_small)
+    return lo.ravel(), hi.ravel(), scale
 
 
 def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
@@ -384,20 +378,30 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
     k = A.scale.k
-    unit = Rect.of(0, 1, 0, 1)
-    total = interval_range(P, unit)
+    total = interval_range(P, Rect.of(0, 1, 0, 1))
     span = total.width()
-    marks = bytearray(2**k)
     if span == 0:
-        marks[0] = 1
-    else:
-        for iv in _pair_interval_table(P, A, B):
-            mapped = Interval((iv.lo - total.lo) / span, (iv.hi - total.lo) / span)
-            j0, j1 = _cells_of_value_interval(mapped, k)
-            for j in range(j0, j1 + 1):
-                marks[j] = 1
-    cells = tuple(j for j in range(2**k) if marks[j])
-    return ImageSet(GridSet1D(A.scale, cells), total.lo, total.hi)
+        return ImageSet(GridSet1D(A.scale, (0,)), total.lo, total.hi)
+    lo, hi, scale = _pair_bounds(P, A, B)
+    # Output cell of a value v is floor((v - value_lo) * 2^k / span).  On
+    # the unit square every non-constant monomial ranges over [0, 1], so
+    # value_lo and span are sums of coefficients and value_lo * scale is
+    # an integer; span > 0 means deg >= 1, so span * scale / 2^k is one too.
+    offset = int(total.lo * scale)
+    step = int(span * scale / 2**k)
+    # lo >= offset always; the top cell is half-open, so value_hi lands
+    # one past it and is clamped back.
+    top = 2**k - 1
+    first = np.minimum((lo - offset) // step, top).astype(np.int64)
+    last = np.minimum((hi - offset) // step, top).astype(np.int64)
+    # Union of the inclusive ranges [first, last]: in order of first, each
+    # range adds the cells beyond everything reached before it.
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], last[order]
+    reached = np.concatenate(([-1], np.maximum.accumulate(last)[:-1]))
+    starts = np.maximum(first, reached + 1)
+    cells = _runs(starts, np.maximum(last - starts + 1, 0))
+    return ImageSet(GridSet1D(A.scale, tuple(cells.tolist())), total.lo, total.hi)
 
 
 _SUM_POLY = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})
@@ -416,6 +420,10 @@ def product_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
 # Energy counting
 # ---------------------------------------------------------------------------
 
+# Upper bound on the intersecting pairs whose H_F bracket is evaluated in
+# one vectorised block, which caps the memory of the filtered count.
+_BLOCK_PAIRS = 1 << 16
+
 
 def energy_count(
     P: Poly,
@@ -430,65 +438,71 @@ def energy_count(
     (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
     of P_xy) has supremum bound below hf_min are excluded.
 
-    The unfiltered count runs as a sweep over pair intervals sorted by
-    lower endpoint with a min-heap of upper endpoints, so the cost is
-    O(N log N) in the number of pairs rather than O(N^2) quadruples.
+    Enclosures come from the exact integer kernel _pair_bounds.  Two
+    closed intervals miss each other exactly when one starts after the
+    other ends, so the unfiltered count over N pairs is
+    N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort of the lower ends and a
+    binary search per upper end, O(N log N).  The filtered count visits
+    only the intersecting pairs, found the same way, and tests the
+    bracket in exact integers.
     """
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
-    intervals = _pair_interval_table(P, A, B)
+    lo, hi, _ = _pair_bounds(P, A, B)
+    n = lo.size
     if hf_min is None:
-        order = sorted(range(len(intervals)), key=lambda i: intervals[i].lo)
-        heap: list = []
-        total = len(intervals)
-        for idx in order:
-            lo = intervals[idx].lo
-            while heap and heap[0] < lo:
-                heapq.heappop(heap)
-            total += 2 * len(heap)
-            heapq.heappush(heap, intervals[idx].hi)
-        return total
+        above = n - np.searchsorted(np.sort(lo), hi, side="right")
+        return n * n - 2 * int(above.sum())
 
     px = P.partial("x")
-    py = P.partial("y")
-    pxy = px.partial("y")
-    g_table = _pair_interval_table(px * py, A, B)
-    m_table = _pair_interval_table(pxy, A, B)
-    threshold = Fraction(hf_min)
+    g_lo, g_hi, g_scale = _pair_bounds(px * P.partial("y"), A, B)
+    m_lo, m_hi, m_scale = _pair_bounds(px.partial("y"), A, B)
+    # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
+    # test against hf_min is a test against the ceiling of the threshold.
+    threshold = ceil(Fraction(hf_min) * g_scale * m_scale)
+    # Products of two table entries need twice their bits.
+    largest = [int(np.abs(t).max(initial=0)) for t in (g_lo, g_hi, m_lo, m_hi)]
+    if 2 * max(largest[:2]) * max(largest[2:]) >= 2**63:
+        g_lo, g_hi, m_lo, m_hi = (t.astype(object) for t in (g_lo, g_hi, m_lo, m_hi))
 
-    def passes(i: int, j: int) -> bool:
-        bracket = g_table[i] * m_table[j] - g_table[j] * m_table[i]
-        return bracket.sup_abs() >= threshold
-
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i].lo)
-    heap = []  # entries (hi, index); lazily pruned by lo sweep
+    # Sorted by lo, the pair at position r meets exactly the pairs at
+    # positions r .. ends[r] - 1: they start no earlier and no later than
+    # it ends.  Each unordered pair is visited once, the diagonal included.
+    order = np.argsort(lo, kind="stable")
+    ends = np.searchsorted(lo[order], hi[order], side="right")
     total = 0
-    for idx in order:
-        lo = intervals[idx].lo
-        while heap and heap[0][0] < lo:
-            heapq.heappop(heap)
-        if passes(idx, idx):
-            total += 1
-        for _, other in heap:
-            if passes(idx, other):
-                total += 2
-        heapq.heappush(heap, (intervals[idx].hi, idx))
+    step = max(1, _BLOCK_PAIRS // max(n, 1))
+    for r0 in range(0, n, step):
+        rows = np.arange(r0, min(r0 + step, n))
+        counts = ends[rows] - rows
+        p = order[np.repeat(rows, counts)]
+        q = order[_runs(rows, counts)]
+        first = [g_lo[p] * m_lo[q], g_lo[p] * m_hi[q], g_hi[p] * m_lo[q], g_hi[p] * m_hi[q]]
+        second = [g_lo[q] * m_lo[p], g_lo[q] * m_hi[p], g_hi[q] * m_lo[p], g_hi[q] * m_hi[p]]
+        # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
+        low = np.minimum.reduce(first) - np.maximum.reduce(second)
+        high = np.maximum.reduce(first) - np.minimum.reduce(second)
+        passes = np.maximum(high, -low) >= threshold
+        total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
     return total
 
 
 def energy_count_brute_force(
     P: Poly, A: GridSet1D, B: GridSet1D, hf_min: Optional[float] = None
 ) -> int:
-    """Independent O(N^2) oracle: test range intersection per quadruple."""
+    """Independent O(N^2) oracle: test range intersection per quadruple,
+    with every enclosure taken from interval_range on the cell product."""
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
-    intervals = _pair_interval_table(P, A, B)
+    d = A.scale.delta
+    rects = [Rect(a * d, (a + 1) * d, b * d, (b + 1) * d) for a in A.cells for b in B.cells]
+    intervals = [interval_range(P, r) for r in rects]
     if hf_min is not None:
         px = P.partial("x")
-        py = P.partial("y")
-        pxy = px.partial("y")
-        g_table = _pair_interval_table(px * py, A, B)
-        m_table = _pair_interval_table(pxy, A, B)
+        g_poly = px * P.partial("y")
+        m_poly = px.partial("y")
+        g_table = [interval_range(g_poly, r) for r in rects]
+        m_table = [interval_range(m_poly, r) for r in rects]
         threshold = Fraction(hf_min)
     total = 0
     for i in range(len(intervals)):

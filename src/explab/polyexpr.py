@@ -435,11 +435,6 @@ class Classification:
     witness: Optional[Poly] = None
 
 
-def partial(P: Poly, variable: str, order: int = 1) -> Poly:
-    """Module-level alias for Poly.partial."""
-    return P.partial(variable, order)
-
-
 def mp_numerator(P: Poly) -> Poly:
     """The degeneracy numerator M_P, exactly.
 
@@ -601,9 +596,6 @@ class Interval:
         if self.hi <= 0:
             return Interval(hi_pow, lo_pow)
         return Interval(Fraction(0), max(lo_pow, hi_pow))
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def abs_interval(self) -> "Interval":
         if self.lo >= 0:

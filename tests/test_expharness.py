@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from explab import gridset
 from explab.expharness import (
+    _FAMILIES,
     Expectation,
     Scenario,
     builtin_scenario,
     builtin_scenarios,
-    exponent_regression,
     format_scenario,
     half_dimensional_set,
     parse_scenario,
@@ -18,17 +19,17 @@ from explab.expharness import (
     report_to_json,
     run_scenario,
 )
-from explab.gridset import Scale, covering_number
+from explab.gridset import Scale, covering_number, fit_exponent
 
 
 def test_exponent_regression_exact():
-    fit = exponent_regression([(k, 2.0**k) for k in range(5, 10)])
+    fit = fit_exponent([(k, 2.0**k) for k in range(5, 10)])
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exponent_regression_constant():
-    fit = exponent_regression([(k, 3.25) for k in range(5, 9)])
+    fit = fit_exponent([(k, 3.25) for k in range(5, 9)])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
@@ -38,13 +39,13 @@ def test_exponent_regression_noisy():
         (k, 2.0 ** (1.5 * k) * (1 + 0.1 * (2 * rng.random() - 1)))
         for k in range(8, 18)
     ]
-    fit = exponent_regression(points)
+    fit = fit_exponent(points)
     assert abs(fit.slope - 1.5) <= 0.05
 
 
 def test_exponent_regression_degenerate():
     with pytest.raises(ValueError):
-        exponent_regression([(5, 1.0), (6, 2.0)])
+        fit_exponent([(5, 1.0), (6, 2.0)])
 
 
 def test_half_dimensional_set_counts():
@@ -104,6 +105,20 @@ def test_run_scenario_rejects_bad_parameters():
     )
     with pytest.raises(ValueError):
         run_scenario(s)  # alpha + eta > 1
+
+
+def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
+    text = "schema=1\nname=typo\nfamily=poly_growth\npoly=x + y\nalpah=0.9\n"
+    monkeypatch.setattr(gridset, "image_set", None)  # any work would fail differently
+    with pytest.raises(ValueError, match="'alpah'.*'poly_growth'"):
+        run_scenario(parse_scenario(text))
+
+
+def test_builtin_parameters_are_accepted():
+    for s in builtin_scenarios():
+        _, accepted = _FAMILIES[s.family]
+        assert set(s.parameters) <= accepted, s.name
+        assert parse_scenario(format_scenario(s)) == s
 
 
 def test_run_scenario_reports_failed_expectation_without_raising():

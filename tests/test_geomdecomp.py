@@ -528,3 +528,23 @@ def test_cube_decomposition_round_trip():
     assert parsed.cubes == decomp.cubes
     assert parsed.bands == decomp.bands
     assert parsed.leftover == decomp.leftover
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "cube k=1 i=0 j=0 band j=0 x=1/2",
+        "cube k=1 i=0 j=0 band",
+        "cube k=1 i=0 j=0 band j=0",
+        "cube k=1 i=0",
+        "cube k=1 i=0 q=0",
+        "cube k=1 i=0 j=zero",
+        "cube k=1 i=0 j=0 band j=0 v=1/0",
+        "cube k=1 i=2 j=0",
+        "cube k=1 i=0 j=0 stray",
+        "square k=1 i=0 j=0",
+    ],
+)
+def test_cube_decomposition_rejects_malformed_line(line):
+    with pytest.raises(ValueError, match="bad cube line"):
+        parse_cube_decomposition(line + "\ngridset2d k=1\n")

@@ -2,10 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explab.gridset import (
+    _pair_bounds,
     GridSet1D,
     GridSet2D,
     Scale,
@@ -27,7 +32,7 @@ from explab.gridset import (
     restrict,
     sum_set,
 )
-from explab.polyexpr import parse_poly
+from explab.polyexpr import VARS2, Poly, Rect, interval_range, parse_poly
 
 P_SUM = parse_poly("x + y")
 
@@ -301,6 +306,14 @@ def test_energy_matches_brute_force_random():
         assert energy_count(P, A, B) == energy_count_brute_force(P, A, B)
 
 
+def test_energy_hf_zero_threshold_keeps_touching_pairs():
+    # Enclosures of x + y on adjacent cells share an endpoint, and H_F of
+    # x + y vanishes, so a zero threshold keeps every intersecting pair.
+    A = GridSet1D(Scale(5), tuple(range(6)))
+    assert energy_count(P_SUM, A, A, hf_min=0.0) == energy_count(P_SUM, A, A)
+    assert energy_count(P_SUM, A, A) == energy_count_brute_force(P_SUM, A, A)
+
+
 def test_energy_ap_exponent_near_three_alpha():
     points = []
     for k in range(10, 15):
@@ -432,3 +445,129 @@ def test_image_constant_polynomial_single_cell():
     img = image_set(parse_poly("3"), A, A)
     assert img.grid.cells == (0,)
     assert img.value_lo == img.value_hi == 3
+
+
+# ---------------------------------------------------------------------------
+# the integer pair-enclosure kernel against per-box interval_range
+# ---------------------------------------------------------------------------
+
+
+def cell_rect(k, a, b):
+    d = Fraction(1, 2**k)
+    return Rect(a * d, (a + 1) * d, b * d, (b + 1) * d)
+
+
+def marked_cells(P, A, B):
+    """Oracle for image_set: mark output cells box by box in Fractions."""
+    k = A.scale.k
+    n = 2**k
+    total = interval_range(P, Rect.of(0, 1, 0, 1))
+    span = total.hi - total.lo
+    if span == 0:
+        return (0,)
+    marks = set()
+    for a in A.cells:
+        for b in B.cells:
+            iv = interval_range(P, cell_rect(k, a, b))
+            j0 = min(max(floor((iv.lo - total.lo) * n / span), 0), n - 1)
+            j1 = min(max(floor((iv.hi - total.lo) * n / span), 0), n - 1)
+            marks.update(range(j0, j1 + 1))
+    return tuple(sorted(marks))
+
+
+def assert_bounds_exact(P, A, B):
+    lo, hi, scale = _pair_bounds(P, A, B)
+    pairs = [(a, b) for a in A.cells for b in B.cells]
+    assert lo.shape == hi.shape == (len(pairs),)
+    for (a, b), l, h in zip(pairs, lo.tolist(), hi.tolist()):
+        iv = interval_range(P, cell_rect(A.scale.k, a, b))
+        assert (Fraction(l, scale), Fraction(h, scale)) == (iv.lo, iv.hi)
+    return lo
+
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def polys(draw):
+    """Bivariate polynomials of degree <= 8, with or without a constant."""
+    degree = draw(st.integers(1, 8))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i) if i + j]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    terms = {m: draw(coefficients) for m in chosen}
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(coefficients)
+    return Poly(VARS2, terms)
+
+
+@st.composite
+def cell_sets(draw, max_size=4):
+    k = draw(st.integers(1, 30))
+    cell = st.integers(0, 2**k - 1)
+    A = GridSet1D.from_cells(Scale(k), draw(st.lists(cell, max_size=max_size)))
+    B = GridSet1D.from_cells(Scale(k), draw(st.lists(cell, max_size=max_size)))
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), cell_sets(max_size=6))
+def test_pair_bounds_equal_interval_range(P, sets):
+    assert_bounds_exact(P, *sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), cell_sets(max_size=6))
+def test_image_set_equals_per_box_marking(P, sets):
+    A, B = sets
+    assert image_set(P, A, B).grid.cells == marked_cells(P, A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), cell_sets(), st.floats(min_value=0, max_value=16))
+def test_energy_equals_brute_force_property(P, sets, hf_min):
+    A, B = sets
+    assert energy_count(P, A, B) == energy_count_brute_force(P, A, B)
+    assert energy_count(P, A, B, hf_min=hf_min) == energy_count_brute_force(
+        P, A, B, hf_min=hf_min
+    )
+
+
+def test_kernel_empty_set():
+    P = parse_poly("x + y + (x^2 + y^2)^2")
+    empty = GridSet1D(Scale(6), ())
+    B = GridSet1D.from_cells(Scale(6), [1, 7, 40])
+    lo, hi, _ = _pair_bounds(P, empty, B)
+    assert lo.size == hi.size == 0
+    assert image_set(P, empty, B).grid.cells == ()
+    assert energy_count(P, empty, B) == 0
+    assert energy_count(P, B, empty, hf_min=0.01) == 0
+
+
+def test_kernel_constant_polynomial():
+    A = GridSet1D.from_cells(Scale(9), [0, 17, 511])
+    P = parse_poly("-5/3")
+    assert_bounds_exact(P, A, A)
+    assert image_set(P, A, A).grid.cells == (0,)
+    assert energy_count(P, A, A) == 81 == energy_count_brute_force(P, A, A)
+
+
+def test_kernel_object_path_degree_8_at_k30():
+    k = 30
+    A = GridSet1D.from_cells(Scale(k), [0, 3, 2**29, 2**k - 1])
+    P = parse_poly("x + y - 1/16*(x^2 + y^2)^4 + 3/7")
+    assert assert_bounds_exact(P, A, A).dtype == object
+    assert image_set(P, A, A).grid.cells == marked_cells(P, A, A)
+    assert energy_count(P, A, A) == energy_count_brute_force(P, A, A)
+    assert energy_count(P, A, A, hf_min=0.1) == energy_count_brute_force(P, A, A, hf_min=0.1)
+
+
+@pytest.mark.parametrize("text, dtype", [("4*x*y - 3*x^2", np.int64), ("4*x*y - 4*x^2", object)])
+def test_kernel_int64_budget_edge(text, dtype):
+    # sum|c| * 2^(k deg) is 7 * 2^60, just under 2^63, then exactly 2^63;
+    # the extreme cell products reach the budget.
+    k = 30
+    A = GridSet1D.from_cells(Scale(k), [0, 1, 2**k - 2, 2**k - 1])
+    P = parse_poly(text)
+    assert assert_bounds_exact(P, A, A).dtype == dtype
+    assert image_set(P, A, A).grid.cells == marked_cells(P, A, A)
+    assert energy_count(P, A, A) == energy_count_brute_force(P, A, A)
