@@ -6,7 +6,6 @@ import pytest
 
 from explab import gridset
 from explab.expharness import (
-    _FAMILIES,
     Expectation,
     Scenario,
     builtin_scenario,
@@ -112,13 +111,6 @@ def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
     monkeypatch.setattr(gridset, "image_set", None)  # any work would fail differently
     with pytest.raises(ValueError, match="'alpah'.*'poly_growth'"):
         run_scenario(parse_scenario(text))
-
-
-def test_builtin_parameters_are_accepted():
-    for s in builtin_scenarios():
-        _, accepted = _FAMILIES[s.family]
-        assert set(s.parameters) <= accepted, s.name
-        assert parse_scenario(format_scenario(s)) == s
 
 
 def test_run_scenario_reports_failed_expectation_without_raising():
