@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import geomdecomp, gridset
 from .geomdecomp import pinned_distance_map
@@ -289,9 +289,15 @@ def cs_lower_bound(P: Poly, count_a: int, count_b: int, energy: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scales(parameters: Dict[str, str], default: str) -> List[int]:
-    text = parameters.get("scales", default)
-    return [int(tok) for tok in text.split(",") if tok]
+def _scales(parameters: Dict[str, str], default: str, key: str = "scales") -> List[int]:
+    """The scale ladder under key, checked before any measurement: an
+    exponent fit needs three points, and every scale must be valid."""
+    ladder = [int(tok) for tok in parameters.get(key, default).split(",") if tok]
+    if len(ladder) < 3:
+        raise ValueError(f"{key} needs at least 3 scales for an exponent fit, got {len(ladder)}")
+    if not all(1 <= k <= gridset.MAX_SCALE for k in ladder):
+        raise ValueError(f"{key} must lie in [1, {gridset.MAX_SCALE}], got {ladder}")
+    return ladder
 
 
 def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
@@ -352,9 +358,9 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     d_small = int(s.parameters.get("d_small", "4"))
     d_large = int(s.parameters.get("d_large", "8"))
     scales = _scales(s.parameters, "10,11,12,13,14")
-    restricted_scales = [
-        int(t) for t in s.parameters.get("restricted_scales", "10,11,12,13,14,15,16,17,18,19,20").split(",")
-    ]
+    restricted_scales = _scales(
+        s.parameters, "10,11,12,13,14,15,16,17,18,19,20", "restricted_scales"
+    )
 
     def poly_for(d: int) -> Poly:
         return parse_poly("x + y") + Poly.constant(c) * parse_poly("x^2 + y^2") ** (
@@ -565,37 +571,87 @@ def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict
 
 _PROJECTION_KEYS = frozenset({"alpha", "offset", "scales", "pins", "window"})
 
-# Each family's runner and the parameter keys it reads; any other key is
-# rejected before the run, so a misspelling cannot fall back to a default.
+# Each family's runner, the parameter keys it reads and the metric names
+# (scalars and fits) its reports carry.  Keys and the metrics that
+# expectations name are checked before the run, so a misspelling can
+# neither fall back to a default nor fail after the measurements.
 _FAMILIES = {
     "poly_growth": (
         _run_poly_growth,
         frozenset({"poly", "baseline_poly", "generator", "alpha", "eta", "scales"}),
+        frozenset({"image_exponent", "energy_exponent", "cs_all_ok"}),
     ),
     "eps_d_energy": (
         _run_eps_d_energy,
         frozenset({"alpha", "eta", "c", "d_small", "d_large", "scales", "restricted_scales"}),
+        frozenset(
+            {
+                "restricted_energy_exponent",
+                "energy_d_small_exponent",
+                "d_ordering_holds",
+                "cs_all_ok",
+                "restricted_cells_last",
+            }
+        ),
     ),
-    "sum_product": (_run_sum_product, frozenset({"scales", "growth_exponent"})),
-    "three_projection": (_run_three_projection, _PROJECTION_KEYS),
-    "pinned_distance": (_run_pinned_distance, _PROJECTION_KEYS),
+    "sum_product": (
+        _run_sum_product,
+        frozenset({"scales", "growth_exponent"}),
+        frozenset({"sum_exponent", "min_growth_margin", "cs_all_ok"}),
+    ),
+    "three_projection": (
+        _run_three_projection,
+        _PROJECTION_KEYS,
+        frozenset(
+            {
+                "phi3_exponent",
+                "phi1_exponent",
+                "phi3_margin_min",
+                "phi3_margin_nondegrading",
+                "phi1_image_within_construction",
+                "eta_x_max",
+            }
+        ),
+    ),
+    "pinned_distance": (
+        _run_pinned_distance,
+        _PROJECTION_KEYS,
+        frozenset({"best_pinned_exponent", "pinned_margin", "eta_x_max"}),
+    ),
 }
+
+# poly_growth reports these only when a nonempty baseline_poly is given.
+_BASELINE_METRICS = frozenset({"image_ratio_first", "image_ratio_last", "image_ratio_growth"})
+
+
+def _metric_names(family: str, parameters: Dict[str, str]) -> FrozenSet[str]:
+    """Scalar and fit names a run of the family with these parameters reports."""
+    metrics = _FAMILIES[family][2]
+    return metrics | _BASELINE_METRICS if parameters.get("baseline_poly") else metrics
 
 
 def run_scenario(s: Scenario) -> Report:
     """Execute a scenario and evaluate its expectations.
 
-    Parameter errors raise; expectation failures never do (they land in
-    the report's outcomes).
+    Parameter errors raise, and unknown parameter keys and metric names
+    raise before any measurement; expectation failures never do (they
+    land in the report's outcomes).
     """
     if s.family not in _FAMILIES:
         raise ValueError(f"unknown scenario family {s.family!r}")
-    run, accepted = _FAMILIES[s.family]
+    run, accepted, _ = _FAMILIES[s.family]
     for key in sorted(s.parameters):
         if key not in accepted:
             raise ValueError(
                 f"unknown parameter {key!r} for scenario family {s.family!r}; "
                 f"accepted: {', '.join(sorted(accepted))}"
+            )
+    metrics = _metric_names(s.family, s.parameters)
+    for e in s.expectations:
+        if e.metric not in metrics:
+            raise ValueError(
+                f"expectation names unknown metric {e.metric!r} for scenario family "
+                f"{s.family!r}; known: {', '.join(sorted(metrics))}"
             )
     start = time.perf_counter()
     scales, rows, fits, scalars = run(s)
@@ -603,12 +659,7 @@ def run_scenario(s: Scenario) -> Report:
 
     outcomes = []
     for e in s.expectations:
-        if e.metric in scalars:
-            measured = scalars[e.metric]
-        elif e.metric in fits:
-            measured = fits[e.metric].slope
-        else:
-            raise ValueError(f"expectation names unknown metric {e.metric!r}")
+        measured = scalars[e.metric] if e.metric in scalars else fits[e.metric].slope
         outcomes.append(
             Outcome(
                 e.metric,

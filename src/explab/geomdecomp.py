@@ -17,7 +17,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
+import numpy as np
+
+from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent, range_union
 from .polyexpr import Interval, Poly, Rect, interval_range
 
 WEDGE_FLOOR = 1e-8
@@ -42,6 +44,19 @@ class SmoothMap2:
     Implementations expose the value, partial derivatives up to total
     order 3, and a sound interval enclosure of the range on a rectangle.
     Instances are immutable and shareable.
+
+    enclosure_cells(i, j, k) is the array form of enclosure on the grid:
+    for int arrays i, j of scale-k cells [i, i+1] x [j, j+1] (in units of
+    2^-k) it returns int64 arrays (j0, j1) with j0 = floor(lo * 2^k) and
+    j1 = floor(hi * 2^k), each clamped to [0, 2^k - 1], where [lo, hi] is
+    enclosure() of the cell.  Every implementation must agree with
+    enclosure() cell for cell.  The default loops over enclosure(); maps
+    whose enclosure is a float formula override it with numpy over the
+    cell edges i * 2^-k, which are exact in float.  Such a formula must
+    give bit-identical floats elementwise and on one rectangle, so a
+    square root goes through math.hypot (see _hypot): np.hypot and
+    np.sqrt(dx*dx + dy*dy) differ from it in the last bit on some
+    grid-aligned inputs.
     """
 
     domain: Rect = Rect.of(0, 1, 0, 1)
@@ -56,6 +71,17 @@ class SmoothMap2:
     def enclosure(self, rect: Rect) -> Interval:
         raise NotImplementedError
 
+    def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Clamped value-grid cells of the enclosure's ends on each cell."""
+        n = 1 << k
+        d = Fraction(1, n)
+        j0, j1 = [], []
+        for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
+            enc = self.enclosure(Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
+            j0.append(min(max(math.floor(enc.lo * n), 0), n - 1))
+            j1.append(min(max(math.floor(enc.hi * n), 0), n - 1))
+        return np.array(j0, dtype=np.int64), np.array(j1, dtype=np.int64)
+
     def gradient(self, x: float, y: float) -> Tuple[float, float]:
         return self.partial(x, y, 1, 0), self.partial(x, y, 0, 1)
 
@@ -67,6 +93,37 @@ class SmoothMap2:
     @property
     def is_coordinate_y(self) -> bool:
         return False
+
+
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise math.hypot, the one square root the float enclosures use."""
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), dtype=float, count=a.size)
+
+
+class _FloatEnclosureMap(SmoothMap2):
+    """A map whose enclosure is one float formula, _bounds, on the edges
+    of a rectangle, evaluated elementwise over float arrays.  enclosure
+    runs it on one rectangle and enclosure_cells on whole cell arrays, so
+    the two cannot disagree."""
+
+    def _bounds(self, x0, x1, y0, y1) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def enclosure(self, rect: Rect) -> Interval:
+        edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
+        lo, hi = self._bounds(*edges)
+        return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
+
+    def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        d = 0.5**k
+        x0 = np.asarray(i, dtype=float) * d
+        y0 = np.asarray(j, dtype=float) * d
+        n = 1 << k
+        # floor(v * 2^k) is exact in float: scaling by a power of two is.
+        return tuple(
+            np.clip(np.floor(v * n), 0, n - 1).astype(np.int64)
+            for v in self._bounds(x0, x0 + d, y0, y0 + d)
+        )
 
 
 class PolynomialMap(SmoothMap2):
@@ -108,7 +165,7 @@ class PolynomialMap(SmoothMap2):
         return self.poly.terms == {(0, 1): Fraction(1)}
 
 
-class PinnedDistance(SmoothMap2):
+class PinnedDistance(_FloatEnclosureMap):
     """q -> |q - center|, smooth away from the pin.
 
     Derivatives are closed forms in u = x - cx, v = y - cy, r = |q - c|;
@@ -120,6 +177,8 @@ class PinnedDistance(SmoothMap2):
 
     def __init__(self, center: Tuple[float, float], domain: Rect = Rect.of(0, 1, 0, 1)):
         self.center = (float(center[0]), float(center[1]))
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("the pin must be a finite point")
         self.domain = domain
 
     def value(self, x: float, y: float) -> float:
@@ -154,23 +213,26 @@ class PinnedDistance(SmoothMap2):
             raise ValueError("derivatives available up to total order 3")
         return table[order]
 
-    def enclosure(self, rect: Rect) -> Interval:
+    def _bounds(self, x0, x1, y0, y1):
         cx, cy = self.center
-        x0, x1 = float(rect.x0), float(rect.x1)
-        y0, y1 = float(rect.y0), float(rect.y1)
-        dx = max(x0 - cx, 0.0, cx - x1)
-        dy = max(y0 - cy, 0.0, cy - y1)
-        dmin = math.hypot(dx, dy)
-        dmax = math.hypot(max(abs(x0 - cx), abs(x1 - cx)), max(abs(y0 - cy), abs(y1 - cy)))
+        dx = np.maximum(np.maximum(x0 - cx, 0.0), cx - x1)
+        dy = np.maximum(np.maximum(y0 - cy, 0.0), cy - y1)
+        dmin = _hypot(dx, dy)
+        dmax = _hypot(
+            np.maximum(np.abs(x0 - cx), np.abs(x1 - cx)),
+            np.maximum(np.abs(y0 - cy), np.abs(y1 - cy)),
+        )
         pad = self._PAD * (1.0 + dmax)
-        return Interval(Fraction(max(0.0, dmin - pad)), Fraction(dmax + pad))
+        return np.maximum(dmin - pad, 0.0), dmax + pad
 
 
-class LinearProjection(SmoothMap2):
+class LinearProjection(_FloatEnclosureMap):
     """q -> x cos(theta) + y sin(theta)."""
 
     def __init__(self, theta: float, domain: Rect = Rect.of(0, 1, 0, 1)):
         self.theta = float(theta)
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         self.cos = math.cos(self.theta)
         self.sin = math.sin(self.theta)
         self.domain = domain
@@ -187,14 +249,9 @@ class LinearProjection(SmoothMap2):
             return self.value(x, y)
         return 0.0
 
-    def enclosure(self, rect: Rect) -> Interval:
-        corners = [
-            float(rect.x0) * self.cos + float(rect.y0) * self.sin,
-            float(rect.x0) * self.cos + float(rect.y1) * self.sin,
-            float(rect.x1) * self.cos + float(rect.y0) * self.sin,
-            float(rect.x1) * self.cos + float(rect.y1) * self.sin,
-        ]
-        return Interval(Fraction(min(corners)), Fraction(max(corners)))
+    def _bounds(self, x0, x1, y0, y1):
+        corners = [x * self.cos + y * self.sin for x in (x0, x1) for y in (y0, y1)]
+        return np.minimum.reduce(corners), np.maximum.reduce(corners)
 
     @property
     def is_coordinate_x(self) -> bool:
@@ -815,50 +872,37 @@ def extract_product(
 
 def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
     """Output cells on the [0, 1] value grid met by phi's enclosure on
-    some cell of X (values are clamped into [0, 1])."""
-    k = X.scale.k
-    n = 2**k
-    marks = bytearray(n)
-    for rect in _iter_cells(X):
-        enc = phi.enclosure(rect)
-        j0 = max(0, min(int(enc.lo * n), n - 1))
-        j1 = max(0, min(int(enc.hi * n), n - 1))
-        for j in range(j0, j1 + 1):
-            marks[j] = 1
-    return GridSet1D(X.scale, tuple(j for j in range(n) if marks[j]))
+    some cell of X (values are clamped into [0, 1]).
+
+    One enclosure_cells call gives every cell's range [j0, j1] of value
+    cells; the image is the sorted union of those ranges.
+    """
+    cells = np.array(X.cells, dtype=np.int64).reshape(-1, 2)
+    j0, j1 = phi.enclosure_cells(cells[:, 0], cells[:, 1], X.scale.k)
+    return GridSet1D(X.scale, tuple(range_union(j0, j1).tolist()))
 
 
 def preimage_cells(
     phi: SmoothMap2, values: GridSet1D, window: Rect, scale: Scale
 ) -> GridSet2D:
     """Cells of the scale grid inside the window whose phi-enclosure meets
-    some cell of the value set."""
+    some cell of the value set.
+
+    One enclosure_cells call gives every window cell's range [j0, j1] of
+    value cells.  A range meets the set when the count of value cells up
+    to j1 exceeds the count below j0; both counts are prefix sums of the
+    set, read by binary search in its sorted cells, so memory does not
+    grow with 2^k.
+    """
     if values.scale != scale:
         raise ValueError("value set must live at the target scale")
-    k = scale.k
-    n = 2**k
-    member = bytearray(n)
-    for c in values.cells:
-        member[c] = 1
-    prefix = [0]
-    for c in range(n):
-        prefix.append(prefix[-1] + member[c])
-
-    def range_hits(lo: Fraction, hi: Fraction) -> bool:
-        j0 = max(0, min(math.floor(lo * n), n - 1))
-        j1 = max(0, min(math.floor(hi * n), n - 1))
-        return prefix[j1 + 1] - prefix[j0] > 0
-
     d = scale.delta
-    i0 = math.ceil(window.x0 / d)
-    i1 = math.floor(window.x1 / d)
-    j0 = math.ceil(window.y0 / d)
-    j1 = math.floor(window.y1 / d)
-    cells = []
-    for i in range(i0, i1):
-        x0, x1 = i * d, (i + 1) * d
-        for j in range(j0, j1):
-            enc = phi.enclosure(Rect(x0, x1, j * d, (j + 1) * d))
-            if range_hits(enc.lo, enc.hi):
-                cells.append((i, j))
-    return GridSet2D.from_cells(scale, cells)
+    cols = np.arange(math.ceil(window.x0 / d), math.floor(window.x1 / d), dtype=np.int64)
+    rows = np.arange(math.ceil(window.y0 / d), math.floor(window.y1 / d), dtype=np.int64)
+    i = np.repeat(cols, rows.size)
+    j = np.tile(rows, cols.size)
+    j0, j1 = phi.enclosure_cells(i, j, scale.k)
+    member = np.array(values.cells, dtype=np.int64)
+    hit = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
+    # The window is scanned column by column, so the hits are in order.
+    return GridSet2D(scale, tuple(zip(i[hit].tolist(), j[hit].tolist())))

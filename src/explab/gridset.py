@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm, log2
+from math import ceil, floor, isfinite, lcm, log2
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -327,6 +327,21 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
+def range_union(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Sorted int64 cells of the union of the inclusive ranges [first, last].
+
+    In order of first, each range adds the cells beyond everything the
+    earlier ranges reached, so the work is O(m log m) in the number of
+    ranges plus the number of cells marked, whatever the grid size.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], np.asarray(last, dtype=np.int64)[order]
+    reached = np.maximum.accumulate(np.concatenate(([-1], last)))[:-1]
+    starts = np.maximum(first, reached + 1)
+    return _runs(starts, np.maximum(last - starts + 1, 0))
+
+
 def _pair_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
     """Exact enclosures of P on every closed cell product S x T.
 
@@ -392,15 +407,9 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
     # lo >= offset always; the top cell is half-open, so value_hi lands
     # one past it and is clamped back.
     top = 2**k - 1
-    first = np.minimum((lo - offset) // step, top).astype(np.int64)
-    last = np.minimum((hi - offset) // step, top).astype(np.int64)
-    # Union of the inclusive ranges [first, last]: in order of first, each
-    # range adds the cells beyond everything reached before it.
-    order = np.argsort(first, kind="stable")
-    first, last = first[order], last[order]
-    reached = np.concatenate(([-1], np.maximum.accumulate(last)[:-1]))
-    starts = np.maximum(first, reached + 1)
-    cells = _runs(starts, np.maximum(last - starts + 1, 0))
+    first = np.minimum((lo - offset) // step, top)
+    last = np.minimum((hi - offset) // step, top)
+    cells = range_union(first, last)
     return ImageSet(GridSet1D(A.scale, tuple(cells.tolist())), total.lo, total.hi)
 
 
@@ -448,6 +457,8 @@ def energy_count(
     """
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
+    if hf_min is not None and not isfinite(hf_min):
+        raise ValueError("hf_min must be finite")
     lo, hi, _ = _pair_bounds(P, A, B)
     n = lo.size
     if hf_min is None:

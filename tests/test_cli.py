@@ -50,6 +50,13 @@ def test_domain_error_exit_1(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_energy_non_finite_hf_min_is_domain_error(capsys, value):
+    code, _, err = run_cli(capsys, "energy", "--poly", "x+y", "--hf-min", value, "--k", "4")
+    assert code == 1
+    assert err.startswith("explab: ") and "hf_min must be finite" in err
+
+
 def test_energy_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

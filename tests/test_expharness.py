@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from explab import gridset
+from explab import geomdecomp, gridset
 from explab.expharness import (
+    _metric_names,
     Expectation,
     Scenario,
     builtin_scenario,
@@ -111,6 +112,56 @@ def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
     monkeypatch.setattr(gridset, "image_set", None)  # any work would fail differently
     with pytest.raises(ValueError, match="'alpah'.*'poly_growth'"):
         run_scenario(parse_scenario(text))
+
+
+@pytest.mark.parametrize(
+    "family, parameters, metric, module, work",
+    [
+        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "preimage_cells"),
+        # image_ratio_* are reported only next to a baseline polynomial.
+        ("poly_growth", {"poly": "x + y"}, "image_ratio_growth", gridset, "image_set"),
+    ],
+)
+def test_run_scenario_rejects_unknown_metric_before_running(
+    monkeypatch, family, parameters, metric, module, work
+):
+    monkeypatch.setattr(module, work, None)  # any work would fail differently
+    s = Scenario("typo", family, parameters, (Expectation(metric, "ge", 0.5, 0.0, "PAPER"),))
+    with pytest.raises(ValueError, match=f"'{metric}'.*'{family}'"):
+        run_scenario(s)
+
+
+@pytest.mark.parametrize(
+    "family, key, ladder",
+    [
+        ("three_projection", "scales", "8"),
+        ("pinned_distance", "scales", "8,9"),
+        ("poly_growth", "scales", "10,"),
+        ("sum_product", "scales", "8,10,31"),
+        ("eps_d_energy", "restricted_scales", "10,11"),
+    ],
+)
+def test_run_scenario_rejects_bad_ladder_before_running(monkeypatch, family, key, ladder):
+    parameters = {key: ladder, "poly": "x + y"} if family == "poly_growth" else {key: ladder}
+    for module, name in (
+        (gridset, "energy_count"),
+        (gridset, "image_set"),
+        (geomdecomp, "map_image"),
+        (geomdecomp, "preimage_cells"),
+    ):
+        monkeypatch.setattr(module, name, None)  # any work would fail differently
+    with pytest.raises(ValueError, match=key):
+        run_scenario(Scenario("short", family, parameters, ()))
+
+
+def test_declared_metrics_are_the_reported_ones():
+    for s in builtin_scenarios():
+        parameters = dict(s.parameters, scales="8,9,10")
+        if s.family == "eps_d_energy":
+            parameters.update(scales="6,7,8", restricted_scales="10,11,12")
+        report = run_scenario(Scenario(s.name, s.family, parameters, ()))
+        declared = _metric_names(s.family, parameters)
+        assert set(report.scalars) | set(report.fits) == declared, s.name
 
 
 def test_run_scenario_reports_failed_expectation_without_raising():

@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explab.geomdecomp import (
     DegenerateGradientsError,
@@ -517,6 +520,147 @@ def test_preimage_cells_annulus():
         r = math.hypot((i + 0.5) * d, (j + 0.5) * d)
         assert abs(r - 0.504) < 6 * d
     assert len(X.cells) > 0
+
+
+# Reference copies of the per-cell code the array kernel replaced: the
+# float enclosure formulas of the two float maps, written with Python
+# floats and math.hypot, and the per-cell bodies of map_image and
+# preimage_cells.
+
+
+def reference_bounds(phi, rect):
+    x0, x1 = float(rect.x0), float(rect.x1)
+    y0, y1 = float(rect.y0), float(rect.y1)
+    if isinstance(phi, LinearProjection):
+        corners = [x * phi.cos + y * phi.sin for x in (x0, x1) for y in (y0, y1)]
+        return min(corners), max(corners)
+    cx, cy = phi.center
+    dx = max(x0 - cx, 0.0, cx - x1)
+    dy = max(y0 - cy, 0.0, cy - y1)
+    dmin = math.hypot(dx, dy)
+    dmax = math.hypot(max(abs(x0 - cx), abs(x1 - cx)), max(abs(y0 - cy), abs(y1 - cy)))
+    pad = PinnedDistance._PAD * (1.0 + dmax)
+    return max(0.0, dmin - pad), dmax + pad
+
+
+def reference_map_image(phi, X):
+    n = X.scale.cells
+    marks = set()
+    for ij in X.cells:
+        enc = phi.enclosure(X.cell_rect(ij))
+        j0 = max(0, min(int(enc.lo * n), n - 1))
+        j1 = max(0, min(int(enc.hi * n), n - 1))
+        marks.update(range(j0, j1 + 1))
+    return tuple(sorted(marks))
+
+
+def reference_preimage(phi, values, window, scale):
+    n = scale.cells
+    d = scale.delta
+    member = set(values.cells)
+    cells = []
+    for i in range(math.ceil(window.x0 / d), math.floor(window.x1 / d)):
+        for j in range(math.ceil(window.y0 / d), math.floor(window.y1 / d)):
+            enc = phi.enclosure(Rect(i * d, (i + 1) * d, j * d, (j + 1) * d))
+            j0 = max(0, min(math.floor(enc.lo * n), n - 1))
+            j1 = max(0, min(math.floor(enc.hi * n), n - 1))
+            if any(v in member for v in range(j0, j1 + 1)):
+                cells.append((i, j))
+    return tuple(cells)
+
+
+# Pin coordinates: anywhere, non-dyadic, or on a cell edge of some scale,
+# inside or outside the unit square.
+coordinates = st.one_of(
+    st.floats(min_value=-1.0, max_value=2.0, allow_nan=False),
+    st.sampled_from([0.3, 0.1, 0.7, 1 / 3]),
+    st.builds(lambda m, e: m / 2**e, st.integers(-64, 128), st.integers(0, 12)),
+)
+float_maps = st.one_of(
+    st.builds(PinnedDistance, st.tuples(coordinates, coordinates)),
+    st.builds(LinearProjection, st.floats(min_value=-4.0, max_value=4.0)),
+)
+smooth_maps = st.one_of(
+    float_maps,
+    st.sampled_from([P_QUAD, parse_poly("x - y"), parse_poly("1/3*y^2 - x*y")]).map(PolynomialMap),
+)
+
+
+@st.composite
+def cell_blocks(draw):
+    """A scale and the cells of an axis-aligned block of at most 24 x 24."""
+    k = draw(st.integers(1, 12))
+    n = 2**k
+    i0, j0 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    cols = np.arange(i0, i0 + draw(st.integers(0, min(24, n - i0))))
+    rows = np.arange(j0, j0 + draw(st.integers(0, min(24, n - j0))))
+    return k, np.repeat(cols, rows.size), np.tile(rows, cols.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_maps, cell_blocks())
+def test_float_enclosures_are_bit_identical_to_reference(phi, block):
+    k, i, j = block
+    n = 2**k
+    d = Fraction(1, n)
+    cells = phi.enclosure_cells(i, j, k)
+    assert all(c.dtype == np.int64 and c.shape == i.shape for c in cells)
+    for a, b, j0, j1 in zip(i.tolist(), j.tolist(), *(c.tolist() for c in cells)):
+        rect = Rect(a * d, (a + 1) * d, b * d, (b + 1) * d)
+        lo, hi = reference_bounds(phi, rect)
+        enc = phi.enclosure(rect)
+        assert (float(enc.lo), float(enc.hi)) == (lo, hi)
+        assert (enc.lo, enc.hi) == (Fraction(lo), Fraction(hi))
+        assert j0 == max(0, min(math.floor(lo * n), n - 1))
+        assert j1 == max(0, min(math.floor(hi * n), n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_maps, st.data())
+def test_map_image_equals_per_cell_loop(phi, data):
+    k = data.draw(st.integers(1, 12))
+    cell = st.integers(0, 2**k - 1)
+    X = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=60)))
+    assert map_image(phi, X).cells == reference_map_image(phi, X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_maps, st.data())
+def test_preimage_cells_equals_per_cell_loop(phi, data):
+    k = data.draw(st.integers(1, 12))
+    n = 2**k
+    cells = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+    values = GridSet1D.from_cells(Scale(k), cells)
+    # Window edges on a grid four times finer, so some fall between
+    # cell edges; at most 24 cells across, possibly none.
+    x0, y0 = (Fraction(data.draw(st.integers(0, 4 * n)), 4 * n) for _ in range(2))
+    x1 = min(Fraction(1), x0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
+    y1 = min(Fraction(1), y0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
+    window = Rect(x0, x1, y0, y1)
+    got = preimage_cells(phi, values, window, Scale(k))
+    assert got.cells == reference_preimage(phi, values, window, Scale(k))
+
+
+@pytest.mark.parametrize(
+    "phi", [pinned_distance_map((0.3, 0.0)), LinearProjection(0.4), PolynomialMap(P_QUAD)]
+)
+def test_map_image_and_preimage_of_nothing_are_empty(phi):
+    scale = Scale(5)
+    assert map_image(phi, GridSet2D(scale, ())).cells == ()
+    full = GridSet1D(scale, tuple(range(32)))
+    # A window of zero width, and one narrower than a cell between two edges.
+    x = Fraction(1, 3)
+    for window in (Rect.of(x, x, 0, 1), Rect.of(x, x + Fraction(1, 64), 0, 1)):
+        assert preimage_cells(phi, full, window, scale).cells == ()
+    assert preimage_cells(phi, GridSet1D(scale, ()), Rect.of(0, 1, 0, 1), scale).cells == ()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: PinnedDistance((math.inf, 0.0)), lambda: LinearProjection(math.nan)]
+)
+def test_float_maps_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_cube_decomposition_round_trip():
