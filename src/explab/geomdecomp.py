@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent, range_union
-from .polyexpr import Interval, Poly, Rect, interval_range
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
 
 WEDGE_FLOOR = 1e-8
 
@@ -45,18 +46,26 @@ class SmoothMap2:
     order 3, and a sound interval enclosure of the range on a rectangle.
     Instances are immutable and shareable.
 
+    enclosure_rects(x0, x1, y0, y1, den) is the batch form of enclosure:
+    for integer corner arrays over one denominator (broadcasting like
+    polyexpr.box_bounds) it returns integer arrays lo, hi and an integer
+    scale with [lo/scale, hi/scale] == enclosure() of each rectangle.
+    The arrays are int64 only when scale < 2^63.  The default loops over
+    enclosure() and puts the ends over the lcm of their denominators;
+    PolynomialMap overrides it with the integer kernel.
+
     enclosure_cells(i, j, k) is the array form of enclosure on the grid:
     for int arrays i, j of scale-k cells [i, i+1] x [j, j+1] (in units of
     2^-k) it returns int64 arrays (j0, j1) with j0 = floor(lo * 2^k) and
     j1 = floor(hi * 2^k), each clamped to [0, 2^k - 1], where [lo, hi] is
     enclosure() of the cell.  Every implementation must agree with
-    enclosure() cell for cell.  The default loops over enclosure(); maps
-    whose enclosure is a float formula override it with numpy over the
-    cell edges i * 2^-k, which are exact in float.  Such a formula must
-    give bit-identical floats elementwise and on one rectangle, so a
-    square root goes through math.hypot (see _hypot): np.hypot and
-    np.sqrt(dx*dx + dy*dy) differ from it in the last bit on some
-    grid-aligned inputs.
+    enclosure() cell for cell.  The default divides the ends from
+    enclosure_rects exactly; maps whose enclosure is a float formula
+    override it with numpy over the cell edges i * 2^-k, which are exact
+    in float.  Such a formula must give bit-identical floats elementwise
+    and on one rectangle, so a square root goes through math.hypot (see
+    _hypot): np.hypot and np.sqrt(dx*dx + dy*dy) differ from it in the
+    last bit on some grid-aligned inputs.
     """
 
     domain: Rect = Rect.of(0, 1, 0, 1)
@@ -71,16 +80,37 @@ class SmoothMap2:
     def enclosure(self, rect: Rect) -> Interval:
         raise NotImplementedError
 
+    def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Exact integer enclosure ends of a batch of rectangles."""
+        edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
+        encs = [
+            self.enclosure(Rect(*(Fraction(v, den) for v in corners)))
+            for corners in zip(*(e.ravel().tolist() for e in edges))
+        ]
+        scale = math.lcm(*(v.denominator for e in encs for v in (e.lo, e.hi)))
+
+        def ints(values) -> np.ndarray:
+            out = [v.numerator * (scale // v.denominator) for v in values]
+            return np.array(out, dtype=object).reshape(edges[0].shape)
+
+        return ints(e.lo for e in encs), ints(e.hi for e in encs), scale
+
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Clamped value-grid cells of the enclosure's ends on each cell."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
         n = 1 << k
-        d = Fraction(1, n)
-        j0, j1 = [], []
-        for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
-            enc = self.enclosure(Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
-            j0.append(min(max(math.floor(enc.lo * n), 0), n - 1))
-            j1.append(min(max(math.floor(enc.hi * n), 0), n - 1))
-        return np.array(j0, dtype=np.int64), np.array(j1, dtype=np.int64)
+        lo, hi, scale = self.enclosure_rects(i, i + 1, j, j + 1, n)
+        # floor(v / scale * 2^k) = (v * num) // q exactly; num is 1 unless
+        # scale lacks the factor 2^k (a constant map), and then the ends go
+        # to Python ints before the multiplication.
+        g = math.gcd(scale, n)
+        num, q = n // g, scale // g
+        return tuple(
+            np.minimum(np.maximum((v if num == 1 else v.astype(object) * num) // q, 0), n - 1)
+            .astype(np.int64)
+            for v in (lo, hi)
+        )
 
     def gradient(self, x: float, y: float) -> Tuple[float, float]:
         return self.partial(x, y, 1, 0), self.partial(x, y, 0, 1)
@@ -155,6 +185,9 @@ class PolynomialMap(SmoothMap2):
 
     def enclosure(self, rect: Rect) -> Interval:
         return interval_range(self.poly, rect)
+
+    def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        return box_bounds(self.poly, x0, x1, y0, y1, den)
 
     @property
     def is_coordinate_x(self) -> bool:
@@ -406,7 +439,30 @@ class Region(Enum):
 RegionOracle = Callable[[DyadicSquare], Region]
 
 
-class FullSquareRegion:
+class DyadicRegion:
+    """A region oracle with a batch form.
+
+    classify(depth, i, j) answers for the squares (depth, i, j) of the
+    int arrays i, j at once, as boolean arrays (inside, outside); a
+    BOUNDARY square is neither.  The default loops over __call__;
+    PolynomialSignRegion overrides it with the integer enclosure kernel.
+    """
+
+    def __call__(self, square: DyadicSquare) -> Region:
+        raise NotImplementedError
+
+    def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
+        answers = [
+            self(DyadicSquare(depth, a, b))
+            for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist())
+        ]
+        return (
+            np.array([r is Region.INSIDE for r in answers], dtype=bool),
+            np.array([r is Region.OUTSIDE for r in answers], dtype=bool),
+        )
+
+
+class FullSquareRegion(DyadicRegion):
     """The whole open unit square (the ambient boundary is not held
     against membership; only dilates exiting the ambient count as exits)."""
 
@@ -414,7 +470,7 @@ class FullSquareRegion:
         return Region.INSIDE
 
 
-class PuncturedSquareRegion:
+class PuncturedSquareRegion(DyadicRegion):
     """Unit square minus one point (given in exact coordinates)."""
 
     def __init__(self, point=(Fraction(1, 2), Fraction(1, 2))):
@@ -428,7 +484,7 @@ class PuncturedSquareRegion:
         return Region.INSIDE
 
 
-class PolynomialSignRegion:
+class PolynomialSignRegion(DyadicRegion):
     """Omega = {P > 0} (or {P < 0}), decided by interval enclosures."""
 
     def __init__(self, poly: Poly, positive: bool = True):
@@ -444,24 +500,27 @@ class PolynomialSignRegion:
             return Region.OUTSIDE
         return Region.BOUNDARY
 
+    def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        lo, hi, _ = box_bounds(self.poly, i, i + 1, j, j + 1, 1 << depth)
+        if not self.positive:
+            lo, hi = -hi, -lo
+        return lo > 0, hi <= 0
 
-def _dilate_exits(square: DyadicSquare, oracle: RegionOracle) -> bool:
-    """True when the concentric 2-fold dilate 2Q is not contained in the
-    region: either 2Q clips the ambient unit square, or one of its
-    constituent half-depth dyadic squares is not answered INSIDE."""
-    d = square.depth
-    if d == 0:
-        return True  # the dilate of the root always exits the ambient
-    limit = 2 ** (d + 1)
-    base_i, base_j = 2 * square.i - 1, 2 * square.j - 1
-    for di in range(4):
-        for dj in range(4):
-            i, j = base_i + di, base_j + dj
-            if not (0 <= i < limit and 0 <= j < limit):
-                return True  # clipping at the ambient boundary counts as exiting
-            if oracle(DyadicSquare(d + 1, i, j)) is not Region.INSIDE:
-                return True
-    return False
+
+def _blocks(i: np.ndarray, j: np.ndarray, factor: int, offsets: np.ndarray):
+    """Squares (factor i + a, factor j + b) for a, b in offsets, listed
+    square by square: with factor 2 and offsets 0, 1 the children of each
+    (i, j), with offsets -1..2 its dilate one level down."""
+    bi, bj = np.broadcast_arrays(
+        (factor * i)[:, None, None] + offsets[:, None], (factor * j)[:, None, None] + offsets
+    )
+    return bi.ravel(), bj.ravel()
+
+
+_CHILDREN = np.arange(2)
+_DILATE = np.arange(-1, 3)
 
 
 def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
@@ -472,36 +531,52 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
     interior can have no descendant with an exiting dilate (concentric
     dilates nest), so it is emitted immediately and flagged rather than
     refined to k_max.
+
+    The dilate 2Q of a depth-d square is 4 x 4 squares of depth d + 1; it
+    exits when it clips the ambient unit square or one of them is not
+    answered INSIDE.  The tree is walked one depth at a time, with one
+    classify call per depth d + 1: it answers the children of the depth-d
+    BOUNDARY squares together with the dilate squares of the depth-d
+    INSIDE squares, each distinct square once.  A plain callable oracle
+    is asked square by square through DyadicRegion.classify.  Cubes are
+    listed by (depth, i, j).
     """
     if not 1 <= k_max <= 30:
         raise ValueError("k_max must lie in [1, 30]")
+    classify = (
+        omega.classify if isinstance(omega, DyadicRegion) else partial(DyadicRegion.classify, omega)
+    )
     cubes = []
-    flagged = set()
-    leftover = []
-
-    stack = [DyadicSquare(0, 0, 0)]
-    while stack:
-        square = stack.pop()
-        answer = omega(square)
-        if answer is Region.OUTSIDE:
-            continue
-        if answer is Region.INSIDE:
-            cubes.append(square)
-            if not _dilate_exits(square, omega):
-                flagged.add(len(cubes) - 1)
-            continue
-        if square.depth >= k_max:
-            leftover.append((square.i, square.j))
-            continue
-        stack.extend(square.children())
-
-    order = sorted(range(len(cubes)), key=lambda n: (cubes[n].depth, cubes[n].i, cubes[n].j))
-    ordered_cubes = tuple(cubes[n] for n in order)
-    ordered_flags = frozenset(order.index(n) for n in flagged)
+    flags = []
+    i = j = np.zeros(1, dtype=np.int64)
+    inside, outside = classify(0, i, j)
+    for depth in range(k_max + 1):
+        side = 1 << depth
+        order = np.lexsort((j[inside], i[inside]))
+        ci, cj = i[inside][order], j[inside][order]
+        # 2Q stays in the ambient square only for cubes off its edge.
+        interior = (ci >= 1) & (ci <= side - 2) & (cj >= 1) & (cj <= side - 2)
+        di, dj = _blocks(ci[interior], cj[interior], 2, _DILATE)
+        boundary = ~(inside | outside)
+        if depth < k_max:
+            i, j = _blocks(i[boundary], j[boundary], 2, _CHILDREN)
+        else:
+            leftover = zip(i[boundary].tolist(), j[boundary].tolist())
+            i = j = i[:0]
+        keys, where = np.unique(
+            np.concatenate((i, di)) << (depth + 1) | np.concatenate((j, dj)), return_inverse=True
+        )
+        ins, outs = classify(depth + 1, keys >> (depth + 1), keys & (2 * side - 1))
+        ins, outs = ins[where], outs[where]
+        exits = np.ones(ci.size, dtype=bool)
+        exits[interior] = ~ins[i.size :].reshape(-1, 16).all(axis=1)
+        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
+        flags.append(~exits)
+        inside, outside = ins[: i.size], outs[: i.size]
     return CubeDecomposition(
-        ordered_cubes,
-        tuple(() for _ in ordered_cubes),
-        ordered_flags,
+        tuple(cubes),
+        tuple(() for _ in cubes),
+        frozenset(np.flatnonzero(np.concatenate(flags)).tolist()),
         GridSet2D.from_cells(Scale(k_max), leftover),
     )
 
@@ -509,6 +584,15 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
 # ---------------------------------------------------------------------------
 # Band partition
 # ---------------------------------------------------------------------------
+
+
+def _morton(i: np.ndarray, j: np.ndarray, bits: int) -> np.ndarray:
+    """Interleaved bits of (i, j), the j bit above the i bit at each level,
+    so keys rise in the order DyadicSquare.children lists the quadrants."""
+    key = np.zeros_like(i)
+    for b in range(bits):
+        key |= ((i >> b) & 1) << (2 * b) | ((j >> b) & 1) << (2 * b + 1)
+    return key
 
 
 def band_partition(
@@ -526,7 +610,15 @@ def band_partition(
     be accepted and join the leftover; everything else splits until the
     delta-cells, where unresolved cells also join the leftover.  The
     fraction of A's cells landing in the leftover is reported.
+
+    The quadtree is walked one depth at a time, with one enclosure_rects
+    call per tracked function per depth; the functions are tried in
+    order and a square leaves the level at the first one that rejects
+    it.  Cubes are listed in the pre-order of the recursive walk (by
+    Morton key of their corner).
     """
+    if not math.isfinite(w):
+        raise ValueError(f"w must be finite, got {w}")
     if w <= 0:
         raise ValueError("w must be positive")
     if A.scale != scale:
@@ -534,40 +626,61 @@ def band_partition(
     k = scale.k
     threshold = Fraction(2.0 ** (-k * w))
 
+    accepted = []  # per depth: i, j and each function's (pinned ends, scale)
+    left_i, left_j = [], []
+    i = j = np.zeros(1, dtype=np.int64)
+    for depth in range(k + 1):
+        pinned = np.arange(i.size)  # squares every function so far pins
+        dead = np.zeros(i.size, dtype=bool)
+        lows = []
+        for f in fs:
+            a, b = i[pinned], j[pinned]
+            lo, hi, f_scale = f.enclosure_rects(a, a + 1, b, b + 1, 1 << depth)
+            # The ends of the enclosure of |f| (Interval.abs_interval).
+            up, down = lo >= 0, hi <= 0
+            alo = np.where(up, lo, np.where(down, -hi, 0))
+            ahi = np.where(up, hi, np.where(down, -lo, np.maximum(-lo, hi)))
+            # For an integer v, v/scale < threshold iff v < ceil(threshold*scale).
+            floor_at = math.ceil(threshold * f_scale)
+            dead[pinned[ahi < floor_at]] = True
+            keep = (alo >= floor_at) & (ahi // 4 < alo)
+            pinned = pinned[keep]
+            lows = [(v[keep], sc) for v, sc in lows] + [(alo[keep], f_scale)]
+        accepted.append((i[pinned], j[pinned], lows))
+        if dead.any():  # a dead square's delta-cells all join the leftover
+            span = 1 << (k - depth)
+            li, lj = _blocks(i[dead], j[dead], span, np.arange(span))
+            left_i.append(li)
+            left_j.append(lj)
+        split = ~dead
+        split[pinned] = False
+        if depth == k:
+            left_i.append(i[split])
+            left_j.append(j[split])
+        else:
+            i, j = _blocks(i[split], j[split], 2, _CHILDREN)
+
     cubes = []
     bands = []
-    leftover_cells = []
-
-    def visit(square: DyadicSquare):
-        lows = []
-        split = False
-        for f in fs:
-            enc = f.enclosure(square.rect()).abs_interval()
-            if enc.hi < threshold:
-                leftover_cells.extend(square.delta_cells(k))
-                return
-            if enc.lo < threshold or enc.hi >= 4 * enc.lo:
-                split = True
-                break
-            lows.append(enc.lo)
-        if not split:
-            cubes.append(square)
-            bands.append(tuple(lows))
-            return
-        if square.depth >= k:
-            leftover_cells.append((square.i, square.j))
-            return
-        for child in square.children():
-            visit(child)
-
-    visit(DyadicSquare(0, 0, 0))
-
-    leftover = GridSet2D.from_cells(scale, leftover_cells)
-    leftover_set = set(leftover.cells)
-    in_leftover = sum(1 for c in A.cells if c in leftover_set)
+    for depth, (ci, cj, lows) in enumerate(accepted):
+        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
+        bands += [
+            tuple(Fraction(int(v[n]), f_scale) for v, f_scale in lows) for n in range(ci.size)
+        ]
+    corners = [(c.i << (k - c.depth), c.j << (k - c.depth)) for c in cubes]
+    order = np.argsort(_morton(*np.array(corners, dtype=np.int64).reshape(-1, 2).T, k))
+    left = np.sort(np.concatenate(left_i) << k | np.concatenate(left_j))
+    left_cells = zip((left >> k).tolist(), (left & (scale.cells - 1)).tolist())
+    leftover = GridSet2D(scale, tuple(left_cells))
+    a_cells = np.array(A.cells, dtype=np.int64).reshape(-1, 2)
+    in_leftover = int(np.isin(a_cells[:, 0] << k | a_cells[:, 1], left).sum())
     fraction = in_leftover / len(A.cells) if A.cells else 0.0
     return CubeDecomposition(
-        tuple(cubes), tuple(bands), frozenset(), leftover, fraction
+        tuple(cubes[n] for n in order),
+        tuple(bands[n] for n in order),
+        frozenset(),
+        leftover,
+        fraction,
     )
 
 
@@ -579,31 +692,55 @@ def band_partition(
 ProductSet = Tuple[GridSet1D, GridSet1D]
 
 
-def _iter_cells(A: Union[GridSet2D, ProductSet]):
+def _inflation(A: Union[GridSet2D, ProductSet], s) -> Fraction:
+    """s as an exact rational, checked to lie in [delta, 1]."""
+    delta = A.scale.delta if isinstance(A, GridSet2D) else A[0].scale.delta
+    if isinstance(s, float) and not math.isfinite(s):
+        raise ValueError(f"s must lie in [delta, 1], got {s}")
+    s = Fraction(s)
+    if not delta <= s <= 1:
+        raise ValueError("s must lie in [delta, 1]")
+    return s
+
+
+def _level_covering(phi: SmoothMap2, A, s: Fraction, levels: Sequence[Fraction]) -> List[int]:
+    """For each level t in [0, 1], the cells of A whose s-inflated cell
+    has an enclosure of phi containing t.
+
+    One enclosure_rects call bounds every inflated cell (a product set
+    broadcasts its two factors) over the denominator lcm(2^k, den s).
+    With the ends sorted, a level t costs two binary searches: a cell
+    counts when lo <= floor(t scale) and hi >= ceil(t scale), and a cell
+    with hi < ceil(t scale) has lo <= floor(t scale) too, so the count
+    is #{lo <= floor(t scale)} - #{hi < ceil(t scale)}.
+    """
     if isinstance(A, GridSet2D):
-        d = A.scale.delta
-        for i, j in A.cells:
-            yield Rect(i * d, (i + 1) * d, j * d, (j + 1) * d)
+        k = A.scale.k
+        cells = np.array(A.cells, dtype=np.int64).reshape(-1, 2)
+        i, j = cells[:, 0], cells[:, 1]
     else:
         G1, G2 = A
         if G1.scale != G2.scale:
             raise ValueError("product factors must share a scale")
-        d = G1.scale.delta
-        for i in G1.cells:
-            x0, x1 = i * d, (i + 1) * d
-            for j in G2.cells:
-                yield Rect(x0, x1, j * d, (j + 1) * d)
-
-
-def _level_covering(phi: SmoothMap2, A, s, t) -> int:
-    s = Fraction(s)
-    t = Fraction(t)
-    count = 0
-    for rect in _iter_cells(A):
-        enc = phi.enclosure(rect.inflate(s))
-        if enc.lo <= t <= enc.hi:
-            count += 1
-    return count
+        k = G1.scale.k
+        i = np.array(G1.cells, dtype=np.int64)[:, None]
+        j = np.array(G2.cells, dtype=np.int64)[None, :]
+    den = math.lcm(1 << k, s.denominator)
+    unit, pad = den >> k, int(s * den)
+    if den >= 2**61:  # corners reach 2 den + unit: keep them exact
+        i, j = i.astype(object), j.astype(object)
+    lo, hi, scale = phi.enclosure_rects(
+        i * unit - pad, (i + 1) * unit + pad, j * unit - pad, (j + 1) * unit + pad, den
+    )
+    lo = np.sort(lo, axis=None)
+    hi = np.sort(hi, axis=None)
+    return [
+        int(
+            np.searchsorted(lo, math.floor(t * scale), side="right")
+            - np.searchsorted(hi, math.ceil(t * scale), side="left")
+        )
+        for t in levels
+    ]
 
 
 def zero_nbhd_covering(phi: SmoothMap2, A, s) -> int:
@@ -611,16 +748,10 @@ def zero_nbhd_covering(phi: SmoothMap2, A, s) -> int:
 
     Decided per cell by whether the enclosure of phi on the s-inflated
     cell contains zero; inflation is by s in each axis, a sound
-    over-approximation of the Euclidean neighborhood.
+    over-approximation of the Euclidean neighborhood.  The enclosures of
+    all cells come from one enclosure_rects call (see _level_covering).
     """
-    if isinstance(A, GridSet2D):
-        delta = A.scale.delta
-    else:
-        delta = A[0].scale.delta
-    s = Fraction(s)
-    if not delta <= s <= 1:
-        raise ValueError("s must lie in [delta, 1]")
-    return _level_covering(phi, A, s, 0)
+    return _level_covering(phi, A, _inflation(A, s), [Fraction(0)])[0]
 
 
 @dataclass(frozen=True)
@@ -634,7 +765,13 @@ def select_level(
 ) -> SelectedLevel:
     """Scan ceil(s^(-kappa/2)) levels t in [t0, 2 t0] and return the one
     whose s-neighborhood {phi = t} meets the fewest cells of A
-    (ties resolved toward the smaller t)."""
+    (ties resolved toward the smaller t).
+
+    s must lie in [delta, 1].  The inflated cells are enclosed once and
+    every level is counted against the same sorted ends (see
+    _level_covering).
+    """
+    s = _inflation(A, s)
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
     if not (float(s) ** (kappa / 2) < t0 <= 0.5):
@@ -645,12 +782,9 @@ def select_level(
     else:
         t0f = Fraction(t0)
         candidates = [t0f + Fraction(i, n - 1) * t0f for i in range(n)]
-    best = None
-    for t in candidates:
-        count = _level_covering(phi, A, s, t)
-        if best is None or count < best.count:
-            best = SelectedLevel(float(t), count)
-    return best
+    counts = _level_covering(phi, A, s, candidates)
+    best = counts.index(min(counts))
+    return SelectedLevel(float(candidates[best]), counts[best])
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,21 @@ polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
 
 The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
-rational endpoints), which the grid measurements build on.
+rational endpoints), which the grid measurements build on: interval_range
+on one box in Fractions, and box_bounds, the same enclosure of a
+bivariate polynomial on whole arrays of rectangles in exact integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 VARS2 = ("x", "y")
 VARS4 = ("x", "xp", "y", "yp")
@@ -151,7 +156,7 @@ class Poly:
         get = out.get
         for e1, c1 in ints_a:
             for e2, c2 in ints_b:
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 out[key] = get(key, 0) + c1 * c2
         scale = den_a * den_b
         return Poly(self.variables, {e: Fraction(c, scale) for e, c in out.items() if c})
@@ -678,3 +683,98 @@ def interval_range(P: Poly, cell: Rect) -> Interval:
     if P.variables != VARS2:
         raise ValueError("interval_range takes a bivariate polynomial")
     return interval_range_box(P, (cell.x_interval(), cell.y_interval()))
+
+
+def _pow_bounds(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval.pow(n) on the integer intervals [a, b], elementwise."""
+    if n == 1:
+        return a, b
+    lo, hi = a**n, b**n
+    if n % 2 == 1 or (a >= 0).all():
+        return lo, hi
+    up = a >= 0
+    down = b <= 0
+    return (
+        np.where(up, lo, np.where(down, hi, 0)),
+        np.where(up, hi, np.where(down, lo, np.maximum(lo, hi))),
+    )
+
+
+def _mul_bounds(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval.__mul__ of [a, b] and [c, d], elementwise."""
+    if (a >= 0).all() and (c >= 0).all():
+        return a * c, b * d
+    ac, ad, bc, bd = a * c, a * d, b * c, b * d
+    return (
+        np.minimum(np.minimum(ac, ad), np.minimum(bc, bd)),
+        np.maximum(np.maximum(ac, ad), np.maximum(bc, bd)),
+    )
+
+
+def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """interval_range of a bivariate P on arrays of rectangles, in integers.
+
+    The corners x0, x1, y0, y1 are integer arrays over one common
+    denominator den > 0: the rectangles are [x0/den, x1/den] x
+    [y0/den, y1/den], with x0 <= x1 and y0 <= y1.  Corners may be
+    negative and may exceed den, and the four arrays broadcast, so
+    (m, 1) x-corners against (1, n) y-corners give the product set.
+    Returns integer arrays lo, hi of the broadcast shape and an integer
+    scale with [lo/scale, hi/scale] == interval_range(P, rect) exactly for
+    every rectangle.  The per-monomial sign cases of Interval.pow and
+    Interval.__mul__ are reproduced, so the result is the same natural
+    enclosure (Moore 1966), only scaled by scale = lcm(coefficient
+    denominators) * den^deg.
+
+    Every corner, power, product, term and partial sum is at most
+    max(1, |corner|)^deg * sum|c| * scale in magnitude (den^e stands in
+    for the missing powers of a monomial), so the arrays are int64 when
+    that bound, scale and every corner are below 2^63 and hold Python
+    ints (dtype object) otherwise.
+    """
+    if P.variables != VARS2:
+        raise ValueError("box_bounds takes a bivariate polynomial")
+    edges = [np.asarray(v) for v in (x0, x1, y0, y1)]
+    shape = np.broadcast_shapes(*(e.shape for e in edges))
+    deg = P.degree() or 0
+    cden = math.lcm(*(c.denominator for c in P.terms.values()))
+    scale = cden * den**deg
+    terms = [(i, j, int(c * cden)) for (i, j), c in P.terms.items()]
+
+    def reach(lo_edge, hi_edge) -> int:
+        if not lo_edge.size or not hi_edge.size:
+            return 1
+        return max(1, abs(int(lo_edge.min())), abs(int(hi_edge.max())))
+
+    mx, my = reach(*edges[:2]), reach(*edges[2:])
+    bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
+    dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
+    x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
+    lo = np.zeros(shape, dtype=dtype)
+    hi = np.zeros(shape, dtype=dtype)
+    x_pows: dict = {}
+    y_pows: dict = {}
+    for i, j, c in terms:
+        weight = abs(c) * den ** (deg - i - j)
+        if i and i not in x_pows:
+            x_pows[i] = _pow_bounds(x0, x1, i)
+        if j and j not in y_pows:
+            y_pows[j] = _pow_bounds(y0, y1, j)
+        # Scaling one factor by the positive weight first keeps every
+        # intermediate below the bound and changes no min or max.
+        if i and j:
+            ya, yb = y_pows[j]
+            t_lo, t_hi = _mul_bounds(*x_pows[i], ya * weight, yb * weight)
+        elif i:
+            t_lo, t_hi = (v * weight for v in x_pows[i])
+        elif j:
+            t_lo, t_hi = (v * weight for v in y_pows[j])
+        else:
+            t_lo = t_hi = weight
+        if c > 0:
+            lo += t_lo
+            hi += t_hi
+        else:
+            lo -= t_hi
+            hi -= t_lo
+    return lo, hi, scale

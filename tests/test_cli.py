@@ -57,6 +57,13 @@ def test_energy_non_finite_hf_min_is_domain_error(capsys, value):
     assert err.startswith("explab: ") and "hf_min must be finite" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bands_non_finite_w_is_domain_error(capsys, value):
+    code, out, err = run_cli(capsys, "bands", "--poly", "x + y", "--w", value, "--k", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and "w must be finite" in err
+
+
 def test_energy_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 import pytest
@@ -10,14 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explab.geomdecomp import (
+    CubeDecomposition,
     DegenerateGradientsError,
     DyadicSquare,
     FullSquareRegion,
     LinearProjection,
     PinnedDistance,
     PolynomialMap,
+    PolynomialSignRegion,
+    ProductSet,
     PuncturedSquareRegion,
     Region,
+    RegionOracle,
+    SelectedLevel,
+    SmoothMap2,
     band_partition,
     blaschke_curvature,
     extract_product,
@@ -31,7 +38,7 @@ from explab.geomdecomp import (
     zero_nbhd_covering,
 )
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap
-from explab.polyexpr import Rect, parse_poly
+from explab.polyexpr import VARS2, Poly, Rect, mp_numerator, parse_poly
 
 P_QUAD = parse_poly("x^2 + x*y + y^2")
 
@@ -251,8 +258,6 @@ def test_band_partition_certificates_sampled():
     px = PolynomialMap(P_QUAD.partial("x"))
     py = PolynomialMap(P_QUAD.partial("y"))
     pxy = PolynomialMap(P_QUAD.partial("x").partial("y"))
-    from explab.polyexpr import mp_numerator
-
     mp = PolynomialMap(mp_numerator(P_QUAD))
     decomp = band_partition([px, py, pxy, mp], 0.2, Scale(k), A)
     rng = random.Random(23)
@@ -335,9 +340,7 @@ def test_select_level_translation_invariance():
     best = select_level(phi, A, s, 0.25, kappa=1.0)
     # Every level cuts a vertical strip of (nearly) the same width, so the
     # minimizer count matches any single level up to one cell column.
-    from explab.geomdecomp import _level_covering
-
-    reference = _level_covering(phi, A, s, Fraction(1, 4))
+    reference = reference_level_covering(phi, A, s, Fraction(1, 4))
     assert abs(best.count - reference) <= 2**k
 
 
@@ -363,9 +366,7 @@ def test_select_level_min_leq_mean():
     n = math.ceil(float(s) ** (-kappa / 2))
     t0 = Fraction(1, 4)
     candidates = [t0 + Fraction(i, n - 1) * t0 for i in range(n)]
-    from explab.geomdecomp import _level_covering
-
-    counts = [_level_covering(phi, A, s, t) for t in candidates]
+    counts = [reference_level_covering(phi, A, s, t) for t in candidates]
     assert best.count <= sum(counts) / len(counts)
 
 
@@ -692,3 +693,370 @@ def test_cube_decomposition_round_trip():
 def test_cube_decomposition_rejects_malformed_line(line):
     with pytest.raises(ValueError, match="bad cube line"):
         parse_cube_decomposition(line + "\ngridset2d k=1\n")
+
+
+# ---------------------------------------------------------------------------
+# batched enclosures against reference copies of the per-box code
+# ---------------------------------------------------------------------------
+
+# Verbatim copies of the recursive walks, the per-cell level count and the
+# per-cell enclosure_cells loop that the batched kernels replaced (only the
+# names differ).  They take every enclosure one box at a time through the
+# public scalar enclosure or region call, so they share no code with
+# polyexpr.box_bounds.
+
+
+def reference_dilate_exits(square: DyadicSquare, oracle: RegionOracle) -> bool:
+    """True when the concentric 2-fold dilate 2Q is not contained in the
+    region: either 2Q clips the ambient unit square, or one of its
+    constituent half-depth dyadic squares is not answered INSIDE."""
+    d = square.depth
+    if d == 0:
+        return True  # the dilate of the root always exits the ambient
+    limit = 2 ** (d + 1)
+    base_i, base_j = 2 * square.i - 1, 2 * square.j - 1
+    for di in range(4):
+        for dj in range(4):
+            i, j = base_i + di, base_j + dj
+            if not (0 <= i < limit and 0 <= j < limit):
+                return True  # clipping at the ambient boundary counts as exiting
+            if oracle(DyadicSquare(d + 1, i, j)) is not Region.INSIDE:
+                return True
+    return False
+
+
+def reference_whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
+    """Dyadic squares Q inside the region whose 2-fold dilate exits it.
+
+    BOUNDARY squares are refined until k_max; the unresolved delta-cells
+    at k_max form the leftover.  An INSIDE square whose dilate stays
+    interior can have no descendant with an exiting dilate (concentric
+    dilates nest), so it is emitted immediately and flagged rather than
+    refined to k_max.
+    """
+    if not 1 <= k_max <= 30:
+        raise ValueError("k_max must lie in [1, 30]")
+    cubes = []
+    flagged = set()
+    leftover = []
+
+    stack = [DyadicSquare(0, 0, 0)]
+    while stack:
+        square = stack.pop()
+        answer = omega(square)
+        if answer is Region.OUTSIDE:
+            continue
+        if answer is Region.INSIDE:
+            cubes.append(square)
+            if not reference_dilate_exits(square, omega):
+                flagged.add(len(cubes) - 1)
+            continue
+        if square.depth >= k_max:
+            leftover.append((square.i, square.j))
+            continue
+        stack.extend(square.children())
+
+    order = sorted(range(len(cubes)), key=lambda n: (cubes[n].depth, cubes[n].i, cubes[n].j))
+    ordered_cubes = tuple(cubes[n] for n in order)
+    ordered_flags = frozenset(order.index(n) for n in flagged)
+    return CubeDecomposition(
+        ordered_cubes,
+        tuple(() for _ in ordered_cubes),
+        ordered_flags,
+        GridSet2D.from_cells(Scale(k_max), leftover),
+    )
+
+
+def reference_band_partition(
+    fs: Sequence[SmoothMap2],
+    w: float,
+    scale: Scale,
+    A: GridSet2D,
+) -> CubeDecomposition:
+    """Quadtree partition pinning every |f_j| into a band [v, 4v), v >= delta^w.
+
+    A square is accepted when, for every tracked function, the interval
+    enclosure of |f_j| has lower end at least delta^w and upper end
+    strictly below four times the lower end; the pinned value is the
+    lower end.  Squares whose enclosure tops out below delta^w can never
+    be accepted and join the leftover; everything else splits until the
+    delta-cells, where unresolved cells also join the leftover.  The
+    fraction of A's cells landing in the leftover is reported.
+    """
+    if w <= 0:
+        raise ValueError("w must be positive")
+    if A.scale != scale:
+        raise ValueError("A must live at the partition scale")
+    k = scale.k
+    threshold = Fraction(2.0 ** (-k * w))
+
+    cubes = []
+    bands = []
+    leftover_cells = []
+
+    def visit(square: DyadicSquare):
+        lows = []
+        split = False
+        for f in fs:
+            enc = f.enclosure(square.rect()).abs_interval()
+            if enc.hi < threshold:
+                leftover_cells.extend(square.delta_cells(k))
+                return
+            if enc.lo < threshold or enc.hi >= 4 * enc.lo:
+                split = True
+                break
+            lows.append(enc.lo)
+        if not split:
+            cubes.append(square)
+            bands.append(tuple(lows))
+            return
+        if square.depth >= k:
+            leftover_cells.append((square.i, square.j))
+            return
+        for child in square.children():
+            visit(child)
+
+    visit(DyadicSquare(0, 0, 0))
+
+    leftover = GridSet2D.from_cells(scale, leftover_cells)
+    leftover_set = set(leftover.cells)
+    in_leftover = sum(1 for c in A.cells if c in leftover_set)
+    fraction = in_leftover / len(A.cells) if A.cells else 0.0
+    return CubeDecomposition(
+        tuple(cubes), tuple(bands), frozenset(), leftover, fraction
+    )
+
+
+def reference_iter_cells(A: Union[GridSet2D, ProductSet]):
+    if isinstance(A, GridSet2D):
+        d = A.scale.delta
+        for i, j in A.cells:
+            yield Rect(i * d, (i + 1) * d, j * d, (j + 1) * d)
+    else:
+        G1, G2 = A
+        if G1.scale != G2.scale:
+            raise ValueError("product factors must share a scale")
+        d = G1.scale.delta
+        for i in G1.cells:
+            x0, x1 = i * d, (i + 1) * d
+            for j in G2.cells:
+                yield Rect(x0, x1, j * d, (j + 1) * d)
+
+
+def reference_level_covering(phi: SmoothMap2, A, s, t) -> int:
+    s = Fraction(s)
+    t = Fraction(t)
+    count = 0
+    for rect in reference_iter_cells(A):
+        enc = phi.enclosure(rect.inflate(s))
+        if enc.lo <= t <= enc.hi:
+            count += 1
+    return count
+
+
+def reference_select_level(
+    phi: SmoothMap2, A: ProductSet, s: float, t0: float, kappa: float
+) -> SelectedLevel:
+    """Scan ceil(s^(-kappa/2)) levels t in [t0, 2 t0] and return the one
+    whose s-neighborhood {phi = t} meets the fewest cells of A
+    (ties resolved toward the smaller t)."""
+    if not 0 < kappa <= 1:
+        raise ValueError("kappa must lie in (0, 1]")
+    if not (float(s) ** (kappa / 2) < t0 <= 0.5):
+        raise ValueError("need s^(kappa/2) < t0 <= 1/2")
+    n = math.ceil(float(s) ** (-kappa / 2))
+    if n == 1:
+        candidates = [Fraction(t0)]
+    else:
+        t0f = Fraction(t0)
+        candidates = [t0f + Fraction(i, n - 1) * t0f for i in range(n)]
+    best = None
+    for t in candidates:
+        count = reference_level_covering(phi, A, s, t)
+        if best is None or count < best.count:
+            best = SelectedLevel(float(t), count)
+    return best
+
+
+def reference_enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Clamped value-grid cells of the enclosure's ends on each cell."""
+    n = 1 << k
+    d = Fraction(1, n)
+    j0, j1 = [], []
+    for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
+        enc = self.enclosure(Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
+        j0.append(min(max(math.floor(enc.lo * n), 0), n - 1))
+        j1.append(min(max(math.floor(enc.hi * n), 0), n - 1))
+    return np.array(j0, dtype=np.int64), np.array(j1, dtype=np.int64)
+
+
+def plain(region):
+    """The region as a bare callable, which whitney_decompose asks square
+    by square."""
+    return lambda square: region(square)
+
+
+region_polys = st.one_of(
+    st.sampled_from(
+        [
+            "x^2 + y^2 - 5/16",
+            "x^2 + y^2 - 3/8",
+            "x - y",
+            "x*y - 1/8 + x^3",
+            "-1",
+            "1",
+            "y - 1/3*x^2 - 1/5",
+        ]
+    ).map(parse_poly),
+    st.dictionaries(
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (1, 2)]),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(bool),
+        min_size=1,
+    ).map(lambda terms: Poly(VARS2, terms)),
+)
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=12)
+regions = st.one_of(
+    st.builds(PolynomialSignRegion, region_polys, st.booleans()),
+    st.builds(PuncturedSquareRegion, st.tuples(unit_points, unit_points)),
+    st.just(FullSquareRegion()),
+    st.just(EmptyRegion()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regions, st.integers(1, 6), st.booleans())
+def test_whitney_equals_recursive_walk(omega, k_max, as_callable):
+    got = whitney_decompose(plain(omega) if as_callable else omega, k_max)
+    want = reference_whitney_decompose(omega, k_max)
+    assert format_cube_decomposition(got) == format_cube_decomposition(want)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        "poly-pos:x^2 + y^2 - 5/16",
+        "poly-neg:x^2 + y^2 - 3/8",
+        "poly-neg:x*y - 1/8 + x^3",
+        "poly-pos:-1",
+        "punctured",
+    ],
+)
+def test_whitney_cli_regions_equal_recursive_walk(region):
+    if region == "punctured":
+        omega = PuncturedSquareRegion((Fraction(1, 3), Fraction(3, 4)))
+    else:
+        omega = PolynomialSignRegion(parse_poly(region[9:]), region.startswith("poly-pos"))
+    got = whitney_decompose(omega, 7)
+    assert format_cube_decomposition(got) == format_cube_decomposition(
+        reference_whitney_decompose(omega, 7)
+    )
+
+
+band_maps = st.one_of(
+    region_polys.map(PolynomialMap),
+    st.sampled_from(
+        [
+            P_QUAD.partial("x"),
+            P_QUAD.partial("x").partial("y"),
+            mp_numerator(parse_poly("x + y + (x^2 + y^2)^2")),
+        ]
+    ).map(PolynomialMap),
+    float_maps,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(band_maps, max_size=3),
+    st.sampled_from([0.1, 0.2, 0.5, 1.0, 3.0]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_band_partition_equals_recursive_walk(fs, w, k, data):
+    cell = st.integers(0, 2**k - 1)
+    A = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=40)))
+    got = band_partition(fs, w, Scale(k), A)
+    want = reference_band_partition(fs, w, Scale(k), A)
+    assert format_cube_decomposition(got) == format_cube_decomposition(want)
+    assert got == want
+
+
+def test_band_partition_quartic_equals_recursive_walk():
+    # The certified band command: the quartic expander's four functions.
+    P = parse_poly("x + y + (x^2 + y^2)^2")
+    px, py = P.partial("x"), P.partial("y")
+    fs = [PolynomialMap(f) for f in (px, py, px.partial("y"), mp_numerator(P))]
+    k = 6
+    A = GridSet2D.from_cells(
+        Scale(k), [(i, j) for i in range(0, 2**k, 4) for j in range(0, 2**k, 4)]
+    )
+    got = band_partition(fs, 0.2, Scale(k), A)
+    want = reference_band_partition(fs, 0.2, Scale(k), A)
+    assert got.cubes and format_cube_decomposition(got) == format_cube_decomposition(want)
+    assert got.a_leftover_fraction == want.a_leftover_fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(smooth_maps, st.data())
+def test_level_counts_equal_per_cell_loop(phi, data):
+    k = data.draw(st.integers(1, 8))
+    cell = st.integers(0, 2**k - 1)
+    product = data.draw(st.booleans())
+    if product:
+        A = tuple(
+            GridSet1D.from_cells(Scale(k), data.draw(st.lists(cell, max_size=8))) for _ in "ab"
+        )
+    else:
+        A = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=40)))
+    delta = Fraction(1, 2**k)
+    s = data.draw(
+        st.sampled_from([delta, 3 * delta, Fraction(1, 3), Fraction(1), 1 / 3]).filter(
+            lambda v: delta <= v <= 1
+        )
+    )
+    assert zero_nbhd_covering(phi, A, s) == reference_level_covering(phi, A, s, 0)
+    t0 = data.draw(st.sampled_from([0.26, 0.3, 0.5]))
+    kappa = data.draw(st.sampled_from([0.5, 1.0]))
+    if product and float(s) ** (kappa / 2) < t0:
+        assert select_level(phi, A, s, t0, kappa) == reference_select_level(phi, A, s, t0, kappa)
+
+
+@pytest.mark.parametrize("phi", [PinnedDistance((0.3, -0.2)), LinearProjection(0.7)])
+def test_select_level_float_maps_equal_per_cell_loop(phi):
+    k = 5
+    A = (GridSet1D(Scale(k), tuple(range(32))), GridSet1D(Scale(k), tuple(range(0, 32, 2))))
+    s = Fraction(1, 32)
+    assert select_level(phi, A, s, 0.3, 1.0) == reference_select_level(phi, A, s, 0.3, 1.0)
+
+
+@st.composite
+def polys(draw):
+    """Bivariate polynomials of degree <= 8, constants included."""
+    degree = draw(st.integers(0, 8))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    return Poly(VARS2, {m: draw(coefficient) for m in chosen})
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys().map(PolynomialMap), cell_blocks())
+def test_polynomial_enclosure_cells_equal_per_cell_loop(phi, block):
+    k, i, j = block
+    got = phi.enclosure_cells(i, j, k)
+    want = reference_enclosure_cells(phi, i, j, k)
+    assert all(c.dtype == np.int64 and c.shape == i.shape for c in got)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+
+@pytest.mark.parametrize(
+    "s", [0, Fraction(-1, 64), -0.5, Fraction(1, 128), Fraction(3, 2), math.nan, math.inf]
+)
+def test_select_level_rejects_s_outside_delta_one(s):
+    k = 6
+    A = (GridSet1D(Scale(k), tuple(range(2**k))), GridSet1D(Scale(k), tuple(range(2**k))))
+    # The base map has no enclosure: any work before the check would raise
+    # NotImplementedError instead.
+    with pytest.raises(ValueError, match=r"s must lie in \[delta, 1\]"):
+        select_level(SmoothMap2(), A, s, 0.26, kappa=0.5)

@@ -4,15 +4,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explab.polyexpr import (
+    VARS2,
     ExpressionError,
     Interval,
     Poly,
     Rect,
     Reason,
     Verdict,
+    box_bounds,
     classify_special_form,
     hf_general,
     hf_poly,
@@ -368,3 +373,102 @@ def test_interval_arithmetic_negative_powers_and_products():
     assert not Interval(Fraction(0), Fraction(1)).intersects(
         Interval(Fraction(2), Fraction(3))
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer box kernel against per-box interval_range
+# ---------------------------------------------------------------------------
+
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def polys(draw):
+    """Bivariate polynomials of degree <= 8, constants included."""
+    degree = draw(st.integers(0, 8))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    return Poly(VARS2, {m: draw(coefficients) for m in chosen})
+
+
+@st.composite
+def signed_edges(draw, den, size):
+    """size intervals [a, b] over den with signed ends up to 3 den."""
+    ends = st.tuples(st.integers(-3 * den, 3 * den), st.integers(0, 3 * den))
+    pairs = draw(st.lists(ends, min_size=size, max_size=size))
+    return [a for a, _ in pairs], [a + w for a, w in pairs]
+
+
+@st.composite
+def inflated_edges(draw, den, k, pad, size):
+    """size scale-k cells grown by pad / den on both sides."""
+    cells = draw(st.lists(st.integers(0, 2**k - 1), min_size=size, max_size=size))
+    unit = den >> k
+    return [c * unit - pad for c in cells], [(c + 1) * unit + pad for c in cells]
+
+
+@st.composite
+def box_batches(draw):
+    """A denominator and x-, y-edge lists: signed boxes, or scale-k cells
+    inflated by s (s = 1/3 makes den = 3 * 2^k, not a power of two)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([1, 3, 6, 2**7, 3 * 2**9, 2**30, 3 * 2**40]))
+        return den, draw(signed_edges(den, m)), draw(signed_edges(den, n))
+    k = draw(st.integers(1, 30))
+    s = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2**k), Fraction(5, 2**k)]))
+    den = math.lcm(2**k, s.denominator)
+    pad = min(int(s * den), den)
+    return den, draw(inflated_edges(den, k, pad, m)), draw(inflated_edges(den, k, pad, n))
+
+
+def assert_box_bounds_exact(P, den, xs, ys, product, dtype):
+    (x0, x1), (y0, y1) = ([np.array(v, dtype=dtype) for v in e] for e in (xs, ys))
+    if product:
+        lo, hi, scale = box_bounds(P, x0[:, None], x1[:, None], y0[None, :], y1[None, :], den)
+        assert lo.shape == hi.shape == (x0.size, y0.size)
+        pairs = [(a, b) for a in range(x0.size) for b in range(y0.size)]
+    else:
+        size = min(x0.size, y0.size)
+        lo, hi, scale = box_bounds(P, x0[:size], x1[:size], y0[:size], y1[:size], den)
+        assert lo.shape == hi.shape == (size,)
+        pairs = [(a, a) for a in range(size)]
+    for (a, b), l, h in zip(pairs, lo.ravel().tolist(), hi.ravel().tolist()):
+        rect = Rect(*(Fraction(int(v), den) for v in (x0[a], x1[a], y0[b], y1[b])))
+        iv = interval_range(P, rect)
+        assert (Fraction(l, scale), Fraction(h, scale)) == (iv.lo, iv.hi)
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), box_batches(), st.booleans(), st.sampled_from([np.int64, object]))
+def test_box_bounds_equal_interval_range(P, batch, product, dtype):
+    assert_box_bounds_exact(P, *batch, product, dtype)
+
+
+@pytest.mark.parametrize(
+    "text, den, dtype",
+    [
+        # sum|c| * max(1, |corner|)^deg * den^(deg - i - j) stays below 2^63
+        ("x^2*y - 3/2*x + 1/3", 2**10, np.int64),
+        ("(x - y)^3 - 1/5", 3 * 2**15, np.int64),
+        # degree 8 at den = 3 * 2^40 needs Python ints
+        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 3 * 2**40, object),
+        ("x^8", 2**8, object),
+    ],
+)
+def test_box_bounds_int64_and_object_paths(text, den, dtype):
+    P = parse_poly(text)
+    edges = ([-den, 0, den - 1, 2 * den], [1 - den, 1, den, 3 * den])
+    lo = assert_box_bounds_exact(P, den, edges, edges, True, np.int64)
+    assert lo.dtype == dtype
+    assert assert_box_bounds_exact(P, den, edges, edges, False, object).dtype == dtype
+
+
+def test_box_bounds_zero_polynomial_and_empty_batch():
+    lo, hi, scale = box_bounds(Poly.zero(), np.array([0, 1]), np.array([1, 2]), 0, 5, 4)
+    assert lo.tolist() == hi.tolist() == [0, 0] and scale == 1
+    empty = np.array([], dtype=np.int64)
+    lo, hi, _ = box_bounds(parse_poly("x*y - 1"), empty[:, None], empty[:, None], [[0]], [[1]], 8)
+    assert lo.shape == hi.shape == (0, 1)
