@@ -265,6 +265,8 @@ def _cmd_whitney(args):
 
 
 def _cmd_bands(args):
+    if args.sample_stride < 1:
+        raise ValueError(f"--sample-stride must be at least 1, got {args.sample_stride}")
     P = parse_poly(args.poly)
     names = args.funcs.split(",")
     table = {

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent, range_union
+from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
+from .gridset import range_union, value_cells
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
 
 WEDGE_FLOOR = 1e-8
@@ -59,13 +60,14 @@ class SmoothMap2:
     2^-k) it returns int64 arrays (j0, j1) with j0 = floor(lo * 2^k) and
     j1 = floor(hi * 2^k), each clamped to [0, 2^k - 1], where [lo, hi] is
     enclosure() of the cell.  Every implementation must agree with
-    enclosure() cell for cell.  The default divides the ends from
-    enclosure_rects exactly; maps whose enclosure is a float formula
-    override it with numpy over the cell edges i * 2^-k, which are exact
-    in float.  Such a formula must give bit-identical floats elementwise
-    and on one rectangle, so a square root goes through math.hypot (see
-    _hypot): np.hypot and np.sqrt(dx*dx + dy*dy) differ from it in the
-    last bit on some grid-aligned inputs.
+    enclosure() cell for cell.  The default maps the ends from
+    enclosure_rects to cells with gridset.value_cells; maps whose
+    enclosure is a float formula override it with numpy over the cell
+    edges i * 2^-k, which are exact in float.  Such a formula must give
+    bit-identical floats elementwise and on one rectangle, so a square
+    root goes through math.hypot (see _hypot): np.hypot and
+    np.sqrt(dx*dx + dy*dy) differ from it in the last bit on some
+    grid-aligned inputs.
     """
 
     domain: Rect = Rect.of(0, 1, 0, 1)
@@ -99,18 +101,8 @@ class SmoothMap2:
         """Clamped value-grid cells of the enclosure's ends on each cell."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        n = 1 << k
-        lo, hi, scale = self.enclosure_rects(i, i + 1, j, j + 1, n)
-        # floor(v / scale * 2^k) = (v * num) // q exactly; num is 1 unless
-        # scale lacks the factor 2^k (a constant map), and then the ends go
-        # to Python ints before the multiplication.
-        g = math.gcd(scale, n)
-        num, q = n // g, scale // g
-        return tuple(
-            np.minimum(np.maximum((v if num == 1 else v.astype(object) * num) // q, 0), n - 1)
-            .astype(np.int64)
-            for v in (lo, hi)
-        )
+        lo, hi, scale = self.enclosure_rects(i, i + 1, j, j + 1, 1 << k)
+        return value_cells(lo, 0, scale, k), value_cells(hi, 0, scale, k)
 
     def gradient(self, x: float, y: float) -> Tuple[float, float]:
         return self.partial(x, y, 1, 0), self.partial(x, y, 0, 1)

@@ -11,25 +11,26 @@ interval enclosures, collision ("energy") counts of value quadruples
 P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
 
-Image sets and energies share one kernel, _pair_bounds: the enclosure of
-P on every cell product as exact integers over a common denominator,
-built with numpy outer products (int64 when a bit budget allows, Python
-ints otherwise).  Energies are counted by sorting the lower ends and
-binary-searching the upper ends; image cells come from exact integer
-floor division.  energy_count_brute_force stays on the Fraction
-enclosures of polyexpr.interval_range as an independent oracle.
+Image sets and energies take the enclosure of P on every cell product
+from polyexpr.box_bounds, as exact integers over a common scale, with
+the cells broadcast as (m, 1) x (1, n).  Energies are counted by sorting
+the lower ends and binary-searching the upper ends; value_cells turns
+integer ends into clamped value-grid cells by exact floor division, for
+image sets here and for smooth maps in geomdecomp.
+energy_count_brute_force stays on the Fraction enclosures of
+polyexpr.interval_range as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isfinite, lcm, log2
+from math import ceil, floor, gcd, isfinite, log2
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polyexpr import Interval, Poly, Rect, interval_range
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
 
 MAX_SCALE = 30
 
@@ -192,6 +193,39 @@ class NonconcentrationResult:
     worst: Tuple[int, int]
 
 
+# Tree keys pack a cell's coordinates into 32-bit fields (cells are below
+# 2^30); clearing each field's top bit after key >> 1 gives the parent's key.
+_PARENT_MASK = (0x7FFFFFFF << 32) | 0x7FFFFFFF
+
+
+def _tree_scan(
+    keys: Iterable[int], k: int, slope: float, offset: float
+) -> Tuple[float, Tuple[int, int]]:
+    """Largest (log2 E(S cap Q) + level * slope) / k - offset over the
+    dyadic cubes Q of every level, and the (level, key) of its first
+    maximiser: the scan runs from the finest level with a strict >, and
+    only a level's largest count can give its largest value.  In 1-D the
+    keys are the cells, ascending, so the first key with the largest
+    count is the smallest prefix.
+    """
+    bucket = dict.fromkeys(keys, 1)
+    best = None
+    worst = (0, 0)
+    for level in range(k, -1, -1):
+        top = max(bucket.values())
+        value = (log2(top) + level * slope) / k - offset
+        if best is None or value > best:
+            best = value
+            worst = (level, next(key for key, count in bucket.items() if count == top))
+        if level:
+            parent: dict = {}
+            for key, count in bucket.items():
+                key = (key >> 1) & _PARENT_MASK
+                parent[key] = parent.get(key, 0) + count
+            bucket = parent
+    return best, worst
+
+
 def nonconcentration_exponent(
     S: GridSet1D, kappa: float, alpha: float
 ) -> NonconcentrationResult:
@@ -199,23 +233,9 @@ def nonconcentration_exponent(
         raise ValueError("nonconcentration_exponent needs a nonempty 1D grid set")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
-    k = S.scale.k
-    best = None
-    worst = (0, 0)
-    # Bottom-up scan of the dyadic tree: level k holds single cells.
-    bucket = {c: 1 for c in S.cells}
-    for level in range(k, -1, -1):
-        for prefix, count in bucket.items():
-            value = (log2(count) + level * kappa) / k - alpha
-            if best is None or value > best:
-                best = value
-                worst = (level, prefix)
-        if level:
-            parent: dict = {}
-            for prefix, count in bucket.items():
-                parent[prefix >> 1] = parent.get(prefix >> 1, 0) + count
-            bucket = parent
-    assert best is not None
+    if not isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    best, worst = _tree_scan(S.cells, S.scale.k, kappa, alpha)
     return NonconcentrationResult(max(0.0, best), best < 0, best, worst)
 
 
@@ -224,20 +244,10 @@ def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
     over all dyadic squares B of side r."""
     if not X.cells:
         raise ValueError("empty set")
-    k = X.scale.k
-    bucket = {ij: 1 for ij in X.cells}
-    best = None
-    for level in range(k, -1, -1):
-        for _, count in bucket.items():
-            value = (log2(count) + level * alpha) / k - 2 * alpha
-            if best is None or value > best:
-                best = value
-        if level:
-            parent: dict = {}
-            for (i, j), count in bucket.items():
-                key = (i >> 1, j >> 1)
-                parent[key] = parent.get(key, 0) + count
-            bucket = parent
+    if not isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    keys = [i << 32 | j for i, j in X.cells]
+    best, _ = _tree_scan(keys, X.scale.k, alpha, 2 * alpha)
     return max(0.0, best)
 
 
@@ -342,44 +352,30 @@ def range_union(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return _runs(starts, np.maximum(last - starts + 1, 0))
 
 
-def _pair_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Exact enclosures of P on every closed cell product S x T.
-
-    Returns flat a-major integer arrays lo, hi and an integer scale such
-    that [lo/scale, hi/scale] is interval_range(P, S x T) for each pair.
-    Cells lie in [0, 1], where every monomial is monotone: on the cell
-    product [a, a+1] x [b, b+1] (in units of 2^-k) the range of x^i y^j
-    is [a^i b^j, (a+1)^i (b+1)^j] / 2^(k(i+j)), and the sign of the
-    coefficient picks which end feeds lo.  scale = lcm(coefficient
-    denominators) * 2^(k deg) clears every denominator.
-
-    Every term and partial sum is at most sum|c| * scale in magnitude, so
-    the arrays are int64 when that bound is below 2^63 and hold Python
-    ints (dtype object) otherwise.
+def value_cells(v, offset: int, width: int, k: int) -> np.ndarray:
+    """Value-grid cells floor((v - offset) * 2^k / width), clamped to
+    [0, 2^k - 1] as int64, of integer ends v (int64 or Python ints) and
+    integers offset, width > 0 over the same scale: value_lo * scale and
+    span * scale for images, 0 and scale for maps.  With g = gcd(width,
+    2^k) the cell is (v - offset) * (2^k / g) // (width / g) exactly, in
+    int64 when (max|v| + |offset|) * 2^k / g and width / g are below 2^63
+    and in Python ints otherwise.
     """
-    k = A.scale.k
-    deg = P.degree() or 0
-    den = lcm(*(c.denominator for c in P.terms.values()))
-    scale = den << (k * deg)
-    terms = [(i, j, int(c * den)) for (i, j), c in P.terms.items()]
-    bound = sum(abs(c) for _, _, c in terms) << (k * deg)
-    dtype = np.int64 if bound < 2**63 else object
-    a = np.array(A.cells, dtype=dtype)
-    b = np.array(B.cells, dtype=dtype)
-    lo = np.zeros((len(a), len(b)), dtype=dtype)
-    hi = np.zeros_like(lo)
-    for i, j, c in terms:
-        # All factors are nonnegative integers, so no intermediate product
-        # exceeds the finished term |c| a^i b^j 2^(k(deg-i-j)) <= bound.
-        weight = c << (k * (deg - i - j))
-        x_small, x_big = a**i, (a + 1) ** i
-        y_small, y_big = b**j * weight, (b + 1) ** j * weight
-        if c > 0:
-            lo += np.multiply.outer(x_small, y_small)
-            hi += np.multiply.outer(x_big, y_big)
-        else:
-            lo += np.multiply.outer(x_big, y_big)
-            hi += np.multiply.outer(x_small, y_small)
+    v = np.asarray(v)
+    n = 1 << k
+    g = gcd(width, n)
+    num, q = n // g, width // g
+    reach = abs(offset) + (max(abs(int(v.min())), abs(int(v.max()))) if v.size else 0)
+    v = v.astype(np.int64 if max(reach * num, q) < 2**63 else object, copy=False)
+    cells = (v - offset) * num // q
+    return np.minimum(np.maximum(cells, 0), n - 1).astype(np.int64)
+
+
+def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
+    """box_bounds of P on every closed cell product S x T, flat and a-major."""
+    a = np.array(A.cells, dtype=np.int64)[:, None]
+    b = np.array(B.cells, dtype=np.int64)[None, :]
+    lo, hi, scale = box_bounds(P, a, a + 1, b, b + 1, A.scale.cells)
     return lo.ravel(), hi.ravel(), scale
 
 
@@ -397,18 +393,13 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
     span = total.width()
     if span == 0:
         return ImageSet(GridSet1D(A.scale, (0,)), total.lo, total.hi)
-    lo, hi, scale = _pair_bounds(P, A, B)
-    # Output cell of a value v is floor((v - value_lo) * 2^k / span).  On
-    # the unit square every non-constant monomial ranges over [0, 1], so
-    # value_lo and span are sums of coefficients and value_lo * scale is
-    # an integer; span > 0 means deg >= 1, so span * scale / 2^k is one too.
-    offset = int(total.lo * scale)
-    step = int(span * scale / 2**k)
-    # lo >= offset always; the top cell is half-open, so value_hi lands
-    # one past it and is clamped back.
-    top = 2**k - 1
-    first = np.minimum((lo - offset) // step, top)
-    last = np.minimum((hi - offset) // step, top)
+    lo, hi, scale = _product_bounds(P, A, B)
+    # On the unit square every non-constant monomial ranges over [0, 1], so
+    # value_lo and span are sums of coefficients and value_lo * scale and
+    # span * scale are integers.  Every lo is at least value_lo; the top
+    # cell is half-open, so value_hi lands one past it and is clamped back.
+    offset, width = int(total.lo * scale), int(span * scale)
+    first, last = (value_cells(v, offset, width, k) for v in (lo, hi))
     cells = range_union(first, last)
     return ImageSet(GridSet1D(A.scale, tuple(cells.tolist())), total.lo, total.hi)
 
@@ -447,11 +438,12 @@ def energy_count(
     (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
     of P_xy) has supremum bound below hf_min are excluded.
 
-    Enclosures come from the exact integer kernel _pair_bounds.  Two
-    closed intervals miss each other exactly when one starts after the
-    other ends, so the unfiltered count over N pairs is
-    N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort of the lower ends and a
-    binary search per upper end, O(N log N).  The filtered count visits
+    Enclosures of P, P_x P_y and P_xy come from the exact integer kernel
+    polyexpr.box_bounds on the cell products.  Two closed intervals miss
+    each other exactly when one starts after the other ends, so the
+    unfiltered count over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}:
+    one sort of the lower ends and a binary search per upper end,
+    O(N log N).  The filtered count visits
     only the intersecting pairs, found the same way, and tests the
     bracket in exact integers.
     """
@@ -459,15 +451,15 @@ def energy_count(
         raise ValueError("A and B must share a scale")
     if hf_min is not None and not isfinite(hf_min):
         raise ValueError("hf_min must be finite")
-    lo, hi, _ = _pair_bounds(P, A, B)
+    lo, hi, _ = _product_bounds(P, A, B)
     n = lo.size
     if hf_min is None:
         above = n - np.searchsorted(np.sort(lo), hi, side="right")
         return n * n - 2 * int(above.sum())
 
     px = P.partial("x")
-    g_lo, g_hi, g_scale = _pair_bounds(px * P.partial("y"), A, B)
-    m_lo, m_hi, m_scale = _pair_bounds(px.partial("y"), A, B)
+    g_lo, g_hi, g_scale = _product_bounds(px * P.partial("y"), A, B)
+    m_lo, m_hi, m_scale = _product_bounds(px.partial("y"), A, B)
     # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
     # test against hf_min is a test against the ceiling of the threshold.
     threshold = ceil(Fraction(hf_min) * g_scale * m_scale)

@@ -60,7 +60,7 @@ class Poly:
     convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_float_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Coefficient]):
         self.variables = tuple(variables)
@@ -74,6 +74,7 @@ class Poly:
                 raise ValueError(f"bad exponent tuple {exps!r}")
             clean[exps] = coeff
         self.terms = clean
+        self._float_terms = None
 
     # -- constructors -------------------------------------------------
 
@@ -211,10 +212,12 @@ class Poly:
         return total
 
     def evaluate_float(self, point: Mapping[str, float]) -> float:
+        if self._float_terms is None:
+            # Converted once per polynomial; the terms are never mutated.
+            self._float_terms = [(exps, float(c)) for exps, c in self.terms.items()]
         vals = [float(point[v]) for v in self.variables]
         total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
+        for exps, term in self._float_terms:
             for v, e in zip(vals, exps):
                 if e:
                     term *= v**e
@@ -685,12 +688,15 @@ def interval_range(P: Poly, cell: Rect) -> Interval:
     return interval_range_box(P, (cell.x_interval(), cell.y_interval()))
 
 
-def _pow_bounds(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval.pow(n) on the integer intervals [a, b], elementwise."""
+def _pow_bounds(
+    a: np.ndarray, b: np.ndarray, n: int, nonneg: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval.pow(n) on the integer intervals [a, b], elementwise;
+    nonneg says that every a is at least 0."""
     if n == 1:
         return a, b
     lo, hi = a**n, b**n
-    if n % 2 == 1 or (a >= 0).all():
+    if n % 2 == 1 or nonneg:
         return lo, hi
     up = a >= 0
     down = b <= 0
@@ -700,9 +706,10 @@ def _pow_bounds(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.nd
     )
 
 
-def _mul_bounds(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval.__mul__ of [a, b] and [c, d], elementwise."""
-    if (a >= 0).all() and (c >= 0).all():
+def _mul_bounds(a, b, c, d, nonneg: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval.__mul__ of [a, b] and [c, d], elementwise; nonneg says
+    that every a and every c is at least 0."""
+    if nonneg:
         return a * c, b * d
     ac, ad, bc, bd = a * c, a * d, b * c, b * d
     return (
@@ -739,14 +746,16 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     deg = P.degree() or 0
     cden = math.lcm(*(c.denominator for c in P.terms.values()))
     scale = cden * den**deg
-    terms = [(i, j, int(c * cden)) for (i, j), c in P.terms.items()]
+    terms = [(i, j, c.numerator * (cden // c.denominator)) for (i, j), c in P.terms.items()]
 
-    def reach(lo_edge, hi_edge) -> int:
+    def reach(lo_edge, hi_edge) -> Tuple[int, bool]:
+        """The largest |corner| (at least 1), and whether no corner is negative."""
         if not lo_edge.size or not hi_edge.size:
-            return 1
-        return max(1, abs(int(lo_edge.min())), abs(int(hi_edge.max())))
+            return 1, True
+        low = int(lo_edge.min())
+        return max(1, abs(low), abs(int(hi_edge.max()))), low >= 0
 
-    mx, my = reach(*edges[:2]), reach(*edges[2:])
+    (mx, x_pos), (my, y_pos) = reach(*edges[:2]), reach(*edges[2:])
     bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
     dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
     x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
@@ -757,14 +766,16 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     for i, j, c in terms:
         weight = abs(c) * den ** (deg - i - j)
         if i and i not in x_pows:
-            x_pows[i] = _pow_bounds(x0, x1, i)
+            x_pows[i] = _pow_bounds(x0, x1, i, x_pos)
         if j and j not in y_pows:
-            y_pows[j] = _pow_bounds(y0, y1, j)
+            y_pows[j] = _pow_bounds(y0, y1, j, y_pos)
         # Scaling one factor by the positive weight first keeps every
-        # intermediate below the bound and changes no min or max.
+        # intermediate below the bound and changes no min or max.  The
+        # lower end of an even power is never negative.
         if i and j:
             ya, yb = y_pows[j]
-            t_lo, t_hi = _mul_bounds(*x_pows[i], ya * weight, yb * weight)
+            nonneg = (x_pos or i % 2 == 0) and (y_pos or j % 2 == 0)
+            t_lo, t_hi = _mul_bounds(*x_pows[i], ya * weight, yb * weight, nonneg)
         elif i:
             t_lo, t_hi = (v * weight for v in x_pows[i])
         elif j:

@@ -64,6 +64,20 @@ def test_bands_non_finite_w_is_domain_error(capsys, value):
     assert err.startswith("explab: ") and "w must be finite" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bands_sample_stride_below_one_is_domain_error(capsys, value):
+    code, out, err = run_cli(capsys, "bands", "--poly", "x + y", f"--sample-stride={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and "--sample-stride must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_nonconc_non_finite_target_alpha_is_domain_error(capsys, value):
+    code, out, err = run_cli(capsys, "nonconc", "--k", "8", f"--target-alpha={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and "alpha must be finite" in err
+
+
 def test_energy_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

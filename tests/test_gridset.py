@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, log2
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explab.gridset import (
-    _pair_bounds,
     GridSet1D,
     GridSet2D,
     Scale,
@@ -31,8 +30,9 @@ from explab.gridset import (
     product_set,
     restrict,
     sum_set,
+    value_cells,
 )
-from explab.polyexpr import VARS2, Poly, Rect, interval_range, parse_poly
+from explab.polyexpr import VARS2, Poly, Rect, box_bounds, interval_range, parse_poly
 
 P_SUM = parse_poly("x + y")
 
@@ -132,6 +132,76 @@ def test_nonconcentration_2d_product():
     X = GridSet2D.from_cells(Scale(k), [(i, j) for i in G.cells for j in G.cells])
     eta = nonconcentration_exponent_2d(X, alpha=0.5)
     assert eta <= 0.5  # products of spread sets concentrate mildly at best
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_nonconcentration_rejects_non_finite_parameters(value):
+    S = GridSet1D.from_cells(Scale(6), [1, 5, 9])
+    X = GridSet2D.from_cells(Scale(6), [(1, 2), (5, 9)])
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        nonconcentration_exponent(S, kappa=0.5, alpha=value)
+    with pytest.raises(ValueError, match="kappa"):
+        nonconcentration_exponent(S, kappa=value, alpha=0.5)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        nonconcentration_exponent_2d(X, alpha=value)
+
+
+def reference_nonconcentration_exponent(S, kappa, alpha):
+    """The per-prefix scan of the dyadic tree, before the 1-D and 2-D
+    exponents shared _tree_scan."""
+    k = S.scale.k
+    best = None
+    worst = (0, 0)
+    bucket = {c: 1 for c in S.cells}
+    for level in range(k, -1, -1):
+        for prefix, count in bucket.items():
+            value = (log2(count) + level * kappa) / k - alpha
+            if best is None or value > best:
+                best = value
+                worst = (level, prefix)
+        if level:
+            parent = {}
+            for prefix, count in bucket.items():
+                parent[prefix >> 1] = parent.get(prefix >> 1, 0) + count
+            bucket = parent
+    return max(0.0, best), best < 0, best, worst
+
+
+def reference_nonconcentration_exponent_2d(X, alpha):
+    k = X.scale.k
+    bucket = {ij: 1 for ij in X.cells}
+    best = None
+    for level in range(k, -1, -1):
+        for _, count in bucket.items():
+            value = (log2(count) + level * alpha) / k - 2 * alpha
+            if best is None or value > best:
+                best = value
+        if level:
+            parent = {}
+            for (i, j), count in bucket.items():
+                key = (i >> 1, j >> 1)
+                parent[key] = parent.get(key, 0) + count
+            bucket = parent
+    return max(0.0, best)
+
+
+exponents = st.sampled_from([1e-9, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 12), exponents, exponents | st.floats(-1.0, 2.0))
+def test_tree_scan_equals_per_prefix_scan(data, k, kappa, alpha):
+    cell = st.integers(0, 2**k - 1)
+    cells = data.draw(st.lists(cell, min_size=1, max_size=40))
+    S = GridSet1D.from_cells(Scale(k), cells)
+    res = nonconcentration_exponent(S, kappa, alpha)
+    assert (res.eta, res.floored, res.raw, res.worst) == reference_nonconcentration_exponent(
+        S, kappa, alpha
+    )
+    squares = data.draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=40))
+    X = GridSet2D.from_cells(Scale(k), squares)
+    expected = reference_nonconcentration_exponent_2d(X, alpha)
+    assert nonconcentration_exponent_2d(X, alpha) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +545,16 @@ def marked_cells(P, A, B):
     return tuple(sorted(marks))
 
 
+def grid_product_bounds(P, A, B):
+    """box_bounds on every cell product of A x B, flat and a-major."""
+    a = np.array(A.cells, dtype=np.int64)[:, None]
+    b = np.array(B.cells, dtype=np.int64)[None, :]
+    lo, hi, scale = box_bounds(P, a, a + 1, b, b + 1, 2**A.scale.k)
+    return lo.ravel(), hi.ravel(), scale
+
+
 def assert_bounds_exact(P, A, B):
-    lo, hi, scale = _pair_bounds(P, A, B)
+    lo, hi, scale = grid_product_bounds(P, A, B)
     pairs = [(a, b) for a in A.cells for b in B.cells]
     assert lo.shape == hi.shape == (len(pairs),)
     for (a, b), l, h in zip(pairs, lo.tolist(), hi.tolist()):
@@ -536,7 +614,7 @@ def test_kernel_empty_set():
     P = parse_poly("x + y + (x^2 + y^2)^2")
     empty = GridSet1D(Scale(6), ())
     B = GridSet1D.from_cells(Scale(6), [1, 7, 40])
-    lo, hi, _ = _pair_bounds(P, empty, B)
+    lo, hi, _ = grid_product_bounds(P, empty, B)
     assert lo.size == hi.size == 0
     assert image_set(P, empty, B).grid.cells == ()
     assert energy_count(P, empty, B) == 0
@@ -563,11 +641,57 @@ def test_kernel_object_path_degree_8_at_k30():
 
 @pytest.mark.parametrize("text, dtype", [("4*x*y - 3*x^2", np.int64), ("4*x*y - 4*x^2", object)])
 def test_kernel_int64_budget_edge(text, dtype):
-    # sum|c| * 2^(k deg) is 7 * 2^60, just under 2^63, then exactly 2^63;
-    # the extreme cell products reach the budget.
+    # The largest corner is 2^k, so box_bounds' budget sum|c| * 2^(k deg)
+    # is 7 * 2^60, just under 2^63, then exactly 2^63; the extreme cell
+    # products reach it.
     k = 30
     A = GridSet1D.from_cells(Scale(k), [0, 1, 2**k - 2, 2**k - 1])
     P = parse_poly(text)
     assert assert_bounds_exact(P, A, A).dtype == dtype
     assert image_set(P, A, A).grid.cells == marked_cells(P, A, A)
     assert energy_count(P, A, A) == energy_count_brute_force(P, A, A)
+
+
+# A corner of 1 keeps box_bounds on int64 at k=14, while value_lo * scale
+# (-132 * 2^56) and span * scale (85 * 2^56) do not fit: value_cells must
+# take Python ints from the values it receives.
+P_WIDE = parse_poly("1/4*x^2*y^2 - 4*y - 13/5")
+
+
+def test_image_and_energy_past_int64_offset_single_cell():
+    A = GridSet1D(Scale(14), (0,))
+    assert grid_product_bounds(P_WIDE, A, A)[0].dtype == np.int64
+    assert image_set(P_WIDE, A, A).grid.cells == marked_cells(P_WIDE, A, A) == (15419, 15420)
+    assert energy_count(P_WIDE, A, A) == energy_count_brute_force(P_WIDE, A, A) == 1
+    for hf_min in (0.0, 0.5, 100.0):
+        assert energy_count(P_WIDE, A, A, hf_min=hf_min) == energy_count_brute_force(
+            P_WIDE, A, A, hf_min=hf_min
+        )
+
+
+def test_image_and_energy_past_int64_offset_empty_set():
+    empty = GridSet1D(Scale(14), ())
+    B = GridSet1D.from_cells(Scale(14), [0, 1, 2**13, 2**14 - 1])
+    for A, C in ((empty, B), (B, empty), (empty, empty)):
+        assert image_set(P_WIDE, A, C).grid.cells == marked_cells(P_WIDE, A, C) == ()
+        assert energy_count(P_WIDE, A, C) == energy_count_brute_force(P_WIDE, A, C) == 0
+        assert energy_count(P_WIDE, A, C, hf_min=0.5) == 0
+        assert energy_count_brute_force(P_WIDE, A, C, hf_min=0.5) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(2**62), 2**62), max_size=6),
+    st.booleans(),
+    st.integers(-(2**66), 2**66),
+    st.integers(1, 2**66),
+    st.integers(1, 30),
+)
+def test_value_cells_equal_fraction_floor(values, as_int64, offset, width, k):
+    # int64 ends with an offset or a product past 2^63 must move to Python ints.
+    v = np.array(values, dtype=np.int64 if as_int64 else object)
+    n = 2**k
+    expected = [min(max(floor(Fraction((x - offset) * n, width)), 0), n - 1) for x in values]
+    cells = value_cells(v, offset, width, k)
+    assert cells.dtype == np.int64
+    assert cells.tolist() == expected

@@ -472,3 +472,25 @@ def test_box_bounds_zero_polynomial_and_empty_batch():
     empty = np.array([], dtype=np.int64)
     lo, hi, _ = box_bounds(parse_poly("x*y - 1"), empty[:, None], empty[:, None], [[0]], [[1]], 8)
     assert lo.shape == hi.shape == (0, 1)
+
+
+def reference_evaluate_float(P, point):
+    """evaluate_float as it was before the float coefficients were cached."""
+    vals = [float(point[v]) for v in P.variables]
+    total = 0.0
+    for exps, coeff in P.terms.items():
+        term = float(coeff)
+        for v, e in zip(vals, exps):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_size=5))
+def test_evaluate_float_is_bit_identical_to_reference(P, points):
+    # Repeated calls reuse the cached coefficients and must not drift.
+    for x, y in points + points:
+        point = {"x": x, "y": y}
+        assert P.evaluate_float(point).hex() == reference_evaluate_float(P, point).hex()
