@@ -190,6 +190,10 @@ def _cmd_cover(args):
 
 
 def _cmd_nonconc(args):
+    if not 0 < args.kappa <= 1:
+        raise ValueError(f"--kappa must lie in (0, 1], got {args.kappa}")
+    if not math.isfinite(args.target_alpha):
+        raise ValueError(f"--target-alpha must be finite, got {args.target_alpha}")
     S = _generator_from_args(args)
     res = gridset.nonconcentration_exponent(S, args.kappa, args.target_alpha)
     data = {

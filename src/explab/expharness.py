@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
+import numpy as np
+
 from . import geomdecomp, gridset
 from .geomdecomp import pinned_distance_map
 from .gridset import ExponentFit, GridSet1D, GridSet2D, Scale, fit_exponent
@@ -227,11 +229,32 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def _float(parameters: Dict[str, str], key: str, default: str) -> float:
+    """The finite float under key, or the default when the key is absent."""
+    text = parameters.get(key, default)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {text!r}")
+    return value
+
+
+def _even_degree(parameters: Dict[str, str], key: str, default: str) -> int:
+    """The degree D under key, even and at least 2: the family's
+    polynomial carries the term (x^2 + y^2)^(D/2)."""
+    text = parameters.get(key, default)
+    if not (text.isdigit() and int(text) >= 2 and int(text) % 2 == 0):
+        raise ValueError(f"{key} must be an even integer of at least 2, got {text!r}")
+    return int(text)
+
+
 def _generator(parameters: Dict[str, str]):
     kind = parameters.get("generator", "ap")
+    alpha = _float(parameters, "alpha", "0.5")
+    eta = _float(parameters, "eta", "0.0")
     if kind == "ap":
-        alpha = float(parameters.get("alpha", "0.5"))
-        eta = float(parameters.get("eta", "0.0"))
         return lambda k: gridset.gen_ap(alpha, eta, Scale(k))
     if kind == "cantor_half":
         return lambda k: half_dimensional_set(Scale(k))
@@ -246,18 +269,13 @@ def half_dimensional_set(scale: Scale, offset: Fraction = Fraction(0)) -> GridSe
     An optional dyadic offset translates the set on the cell grid.
     """
     k = scale.k
-    free = [k - (2 * t + 1) for t in range((k + 1) // 2)]  # shift amounts
-    shift_cells = int(Fraction(offset) * scale.cells)
-    cells = []
-    for mask in range(1 << len(free)):
-        idx = 0
-        for bit, shift in enumerate(free):
-            if mask >> bit & 1:
-                idx |= 1 << shift
-        idx += shift_cells
-        if 0 <= idx < scale.cells:
-            cells.append(idx)
-    return GridSet1D.from_cells(scale, cells)
+    cells = np.zeros(1, dtype=np.int64)
+    for shift in range(k - 1, -1, -2):  # the free digits, most significant first
+        cells = (cells[:, None] | np.array([0, 1 << shift])).ravel()
+    # A shift by 2^k or more empties the set; clamped, it stays in int64.
+    shift = int(Fraction(offset) * scale.cells)
+    cells += max(-scale.cells, min(shift, scale.cells))
+    return GridSet1D._from_keys(scale, cells[(cells >= 0) & (cells < scale.cells)])
 
 
 def gradient_floor(P: Poly) -> float:
@@ -352,11 +370,11 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 
 def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = float(s.parameters.get("alpha", "0.5"))
-    eta = float(s.parameters.get("eta", "0.0"))
+    alpha = _float(s.parameters, "alpha", "0.5")
+    eta = _float(s.parameters, "eta", "0.0")
     c = Fraction(s.parameters.get("c", "1"))
-    d_small = int(s.parameters.get("d_small", "4"))
-    d_large = int(s.parameters.get("d_large", "8"))
+    d_small = _even_degree(s.parameters, "d_small", "4")
+    d_large = _even_degree(s.parameters, "d_large", "8")
     scales = _scales(s.parameters, "10,11,12,13,14")
     restricted_scales = _scales(
         s.parameters, "10,11,12,13,14,15,16,17,18,19,20", "restricted_scales"
@@ -418,7 +436,7 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     scales = _scales(s.parameters, "8,10,12")
-    growth_exponent = float(s.parameters.get("growth_exponent", "1.05"))
+    growth_exponent = _float(s.parameters, "growth_exponent", "1.05")
     p_sum = parse_poly("x + y")
     p_prod = parse_poly("x*y")
     rows: Dict[str, List[float]] = {
@@ -454,8 +472,13 @@ def _pins(parameters: Dict[str, str]):
     text = parameters.get("pins", "0,0;1,0;0,1")
     pins = []
     for chunk in text.split(";"):
-        x, y = chunk.split(",")
-        pins.append((float(x), float(y)))
+        try:
+            x, y = (float(t) for t in chunk.split(","))
+        except ValueError:
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"pins must be finite x,y points separated by ';', got {text!r}")
+        pins.append((x, y))
     if len(pins) != 3:
         raise ValueError("exactly three pins required")
     return pins
@@ -468,7 +491,7 @@ def _window(parameters: Dict[str, str]) -> Rect:
 
 
 def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = float(s.parameters.get("alpha", "0.5"))
+    alpha = _float(s.parameters, "alpha", "0.5")
     offset = Fraction(s.parameters.get("offset", "3/8"))
     scales = _scales(s.parameters, "8,9,10")
     pins = _pins(s.parameters)
@@ -527,7 +550,7 @@ def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dic
 
 
 def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = float(s.parameters.get("alpha", "0.5"))
+    alpha = _float(s.parameters, "alpha", "0.5")
     offset = Fraction(s.parameters.get("offset", "3/8"))
     scales = _scales(s.parameters, "8,9,10")
     pins = _pins(s.parameters)
@@ -544,13 +567,9 @@ def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict
     for k in scales:
         scale = Scale(k)
         d = scale.delta
-        G = half_dimensional_set(scale, offset)
-        lo_cell = math.ceil(window.x0 / d)
-        hi_cell = math.floor(window.x1 / d)
-        G = GridSet1D.from_cells(
-            scale, [c for c in G.cells if lo_cell <= c < hi_cell]
-        )
-        X = GridSet2D.from_cells(scale, [(i, j) for i in G.cells for j in G.cells])
+        g = half_dimensional_set(scale, offset).keys
+        g = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
+        X = GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
         images = [len(geomdecomp.map_image(phi, X).cells) for phi in phis]
         rows["x_cells"].append(float(len(X.cells)))
         rows["eta_x"].append(gridset.nonconcentration_exponent_2d(X, alpha))

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
-from .gridset import range_union, value_cells
+from .gridset import cell_keys, range_union, value_cells
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
 
 WEDGE_FLOOR = 1e-8
@@ -63,11 +63,7 @@ class SmoothMap2:
     enclosure() cell for cell.  The default maps the ends from
     enclosure_rects to cells with gridset.value_cells; maps whose
     enclosure is a float formula override it with numpy over the cell
-    edges i * 2^-k, which are exact in float.  Such a formula must give
-    bit-identical floats elementwise and on one rectangle, so a square
-    root goes through math.hypot (see _hypot): np.hypot and
-    np.sqrt(dx*dx + dy*dy) differ from it in the last bit on some
-    grid-aligned inputs.
+    edges i * 2^-k, which are exact in float (see _FloatEnclosureMap).
     """
 
     domain: Rect = Rect.of(0, 1, 0, 1)
@@ -118,22 +114,35 @@ class SmoothMap2:
 
 
 def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise math.hypot, the one square root the float enclosures use."""
+    """Elementwise math.hypot: the square root of every scalar float
+    enclosure, and of the cells enclosure_cells cannot decide with np.hypot."""
     return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), dtype=float, count=a.size)
 
 
 class _FloatEnclosureMap(SmoothMap2):
     """A map whose enclosure is one float formula, _bounds, on the edges
-    of a rectangle, evaluated elementwise over float arrays.  enclosure
-    runs it on one rectangle and enclosure_cells on whole cell arrays, so
-    the two cannot disagree."""
+    of a rectangle, evaluated elementwise over float arrays with its
+    square roots taken by the hypot it is given.
 
-    def _bounds(self, x0, x1, y0, y1) -> Tuple[np.ndarray, np.ndarray]:
+    enclosure runs it on one rectangle with _hypot (math.hypot), and that
+    defines the enclosure.  enclosure_cells runs it on whole cell arrays
+    with np.hypot, which may differ from math.hypot in the last bit, as a
+    filter: an end v can land in another cell than enclosure's only when
+    v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
+    hi the cell's upper end.  Those cells are recomputed with _hypot;
+    every other floor(v * 2^k) is certain.  A map whose formula takes no
+    square root keeps _EDGE_BAND = 0 and flags nothing: numpy and Python
+    floats round the same operations alike.
+    """
+
+    _EDGE_BAND = 0.0
+
+    def _bounds(self, x0, x1, y0, y1, hypot) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def enclosure(self, rect: Rect) -> Interval:
         edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
-        lo, hi = self._bounds(*edges)
+        lo, hi = self._bounds(*edges, _hypot)
         return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
 
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,11 +150,15 @@ class _FloatEnclosureMap(SmoothMap2):
         x0 = np.asarray(i, dtype=float) * d
         y0 = np.asarray(j, dtype=float) * d
         n = 1 << k
-        # floor(v * 2^k) is exact in float: scaling by a power of two is.
-        return tuple(
-            np.clip(np.floor(v * n), 0, n - 1).astype(np.int64)
-            for v in self._bounds(x0, x0 + d, y0, y0 + d)
-        )
+        edges = (x0, x0 + d, y0, y0 + d)
+        # v * 2^k is exact in float: scaling by a power of two is.
+        lo, hi = (v * n for v in self._bounds(*edges, np.hypot))
+        band = self._EDGE_BAND * (n + np.abs(hi))
+        near = (np.abs(lo - np.rint(lo)) < band) | (np.abs(hi - np.rint(hi)) < band)
+        if near.any():
+            exact = self._bounds(*(e[near] for e in edges), _hypot)
+            lo[near], hi[near] = (v * n for v in exact)
+        return tuple(np.clip(np.floor(v), 0, n - 1).astype(np.int64) for v in (lo, hi))
 
 
 class PolynomialMap(SmoothMap2):
@@ -196,9 +209,28 @@ class PinnedDistance(_FloatEnclosureMap):
     Derivatives are closed forms in u = x - cx, v = y - cy, r = |q - c|;
     the enclosure is the exact min/max distance from the pin to the
     rectangle with a tiny outward float pad.
+
+    The filter band of enclosure_cells.  np.hypot (libm) and math.hypot
+    each stay within an ulp of the true hypotenuse; over 2.7M grid inputs
+    (k = 3..19, corner, centre and random pins) they differ by at most
+    one ulp, on 0.5% of them.  Allow u = 2^-50, four ulps, relative, and
+    write D = 1 + dmax:
+    - dmin and dmax move by at most u * dmax;
+    - pad = _PAD * (1 + dmax) moves by less than 2^-88 * D (_PAD < 2^-39);
+    - hi = dmax + pad moves by less than u * dmax + 2^-88 * D plus the
+      rounding of the sum, 2^-52 * D: below 2^-49 * D;
+    - lo = max(dmin - pad, 0): the subtraction may cancel, but it rounds
+      by at most half an ulp of |dmin - pad| <= dmax, so lo also moves by
+      less than 2^-49 * D, and max(., 0) does not widen a gap.
+    Scaling by 2^k is exact, so floor(v * 2^k) can change only within
+    2^-49 * D * 2^k of an integer.  _EDGE_BAND * (1 + hi) * 2^k, with
+    hi >= dmax, is 2^9 times that.  Ends at an exact grid distance, such
+    as (3/16, 4/16) from (0, 0), sit _PAD * D * 2^k from their integer,
+    just outside the band, and are still certain there.
     """
 
     _PAD = 1e-12
+    _EDGE_BAND = 2.0**-40
 
     def __init__(self, center: Tuple[float, float], domain: Rect = Rect.of(0, 1, 0, 1)):
         self.center = (float(center[0]), float(center[1]))
@@ -238,12 +270,12 @@ class PinnedDistance(_FloatEnclosureMap):
             raise ValueError("derivatives available up to total order 3")
         return table[order]
 
-    def _bounds(self, x0, x1, y0, y1):
+    def _bounds(self, x0, x1, y0, y1, hypot):
         cx, cy = self.center
         dx = np.maximum(np.maximum(x0 - cx, 0.0), cx - x1)
         dy = np.maximum(np.maximum(y0 - cy, 0.0), cy - y1)
-        dmin = _hypot(dx, dy)
-        dmax = _hypot(
+        dmin = hypot(dx, dy)
+        dmax = hypot(
             np.maximum(np.abs(x0 - cx), np.abs(x1 - cx)),
             np.maximum(np.abs(y0 - cy), np.abs(y1 - cy)),
         )
@@ -274,7 +306,7 @@ class LinearProjection(_FloatEnclosureMap):
             return self.value(x, y)
         return 0.0
 
-    def _bounds(self, x0, x1, y0, y1):
+    def _bounds(self, x0, x1, y0, y1, hypot):
         corners = [x * self.cos + y * self.sin for x in (x0, x1) for y in (y0, y1)]
         return np.minimum.reduce(corners), np.maximum.reduce(corners)
 
@@ -553,7 +585,7 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
         if depth < k_max:
             i, j = _blocks(i[boundary], j[boundary], 2, _CHILDREN)
         else:
-            leftover = zip(i[boundary].tolist(), j[boundary].tolist())
+            leftover = np.unique(cell_keys(i[boundary], j[boundary]))
             i = j = i[:0]
         keys, where = np.unique(
             np.concatenate((i, di)) << (depth + 1) | np.concatenate((j, dj)), return_inverse=True
@@ -569,7 +601,7 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
         tuple(cubes),
         tuple(() for _ in cubes),
         frozenset(np.flatnonzero(np.concatenate(flags)).tolist()),
-        GridSet2D.from_cells(Scale(k_max), leftover),
+        GridSet2D._from_keys(Scale(k_max), leftover),
     )
 
 
@@ -661,11 +693,10 @@ def band_partition(
         ]
     corners = [(c.i << (k - c.depth), c.j << (k - c.depth)) for c in cubes]
     order = np.argsort(_morton(*np.array(corners, dtype=np.int64).reshape(-1, 2).T, k))
-    left = np.sort(np.concatenate(left_i) << k | np.concatenate(left_j))
-    left_cells = zip((left >> k).tolist(), (left & (scale.cells - 1)).tolist())
-    leftover = GridSet2D(scale, tuple(left_cells))
-    a_cells = np.array(A.cells, dtype=np.int64).reshape(-1, 2)
-    in_leftover = int(np.isin(a_cells[:, 0] << k | a_cells[:, 1], left).sum())
+    leftover = GridSet2D._from_keys(
+        scale, np.sort(cell_keys(np.concatenate(left_i), np.concatenate(left_j)))
+    )
+    in_leftover = int(np.isin(A.keys, leftover.keys).sum())
     fraction = in_leftover / len(A.cells) if A.cells else 0.0
     return CubeDecomposition(
         tuple(cubes[n] for n in order),
@@ -708,15 +739,13 @@ def _level_covering(phi: SmoothMap2, A, s: Fraction, levels: Sequence[Fraction])
     """
     if isinstance(A, GridSet2D):
         k = A.scale.k
-        cells = np.array(A.cells, dtype=np.int64).reshape(-1, 2)
-        i, j = cells[:, 0], cells[:, 1]
+        i, j = A.indices()
     else:
         G1, G2 = A
         if G1.scale != G2.scale:
             raise ValueError("product factors must share a scale")
         k = G1.scale.k
-        i = np.array(G1.cells, dtype=np.int64)[:, None]
-        j = np.array(G2.cells, dtype=np.int64)[None, :]
+        i, j = G1.keys[:, None], G2.keys[None, :]
     den = math.lcm(1 << k, s.denominator)
     unit, pad = den >> k, int(s * den)
     if den >= 2**61:  # corners reach 2 den + unit: keep them exact
@@ -1003,9 +1032,8 @@ def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
     One enclosure_cells call gives every cell's range [j0, j1] of value
     cells; the image is the sorted union of those ranges.
     """
-    cells = np.array(X.cells, dtype=np.int64).reshape(-1, 2)
-    j0, j1 = phi.enclosure_cells(cells[:, 0], cells[:, 1], X.scale.k)
-    return GridSet1D(X.scale, tuple(range_union(j0, j1).tolist()))
+    j0, j1 = phi.enclosure_cells(*X.indices(), X.scale.k)
+    return GridSet1D._from_keys(X.scale, range_union(j0, j1))
 
 
 def preimage_cells(
@@ -1028,7 +1056,7 @@ def preimage_cells(
     i = np.repeat(cols, rows.size)
     j = np.tile(rows, cols.size)
     j0, j1 = phi.enclosure_cells(i, j, scale.k)
-    member = np.array(values.cells, dtype=np.int64)
+    member = values.keys
     hit = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
     # The window is scanned column by column, so the hits are in order.
-    return GridSet2D(scale, tuple(zip(i[hit].tolist(), j[hit].tolist())))
+    return GridSet2D._from_keys(scale, cell_keys(i[hit], j[hit]))

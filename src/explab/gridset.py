@@ -5,6 +5,15 @@ in [0, 2^k)).  Cell membership is half-open [j*2^-k, (j+1)*2^-k); interval
 computations against cells use the closed cell, so every counting routine
 over-approximates deterministically.
 
+A grid set holds its cells twice: as the public cells tuple, which
+equality, hashing and the file format use, and as keys, a sorted,
+read-only int64 array (the cells in 1-D; i << 32 | j in 2-D, which sorts
+like the (i, j) tuples).  Kernels read and build the keys: the private
+constructor _from_keys checks a key array with numpy (strictly
+increasing, every index in [0, 2^k)) and keeps it, so the per-cell loop
+of the tuple constructor runs only for sets built from tuples, whose
+keys are made on first use.
+
 Measurements: covering numbers at coarser scales, non-concentration
 exponents over the dyadic interval tree, image sets P(A, B) through sound
 interval enclosures, collision ("energy") counts of value quadruples
@@ -23,14 +32,14 @@ polyexpr.interval_range as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isfinite, log2
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
+from .polyexpr import Poly, Rect, box_bounds, interval_range
 
 MAX_SCALE = 30
 
@@ -54,12 +63,45 @@ class Scale:
         return 2**self.k
 
 
+_LOW = 0xFFFFFFFF
+
+
+def cell_keys(i, j):
+    """The keys i << 32 | j of 2-D cells (i, j), which sort like the tuples."""
+    return i << 32 | j
+
+
+def _checked_keys(keys: np.ndarray, limit: int, packed: bool) -> np.ndarray:
+    """keys, made read-only, after checking with numpy that they are a
+    strictly increasing 1-D int64 array of cells (packed: of i << 32 | j
+    keys) with every index in [0, limit)."""
+    if not isinstance(keys, np.ndarray) or keys.dtype != np.int64 or keys.ndim != 1:
+        raise ValueError("keys must be a 1-D int64 array")
+    if keys.size:
+        if keys[0] < 0 or not (keys[1:] > keys[:-1]).all():
+            raise ValueError("cells must be strictly increasing and in range")
+        top = (keys[-1] >> 32, (keys & _LOW).max()) if packed else (keys[-1],)
+        if max(top) >= limit:
+            raise ValueError("cell index out of range")
+    keys.flags.writeable = False
+    return keys
+
+
+def _cache_keys(S, keys: np.ndarray) -> np.ndarray:
+    keys.flags.writeable = False
+    object.__setattr__(S, "_keys", keys)
+    return keys
+
+
 @dataclass(frozen=True)
 class GridSet1D:
     scale: Scale
     cells: Tuple[int, ...]
+    _keys: Optional[np.ndarray] = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._keys is not None:  # built by _from_keys, which checked them
+            return
         limit = self.scale.cells
         prev = -1
         for c in self.cells:
@@ -71,20 +113,33 @@ class GridSet1D:
     def from_cells(cls, scale: Scale, cells: Iterable[int]) -> "GridSet1D":
         return cls(scale, tuple(sorted(set(int(c) for c in cells))))
 
+    @classmethod
+    def _from_keys(cls, scale: Scale, keys: np.ndarray) -> "GridSet1D":
+        """The set of the cells in a sorted, unique int64 array, which
+        becomes its keys."""
+        keys = _checked_keys(keys, scale.cells, packed=False)
+        return cls(scale, tuple(keys.tolist()), _keys=keys)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The cells as a sorted, read-only int64 array."""
+        if self._keys is None:
+            return _cache_keys(self, np.array(self.cells, dtype=np.int64))
+        return self._keys
+
     def __len__(self) -> int:
         return len(self.cells)
-
-    def cell_interval(self, index: int) -> Interval:
-        d = self.scale.delta
-        return Interval(index * d, (index + 1) * d)
 
 
 @dataclass(frozen=True)
 class GridSet2D:
     scale: Scale
     cells: Tuple[Tuple[int, int], ...]
+    _keys: Optional[np.ndarray] = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._keys is not None:  # built by _from_keys, which checked them
+            return
         limit = self.scale.cells
         prev = None
         for ij in self.cells:
@@ -99,6 +154,25 @@ class GridSet2D:
     def from_cells(cls, scale: Scale, cells: Iterable[Tuple[int, int]]) -> "GridSet2D":
         return cls(scale, tuple(sorted(set((int(i), int(j)) for i, j in cells))))
 
+    @classmethod
+    def _from_keys(cls, scale: Scale, keys: np.ndarray) -> "GridSet2D":
+        """The set of the cells keyed i << 32 | j in a sorted, unique
+        int64 array, which becomes its keys."""
+        keys = _checked_keys(keys, scale.cells, packed=True)
+        return cls(scale, tuple(zip((keys >> 32).tolist(), (keys & _LOW).tolist())), _keys=keys)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The cell keys i << 32 | j as a sorted, read-only int64 array."""
+        if self._keys is None:
+            ij = np.array(self.cells, dtype=np.int64).reshape(-1, 2)
+            return _cache_keys(self, cell_keys(ij[:, 0], ij[:, 1]))
+        return self._keys
+
+    def indices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The int64 arrays i and j of the cells, in order."""
+        return self.keys >> 32, self.keys & _LOW
+
     def __len__(self) -> int:
         return len(self.cells)
 
@@ -110,8 +184,8 @@ class GridSet2D:
     def intersection(self, other: "GridSet2D") -> "GridSet2D":
         if other.scale != self.scale:
             raise ValueError("scale mismatch")
-        common = set(self.cells) & set(other.cells)
-        return GridSet2D.from_cells(self.scale, common)
+        common = np.intersect1d(self.keys, other.keys, assume_unique=True)
+        return GridSet2D._from_keys(self.scale, common)
 
 
 GridSet = Union[GridSet1D, GridSet2D]
@@ -193,8 +267,9 @@ class NonconcentrationResult:
     worst: Tuple[int, int]
 
 
-# Tree keys pack a cell's coordinates into 32-bit fields (cells are below
-# 2^30); clearing each field's top bit after key >> 1 gives the parent's key.
+# Tree keys are the cells in 1-D and the packed keys in 2-D (cells are
+# below 2^30); clearing each field's top bit after key >> 1 gives the
+# parent's key.
 _PARENT_MASK = (0x7FFFFFFF << 32) | 0x7FFFFFFF
 
 
@@ -246,8 +321,7 @@ def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
         raise ValueError("empty set")
     if not isfinite(alpha):
         raise ValueError("alpha must be finite")
-    keys = [i << 32 | j for i, j in X.cells]
-    best, _ = _tree_scan(keys, X.scale.k, alpha, 2 * alpha)
+    best, _ = _tree_scan(X.keys.tolist(), X.scale.k, alpha, 2 * alpha)
     return max(0.0, best)
 
 
@@ -373,8 +447,7 @@ def value_cells(v, offset: int, width: int, k: int) -> np.ndarray:
 
 def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
     """box_bounds of P on every closed cell product S x T, flat and a-major."""
-    a = np.array(A.cells, dtype=np.int64)[:, None]
-    b = np.array(B.cells, dtype=np.int64)[None, :]
+    a, b = A.keys[:, None], B.keys[None, :]
     lo, hi, scale = box_bounds(P, a, a + 1, b, b + 1, A.scale.cells)
     return lo.ravel(), hi.ravel(), scale
 
@@ -401,7 +474,7 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
     offset, width = int(total.lo * scale), int(span * scale)
     first, last = (value_cells(v, offset, width, k) for v in (lo, hi))
     cells = range_union(first, last)
-    return ImageSet(GridSet1D(A.scale, tuple(cells.tolist())), total.lo, total.hi)
+    return ImageSet(GridSet1D._from_keys(A.scale, cells), total.lo, total.hi)
 
 
 _SUM_POLY = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})

@@ -216,14 +216,15 @@ def test_criterion_07_whitney_and_bands():
             floor = 2.0 ** (-k * 0.2)
             for cube, bands in zip(decomp.cubes, decomp.bands):
                 rect = cube.rect()
-                for f, v in zip(fs, bands):
-                    if float(v) < floor - 1e-12:
+                x0, x1, y0, y1 = (float(e) for e in (rect.x0, rect.x1, rect.y0, rect.y1))
+                for f, v in zip(fs, map(float, bands)):
+                    if v < floor - 1e-12:
                         failures.append(f"band value below delta^w on {cube}")
                     for _ in range(50):
-                        x = rng.uniform(float(rect.x0), float(rect.x1))
-                        y = rng.uniform(float(rect.y0), float(rect.y1))
+                        x = rng.uniform(x0, x1)
+                        y = rng.uniform(y0, y1)
                         value = abs(f.value(x, y))
-                        if not (float(v) - 1e-9 <= value < 4 * float(v) + 1e-9):
+                        if not (v - 1e-9 <= value < 4 * v + 1e-9):
                             failures.append(f"certificate fails on {cube}")
                             break
     if not fractions[0] > fractions[1] > fractions[2]:

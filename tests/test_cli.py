@@ -75,7 +75,14 @@ def test_bands_sample_stride_below_one_is_domain_error(capsys, value):
 def test_nonconc_non_finite_target_alpha_is_domain_error(capsys, value):
     code, out, err = run_cli(capsys, "nonconc", "--k", "8", f"--target-alpha={value}")
     assert code == 1 and out == ""
-    assert err.startswith("explab: ") and "alpha must be finite" in err
+    assert err.startswith("explab: --target-alpha must be finite, got ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5", "1.5"])
+def test_nonconc_kappa_outside_unit_interval_is_domain_error(capsys, value):
+    code, out, err = run_cli(capsys, "nonconc", "--k", "8", f"--kappa={value}")
+    assert code == 1 and out == ""
+    assert err.startswith("explab: --kappa must lie in (0, 1], got ")
 
 
 def test_energy_matches_library(capsys):

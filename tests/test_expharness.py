@@ -131,6 +131,16 @@ def test_run_scenario_rejects_unknown_metric_before_running(
         run_scenario(s)
 
 
+def _forbid_work(monkeypatch):
+    for module, name in (
+        (gridset, "energy_count"),
+        (gridset, "image_set"),
+        (geomdecomp, "map_image"),
+        (geomdecomp, "preimage_cells"),
+    ):
+        monkeypatch.setattr(module, name, None)  # any work would fail differently
+
+
 @pytest.mark.parametrize(
     "family, key, ladder",
     [
@@ -143,15 +153,46 @@ def test_run_scenario_rejects_unknown_metric_before_running(
 )
 def test_run_scenario_rejects_bad_ladder_before_running(monkeypatch, family, key, ladder):
     parameters = {key: ladder, "poly": "x + y"} if family == "poly_growth" else {key: ladder}
-    for module, name in (
-        (gridset, "energy_count"),
-        (gridset, "image_set"),
-        (geomdecomp, "map_image"),
-        (geomdecomp, "preimage_cells"),
-    ):
-        monkeypatch.setattr(module, name, None)  # any work would fail differently
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=key):
         run_scenario(Scenario("short", family, parameters, ()))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5x"])
+@pytest.mark.parametrize(
+    "family, key",
+    [
+        ("poly_growth", "alpha"),
+        ("poly_growth", "eta"),
+        ("eps_d_energy", "alpha"),
+        ("eps_d_energy", "eta"),
+        ("sum_product", "growth_exponent"),
+        ("three_projection", "alpha"),
+        ("pinned_distance", "alpha"),
+    ],
+)
+def test_run_scenario_rejects_non_finite_float_before_running(monkeypatch, family, key, value):
+    _forbid_work(monkeypatch)
+    parameters = {key: value, "poly": "x + y"} if family == "poly_growth" else {key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        run_scenario(Scenario("bad", family, parameters, ()))
+
+
+@pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
+@pytest.mark.parametrize("pins", ["0,0;1,nan;0,1", "inf,0;1,0;0,1", "0,0;1;0,1"])
+def test_run_scenario_rejects_bad_pins_before_running(monkeypatch, family, pins):
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="^pins must be"):
+        run_scenario(Scenario("bad", family, {"pins": pins}, ()))
+
+
+@pytest.mark.parametrize("key", ["d_small", "d_large"])
+@pytest.mark.parametrize("value", ["3", "1", "0", "-2", "four"])
+def test_eps_d_energy_rejects_odd_or_small_degree_before_running(monkeypatch, key, value):
+    # d_small=3 used to run as D = 2 and report success.
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        run_scenario(Scenario("bad", "eps_d_energy", {key: value}, ()))
 
 
 def test_declared_metrics_are_the_reported_ones():

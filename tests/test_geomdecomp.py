@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -598,10 +599,7 @@ def cell_blocks(draw):
     return k, np.repeat(cols, rows.size), np.tile(rows, cols.size)
 
 
-@settings(max_examples=200, deadline=None)
-@given(float_maps, cell_blocks())
-def test_float_enclosures_are_bit_identical_to_reference(phi, block):
-    k, i, j = block
+def assert_cells_equal_reference(phi, k, i, j):
     n = 2**k
     d = Fraction(1, n)
     cells = phi.enclosure_cells(i, j, k)
@@ -614,6 +612,125 @@ def test_float_enclosures_are_bit_identical_to_reference(phi, block):
         assert (enc.lo, enc.hi) == (Fraction(lo), Fraction(hi))
         assert j0 == max(0, min(math.floor(lo * n), n - 1))
         assert j1 == max(0, min(math.floor(hi * n), n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_maps, cell_blocks())
+def test_float_enclosures_are_bit_identical_to_reference(phi, block):
+    assert_cells_equal_reference(phi, *block)
+
+
+# Inputs inside the filter band of PinnedDistance.enclosure_cells: ends
+# that lie within an ulp or two of a cell edge m * 2^-k, where np.hypot
+# alone could pick the wrong cell.
+
+
+def in_band_case(k, a, b, m, end, s, flip, transpose):
+    """A pin for cell (a, b) at scale k that puts the cell's lower (end
+    "lo") or upper (end "hi") enclosure end on m * 2^-k, give or take the
+    rounding: on the cell's row at height s in [0, 1] of it, left of the
+    cell (right with flip), with x and y swapped by transpose."""
+    d = 0.5**k
+    x0, x1, y0, y1 = a * d, (a + 1) * d, b * d, (b + 1) * d
+    cy = y0 + s * d
+    reach = max(cy - y0, y1 - cy)
+    if end == "lo":
+        # dmin is the gap along the row and lo = gap - pad.
+        gap = m * d
+        for _ in range(3):
+            gap = m * d + PinnedDistance._PAD * (1 + math.hypot(gap + d, reach))
+        cx = x1 + gap if flip else x0 - gap
+    else:
+        # dmax runs to the far edge of the cell and hi = dmax + pad.
+        far = m * d - PinnedDistance._PAD * (1 + m * d)
+        run = math.sqrt(far * far - reach * reach)
+        cx = x0 + run if flip else x1 - run
+    pin, cell = ((cy, cx), (b, a)) if transpose else ((cx, cy), (a, b))
+    return PinnedDistance(pin), k, np.array([cell[0]]), np.array([cell[1]])
+
+
+@st.composite
+def in_band_cases(draw):
+    k = draw(st.integers(1, 12))
+    cell = st.integers(0, 2**k - 1)
+    end = draw(st.sampled_from(["lo", "hi"]))
+    # hi needs a far edge at least half a cell off the pin: m >= 2.
+    m = draw(st.integers(0 if end == "lo" else 2, 64))
+    s = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    case = in_band_case(k, draw(cell), draw(cell), m, end, s, draw(st.booleans()), draw(st.booleans()))
+    return case, end, m
+
+
+def assert_in_band(phi, k, i, j, end, m):
+    d = Fraction(1, 2**k)
+    a, b = int(i[0]), int(j[0])
+    lo, hi = reference_bounds(phi, Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
+    v = lo if end == "lo" else hi
+    assert abs(v * 2**k - m) < 2.0**-48 * (1 + hi) * 2**k
+
+
+@settings(max_examples=300, deadline=None)
+@given(in_band_cases())
+def test_float_enclosures_in_the_filter_band_equal_reference(case):
+    (phi, k, i, j), end, m = case
+    assert_in_band(phi, k, i, j, end, m)
+    assert_cells_equal_reference(phi, k, i, j)
+
+
+def pythagorean_cases():
+    """Cells whose near or far corner lies at an exact grid distance
+    (3-4-5, 5-12-13, 8-15-17 or 20-21-29 cells) from a corner pin."""
+    cases = []
+    for p, q, k in ((3, 4, 4), (4, 3, 4), (5, 12, 4), (6, 8, 5), (8, 15, 5), (20, 21, 6)):
+        n = 2**k
+        for near in (True, False):
+            # The near corner of cell (p, q) from (0, 0) is (p, q) * 2^-k;
+            # the far corner of cell (p - 1, q - 1) is.
+            a, b = (p, q) if near else (p - 1, q - 1)
+            for pin, (ca, cb) in (
+                ((0.0, 0.0), (a, b)),
+                ((1.0, 0.0), (n - 1 - a, b)),
+                ((0.0, 1.0), (a, n - 1 - b)),
+                ((1.0, 1.0), (n - 1 - a, n - 1 - b)),
+            ):
+                cases.append((PinnedDistance(pin), k, np.array([ca]), np.array([cb])))
+    return cases
+
+
+@pytest.mark.parametrize("case", pythagorean_cases())
+def test_float_enclosures_at_exact_grid_distances_equal_reference(case):
+    assert_cells_equal_reference(*case)
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_filter_holds_for_a_hypot_four_ulps_off(ulps):
+    """The band of PinnedDistance allows np.hypot to be up to four ulps
+    off math.hypot.  A stand-in that is exactly that far off must still
+    give the cells of the math.hypot enclosure; with the band shrunk to
+    nothing it does not."""
+
+    def off_hypot(a, b):
+        v = np.fromiter(map(math.hypot, np.ravel(a).tolist(), np.ravel(b).tolist()), float)
+        for _ in range(abs(ulps)):
+            v = np.nextafter(v, math.copysign(math.inf, ulps))
+        return v.reshape(np.shape(a))
+
+    rng = random.Random(ulps)
+    cases = pythagorean_cases()
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        end = rng.choice(["lo", "hi"])
+        m = rng.randint(0 if end == "lo" else 2, 64)
+        a, b = rng.randrange(2**k), rng.randrange(2**k)
+        flips = rng.random() < 0.5, rng.random() < 0.5
+        cases.append(in_band_case(k, a, b, m, end, rng.choice([0.0, 0.5, 1.0]), *flips))
+    with mock.patch.object(np, "hypot", off_hypot):
+        for phi, k, i, j in cases:
+            # The cell and its neighbours, so the recomputed cells sit
+            # among cells the filter leaves to the stand-in.
+            cols = np.arange(max(i[0] - 1, 0), min(i[0] + 2, 2**k))
+            rows = np.arange(max(j[0] - 1, 0), min(j[0] + 2, 2**k))
+            assert_cells_equal_reference(phi, k, np.repeat(cols, rows.size), np.tile(rows, cols.size))
 
 
 @settings(max_examples=100, deadline=None)

@@ -510,6 +510,118 @@ def test_gridset_rejects_bad_header():
         parse_gridset("gridset3d k=5\n1\n")
 
 
+# ---------------------------------------------------------------------------
+# array-built grid sets against their tuple builds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cell_lists_2d(draw, max_size=40):
+    k = draw(st.integers(1, 30))
+    cell = st.integers(0, 2**k - 1)
+    return k, draw(st.lists(st.tuples(cell, cell), max_size=max_size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, 2**k - 1)))))
+def test_array_built_gridset_1d_equals_from_cells(case):
+    k, cells = case
+    want = GridSet1D.from_cells(Scale(k), cells)
+    got = GridSet1D._from_keys(Scale(k), np.unique(np.array(cells, dtype=np.int64)))
+    assert got.cells == want.cells and got == want and hash(got) == hash(want)
+    assert len(got) == len(want) and format_gridset(got) == format_gridset(want)
+    assert got.keys.tolist() == want.keys.tolist() == list(want.cells)
+    assert got.keys.dtype == want.keys.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists_2d())
+def test_array_built_gridset_2d_equals_from_cells(case):
+    k, cells = case
+    want = GridSet2D.from_cells(Scale(k), cells)
+    keys = np.unique(np.array([i << 32 | j for i, j in cells], dtype=np.int64))
+    got = GridSet2D._from_keys(Scale(k), keys)
+    assert got.cells == want.cells and got == want and hash(got) == hash(want)
+    assert len(got) == len(want) and format_gridset(got) == format_gridset(want)
+    assert got.keys.tolist() == want.keys.tolist() == [i << 32 | j for i, j in want.cells]
+    assert [a.tolist() for a in got.indices()] == [[c[n] for c in want.cells] for n in (0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists_2d(), st.data())
+def test_intersection_equals_set_intersection(case, data):
+    k, cells = case
+    cell = st.integers(0, 2**k - 1)
+    # The second set reuses some cells of the first, so they overlap.
+    others = data.draw(st.lists(st.sampled_from(cells), max_size=20)) if cells else []
+    others += data.draw(st.lists(st.tuples(cell, cell), max_size=20))
+    X = GridSet2D.from_cells(Scale(k), cells)
+    Y = GridSet2D.from_cells(Scale(k), others)
+    want = tuple(sorted(set(X.cells) & set(Y.cells)))
+    assert X.intersection(Y).cells == want and Y.intersection(X).cells == want
+    assert X.intersection(Y) == GridSet2D.from_cells(Scale(k), want)
+
+
+def test_intersection_rejects_scale_mismatch():
+    with pytest.raises(ValueError, match="scale"):
+        GridSet2D(Scale(3), ()).intersection(GridSet2D(Scale(4), ()))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [3, 1],  # unsorted
+        [1, 1, 2],  # duplicate
+        [-1, 2],  # below range
+        [2, 16],  # past 2^k
+    ],
+)
+def test_array_built_gridset_1d_rejects_bad_keys(keys):
+    with pytest.raises(ValueError):
+        GridSet1D._from_keys(Scale(4), np.array(keys, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(3, 0), (1, 2)],  # unsorted
+        [(1, 2), (1, 2)],  # duplicate
+        [(1, 3), (1, 2)],  # unsorted within a column
+        [(1, 2), (16, 0)],  # i past 2^k
+        [(0, 16), (1, 2)],  # j past 2^k
+    ],
+)
+def test_array_built_gridset_2d_rejects_bad_keys(cells):
+    with pytest.raises(ValueError):
+        GridSet2D._from_keys(Scale(4), np.array([i << 32 | j for i, j in cells], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([-5, 3], dtype=np.int64),  # a negative key
+        np.array([0, 1], dtype=np.int32),  # not int64
+        np.array([[0, 1]], dtype=np.int64),  # not 1-D
+        [0, 1],  # not an array
+    ],
+)
+def test_array_built_gridsets_reject_malformed_arrays(keys):
+    for cls in (GridSet1D, GridSet2D):
+        with pytest.raises(ValueError):
+            cls._from_keys(Scale(4), keys)
+
+
+def test_gridset_keys_are_read_only():
+    for S in (
+        GridSet1D.from_cells(Scale(4), [1, 5]),
+        GridSet1D._from_keys(Scale(4), np.array([1, 5], dtype=np.int64)),
+        GridSet2D.from_cells(Scale(4), [(1, 5)]),
+        GridSet2D._from_keys(Scale(4), np.array([1 << 32 | 5], dtype=np.int64)),
+    ):
+        with pytest.raises(ValueError):
+            S.keys[0] = 0
+
+
 def test_image_constant_polynomial_single_cell():
     A = GridSet1D.from_cells(Scale(6), [0, 5, 9])
     img = image_set(parse_poly("3"), A, A)
