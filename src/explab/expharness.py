@@ -27,7 +27,7 @@ import numpy as np
 from . import geomdecomp, gridset
 from .geomdecomp import pinned_distance_map
 from .gridset import ExponentFit, GridSet1D, GridSet2D, Scale, fit_exponent
-from .polyexpr import Poly, Rect, interval_range, parse_poly
+from .polyexpr import Poly, Rect, parse_poly, unit_square_range
 
 SCHEMA_VERSION = 1
 PROVENANCE_TAGS = ("PAPER", "TRIVIAL", "DERIVED")
@@ -241,6 +241,15 @@ def _float(parameters: Dict[str, str], key: str, default: str) -> float:
     return value
 
 
+def _fraction(parameters: Dict[str, str], key: str, default: str) -> Fraction:
+    """The rational number under key, or the default when the key is absent."""
+    text = parameters.get(key, default)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key} must be a rational number, got {text!r}") from None
+
+
 def _even_degree(parameters: Dict[str, str], key: str, default: str) -> int:
     """The degree D under key, even and at least 2: the family's
     polynomial carries the term (x^2 + y^2)^(D/2)."""
@@ -279,27 +288,19 @@ def half_dimensional_set(scale: Scale, offset: Fraction = Fraction(0)) -> GridSe
 
 
 def gradient_floor(P: Poly) -> float:
-    """Certified lower bound for min(|P_x|, |P_y|) on the unit square."""
-    unit = Rect.of(0, 1, 0, 1)
-    floors = []
-    for var in ("x", "y"):
-        enc = interval_range(P.partial(var), unit)
-        if enc.lo > 0:
-            floors.append(float(enc.lo))
-        elif enc.hi < 0:
-            floors.append(float(-enc.hi))
-        else:
-            floors.append(0.0)
-    return min(floors)
+    """Certified lower bound for min(|P_x|, |P_y|) on the unit square: the
+    smaller lower end of the two |enclosures|.  A run takes it once,
+    before its scale loop."""
+    return min(float(unit_square_range(P.partial(v)).abs_interval().lo) for v in ("x", "y"))
 
 
-def cs_lower_bound(P: Poly, count_a: int, count_b: int, energy: int) -> float:
-    """Frozen-constant Cauchy-Schwarz floor for the image covering count."""
-    c = gradient_floor(P)
-    if c <= 0 or energy <= 0:
+def cs_lower_bound(floor: float, count_a: int, count_b: int, energy: int) -> float:
+    """Frozen-constant Cauchy-Schwarz floor for the image covering count,
+    given the polynomial's gradient_floor."""
+    if floor <= 0 or energy <= 0:
         return 0.0
     cover = count_a * count_b
-    return CS_CONSTANT * gridset.cs_growth_bound(cover, energy, min(1.0, c))
+    return CS_CONSTANT * gridset.cs_growth_bound(cover, energy, min(1.0, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,11 @@ def cs_lower_bound(P: Poly, count_a: int, count_b: int, energy: int) -> float:
 def _scales(parameters: Dict[str, str], default: str, key: str = "scales") -> List[int]:
     """The scale ladder under key, checked before any measurement: an
     exponent fit needs three points, and every scale must be valid."""
-    ladder = [int(tok) for tok in parameters.get(key, default).split(",") if tok]
+    text = parameters.get(key, default)
+    try:
+        ladder = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated integers, got {text!r}") from None
     if len(ladder) < 3:
         raise ValueError(f"{key} needs at least 3 scales for an exponent fit, got {len(ladder)}")
     if not all(1 <= k <= gridset.MAX_SCALE for k in ladder):
@@ -324,6 +329,7 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     scales = _scales(s.parameters, "10,11,12,13,14")
     base = s.parameters.get("baseline_poly")
     baseline = parse_poly(base) if base else None
+    floor = gradient_floor(P)
 
     rows: Dict[str, List[float]] = {
         "cover_a": [],
@@ -340,7 +346,7 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         B = generate(k)
         image = len(gridset.image_set(P, A, B).grid.cells)
         energy = gridset.energy_count(P, A, B)
-        bound = cs_lower_bound(P, len(A.cells), len(B.cells), energy)
+        bound = cs_lower_bound(floor, len(A.cells), len(B.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["image_count"].append(float(image))
         rows["energy_count"].append(float(energy))
@@ -372,7 +378,7 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha = _float(s.parameters, "alpha", "0.5")
     eta = _float(s.parameters, "eta", "0.0")
-    c = Fraction(s.parameters.get("c", "1"))
+    c = _fraction(s.parameters, "c", "1")
     d_small = _even_degree(s.parameters, "d_small", "4")
     d_large = _even_degree(s.parameters, "d_large", "8")
     scales = _scales(s.parameters, "10,11,12,13,14")
@@ -387,6 +393,7 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
     p_small = poly_for(d_small)
     p_large = poly_for(d_large)
+    floor = gradient_floor(p_small)
 
     rows: Dict[str, List[float]] = {"energy_d_small": [], "energy_d_large": [], "cs_bound": [], "cs_ok": [], "image_count": []}
     for k in scales:
@@ -394,7 +401,7 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         e_small = gridset.energy_count(p_small, A, A)
         e_large = gridset.energy_count(p_large, A, A)
         image = len(gridset.image_set(p_small, A, A).grid.cells)
-        bound = cs_lower_bound(p_small, len(A.cells), len(A.cells), e_small)
+        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), e_small)
         rows["energy_d_small"].append(float(e_small))
         rows["energy_d_large"].append(float(e_large))
         rows["image_count"].append(float(image))
@@ -439,6 +446,7 @@ def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     growth_exponent = _float(s.parameters, "growth_exponent", "1.05")
     p_sum = parse_poly("x + y")
     p_prod = parse_poly("x*y")
+    floor = gradient_floor(p_sum)
     rows: Dict[str, List[float]] = {
         "cover_a": [],
         "sum_count": [],
@@ -452,7 +460,7 @@ def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         prods = len(gridset.product_set(A, A).cells)
         energy = gridset.energy_count(p_sum, A, A)
         image = len(gridset.image_set(p_sum, A, A).grid.cells)
-        bound = cs_lower_bound(p_sum, len(A.cells), len(A.cells), energy)
+        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["sum_count"].append(float(sums))
         rows["product_count"].append(float(prods))
@@ -486,13 +494,18 @@ def _pins(parameters: Dict[str, str]):
 
 def _window(parameters: Dict[str, str]) -> Rect:
     text = parameters.get("window", "0.3,0.7,0.3,0.7")
-    x0, x1, y0, y1 = (Fraction(t) for t in text.split(","))
-    return Rect(x0, x1, y0, y1)
+    try:
+        x0, x1, y0, y1 = (Fraction(t) for t in text.split(","))
+        return Rect(x0, x1, y0, y1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"window must be four rationals x0,x1,y0,y1 with x0 <= x1 and y0 <= y1, got {text!r}"
+        ) from None
 
 
 def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha = _float(s.parameters, "alpha", "0.5")
-    offset = Fraction(s.parameters.get("offset", "3/8"))
+    offset = _fraction(s.parameters, "offset", "3/8")
     scales = _scales(s.parameters, "8,9,10")
     pins = _pins(s.parameters)
     window = _window(s.parameters)
@@ -511,16 +524,15 @@ def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dic
     }
     for k in scales:
         scale = Scale(k)
-        X1 = half_dimensional_set(scale, offset)
-        X2 = half_dimensional_set(scale, offset)
-        pre1 = geomdecomp.preimage_cells(phi1, X1, window, scale)
-        pre2 = geomdecomp.preimage_cells(phi2, X2, window, scale)
+        values = half_dimensional_set(scale, offset)
+        pre1 = geomdecomp.preimage_cells(phi1, values, window, scale)
+        pre2 = geomdecomp.preimage_cells(phi2, values, window, scale)
         X = pre1.intersection(pre2)
         img1 = len(geomdecomp.map_image(phi1, X).cells)
         img2 = len(geomdecomp.map_image(phi2, X).cells)
         img3 = len(geomdecomp.map_image(phi3, X).cells)
         rows["x_cells"].append(float(len(X.cells)))
-        rows["value_cells"].append(float(len(X1.cells)))
+        rows["value_cells"].append(float(len(values.cells)))
         rows["phi1_image"].append(float(img1))
         rows["phi2_image"].append(float(img2))
         rows["phi3_image"].append(float(img3))
@@ -551,7 +563,7 @@ def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dic
 
 def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha = _float(s.parameters, "alpha", "0.5")
-    offset = Fraction(s.parameters.get("offset", "3/8"))
+    offset = _fraction(s.parameters, "offset", "3/8")
     scales = _scales(s.parameters, "8,9,10")
     pins = _pins(s.parameters)
     window = _window(s.parameters)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
 from .gridset import cell_keys, range_union, value_cells
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, unit_square_range
 
 WEDGE_FLOOR = 1e-8
 
@@ -994,10 +994,9 @@ def extract_product(
     eta_b = (
         nonconcentration_exponent(B, max(alpha_b, 1e-9), alpha_b).eta if B.cells else 0.0
     )
-    unit = Rect.of(0, 1, 0, 1)
     if isinstance(P, PolynomialMap):
-        px_enc = interval_range(P.poly.partial("x"), unit).abs_interval()
-        py_enc = interval_range(P.poly.partial("y"), unit).abs_interval()
+        px_enc = unit_square_range(P.poly.partial("x")).abs_interval()
+        py_enc = unit_square_range(P.poly.partial("y")).abs_interval()
         px_bounds = (float(px_enc.lo), float(px_enc.hi))
         py_bounds = (float(py_enc.lo), float(py_enc.hi))
     else:

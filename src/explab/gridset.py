@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polyexpr import Poly, Rect, box_bounds, interval_range
+from .polyexpr import Poly, Rect, box_bounds, interval_range, unit_square_range
 
 MAX_SCALE = 30
 
@@ -372,11 +372,15 @@ def gen_cantor(branch_pattern: Iterable[int], base: int, depth: int) -> GridSet1
 
 
 def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
-    """Cells of S whose closed interval meets [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    d = S.scale.delta
-    kept = [c for c in S.cells if c * d <= hi and (c + 1) * d >= lo]
-    return GridSet1D(S.scale, tuple(kept))
+    """Cells of S whose closed interval meets [lo, hi]: the keys from
+    ceil(lo * 2^k) - 1 to floor(hi * 2^k)."""
+    n = S.scale.cells
+    # Clamped to [-1, 2^k], the bounds select the same keys and fit int64.
+    first = max(-1, min(ceil(Fraction(lo) * n) - 1, n))
+    last = max(-1, min(floor(Fraction(hi) * n), n))
+    keys = S.keys
+    kept = keys[np.searchsorted(keys, first) : np.searchsorted(keys, last, side="right")]
+    return GridSet1D._from_keys(S.scale, kept)
 
 
 def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
@@ -457,12 +461,12 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
 
     An output cell is included when the interval enclosure of P on some
     closed cell product S x T meets it (after affine renormalization of
-    P's range on the unit square onto [0, 1]).
+    P's range on the unit square, from unit_square_range, onto [0, 1]).
     """
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
     k = A.scale.k
-    total = interval_range(P, Rect.of(0, 1, 0, 1))
+    total = unit_square_range(P)
     span = total.width()
     if span == 0:
         return ImageSet(GridSet1D(A.scale, (0,)), total.lo, total.hi)

@@ -23,7 +23,8 @@ The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
 rational endpoints), which the grid measurements build on: interval_range
 on one box in Fractions, and box_bounds, the same enclosure of a
-bivariate polynomial on whole arrays of rectangles in exact integers.
+bivariate polynomial on whole arrays of rectangles in exact integers, of
+which unit_square_range takes the unit square.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class Poly:
     The term map is canonical: no zero coefficients are stored, so two
     instances represent the same polynomial exactly when their variables
     and term dictionaries are equal.  Instances are immutable by
-    convention; all arithmetic returns new objects.
+    convention; all arithmetic returns new objects.  The constructor
+    validates and canonicalises the terms; arithmetic and partial
+    derivatives, whose results are canonical already, use _from_terms.
     """
 
     __slots__ = ("variables", "terms", "_float_terms")
@@ -75,6 +78,16 @@ class Poly:
             clean[exps] = coeff
         self.terms = clean
         self._float_terms = None
+
+    @classmethod
+    def _from_terms(cls, variables: Tuple[str, ...], terms: dict) -> "Poly":
+        """The polynomial of a canonical term map (exponent tuples of the
+        right length to nonzero Fractions), which it keeps unchecked."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly.terms = terms
+        poly._float_terms = None
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -129,13 +142,13 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.variables, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return Poly._from_terms(self.variables, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._from_terms(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -151,8 +164,8 @@ class Poly:
         # one exact division per output term restores the rationals.
         den_a = math.lcm(*(c.denominator for c in self.terms.values()))
         den_b = math.lcm(*(c.denominator for c in other.terms.values()))
-        ints_a = [(e, int(c * den_a)) for e, c in self.terms.items()]
-        ints_b = [(e, int(c * den_b)) for e, c in other.terms.items()]
+        ints_a = [(e, c.numerator * (den_a // c.denominator)) for e, c in self.terms.items()]
+        ints_b = [(e, c.numerator * (den_b // c.denominator)) for e, c in other.terms.items()]
         out: dict = {}
         get = out.get
         for e1, c1 in ints_a:
@@ -160,21 +173,21 @@ class Poly:
                 key = tuple(map(operator.add, e1, e2))
                 out[key] = get(key, 0) + c1 * c2
         scale = den_a * den_b
-        return Poly(self.variables, {e: Fraction(c, scale) for e, c in out.items() if c})
+        return Poly._from_terms(self.variables, {e: Fraction(c, scale) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        result = Poly.constant(1, self.variables)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly.constant(1, self.variables) if result is None else result
 
     # -- calculus -----------------------------------------------------
 
@@ -192,10 +205,10 @@ class Poly:
                 e = exps[idx]
                 if e == 0:
                     continue
-                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                nxt[key] = nxt.get(key, Fraction(0)) + coeff * e
+                # Distinct terms keep distinct exponents: no sums, no zeros.
+                nxt[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
             terms = nxt
-        return Poly(self.variables, terms)
+        return Poly._from_terms(self.variables, terms)
 
     # -- evaluation ---------------------------------------------------
 
@@ -647,17 +660,18 @@ class Rect:
         return ((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
 
 
-def interval_range_box(P: Poly, box: Sequence[Interval]) -> Interval:
-    """Sound enclosure of P's range on a box (one interval per variable).
+def interval_range(P: Poly, cell: Rect) -> Interval:
+    """Sound enclosure of a bivariate polynomial's range on a rectangle.
 
     Per-monomial interval products with exact rational endpoints; the
     enclosure contains the true range and its width shrinks to zero with
-    the box (over-approximation from monomial decorrelation only).
+    the rectangle (over-approximation from monomial decorrelation only).
     """
-    if len(box) != len(P.variables):
-        raise ValueError("box arity mismatch")
+    if P.variables != VARS2:
+        raise ValueError("interval_range takes a bivariate polynomial")
     if not P.terms:
         return Interval.point(0)
+    box = (cell.x_interval(), cell.y_interval())
     pow_cache: list = [dict() for _ in box]
 
     def powed(vi: int, e: int) -> Interval:
@@ -679,13 +693,6 @@ def interval_range_box(P: Poly, box: Sequence[Interval]) -> Interval:
         lo += term.lo
         hi += term.hi
     return Interval(lo, hi)
-
-
-def interval_range(P: Poly, cell: Rect) -> Interval:
-    """Enclosure of a bivariate polynomial's range on a rectangle."""
-    if P.variables != VARS2:
-        raise ValueError("interval_range takes a bivariate polynomial")
-    return interval_range_box(P, (cell.x_interval(), cell.y_interval()))
 
 
 def _pow_bounds(
@@ -789,3 +796,10 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
             lo -= t_hi
             hi -= t_lo
     return lo, hi, scale
+
+
+def unit_square_range(P: Poly) -> Interval:
+    """interval_range(P, [0, 1]^2), from box_bounds on the one rectangle
+    in integers (int64 unless the coefficients are huge)."""
+    lo, hi, scale = box_bounds(P, 0, 1, 0, 1, 1)
+    return Interval(Fraction(int(lo), scale), Fraction(int(hi), scale))

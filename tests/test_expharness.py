@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from explab import geomdecomp, gridset
+from explab import expharness, geomdecomp, gridset, polyexpr
 from explab.expharness import (
     _metric_names,
     Expectation,
@@ -12,6 +14,7 @@ from explab.expharness import (
     builtin_scenario,
     builtin_scenarios,
     format_scenario,
+    gradient_floor,
     half_dimensional_set,
     parse_scenario,
     report_to_csv,
@@ -20,6 +23,7 @@ from explab.expharness import (
     run_scenario,
 )
 from explab.gridset import Scale, covering_number, fit_exponent
+from explab.polyexpr import VARS2, Poly, Rect, interval_range
 
 
 def test_exponent_regression_exact():
@@ -193,6 +197,92 @@ def test_eps_d_energy_rejects_odd_or_small_degree_before_running(monkeypatch, ke
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{key} must be"):
         run_scenario(Scenario("bad", "eps_d_energy", {key: value}, ()))
+
+
+@pytest.mark.parametrize(
+    "family, key, value",
+    [
+        ("three_projection", "offset", "abc"),
+        ("pinned_distance", "offset", "1/0"),
+        ("three_projection", "window", "0.3,0.7,0.3"),
+        ("pinned_distance", "window", "0.3,0.7,0.3,x"),
+        ("pinned_distance", "window", "0.7,0.3,0.3,0.7"),
+        ("eps_d_energy", "c", "nan"),
+        ("eps_d_energy", "c", "inf"),
+        ("poly_growth", "scales", "8,a,10"),
+        ("sum_product", "scales", "8,10.5,12"),
+        ("eps_d_energy", "restricted_scales", "10,11,1/2"),
+    ],
+)
+def test_run_scenario_rejects_malformed_rational_or_integer_before_running(
+    monkeypatch, family, key, value
+):
+    _forbid_work(monkeypatch)
+    parameters = {key: value, "poly": "x + y"} if family == "poly_growth" else {key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        run_scenario(Scenario("bad", family, parameters, ()))
+
+
+def reference_gradient_floor(P):
+    """gradient_floor on the Fraction enclosures of interval_range."""
+    unit = Rect.of(0, 1, 0, 1)
+    floors = []
+    for var in ("x", "y"):
+        enc = interval_range(P.partial(var), unit)
+        if enc.lo > 0:
+            floors.append(float(enc.lo))
+        elif enc.hi < 0:
+            floors.append(float(-enc.hi))
+        else:
+            floors.append(0.0)
+    return min(floors)
+
+
+@st.composite
+def gradient_polys(draw):
+    """Polynomials of degree <= 8, often with a dominant linear part so
+    that both partials keep a sign on the unit square."""
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    terms = draw(st.dictionaries(monomials, coefficient, max_size=6))
+    for linear in ((1, 0), (0, 1)):
+        if draw(st.booleans()):
+            terms[linear] = draw(st.sampled_from([-1, 1])) * draw(st.integers(40, 400))
+    return Poly(VARS2, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_polys())
+def test_gradient_floor_equals_interval_range_reference(P):
+    assert gradient_floor(P).hex() == reference_gradient_floor(P).hex()
+
+
+def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
+    scenarios = [
+        Scenario(
+            "guard",
+            "poly_growth",
+            {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"},
+            (),
+        ),
+        Scenario("guard", "eps_d_energy", {"scales": "6,7,8", "restricted_scales": "10,11,12"}, ()),
+        Scenario("guard", "sum_product", {"scales": "6,8,10"}, ()),
+    ]
+    expected = [report_to_json(run_scenario(s)) for s in scenarios]
+
+    def forbidden(*args):
+        raise AssertionError("interval_range is the oracle, not a kernel")
+
+    for module in (polyexpr, gridset, geomdecomp, expharness):
+        if hasattr(module, "interval_range"):
+            monkeypatch.setattr(module, "interval_range", forbidden)
+    floors = []
+    real_floor = expharness.gradient_floor
+    monkeypatch.setattr(expharness, "gradient_floor", lambda P: floors.append(P) or real_floor(P))
+    for s, want in zip(scenarios, expected):
+        floors.clear()
+        assert report_to_json(run_scenario(s)) == want
+        assert len(floors) == 1, s.family
 
 
 def test_declared_metrics_are_the_reported_ones():

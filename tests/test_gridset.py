@@ -269,6 +269,34 @@ def test_restrict_and_coarsen():
     assert covering_number(S, 4) == len(C.cells)
 
 
+def reference_restrict(S, lo, hi):
+    """restrict as a per-cell Fraction test."""
+    d = S.scale.delta
+    return tuple(c for c in S.cells if c * d <= hi and (c + 1) * d >= lo)
+
+
+@st.composite
+def restrict_bounds(draw, k):
+    """Cell edges m / 2^k from below -1 to above 2, nudged off the grid or
+    not, and far-off values."""
+    edge = Fraction(draw(st.integers(-(2 ** (k + 1)), 3 * 2**k)), 2**k)
+    nudge = draw(st.sampled_from([0, 0, Fraction(1, 3 * 2**k), -Fraction(1, 3 * 2**k), Fraction(1, 7)]))
+    return draw(st.sampled_from([edge + nudge, edge + nudge, Fraction(-(10**30)), Fraction(10**30)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 12))
+def test_restrict_equals_fraction_reference(data, k):
+    lo, hi = data.draw(restrict_bounds(k)), data.draw(restrict_bounds(k))
+    # Random cells, and the cells next to both bounds, where an off-by-one shows.
+    near = [floor(v * 2**k) + d for v in (lo, hi) for d in (-2, -1, 0, 1)]
+    cells = data.draw(st.lists(st.integers(0, 2**k - 1), max_size=12))
+    S = GridSet1D.from_cells(Scale(k), cells + [c for c in near if 0 <= c < 2**k])
+    R = restrict(S, lo, hi)
+    assert R.cells == reference_restrict(S, lo, hi)
+    assert R.keys.tolist() == list(R.cells) and R.scale == S.scale
+
+
 # ---------------------------------------------------------------------------
 # image sets
 # ---------------------------------------------------------------------------
@@ -709,7 +737,22 @@ def test_pair_bounds_equal_interval_range(P, sets):
 @given(polys(), cell_sets(max_size=6))
 def test_image_set_equals_per_box_marking(P, sets):
     A, B = sets
-    assert image_set(P, A, B).grid.cells == marked_cells(P, A, B)
+    img = image_set(P, A, B)
+    assert img.grid.cells == marked_cells(P, A, B)
+    assert_value_range_exact(P, img)
+
+
+def assert_value_range_exact(P, img):
+    total = interval_range(P, Rect.of(0, 1, 0, 1))
+    assert (img.value_lo, img.value_hi) == (total.lo, total.hi)
+    assert type(img.value_lo) is type(img.value_hi) is Fraction
+
+
+def test_image_zero_polynomial_single_cell():
+    A = GridSet1D.from_cells(Scale(5), [0, 3, 31])
+    img = image_set(Poly.zero(), A, A)
+    assert img.grid.cells == marked_cells(Poly.zero(), A, A) == (0,)
+    assert_value_range_exact(Poly.zero(), img)
 
 
 @settings(max_examples=100, deadline=None)
@@ -738,6 +781,7 @@ def test_kernel_constant_polynomial():
     P = parse_poly("-5/3")
     assert_bounds_exact(P, A, A)
     assert image_set(P, A, A).grid.cells == (0,)
+    assert_value_range_exact(P, image_set(P, A, A))
     assert energy_count(P, A, A) == 81 == energy_count_brute_force(P, A, A)
 
 
@@ -747,6 +791,7 @@ def test_kernel_object_path_degree_8_at_k30():
     P = parse_poly("x + y - 1/16*(x^2 + y^2)^4 + 3/7")
     assert assert_bounds_exact(P, A, A).dtype == object
     assert image_set(P, A, A).grid.cells == marked_cells(P, A, A)
+    assert_value_range_exact(P, image_set(P, A, A))
     assert energy_count(P, A, A) == energy_count_brute_force(P, A, A)
     assert energy_count(P, A, A, hf_min=0.1) == energy_count_brute_force(P, A, A, hf_min=0.1)
 

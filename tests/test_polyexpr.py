@@ -25,6 +25,7 @@ from explab.polyexpr import (
     mp_numerator,
     parse_poly,
     poly2_to_poly4,
+    unit_square_range,
 )
 
 X = parse_poly("x")
@@ -113,6 +114,103 @@ def test_add_sub_cancel_random():
         p = random_poly(rng, 6)
         q = random_poly(rng, 6)
         assert (p + q) - q == p
+
+
+# Independent copies of the arithmetic on plain {exponents: Fraction}
+# dictionaries, in the loop orders of the original implementation, so
+# that the term order (which evaluate_float sums in) is checked too.
+
+
+def reference_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def reference_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def reference_pow(a, n, arity):
+    """Square-and-multiply from the constant 1, squaring after every bit."""
+    result, base = {(0,) * arity: Fraction(1)}, a
+    while n:
+        if n & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base)
+        n >>= 1
+    return result
+
+
+def reference_partial(a, idx):
+    out = {}
+    for e, c in a.items():
+        if e[idx]:
+            key = e[:idx] + (e[idx] - 1,) + e[idx + 1 :]
+            out[key] = out.get(key, Fraction(0)) + c * e[idx]
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def assert_canonical(P, expected):
+    """P equals the validated Poly of the expected terms, in the same term
+    order, with nonzero Fraction coefficients only."""
+    assert P == Poly(P.variables, expected)
+    assert list(P.terms) == list(expected)
+    assert all(type(c) is Fraction and c != 0 for c in P.terms.values())
+    assert all(type(e) is tuple and len(e) == len(P.variables) for e in P.terms)
+
+
+small_coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over (x, y) or (x, xp, y, yp); some terms of the
+    second cancel terms of the first."""
+    variables = draw(st.sampled_from([VARS2, ("x", "xp", "y", "yp")]))
+    monomials = st.tuples(*[st.integers(0, 3)] * len(variables))
+    p = draw(st.dictionaries(monomials, small_coefficients, max_size=5))
+    q = draw(st.dictionaries(monomials, small_coefficients, max_size=4))
+    q.update({e: -c for e, c in p.items() if draw(st.booleans())})
+    return Poly(variables, p), Poly(variables, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs(), st.integers(0, 4), st.integers(-3, 3))
+def test_arithmetic_equals_fraction_reference(pair, n, m):
+    P, Q = pair
+    a, b = P.terms, Q.terms
+    neg_b = {e: -c for e, c in b.items()}
+    one = {(0,) * len(P.variables): Fraction(1)}
+    assert_canonical(P + Q, reference_add(a, b))
+    assert_canonical(P - Q, reference_add(a, neg_b))
+    assert_canonical(-Q, neg_b)
+    assert_canonical(P * Q, reference_mul(a, b))
+    assert_canonical(P ** n, reference_pow(a, n, len(P.variables)))
+    assert_canonical(P + m, reference_add(a, {(0,) * len(P.variables): Fraction(m)}))
+    assert_canonical(m * P, reference_mul(a, {e: c * m for e, c in one.items()}))
+    for idx, var in enumerate(P.variables):
+        assert_canonical(P.partial(var), reference_partial(a, idx))
+        assert_canonical(P.partial(var, 2), reference_partial(reference_partial(a, idx), idx))
+
+
+def test_arithmetic_cancels_to_zero_and_trivial_powers():
+    P = parse_poly("x + 1/3*y^2 - 2", 4)
+    for zero in (P - P, P + (-P), -P + P, P * 0, P * Poly.zero(P.variables)):
+        assert zero.is_zero and zero.terms == {} and zero == Poly.zero(P.variables)
+    assert_canonical(P**0, {(0, 0, 0, 0): Fraction(1)})
+    assert_canonical(P**1, dict(P.terms))
+    assert_canonical(Poly.zero() ** 0, {(0, 0): Fraction(1)})
+    assert Poly.zero() ** 3 == Poly.zero()
+    assert parse_poly("x + y - x - y").terms == {}
+    with pytest.raises(ValueError):
+        P ** -1
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +592,13 @@ def test_evaluate_float_is_bit_identical_to_reference(P, points):
     for x, y in points + points:
         point = {"x": x, "y": y}
         assert P.evaluate_float(point).hex() == reference_evaluate_float(P, point).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.sampled_from([0, 1, 2**40, 2**70]))
+def test_unit_square_range_equals_interval_range(P, factor):
+    # factor 0 gives the zero polynomial; 2^70 puts box_bounds on Python ints.
+    P = P * factor
+    enc = unit_square_range(P)
+    assert enc == interval_range(P, Rect.of(0, 1, 0, 1))
+    assert type(enc.lo) is type(enc.hi) is Fraction
