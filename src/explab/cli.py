@@ -245,13 +245,10 @@ def _cmd_energy(args):
         "cells": len(A.cells),
         "normalized_exponent": math.log2(count) / k if count else 0.0,
     }
-    lines = [
-        f"count = {count}",
-        f"log2(count) = {_fmt(math.log2(count), args.precision)}"
-        if count
-        else "count = 0",
-        f"log2(count)/k = {_fmt(data['normalized_exponent'], args.precision)}",
-    ]
+    lines = [f"count = {count}"]
+    if count:
+        lines.append(f"log2(count) = {_fmt(math.log2(count), args.precision)}")
+    lines.append(f"log2(count)/k = {_fmt(data['normalized_exponent'], args.precision)}")
     _emit(data, lines, args)
 
 

@@ -343,17 +343,17 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         rows["image_ratio"] = []
     for k in scales:
         A = generate(k)
-        B = generate(k)
-        image = len(gridset.image_set(P, A, B).grid.cells)
-        energy = gridset.energy_count(P, A, B)
-        bound = cs_lower_bound(floor, len(A.cells), len(B.cells), energy)
+        table = gridset.ProductBounds(P, A, A)
+        image = len(table.image().grid.cells)
+        energy = table.energy()
+        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["image_count"].append(float(image))
         rows["energy_count"].append(float(energy))
         rows["cs_bound"].append(bound)
         rows["cs_ok"].append(1.0 if image >= bound else 0.0)
         if baseline is not None:
-            base_image = len(gridset.image_set(baseline, A, B).grid.cells)
+            base_image = len(gridset.image_set(baseline, A, A).grid.cells)
             rows["baseline_image_count"].append(float(base_image))
             rows["image_ratio"].append(image / base_image)
 
@@ -398,9 +398,10 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     rows: Dict[str, List[float]] = {"energy_d_small": [], "energy_d_large": [], "cs_bound": [], "cs_ok": [], "image_count": []}
     for k in scales:
         A = gridset.gen_ap(alpha, eta, Scale(k))
-        e_small = gridset.energy_count(p_small, A, A)
+        table = gridset.ProductBounds(p_small, A, A)
+        e_small = table.energy()
         e_large = gridset.energy_count(p_large, A, A)
-        image = len(gridset.image_set(p_small, A, A).grid.cells)
+        image = len(table.image().grid.cells)
         bound = cs_lower_bound(floor, len(A.cells), len(A.cells), e_small)
         rows["energy_d_small"].append(float(e_small))
         rows["energy_d_large"].append(float(e_large))
@@ -456,10 +457,11 @@ def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     }
     for k in scales:
         A = half_dimensional_set(Scale(k))
-        sums = len(gridset.sum_set(A, A).cells)
+        # p_sum is x + y, so its image is the sum set.
+        table = gridset.ProductBounds(p_sum, A, A)
+        sums = image = len(table.image().grid.cells)
         prods = len(gridset.product_set(A, A).cells)
-        energy = gridset.energy_count(p_sum, A, A)
-        image = len(gridset.image_set(p_sum, A, A).grid.cells)
+        energy = table.energy()
         bound = cs_lower_bound(floor, len(A.cells), len(A.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["sum_count"].append(float(sums))

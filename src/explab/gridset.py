@@ -20,9 +20,12 @@ interval enclosures, collision ("energy") counts of value quadruples
 P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
 
-Image sets and energies take the enclosure of P on every cell product
-from polyexpr.box_bounds, as exact integers over a common scale, with
-the cells broadcast as (m, 1) x (1, n).  Energies are counted by sorting
+Image sets and energies read one table, ProductBounds(P, A, B): the
+enclosure of P on every cell product from polyexpr.box_bounds, as exact
+integers over a common scale, with the cells broadcast as (m, 1) x
+(1, n).  A caller that wants both the image and the energy of one P on
+one A x B builds the table once and reads both from it; image_set and
+energy_count build a table each.  Energies are counted by sorting
 the lower ends and binary-searching the upper ends; value_cells turns
 integer ends into clamped value-grid cells by exact floor division, for
 image sets here and for smooth maps in geomdecomp.
@@ -456,29 +459,110 @@ def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np
     return lo.ravel(), hi.ravel(), scale
 
 
-def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
-    """Over-approximate covering of P(A, B) by output cells at the input scale.
+# Upper bound on the intersecting pairs whose H_F bracket is evaluated in
+# one vectorised block, which caps the memory of the filtered count.
+_BLOCK_PAIRS = 1 << 16
 
-    An output cell is included when the interval enclosure of P on some
-    closed cell product S x T meets it (after affine renormalization of
-    P's range on the unit square, from unit_square_range, onto [0, 1]).
+
+class ProductBounds:
+    """The enclosures [lo / scale, hi / scale] of P on every closed cell
+    product S x T of A x B, flat and a-major, taken once by box_bounds.
+
+    The image set and the energy of P on A x B both read this one table,
+    so a caller that wants both builds it once.
     """
-    if A.scale != B.scale:
-        raise ValueError("A and B must share a scale")
-    k = A.scale.k
-    total = unit_square_range(P)
-    span = total.width()
-    if span == 0:
-        return ImageSet(GridSet1D(A.scale, (0,)), total.lo, total.hi)
-    lo, hi, scale = _product_bounds(P, A, B)
-    # On the unit square every non-constant monomial ranges over [0, 1], so
-    # value_lo and span are sums of coefficients and value_lo * scale and
-    # span * scale are integers.  Every lo is at least value_lo; the top
-    # cell is half-open, so value_hi lands one past it and is clamped back.
-    offset, width = int(total.lo * scale), int(span * scale)
-    first, last = (value_cells(v, offset, width, k) for v in (lo, hi))
-    cells = range_union(first, last)
-    return ImageSet(GridSet1D._from_keys(A.scale, cells), total.lo, total.hi)
+
+    __slots__ = ("P", "A", "B", "lo", "hi", "scale")
+
+    def __init__(self, P: Poly, A: GridSet1D, B: GridSet1D):
+        if A.scale != B.scale:
+            raise ValueError("A and B must share a scale")
+        self.P, self.A, self.B = P, A, B
+        self.lo, self.hi, self.scale = _product_bounds(P, A, B)
+
+    def image(self) -> ImageSet:
+        """Over-approximate covering of P(A, B) by output cells at the input scale.
+
+        An output cell is included when the interval enclosure of P on some
+        closed cell product S x T meets it (after affine renormalization of
+        P's range on the unit square, from unit_square_range, onto [0, 1]).
+        A constant P fills cell 0 when A x B is nonempty.
+        """
+        grid_scale = self.A.scale
+        total = unit_square_range(self.P)
+        span = total.width()
+        if span == 0:
+            return ImageSet(GridSet1D(grid_scale, (0,) if self.lo.size else ()), total.lo, total.hi)
+        # On the unit square every non-constant monomial ranges over [0, 1], so
+        # value_lo and span are sums of coefficients and value_lo * scale and
+        # span * scale are integers.  Every lo is at least value_lo; the top
+        # cell is half-open, so value_hi lands one past it and is clamped back.
+        offset, width = int(total.lo * self.scale), int(span * self.scale)
+        first, last = (value_cells(v, offset, width, grid_scale.k) for v in (self.lo, self.hi))
+        cells = range_union(first, last)
+        return ImageSet(GridSet1D._from_keys(grid_scale, cells), total.lo, total.hi)
+
+    def energy(self, hf_min: Optional[float] = None) -> int:
+        """Ordered count of cell quadruples (S, S', T, T') in A^2 x B^2 whose
+        interval enclosures of P on S x T and S' x T' intersect.
+
+        With hf_min set, quadruples whose four-variable enclosure of |H_F|
+        (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
+        of P_xy) has supremum bound below hf_min are excluded.
+
+        Enclosures of P_x P_y and P_xy come from box_bounds on the cell
+        products too.  Two closed intervals miss each other exactly when
+        one starts after the other ends, so the unfiltered count over N
+        pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort of the lower
+        ends and a binary search per upper end, O(N log N).  The filtered
+        count visits only the intersecting pairs, found the same way, and
+        tests the bracket in exact integers.
+        """
+        if hf_min is not None and not isfinite(hf_min):
+            raise ValueError("hf_min must be finite")
+        lo, hi = self.lo, self.hi
+        n = lo.size
+        if hf_min is None:
+            above = n - np.searchsorted(np.sort(lo), hi, side="right")
+            return n * n - 2 * int(above.sum())
+
+        P, A, B = self.P, self.A, self.B
+        px = P.partial("x")
+        g_lo, g_hi, g_scale = _product_bounds(px * P.partial("y"), A, B)
+        m_lo, m_hi, m_scale = _product_bounds(px.partial("y"), A, B)
+        # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
+        # test against hf_min is a test against the ceiling of the threshold.
+        threshold = ceil(Fraction(hf_min) * g_scale * m_scale)
+        # Products of two table entries need twice their bits.
+        largest = [int(np.abs(t).max(initial=0)) for t in (g_lo, g_hi, m_lo, m_hi)]
+        if 2 * max(largest[:2]) * max(largest[2:]) >= 2**63:
+            g_lo, g_hi, m_lo, m_hi = (t.astype(object) for t in (g_lo, g_hi, m_lo, m_hi))
+
+        # Sorted by lo, the pair at position r meets exactly the pairs at
+        # positions r .. ends[r] - 1: they start no earlier and no later than
+        # it ends.  Each unordered pair is visited once, the diagonal included.
+        order = np.argsort(lo, kind="stable")
+        ends = np.searchsorted(lo[order], hi[order], side="right")
+        total = 0
+        step = max(1, _BLOCK_PAIRS // max(n, 1))
+        for r0 in range(0, n, step):
+            rows = np.arange(r0, min(r0 + step, n))
+            counts = ends[rows] - rows
+            p = order[np.repeat(rows, counts)]
+            q = order[_runs(rows, counts)]
+            first = [g_lo[p] * m_lo[q], g_lo[p] * m_hi[q], g_hi[p] * m_lo[q], g_hi[p] * m_hi[q]]
+            second = [g_lo[q] * m_lo[p], g_lo[q] * m_hi[p], g_hi[q] * m_lo[p], g_hi[q] * m_hi[p]]
+            # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
+            low = np.minimum.reduce(first) - np.maximum.reduce(second)
+            high = np.maximum.reduce(first) - np.minimum.reduce(second)
+            passes = np.maximum(high, -low) >= threshold
+            total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
+        return total
+
+
+def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
+    """ProductBounds(P, A, B).image()."""
+    return ProductBounds(P, A, B).image()
 
 
 _SUM_POLY = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})
@@ -497,10 +581,6 @@ def product_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
 # Energy counting
 # ---------------------------------------------------------------------------
 
-# Upper bound on the intersecting pairs whose H_F bracket is evaluated in
-# one vectorised block, which caps the memory of the filtered count.
-_BLOCK_PAIRS = 1 << 16
-
 
 def energy_count(
     P: Poly,
@@ -508,63 +588,8 @@ def energy_count(
     B: GridSet1D,
     hf_min: Optional[float] = None,
 ) -> int:
-    """Ordered count of cell quadruples (S, S', T, T') in A^2 x B^2 whose
-    interval enclosures of P on S x T and S' x T' intersect.
-
-    With hf_min set, quadruples whose four-variable enclosure of |H_F|
-    (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
-    of P_xy) has supremum bound below hf_min are excluded.
-
-    Enclosures of P, P_x P_y and P_xy come from the exact integer kernel
-    polyexpr.box_bounds on the cell products.  Two closed intervals miss
-    each other exactly when one starts after the other ends, so the
-    unfiltered count over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}:
-    one sort of the lower ends and a binary search per upper end,
-    O(N log N).  The filtered count visits
-    only the intersecting pairs, found the same way, and tests the
-    bracket in exact integers.
-    """
-    if A.scale != B.scale:
-        raise ValueError("A and B must share a scale")
-    if hf_min is not None and not isfinite(hf_min):
-        raise ValueError("hf_min must be finite")
-    lo, hi, _ = _product_bounds(P, A, B)
-    n = lo.size
-    if hf_min is None:
-        above = n - np.searchsorted(np.sort(lo), hi, side="right")
-        return n * n - 2 * int(above.sum())
-
-    px = P.partial("x")
-    g_lo, g_hi, g_scale = _product_bounds(px * P.partial("y"), A, B)
-    m_lo, m_hi, m_scale = _product_bounds(px.partial("y"), A, B)
-    # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
-    # test against hf_min is a test against the ceiling of the threshold.
-    threshold = ceil(Fraction(hf_min) * g_scale * m_scale)
-    # Products of two table entries need twice their bits.
-    largest = [int(np.abs(t).max(initial=0)) for t in (g_lo, g_hi, m_lo, m_hi)]
-    if 2 * max(largest[:2]) * max(largest[2:]) >= 2**63:
-        g_lo, g_hi, m_lo, m_hi = (t.astype(object) for t in (g_lo, g_hi, m_lo, m_hi))
-
-    # Sorted by lo, the pair at position r meets exactly the pairs at
-    # positions r .. ends[r] - 1: they start no earlier and no later than
-    # it ends.  Each unordered pair is visited once, the diagonal included.
-    order = np.argsort(lo, kind="stable")
-    ends = np.searchsorted(lo[order], hi[order], side="right")
-    total = 0
-    step = max(1, _BLOCK_PAIRS // max(n, 1))
-    for r0 in range(0, n, step):
-        rows = np.arange(r0, min(r0 + step, n))
-        counts = ends[rows] - rows
-        p = order[np.repeat(rows, counts)]
-        q = order[_runs(rows, counts)]
-        first = [g_lo[p] * m_lo[q], g_lo[p] * m_hi[q], g_hi[p] * m_lo[q], g_hi[p] * m_hi[q]]
-        second = [g_lo[q] * m_lo[p], g_lo[q] * m_hi[p], g_hi[q] * m_lo[p], g_hi[q] * m_hi[p]]
-        # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
-        low = np.minimum.reduce(first) - np.maximum.reduce(second)
-        high = np.maximum.reduce(first) - np.minimum.reduce(second)
-        passes = np.maximum(high, -low) >= threshold
-        total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
-    return total
+    """ProductBounds(P, A, B).energy(hf_min)."""
+    return ProductBounds(P, A, B).energy(hf_min)
 
 
 def energy_count_brute_force(

@@ -63,7 +63,7 @@ class Poly:
     derivatives, whose results are canonical already, use _from_terms.
     """
 
-    __slots__ = ("variables", "terms", "_float_terms")
+    __slots__ = ("variables", "terms", "_float_terms", "_unit_range")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Coefficient]):
         self.variables = tuple(variables)
@@ -78,6 +78,7 @@ class Poly:
             clean[exps] = coeff
         self.terms = clean
         self._float_terms = None
+        self._unit_range = None
 
     @classmethod
     def _from_terms(cls, variables: Tuple[str, ...], terms: dict) -> "Poly":
@@ -87,6 +88,7 @@ class Poly:
         poly.variables = variables
         poly.terms = terms
         poly._float_terms = None
+        poly._unit_range = None
         return poly
 
     # -- constructors -------------------------------------------------
@@ -800,6 +802,9 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
 
 def unit_square_range(P: Poly) -> Interval:
     """interval_range(P, [0, 1]^2), from box_bounds on the one rectangle
-    in integers (int64 unless the coefficients are huge)."""
-    lo, hi, scale = box_bounds(P, 0, 1, 0, 1, 1)
-    return Interval(Fraction(int(lo), scale), Fraction(int(hi), scale))
+    in integers (int64 unless the coefficients are huge).  P keeps it, so
+    each polynomial takes its range once."""
+    if P._unit_range is None:
+        lo, hi, scale = box_bounds(P, 0, 1, 0, 1, 1)
+        P._unit_range = Interval(Fraction(int(lo), scale), Fraction(int(hi), scale))
+    return P._unit_range

@@ -85,6 +85,26 @@ def test_nonconc_kappa_outside_unit_interval_is_domain_error(capsys, value):
     assert err.startswith("explab: --kappa must lie in (0, 1], got ")
 
 
+def test_image_of_constant_on_empty_set_is_empty(tmp_path, capsys):
+    path = tmp_path / "empty.grid"
+    path.write_text("gridset1d k=4\n")
+    code, out, _ = run_cli(capsys, "image", "--poly", "3", "--gen", "file", "--set-file", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "count = 0"
+    code, out, _ = run_cli(
+        capsys, "image", "--poly", "3", "--gen", "file", "--set-file", str(path), "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["count"] == 0
+
+
+def test_energy_text_on_empty_set_has_no_log_line(tmp_path, capsys):
+    path = tmp_path / "empty.grid"
+    path.write_text("gridset1d k=4\n")
+    code, out, _ = run_cli(capsys, "energy", "--poly", "x+y", "--gen", "file", "--set-file", str(path))
+    assert code == 0
+    assert out.splitlines() == ["count = 0", "log2(count)/k = 0"]
+
+
 def test_energy_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """Tests for scenarios, reports, and the regression helper."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,7 @@ def test_run_scenario_rejects_bad_parameters():
 def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
     text = "schema=1\nname=typo\nfamily=poly_growth\npoly=x + y\nalpah=0.9\n"
     monkeypatch.setattr(gridset, "image_set", None)  # any work would fail differently
+    monkeypatch.setattr(gridset, "ProductBounds", None)  # the runners' table entry point
     with pytest.raises(ValueError, match="'alpah'.*'poly_growth'"):
         run_scenario(parse_scenario(text))
 
@@ -130,6 +132,7 @@ def test_run_scenario_rejects_unknown_metric_before_running(
     monkeypatch, family, parameters, metric, module, work
 ):
     monkeypatch.setattr(module, work, None)  # any work would fail differently
+    monkeypatch.setattr(gridset, "ProductBounds", None)  # the runners' table entry point
     s = Scenario("typo", family, parameters, (Expectation(metric, "ge", 0.5, 0.0, "PAPER"),))
     with pytest.raises(ValueError, match=f"'{metric}'.*'{family}'"):
         run_scenario(s)
@@ -139,6 +142,7 @@ def _forbid_work(monkeypatch):
     for module, name in (
         (gridset, "energy_count"),
         (gridset, "image_set"),
+        (gridset, "ProductBounds"),
         (geomdecomp, "map_image"),
         (geomdecomp, "preimage_cells"),
     ):
@@ -257,18 +261,21 @@ def test_gradient_floor_equals_interval_range_reference(P):
     assert gradient_floor(P).hex() == reference_gradient_floor(P).hex()
 
 
+# Runs of the three families that measure polynomials on cell products.
+GUARD_SCENARIOS = [
+    Scenario(
+        "guard",
+        "poly_growth",
+        {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"},
+        (),
+    ),
+    Scenario("guard", "eps_d_energy", {"scales": "6,7,8", "restricted_scales": "10,11,12"}, ()),
+    Scenario("guard", "sum_product", {"scales": "6,8,10"}, ()),
+]
+
+
 def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
-    scenarios = [
-        Scenario(
-            "guard",
-            "poly_growth",
-            {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"},
-            (),
-        ),
-        Scenario("guard", "eps_d_energy", {"scales": "6,7,8", "restricted_scales": "10,11,12"}, ()),
-        Scenario("guard", "sum_product", {"scales": "6,8,10"}, ()),
-    ]
-    expected = [report_to_json(run_scenario(s)) for s in scenarios]
+    expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
 
     def forbidden(*args):
         raise AssertionError("interval_range is the oracle, not a kernel")
@@ -279,10 +286,41 @@ def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
     floors = []
     real_floor = expharness.gradient_floor
     monkeypatch.setattr(expharness, "gradient_floor", lambda P: floors.append(P) or real_floor(P))
-    for s, want in zip(scenarios, expected):
+    for s, want in zip(GUARD_SCENARIOS, expected):
         floors.clear()
         assert report_to_json(run_scenario(s)) == want
         assert len(floors) == 1, s.family
+
+
+def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
+    expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
+
+    tables, units = [], []  # the polynomials, kept alive so their ids stay theirs
+    real_tables = gridset._product_bounds
+    monkeypatch.setattr(
+        gridset,
+        "_product_bounds",
+        lambda P, A, B: tables.append((P, A.scale.k)) or real_tables(P, A, B),
+    )
+    real_bounds = polyexpr.box_bounds
+
+    def counting_bounds(P, *corners):
+        if corners == (0, 1, 0, 1, 1):
+            units.append(P)
+        return real_bounds(P, *corners)
+
+    monkeypatch.setattr(polyexpr, "box_bounds", counting_bounds)
+    for s, want in zip(GUARD_SCENARIOS, expected):
+        tables.clear()
+        units.clear()
+        assert report_to_json(run_scenario(s)) == want
+        per_table = Counter((id(P), k) for P, k in tables)
+        assert set(per_table.values()) == {1}, s.family
+        # Two polynomials at three scales (P and the baseline, p_small and
+        # p_large, x + y and x*y), and p_small on the restricted ladder.
+        assert len(tables) == 6 + 3 * (s.family == "eps_d_energy"), s.family
+        per_unit = Counter(map(id, units))
+        assert units and set(per_unit.values()) == {1}, s.family
 
 
 def test_declared_metrics_are_the_reported_ones():

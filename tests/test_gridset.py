@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from explab.gridset import (
     GridSet1D,
     GridSet2D,
+    ProductBounds,
     Scale,
     box_dim_fit,
     coarsen,
@@ -657,6 +658,16 @@ def test_image_constant_polynomial_single_cell():
     assert img.value_lo == img.value_hi == 3
 
 
+def test_image_constant_polynomial_on_empty_sets_is_empty():
+    empty = GridSet1D(Scale(6), ())
+    A = GridSet1D.from_cells(Scale(6), [0, 5, 9])
+    for P in (parse_poly("3"), Poly.zero()):
+        for X, Y in ((empty, empty), (empty, A), (A, empty)):
+            img = image_set(P, X, Y)
+            assert img.grid.cells == () == image_set(P_SUM, X, Y).grid.cells
+            assert_value_range_exact(P, img)
+
+
 # ---------------------------------------------------------------------------
 # the integer pair-enclosure kernel against per-box interval_range
 # ---------------------------------------------------------------------------
@@ -674,7 +685,7 @@ def marked_cells(P, A, B):
     total = interval_range(P, Rect.of(0, 1, 0, 1))
     span = total.hi - total.lo
     if span == 0:
-        return (0,)
+        return (0,) if A.cells and B.cells else ()
     marks = set()
     for a in A.cells:
         for b in B.cells:
@@ -763,6 +774,44 @@ def test_energy_equals_brute_force_property(P, sets, hf_min):
     assert energy_count(P, A, B, hf_min=hf_min) == energy_count_brute_force(
         P, A, B, hf_min=hf_min
     )
+
+
+@st.composite
+def table_inputs(draw):
+    """P, A and B for ProductBounds: empty A or B, constant P (zero
+    included) and degree-8 P on the object path (k >= 8) among them."""
+    kind = draw(st.sampled_from(("poly", "constant", "octic")))
+    k = draw(st.integers(8 if kind == "octic" else 1, 30))
+    cell = st.integers(0, 2**k - 1)
+    A, B = (GridSet1D.from_cells(Scale(k), draw(st.lists(cell, max_size=4))) for _ in "AB")
+    if kind == "poly":
+        P = draw(polys())
+    elif kind == "constant":
+        P = Poly.constant(draw(coefficients | st.just(Fraction(0))))
+    else:
+        P = P_SUM + Poly.constant(draw(coefficients)) * parse_poly("(x^2 + y^2)^4")
+    return kind, P, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_inputs(), st.floats(min_value=0, max_value=16))
+def test_product_bounds_equal_oracles(case, hf_min):
+    kind, P, A, B = case
+    table = ProductBounds(P, A, B)
+    assert kind != "octic" or table.lo.dtype == object
+    # One table answers every question, in any order.
+    assert table.energy() == energy_count_brute_force(P, A, B)
+    img = table.image()
+    assert img.grid.cells == marked_cells(P, A, B)
+    assert_value_range_exact(P, img)
+    assert table.energy(hf_min) == energy_count_brute_force(P, A, B, hf_min=hf_min)
+    assert table.energy() == energy_count(P, A, B)
+    assert table.image() == image_set(P, A, B)
+
+
+def test_product_bounds_rejects_scale_mismatch():
+    with pytest.raises(ValueError, match="share a scale"):
+        ProductBounds(P_SUM, GridSet1D(Scale(4), (1,)), GridSet1D(Scale(5), (1,)))
 
 
 def test_kernel_empty_set():

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explab import polyexpr
 from explab.polyexpr import (
     VARS2,
     ExpressionError,
@@ -602,3 +604,16 @@ def test_unit_square_range_equals_interval_range(P, factor):
     enc = unit_square_range(P)
     assert enc == interval_range(P, Rect.of(0, 1, 0, 1))
     assert type(enc.lo) is type(enc.hi) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.sampled_from([0, 1, 2**70]))
+def test_unit_square_range_is_taken_once_per_polynomial(P, factor):
+    P = P * factor
+    assert P._unit_range is None
+    want = interval_range(P, Rect.of(0, 1, 0, 1))
+    with mock.patch.object(polyexpr, "box_bounds", wraps=box_bounds) as spy:
+        assert unit_square_range(P) == unit_square_range(P) == want
+    assert spy.call_count == 1
+    for built in (P + P, P - 1, P * P, -P, P**2, P.partial("x"), P.partial("y")):
+        assert built._unit_range is None
