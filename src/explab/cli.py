@@ -10,6 +10,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,8 +80,15 @@ def _generator_from_args(args):
     if args.gen == "ap":
         return gen_ap(args.alpha, args.eta, Scale(args.k))
     if args.gen == "cantor":
+        if args.base < 2 or args.base & (args.base - 1):
+            raise ValueError(f"--base must be a power of 2 (at least 2), got {args.base}")
+        bits = args.base.bit_length() - 1
+        if args.k % bits:
+            raise ValueError(
+                f"--k must be a multiple of log2(--base) = {bits}, got --k {args.k}"
+            )
         pattern = [int(t) for t in args.pattern.split(",")]
-        return gen_cantor(pattern, args.base, args.k // (args.base.bit_length() - 1))
+        return gen_cantor(pattern, args.base, args.k // bits)
     if args.gen == "file":
         if not args.set_file:
             raise ValueError("--gen file needs --set-file")
@@ -503,14 +511,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses, built on the first call, not at import.
+
+    Sharing it across calls is safe: `parse_args` builds a fresh namespace
+    and does not mutate the parser, every default is immutable (None, a
+    number, a string or False), the help width is read when help is
+    formatted, and `set_defaults(func=...)` binds each handler once, here.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "scenario" and not (args.name or args.file):
         parser.error("scenario needs --name or --file")
     if args.subcommand == "hf" and not (args.poly or args.general):
         parser.error("hf needs a bivariate polynomial or --general")
     try:
+        if args.precision < 0:
+            raise ValueError(f"--precision must be at least 0, got {args.precision}")
         args.func(args)
     except ExpressionError as exc:
         print(f"explab: parse error: {exc}", file=sys.stderr)

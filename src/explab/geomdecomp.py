@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -353,14 +353,6 @@ class DyadicSquare:
             DyadicSquare(d, i, j + 1),
             DyadicSquare(d, i + 1, j + 1),
         )
-
-    def delta_cells(self, k: int) -> Iterable[Tuple[int, int]]:
-        """All scale-k cells inside the square (k >= depth)."""
-        span = 1 << (k - self.depth)
-        i0, j0 = self.i * span, self.j * span
-        for i in range(i0, i0 + span):
-            for j in range(j0, j0 + span):
-                yield (i, j)
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,7 @@ def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
 def gen_ap(alpha: float, eta: float, scale: Scale) -> GridSet1D:
     """Arithmetic-progression test set: floor(delta^-alpha) cells at cell
     spacing ceil(delta^(alpha+eta) * 2^k), snapped to the dyadic grid."""
-    if alpha <= 0 or alpha > 1 or eta < 0 or alpha + eta > 1:
+    if not (0 < alpha <= 1 and eta >= 0 and alpha + eta <= 1):  # NaN fails too
         raise ValueError("need 0 < alpha <= 1, eta >= 0, alpha + eta <= 1")
     k = scale.k
     count = floor(2.0 ** (k * alpha) + 1e-9)

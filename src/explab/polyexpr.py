@@ -654,10 +654,6 @@ class Rect:
     def y_interval(self) -> Interval:
         return Interval(self.y0, self.y1)
 
-    def inflate(self, s: Coefficient) -> "Rect":
-        s = Fraction(s)
-        return Rect(self.x0 - s, self.x1 + s, self.y0 - s, self.y1 + s)
-
     def center(self) -> tuple:
         return ((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
 

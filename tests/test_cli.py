@@ -2,17 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from explab import gridset
+import explab
+from explab import cli, gridset
 from explab.cli import main
 from explab.gridset import Scale, gen_ap
 from explab.polyexpr import classify_special_form, parse_poly
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one main call; usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -285,3 +293,187 @@ def test_json_outputs_validate_against_shipped_schema(capsys):
         capsys, "scenario", "--name", "sum_product_cantor", "--format", "json"
     )
     jsonschema.validate(json.loads(out), schema)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+# Each call runs after calls that set options it leaves at their defaults.
+MIXED_SEQUENCE = [
+    ["classify", "x*y"],
+    ["hf", "--general", "x*yp"],
+    ["hf", "x*y"],
+    ["classify", "x + y", "--no-such-flag"],
+    ["cover", "--alpha", "0.25", "--k", "9", "--kprime", "5", "--format", "json"],
+    ["cover"],
+    ["nonconc", "--gen", "cantor", "--base", "8", "--k", "9", "--pattern", "0,3",
+     "--kappa", "0.25", "--precision", "3"],
+    ["nonconc", "--k", "8"],
+    ["energy", "--poly", "x+y", "--hf-min", "0.01", "--k", "6", "--format", "json"],
+    ["energy", "--poly", "x+y", "--k", "6", "--format", "json"],
+    ["scenario"],
+    ["hf"],
+    ["mp", "x^2 + x*y + y^2", "--format", "csv"],
+    ["whitney", "--region", "full", "--kmax", "3"],
+    ["whitney", "--kmax", "3"],
+    ["cover", "--k", "0"],
+    ["bands", "--poly", "x + y", "--k", "4", "--sample-stride", "2", "--funcs", "px,py"],
+    ["bands", "--poly", "x + y", "--k", "4"],
+    ["classify", "x^2 + x*y + y^2", "--precision", "-1"],
+    ["classify", "x^2 + x*y + y^2"],
+]
+
+
+@pytest.fixture
+def fresh_shared_parser():
+    """Drop the cached parser before and after the test (tests may patch
+    what it binds)."""
+    shared = cli._shared_parser
+    shared.cache_clear()
+    yield
+    shared.cache_clear()
+
+
+def test_shared_parser_outputs_equal_fresh_parser_outputs(capsys, monkeypatch, fresh_shared_parser):
+    shared = [run_cli(capsys, *argv) for argv in MIXED_SEQUENCE]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in MIXED_SEQUENCE]
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes.count(2) == 3 and codes.count(1) == 2 and codes.count(0) == 15
+    # hf --general left no trace in the hf call after it.
+    assert shared[2][1] == "x*y - xp*yp\n"
+    # hf_min left no trace in the energy call after it.
+    with_floor, without = (json.loads(shared[i][1])["count"] for i in (8, 9))
+    assert with_floor < without
+
+
+def test_main_builds_at_most_one_parser(capsys, monkeypatch, fresh_shared_parser):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in MIXED_SEQUENCE[:6] * 2:
+        run_cli(capsys, *argv)
+    assert len(built) == 1
+    # build_parser itself still returns a new parser on every call.
+    assert cli.build_parser() is not cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# input checks before any work
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["cover", "nonconc"])
+@pytest.mark.parametrize("base", ["1", "0", "-4", "3", "6"])
+def test_cantor_base_not_a_power_of_two_is_domain_error(capsys, command, base):
+    code, out, err = run_cli(capsys, command, "--gen", "cantor", "--base", base, "--k", "8")
+    assert code == 1 and out == ""
+    assert err == f"explab: --base must be a power of 2 (at least 2), got {base}\n"
+
+
+@pytest.mark.parametrize("command", ["cover", "nonconc"])
+@pytest.mark.parametrize("base, k", [("4", "7"), ("8", "10"), ("16", "6")])
+def test_cantor_k_not_a_multiple_of_log2_base_is_domain_error(capsys, command, base, k):
+    code, out, err = run_cli(capsys, command, "--gen", "cantor", "--base", base, "--k", k)
+    assert code == 1 and out == ""
+    assert err.startswith("explab: --k must be a multiple of log2(--base)")
+    assert f"--k {k}" in err
+
+
+@pytest.mark.parametrize("base, k", [("2", "7"), ("4", "8"), ("8", "9")])
+def test_cantor_cover_matches_library(capsys, base, k):
+    code, out, _ = run_cli(
+        capsys, "cover", "--gen", "cantor", "--base", base, "--k", k, "--pattern", "0,1",
+        "--format", "json",
+    )
+    assert code == 0
+    depth = int(k) // (int(base).bit_length() - 1)
+    assert json.loads(out)["count"] == len(gridset.gen_cantor([0, 1], int(base), depth).cells)
+
+
+@pytest.mark.parametrize("command", ["cover", "image", "energy"])
+@pytest.mark.parametrize("option", ["--alpha", "--eta"])
+def test_ap_nan_is_domain_error(capsys, command, option):
+    poly = ["--poly", "x+y"] if command != "cover" else []
+    code, out, err = run_cli(capsys, command, *poly, option, "nan", "--k", "6")
+    assert code == 1 and out == ""
+    assert err == "explab: need 0 < alpha <= 1, eta >= 0, alpha + eta <= 1\n"
+
+
+PRECISION_REQUESTS = {
+    "classify": ["x*y"],
+    "mp": ["x*y"],
+    "hf": ["x*y"],
+    "curvature": ["--phi1", "coord:x", "--phi2", "coord:y", "--phi3", "poly:x*y",
+                  "--point", "0.5,0.5"],
+    "cover": ["--k", "6"],
+    "nonconc": ["--k", "6"],
+    "image": ["--poly", "x+y", "--k", "6"],
+    "energy": ["--poly", "x+y", "--k", "6"],
+    "whitney": ["--kmax", "3"],
+    "bands": ["--poly", "x+y", "--k", "3"],
+    "extract": ["--set-file", "no-such-file.grid"],
+    "scenario": ["--name", "sum_product_cantor"],
+    "list-scenarios": [],
+}
+
+
+def test_precision_requests_cover_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert set(sub.choices) == set(PRECISION_REQUESTS)
+
+
+@pytest.mark.parametrize("command", sorted(PRECISION_REQUESTS))
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_negative_precision_is_domain_error_before_any_work(
+    capsys, monkeypatch, fresh_shared_parser, command, value
+):
+    def forbidden(args):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), forbidden)
+    code, out, err = run_cli(capsys, command, *PRECISION_REQUESTS[command], "--precision", value)
+    assert code == 1 and out == ""
+    assert err == f"explab: --precision must be at least 0, got {value}\n"
+
+
+def test_precision_zero_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "nonconc", "--k", "8", "--precision", "0")
+    assert code == 0 and out.startswith("eta = ")
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+# ---------------------------------------------------------------------------
+
+
+def run_entry_point(*argv):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(explab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "explab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["classify", "x*y"], 0, "stdout", "SpecialForm\n"),
+        (["cover", "--k", "0"], 1, "stderr", "explab: scale k must satisfy"),
+        (["classify", "x", "--no-such-flag"], 2, "stderr", "unrecognized arguments: --no-such-flag"),
+    ],
+)
+def test_entry_point_exit_codes(argv, code, stream, text):
+    result = run_entry_point(*argv)
+    assert result.returncode == code
+    assert text in getattr(result, stream)

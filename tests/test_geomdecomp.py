@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 from unittest import mock
 
 import numpy as np
@@ -820,7 +820,23 @@ def test_cube_decomposition_rejects_malformed_line(line):
 # per-cell enclosure_cells loop that the batched kernels replaced (only the
 # names differ).  They take every enclosure one box at a time through the
 # public scalar enclosure or region call, so they share no code with
-# polyexpr.box_bounds.
+# polyexpr.box_bounds.  Two small helpers they use live here, as only the
+# tests need them.
+
+
+def delta_cells(square: DyadicSquare, k: int) -> Iterator[Tuple[int, int]]:
+    """All scale-k cells inside the square (k >= depth)."""
+    span = 1 << (k - square.depth)
+    i0, j0 = square.i * span, square.j * span
+    for i in range(i0, i0 + span):
+        for j in range(j0, j0 + span):
+            yield (i, j)
+
+
+def inflate(rect: Rect, s) -> Rect:
+    """The rectangle grown by s on every side."""
+    s = Fraction(s)
+    return Rect(rect.x0 - s, rect.x1 + s, rect.y0 - s, rect.y1 + s)
 
 
 def reference_dilate_exits(square: DyadicSquare, oracle: RegionOracle) -> bool:
@@ -917,7 +933,7 @@ def reference_band_partition(
         for f in fs:
             enc = f.enclosure(square.rect()).abs_interval()
             if enc.hi < threshold:
-                leftover_cells.extend(square.delta_cells(k))
+                leftover_cells.extend(delta_cells(square, k))
                 return
             if enc.lo < threshold or enc.hi >= 4 * enc.lo:
                 split = True
@@ -965,7 +981,7 @@ def reference_level_covering(phi: SmoothMap2, A, s, t) -> int:
     t = Fraction(t)
     count = 0
     for rect in reference_iter_cells(A):
-        enc = phi.enclosure(rect.inflate(s))
+        enc = phi.enclosure(inflate(rect, s))
         if enc.lo <= t <= enc.hi:
             count += 1
     return count

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import floor, log2
+from math import floor, inf, log2, nan
 
 import numpy as np
 import pytest
@@ -236,6 +236,16 @@ def test_gen_ap_rejects_bad_parameters():
         gen_ap(0.5, 0.75, Scale(8))
     with pytest.raises(ValueError):
         gen_ap(0.0, 0.0, Scale(8))
+
+
+@pytest.mark.parametrize(
+    "alpha, eta",
+    [(nan, 0.0), (0.5, nan), (nan, nan), (inf, 0.0), (0.5, inf),
+     (0.5, -0.25), (1.5, 0.0)],
+)
+def test_gen_ap_rejects_nan_and_out_of_range(alpha, eta):
+    with pytest.raises(ValueError, match=r"^need 0 < alpha <= 1, eta >= 0, alpha \+ eta <= 1$"):
+        gen_ap(alpha, eta, Scale(8))
 
 
 def test_gen_cantor_counts():
