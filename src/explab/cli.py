@@ -87,7 +87,14 @@ def _generator_from_args(args):
             raise ValueError(
                 f"--k must be a multiple of log2(--base) = {bits}, got --k {args.k}"
             )
-        pattern = [int(t) for t in args.pattern.split(",")]
+        try:
+            pattern = [int(t) for t in args.pattern.split(",")]
+        except ValueError:
+            pattern = [-1]
+        if not all(0 <= d < args.base for d in pattern):
+            raise ValueError(
+                f"--pattern must be comma-separated digits in [0, {args.base}), got {args.pattern!r}"
+            )
         return gen_cantor(pattern, args.base, args.k // bits)
     if args.gen == "file":
         if not args.set_file:
@@ -99,15 +106,30 @@ def _generator_from_args(args):
     raise ValueError(f"unknown generator {args.gen!r}")
 
 
-def _phi_from_spec(spec: str):
+def _point(option: str, text: str, number=float):
+    """The finite x,y pair in text, each coordinate read by number; errors
+    name the option."""
+    try:
+        x, y = (number(t) for t in text.split(","))
+        if math.isfinite(x) and math.isfinite(y):
+            return x, y
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"{option} must be a point x,y of finite numbers, got {text!r}")
+
+
+def _phi_from_spec(option: str, spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "coord" and rest in ("x", "y"):
         return PolynomialMap(parse_poly(rest))
     if kind == "proj":
-        return LinearProjection(float(rest))
+        try:
+            theta = float(rest)
+        except ValueError:
+            raise ValueError(f"{option} proj:THETA needs a number THETA, got {spec!r}") from None
+        return LinearProjection(theta)
     if kind == "dist":
-        cx, cy = rest.split(",")
-        return PinnedDistance((float(cx), float(cy)))
+        return PinnedDistance(_point(option, rest))
     if kind == "poly":
         return PolynomialMap(parse_poly(rest))
     raise ValueError(
@@ -120,8 +142,7 @@ def _region_from_args(args):
     if args.region == "full":
         return FullSquareRegion()
     if args.region == "punctured":
-        x, y = args.puncture.split(",")
-        return PuncturedSquareRegion((Fraction(x), Fraction(y)))
+        return PuncturedSquareRegion(_point("--puncture", args.puncture, Fraction))
     if args.region.startswith("poly-pos:"):
         return PolynomialSignRegion(parse_poly(args.region[len("poly-pos:") :]))
     if args.region.startswith("poly-neg:"):
@@ -176,8 +197,11 @@ def _cmd_hf(args):
 
 
 def _cmd_curvature(args):
-    phis = [_phi_from_spec(s) for s in (args.phi1, args.phi2, args.phi3)]
-    x, y = (float(t) for t in args.point.split(","))
+    phis = [
+        _phi_from_spec(f"--phi{n}", spec)
+        for n, spec in enumerate((args.phi1, args.phi2, args.phi3), 1)
+    ]
+    x, y = _point("--point", args.point)
     value = blaschke_curvature(*phis, (x, y), method=args.method, step=args.step)
     _emit(
         {"command": "curvature", "point": [x, y], "curvature": value},

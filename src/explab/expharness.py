@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,11 +116,8 @@ def format_scenario(s: Scenario) -> str:
 
 
 def parse_scenario(text: str) -> Scenario:
-    name = family = None
-    description = ""
-    parameters: Dict[str, str] = {}
+    fields: Dict[str, str] = {}  # every line but the expectations, once each
     expectations: List[Expectation] = []
-    seen_schema = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,29 +126,29 @@ def parse_scenario(text: str) -> Scenario:
             raise ValueError(f"bad scenario line {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
-        if not seen_schema:
-            if key != "schema" or int(value) != SCHEMA_VERSION:
-                raise ValueError("scenario files must start with schema=1")
-            seen_schema = True
-            continue
-        if key == "name":
-            name = value
-        elif key == "family":
-            family = value
-        elif key == "description":
-            description = value
-        elif key == "expect":
+        if not fields and (key, value) != ("schema", str(SCHEMA_VERSION)):
+            raise ValueError(f"scenario files must start with schema=1, got {line!r}")
+        if key == "expect":
             parts = value.split()
             if len(parts) != 5:
                 raise ValueError(f"bad expectation {value!r}")
-            expectations.append(
-                Expectation(parts[0], parts[1], float(parts[2]), float(parts[3]), parts[4])
-            )
+            try:
+                target, tolerance = float(parts[2]), float(parts[3])
+            except ValueError:
+                raise ValueError(
+                    f"bad expectation {value!r}: target and tolerance must be numbers"
+                ) from None
+            expectations.append(Expectation(parts[0], parts[1], target, tolerance, parts[4]))
+        elif key in fields:
+            raise ValueError(f"repeated key {key!r} in scenario line {line!r}")
         else:
-            parameters[key] = value
-    if not seen_schema or name is None or family is None:
+            fields[key] = value
+    if "name" not in fields or "family" not in fields:
         raise ValueError("scenario needs schema, name, and family lines")
-    return Scenario(name, family, parameters, tuple(expectations), description)
+    del fields["schema"]
+    name, family = fields.pop("name"), fields.pop("family")
+    description = fields.pop("description", "")
+    return Scenario(name, family, fields, tuple(expectations), description)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +226,8 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _float(parameters: Dict[str, str], key: str, default: str) -> float:
-    """The finite float under key, or the default when the key is absent."""
-    text = parameters.get(key, default)
+def _float(key: str, text: str) -> float:
+    """The finite float in text."""
     try:
         value = float(text)
     except ValueError:
@@ -241,33 +237,31 @@ def _float(parameters: Dict[str, str], key: str, default: str) -> float:
     return value
 
 
-def _fraction(parameters: Dict[str, str], key: str, default: str) -> Fraction:
-    """The rational number under key, or the default when the key is absent."""
-    text = parameters.get(key, default)
+def _fraction(key: str, text: str) -> Fraction:
+    """The rational number in text."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{key} must be a rational number, got {text!r}") from None
 
 
-def _even_degree(parameters: Dict[str, str], key: str, default: str) -> int:
-    """The degree D under key, even and at least 2: the family's
+def _even_degree(key: str, text: str) -> int:
+    """The degree D in text, even and at least 2: the family's
     polynomial carries the term (x^2 + y^2)^(D/2)."""
-    text = parameters.get(key, default)
     if not (text.isdigit() and int(text) >= 2 and int(text) % 2 == 0):
         raise ValueError(f"{key} must be an even integer of at least 2, got {text!r}")
     return int(text)
 
 
-def _generator(parameters: Dict[str, str]):
-    kind = parameters.get("generator", "ap")
-    alpha = _float(parameters, "alpha", "0.5")
-    eta = _float(parameters, "eta", "0.0")
-    if kind == "ap":
-        return lambda k: gridset.gen_ap(alpha, eta, Scale(k))
-    if kind == "cantor_half":
-        return lambda k: half_dimensional_set(Scale(k))
-    raise ValueError(f"unknown generator {kind!r}")
+def _poly(key: str, text: str) -> Optional[Poly]:
+    """The polynomial in text, or None for an empty text (no baseline)."""
+    return parse_poly(text) if text else None
+
+
+def _generator(key: str, text: str) -> str:
+    if text not in ("ap", "cantor_half"):
+        raise ValueError(f"unknown generator {text!r}")
+    return text
 
 
 def half_dimensional_set(scale: Scale, offset: Fraction = Fraction(0)) -> GridSet1D:
@@ -308,10 +302,9 @@ def cs_lower_bound(floor: float, count_a: int, count_b: int, energy: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _scales(parameters: Dict[str, str], default: str, key: str = "scales") -> List[int]:
-    """The scale ladder under key, checked before any measurement: an
+def _scales(key: str, text: str) -> List[int]:
+    """The scale ladder in text, checked before any measurement: an
     exponent fit needs three points, and every scale must be valid."""
-    text = parameters.get(key, default)
     try:
         ladder = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
@@ -323,12 +316,8 @@ def _scales(parameters: Dict[str, str], default: str, key: str = "scales") -> Li
     return ladder
 
 
-def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    P = parse_poly(s.parameters["poly"])
-    generate = _generator(s.parameters)
-    scales = _scales(s.parameters, "10,11,12,13,14")
-    base = s.parameters.get("baseline_poly")
-    baseline = parse_poly(base) if base else None
+def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
+    P, baseline, scales = p["poly"], p["baseline_poly"], p["scales"]
     floor = gradient_floor(P)
 
     rows: Dict[str, List[float]] = {
@@ -342,7 +331,10 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         rows["baseline_image_count"] = []
         rows["image_ratio"] = []
     for k in scales:
-        A = generate(k)
+        if p["generator"] == "ap":
+            A = gridset.gen_ap(p["alpha"], p["eta"], Scale(k))
+        else:
+            A = half_dimensional_set(Scale(k))
         table = gridset.ProductBounds(P, A, A)
         image = len(table.image().grid.cells)
         energy = table.energy()
@@ -375,16 +367,8 @@ def _run_poly_growth(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     return tuple(scales), rows, fits, scalars
 
 
-def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = _float(s.parameters, "alpha", "0.5")
-    eta = _float(s.parameters, "eta", "0.0")
-    c = _fraction(s.parameters, "c", "1")
-    d_small = _even_degree(s.parameters, "d_small", "4")
-    d_large = _even_degree(s.parameters, "d_large", "8")
-    scales = _scales(s.parameters, "10,11,12,13,14")
-    restricted_scales = _scales(
-        s.parameters, "10,11,12,13,14,15,16,17,18,19,20", "restricted_scales"
-    )
+def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
+    alpha, eta, c, d_small, scales = p["alpha"], p["eta"], p["c"], p["d_small"], p["scales"]
 
     def poly_for(d: int) -> Poly:
         return parse_poly("x + y") + Poly.constant(c) * parse_poly("x^2 + y^2") ** (
@@ -392,7 +376,7 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         )
 
     p_small = poly_for(d_small)
-    p_large = poly_for(d_large)
+    p_large = poly_for(p["d_large"])
     floor = gradient_floor(p_small)
 
     rows: Dict[str, List[float]] = {"energy_d_small": [], "energy_d_large": [], "cs_bound": [], "cs_ok": [], "image_count": []}
@@ -411,7 +395,7 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
     restricted_points = []
     restricted_counts = {}
-    for k in restricted_scales:
+    for k in p["restricted_scales"]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
         box_hi = Fraction(1, 4) * Fraction(2.0 ** (-k / d_small))
         Ar = gridset.restrict(A, Fraction(0), box_hi)
@@ -442,9 +426,8 @@ def _run_eps_d_energy(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     return tuple(scales), rows, fits, scalars
 
 
-def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    scales = _scales(s.parameters, "8,10,12")
-    growth_exponent = _float(s.parameters, "growth_exponent", "1.05")
+def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
+    scales = p["scales"]
     p_sum = parse_poly("x + y")
     p_prod = parse_poly("x*y")
     floor = gradient_floor(p_sum)
@@ -467,7 +450,7 @@ def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         rows["sum_count"].append(float(sums))
         rows["product_count"].append(float(prods))
         rows["growth_margin"].append(
-            (sums + prods) / len(A.cells) ** growth_exponent
+            (sums + prods) / len(A.cells) ** p["growth_exponent"]
         )
         rows["cs_ok"].append(1.0 if image >= bound else 0.0)
     fits = {"sum_exponent": fit_exponent(list(zip(scales, rows["sum_count"])))}
@@ -478,8 +461,7 @@ def _run_sum_product(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     return tuple(scales), rows, fits, scalars
 
 
-def _pins(parameters: Dict[str, str]):
-    text = parameters.get("pins", "0,0;1,0;0,1")
+def _pins(key: str, text: str) -> List[Tuple[float, float]]:
     pins = []
     for chunk in text.split(";"):
         try:
@@ -487,33 +469,26 @@ def _pins(parameters: Dict[str, str]):
         except ValueError:
             x = y = math.nan
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"pins must be finite x,y points separated by ';', got {text!r}")
+            raise ValueError(f"{key} must be finite x,y points separated by ';', got {text!r}")
         pins.append((x, y))
     if len(pins) != 3:
         raise ValueError("exactly three pins required")
     return pins
 
 
-def _window(parameters: Dict[str, str]) -> Rect:
-    text = parameters.get("window", "0.3,0.7,0.3,0.7")
+def _window(key: str, text: str) -> Rect:
     try:
         x0, x1, y0, y1 = (Fraction(t) for t in text.split(","))
         return Rect(x0, x1, y0, y1)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
-            f"window must be four rationals x0,x1,y0,y1 with x0 <= x1 and y0 <= y1, got {text!r}"
+            f"{key} must be four rationals x0,x1,y0,y1 with x0 <= x1 and y0 <= y1, got {text!r}"
         ) from None
 
 
-def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = _float(s.parameters, "alpha", "0.5")
-    offset = _fraction(s.parameters, "offset", "3/8")
-    scales = _scales(s.parameters, "8,9,10")
-    pins = _pins(s.parameters)
-    window = _window(s.parameters)
-    phi1 = pinned_distance_map(pins[0])
-    phi2 = pinned_distance_map(pins[1])
-    phi3 = pinned_distance_map(pins[2])
+def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
+    alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
+    phi1, phi2, phi3 = (pinned_distance_map(pin) for pin in p["pins"])
 
     rows: Dict[str, List[float]] = {
         "x_cells": [],
@@ -563,13 +538,9 @@ def _run_three_projection(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dic
     return tuple(scales), rows, fits, scalars
 
 
-def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha = _float(s.parameters, "alpha", "0.5")
-    offset = _fraction(s.parameters, "offset", "3/8")
-    scales = _scales(s.parameters, "8,9,10")
-    pins = _pins(s.parameters)
-    window = _window(s.parameters)
-    phis = [pinned_distance_map(p) for p in pins]
+def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
+    alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
+    phis = [pinned_distance_map(pin) for pin in p["pins"]]
 
     rows: Dict[str, List[float]] = {
         "x_cells": [],
@@ -602,83 +573,111 @@ def _run_pinned_distance(s: Scenario) -> Tuple[Tuple[int, ...], dict, dict, dict
     return tuple(scales), rows, fits, scalars
 
 
-_PROJECTION_KEYS = frozenset({"alpha", "offset", "scales", "pins", "window"})
+# The two projection families read the same parameters.
+_PROJECTION_PARAMS = {
+    "alpha": (_float, "0.5"),
+    "offset": (_fraction, "3/8"),
+    "scales": (_scales, "8,9,10"),
+    "pins": (_pins, "0,0;1,0;0,1"),
+    "window": (_window, "0.3,0.7,0.3,0.7"),
+}
 
-# Each family's runner, the parameter keys it reads and the metric names
-# (scalars and fits) its reports carry.  Keys and the metrics that
-# expectations name are checked before the run, so a misspelling can
-# neither fall back to a default nor fail after the measurements.
+# Each family's runner, its parameters and the metric names (scalars and
+# fits) its reports carry.  A parameter maps to (parser, default text),
+# and a default of None marks a required key.  run_scenario checks the
+# keys, parses every value and checks the metrics that expectations name
+# before the run, so a misspelling can neither fall back to a default nor
+# fail after the measurements; the runner gets the parsed values.  A test
+# checks that docs/schema.md lists the same keys, defaults and metrics.
 _FAMILIES = {
     "poly_growth": (
         _run_poly_growth,
-        frozenset({"poly", "baseline_poly", "generator", "alpha", "eta", "scales"}),
-        frozenset({"image_exponent", "energy_exponent", "cs_all_ok"}),
+        {
+            "poly": (_poly, None),
+            "baseline_poly": (_poly, ""),
+            "generator": (_generator, "ap"),
+            "alpha": (_float, "0.5"),
+            "eta": (_float, "0.0"),
+            "scales": (_scales, "10,11,12,13,14"),
+        },
+        ("image_exponent", "energy_exponent", "cs_all_ok"),
     ),
     "eps_d_energy": (
         _run_eps_d_energy,
-        frozenset({"alpha", "eta", "c", "d_small", "d_large", "scales", "restricted_scales"}),
-        frozenset(
-            {
-                "restricted_energy_exponent",
-                "energy_d_small_exponent",
-                "d_ordering_holds",
-                "cs_all_ok",
-                "restricted_cells_last",
-            }
+        {
+            "alpha": (_float, "0.5"),
+            "eta": (_float, "0.0"),
+            "c": (_fraction, "1"),
+            "d_small": (_even_degree, "4"),
+            "d_large": (_even_degree, "8"),
+            "scales": (_scales, "10,11,12,13,14"),
+            "restricted_scales": (_scales, "10,11,12,13,14,15,16,17,18,19,20"),
+        },
+        (
+            "restricted_energy_exponent",
+            "energy_d_small_exponent",
+            "d_ordering_holds",
+            "cs_all_ok",
+            "restricted_cells_last",
         ),
     ),
     "sum_product": (
         _run_sum_product,
-        frozenset({"scales", "growth_exponent"}),
-        frozenset({"sum_exponent", "min_growth_margin", "cs_all_ok"}),
+        {"scales": (_scales, "8,10,12"), "growth_exponent": (_float, "1.05")},
+        ("sum_exponent", "min_growth_margin", "cs_all_ok"),
     ),
     "three_projection": (
         _run_three_projection,
-        _PROJECTION_KEYS,
-        frozenset(
-            {
-                "phi3_exponent",
-                "phi1_exponent",
-                "phi3_margin_min",
-                "phi3_margin_nondegrading",
-                "phi1_image_within_construction",
-                "eta_x_max",
-            }
+        _PROJECTION_PARAMS,
+        (
+            "phi3_exponent",
+            "phi1_exponent",
+            "phi3_margin_min",
+            "phi3_margin_nondegrading",
+            "phi1_image_within_construction",
+            "eta_x_max",
         ),
     ),
     "pinned_distance": (
         _run_pinned_distance,
-        _PROJECTION_KEYS,
-        frozenset({"best_pinned_exponent", "pinned_margin", "eta_x_max"}),
+        _PROJECTION_PARAMS,
+        ("best_pinned_exponent", "pinned_margin", "eta_x_max"),
     ),
 }
 
 # poly_growth reports these only when a nonempty baseline_poly is given.
-_BASELINE_METRICS = frozenset({"image_ratio_first", "image_ratio_last", "image_ratio_growth"})
+_BASELINE_METRICS = ("image_ratio_first", "image_ratio_last", "image_ratio_growth")
 
 
 def _metric_names(family: str, parameters: Dict[str, str]) -> FrozenSet[str]:
     """Scalar and fit names a run of the family with these parameters reports."""
     metrics = _FAMILIES[family][2]
-    return metrics | _BASELINE_METRICS if parameters.get("baseline_poly") else metrics
+    return frozenset(metrics + _BASELINE_METRICS if parameters.get("baseline_poly") else metrics)
 
 
 def run_scenario(s: Scenario) -> Report:
     """Execute a scenario and evaluate its expectations.
 
-    Parameter errors raise, and unknown parameter keys and metric names
-    raise before any measurement; expectation failures never do (they
-    land in the report's outcomes).
+    Unknown, missing and malformed parameters and unknown metric names
+    raise before any measurement, and parameter errors found while
+    measuring raise too; expectation failures never do (they land in
+    the report's outcomes).
     """
     if s.family not in _FAMILIES:
         raise ValueError(f"unknown scenario family {s.family!r}")
-    run, accepted, _ = _FAMILIES[s.family]
+    run, params, _ = _FAMILIES[s.family]
     for key in sorted(s.parameters):
-        if key not in accepted:
+        if key not in params:
             raise ValueError(
                 f"unknown parameter {key!r} for scenario family {s.family!r}; "
-                f"accepted: {', '.join(sorted(accepted))}"
+                f"accepted: {', '.join(sorted(params))}"
             )
+    for key, (_, default) in params.items():
+        if default is None and not s.parameters.get(key):
+            raise ValueError(f"{key} is required for scenario family {s.family!r}")
+    values = {
+        key: parse(key, s.parameters.get(key, default)) for key, (parse, default) in params.items()
+    }
     metrics = _metric_names(s.family, s.parameters)
     for e in s.expectations:
         if e.metric not in metrics:
@@ -687,7 +686,7 @@ def run_scenario(s: Scenario) -> Report:
                 f"{s.family!r}; known: {', '.join(sorted(metrics))}"
             )
     start = time.perf_counter()
-    scales, rows, fits, scalars = run(s)
+    scales, rows, fits, scalars = run(values)
     elapsed = time.perf_counter() - start
 
     outcomes = []

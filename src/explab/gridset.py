@@ -211,20 +211,30 @@ def format_gridset(S: GridSet) -> str:
 
 
 def parse_gridset(text: str) -> GridSet:
+    """Inverse of format_gridset; malformed text raises ValueError naming
+    the offending line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty gridset text")
     header = lines[0].split()
-    if len(header) != 2 or not header[1].startswith("k="):
+    if len(header) != 2 or not header[1].startswith("k=") or not header[1][2:].isdigit():
         raise ValueError(f"bad gridset header {lines[0]!r}")
     scale = Scale(int(header[1][2:]))
+    cells = []
     if header[0] == "gridset1d":
-        return GridSet1D(scale, tuple(int(ln) for ln in lines[1:]))
-    if header[0] == "gridset2d":
-        cells = []
         for ln in lines[1:]:
-            i, j = ln.split()
-            cells.append((int(i), int(j)))
+            try:
+                cells.append(int(ln))
+            except ValueError:
+                raise ValueError(f"bad gridset1d line {ln!r}: want one integer") from None
+        return GridSet1D(scale, tuple(cells))
+    if header[0] == "gridset2d":
+        for ln in lines[1:]:
+            try:
+                i, j = ln.split()
+                cells.append((int(i), int(j)))
+            except ValueError:
+                raise ValueError(f"bad gridset2d line {ln!r}: want two integers i j") from None
         return GridSet2D(scale, tuple(cells))
     raise ValueError(f"bad gridset kind {header[0]!r}")
 

@@ -271,6 +271,34 @@ def test_unknown_scenario_is_domain_error(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("schema=1\nname=x\nfamily=poly_growth\n", "poly is required for scenario family 'poly_growth'"),
+        ("schema=abc\nname=x\nfamily=poly_growth\npoly=x + y\n", "got 'schema=abc'"),
+        ("schema=1\nname=x\nfamily=poly_growth\npoly=x + y\nalpha=0.5\nalpha=0.6\n", "'alpha=0.6'"),
+        (
+            "schema=1\nname=x\nfamily=poly_growth\npoly=x + y\nexpect=image_exponent approx x 0.1 PAPER\n",
+            "bad expectation 'image_exponent approx x 0.1 PAPER'",
+        ),
+    ],
+)
+def test_malformed_scenario_file_is_domain_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.scenario"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, "scenario", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and message in err
+
+
+def test_extract_names_a_bad_set_file_line(tmp_path, capsys):
+    path = tmp_path / "x.grid"
+    path.write_text("gridset2d k=3\n0 1\n1 2 3\n")
+    code, out, err = run_cli(capsys, "extract", "--set-file", str(path))
+    assert code == 1 and out == ""
+    assert "bad gridset2d line '1 2 3'" in err
+
+
 def test_json_outputs_validate_against_shipped_schema(capsys):
     import os
 
@@ -448,6 +476,35 @@ def test_negative_precision_is_domain_error_before_any_work(
 def test_precision_zero_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "nonconc", "--k", "8", "--precision", "0")
     assert code == 0 and out.startswith("eta = ")
+
+
+CURVATURE = ["curvature", "--phi1", "coord:x", "--phi2", "coord:y"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["whitney", "--puncture", "1,1/0"], "--puncture must be a point x,y of finite numbers, got '1,1/0'"),
+        (["whitney", "--puncture", "1"], "--puncture must be a point x,y of finite numbers, got '1'"),
+        (["whitney", "--puncture", "a,b"], "--puncture must be a point x,y"),
+        (CURVATURE + ["--phi3", "proj:1", "--point", "1"], "--point must be a point x,y of finite numbers, got '1'"),
+        # --point inf,0.5 raised an OverflowError traceback; nan,0.5 printed 0.
+        (CURVATURE + ["--phi3", "poly:x*y", "--point", "inf,0.5"], "--point must be a point x,y"),
+        (CURVATURE + ["--phi3", "proj:1", "--point", "nan,0.5"], "--point must be a point x,y"),
+        (CURVATURE + ["--phi3", "dist:nan,0", "--point", "0.3,0.4"], "--phi3 must be a point x,y"),
+        (CURVATURE + ["--phi3", "dist:1", "--point", "0.3,0.4"], "--phi3 must be a point x,y of finite numbers, got '1'"),
+        (CURVATURE + ["--phi3", "proj:abc", "--point", "0.3,0.4"], "--phi3 proj:THETA needs a number"),
+        (["nonconc", "--gen", "cantor", "--pattern", "a"], "--pattern must be comma-separated digits"),
+        (
+            ["nonconc", "--gen", "cantor", "--pattern", "0,9"],
+            "--pattern must be comma-separated digits in [0, 4), got '0,9'",
+        ),
+    ],
+)
+def test_point_and_pattern_options_name_themselves(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and message in err
 
 
 # ---------------------------------------------------------------------------

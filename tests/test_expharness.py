@@ -1,5 +1,6 @@
 """Tests for scenarios, reports, and the regression helper."""
 
+import os
 import random
 from collections import Counter
 
@@ -225,6 +226,99 @@ def test_run_scenario_rejects_malformed_rational_or_integer_before_running(
     parameters = {key: value, "poly": "x + y"} if family == "poly_growth" else {key: value}
     with pytest.raises(ValueError, match=f"^{key} must be"):
         run_scenario(Scenario("bad", family, parameters, ()))
+
+
+@pytest.mark.parametrize("parameters", [{}, {"poly": ""}, {"scales": "8,9,10"}])
+def test_run_scenario_rejects_missing_required_key_before_running(monkeypatch, parameters):
+    # A poly_growth without poly used to end in KeyError: 'poly'.
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="^poly is required for scenario family 'poly_growth'$"):
+        run_scenario(Scenario("bad", "poly_growth", parameters, ()))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alpha=0.6", "repeated key 'alpha' in scenario line 'alpha=0.6'"),
+        ("name=other", "repeated key 'name' in scenario line 'name=other'"),
+        ("schema=1", "repeated key 'schema' in scenario line 'schema=1'"),
+        (
+            "expect=image_exponent approx x 0.1 PAPER",
+            "bad expectation 'image_exponent approx x 0.1 PAPER': target and tolerance",
+        ),
+        ("expect=image_exponent approx 0.5 1/10 PAPER", "bad expectation .*1/10 PAPER'"),
+    ],
+)
+def test_parse_scenario_rejects_malformed_line(line, message):
+    text = f"schema=1\nname=x\nfamily=poly_growth\npoly=x + y\nalpha=0.5\n{line}\n"
+    with pytest.raises(ValueError, match=message):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("schema", ["schema=abc", "schema=2", "name=x"])
+def test_parse_scenario_names_a_bad_first_line(schema):
+    with pytest.raises(ValueError, match=f"must start with schema=1, got '{schema}'"):
+        parse_scenario(f"# comment\n{schema}\nname=x\nfamily=poly_growth\npoly=x + y\n")
+
+
+def _docs_cell(default):
+    return "required" if default is None else f"`{default}`" if default else "empty"
+
+
+def test_schema_doc_lists_every_family_parameter_and_metric():
+    doc_path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schema.md")
+    with open(doc_path, encoding="utf-8") as fh:
+        doc_lines = set(fh.read().splitlines())
+    groups = {}  # families that share one params dict share their rows
+    for family, (_, params, _) in expharness._FAMILIES.items():
+        groups.setdefault(id(params), (params, []))[1].append(f"`{family}`")
+    for params, families in groups.values():
+        for key, (_, default) in params.items():
+            row = f"| {', '.join(families)} | `{key}` | {_docs_cell(default)} |"
+            assert row in doc_lines, row
+    for family, (_, params, metrics) in expharness._FAMILIES.items():
+        names = ", ".join(f"`{m}`" for m in metrics)
+        if "baseline_poly" in params:
+            extra = ", ".join(f"`{m}`" for m in expharness._BASELINE_METRICS)
+            names += f"; with `baseline_poly` also {extra}"
+        row = f"| `{family}` | {names} |"
+        assert row in doc_lines, row
+
+
+# Line text that survives a trip through a scenario file: no line breaks,
+# no surrounding whitespace.
+line_text = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+).map(str.strip)
+
+
+@st.composite
+def scenarios(draw):
+    family = draw(st.sampled_from(sorted(expharness._FAMILIES)))
+    _, params, metrics = expharness._FAMILIES[family]
+    keys = draw(st.lists(st.sampled_from(sorted(params)), unique=True))
+    number = st.floats(allow_nan=False)
+    expectations = st.builds(
+        Expectation,
+        st.sampled_from(metrics),
+        st.sampled_from(expharness.COMPARATORS),
+        number,
+        number,
+        st.sampled_from(expharness.PROVENANCE_TAGS),
+    )
+    return Scenario(
+        draw(line_text),
+        family,
+        {key: draw(line_text) for key in keys},
+        tuple(draw(st.lists(expectations, max_size=3))),
+        draw(line_text),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_scenario_file_round_trip_over_family_keys(s):
+    assert parse_scenario(format_scenario(s)) == s
 
 
 def reference_gradient_floor(P):

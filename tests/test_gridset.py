@@ -549,6 +549,22 @@ def test_gridset_rejects_bad_header():
         parse_gridset("gridset3d k=5\n1\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("gridset1d k=3\n1\nx\n", "bad gridset1d line 'x'"),
+        ("gridset1d k=3\n1 2\n", "bad gridset1d line '1 2'"),
+        ("gridset2d k=3\n0 1\n1 2 3\n", "bad gridset2d line '1 2 3'"),
+        ("gridset2d k=3\n1\n", "bad gridset2d line '1'"),
+        ("gridset2d k=3\n1 y\n", "bad gridset2d line '1 y'"),
+        ("gridset1d k=abc\n1\n", "bad gridset header 'gridset1d k=abc'"),
+    ],
+)
+def test_gridset_names_a_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"^{line}"):
+        parse_gridset(text)
+
+
 # ---------------------------------------------------------------------------
 # array-built grid sets against their tuple builds
 # ---------------------------------------------------------------------------
