@@ -50,7 +50,6 @@ from .geomdecomp import (
     band_partition,
     blaschke_curvature,
     extract_product,
-    pinned_distance_map,
     select_level,
     whitney_decompose,
     zero_nbhd_covering,

@@ -30,6 +30,7 @@ from .expharness import (
 from .geomdecomp import (
     FullSquareRegion,
     LinearProjection,
+    NewtonConvergenceError,
     PinnedDistance,
     PolynomialMap,
     PolynomialSignRegion,
@@ -342,7 +343,7 @@ def _cmd_extract(args):
     S = load_gridset(args.set_file)
     if not isinstance(S, gridset.GridSet2D):
         raise ValueError("extract needs a gridset2d file")
-    A, B, report = extract_product(S, PolynomialMap(parse_poly(args.poly)))
+    A, B, report = extract_product(S)
     data = {
         "command": "extract",
         "a_cells": len(A.cells),
@@ -513,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract a large Cartesian product")
     p.add_argument("--set-file", required=True, dest="set_file")
-    p.add_argument("--poly", default="x + y")
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -561,7 +561,7 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"explab: parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NewtonConvergenceError) as exc:
         print(f"explab: {exc}", file=sys.stderr)
         return 1
     return 0

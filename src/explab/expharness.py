@@ -25,7 +25,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from . import geomdecomp, gridset
-from .geomdecomp import pinned_distance_map
 from .gridset import ExponentFit, GridSet1D, GridSet2D, Scale, fit_exponent
 from .polyexpr import Poly, Rect, parse_poly, unit_square_range
 
@@ -288,13 +287,12 @@ def gradient_floor(P: Poly) -> float:
     return min(float(unit_square_range(P.partial(v)).abs_interval().lo) for v in ("x", "y"))
 
 
-def cs_lower_bound(floor: float, count_a: int, count_b: int, energy: int) -> float:
-    """Frozen-constant Cauchy-Schwarz floor for the image covering count,
-    given the polynomial's gradient_floor."""
+def cs_lower_bound(floor: float, count: int, energy: int) -> float:
+    """Frozen-constant Cauchy-Schwarz floor for the image covering count
+    of P(A, A), given |A| = count and the polynomial's gradient_floor."""
     if floor <= 0 or energy <= 0:
         return 0.0
-    cover = count_a * count_b
-    return CS_CONSTANT * gridset.cs_growth_bound(cover, energy, min(1.0, floor))
+    return CS_CONSTANT * gridset.cs_growth_bound(count * count, energy, min(1.0, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         table = gridset.ProductBounds(P, A, A)
         image = len(table.image().grid.cells)
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), energy)
+        bound = cs_lower_bound(floor, len(A.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["image_count"].append(float(image))
         rows["energy_count"].append(float(energy))
@@ -386,7 +384,7 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         e_small = table.energy()
         e_large = gridset.energy_count(p_large, A, A)
         image = len(table.image().grid.cells)
-        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), e_small)
+        bound = cs_lower_bound(floor, len(A.cells), e_small)
         rows["energy_d_small"].append(float(e_small))
         rows["energy_d_large"].append(float(e_large))
         rows["image_count"].append(float(image))
@@ -445,7 +443,7 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         sums = image = len(table.image().grid.cells)
         prods = len(gridset.product_set(A, A).cells)
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A.cells), len(A.cells), energy)
+        bound = cs_lower_bound(floor, len(A.cells), energy)
         rows["cover_a"].append(float(len(A.cells)))
         rows["sum_count"].append(float(sums))
         rows["product_count"].append(float(prods))
@@ -488,7 +486,7 @@ def _window(key: str, text: str) -> Rect:
 
 def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
-    phi1, phi2, phi3 = (pinned_distance_map(pin) for pin in p["pins"])
+    phi1, phi2, phi3 = (geomdecomp.PinnedDistance(pin) for pin in p["pins"])
 
     rows: Dict[str, List[float]] = {
         "x_cells": [],
@@ -540,7 +538,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
-    phis = [pinned_distance_map(pin) for pin in p["pins"]]
+    phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
 
     rows: Dict[str, List[float]] = {
         "x_cells": [],
@@ -678,6 +676,13 @@ def run_scenario(s: Scenario) -> Report:
     values = {
         key: parse(key, s.parameters.get(key, default)) for key, (parse, default) in params.items()
     }
+    # The ap generator's condition (gridset.gen_ap); cantor_half reads neither key.
+    if "eta" in values and values.get("generator") != "cantor_half":
+        alpha, eta = values["alpha"], values["eta"]
+        if not (0 < alpha <= 1 and eta >= 0 and alpha + eta <= 1):
+            raise ValueError(
+                f"need 0 < alpha <= 1, eta >= 0, alpha + eta <= 1, got alpha={alpha}, eta={eta}"
+            )
     metrics = _metric_names(s.family, s.parameters)
     for e in s.expectations:
         if e.metric not in metrics:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
 from .gridset import cell_keys, range_union, value_cells
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, unit_square_range
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
 
 WEDGE_FLOOR = 1e-8
 
@@ -41,7 +41,7 @@ class NewtonConvergenceError(RuntimeError):
 
 
 class SmoothMap2:
-    """A twice-plus differentiable planar map on a rectangular domain.
+    """A twice-plus differentiable planar map.
 
     Implementations expose the value, partial derivatives up to total
     order 3, and a sound interval enclosure of the range on a rectangle.
@@ -65,8 +65,6 @@ class SmoothMap2:
     enclosure is a float formula override it with numpy over the cell
     edges i * 2^-k, which are exact in float (see _FloatEnclosureMap).
     """
-
-    domain: Rect = Rect.of(0, 1, 0, 1)
 
     def value(self, x: float, y: float) -> float:
         raise NotImplementedError
@@ -164,11 +162,10 @@ class _FloatEnclosureMap(SmoothMap2):
 class PolynomialMap(SmoothMap2):
     """Exact polynomial realization; derivatives and enclosures are exact."""
 
-    def __init__(self, poly: Poly, domain: Rect = Rect.of(0, 1, 0, 1)):
+    def __init__(self, poly: Poly):
         if poly.variables != ("x", "y"):
             raise ValueError("PolynomialMap takes a bivariate polynomial")
         self.poly = poly
-        self.domain = domain
         self._partials = {(0, 0): poly}
 
     def _poly_partial(self, ax: int, ay: int) -> Poly:
@@ -232,11 +229,10 @@ class PinnedDistance(_FloatEnclosureMap):
     _PAD = 1e-12
     _EDGE_BAND = 2.0**-40
 
-    def __init__(self, center: Tuple[float, float], domain: Rect = Rect.of(0, 1, 0, 1)):
+    def __init__(self, center: Tuple[float, float]):
         self.center = (float(center[0]), float(center[1]))
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("the pin must be a finite point")
-        self.domain = domain
 
     def value(self, x: float, y: float) -> float:
         r = math.hypot(x - self.center[0], y - self.center[1])
@@ -286,13 +282,12 @@ class PinnedDistance(_FloatEnclosureMap):
 class LinearProjection(_FloatEnclosureMap):
     """q -> x cos(theta) + y sin(theta)."""
 
-    def __init__(self, theta: float, domain: Rect = Rect.of(0, 1, 0, 1)):
+    def __init__(self, theta: float):
         self.theta = float(theta)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         self.cos = math.cos(self.theta)
         self.sin = math.sin(self.theta)
-        self.domain = domain
 
     def value(self, x: float, y: float) -> float:
         return x * self.cos + y * self.sin
@@ -319,10 +314,6 @@ class LinearProjection(_FloatEnclosureMap):
         return self.sin == 1.0 and self.cos == 0.0
 
 
-def pinned_distance_map(center: Tuple[float, float]) -> PinnedDistance:
-    return PinnedDistance(center)
-
-
 # ---------------------------------------------------------------------------
 # Dyadic squares, cube decompositions
 # ---------------------------------------------------------------------------
@@ -344,15 +335,6 @@ class DyadicSquare:
     def rect(self) -> Rect:
         side = Fraction(1, 2**self.depth)
         return Rect(self.i * side, (self.i + 1) * side, self.j * side, (self.j + 1) * side)
-
-    def children(self) -> Tuple["DyadicSquare", ...]:
-        d, i, j = self.depth + 1, 2 * self.i, 2 * self.j
-        return (
-            DyadicSquare(d, i, j),
-            DyadicSquare(d, i + 1, j),
-            DyadicSquare(d, i, j + 1),
-            DyadicSquare(d, i + 1, j + 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -604,7 +586,7 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
 
 def _morton(i: np.ndarray, j: np.ndarray, bits: int) -> np.ndarray:
     """Interleaved bits of (i, j), the j bit above the i bit at each level,
-    so keys rise in the order DyadicSquare.children lists the quadrants."""
+    so the quadrants of a square sort as (0, 0), (1, 0), (0, 1), (1, 1)."""
     key = np.zeros_like(i)
     for b in range(bits):
         key |= ((i >> b) & 1) << (2 * b) | ((j >> b) & 1) << (2 * b + 1)
@@ -886,8 +868,9 @@ def blaschke_curvature(
 
     method 'chart' requires phi1 = x and phi2 = y and uses the closed
     form (exact rational arithmetic when phi3 is polynomial); 'newton'
-    inverts the chart (phi1, phi2) on a four-point stencil and takes a
-    centered mixed difference; 'auto' picks 'chart' when applicable.
+    inverts the chart (phi1, phi2) on a four-point stencil of half-width
+    step (nonzero and finite) and takes a centered mixed difference;
+    'auto' picks 'chart' when applicable.
     """
     x, y = float(p[0]), float(p[1])
     _check_gradients((phi1, phi2, phi3), x, y)
@@ -902,9 +885,11 @@ def blaschke_curvature(
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
 
+    h = float(step)
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"step must be a nonzero finite number, got {step!r}")
     u0 = phi1.value(x, y)
     v0 = phi2.value(x, y)
-    h = float(step)
     corners = {}
     for su in (+1, -1):
         for sv in (+1, -1):
@@ -933,13 +918,9 @@ class ExtractionReport:
     alpha_b: float
     eta_a: float
     eta_b: float
-    px_enclosure: Tuple[float, float]
-    py_enclosure: Tuple[float, float]
 
 
-def extract_product(
-    X: GridSet2D, P: SmoothMap2
-) -> Tuple[GridSet1D, GridSet1D, ExtractionReport]:
+def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionReport]:
     """Popularity pruning of the bipartite cell graph of X.
 
     Columns (x-cells) and rows (y-cells) with degree below a quarter of
@@ -947,8 +928,7 @@ def extract_product(
     the thresholds fixed from the input, until a fixed point.  Every
     deletion removes fewer edges than its threshold, so the surviving
     product A x B keeps at least half of X.  The report records measured
-    non-concentration exponents of the factors and enclosure bounds on
-    |P_x| and |P_y| over the unit square.
+    non-concentration exponents of the factors.
     """
     if not X.cells:
         raise ValueError("extract_product needs a nonempty set")
@@ -986,14 +966,6 @@ def extract_product(
     eta_b = (
         nonconcentration_exponent(B, max(alpha_b, 1e-9), alpha_b).eta if B.cells else 0.0
     )
-    if isinstance(P, PolynomialMap):
-        px_enc = unit_square_range(P.poly.partial("x")).abs_interval()
-        py_enc = unit_square_range(P.poly.partial("y")).abs_interval()
-        px_bounds = (float(px_enc.lo), float(px_enc.hi))
-        py_bounds = (float(py_enc.lo), float(py_enc.hi))
-    else:
-        px_bounds = (float("nan"), float("nan"))
-        py_bounds = (float("nan"), float("nan"))
     report = ExtractionReport(
         x_count=len(X.cells),
         intersection_count=len(edges),
@@ -1005,8 +977,6 @@ def extract_product(
         alpha_b=alpha_b,
         eta_a=eta_a,
         eta_b=eta_b,
-        px_enclosure=px_bounds,
-        py_enclosure=py_bounds,
     )
     return A, B, report
 

@@ -179,11 +179,6 @@ class GridSet2D:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def cell_rect(self, ij: Tuple[int, int]) -> Rect:
-        d = self.scale.delta
-        i, j = ij
-        return Rect(i * d, (i + 1) * d, j * d, (j + 1) * d)
-
     def intersection(self, other: "GridSet2D") -> "GridSet2D":
         if other.scale != self.scale:
             raise ValueError("scale mismatch")

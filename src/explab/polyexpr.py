@@ -482,24 +482,21 @@ def classify_special_form(P: Poly) -> Classification:
 
     Degenerate inputs (the zero polynomial, constants, functions of one
     variable) are special forms via the vanishing-gradient clauses.  If
-    P_xy vanishes identically the polynomial splits as a(x) + b(y) and
-    M_P vanishes automatically.  The expander verdict carries the
-    nonzero M_P as witness.
+    P_xy vanishes identically the polynomial splits as a(x) + b(y), and
+    both bracketed factors of M_P vanish with P_xy, so M_P is not
+    computed.  The expander verdict carries the nonzero M_P as witness.
     """
+    if P.variables != VARS2:
+        raise ValueError("classify_special_form takes a bivariate polynomial")
     px = P.partial("x")
     if px.is_zero:
         return Classification(Verdict.SPECIAL_FORM, Reason.PX_IDENTICALLY_ZERO)
     py = P.partial("y")
     if py.is_zero:
         return Classification(Verdict.SPECIAL_FORM, Reason.PY_IDENTICALLY_ZERO)
-    pxy = px.partial("y")
+    if px.partial("y").is_zero:
+        return Classification(Verdict.SPECIAL_FORM, Reason.PXY_IDENTICALLY_ZERO_AND_MP_ZERO)
     mp = mp_numerator(P)
-    if pxy.is_zero:
-        # P = a(x) + b(y); both bracketed factors of M_P vanish with P_xy.
-        assert mp.is_zero
-        return Classification(
-            Verdict.SPECIAL_FORM, Reason.PXY_IDENTICALLY_ZERO_AND_MP_ZERO
-        )
     if mp.is_zero:
         return Classification(Verdict.SPECIAL_FORM, Reason.MP_IDENTICALLY_ZERO)
     return Classification(Verdict.EXPANDER, Reason.MP_NONZERO, witness=mp)
@@ -653,9 +650,6 @@ class Rect:
 
     def y_interval(self) -> Interval:
         return Interval(self.y0, self.y1)
-
-    def center(self) -> tuple:
-        return ((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
 
 
 def interval_range(P: Poly, cell: Rect) -> Interval:

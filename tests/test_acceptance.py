@@ -13,13 +13,13 @@ from explab.geomdecomp import (
     DegenerateGradientsError,
     DyadicSquare,
     LinearProjection,
+    PinnedDistance,
     PolynomialMap,
     PuncturedSquareRegion,
     Region,
     band_partition,
     blaschke_curvature,
     extract_product,
-    pinned_distance_map,
     whitney_decompose,
 )
 from explab.gridset import (
@@ -243,7 +243,7 @@ def test_criterion_08_curvature_degeneracy():
         if abs(blaschke_curvature(*linear, p)) >= 1e-8:
             failures.append(f"linear triple curvature not flat at {p}")
 
-    pins = [pinned_distance_map(c) for c in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+    pins = [PinnedDistance(c) for c in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
     large = 0
     for _ in range(100):
         p = (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
@@ -278,7 +278,6 @@ def test_criterion_09_product_extraction():
     started = time.perf_counter()
     failures = []
     rng = random.Random(109)
-    P = PolynomialMap(parse_poly("x + y"))
     for trial in range(20):
         k = rng.choice((7, 8))
         count = rng.randint(12, 40)
@@ -290,7 +289,7 @@ def test_criterion_09_product_extraction():
             cell = (rng.randrange(2**k), rng.randrange(2**k))
             noise.add(cell)
         X = GridSet2D.from_cells(Scale(k), set(product) | noise)
-        _, _, report = extract_product(X, P)
+        _, _, report = extract_product(X)
         if report.intersection_count < report.x_count / 2:
             failures.append(
                 f"trial {trial}: kept {report.intersection_count} of {report.x_count}"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 import explab
 from explab import cli, gridset
 from explab.cli import main
+from explab.geomdecomp import PinnedDistance, blaschke_curvature
 from explab.gridset import Scale, gen_ap
 from explab.polyexpr import classify_special_form, parse_poly
 
@@ -473,6 +475,18 @@ def test_negative_precision_is_domain_error_before_any_work(
     assert err == f"explab: --precision must be at least 0, got {value}\n"
 
 
+def test_readme_command_examples_parse():
+    """Every explab line of README's "Command line" block parses, so a
+    removed option cannot linger in the docs."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(commands) >= 10 and all(argv[0] == "explab" for argv in commands)
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+
+
 def test_precision_zero_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "nonconc", "--k", "8", "--precision", "0")
     assert code == 0 and out.startswith("eta = ")
@@ -505,6 +519,36 @@ def test_point_and_pattern_options_name_themselves(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("explab: ") and message in err
+
+
+PINNED_CURVATURE = [
+    "curvature", "--phi1", "dist:0,0", "--phi2", "dist:1,0", "--phi3", "dist:0,1",
+    "--point", "0.45,0.62", "--format", "json",
+]
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        # 0 ended in a ZeroDivisionError traceback; inf, nan and 1e3 in a
+        # NewtonConvergenceError traceback.
+        ("0", "step must be a nonzero finite number, got 0.0"),
+        ("inf", "step must be a nonzero finite number, got inf"),
+        ("nan", "step must be a nonzero finite number, got nan"),
+        ("1e3", "chart inversion did not converge"),
+    ],
+)
+def test_curvature_bad_step_is_domain_error(capsys, step, message):
+    code, out, err = run_cli(capsys, *PINNED_CURVATURE, f"--step={step}")
+    assert code == 1 and out == ""
+    assert err == f"explab: {message}\n"
+
+
+def test_curvature_negative_step_works(capsys):
+    code, out, _ = run_cli(capsys, *PINNED_CURVATURE, "--step=-1e-4")
+    pins = [PinnedDistance(c) for c in ((0, 0), (1, 0), (0, 1))]
+    assert code == 0
+    assert json.loads(out)["curvature"] == blaschke_curvature(*pins, (0.45, 0.62), step=-1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,33 @@ def test_run_scenario_rejects_non_finite_float_before_running(monkeypatch, famil
         run_scenario(Scenario("bad", family, parameters, ()))
 
 
+@pytest.mark.parametrize(
+    "family, alpha, eta",
+    [
+        ("poly_growth", "0.5", "0.75"),
+        ("eps_d_energy", "0.5", "0.75"),
+        ("eps_d_energy", "1.5", "0"),
+        ("poly_growth", "0", "0"),
+        ("eps_d_energy", "0.5", "-0.25"),
+    ],
+)
+def test_run_scenario_rejects_ap_parameters_before_running(monkeypatch, family, alpha, eta):
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(gridset, "gen_ap", None)
+    monkeypatch.setattr(expharness, "gradient_floor", None)
+    parameters = {"alpha": alpha, "eta": eta}
+    if family == "poly_growth":
+        parameters.update(poly="x + y", generator="ap")
+    with pytest.raises(ValueError, match=f"alpha={float(alpha)}, eta={float(eta)}"):
+        run_scenario(Scenario("bad", family, parameters, ()))
+
+
+def test_cantor_half_ignores_alpha_and_eta():
+    parameters = {"poly": "x + y", "generator": "cantor_half", "alpha": "0.5", "eta": "0.75"}
+    report = run_scenario(Scenario("cantor", "poly_growth", {**parameters, "scales": "4,6,8"}, ()))
+    assert report.metrics["cover_a"] == (4.0, 8.0, 16.0)
+
+
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
 @pytest.mark.parametrize("pins", ["0,0;1,nan;0,1", "inf,0;1,0;0,1", "0,0;1;0,1"])
 def test_run_scenario_rejects_bad_pins_before_running(monkeypatch, family, pins):

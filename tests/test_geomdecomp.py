@@ -32,7 +32,6 @@ from explab.geomdecomp import (
     format_cube_decomposition,
     map_image,
     parse_cube_decomposition,
-    pinned_distance_map,
     preimage_cells,
     select_level,
     whitney_decompose,
@@ -56,7 +55,7 @@ def full_grid_2d(k):
 
 
 def test_pinned_distance_values():
-    phi = pinned_distance_map((0.0, 0.0))
+    phi = PinnedDistance((0.0, 0.0))
     assert phi.value(0.6, 0.8) == pytest.approx(1.0)
     assert phi.partial(0.6, 0.8, 1, 0) == pytest.approx(0.6)
     with pytest.raises(ValueError):
@@ -80,7 +79,7 @@ def _fd_partial(f, x, y, ax, ay, h=1e-5):
 @pytest.mark.parametrize(
     "make_map",
     [
-        lambda: pinned_distance_map((0.1, -0.2)),
+        lambda: PinnedDistance((0.1, -0.2)),
         lambda: PolynomialMap(parse_poly("x^3 - 2*x*y + y^2 + 1")),
         lambda: LinearProjection(0.7),
     ],
@@ -112,7 +111,7 @@ def test_derivatives_match_finite_differences(make_map):
 def test_enclosures_are_sound():
     rng = random.Random(22)
     maps = [
-        pinned_distance_map((0.25, 0.5)),
+        PinnedDistance((0.25, 0.5)),
         PolynomialMap(P_QUAD),
         LinearProjection(np_theta := 1.1),
     ]
@@ -441,7 +440,7 @@ def test_curvature_special_form_consistency():
 
 def test_curvature_pinned_triple_nonzero():
     pins = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    phis = [pinned_distance_map(c) for c in pins]
+    phis = [PinnedDistance(c) for c in pins]
     value = blaschke_curvature(*phis, (0.45, 0.62))
     assert abs(value) > 1e-3
 
@@ -461,7 +460,7 @@ def test_extract_product_exact_product_untouched():
     k = 8
     A0 = gen_ap(0.5, 0.0, Scale(k))
     X = GridSet2D.from_cells(Scale(k), [(i, j) for i in A0.cells for j in A0.cells])
-    A, B, report = extract_product(X, PolynomialMap(parse_poly("x + y")))
+    A, B, report = extract_product(X)
     assert A.cells == A0.cells
     assert B.cells == A0.cells
     assert report.intersection_count == len(X.cells)
@@ -471,7 +470,7 @@ def test_extract_product_exact_product_untouched():
 def test_extract_product_full_grid():
     k = 4
     X = full_grid_2d(k)
-    A, B, _ = extract_product(X, PolynomialMap(parse_poly("x + y")))
+    A, B, _ = extract_product(X)
     assert len(A.cells) == 2**k and len(B.cells) == 2**k
 
 
@@ -486,7 +485,7 @@ def test_extract_product_prunes_noise():
         if cell not in product:
             noise.add(cell)
     X = GridSet2D.from_cells(Scale(k), product + list(noise))
-    A, B, report = extract_product(X, PolynomialMap(parse_poly("x + y")))
+    A, B, report = extract_product(X)
     assert report.intersection_count >= len(X.cells) / 2
     # Surviving rows and columns all meet their degree thresholds.
     edges = set(X.cells) & {(i, j) for i in A.cells for j in B.cells}
@@ -504,7 +503,7 @@ def test_extract_product_prunes_noise():
 def test_map_image_distance_annulus():
     k = 7
     X = GridSet2D.from_cells(Scale(k), [(40, 40), (41, 40), (40, 41)])
-    phi = pinned_distance_map((0.0, 0.0))
+    phi = PinnedDistance((0.0, 0.0))
     img = map_image(phi, X)
     d = 1.0 / 2**k
     r = math.hypot(40.5 * d, 40.5 * d)
@@ -515,7 +514,7 @@ def test_map_image_distance_annulus():
 def test_preimage_cells_annulus():
     k = 7
     values = GridSet1D.from_cells(Scale(k), [64])  # distances near 1/2
-    phi = pinned_distance_map((0.0, 0.0))
+    phi = PinnedDistance((0.0, 0.0))
     X = preimage_cells(phi, values, Rect.of(0, 1, 0, 1), Scale(k))
     d = 1.0 / 2**k
     for i, j in X.cells:
@@ -547,9 +546,10 @@ def reference_bounds(phi, rect):
 
 def reference_map_image(phi, X):
     n = X.scale.cells
+    d = X.scale.delta
     marks = set()
-    for ij in X.cells:
-        enc = phi.enclosure(X.cell_rect(ij))
+    for i, j in X.cells:
+        enc = phi.enclosure(Rect(i * d, (i + 1) * d, j * d, (j + 1) * d))
         j0 = max(0, min(int(enc.lo * n), n - 1))
         j1 = max(0, min(int(enc.hi * n), n - 1))
         marks.update(range(j0, j1 + 1))
@@ -760,7 +760,7 @@ def test_preimage_cells_equals_per_cell_loop(phi, data):
 
 
 @pytest.mark.parametrize(
-    "phi", [pinned_distance_map((0.3, 0.0)), LinearProjection(0.4), PolynomialMap(P_QUAD)]
+    "phi", [PinnedDistance((0.3, 0.0)), LinearProjection(0.4), PolynomialMap(P_QUAD)]
 )
 def test_map_image_and_preimage_of_nothing_are_empty(phi):
     scale = Scale(5)
@@ -820,8 +820,14 @@ def test_cube_decomposition_rejects_malformed_line(line):
 # per-cell enclosure_cells loop that the batched kernels replaced (only the
 # names differ).  They take every enclosure one box at a time through the
 # public scalar enclosure or region call, so they share no code with
-# polyexpr.box_bounds.  Two small helpers they use live here, as only the
+# polyexpr.box_bounds.  Three small helpers they use live here, as only the
 # tests need them.
+
+
+def children(square: DyadicSquare) -> Tuple[DyadicSquare, ...]:
+    """The four depth + 1 quadrants of the square, (0, 0), (1, 0), (0, 1), (1, 1)."""
+    d, i, j = square.depth + 1, 2 * square.i, 2 * square.j
+    return tuple(DyadicSquare(d, i + a, j + b) for b in (0, 1) for a in (0, 1))
 
 
 def delta_cells(square: DyadicSquare, k: int) -> Iterator[Tuple[int, int]]:
@@ -887,7 +893,7 @@ def reference_whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecompos
         if square.depth >= k_max:
             leftover.append((square.i, square.j))
             continue
-        stack.extend(square.children())
+        stack.extend(children(square))
 
     order = sorted(range(len(cubes)), key=lambda n: (cubes[n].depth, cubes[n].i, cubes[n].j))
     ordered_cubes = tuple(cubes[n] for n in order)
@@ -946,7 +952,7 @@ def reference_band_partition(
         if square.depth >= k:
             leftover_cells.append((square.i, square.j))
             return
-        for child in square.children():
+        for child in children(square):
             visit(child)
 
     visit(DyadicSquare(0, 0, 0))

@@ -369,6 +369,28 @@ def test_classifier_degenerate_inputs():
     cubed = classify_special_form(parse_poly("(x + y)^3"))
     assert cubed.verdict == Verdict.SPECIAL_FORM
     assert cubed.reason == Reason.MP_IDENTICALLY_ZERO
+    with pytest.raises(ValueError, match="bivariate"):
+        classify_special_form(poly2_to_poly4(parse_poly("x + y"), False))
+
+
+# Univariate polynomials with a nonconstant term, as {exponent: coefficient}.
+univariate_terms = st.dictionaries(
+    st.integers(0, 6), st.fractions(-9, 9, max_denominator=7).filter(bool), max_size=5
+).filter(lambda terms: any(terms.keys() - {0}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=univariate_terms, b=univariate_terms)
+def test_split_sum_is_decided_without_mp(a, b):
+    """P = a(x) + b(y) has M_P = 0, and the classifier decides P_xy = 0
+    without computing M_P."""
+    P = Poly(VARS2, {(e, 0): c for e, c in a.items()}) + Poly(VARS2, {(0, e): c for e, c in b.items()})
+    assert mp_numerator(P).is_zero
+    with mock.patch.object(polyexpr, "mp_numerator", wraps=mp_numerator) as spy:
+        result = classify_special_form(P)
+    assert result.verdict == Verdict.SPECIAL_FORM
+    assert result.reason == Reason.PXY_IDENTICALLY_ZERO_AND_MP_ZERO
+    assert spy.call_count == 0
 
 
 def compose_sum_form(rng, max_degree=3):
