@@ -17,6 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import gridset
 from .expharness import (
     builtin_scenario,
@@ -249,7 +251,7 @@ def _cmd_image(args):
     P = parse_poly(args.poly)
     A = _generator_from_args(args)
     img = gridset.image_set(P, A, A)
-    count = len(img.grid.cells)
+    count = len(img.grid)
     data = {
         "command": "image",
         "count": count,
@@ -275,7 +277,7 @@ def _cmd_energy(args):
         "command": "energy",
         "count": count,
         "k": k,
-        "cells": len(A.cells),
+        "cells": len(A),
         "normalized_exponent": math.log2(count) / k if count else 0.0,
     }
     lines = [f"count = {count}"]
@@ -292,7 +294,7 @@ def _cmd_whitney(args):
         "command": "whitney",
         "cubes": len(decomp.cubes),
         "flagged": len(decomp.flagged),
-        "leftover_cells": len(decomp.leftover.cells),
+        "leftover_cells": len(decomp.leftover),
         "decomposition": text,
     }
     _emit(data, [text.rstrip("\n")], args)
@@ -302,32 +304,27 @@ def _cmd_bands(args):
     if args.sample_stride < 1:
         raise ValueError(f"--sample-stride must be at least 1, got {args.sample_stride}")
     P = parse_poly(args.poly)
-    names = args.funcs.split(",")
     table = {
-        "px": P.partial("x"),
-        "py": P.partial("y"),
-        "pxy": P.partial("x").partial("y"),
-        "mp": mp_numerator(P),
+        "px": lambda: P.partial("x"),
+        "py": lambda: P.partial("y"),
+        "pxy": lambda: P.partial("x").partial("y"),
+        "mp": lambda: mp_numerator(P),
     }
-    try:
-        fs = [PolynomialMap(table[name]) for name in names]
-    except KeyError as exc:
-        raise ValueError(f"unknown band function {exc.args[0]!r}; use px,py,pxy,mp")
+    names = args.funcs.split(",")
+    for name in names:
+        if name not in table:
+            raise ValueError(f"unknown band function {name!r}; use px,py,pxy,mp")
+    fs = [PolynomialMap(table[name]()) for name in names]
     scale = Scale(args.k)
-    A = gridset.GridSet2D.from_cells(
-        scale,
-        [
-            (i, j)
-            for i in range(0, 2**args.k, args.sample_stride)
-            for j in range(0, 2**args.k, args.sample_stride)
-        ],
-    )
+    # The sample grid, stride apart in both axes, as ascending keys.
+    g = np.arange(0, 2**args.k, args.sample_stride, dtype=np.int64)
+    A = gridset.GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
     decomp = band_partition(fs, args.w, scale, A)
     text = format_cube_decomposition(decomp)
     data = {
         "command": "bands",
         "cubes": len(decomp.cubes),
-        "leftover_cells": len(decomp.leftover.cells),
+        "leftover_cells": len(decomp.leftover),
         "leftover_fraction": decomp.a_leftover_fraction,
         "decomposition": text,
     }
@@ -346,8 +343,8 @@ def _cmd_extract(args):
     A, B, report = extract_product(S)
     data = {
         "command": "extract",
-        "a_cells": len(A.cells),
-        "b_cells": len(B.cells),
+        "a_cells": len(A),
+        "b_cells": len(B),
         "x_count": report.x_count,
         "intersection_count": report.intersection_count,
         "ratio": report.ratio,
@@ -356,7 +353,7 @@ def _cmd_extract(args):
         "eta_b": report.eta_b,
     }
     lines = [
-        f"|A| = {len(A.cells)}, |B| = {len(B.cells)}",
+        f"|A| = {len(A)}, |B| = {len(B)}",
         f"intersection = {report.intersection_count} of {report.x_count} "
         f"(ratio {_fmt(report.ratio, args.precision)})",
         f"nonconcentration: eta_A = {_fmt(report.eta_a, args.precision)}, "

@@ -334,16 +334,16 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         else:
             A = half_dimensional_set(Scale(k))
         table = gridset.ProductBounds(P, A, A)
-        image = len(table.image().grid.cells)
+        image = len(table.image().grid)
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A.cells), energy)
-        rows["cover_a"].append(float(len(A.cells)))
+        bound = cs_lower_bound(floor, len(A), energy)
+        rows["cover_a"].append(float(len(A)))
         rows["image_count"].append(float(image))
         rows["energy_count"].append(float(energy))
         rows["cs_bound"].append(bound)
         rows["cs_ok"].append(1.0 if image >= bound else 0.0)
         if baseline is not None:
-            base_image = len(gridset.image_set(baseline, A, A).grid.cells)
+            base_image = len(gridset.image_set(baseline, A, A).grid)
             rows["baseline_image_count"].append(float(base_image))
             rows["image_ratio"].append(image / base_image)
 
@@ -383,8 +383,8 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         table = gridset.ProductBounds(p_small, A, A)
         e_small = table.energy()
         e_large = gridset.energy_count(p_large, A, A)
-        image = len(table.image().grid.cells)
-        bound = cs_lower_bound(floor, len(A.cells), e_small)
+        image = len(table.image().grid)
+        bound = cs_lower_bound(floor, len(A), e_small)
         rows["energy_d_small"].append(float(e_small))
         rows["energy_d_large"].append(float(e_large))
         rows["image_count"].append(float(image))
@@ -397,7 +397,7 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
         box_hi = Fraction(1, 4) * Fraction(2.0 ** (-k / d_small))
         Ar = gridset.restrict(A, Fraction(0), box_hi)
-        if not Ar.cells:
+        if not len(Ar):
             continue
         count = gridset.energy_count(p_small, Ar, Ar)
         restricted_points.append((k, count))
@@ -440,15 +440,15 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         A = half_dimensional_set(Scale(k))
         # p_sum is x + y, so its image is the sum set.
         table = gridset.ProductBounds(p_sum, A, A)
-        sums = image = len(table.image().grid.cells)
-        prods = len(gridset.product_set(A, A).cells)
+        sums = image = len(table.image().grid)
+        prods = len(gridset.product_set(A, A))
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A.cells), energy)
-        rows["cover_a"].append(float(len(A.cells)))
+        bound = cs_lower_bound(floor, len(A), energy)
+        rows["cover_a"].append(float(len(A)))
         rows["sum_count"].append(float(sums))
         rows["product_count"].append(float(prods))
         rows["growth_margin"].append(
-            (sums + prods) / len(A.cells) ** p["growth_exponent"]
+            (sums + prods) / len(A) ** p["growth_exponent"]
         )
         rows["cs_ok"].append(1.0 if image >= bound else 0.0)
     fits = {"sum_exponent": fit_exponent(list(zip(scales, rows["sum_count"])))}
@@ -503,11 +503,11 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         pre1 = geomdecomp.preimage_cells(phi1, values, window, scale)
         pre2 = geomdecomp.preimage_cells(phi2, values, window, scale)
         X = pre1.intersection(pre2)
-        img1 = len(geomdecomp.map_image(phi1, X).cells)
-        img2 = len(geomdecomp.map_image(phi2, X).cells)
-        img3 = len(geomdecomp.map_image(phi3, X).cells)
-        rows["x_cells"].append(float(len(X.cells)))
-        rows["value_cells"].append(float(len(values.cells)))
+        img1 = len(geomdecomp.map_image(phi1, X))
+        img2 = len(geomdecomp.map_image(phi2, X))
+        img3 = len(geomdecomp.map_image(phi3, X))
+        rows["x_cells"].append(float(len(X)))
+        rows["value_cells"].append(float(len(values)))
         rows["phi1_image"].append(float(img1))
         rows["phi2_image"].append(float(img2))
         rows["phi3_image"].append(float(img3))
@@ -553,8 +553,8 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         g = half_dimensional_set(scale, offset).keys
         g = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
         X = GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
-        images = [len(geomdecomp.map_image(phi, X).cells) for phi in phis]
-        rows["x_cells"].append(float(len(X.cells)))
+        images = [len(geomdecomp.map_image(phi, X)) for phi in phis]
+        rows["x_cells"].append(float(len(X)))
         rows["eta_x"].append(gridset.nonconcentration_exponent_2d(X, alpha))
         for idx, img in enumerate(images):
             rows[f"pin{idx + 1}_image"].append(float(img))

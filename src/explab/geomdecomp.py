@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gridset import GridSet1D, GridSet2D, Scale, nonconcentration_exponent
-from .gridset import cell_keys, range_union, value_cells
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range
+from .gridset import GridSet1D, GridSet2D, Scale, format_gridset, nonconcentration_exponent
+from .gridset import cell_keys, parse_gridset, range_union, value_cells
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
 
@@ -169,15 +170,10 @@ class PolynomialMap(SmoothMap2):
         self._partials = {(0, 0): poly}
 
     def _poly_partial(self, ax: int, ay: int) -> Poly:
-        key = (ax, ay)
-        if key not in self._partials:
-            p = self.poly
-            if ax:
-                p = p.partial("x", ax)
-            if ay:
-                p = p.partial("y", ay)
-            self._partials[key] = p
-        return self._partials[key]
+        if (ax, ay) not in self._partials:
+            p = self.poly.partial("x", ax) if ax else self.poly
+            self._partials[ax, ay] = p.partial("y", ay) if ay else p
+        return self._partials[ax, ay]
 
     def value(self, x: float, y: float) -> float:
         return self.poly.evaluate_float({"x": x, "y": y})
@@ -337,7 +333,6 @@ class DyadicSquare:
         return Rect(self.i * side, (self.i + 1) * side, self.j * side, (self.j + 1) * side)
 
 
-@dataclass(frozen=True)
 class CubeDecomposition:
     """Interior-disjoint dyadic squares with optional per-cube band data.
 
@@ -345,27 +340,47 @@ class CubeDecomposition:
     tracked function f (empty tuple when no functions are tracked).
     flagged marks cubes emitted without their geometric certificate.
     leftover holds the uncovered delta-cells.
+
+    The band values are stored once: band_ends holds their integer
+    numerators and positive denominators (object arrays, flat in cube
+    order) and band_counts the number of each cube; bands makes them
+    Fractions when read.
     """
 
-    cubes: Tuple[DyadicSquare, ...]
-    bands: Tuple[Tuple[Fraction, ...], ...]
-    flagged: frozenset
-    leftover: GridSet2D
-    a_leftover_fraction: Optional[float] = None
+    def __init__(self, cubes, bands, flagged, leftover, a_leftover_fraction=None):
+        values = [Fraction(v) for row in bands for v in row]
+        self.cubes, self.flagged, self.leftover = tuple(cubes), flagged, leftover
+        self.a_leftover_fraction = a_leftover_fraction
+        self.band_counts = tuple(map(len, bands))
+        self.band_ends = (
+            np.array([v.numerator for v in values], dtype=object),
+            np.array([v.denominator for v in values], dtype=object),
+        )
+
+    @property
+    def bands(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        values = map(Fraction, *(end.tolist() for end in self.band_ends))
+        return tuple(tuple(islice(values, n)) for n in self.band_counts)
+
+    def __eq__(self, other):
+        fields = ("cubes", "bands", "flagged", "leftover", "a_leftover_fraction")
+        same = (getattr(self, f) == getattr(other, f) for f in fields)
+        return type(other) is type(self) and all(same)
 
 
 def format_cube_decomposition(decomp: CubeDecomposition) -> str:
+    g = np.gcd(*decomp.band_ends)
+    num, den = ((end // g).tolist() for end in decomp.band_ends)
+    values = iter([str(n) if d == 1 else f"{n}/{d}" for n, d in zip(num, den)])
     lines = []
-    for idx, cube in enumerate(decomp.cubes):
-        parts = [f"cube k={cube.depth} i={cube.i} j={cube.j}"]
-        for fidx, v in enumerate(decomp.bands[idx]):
-            parts.append(f"band j={fidx} v={v}")
+    for idx, (cube, count) in enumerate(zip(decomp.cubes, decomp.band_counts)):
+        line = f"cube k={cube.depth} i={cube.i} j={cube.j}"
+        for fidx in range(count):
+            line += f" band j={fidx} v={next(values)}"
         if idx in decomp.flagged:
-            parts.append("flagged")
-        lines.append(" ".join(parts))
+            line += " flagged"
+        lines.append(line)
     text = "\n".join(lines)
-    from .gridset import format_gridset
-
     return (text + "\n" if text else "") + format_gridset(decomp.leftover)
 
 
@@ -394,8 +409,6 @@ def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, Tuple[Fraction, .
 def parse_cube_decomposition(text: str) -> CubeDecomposition:
     """Inverse of format_cube_decomposition; malformed text raises
     ValueError naming the offending line."""
-    from .gridset import parse_gridset
-
     cube_lines = []
     grid_lines = []
     in_grid = False
@@ -450,14 +463,10 @@ class DyadicRegion:
         raise NotImplementedError
 
     def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
-        answers = [
-            self(DyadicSquare(depth, a, b))
-            for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist())
-        ]
-        return (
-            np.array([r is Region.INSIDE for r in answers], dtype=bool),
-            np.array([r is Region.OUTSIDE for r in answers], dtype=bool),
-        )
+        pairs = zip(np.asarray(i).tolist(), np.asarray(j).tolist())
+        answers = [self(DyadicSquare(depth, a, b)) for a, b in pairs]
+        wants = (Region.INSIDE, Region.OUTSIDE)
+        return tuple(np.array([r is want for r in answers], dtype=bool) for want in wants)
 
 
 class FullSquareRegion(DyadicRegion):
@@ -571,12 +580,9 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
         cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
         flags.append(~exits)
         inside, outside = ins[: i.size], outs[: i.size]
-    return CubeDecomposition(
-        tuple(cubes),
-        tuple(() for _ in cubes),
-        frozenset(np.flatnonzero(np.concatenate(flags)).tolist()),
-        GridSet2D._from_keys(Scale(k_max), leftover),
-    )
+    flagged = frozenset(np.flatnonzero(np.concatenate(flags)).tolist())
+    leftover = GridSet2D._from_keys(Scale(k_max), leftover)
+    return CubeDecomposition(cubes, [()] * len(cubes), flagged, leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +630,9 @@ def band_partition(
     k = scale.k
     threshold = Fraction(2.0 ** (-k * w))
 
-    accepted = []  # per depth: i, j and each function's (pinned ends, scale)
+    # Per depth, the accepted cubes and their pinned ends: integers over
+    # each function's scale, one row per function and one column per cube.
+    cubes, nums, dens = [], [], []
     left_i, left_j = [], []
     i = j = np.zeros(1, dtype=np.int64)
     for depth in range(k + 1):
@@ -644,7 +652,11 @@ def band_partition(
             keep = (alo >= floor_at) & (ahi // 4 < alo)
             pinned = pinned[keep]
             lows = [(v[keep], sc) for v, sc in lows] + [(alo[keep], f_scale)]
-        accepted.append((i[pinned], j[pinned], lows))
+        ci, cj = i[pinned], j[pinned]
+        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
+        shape = (len(fs), ci.size)
+        nums.append(np.array([v for v, _ in lows], dtype=object).reshape(shape))
+        dens.append(np.array([[sc] * ci.size for _, sc in lows], dtype=object).reshape(shape))
         if dead.any():  # a dead square's delta-cells all join the leftover
             span = 1 << (k - depth)
             li, lj = _blocks(i[dead], j[dead], span, np.arange(span))
@@ -658,27 +670,16 @@ def band_partition(
         else:
             i, j = _blocks(i[split], j[split], 2, _CHILDREN)
 
-    cubes = []
-    bands = []
-    for depth, (ci, cj, lows) in enumerate(accepted):
-        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
-        bands += [
-            tuple(Fraction(int(v[n]), f_scale) for v, f_scale in lows) for n in range(ci.size)
-        ]
     corners = [(c.i << (k - c.depth), c.j << (k - c.depth)) for c in cubes]
     order = np.argsort(_morton(*np.array(corners, dtype=np.int64).reshape(-1, 2).T, k))
-    leftover = GridSet2D._from_keys(
-        scale, np.sort(cell_keys(np.concatenate(left_i), np.concatenate(left_j)))
-    )
+    keys = np.sort(cell_keys(np.concatenate(left_i), np.concatenate(left_j)))
+    leftover = GridSet2D._from_keys(scale, keys)
     in_leftover = int(np.isin(A.keys, leftover.keys).sum())
-    fraction = in_leftover / len(A.cells) if A.cells else 0.0
-    return CubeDecomposition(
-        tuple(cubes[n] for n in order),
-        tuple(bands[n] for n in order),
-        frozenset(),
-        leftover,
-        fraction,
-    )
+    fraction = in_leftover / len(A) if len(A) else 0.0
+    decomp = CubeDecomposition([cubes[n] for n in order], (), frozenset(), leftover, fraction)
+    decomp.band_counts = (len(fs),) * len(cubes)
+    decomp.band_ends = tuple(np.concatenate(ends, axis=1).T[order].ravel() for ends in (nums, dens))
+    return decomp
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +773,8 @@ def select_level(
     if not (float(s) ** (kappa / 2) < t0 <= 0.5):
         raise ValueError("need s^(kappa/2) < t0 <= 1/2")
     n = math.ceil(float(s) ** (-kappa / 2))
-    if n == 1:
-        candidates = [Fraction(t0)]
-    else:
-        t0f = Fraction(t0)
-        candidates = [t0f + Fraction(i, n - 1) * t0f for i in range(n)]
+    t0f = Fraction(t0)
+    candidates = [t0f + Fraction(i, max(n - 1, 1)) * t0f for i in range(n)]
     counts = _level_covering(phi, A, s, candidates)
     best = counts.index(min(counts))
     return SelectedLevel(float(candidates[best]), counts[best])
@@ -807,8 +805,6 @@ def _chart_curvature(phi3: SmoothMap2, x: float, y: float) -> float:
     """Curvature in the chart phi1 = x, phi2 = y:
     2 * M / (P_x P_y)^2 with M the degeneracy numerator of P = phi3."""
     if isinstance(phi3, PolynomialMap):
-        from .polyexpr import mp_numerator
-
         pt = {"x": Fraction(x), "y": Fraction(y)}
         px = phi3.poly.partial("x").evaluate(pt)
         py = phi3.poly.partial("y").evaluate(pt)
@@ -873,11 +869,12 @@ def blaschke_curvature(
     'auto' picks 'chart' when applicable.
     """
     x, y = float(p[0]), float(p[1])
+    h = float(step)
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"step must be a nonzero finite number, got {step!r}")
     _check_gradients((phi1, phi2, phi3), x, y)
     if method == "auto":
-        method = (
-            "chart" if phi1.is_coordinate_x and phi2.is_coordinate_y else "newton"
-        )
+        method = "chart" if phi1.is_coordinate_x and phi2.is_coordinate_y else "newton"
     if method == "chart":
         if not (phi1.is_coordinate_x and phi2.is_coordinate_y):
             raise ValueError("chart method needs phi1 = x and phi2 = y")
@@ -885,9 +882,6 @@ def blaschke_curvature(
     if method != "newton":
         raise ValueError(f"unknown method {method!r}")
 
-    h = float(step)
-    if h == 0.0 or not math.isfinite(h):
-        raise ValueError(f"step must be a nonzero finite number, got {step!r}")
     u0 = phi1.value(x, y)
     v0 = phi2.value(x, y)
     corners = {}
@@ -930,54 +924,33 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
     product A x B keeps at least half of X.  The report records measured
     non-concentration exponents of the factors.
     """
-    if not X.cells:
+    if not len(X):
         raise ValueError("extract_product needs a nonempty set")
-    edges = set(X.cells)
-    cols = {i for i, _ in edges}
-    rows = {j for _, j in edges}
-    col_threshold = len(edges) / (4.0 * len(cols))
-    row_threshold = len(edges) / (4.0 * len(rows))
-
+    # Per side (columns, then rows): the distinct indices, each cell's
+    # position among them, the threshold and which indices survive.
+    sides = [np.unique(v, return_inverse=True) for v in X.indices()]
+    thresholds = [len(X) / (4.0 * values.size) for values, _ in sides]
+    alive = [np.ones(values.size, dtype=bool) for values, _ in sides]
+    live = np.ones(len(X), dtype=bool)  # the surviving cells of X
     rounds = 0
     while True:
-        col_deg: dict = {}
-        row_deg: dict = {}
-        for i, j in edges:
-            col_deg[i] = col_deg.get(i, 0) + 1
-            row_deg[j] = row_deg.get(j, 0) + 1
-        bad_cols = {i for i in cols if col_deg.get(i, 0) < col_threshold}
-        bad_rows = {j for j in rows if row_deg.get(j, 0) < row_threshold}
-        if not bad_cols and not bad_rows:
+        degrees = [np.bincount(of[live], minlength=a.size) for a, (_, of) in zip(alive, sides)]
+        bad = [a & (d < t) for a, d, t in zip(alive, degrees, thresholds)]
+        if not any(b.any() for b in bad):
             break
         rounds += 1
-        cols -= bad_cols
-        rows -= bad_rows
-        edges = {(i, j) for i, j in edges if i in cols and j in rows}
+        for a, b, (_, of) in zip(alive, bad, sides):
+            a &= ~b
+            live &= a[of]
 
-    scale = X.scale
-    A = GridSet1D.from_cells(scale, cols)
-    B = GridSet1D.from_cells(scale, rows)
-    k = scale.k
-    alpha_a = math.log2(max(1, len(A.cells))) / k
-    alpha_b = math.log2(max(1, len(B.cells))) / k
-    eta_a = (
-        nonconcentration_exponent(A, max(alpha_a, 1e-9), alpha_a).eta if A.cells else 0.0
-    )
-    eta_b = (
-        nonconcentration_exponent(B, max(alpha_b, 1e-9), alpha_b).eta if B.cells else 0.0
-    )
-    report = ExtractionReport(
-        x_count=len(X.cells),
-        intersection_count=len(edges),
-        ratio=len(edges) / len(X.cells),
-        rounds=rounds,
-        col_threshold=col_threshold,
-        row_threshold=row_threshold,
-        alpha_a=alpha_a,
-        alpha_b=alpha_b,
-        eta_a=eta_a,
-        eta_b=eta_b,
-    )
+    A, B = (GridSet1D._from_keys(X.scale, values[a]) for (values, _), a in zip(sides, alive))
+    alphas = [math.log2(max(1, len(G))) / X.scale.k for G in (A, B)]
+    etas = [
+        nonconcentration_exponent(G, max(a, 1e-9), a).eta if len(G) else 0.0
+        for G, a in zip((A, B), alphas)
+    ]
+    kept = int(np.count_nonzero(live))
+    report = ExtractionReport(len(X), kept, kept / len(X), rounds, *thresholds, *alphas, *etas)
     return A, B, report
 
 

@@ -5,14 +5,14 @@ in [0, 2^k)).  Cell membership is half-open [j*2^-k, (j+1)*2^-k); interval
 computations against cells use the closed cell, so every counting routine
 over-approximates deterministically.
 
-A grid set holds its cells twice: as the public cells tuple, which
-equality, hashing and the file format use, and as keys, a sorted,
-read-only int64 array (the cells in 1-D; i << 32 | j in 2-D, which sorts
-like the (i, j) tuples).  Kernels read and build the keys: the private
-constructor _from_keys checks a key array with numpy (strictly
-increasing, every index in [0, 2^k)) and keeps it, so the per-cell loop
-of the tuple constructor runs only for sets built from tuples, whose
-keys are made on first use.
+A grid set stores one form of its cells: keys, a sorted, read-only
+int64 array (the cells in 1-D; i << 32 | j in 2-D, which sorts like the
+(i, j) tuples).  Equality, hashing, the file format and the kernels read
+the keys; the cells tuple is derived from them, and only when read.
+The private constructor _from_keys checks a key array with numpy
+(strictly increasing, every index in [0, 2^k)) and keeps it; the public
+constructor checks a cells tuple the same way and falls back to a
+per-cell loop only to name a fault.
 
 Measurements: covering numbers at coarser scales, non-concentration
 exponents over the dyadic interval tree, image sets P(A, B) through sound
@@ -35,8 +35,9 @@ polyexpr.interval_range as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, isfinite, log2
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
@@ -90,24 +91,67 @@ def _checked_keys(keys: np.ndarray, limit: int, packed: bool) -> np.ndarray:
     return keys
 
 
-def _cache_keys(S, keys: np.ndarray) -> np.ndarray:
-    keys.flags.writeable = False
-    object.__setattr__(S, "_keys", keys)
-    return keys
+class _GridSet:
+    """A scale and keys, the sorted, read-only int64 array that is the
+    one stored form of the set; equality and hashing read both.
+
+    GridSet1D(scale, cells) and GridSet2D(scale, cells) check the cells
+    with numpy and, when that fails, with the subclass's per-cell loop,
+    which raises the message naming the fault.  The cells tuple is made
+    from the keys when something first reads it.
+    """
+
+    _width = 1  # indices per cell
+
+    def __init__(self, scale: Scale, cells):
+        packed = self._width == 2
+        try:
+            rows = np.array(cells)
+            if rows.size and rows.dtype.kind not in "iu":
+                raise ValueError("cells must be integers")
+            rows = rows.astype(np.int64).reshape(len(rows), self._width)
+            # Indices are range-checked before 2-D cells are packed into keys.
+            if rows.size and (rows.min() < 0 or rows.max() >= scale.cells):
+                raise ValueError("cell index out of range")
+            keys = _checked_keys(cell_keys(*rows.T) if packed else rows[:, 0], scale.cells, packed)
+        except (ValueError, TypeError, OverflowError):
+            self._check_cells(cells, scale.cells)
+            raise
+        vars(self).update(scale=scale, keys=keys)
+
+    @classmethod
+    def _from_keys(cls, scale: Scale, keys: np.ndarray):
+        """The set of the cells keyed by a sorted, unique int64 array,
+        which becomes its keys."""
+        S = object.__new__(cls)
+        vars(S).update(scale=scale, keys=_checked_keys(keys, scale.cells, cls._width == 2))
+        return S
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.scale == other.scale and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.keys.tobytes()))
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(scale={self.scale!r}, cells={self.cells!r})"
 
 
-@dataclass(frozen=True)
-class GridSet1D:
-    scale: Scale
-    cells: Tuple[int, ...]
-    _keys: Optional[np.ndarray] = field(default=None, kw_only=True, repr=False, compare=False)
+class GridSet1D(_GridSet):
+    """Cells of [0, 1) at a scale; keys are the cells."""
 
-    def __post_init__(self):
-        if self._keys is not None:  # built by _from_keys, which checked them
-            return
-        limit = self.scale.cells
+    @staticmethod
+    def _check_cells(cells, limit: int) -> None:
         prev = -1
-        for c in self.cells:
+        for c in cells:
             if not prev < c < limit:
                 raise ValueError("cells must be strictly increasing and in range")
             prev = c
@@ -116,36 +160,20 @@ class GridSet1D:
     def from_cells(cls, scale: Scale, cells: Iterable[int]) -> "GridSet1D":
         return cls(scale, tuple(sorted(set(int(c) for c in cells))))
 
-    @classmethod
-    def _from_keys(cls, scale: Scale, keys: np.ndarray) -> "GridSet1D":
-        """The set of the cells in a sorted, unique int64 array, which
-        becomes its keys."""
-        keys = _checked_keys(keys, scale.cells, packed=False)
-        return cls(scale, tuple(keys.tolist()), _keys=keys)
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The cells as a sorted, read-only int64 array."""
-        if self._keys is None:
-            return _cache_keys(self, np.array(self.cells, dtype=np.int64))
-        return self._keys
-
-    def __len__(self) -> int:
-        return len(self.cells)
+    @cached_property
+    def cells(self) -> Tuple[int, ...]:
+        return tuple(self.keys.tolist())
 
 
-@dataclass(frozen=True)
-class GridSet2D:
-    scale: Scale
-    cells: Tuple[Tuple[int, int], ...]
-    _keys: Optional[np.ndarray] = field(default=None, kw_only=True, repr=False, compare=False)
+class GridSet2D(_GridSet):
+    """Cells (i, j) of [0, 1)^2 at a scale; keys are i << 32 | j."""
 
-    def __post_init__(self):
-        if self._keys is not None:  # built by _from_keys, which checked them
-            return
-        limit = self.scale.cells
+    _width = 2
+
+    @staticmethod
+    def _check_cells(cells, limit: int) -> None:
         prev = None
-        for ij in self.cells:
+        for ij in cells:
             if prev is not None and not prev < ij:
                 raise ValueError("cells must be strictly increasing")
             i, j = ij
@@ -157,27 +185,13 @@ class GridSet2D:
     def from_cells(cls, scale: Scale, cells: Iterable[Tuple[int, int]]) -> "GridSet2D":
         return cls(scale, tuple(sorted(set((int(i), int(j)) for i, j in cells))))
 
-    @classmethod
-    def _from_keys(cls, scale: Scale, keys: np.ndarray) -> "GridSet2D":
-        """The set of the cells keyed i << 32 | j in a sorted, unique
-        int64 array, which becomes its keys."""
-        keys = _checked_keys(keys, scale.cells, packed=True)
-        return cls(scale, tuple(zip((keys >> 32).tolist(), (keys & _LOW).tolist())), _keys=keys)
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The cell keys i << 32 | j as a sorted, read-only int64 array."""
-        if self._keys is None:
-            ij = np.array(self.cells, dtype=np.int64).reshape(-1, 2)
-            return _cache_keys(self, cell_keys(ij[:, 0], ij[:, 1]))
-        return self._keys
+    @cached_property
+    def cells(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(zip(*(a.tolist() for a in self.indices())))
 
     def indices(self) -> Tuple[np.ndarray, np.ndarray]:
         """The int64 arrays i and j of the cells, in order."""
         return self.keys >> 32, self.keys & _LOW
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
     def intersection(self, other: "GridSet2D") -> "GridSet2D":
         if other.scale != self.scale:
@@ -197,17 +211,45 @@ GridSet = Union[GridSet1D, GridSet2D]
 def format_gridset(S: GridSet) -> str:
     """Text serialization: header line, then one cell per line, ascending."""
     if isinstance(S, GridSet1D):
-        lines = [f"gridset1d k={S.scale.k}"]
-        lines += [str(c) for c in S.cells]
+        lines = [f"gridset1d k={S.scale.k}", *map(str, S.keys.tolist())]
     else:
-        lines = [f"gridset2d k={S.scale.k}"]
-        lines += [f"{i} {j}" for i, j in S.cells]
+        i, j = S.indices()
+        lines = [f"gridset2d k={S.scale.k}", *map("{} {}".format, i.tolist(), j.tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _line_widths(text: str) -> np.ndarray:
+    """The token counts of the nonblank lines of an ASCII text, as
+    str.splitlines and str.split give them: tokens are split at \\t-\\r,
+    \\x1c-\\x1f and space, lines at \\n-\\r and \\x1c-\\x1e."""
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = (b == 32) | (b - 9 <= 4) | (b - 28 <= 3)  # uint8 wraps below the range
+    starts = ~space & np.concatenate(([True], space[:-1]))
+    lines = np.append(0, np.flatnonzero((b - 10 <= 3) | (b - 28 <= 2)) + 1)  # where each begins
+    counts = np.add.reduceat(np.append(starts, False), lines, dtype=np.int64)
+    return counts[counts > 0]
 
 
 def parse_gridset(text: str) -> GridSet:
     """Inverse of format_gridset; malformed text raises ValueError naming
-    the offending line."""
+    the offending line.
+
+    When the text is ASCII and every nonblank line after a well-formed
+    header holds one token (two in 2-D), numpy converts all tokens at
+    once (with int(), as the line loop does) and checks the cells.  Any
+    failure there reruns the line loop, which alone finds the line or the
+    cell to blame.
+    """
+    try:
+        widths = _line_widths(text)
+        tokens = text.split()
+        cls, k = {"gridset1d": GridSet1D, "gridset2d": GridSet2D}[tokens[0]], tokens[1]
+        lines_fit = widths[0] == 2 and (widths[1:] == cls._width).all()
+        if lines_fit and k[:2] == "k=" and k[2:].isdigit():
+            cells = np.array(tokens[2:], dtype=np.int64).reshape(-1, cls._width)
+            return cls(Scale(int(k[2:])), cells)
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError):
+        pass
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty gridset text")
@@ -256,8 +298,9 @@ def covering_number(S: GridSet, k_prime: int) -> int:
         raise ValueError("k_prime out of range: need 1 <= k_prime <= k")
     shift = k - k_prime
     if isinstance(S, GridSet1D):
-        return len({c >> shift for c in S.cells})
-    return len({(i >> shift, j >> shift) for i, j in S.cells})
+        return np.unique(S.keys >> shift).size
+    i, j = S.indices()
+    return np.unique(cell_keys(i >> shift, j >> shift)).size
 
 
 @dataclass(frozen=True)
@@ -309,23 +352,21 @@ def _tree_scan(
     return best, worst
 
 
-def nonconcentration_exponent(
-    S: GridSet1D, kappa: float, alpha: float
-) -> NonconcentrationResult:
-    if not isinstance(S, GridSet1D) or not S.cells:
+def nonconcentration_exponent(S: GridSet1D, kappa: float, alpha: float) -> NonconcentrationResult:
+    if not isinstance(S, GridSet1D) or not len(S):
         raise ValueError("nonconcentration_exponent needs a nonempty 1D grid set")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
     if not isfinite(alpha):
         raise ValueError("alpha must be finite")
-    best, worst = _tree_scan(S.cells, S.scale.k, kappa, alpha)
+    best, worst = _tree_scan(S.keys.tolist(), S.scale.k, kappa, alpha)
     return NonconcentrationResult(max(0.0, best), best < 0, best, worst)
 
 
 def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
     """Least eta >= 0 with E(X cap B) <= r^alpha * delta^-(2 alpha + eta)
     over all dyadic squares B of side r."""
-    if not X.cells:
+    if not len(X):
         raise ValueError("empty set")
     if not isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -348,13 +389,9 @@ def gen_ap(alpha: float, eta: float, scale: Scale) -> GridSet1D:
     if count < 1:
         raise ValueError("delta^-alpha must be at least 1")
     spacing = max(1, ceil(2.0 ** (k * (1 - alpha - eta)) - 1e-9))
-    cells = []
-    for j in range(count):
-        idx = j * spacing
-        if idx >= scale.cells:
-            break
-        cells.append(idx)
-    return GridSet1D(scale, tuple(cells))
+    # The multiples of spacing below 2^k, at most count of them.
+    cells = np.arange(min(count, -(-scale.cells // spacing)), dtype=np.int64) * spacing
+    return GridSet1D._from_keys(scale, cells)
 
 
 def gen_cantor(branch_pattern: Iterable[int], base: int, depth: int) -> GridSet1D:
@@ -373,10 +410,11 @@ def gen_cantor(branch_pattern: Iterable[int], base: int, depth: int) -> GridSet1
     k = depth * bits
     if not 1 <= k <= MAX_SCALE:
         raise ValueError("depth * log2(base) must land in [1, 30]")
-    cells = [0]
+    # Digits sorted below base keep each level's cells in order.
+    cells = np.zeros(1, dtype=np.int64)
     for _ in range(depth):
-        cells = [c * base + p for c in cells for p in pattern]
-    return GridSet1D(Scale(k), tuple(sorted(cells)))
+        cells = (cells[:, None] * base + np.array(pattern, dtype=np.int64)).ravel()
+    return GridSet1D._from_keys(Scale(k), cells)
 
 
 def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
@@ -394,8 +432,7 @@ def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
 def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
     if k_new > S.scale.k:
         raise ValueError("coarsen target must not exceed the current scale")
-    shift = S.scale.k - k_new
-    return GridSet1D.from_cells(Scale(k_new), (c >> shift for c in S.cells))
+    return GridSet1D._from_keys(Scale(k_new), np.unique(S.keys >> (S.scale.k - k_new)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +624,7 @@ def product_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
 # ---------------------------------------------------------------------------
 
 
-def energy_count(
-    P: Poly,
-    A: GridSet1D,
-    B: GridSet1D,
-    hf_min: Optional[float] = None,
-) -> int:
+def energy_count(P: Poly, A: GridSet1D, B: GridSet1D, hf_min: Optional[float] = None) -> int:
     """ProductBounds(P, A, B).energy(hf_min)."""
     return ProductBounds(P, A, B).energy(hf_min)
 
@@ -670,15 +702,9 @@ def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     return ExponentFit(float(slope), float(intercept), residual, stored)
 
 
-def box_dim_fit(
-    family: Callable[[int], GridSet1D], k_range: Sequence[int]
-) -> ExponentFit:
+def box_dim_fit(family: Callable[[int], GridSet1D], k_range: Sequence[int]) -> ExponentFit:
     """Box-dimension estimate: slope of log2 cell count across scales."""
     ks = list(k_range)
     if len(ks) < 3:
         raise ValueError("need at least 3 scales")
-    points = []
-    for k in ks:
-        S = family(k)
-        points.append((S.scale.k, len(S.cells)))
-    return fit_exponent(points)
+    return fit_exponent([(S.scale.k, len(S)) for S in map(family, ks)])

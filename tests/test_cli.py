@@ -14,7 +14,7 @@ from explab import cli, gridset
 from explab.cli import main
 from explab.geomdecomp import PinnedDistance, blaschke_curvature
 from explab.gridset import Scale, gen_ap
-from explab.polyexpr import classify_special_form, parse_poly
+from explab.polyexpr import classify_special_form, mp_numerator, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -578,3 +578,66 @@ def test_entry_point_exit_codes(argv, code, stream, text):
     result = run_entry_point(*argv)
     assert result.returncode == code
     assert text in getattr(result, stream)
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+def test_curvature_bad_step_is_domain_error_on_the_chart_path(capsys, step):
+    # The auto method takes the exact chart here, which never reads the
+    # step; a bad step printed -1.77778 and exited 0.
+    argv = CURVATURE + ["--phi3", "poly:x^2+x*y", "--point", "0.5,0.5", "--method", "auto"]
+    code, out, err = run_cli(capsys, *argv, f"--step={step}")
+    assert code == 1 and out == ""
+    assert err == f"explab: step must be a nonzero finite number, got {float(step)!r}\n"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == "-1.77778\n"
+
+
+def test_bands_builds_only_the_named_functions(capsys, monkeypatch):
+    calls = []
+
+    def spy(P):
+        calls.append(P)
+        return mp_numerator(P)
+
+    monkeypatch.setattr(cli, "mp_numerator", spy)
+    code, _, _ = run_cli(capsys, "bands", "--poly", "x^3 + x*y^2", "--k", "4", "--funcs", "px,py,pxy")
+    assert code == 0 and calls == []
+    code, _, err = run_cli(capsys, "bands", "--poly", "x + y", "--k", "4", "--funcs", "px,q,mp")
+    assert code == 1 and err == "explab: unknown band function 'q'; use px,py,pxy,mp\n"
+    assert calls == []
+    code, out, _ = run_cli(capsys, "bands", "--poly", "x^3 + x*y^2", "--k", "4", "--funcs", "mp,px")
+    assert code == 0 and len(calls) == 1 and "band j=1" in out
+
+
+# ---------------------------------------------------------------------------
+# measurement paths never build the cells tuple
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forbid_cells_tuples(monkeypatch):
+    """Grid sets whose derived cells tuple cannot be built: reading it fails."""
+
+    def forbidden(self):
+        raise AssertionError("a measurement path built the cells tuple")
+
+    for cls in (gridset.GridSet1D, gridset.GridSet2D):
+        monkeypatch.setattr(cls, "cells", property(forbidden))
+
+
+def test_requests_build_no_cells_tuple(tmp_path, capsys, forbid_cells_tuples):
+    path = tmp_path / "x.grid"
+    path.write_text("gridset2d k=5\n" + "".join(f"{i} {j}\n" for i in range(32) for j in range(0, 32, 1 + i % 3)))
+    for argv in (
+        ["extract", "--set-file", str(path)],
+        ["bands", "--poly", "x^2*y + x*y^3 + x", "--k", "5", "--sample-stride", "4"],
+        ["whitney", "--region", "poly-pos:x^2 + y^2 - 3/8", "--kmax", "6"],
+        ["nonconc", "--k", "12"],
+        ["nonconc", "--gen", "cantor", "--k", "12"],
+        ["scenario", "--name", "special_form_collapse"],
+        ["scenario", "--name", "three_projection"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    with pytest.raises(AssertionError, match="cells tuple"):
+        gen_ap(0.5, 0.0, Scale(8)).cells

@@ -15,6 +15,7 @@ from explab.geomdecomp import (
     CubeDecomposition,
     DegenerateGradientsError,
     DyadicSquare,
+    ExtractionReport,
     FullSquareRegion,
     LinearProjection,
     PinnedDistance,
@@ -37,7 +38,7 @@ from explab.geomdecomp import (
     whitney_decompose,
     zero_nbhd_covering,
 )
-from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap
+from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
 from explab.polyexpr import VARS2, Poly, Rect, mp_numerator, parse_poly
 
 P_QUAD = parse_poly("x^2 + x*y + y^2")
@@ -1199,3 +1200,136 @@ def test_select_level_rejects_s_outside_delta_one(s):
     # NotImplementedError instead.
     with pytest.raises(ValueError, match=r"s must lie in \[delta, 1\]"):
         select_level(SmoothMap2(), A, s, 0.26, kappa=0.5)
+
+
+# ---------------------------------------------------------------------------
+# product extraction against the dict-based pruning it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionReport]:
+    """Verbatim copy of the set and dict popularity pruning that the
+    bincount rounds of extract_product replaced (only the name differs)."""
+    if not X.cells:
+        raise ValueError("extract_product needs a nonempty set")
+    edges = set(X.cells)
+    cols = {i for i, _ in edges}
+    rows = {j for _, j in edges}
+    col_threshold = len(edges) / (4.0 * len(cols))
+    row_threshold = len(edges) / (4.0 * len(rows))
+
+    rounds = 0
+    while True:
+        col_deg: dict = {}
+        row_deg: dict = {}
+        for i, j in edges:
+            col_deg[i] = col_deg.get(i, 0) + 1
+            row_deg[j] = row_deg.get(j, 0) + 1
+        bad_cols = {i for i in cols if col_deg.get(i, 0) < col_threshold}
+        bad_rows = {j for j in rows if row_deg.get(j, 0) < row_threshold}
+        if not bad_cols and not bad_rows:
+            break
+        rounds += 1
+        cols -= bad_cols
+        rows -= bad_rows
+        edges = {(i, j) for i, j in edges if i in cols and j in rows}
+
+    scale = X.scale
+    A = GridSet1D.from_cells(scale, cols)
+    B = GridSet1D.from_cells(scale, rows)
+    k = scale.k
+    alpha_a = math.log2(max(1, len(A.cells))) / k
+    alpha_b = math.log2(max(1, len(B.cells))) / k
+    eta_a = (
+        nonconcentration_exponent(A, max(alpha_a, 1e-9), alpha_a).eta if A.cells else 0.0
+    )
+    eta_b = (
+        nonconcentration_exponent(B, max(alpha_b, 1e-9), alpha_b).eta if B.cells else 0.0
+    )
+    report = ExtractionReport(
+        x_count=len(X.cells),
+        intersection_count=len(edges),
+        ratio=len(edges) / len(X.cells),
+        rounds=rounds,
+        col_threshold=col_threshold,
+        row_threshold=row_threshold,
+        alpha_a=alpha_a,
+        alpha_b=alpha_b,
+        eta_a=eta_a,
+        eta_b=eta_b,
+    )
+    return A, B, report
+
+
+@st.composite
+def extraction_inputs(draw):
+    k = draw(st.integers(1, 7))
+    n = 2**k
+    # A dense block plus scattered noise prunes over several rounds.
+    block, density, rng = draw(st.integers(0, n)), draw(st.integers(1, 4)), draw(st.randoms())
+    cells = {(i, j) for i in range(block) for j in range(block) if rng.randrange(density) == 0}
+    cells |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
+    if not cells:
+        cells = {(0, 0)}
+    return GridSet2D.from_cells(Scale(k), cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extraction_inputs())
+def test_extract_product_equals_dict_reference(X):
+    A, B, report = extract_product(X)
+    want_a, want_b, want = reference_extract_product(X)
+    assert (A, B) == (want_a, want_b)
+    assert report == want  # every field, rounds and thresholds included
+
+
+def test_extract_product_reference_sees_several_rounds():
+    rng = random.Random(5)
+    cells = {(i, j) for i in range(16) for j in range(16)}
+    cells |= {(rng.randrange(64), rng.randrange(64)) for _ in range(300)}
+    X = GridSet2D.from_cells(Scale(6), cells)
+    _, _, report = extract_product(X)
+    assert report == reference_extract_product(X)[2] and report.rounds >= 2
+
+
+# ---------------------------------------------------------------------------
+# cube decompositions through their text form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: band_partition([PolynomialMap(parse_poly(e)) for e in ("x", "y")], 0.4, Scale(5), full_grid_2d(5)),
+        lambda: band_partition(
+            [PolynomialMap(mp_numerator(parse_poly("x^2*y + x*y^3 + x")))], 0.2, Scale(5), full_grid_2d(5)
+        ),
+        lambda: band_partition([PolynomialMap(parse_poly("3*x + 1"))], 0.2, Scale(4), full_grid_2d(4)),
+        lambda: band_partition([], 0.2, Scale(3), full_grid_2d(3)),
+        lambda: whitney_decompose(PolynomialSignRegion(parse_poly("x^2 + y^2 - 3/8")), 6),
+        lambda: whitney_decompose(PuncturedSquareRegion(), 5),
+    ],
+)
+def test_cube_decomposition_text_round_trips(make):
+    decomp = make()
+    text = format_cube_decomposition(decomp)
+    parsed = parse_cube_decomposition(text)
+    assert parsed.cubes == decomp.cubes and parsed.bands == decomp.bands
+    assert parsed.flagged == decomp.flagged and parsed.leftover == decomp.leftover
+    assert format_cube_decomposition(parsed) == text
+    # Every value prints in lowest terms, as str(Fraction) does.
+    values = [t[2:] for line in text.splitlines() for t in line.split() if t.startswith("v=")]
+    assert values == [str(v) for row in decomp.bands for v in row]
+
+
+def test_hand_built_cube_decomposition_keeps_its_bands():
+    cubes = (DyadicSquare(1, 0, 0), DyadicSquare(1, 1, 0))
+    bands = ((Fraction(1, 4), Fraction(6, 4)), (Fraction(-3, 2**70), 2))
+    decomp = CubeDecomposition(cubes, bands, frozenset({1}), GridSet2D(Scale(1), ((0, 1),)))
+    assert decomp.bands == bands and decomp.band_counts == (2, 2)
+    text = format_cube_decomposition(decomp)
+    assert text.splitlines()[:2] == [
+        "cube k=1 i=0 j=0 band j=0 v=1/4 band j=1 v=3/2",
+        f"cube k=1 i=1 j=0 band j=0 v=-3/{2**70} band j=1 v=2 flagged",
+    ]
+    assert parse_cube_decomposition(text) == decomp

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import explab.gridset as gridset_module
 from explab.gridset import (
     GridSet1D,
     GridSet2D,
@@ -927,3 +928,148 @@ def test_value_cells_equal_fraction_floor(values, as_int64, offset, width, k):
     cells = value_cells(v, offset, width, k)
     assert cells.dtype == np.int64
     assert cells.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the file format's array path against the line loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gridsets(draw):
+    k = draw(st.integers(1, 30))
+    cell = st.integers(0, 2**k - 1)
+    if draw(st.booleans()):
+        return GridSet1D.from_cells(Scale(k), draw(st.lists(cell, max_size=40)))
+    return GridSet2D.from_cells(Scale(k), draw(st.lists(st.tuples(cell, cell), max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gridsets())
+def test_gridset_text_round_trip(S):
+    text = format_gridset(S)
+    back = parse_gridset(text)
+    assert type(back) is type(S) and back == S and hash(back) == hash(S)
+    assert back.cells == S.cells and format_gridset(back) == text
+
+
+def test_empty_gridsets_round_trip():
+    for S in (GridSet1D(Scale(5), ()), GridSet2D(Scale(5), ())):
+        assert parse_gridset(format_gridset(S)) == S and len(S) == 0 and S.cells == ()
+
+
+def parse_by_lines(text):
+    """parse_gridset with the array path switched off, so every text goes
+    through the line loop; its result or its error message."""
+    def switched_off(text):
+        raise ValueError("array path switched off")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gridset_module, "_line_widths", switched_off)
+        return parse_or_message(text)
+
+
+def parse_or_message(text):
+    try:
+        return parse_gridset(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+# Whitespace str.split and str.splitlines treat specially, and tokens the
+# array path must convert or refuse as int() does.
+SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
+BREAKS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\x0b", "\x1c", "\x85", " "]
+ODD_TOKENS = ["+3", "1_0", "07", "-0", "-1", "٣", "x", "1.5", "99999999999999999999", "16", "0x1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["gridset1d", "gridset2d"]),
+    st.integers(1, 5),
+    st.lists(st.lists(st.one_of(st.integers(0, 40).map(str), st.sampled_from(ODD_TOKENS)), max_size=3), max_size=8),
+    st.data(),
+)
+def test_array_parse_equals_line_loop(kind, k, rows, data):
+    parts = [data.draw(st.sampled_from(["", "\n", " \n"])), kind, data.draw(st.sampled_from(SPACES)), f"k={k}"]
+    for row in rows:
+        parts.append(data.draw(st.sampled_from(BREAKS)))
+        for token in row:
+            parts += [token, data.draw(st.sampled_from(SPACES))]
+    text = "".join(parts) + data.draw(st.sampled_from(["", "\n", "\t"]))
+    assert parse_or_message(text) == parse_by_lines(text)
+
+
+def test_array_parse_takes_well_formed_messy_text():
+    text = "\n  gridset2d\tk=4 \r\n\n 3\t 1\n\x0b3  2 \n\x1c5 0\n"
+    # Every nonblank line holds the header's or a cell's tokens, so the
+    # array path converts it.
+    assert gridset_module._line_widths(text).tolist() == [2, 2, 2, 2]
+    want = GridSet2D(Scale(4), ((3, 1), (3, 2), (5, 0)))
+    assert parse_gridset(text) == want == parse_by_lines(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty gridset text"),
+        (" \n\t\n", "empty gridset text"),
+        ("gridset3d k=5\n1\n", "bad gridset kind 'gridset3d'"),
+        ("gridset1d\n1\n", "bad gridset header 'gridset1d'"),
+        ("gridset1d k=3 x\n1\n", "bad gridset header 'gridset1d k=3 x'"),
+        ("gridset1d k=0\n", "scale k must satisfy 1 <= k <= 30"),
+        ("gridset1d k=3\n1\nx\n", "bad gridset1d line 'x': want one integer"),
+        ("gridset1d k=3\n 1 2 \n", "bad gridset1d line '1 2': want one integer"),
+        ("gridset2d k=3\n1\n", "bad gridset2d line '1': want two integers i j"),
+        ("gridset2d k=3\n0 1\n1 2 3\n", "bad gridset2d line '1 2 3': want two integers i j"),
+        ("gridset2d k=3\n1 1.5\n", "bad gridset2d line '1 1.5': want two integers i j"),
+        # out of range
+        ("gridset1d k=3\n1\n8\n", "cells must be strictly increasing and in range"),
+        ("gridset1d k=3\n-1\n", "cells must be strictly increasing and in range"),
+        ("gridset1d k=3\n99999999999999999999\n", "cells must be strictly increasing and in range"),
+        ("gridset2d k=3\n0 8\n", "cell index out of range"),
+        ("gridset2d k=3\n0 -1\n", "cell index out of range"),
+        ("gridset2d k=3\n0 4294967296\n", "cell index out of range"),
+        ("gridset2d k=3\n99999999999999999999 0\n", "cell index out of range"),
+        # not increasing
+        ("gridset1d k=3\n2\n1\n", "cells must be strictly increasing and in range"),
+        ("gridset1d k=3\n2\n2\n", "cells must be strictly increasing and in range"),
+        ("gridset2d k=3\n1 2\n1 2\n", "cells must be strictly increasing"),
+        ("gridset2d k=3\n1 2\n0 9\n", "cells must be strictly increasing"),
+        ("gridset2d k=3\n0 9\n1 2\n", "cell index out of range"),
+    ],
+)
+def test_gridset_text_errors_keep_their_messages(text, message):
+    assert parse_or_message(text) == f"ValueError: {message}" == parse_by_lines(text)
+
+
+@pytest.mark.parametrize(
+    "cls, cells, message",
+    [
+        (GridSet1D, (3, 1), "cells must be strictly increasing and in range"),
+        (GridSet1D, (1, 16), "cells must be strictly increasing and in range"),
+        (GridSet1D, (-1,), "cells must be strictly increasing and in range"),
+        (GridSet1D, (2**70,), "cells must be strictly increasing and in range"),
+        (GridSet2D, ((1, 2), (1, 2)), "cells must be strictly increasing"),
+        (GridSet2D, ((1, 2), (1, 16)), "cell index out of range"),
+        (GridSet2D, ((0, 2**32),), "cell index out of range"),
+        (GridSet2D, ((0, -1),), "cell index out of range"),
+        (GridSet2D, ((1, 2, 3),), "too many values to unpack (expected 2)"),
+        # Accepted by the per-cell loop alone, but not integers.
+        (GridSet1D, (1.5,), "cells must be integers"),
+        (GridSet2D, ((1, 0.0),), "cells must be integers"),
+    ],
+)
+def test_gridset_constructor_errors_keep_their_messages(cls, cells, message):
+    with pytest.raises(ValueError) as exc:
+        cls(Scale(4), cells)
+    assert str(exc.value) == message
+
+
+def test_gridsets_are_frozen_and_compare_by_scale_and_keys():
+    S = GridSet1D(Scale(4), (1, 5))
+    with pytest.raises(AttributeError):
+        S.keys = np.array([1], dtype=np.int64)
+    assert S == GridSet1D(Scale(4), [1, 5]) != GridSet1D(Scale(5), (1, 5))
+    assert S != GridSet2D(Scale(4), ()) and GridSet1D(Scale(4), ()) != GridSet2D(Scale(4), ())
+    assert len({S, GridSet1D.from_cells(Scale(4), [5, 1, 5])}) == 1
+    assert repr(GridSet2D(Scale(3), ((0, 1),))) == "GridSet2D(scale=Scale(k=3), cells=((0, 1),))"
