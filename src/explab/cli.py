@@ -178,11 +178,8 @@ def _cmd_classify(args):
 
 def _cmd_mp(args):
     mp = mp_numerator(parse_poly(args.poly))
-    _emit(
-        {"command": "mp", "poly": args.poly, "mp": str(mp), "degree": mp.degree()},
-        [str(mp)],
-        args,
-    )
+    text = str(mp)
+    _emit({"command": "mp", "poly": args.poly, "mp": text, "degree": mp.degree()}, [text], args)
 
 
 def _cmd_hf(args):
@@ -192,11 +189,8 @@ def _cmd_hf(args):
     else:
         hf = hf_poly(parse_poly(args.poly))
         source = args.poly
-    _emit(
-        {"command": "hf", "input": source, "hf": str(hf), "degree": hf.degree()},
-        [str(hf)],
-        args,
-    )
+    text = str(hf)
+    _emit({"command": "hf", "input": source, "hf": text, "degree": hf.degree()}, [text], args)
 
 
 def _cmd_curvature(args):

@@ -688,9 +688,10 @@ class ExponentFit:
 def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     if len(points) < 3:
         raise ValueError("need at least 3 scales for an exponent fit")
-    ks = np.array([float(k) for k, _ in points])
-    if np.allclose(ks, ks[0]):
+    ks = [float(k) for k, _ in points]
+    if all(abs(k - ks[0]) <= 1e-08 + 1e-05 * abs(ks[0]) for k in ks):
         raise ValueError("degenerate fit: all scales equal")
+    ks = np.array(ks)
     values = np.array([float(v) for _, v in points])
     if np.any(values <= 0):
         raise ValueError("values must be positive")

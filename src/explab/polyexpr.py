@@ -18,13 +18,14 @@ which equals (P_x P_y)^2 * d^2/dxdy log(P_x/P_y) wherever the latter is
 defined.  A bivariate polynomial with P_x, P_y, P_xy not identically zero
 is locally of the shape h(a(x) + b(y)) exactly when M_P is the zero
 polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
+M_P and H_F run on integer numerators, one Fraction per output term.
 
 The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
 rational endpoints), which the grid measurements build on: interval_range
-on one box in Fractions, and box_bounds, the same enclosure of a
-bivariate polynomial on whole arrays of rectangles in exact integers, of
-which unit_square_range takes the unit square.
+on one box in Fractions, box_bounds, the same enclosure of a bivariate
+polynomial on whole arrays of rectangles in exact integers, and
+unit_square_range, its closed form on the unit square.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class Poly:
     derivatives, whose results are canonical already, use _from_terms.
     """
 
-    __slots__ = ("variables", "terms", "_float_terms", "_unit_range")
+    __slots__ = ("variables", "terms", "_float_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Coefficient]):
         self.variables = tuple(variables)
@@ -78,7 +79,6 @@ class Poly:
             clean[exps] = coeff
         self.terms = clean
         self._float_terms = None
-        self._unit_range = None
 
     @classmethod
     def _from_terms(cls, variables: Tuple[str, ...], terms: dict) -> "Poly":
@@ -88,7 +88,6 @@ class Poly:
         poly.variables = variables
         poly.terms = terms
         poly._float_terms = None
-        poly._unit_range = None
         return poly
 
     # -- constructors -------------------------------------------------
@@ -128,9 +127,6 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
@@ -153,29 +149,16 @@ class Poly:
         return Poly._from_terms(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return Poly._from_terms(self.variables, _subtract(self.terms, self._coerce(other).terms))
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.variables)
-        # Clear denominators so the convolution runs in plain integers;
-        # one exact division per output term restores the rationals.
-        den_a = math.lcm(*(c.denominator for c in self.terms.values()))
-        den_b = math.lcm(*(c.denominator for c in other.terms.values()))
-        ints_a = [(e, c.numerator * (den_a // c.denominator)) for e, c in self.terms.items()]
-        ints_b = [(e, c.numerator * (den_b // c.denominator)) for e, c in other.terms.items()]
-        out: dict = {}
-        get = out.get
-        for e1, c1 in ints_a:
-            for e2, c2 in ints_b:
-                key = tuple(map(operator.add, e1, e2))
-                out[key] = get(key, 0) + c1 * c2
+        den_a, a = _numerators(self)
+        den_b, b = _numerators(self._coerce(other))
         scale = den_a * den_b
-        return Poly._from_terms(self.variables, {e: Fraction(c, scale) for e, c in out.items() if c})
+        return Poly._from_terms(self.variables, {e: Fraction(c, scale) for e, c in _convolve(a, b).items()})
 
     __rmul__ = __mul__
 
@@ -202,14 +185,7 @@ class Poly:
         idx = self.variables.index(variable)
         terms = self.terms
         for _ in range(order):
-            nxt: dict = {}
-            for exps, coeff in terms.items():
-                e = exps[idx]
-                if e == 0:
-                    continue
-                # Distinct terms keep distinct exponents: no sums, no zeros.
-                nxt[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
-            terms = nxt
+            terms = _derive(terms, idx)
         return Poly._from_terms(self.variables, terms)
 
     # -- evaluation ---------------------------------------------------
@@ -245,10 +221,8 @@ class Poly:
         """Canonical form: graded-lex term order, rationals as a/b."""
         if not self.terms:
             return "0"
-        ordered = sorted(
-            self.terms.items(),
-            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
-        )
+        # Exponent tuples are distinct, so the reversed sort has no ties.
+        ordered = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
         pieces = []
         for exps, coeff in ordered:
             mono = "*".join(
@@ -256,22 +230,62 @@ class Poly:
                 for v, e in zip(self.variables, exps)
                 if e
             )
-            mag = abs(coeff)
+            n, d = coeff.numerator, coeff.denominator
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            pieces.append(("- " if n < 0 else "+ ") + body)
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Poly({self.variables!r}, {str(self)!r})"
+
+
+# Term maps {exponents: coefficient}: Fractions in Poly's sums and partials,
+# integer numerators over an implied common denominator in products, M_P and
+# H_F, where one exact division per output term restores the rationals.  Each
+# helper drops zero terms and keeps its Poly method's loop order and term order.
+
+
+def _numerators(P: Poly) -> Tuple[int, dict]:
+    """The lcm of P's coefficient denominators, and P's numerators over it."""
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in P.terms.items()}
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The product of two term maps."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _subtract(a: dict, b: dict) -> dict:
+    """a - b on term maps."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        out[e] = get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _derive(a: dict, idx: int) -> dict:
+    """d/d(variable idx); distinct terms keep distinct exponents, so no zeros."""
+    out = {}
+    for exps, coeff in a.items():
+        e = exps[idx]
+        if e:
+            out[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +478,24 @@ def mp_numerator(P: Poly) -> Poly:
     M_P = (P_y)^2 (P_x P_xxy - P_xx P_xy) - (P_x)^2 (P_y P_xyy - P_xy P_yy).
     It vanishes identically iff the mixed-log expression
     d^2/dxdy log(P_x/P_y) does, which is the special-form criterion.
+    Every derivative shares P's denominator den, so the formula runs on
+    integer numerators and each term of M_P is one numerator over den^4.
     """
     if P.variables != VARS2:
         raise ValueError("mp_numerator takes a bivariate polynomial")
-    px = P.partial("x")
-    py = P.partial("y")
-    pxx = px.partial("x")
-    pxy = px.partial("y")
-    pyy = py.partial("y")
-    pxxy = pxx.partial("y")
-    pxyy = pxy.partial("y")
-    return py * py * (px * pxxy - pxx * pxy) - px * px * (py * pxyy - pxy * pyy)
+    den, p = _numerators(P)
+    px = _derive(p, 0)
+    py = _derive(p, 1)
+    pxx = _derive(px, 0)
+    pxy = _derive(px, 1)
+    pyy = _derive(py, 1)
+    pxxy = _derive(pxx, 1)
+    pxyy = _derive(pxy, 1)
+    mp = _subtract(
+        _convolve(_convolve(py, py), _subtract(_convolve(px, pxxy), _convolve(pxx, pxy))),
+        _convolve(_convolve(px, px), _subtract(_convolve(py, pxyy), _convolve(pxy, pyy))),
+    )
+    return Poly._from_terms(VARS2, {e: Fraction(c, den**4) for e, c in mp.items()})
 
 
 def classify_special_form(P: Poly) -> Classification:
@@ -502,31 +523,23 @@ def classify_special_form(P: Poly) -> Classification:
     return Classification(Verdict.EXPANDER, Reason.MP_NONZERO, witness=mp)
 
 
-def poly2_to_poly4(P: Poly, primed: bool) -> Poly:
-    """Embed a bivariate polynomial into (x, xp, y, yp).
-
-    primed=False maps (x, y) onto (x, y); primed=True onto (xp, yp).
-    """
-    if P.variables != VARS2:
-        raise ValueError("embedding takes a bivariate polynomial")
-    out = {}
-    for (i, j), coeff in P.terms.items():
-        key = (0, i, 0, j) if primed else (i, 0, j, 0)
-        out[key] = coeff
-    return Poly(VARS4, out)
-
-
 def hf_poly(P: Poly) -> Poly:
     """H_F for F(x, xp, y, yp) = P(x, y) - P(xp, yp), exactly.
 
-    H_F = P_x(x,y) P_y(x,y) P_xy(xp,yp) - P_x(xp,yp) P_y(xp,yp) P_xy(x,y).
+    H_F = P_x(x,y) P_y(x,y) P_xy(xp,yp) - P_x(xp,yp) P_y(xp,yp) P_xy(x,y),
+    that is G(x,y) M(xp,yp) - G(xp,yp) M(x,y) with G = P_x P_y and
+    M = P_xy, built on integer numerators over den^3.
     """
-    px = P.partial("x")
-    py = P.partial("y")
-    pxy = px.partial("y")
-    unprimed = poly2_to_poly4(px, False) * poly2_to_poly4(py, False)
-    primed = poly2_to_poly4(px, True) * poly2_to_poly4(py, True)
-    return unprimed * poly2_to_poly4(pxy, True) - primed * poly2_to_poly4(pxy, False)
+    if P.variables != VARS2:
+        raise ValueError("hf_poly takes a bivariate polynomial")
+    den, p = _numerators(P)
+    px = _derive(p, 0)
+    g = _convolve(px, _derive(p, 1))
+    m = _derive(px, 1)
+    # Distinct (g, m) pairs give distinct exponents within each product.
+    plus = {(i, k, j, l): cg * cm for (i, j), cg in g.items() for (k, l), cm in m.items()}
+    minus = {(k, i, l, j): cg * cm for (i, j), cg in g.items() for (k, l), cm in m.items()}
+    return Poly._from_terms(VARS4, {e: Fraction(c, den**3) for e, c in _subtract(plus, minus).items()})
 
 
 def hf_general(F: Poly) -> Poly:
@@ -743,9 +756,9 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     edges = [np.asarray(v) for v in (x0, x1, y0, y1)]
     shape = np.broadcast_shapes(*(e.shape for e in edges))
     deg = P.degree() or 0
-    cden = math.lcm(*(c.denominator for c in P.terms.values()))
+    cden, numerators = _numerators(P)
     scale = cden * den**deg
-    terms = [(i, j, c.numerator * (cden // c.denominator)) for (i, j), c in P.terms.items()]
+    terms = [(i, j, c) for (i, j), c in numerators.items()]
 
     def reach(lo_edge, hi_edge) -> Tuple[int, bool]:
         """The largest |corner| (at least 1), and whether no corner is negative."""
@@ -791,10 +804,11 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
 
 
 def unit_square_range(P: Poly) -> Interval:
-    """interval_range(P, [0, 1]^2), from box_bounds on the one rectangle
-    in integers (int64 unless the coefficients are huge).  P keeps it, so
-    each polynomial takes its range once."""
-    if P._unit_range is None:
-        lo, hi, scale = box_bounds(P, 0, 1, 0, 1, 1)
-        P._unit_range = Interval(Fraction(int(lo), scale), Fraction(int(hi), scale))
-    return P._unit_range
+    """interval_range(P, [0, 1]^2), in closed form: on the unit square
+    every non-constant monomial ranges over [0, 1], so its term c * m over
+    [min(0, c), max(0, c)]."""
+    if P.variables != VARS2:
+        raise ValueError("unit_square_range takes a bivariate polynomial")
+    const = P.terms.get((0, 0), Fraction(0))
+    rest = [c for e, c in P.terms.items() if e != (0, 0)]
+    return Interval(const + sum(c for c in rest if c < 0), const + sum(c for c in rest if c > 0))

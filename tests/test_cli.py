@@ -14,7 +14,7 @@ from explab import cli, gridset
 from explab.cli import main
 from explab.geomdecomp import PinnedDistance, blaschke_curvature
 from explab.gridset import Scale, gen_ap
-from explab.polyexpr import classify_special_form, mp_numerator, parse_poly
+from explab.polyexpr import Poly, classify_special_form, mp_numerator, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,30 @@ def test_mp_and_hf_text(capsys):
     code, out, _ = run_cli(capsys, "hf", "--general", "x*yp")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["hf", "x + y + 3/4*(x^2 + y^2)^2"], "hf"),
+        (["hf", "--general", "x*y - xp*yp^2"], "hf"),
+        (["mp", "x + y + 3/4*(x^2 + y^2)^2"], "mp"),
+        (["classify", "x + y + 3/4*(x^2 + y^2)^2"], "witness"),
+    ],
+)
+def test_each_printed_polynomial_is_rendered_once(capsys, monkeypatch, argv, field):
+    renders = []
+    real = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda P: renders.append(P) or real(P))
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(renders) == 1
+    renders.clear()
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and len(renders) == 1
+    data = json.loads(out)
+    assert data[field] == real(renders[0])
+    if field != "witness":  # classify's text form prints only the witness degree
+        assert text == data[field] + "\n"
 
 
 def test_curvature_command(capsys):

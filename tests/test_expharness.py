@@ -440,8 +440,7 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
         # Two polynomials at three scales (P and the baseline, p_small and
         # p_large, x + y and x*y), and p_small on the restricted ladder.
         assert len(tables) == 6 + 3 * (s.family == "eps_d_energy"), s.family
-        per_unit = Counter(map(id, units))
-        assert units and set(per_unit.values()) == {1}, s.family
+        assert not units, s.family
 
 
 def test_declared_metrics_are_the_reported_ones():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from explab import polyexpr
 from explab.polyexpr import (
     VARS2,
+    VARS4,
     ExpressionError,
     Interval,
     Poly,
@@ -26,12 +27,25 @@ from explab.polyexpr import (
     interval_range,
     mp_numerator,
     parse_poly,
-    poly2_to_poly4,
     unit_square_range,
 )
 
 X = parse_poly("x")
 Y = parse_poly("y")
+
+
+def poly2_to_poly4(P: Poly, primed: bool) -> Poly:
+    """Embed a bivariate polynomial into (x, xp, y, yp).
+
+    primed=False maps (x, y) onto (x, y); primed=True onto (xp, yp).
+    """
+    if P.variables != VARS2:
+        raise ValueError("embedding takes a bivariate polynomial")
+    out = {}
+    for (i, j), coeff in P.terms.items():
+        key = (0, i, 0, j) if primed else (i, 0, j, 0)
+        out[key] = coeff
+    return Poly(VARS4, out)
 
 
 def random_poly(rng, max_degree, variables=("x", "y"), max_terms=6, coeff_range=4):
@@ -449,6 +463,120 @@ def test_hf_general_reduces_to_hf_poly_random():
 
 
 # ---------------------------------------------------------------------------
+# M_P, H_F and printing against their Fraction formulas
+# ---------------------------------------------------------------------------
+#
+# Copies of mp_numerator, hf_poly and Poly.__str__ as they were before the
+# library moved them onto integer numerators: Poly arithmetic in Fractions,
+# H_F through the four-variable embedding, and Fraction arithmetic per
+# printed term.
+
+
+def reference_mp_numerator(P):
+    px = P.partial("x")
+    py = P.partial("y")
+    pxx = px.partial("x")
+    pxy = px.partial("y")
+    pyy = py.partial("y")
+    pxxy = pxx.partial("y")
+    pxyy = pxy.partial("y")
+    return py * py * (px * pxxy - pxx * pxy) - px * px * (py * pxyy - pxy * pyy)
+
+
+def reference_hf_poly(P):
+    px = P.partial("x")
+    py = P.partial("y")
+    pxy = px.partial("y")
+    unprimed = poly2_to_poly4(px, False) * poly2_to_poly4(py, False)
+    primed = poly2_to_poly4(px, True) * poly2_to_poly4(py, True)
+    return unprimed * poly2_to_poly4(pxy, True) - primed * poly2_to_poly4(pxy, False)
+
+
+def reference_str(P):
+    if not P.terms:
+        return "0"
+    ordered = sorted(
+        P.terms.items(),
+        key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
+    )
+    pieces = []
+    for exps, coeff in ordered:
+        mono = "*".join(
+            v if e == 1 else f"{v}^{e}"
+            for v, e in zip(P.variables, exps)
+            if e
+        )
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+symbolic_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+)
+
+
+@st.composite
+def symbolic_polys(draw):
+    """Bivariate polynomials of degree <= 6 in one of four shapes (general,
+    x only, y only, a(x) + b(y)), constants and the zero polynomial
+    included, with rational coefficients scaled by 1, 2^70 or 1/3^40."""
+    shape = draw(st.sampled_from(["general", "x", "y", "split"]))
+    degree = draw(st.integers(0, 6))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    if shape == "x":
+        monomials = [(i, 0) for i in range(degree + 1)]
+    elif shape == "y":
+        monomials = [(0, j) for j in range(degree + 1)]
+    elif shape == "split":
+        monomials = [(i, j) for i, j in monomials if not (i and j)]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=7, unique=True))
+    factor = draw(st.sampled_from([1, 2**70, Fraction(1, 3**40)]))
+    return Poly(VARS2, {m: draw(symbolic_coefficients) * factor for m in chosen})
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbolic_polys())
+def test_mp_and_hf_equal_fraction_formulas(P):
+    mp, hf = mp_numerator(P), hf_poly(P)
+    assert_canonical(mp, reference_mp_numerator(P).terms)
+    assert_canonical(hf, reference_hf_poly(P).terms)
+    assert (mp.variables, hf.variables) == (VARS2, VARS4)
+    for built in (P, mp, hf):
+        assert str(built) == reference_str(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 4),
+        st.one_of(symbolic_coefficients, st.sampled_from([Fraction(2**70), Fraction(-1, 3**40)])),
+        max_size=8,
+    )
+)
+def test_four_variable_printing_equals_reference(terms):
+    P = Poly(VARS4, terms)
+    assert str(P) == reference_str(P)
+    assert parse_poly(str(P), arity=4) == P
+
+
+def test_hf_poly_rejects_non_bivariate_input():
+    with pytest.raises(ValueError, match="hf_poly takes a bivariate polynomial"):
+        hf_poly(parse_poly("x*yp", arity=4))
+
+
+# ---------------------------------------------------------------------------
 # interval enclosures
 # ---------------------------------------------------------------------------
 
@@ -632,10 +760,7 @@ def test_unit_square_range_equals_interval_range(P, factor):
 @given(polys(), st.sampled_from([0, 1, 2**70]))
 def test_unit_square_range_is_taken_once_per_polynomial(P, factor):
     P = P * factor
-    assert P._unit_range is None
     want = interval_range(P, Rect.of(0, 1, 0, 1))
     with mock.patch.object(polyexpr, "box_bounds", wraps=box_bounds) as spy:
         assert unit_square_range(P) == unit_square_range(P) == want
-    assert spy.call_count == 1
-    for built in (P + P, P - 1, P * P, -P, P**2, P.partial("x"), P.partial("y")):
-        assert built._unit_range is None
+    assert spy.call_count == 0
