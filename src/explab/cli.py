@@ -171,7 +171,8 @@ def _cmd_classify(args):
     lines = [result.verdict.value, f"reason: {result.reason.value}"]
     if result.witness is not None:
         data["witness_degree"] = result.witness.degree()
-        data["witness"] = str(result.witness)
+        if args.format != "text":  # the text form prints only the degree
+            data["witness"] = str(result.witness)
         lines.append(f"witness degree: {result.witness.degree()}")
     _emit(data, lines, args)
 
@@ -286,7 +287,7 @@ def _cmd_whitney(args):
     text = format_cube_decomposition(decomp)
     data = {
         "command": "whitney",
-        "cubes": len(decomp.cubes),
+        "cubes": decomp.depth.size,
         "flagged": len(decomp.flagged),
         "leftover_cells": len(decomp.leftover),
         "decomposition": text,
@@ -317,13 +318,13 @@ def _cmd_bands(args):
     text = format_cube_decomposition(decomp)
     data = {
         "command": "bands",
-        "cubes": len(decomp.cubes),
+        "cubes": decomp.depth.size,
         "leftover_cells": len(decomp.leftover),
         "leftover_fraction": decomp.a_leftover_fraction,
         "decomposition": text,
     }
     lines = [
-        f"cubes = {len(decomp.cubes)}",
+        f"cubes = {decomp.depth.size}",
         f"leftover fraction = {_fmt(decomp.a_leftover_fraction, args.precision)}",
         text.rstrip("\n"),
     ]

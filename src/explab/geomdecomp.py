@@ -7,6 +7,7 @@ band partitions pinning each tracked function into a dyadic value band
 [v, 4v), coverings of thin neighborhoods of zero and level sets, the
 Blaschke curvature of a 3-web of projection maps, and extraction of a
 large Cartesian product from a 2D cell set by popularity pruning.
+A CubeDecomposition keeps its cubes and pinned bands as arrays.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
-from itertools import islice
+from functools import cached_property, partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gridset import GridSet1D, GridSet2D, Scale, format_gridset, nonconcentration_exponent
-from .gridset import cell_keys, parse_gridset, range_union, value_cells
+from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset
+from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
@@ -336,31 +336,33 @@ class DyadicSquare:
 class CubeDecomposition:
     """Interior-disjoint dyadic squares with optional per-cube band data.
 
-    bands[c][f] is the pinned value v with v <= |f| < 4v on cube c for
-    tracked function f (empty tuple when no functions are tracked).
-    flagged marks cubes emitted without their geometric certificate.
-    leftover holds the uncovered delta-cells.
-
-    The band values are stored once: band_ends holds their integer
-    numerators and positive denominators (object arrays, flat in cube
-    order) and band_counts the number of each cube; bands makes them
-    Fractions when read.
+    Cubes are stored once, in listing order: cube c is the square
+    (depth[c], i[c], j[c]) of three int64 arrays, and band_num[c, f] /
+    band_den[c, f] (integers; one column per tracked function) is the
+    pinned value v with v <= |f| < 4v on it.  The views cubes
+    (DyadicSquares) and bands (rows of Fractions) are built on first
+    read.  flagged marks cubes emitted without their geometric
+    certificate; leftover holds the uncovered delta-cells.
     """
 
-    def __init__(self, cubes, bands, flagged, leftover, a_leftover_fraction=None):
-        values = [Fraction(v) for row in bands for v in row]
-        self.cubes, self.flagged, self.leftover = tuple(cubes), flagged, leftover
-        self.a_leftover_fraction = a_leftover_fraction
-        self.band_counts = tuple(map(len, bands))
-        self.band_ends = (
-            np.array([v.numerator for v in values], dtype=object),
-            np.array([v.denominator for v in values], dtype=object),
-        )
+    def __init__(self, depth, i, j, band_num, band_den, flagged, leftover, fraction=None):
+        self.depth, self.i, self.j = (np.asarray(a, dtype=np.int64) for a in (depth, i, j))
+        self.band_num, self.band_den = (np.asarray(t, dtype=object) for t in (band_num, band_den))
+        self.flagged, self.leftover = flagged, leftover
+        self.a_leftover_fraction = fraction
+        n = self.depth.shape
+        shapes = (self.i.shape, self.j.shape, self.band_num.shape[:1], self.band_den.shape)
+        if len(n) != 1 or shapes != (n, n, n, self.band_num.shape) or self.band_num.ndim != 2:
+            raise ValueError("want arrays depth, i, j of one length n and band tables of n rows")
 
-    @property
+    @cached_property
+    def cubes(self) -> Tuple[DyadicSquare, ...]:
+        return tuple(map(DyadicSquare, self.depth.tolist(), self.i.tolist(), self.j.tolist()))
+
+    @cached_property
     def bands(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        values = map(Fraction, *(end.tolist() for end in self.band_ends))
-        return tuple(tuple(islice(values, n)) for n in self.band_counts)
+        rows = zip(self.band_num.tolist(), self.band_den.tolist())
+        return tuple(tuple(map(Fraction, num, den)) for num, den in rows)
 
     def __eq__(self, other):
         fields = ("cubes", "bands", "flagged", "leftover", "a_leftover_fraction")
@@ -369,13 +371,14 @@ class CubeDecomposition:
 
 
 def format_cube_decomposition(decomp: CubeDecomposition) -> str:
-    g = np.gcd(*decomp.band_ends)
-    num, den = ((end // g).tolist() for end in decomp.band_ends)
+    g = np.gcd(decomp.band_num, decomp.band_den)
+    num, den = ((t // g).ravel().tolist() for t in (decomp.band_num, decomp.band_den))
     values = iter([str(n) if d == 1 else f"{n}/{d}" for n, d in zip(num, den)])
     lines = []
-    for idx, (cube, count) in enumerate(zip(decomp.cubes, decomp.band_counts)):
-        line = f"cube k={cube.depth} i={cube.i} j={cube.j}"
-        for fidx in range(count):
+    squares = zip(decomp.depth.tolist(), decomp.i.tolist(), decomp.j.tolist())
+    for idx, (depth, i, j) in enumerate(squares):
+        line = f"cube k={depth} i={i} j={j}"
+        for fidx in range(decomp.band_num.shape[1]):
             line += f" band j={fidx} v={next(values)}"
         if idx in decomp.flagged:
             line += " flagged"
@@ -384,11 +387,13 @@ def format_cube_decomposition(decomp: CubeDecomposition) -> str:
     return (text + "\n" if text else "") + format_gridset(decomp.leftover)
 
 
-def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, Tuple[Fraction, ...], bool]:
+def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, List[Fraction], bool]:
     fields = dict(t.split("=", 1) for t in tokens[1:4] if "=" in t)
     if tokens[0] != "cube" or set(fields) != {"k", "i", "j"}:
         raise ValueError("expected 'cube k=<depth> i=<i> j=<j>'")
     cube = DyadicSquare(int(fields["k"]), int(fields["i"]), int(fields["j"]))
+    if cube.depth > MAX_SCALE:
+        raise ValueError(f"cube depth above {MAX_SCALE}")
     values = []
     flagged = False
     rest = iter(tokens[4:])
@@ -397,13 +402,12 @@ def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, Tuple[Fraction, .
             flagged = True
         elif tok == "band":
             index, value = next(rest, ""), next(rest, "")
-            # Bands are stored in order, so the j=<idx> field is not kept.
-            if not (index.startswith("j=") and value.startswith("v=")):
-                raise ValueError("a band needs 'j=<idx> v=<rational>'")
+            if not (index == f"j={len(values)}" and value.startswith("v=")):
+                raise ValueError(f"band {len(values)} needs 'j={len(values)} v=<rational>'")
             values.append(Fraction(value[2:]))
         else:
             raise ValueError(f"unknown token {tok!r}")
-    return cube, tuple(values), flagged
+    return cube, values, flagged
 
 
 def parse_cube_decomposition(text: str) -> CubeDecomposition:
@@ -424,6 +428,8 @@ def parse_cube_decomposition(text: str) -> CubeDecomposition:
             continue
         try:
             cube, values, is_flagged = _parse_cube_line(ln.split())
+            if bands and len(values) != len(bands[0]):
+                raise ValueError(f"{len(values)} bands, but the first cube has {len(bands[0])}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad cube line {ln!r}: {exc}") from None
         cubes.append(cube)
@@ -433,7 +439,10 @@ def parse_cube_decomposition(text: str) -> CubeDecomposition:
     leftover = parse_gridset("\n".join(grid_lines))
     if not isinstance(leftover, GridSet2D):
         raise ValueError("leftover block must be a gridset2d")
-    return CubeDecomposition(tuple(cubes), tuple(bands), frozenset(flagged), leftover)
+    index = np.array([(c.depth, c.i, c.j) for c in cubes], dtype=np.int64).reshape(-1, 3).T
+    pairs = [(v.numerator, v.denominator) for row in bands for v in row]
+    ends = np.array(pairs, dtype=object).reshape(len(bands), len(bands[0]) if bands else 0, 2)
+    return CubeDecomposition(*index, *ends.transpose(2, 0, 1), frozenset(flagged), leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +586,14 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
         ins, outs = ins[where], outs[where]
         exits = np.ones(ci.size, dtype=bool)
         exits[interior] = ~ins[i.size :].reshape(-1, 16).all(axis=1)
-        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
+        cubes.append(np.stack((np.full(ci.size, depth), ci, cj)))
         flags.append(~exits)
         inside, outside = ins[: i.size], outs[: i.size]
     flagged = frozenset(np.flatnonzero(np.concatenate(flags)).tolist())
     leftover = GridSet2D._from_keys(Scale(k_max), leftover)
-    return CubeDecomposition(cubes, [()] * len(cubes), flagged, leftover)
+    depth, i, j = np.concatenate(cubes, axis=1)
+    no_bands = np.empty((depth.size, 0), dtype=object)
+    return CubeDecomposition(depth, i, j, no_bands, no_bands, flagged, leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +664,7 @@ def band_partition(
             pinned = pinned[keep]
             lows = [(v[keep], sc) for v, sc in lows] + [(alo[keep], f_scale)]
         ci, cj = i[pinned], j[pinned]
-        cubes += [DyadicSquare(depth, a, b) for a, b in zip(ci.tolist(), cj.tolist())]
+        cubes.append(np.stack((np.full(ci.size, depth), ci, cj)))
         shape = (len(fs), ci.size)
         nums.append(np.array([v for v, _ in lows], dtype=object).reshape(shape))
         dens.append(np.array([[sc] * ci.size for _, sc in lows], dtype=object).reshape(shape))
@@ -670,16 +681,14 @@ def band_partition(
         else:
             i, j = _blocks(i[split], j[split], 2, _CHILDREN)
 
-    corners = [(c.i << (k - c.depth), c.j << (k - c.depth)) for c in cubes]
-    order = np.argsort(_morton(*np.array(corners, dtype=np.int64).reshape(-1, 2).T, k))
+    depth, i, j = cubes = np.concatenate(cubes, axis=1)
+    order = np.argsort(_morton(i << (k - depth), j << (k - depth), k))
     keys = np.sort(cell_keys(np.concatenate(left_i), np.concatenate(left_j)))
     leftover = GridSet2D._from_keys(scale, keys)
     in_leftover = int(np.isin(A.keys, leftover.keys).sum())
     fraction = in_leftover / len(A) if len(A) else 0.0
-    decomp = CubeDecomposition([cubes[n] for n in order], (), frozenset(), leftover, fraction)
-    decomp.band_counts = (len(fs),) * len(cubes)
-    decomp.band_ends = tuple(np.concatenate(ends, axis=1).T[order].ravel() for ends in (nums, dens))
-    return decomp
+    tables = (np.concatenate(ends, axis=1).T[order] for ends in (nums, dens))
+    return CubeDecomposition(*cubes[:, order], *tables, frozenset(), leftover, fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,17 @@ import pytest
 import explab
 from explab import cli, gridset
 from explab.cli import main
-from explab.geomdecomp import PinnedDistance, blaschke_curvature
-from explab.gridset import Scale, gen_ap
+from explab.geomdecomp import (
+    DyadicSquare,
+    PinnedDistance,
+    PolynomialMap,
+    PolynomialSignRegion,
+    band_partition,
+    blaschke_curvature,
+    format_cube_decomposition,
+    whitney_decompose,
+)
+from explab.gridset import GridSet2D, Scale, gen_ap
 from explab.polyexpr import Poly, classify_special_form, mp_numerator, parse_poly
 
 
@@ -175,7 +184,8 @@ def test_each_printed_polynomial_is_rendered_once(capsys, monkeypatch, argv, fie
     real = Poly.__str__
     monkeypatch.setattr(Poly, "__str__", lambda P: renders.append(P) or real(P))
     code, text, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(renders) == 1
+    # classify's text form prints only the witness degree: no render
+    assert code == 0 and len(renders) == (0 if field == "witness" else 1)
     renders.clear()
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and len(renders) == 1
@@ -183,6 +193,9 @@ def test_each_printed_polynomial_is_rendered_once(capsys, monkeypatch, argv, fie
     assert data[field] == real(renders[0])
     if field != "witness":  # classify's text form prints only the witness degree
         assert text == data[field] + "\n"
+    else:  # CSV carries the witness as JSON does
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and data[field] in out
 
 
 def test_curvature_command(capsys):
@@ -665,3 +678,30 @@ def test_requests_build_no_cells_tuple(tmp_path, capsys, forbid_cells_tuples):
         assert (code, err) == (0, ""), argv
     with pytest.raises(AssertionError, match="cells tuple"):
         gen_ap(0.5, 0.0, Scale(8)).cells
+
+
+# ---------------------------------------------------------------------------
+# decomposition paths never build a DyadicSquare
+# ---------------------------------------------------------------------------
+
+
+def test_decompositions_build_no_dyadic_squares(capsys, monkeypatch):
+    fs = [PolynomialMap(parse_poly(e)) for e in ("x", "y", "x*y + 1")]
+    A = GridSet2D.from_cells(Scale(5), [(i, j) for i in range(0, 32, 3) for j in range(32)])
+    region = PolynomialSignRegion(parse_poly("x^2 + y^2 - 3/8"))
+    requests = (
+        lambda: format_cube_decomposition(band_partition(fs, 0.4, Scale(5), A)),
+        lambda: format_cube_decomposition(whitney_decompose(region, 6)),
+        lambda: run_cli(capsys, "bands", "--poly", "x^2*y + x*y^3 + x", "--k", "5"),
+        lambda: run_cli(capsys, "whitney", "--region", "poly-pos:x^2 + y^2 - 3/8", "--kmax", "6"),
+    )
+    before = [request() for request in requests]
+
+    def forbidden(self):
+        raise AssertionError("a decomposition path built a DyadicSquare")
+
+    monkeypatch.setattr(DyadicSquare, "__post_init__", forbidden)
+    assert [request() for request in requests] == before
+    assert all("cube k=" in text for text in before[:2])
+    with pytest.raises(AssertionError, match="DyadicSquare"):
+        whitney_decompose(region, 6).cubes

@@ -50,6 +50,19 @@ def full_grid_2d(k):
     )
 
 
+def packed(cubes, bands, flagged, leftover, fraction=None) -> CubeDecomposition:
+    """The decomposition of a list of DyadicSquares and one row of band
+    values (rationals) per square, packed into the stored arrays."""
+    index = ([getattr(c, f) for c in cubes] for f in ("depth", "i", "j"))
+    values = [[Fraction(v) for v in row] for row in bands]
+    shape = (len(cubes), len(values[0]) if values else 0)
+    tables = (
+        np.array([[getattr(v, f) for v in row] for row in values], dtype=object).reshape(shape)
+        for f in ("numerator", "denominator")
+    )
+    return CubeDecomposition(*index, *tables, flagged, leftover, fraction)
+
+
 # ---------------------------------------------------------------------------
 # smooth maps
 # ---------------------------------------------------------------------------
@@ -806,11 +819,36 @@ def test_cube_decomposition_round_trip():
         "cube k=1 i=2 j=0",
         "cube k=1 i=0 j=0 stray",
         "square k=1 i=0 j=0",
+        "cube k=1 i=0 j=0 band j=5 v=1/2",
+        "cube k=1 i=0 j=0 band j=0 v=1\ncube k=1 i=1 j=0",
+        "cube k=40 i=0 j=0",
     ],
 )
 def test_cube_decomposition_rejects_malformed_line(line):
     with pytest.raises(ValueError, match="bad cube line"):
         parse_cube_decomposition(line + "\ngridset2d k=1\n")
+
+
+ONE_BAND = np.array([[1]], dtype=object)
+NO_BANDS = np.empty((1, 0), dtype=object)
+
+
+@pytest.mark.parametrize(
+    "index, num, den",
+    [
+        (([0], [0], [0]), np.empty((0, 0), dtype=object), np.empty((0, 0), dtype=object)),
+        (([1], [0, 1], [0]), NO_BANDS, NO_BANDS),
+        (([1, 1], [0, 1], [0, 0]), NO_BANDS, NO_BANDS),
+        (([[1]], [[0]], [[0]]), NO_BANDS, NO_BANDS),
+        (([0], [0], [0]), np.array([1], dtype=object), np.array([1], dtype=object)),
+        (([0], [0], [0]), ONE_BAND, NO_BANDS),
+    ],
+)
+def test_cube_decomposition_rejects_arrays_that_disagree(index, num, den):
+    # The first case is one cube without a band row, which the text form
+    # would drop.
+    with pytest.raises(ValueError):
+        CubeDecomposition(*index, num, den, frozenset(), GridSet2D(Scale(1), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +937,7 @@ def reference_whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecompos
     order = sorted(range(len(cubes)), key=lambda n: (cubes[n].depth, cubes[n].i, cubes[n].j))
     ordered_cubes = tuple(cubes[n] for n in order)
     ordered_flags = frozenset(order.index(n) for n in flagged)
-    return CubeDecomposition(
+    return packed(
         ordered_cubes,
         tuple(() for _ in ordered_cubes),
         ordered_flags,
@@ -962,7 +1000,7 @@ def reference_band_partition(
     leftover_set = set(leftover.cells)
     in_leftover = sum(1 for c in A.cells if c in leftover_set)
     fraction = in_leftover / len(A.cells) if A.cells else 0.0
-    return CubeDecomposition(
+    return packed(
         tuple(cubes), tuple(bands), frozenset(), leftover, fraction
     )
 
@@ -1325,8 +1363,8 @@ def test_cube_decomposition_text_round_trips(make):
 def test_hand_built_cube_decomposition_keeps_its_bands():
     cubes = (DyadicSquare(1, 0, 0), DyadicSquare(1, 1, 0))
     bands = ((Fraction(1, 4), Fraction(6, 4)), (Fraction(-3, 2**70), 2))
-    decomp = CubeDecomposition(cubes, bands, frozenset({1}), GridSet2D(Scale(1), ((0, 1),)))
-    assert decomp.bands == bands and decomp.band_counts == (2, 2)
+    decomp = packed(cubes, bands, frozenset({1}), GridSet2D(Scale(1), ((0, 1),)))
+    assert decomp.bands == bands and decomp.band_num.shape == (2, 2)
     text = format_cube_decomposition(decomp)
     assert text.splitlines()[:2] == [
         "cube k=1 i=0 j=0 band j=0 v=1/4 band j=1 v=3/2",
