@@ -549,6 +549,8 @@ def main(argv=None) -> int:
     try:
         if args.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {args.precision}")
+        if getattr(args, "set_file", None) is not None and getattr(args, "gen", "file") != "file":
+            raise ValueError("--set-file needs --gen file")
         args.func(args)
     except ExpressionError as exc:
         print(f"explab: parse error: {exc}", file=sys.stderr)

@@ -354,6 +354,10 @@ class CubeDecomposition:
         shapes = (self.i.shape, self.j.shape, self.band_num.shape[:1], self.band_den.shape)
         if len(n) != 1 or shapes != (n, n, n, self.band_num.shape) or self.band_num.ndim != 2:
             raise ValueError("want arrays depth, i, j of one length n and band tables of n rows")
+        if (self.band_den <= 0).any():
+            raise ValueError("band denominators must be positive")
+        if not all(0 <= c < n[0] for c in flagged):
+            raise ValueError(f"flagged cube indices must lie in [0, {n[0]})")
 
     @cached_property
     def cubes(self) -> Tuple[DyadicSquare, ...]:
@@ -371,20 +375,16 @@ class CubeDecomposition:
 
 
 def format_cube_decomposition(decomp: CubeDecomposition) -> str:
+    m = decomp.band_num.shape[1]
     g = np.gcd(decomp.band_num, decomp.band_den)
     num, den = ((t // g).ravel().tolist() for t in (decomp.band_num, decomp.band_den))
-    values = iter([str(n) if d == 1 else f"{n}/{d}" for n, d in zip(num, den)])
-    lines = []
-    squares = zip(decomp.depth.tolist(), decomp.i.tolist(), decomp.j.tolist())
-    for idx, (depth, i, j) in enumerate(squares):
-        line = f"cube k={depth} i={i} j={j}"
-        for fidx in range(decomp.band_num.shape[1]):
-            line += f" band j={fidx} v={next(values)}"
-        if idx in decomp.flagged:
-            line += " flagged"
-        lines.append(line)
-    text = "\n".join(lines)
-    return (text + "\n" if text else "") + format_gridset(decomp.leftover)
+    values = [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(num, den)]
+    row = "cube k={} i={} j={}" + "".join(f" band j={f} v={{}}" for f in range(m))
+    squares = (decomp.depth.tolist(), decomp.i.tolist(), decomp.j.tolist())
+    lines = list(map(row.format, *squares, *(values[f::m] for f in range(m))))
+    for idx in decomp.flagged:
+        lines[idx] += " flagged"
+    return "\n".join([*lines, format_gridset(decomp.leftover)])
 
 
 def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, List[Fraction], bool]:

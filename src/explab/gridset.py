@@ -218,38 +218,48 @@ def format_gridset(S: GridSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _line_widths(text: str) -> np.ndarray:
-    """The token counts of the nonblank lines of an ASCII text, as
-    str.splitlines and str.split give them: tokens are split at \\t-\\r,
-    \\x1c-\\x1f and space, lines at \\n-\\r and \\x1c-\\x1e."""
+def _parse_digits(text: str) -> GridSet:
+    """parse_gridset on ASCII text of a header line, then lines of one
+    token (two in 2-D) of at most 18 digits, split as str.split and
+    str.splitlines split; other texts raise ValueError, IndexError or KeyError."""
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     space = (b == 32) | (b - 9 <= 4) | (b - 28 <= 3)  # uint8 wraps below the range
-    starts = ~space & np.concatenate(([True], space[:-1]))
-    lines = np.append(0, np.flatnonzero((b - 10 <= 3) | (b - 28 <= 2)) + 1)  # where each begins
-    counts = np.add.reduceat(np.append(starts, False), lines, dtype=np.int64)
-    return counts[counts > 0]
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    first, stop = edges[::2], edges[1::2]  # token t is text[first[t]:stop[t]]
+    cls = {"gridset1d": GridSet1D, "gridset2d": GridSet2D}[text[first[0] : stop[0]]]
+    k, width = text[first[1] : stop[1]], cls._width
+    # Lines break at \n-\r and \x1c-\x1e; only the header's first token
+    # and every width-th cell token may begin one.
+    begins = np.diff(np.cumsum((b - 10 <= 3) | (b - 28 <= 2))[first], prepend=-1) > 0
+    want = np.zeros_like(begins)
+    want[0] = want[2::width] = True
+    body, lengths = (first[2] if first.size > 2 else b.size), stop[2:] - first[2:]
+    if not (
+        k[:2] == "k=" and k[2:].isdigit() and np.array_equal(begins, want) and lengths.size % width == 0
+        and (lengths <= 18).all() and ((b[body:] - 48 <= 9) | space[body:]).all()
+    ):
+        raise ValueError("not a digit-only grid-set text")
+    # Each cell is its digits times powers of ten, summed a place at a time
+    # from every token's last byte; bytes before a short token count 0.
+    last, values = stop[2:] - 1, np.zeros(lengths.size, dtype=np.int64)
+    for place in range(lengths.max(initial=0)):
+        values += (b[last - place] - 48) * ((lengths > place) * 10**place)
+    return cls(Scale(int(k[2:])), values.reshape(-1, width))
 
 
 def parse_gridset(text: str) -> GridSet:
     """Inverse of format_gridset; malformed text raises ValueError naming
-    the offending line.
-
-    When the text is ASCII and every nonblank line after a well-formed
-    header holds one token (two in 2-D), numpy converts all tokens at
-    once (with int(), as the line loop does) and checks the cells.  Any
-    failure there reruns the line loop, which alone finds the line or the
-    cell to blame.
-    """
+    the offending line.  Digit-only cell lines are read as bytes; the line
+    loop reads every other text, and names the line or cell at fault."""
     try:
-        widths = _line_widths(text)
-        tokens = text.split()
-        cls, k = {"gridset1d": GridSet1D, "gridset2d": GridSet2D}[tokens[0]], tokens[1]
-        lines_fit = widths[0] == 2 and (widths[1:] == cls._width).all()
-        if lines_fit and k[:2] == "k=" and k[2:].isdigit():
-            cells = np.array(tokens[2:], dtype=np.int64).reshape(-1, cls._width)
-            return cls(Scale(int(k[2:])), cells)
-    except (IndexError, KeyError, TypeError, ValueError, OverflowError):
+        return _parse_digits(text)
+    except (IndexError, KeyError, ValueError):
         pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> GridSet:
+    """parse_gridset one line at a time, with int() on each token."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty gridset text")

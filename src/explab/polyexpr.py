@@ -18,7 +18,8 @@ which equals (P_x P_y)^2 * d^2/dxdy log(P_x/P_y) wherever the latter is
 defined.  A bivariate polynomial with P_x, P_y, P_xy not identically zero
 is locally of the shape h(a(x) + b(y)) exactly when M_P is the zero
 polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
-M_P and H_F run on integer numerators, one Fraction per output term.
+M_P, H_F and parse_poly run on integer numerators, one Fraction per
+output term; parse_poly keeps the term order of Poly arithmetic.
 
 The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
@@ -337,10 +338,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Evaluates on (den, terms): integer numerators over a positive
+    denominator, combined in the loop orders of the Poly operators."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.zero = (0,) * len(variables)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -357,59 +362,71 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Poly:
-        poly = self.expr()
+        den, terms = self.expr()
         kind, value, at = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected {value!r}", at)
-        return poly
+        return Poly._from_terms(self.variables, {e: Fraction(c, den) for e, c in terms.items()})
 
-    def expr(self) -> Poly:
+    def expr(self):
         kind, value, _ = self.peek()
         negate = kind == "op" and value == "-"
         if negate:
             self.advance()
-        poly = self.term()
+        den, terms = self.term()
         if negate:
-            poly = -poly
+            terms = {e: -c for e, c in terms.items()}
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
+                rden, rhs = self.term()
+                # a - b over the lcm of the denominators; a + b is a - (-b).
+                common = math.lcm(den, rden)
+                fa, fb = common // den, (common // rden) * (1 if value == "-" else -1)
+                terms = _subtract({e: c * fa for e, c in terms.items()}, {e: c * fb for e, c in rhs.items()})
+                den = common
             else:
-                return poly
+                return den, terms
 
-    def term(self) -> Poly:
-        poly = self.factor()
+    def term(self):
+        den, terms = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                poly = poly * self.factor()
+                rden, rhs = self.factor()
+                den, terms = den * rden, _convolve(terms, rhs)
             else:
-                return poly
+                return den, terms
 
-    def factor(self) -> Poly:
-        base = self.atom()
+    def factor(self):
+        den, terms = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             kind, value, at = self.peek()
             if kind != "int":
                 raise ExpressionError("exponent must be a non-negative integer", at)
-            self.advance()
-            exponent = value
+            _, n, _ = self.advance()
             kind, nxt, at = self.peek()
             if kind == "op" and nxt == "/":
                 raise ExpressionError("exponent must be a non-negative integer", at)
-            return base**exponent
-        return base
+            # Poly.__pow__'s square-and-multiply, product for product.
+            out_den, out = 1, None
+            while n:
+                if n & 1:
+                    out_den, out = out_den * den, terms if out is None else _convolve(out, terms)
+                n >>= 1
+                if n:
+                    den, terms = den * den, _convolve(terms, terms)
+            return (1, {self.zero: 1}) if out is None else (out_den, out)
+        return den, terms
 
-    def atom(self) -> Poly:
+    def atom(self):
         kind, value, at = self.advance()
         if kind == "int":
-            numerator = value
+            numerator, den = value, 1
             kind, nxt, _ = self.peek()
             if kind == "op" and nxt == "/":
                 self.advance()
@@ -419,16 +436,15 @@ class _Parser:
                 if den == 0:
                     raise ExpressionError("zero denominator", dat)
                 self.advance()
-                return Poly.constant(Fraction(numerator, den), self.variables)
-            return Poly.constant(numerator, self.variables)
+            return den, ({self.zero: numerator} if numerator else {})
         if kind == "ident":
             if value not in self.variables:
                 raise ExpressionError(f"unknown identifier {value!r}", at)
-            return Poly.variable(value, self.variables)
+            return 1, {tuple(int(v == value) for v in self.variables): 1}
         if kind == "op" and value == "(":
-            poly = self.expr()
+            parsed = self.expr()
             self.expect_op(")")
-            return poly
+            return parsed
         raise ExpressionError("syntax error", at)
 
 
@@ -770,9 +786,11 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     (mx, x_pos), (my, y_pos) = reach(*edges[:2]), reach(*edges[2:])
     bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
     dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
-    x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
     lo = np.zeros(shape, dtype=dtype)
     hi = np.zeros(shape, dtype=dtype)
+    if not lo.size:
+        return lo, hi, scale
+    x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
     x_pows: dict = {}
     y_pows: dict = {}
     for i, j, c in terms:

@@ -330,6 +330,29 @@ def test_malformed_scenario_file_is_domain_error(tmp_path, capsys, body, message
     assert err.startswith("explab: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--set-file", "SET"],
+        ["nonconc", "--set-file", "SET", "--k", "4"],
+        ["image", "--poly", "x +", "--set-file", "SET"],
+        ["energy", "--poly", "x*y", "--gen", "ap", "--set-file", "SET"],
+        ["cover", "--gen", "cantor", "--set-file", "SET"],
+    ],
+)
+def test_set_file_without_gen_file_is_domain_error(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "set.grid"
+    path.write_text("gridset1d k=4\n1\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for name in ("gen_ap", "gen_cantor", "load_gridset", "parse_poly"):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = [str(path) if a == "SET" else a for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", "explab: --set-file needs --gen file\n")
+
+
 def test_extract_names_a_bad_set_file_line(tmp_path, capsys):
     path = tmp_path / "x.grid"
     path.write_text("gridset2d k=3\n0 1\n1 2 3\n")

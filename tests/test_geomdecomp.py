@@ -851,6 +851,28 @@ def test_cube_decomposition_rejects_arrays_that_disagree(index, num, den):
         CubeDecomposition(*index, num, den, frozenset(), GridSet2D(Scale(1), ()))
 
 
+@pytest.mark.parametrize(
+    "den, flagged, message",
+    [
+        ([[0]], frozenset(), "band denominators must be positive"),
+        ([[-4]], frozenset(), "band denominators must be positive"),
+        ([[0]], frozenset({5}), "band denominators must be positive"),
+        ([[1]], frozenset({5}), r"flagged cube indices must lie in \[0, 1\)"),
+        ([[1]], frozenset({1}), r"flagged cube indices must lie in \[0, 1\)"),
+        ([[1]], frozenset({-1}), r"flagged cube indices must lie in \[0, 1\)"),
+    ],
+)
+def test_cube_decomposition_rejects_bad_denominators_and_flags(den, flagged, message):
+    # The first three rows hold the hand-built table that printed v=1/0.
+    leftover = GridSet2D(Scale(1), ())
+    with pytest.raises(ValueError, match=message):
+        CubeDecomposition([1], [0], [0], [[1]], den, flagged, leftover)
+    with pytest.raises(ValueError, match=r"\[0, 0\)"):
+        CubeDecomposition([], [], [], np.empty((0, 0), dtype=object), np.empty((0, 0), dtype=object), {0}, leftover)
+    kept = CubeDecomposition([1], [0], [0], [[1]], [[3]], frozenset({0}), leftover)
+    assert format_cube_decomposition(kept).splitlines()[0] == "cube k=1 i=0 j=0 band j=0 v=1/3 flagged"
+
+
 # ---------------------------------------------------------------------------
 # batched enclosures against reference copies of the per-box code
 # ---------------------------------------------------------------------------

@@ -959,14 +959,25 @@ def test_empty_gridsets_round_trip():
 
 
 def parse_by_lines(text):
-    """parse_gridset with the array path switched off, so every text goes
+    """parse_gridset with the byte path switched off, so every text goes
     through the line loop; its result or its error message."""
     def switched_off(text):
-        raise ValueError("array path switched off")
+        raise ValueError("byte path switched off")
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gridset_module, "_line_widths", switched_off)
+        m.setattr(gridset_module, "_parse_digits", switched_off)
         return parse_or_message(text)
+
+
+def parse_by_bytes(text):
+    """parse_gridset with the line loop made to raise, so only texts the
+    byte path reads parse."""
+    def line_loop(text):
+        raise AssertionError("the line loop ran")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gridset_module, "_parse_lines", line_loop)
+        return parse_gridset(text)
 
 
 def parse_or_message(text):
@@ -1002,10 +1013,68 @@ def test_array_parse_equals_line_loop(kind, k, rows, data):
 def test_array_parse_takes_well_formed_messy_text():
     text = "\n  gridset2d\tk=4 \r\n\n 3\t 1\n\x0b3  2 \n\x1c5 0\n"
     # Every nonblank line holds the header's or a cell's tokens, so the
-    # array path converts it.
-    assert gridset_module._line_widths(text).tolist() == [2, 2, 2, 2]
+    # byte path converts it.
     want = GridSet2D(Scale(4), ((3, 1), (3, 2), (5, 0)))
-    assert parse_gridset(text) == want == parse_by_lines(text)
+    assert parse_by_bytes(text) == want == parse_by_lines(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gridsets())
+def test_formatted_gridsets_take_the_byte_path(S):
+    assert parse_by_bytes(format_gridset(S)) == S
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 18), st.integers(0, 10**18 - 1)), max_size=8), st.data())
+def test_byte_path_sums_every_digit_place(tokens, data):
+    # Cells past 2^30 fail the set's check, so a stand-in class records
+    # the values the byte path hands it.
+    class Recorded:
+        _width = 1
+
+        def __init__(self, scale, cells):
+            self.values = cells.ravel().tolist()
+
+    values = [value % 10**digits for digits, value in tokens]
+    # Leading zeros fill each token to its drawn width.
+    texts = [str(value).zfill(digits) for value, (digits, _) in zip(values, tokens)]
+    text = "gridset1d k=5" + "".join(data.draw(st.sampled_from(["\n", "\r\n", " \n\t"])) + t for t in texts)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gridset_module, "GridSet1D", Recorded)
+        assert gridset_module._parse_digits(text).values == values
+
+
+@pytest.mark.parametrize(
+    "text, by_bytes",
+    [
+        # 18 digits at most: the byte path, leading zeros and all.
+        ("gridset1d k=30\n000000000000000005\n000000001073741823\n", True),
+        ("gridset2d k=3\r\n007 000000000000000001\r\n", True),
+        ("gridset1d k=4\r\n\r\n 00\r\n15\r\n", True),
+        ("gridset1d k=30\n999999999999999999\n", False),  # 18 digits, out of range
+        # 19 and 20 digits: the line loop, in range or not.
+        ("gridset1d k=30\n0000000000000000005\n", False),
+        ("gridset1d k=30\n00000000000000000005\n", False),
+        ("gridset1d k=30\n9223372036854775807\n", False),
+        ("gridset2d k=3\n1 9223372036854775808\n", False),
+        ("gridset1d k=30\n99999999999999999999\n", False),
+        # Not ASCII: the line loop.
+        ("gridset1d k=3\n\u0663\n", False),
+        ("gridset1d k=3\n1\u00a0\n2\n", False),
+        ("gridset1d k=3\n1\x852\n", False),
+        ("gridset1d\u00a0k=3\n1\n", False),
+    ],
+)
+def test_byte_path_takes_short_ascii_digit_tokens_only(text, by_bytes):
+    result = parse_or_message(text)
+    assert result == parse_by_lines(text)
+    try:
+        taken = gridset_module._parse_digits(text) == result
+    except ValueError:
+        taken = False
+    assert taken == by_bytes
+    if by_bytes:
+        assert parse_by_bytes(text) == result
 
 
 @pytest.mark.parametrize(

@@ -229,6 +229,219 @@ def test_arithmetic_cancels_to_zero_and_trivial_powers():
         P ** -1
 
 
+# The parser as it was when it evaluated on Poly objects, kept verbatim as
+# the oracle for the integer parser: every "+", "-", "*" and "^" builds a
+# Fraction polynomial through Poly's operators.
+
+
+class ReferenceParser:
+    def __init__(self, tokens, variables):
+        self.tokens = tokens
+        self.pos = 0
+        self.variables = variables
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, value, at = self.peek()
+        if kind != "op" or value != op:
+            raise ExpressionError(f"expected {op!r}", at)
+        return self.advance()
+
+    def parse(self) -> Poly:
+        poly = self.expr()
+        kind, value, at = self.peek()
+        if kind != "end":
+            raise ExpressionError(f"unexpected {value!r}", at)
+        return poly
+
+    def expr(self) -> Poly:
+        kind, value, _ = self.peek()
+        negate = kind == "op" and value == "-"
+        if negate:
+            self.advance()
+        poly = self.term()
+        if negate:
+            poly = -poly
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                rhs = self.term()
+                poly = poly + rhs if value == "+" else poly - rhs
+            else:
+                return poly
+
+    def term(self) -> Poly:
+        poly = self.factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                poly = poly * self.factor()
+            else:
+                return poly
+
+    def factor(self) -> Poly:
+        base = self.atom()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            kind, value, at = self.peek()
+            if kind != "int":
+                raise ExpressionError("exponent must be a non-negative integer", at)
+            self.advance()
+            exponent = value
+            kind, nxt, at = self.peek()
+            if kind == "op" and nxt == "/":
+                raise ExpressionError("exponent must be a non-negative integer", at)
+            return base**exponent
+        return base
+
+    def atom(self) -> Poly:
+        kind, value, at = self.advance()
+        if kind == "int":
+            numerator = value
+            kind, nxt, _ = self.peek()
+            if kind == "op" and nxt == "/":
+                self.advance()
+                kind, den, dat = self.peek()
+                if kind != "int":
+                    raise ExpressionError("expected integer denominator", dat)
+                if den == 0:
+                    raise ExpressionError("zero denominator", dat)
+                self.advance()
+                return Poly.constant(Fraction(numerator, den), self.variables)
+            return Poly.constant(numerator, self.variables)
+        if kind == "ident":
+            if value not in self.variables:
+                raise ExpressionError(f"unknown identifier {value!r}", at)
+            return Poly.variable(value, self.variables)
+        if kind == "op" and value == "(":
+            poly = self.expr()
+            self.expect_op(")")
+            return poly
+        raise ExpressionError("syntax error", at)
+
+
+def reference_parse_poly(text: str, arity: int = 2) -> Poly:
+    if arity == 2:
+        variables = VARS2
+    elif arity == 4:
+        variables = VARS4
+    else:
+        raise ValueError("arity must be 2 or 4")
+    return ReferenceParser(polyexpr._tokenize(text), variables).parse()
+
+
+def parse_outcome(parse, text, arity):
+    """The terms, in order, or the error text and offset."""
+    try:
+        return list(parse(text, arity).terms.items())
+    except ExpressionError as exc:
+        return str(exc), exc.position
+
+
+literals = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 20), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1180591620717411303424", "1/3486784401", "0/7", "012"]),
+)
+
+
+@st.composite
+def expression_texts(draw, names, depth=4):
+    """Expression text of at most depth nested operators over the
+    variables names: sums, differences, products, powers (^0 included),
+    unary minus and differences of equal subexpressions, which cancel."""
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(names)) if draw(st.booleans()) else draw(literals)
+    inner = expression_texts(names, depth - 1)
+    kind = draw(st.sampled_from(["sum", "product", "power", "negate", "cancel"]))
+    if kind == "sum":
+        return f"{draw(inner)} {draw(st.sampled_from('+-'))} {draw(inner)}"
+    if kind == "product":
+        return f"({draw(inner)})*({draw(inner)})" if draw(st.booleans()) else f"{draw(inner)}*{draw(inner)}"
+    if kind == "power":
+        return f"({draw(inner)})^{draw(st.integers(0, 3))}"
+    if kind == "negate":
+        return f"(-{draw(inner)})"
+    same = draw(inner)
+    return f"({same}) - ({same})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_parse_poly_equals_fraction_reference(arity, data):
+    names = VARS2 if arity == 2 else VARS4
+    text = data.draw(expression_texts(names))
+    if data.draw(st.booleans()):
+        text = "-" + text
+    P = parse_poly(text, arity)
+    assert P.variables == names
+    assert_canonical(P, reference_parse_poly(text, arity).terms)
+
+
+@pytest.mark.parametrize(
+    "text, arity",
+    [
+        ("(x + 1)*(y + 2)", 2),
+        ("(y + 2)*(x + 1)*(x - y)", 2),
+        ("(x + 1/2*y)^3", 2),
+        ("(x - y + 1)^5 - 2/3*x*y", 2),
+        ("-(xp + 2*yp)*(x - 1)^2 + (y*yp - 1/5)^2", 4),
+    ],
+)
+def test_parse_poly_keeps_the_product_and_power_term_order(text, arity):
+    assert_canonical(parse_poly(text, arity), reference_parse_poly(text, arity).terms)
+
+
+def test_parse_poly_cancels_to_zero_and_takes_zero_powers():
+    for text in ("x - x", "(x + 1/2*y)^2 - (x + 1/2*y)*(x + 1/2*y)", "0*x^3", "0/5", "-(y - y)^0 + 1"):
+        assert parse_poly(text).terms == {} == reference_parse_poly(text).terms
+    for text in ("(x - x)^0", "x^0", "((x + y)^2)^0", "(0)^0"):
+        assert_canonical(parse_poly(text), {(0, 0): Fraction(1)})
+    assert_canonical(parse_poly("((x - 1/2)^2)^3", 4), reference_parse_poly("((x - 1/2)^2)^3", 4).terms)
+
+
+MALFORMED = [
+    "", " ", "x +", "+ x", "x + + y", "x^", "x^y", "x^-1", "x^1/2", "x^(1/2)", "1/0", "1/", "1/x",
+    "(x", "x)", "()", "2x", "x y", "x & y", "z", "3^2^2", "--x", "x*-y", "1/2/3", "x^2.5", "é",
+]
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_poly_errors_equal_reference(text, arity):
+    message, offset = parse_outcome(parse_poly, text, arity)
+    assert (message, offset) == parse_outcome(reference_parse_poly, text, arity)
+    assert message.endswith(f"(at offset {offset})")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4]), st.text("xyp01/2+-*^() z", max_size=14))
+def test_parse_poly_outcome_equals_reference_on_any_text(arity, text):
+    assert parse_outcome(parse_poly, text, arity) == parse_outcome(reference_parse_poly, text, arity)
+
+
+def test_parse_poly_makes_no_polynomial_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("parse_poly called a Poly operator")
+
+    texts = ["-(x + 1/2*y)^3*(x - y) + 3/4 - x^0", "((xp - yp)^2)^2 - x*y*xp*yp + 0*x"]
+    expected = [reference_parse_poly(text, 4) for text in texts]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "__neg__"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    for text, want in zip(texts, expected):
+        assert_canonical(parse_poly(text, 4), want.terms)
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------
@@ -722,6 +935,23 @@ def test_box_bounds_zero_polynomial_and_empty_batch():
     empty = np.array([], dtype=np.int64)
     lo, hi, _ = box_bounds(parse_poly("x*y - 1"), empty[:, None], empty[:, None], [[0]], [[1]], 8)
     assert lo.shape == hi.shape == (0, 1)
+
+
+def test_box_bounds_returns_at_once_on_empty_batches(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("box_bounds did per-term work on an empty batch")
+
+    monkeypatch.setattr(polyexpr, "_pow_bounds", forbidden)
+    monkeypatch.setattr(polyexpr, "_mul_bounds", forbidden)
+    P = parse_poly("x^3*y - 1/3*y^2")
+    empty = np.array([], dtype=np.int64)[:, None]
+    # The dtype still follows the non-empty corners and the scale.
+    for den, y1, dtype in ((8, 8, np.int64), (8, 2**62, object), (2**40, 2**40, object)):
+        lo, hi, scale = box_bounds(P, empty, empty, np.array([[0]]), np.array([[y1]]), den)
+        assert lo.shape == hi.shape == (0, 1) and lo.dtype == hi.dtype == dtype
+        assert scale == 3 * den**4
+    lo, hi, scale = box_bounds(P, 0, 8, empty.T, empty.T, 8)
+    assert lo.shape == (1, 0) and lo.dtype == np.int64 and scale == 3 * 8**4
 
 
 def reference_evaluate_float(P, point):
