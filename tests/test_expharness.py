@@ -312,6 +312,38 @@ def test_schema_doc_lists_every_family_parameter_and_metric():
         assert row in doc_lines, row
 
 
+# One short run per row list of docs/schema.md, keyed by its family cell.
+PER_SCALE_RUNS = {
+    "`poly_growth`": ("poly_growth", {"poly": "x + y", "scales": "6,7,8"}),
+    "`poly_growth` with `baseline_poly`": (
+        "poly_growth",
+        {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"},
+    ),
+    "`eps_d_energy`": ("eps_d_energy", {"scales": "6,7,8", "restricted_scales": "10,11,12"}),
+    "`sum_product`": ("sum_product", {"scales": "6,8,10"}),
+    "`three_projection`": ("three_projection", {"offset": "9/16", "scales": "8,9,10"}),
+    "`pinned_distance`": ("pinned_distance", {"scales": "8,9,10"}),
+}
+
+
+def test_schema_doc_lists_every_family_per_scale_row():
+    doc_path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schema.md")
+    with open(doc_path, encoding="utf-8") as fh:
+        doc_lines = fh.read().splitlines()
+    documented = {}
+    for line in doc_lines[doc_lines.index("| family | per-scale rows |") + 2 :]:
+        if not line.startswith("|"):
+            break
+        label, rows = line[2:-2].split(" | ")
+        documented[label] = {row.strip(" `") for row in rows.split(",")}
+    assert documented.keys() == PER_SCALE_RUNS.keys()
+    assert {family for family, _ in PER_SCALE_RUNS.values()} == set(expharness._FAMILIES)
+    for label, (family, parameters) in PER_SCALE_RUNS.items():
+        report = run_scenario(Scenario("rows", family, parameters, ()))
+        assert set(report.metrics) == documented[label], label
+        assert {len(values) for values in report.metrics.values()} == {len(report.scales)}, label
+
+
 # Line text that survives a trip through a scenario file: no line breaks,
 # no surrounding whitespace.
 line_text = st.text(
