@@ -4,7 +4,9 @@ A Scenario bundles a parameter map with a list of expectations
 (metric, comparator, target, tolerance, provenance tag); running one
 produces a Report with per-scale metric tables, exponent fits, scalar
 summaries, and one outcome per expectation.  Expectation failures are
-reported, never raised.
+reported, never raised.  Each family's runner defines measure(k), which
+returns one scale's {row: value} map, and runs it over its scale ladder;
+the exponent fits are taken on named rows of the resulting tables.
 
 Scenario files are line-oriented key=value text (schema=1); reports
 serialize to a canonical JSON object (timing excluded by default so
@@ -20,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -246,8 +248,9 @@ def _fraction(key: str, text: str) -> Fraction:
 
 def _even_degree(key: str, text: str) -> int:
     """The degree D in text, even and at least 2: the family's
-    polynomial carries the term (x^2 + y^2)^(D/2)."""
-    if not (text.isdigit() and int(text) >= 2 and int(text) % 2 == 0):
+    polynomial carries the term (x^2 + y^2)^(D/2).  ASCII digits only:
+    str.isdigit also takes superscripts and other scripts' digits."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 2 and int(text) % 2 == 0):
         raise ValueError(f"{key} must be an even integer of at least 2, got {text!r}")
     return int(text)
 
@@ -287,12 +290,29 @@ def gradient_floor(P: Poly) -> float:
     return min(float(unit_square_range(P.partial(v)).abs_interval().lo) for v in ("x", "y"))
 
 
-def cs_lower_bound(floor: float, count: int, energy: int) -> float:
-    """Frozen-constant Cauchy-Schwarz floor for the image covering count
-    of P(A, A), given |A| = count and the polynomial's gradient_floor."""
-    if floor <= 0 or energy <= 0:
-        return 0.0
-    return CS_CONSTANT * gridset.cs_growth_bound(count * count, energy, min(1.0, floor))
+def _ladder(scales: List[int], measure: Callable[[int], dict]) -> Dict[str, List[float]]:
+    """Run measure(k) at each scale of the ladder, in order: each row it
+    returns gets one float per scale."""
+    rows: Dict[str, List[float]] = {}
+    for k in scales:
+        for name, value in measure(k).items():
+            rows.setdefault(name, []).append(float(value))
+    return rows
+
+
+def _fits(scales: List[int], rows: Dict[str, List[float]], **named: str) -> Dict[str, ExponentFit]:
+    """One exponent fit per name, on the row it names, across the ladder."""
+    return {fit: fit_exponent(list(zip(scales, rows[row]))) for fit, row in named.items()}
+
+
+def _cs_rows(floor: float, count: int, image: int, energy: int) -> Dict[str, float]:
+    """The frozen-constant Cauchy-Schwarz floor for the image covering
+    count of P(A, A), given |A| = count and the polynomial's
+    gradient_floor, and whether the image meets it."""
+    bound = 0.0
+    if floor > 0 and energy > 0:
+        bound = CS_CONSTANT * gridset.cs_growth_bound(count * count, energy, min(1.0, floor))
+    return {"cs_bound": bound, "cs_ok": 1.0 if image >= bound else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +338,7 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     P, baseline, scales = p["poly"], p["baseline_poly"], p["scales"]
     floor = gradient_floor(P)
 
-    rows: Dict[str, List[float]] = {
-        "cover_a": [],
-        "image_count": [],
-        "energy_count": [],
-        "cs_bound": [],
-        "cs_ok": [],
-    }
-    if baseline is not None:
-        rows["baseline_image_count"] = []
-        rows["image_ratio"] = []
-    for k in scales:
+    def measure(k: int) -> Dict[str, float]:
         if p["generator"] == "ap":
             A = gridset.gen_ap(p["alpha"], p["eta"], Scale(k))
         else:
@@ -336,90 +346,69 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         table = gridset.ProductBounds(P, A, A)
         image = len(table.image().grid)
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A), energy)
-        rows["cover_a"].append(float(len(A)))
-        rows["image_count"].append(float(image))
-        rows["energy_count"].append(float(energy))
-        rows["cs_bound"].append(bound)
-        rows["cs_ok"].append(1.0 if image >= bound else 0.0)
+        row = {
+            "cover_a": len(A),
+            "image_count": image,
+            "energy_count": energy,
+            **_cs_rows(floor, len(A), image, energy),
+        }
         if baseline is not None:
             base_image = len(gridset.image_set(baseline, A, A).grid)
-            rows["baseline_image_count"].append(float(base_image))
-            rows["image_ratio"].append(image / base_image)
+            row.update(baseline_image_count=base_image, image_ratio=image / base_image)
+        return row
 
-    fits = {
-        "image_exponent": fit_exponent(list(zip(scales, rows["image_count"]))),
-        "energy_exponent": fit_exponent(list(zip(scales, rows["energy_count"]))),
-    }
-    scalars = {
-        "image_exponent": fits["image_exponent"].slope,
-        "energy_exponent": fits["energy_exponent"].slope,
-        "cs_all_ok": float(all(rows["cs_ok"])),
-    }
+    rows = _ladder(scales, measure)
+    fits = _fits(scales, rows, image_exponent="image_count", energy_exponent="energy_count")
+    scalars = {name: fit.slope for name, fit in fits.items()}  # both slopes are scalars too
+    scalars["cs_all_ok"] = float(all(rows["cs_ok"]))
     if baseline is not None:
-        scalars["image_ratio_first"] = rows["image_ratio"][0]
-        scalars["image_ratio_last"] = rows["image_ratio"][-1]
-        scalars["image_ratio_growth"] = (
-            rows["image_ratio"][-1] / rows["image_ratio"][0]
-        )
+        ratios = rows["image_ratio"]
+        scalars.update(image_ratio_first=ratios[0], image_ratio_last=ratios[-1])
+        scalars["image_ratio_growth"] = ratios[-1] / ratios[0]
     return tuple(scales), rows, fits, scalars
 
 
 def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, eta, c, d_small, scales = p["alpha"], p["eta"], p["c"], p["d_small"], p["scales"]
-
-    def poly_for(d: int) -> Poly:
-        return parse_poly("x + y") + Poly.constant(c) * parse_poly("x^2 + y^2") ** (
-            d // 2
-        )
-
-    p_small = poly_for(d_small)
-    p_large = poly_for(p["d_large"])
+    linear, radial = parse_poly("x + y"), parse_poly("x^2 + y^2")
+    p_small, p_large = (
+        linear + Poly.constant(c) * radial ** (d // 2) for d in (d_small, p["d_large"])
+    )
     floor = gradient_floor(p_small)
 
-    rows: Dict[str, List[float]] = {"energy_d_small": [], "energy_d_large": [], "cs_bound": [], "cs_ok": [], "image_count": []}
-    for k in scales:
+    def measure(k: int) -> Dict[str, float]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
         table = gridset.ProductBounds(p_small, A, A)
         e_small = table.energy()
         e_large = gridset.energy_count(p_large, A, A)
         image = len(table.image().grid)
-        bound = cs_lower_bound(floor, len(A), e_small)
-        rows["energy_d_small"].append(float(e_small))
-        rows["energy_d_large"].append(float(e_large))
-        rows["image_count"].append(float(image))
-        rows["cs_bound"].append(bound)
-        rows["cs_ok"].append(1.0 if image >= bound else 0.0)
+        return {
+            "energy_d_small": e_small,
+            "energy_d_large": e_large,
+            "image_count": image,
+            **_cs_rows(floor, len(A), image, e_small),
+        }
 
+    rows = _ladder(scales, measure)
     restricted_points = []
-    restricted_counts = {}
     for k in p["restricted_scales"]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
         box_hi = Fraction(1, 4) * Fraction(2.0 ** (-k / d_small))
         Ar = gridset.restrict(A, Fraction(0), box_hi)
-        if not len(Ar):
-            continue
-        count = gridset.energy_count(p_small, Ar, Ar)
-        restricted_points.append((k, count))
-        restricted_counts[k] = count
+        if len(Ar):
+            restricted_points.append((k, gridset.energy_count(p_small, Ar, Ar)))
 
     fits = {
         "restricted_energy_exponent": fit_exponent(restricted_points),
-        "energy_d_small_exponent": fit_exponent(
-            list(zip(scales, rows["energy_d_small"]))
-        ),
+        **_fits(scales, rows, energy_d_small_exponent="energy_d_small"),
     }
-    ordering = all(
-        large >= small
-        for small, large in zip(rows["energy_d_small"], rows["energy_d_large"])
-    )
+    small, large = rows["energy_d_small"], rows["energy_d_large"]
     scalars = {
         "restricted_energy_exponent": fits["restricted_energy_exponent"].slope,
-        "d_ordering_holds": 1.0 if ordering else 0.0,
+        "d_ordering_holds": float(all(b >= a for a, b in zip(small, large))),
         "cs_all_ok": float(all(rows["cs_ok"])),
-        "restricted_cells_last": float(
-            restricted_points[-1][1] if restricted_points else 0
-        ),
+        # The fit above needs three points, so the list is not empty here.
+        "restricted_cells_last": float(restricted_points[-1][1]),
     }
     return tuple(scales), rows, fits, scalars
 
@@ -427,31 +416,25 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     scales = p["scales"]
     p_sum = parse_poly("x + y")
-    p_prod = parse_poly("x*y")
     floor = gradient_floor(p_sum)
-    rows: Dict[str, List[float]] = {
-        "cover_a": [],
-        "sum_count": [],
-        "product_count": [],
-        "growth_margin": [],
-        "cs_ok": [],
-    }
-    for k in scales:
+
+    def measure(k: int) -> Dict[str, float]:
         A = half_dimensional_set(Scale(k))
         # p_sum is x + y, so its image is the sum set.
         table = gridset.ProductBounds(p_sum, A, A)
-        sums = image = len(table.image().grid)
+        sums = len(table.image().grid)
         prods = len(gridset.product_set(A, A))
         energy = table.energy()
-        bound = cs_lower_bound(floor, len(A), energy)
-        rows["cover_a"].append(float(len(A)))
-        rows["sum_count"].append(float(sums))
-        rows["product_count"].append(float(prods))
-        rows["growth_margin"].append(
-            (sums + prods) / len(A) ** p["growth_exponent"]
-        )
-        rows["cs_ok"].append(1.0 if image >= bound else 0.0)
-    fits = {"sum_exponent": fit_exponent(list(zip(scales, rows["sum_count"])))}
+        return {
+            "cover_a": len(A),
+            "sum_count": sums,
+            "product_count": prods,
+            "growth_margin": (sums + prods) / len(A) ** p["growth_exponent"],
+            "cs_ok": _cs_rows(floor, len(A), sums, energy)["cs_ok"],
+        }
+
+    rows = _ladder(scales, measure)
+    fits = _fits(scales, rows, sum_exponent="sum_count")
     scalars = {
         "min_growth_margin": min(rows["growth_margin"]),
         "cs_all_ok": float(all(rows["cs_ok"])),
@@ -486,51 +469,34 @@ def _window(key: str, text: str) -> Rect:
 
 def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
-    phi1, phi2, phi3 = (geomdecomp.PinnedDistance(pin) for pin in p["pins"])
+    phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
 
-    rows: Dict[str, List[float]] = {
-        "x_cells": [],
-        "phi1_image": [],
-        "phi2_image": [],
-        "phi3_image": [],
-        "value_cells": [],
-        "eta_x": [],
-        "phi3_margin": [],
-    }
-    for k in scales:
+    def measure(k: int) -> Dict[str, float]:
         scale = Scale(k)
         values = half_dimensional_set(scale, offset)
-        pre1 = geomdecomp.preimage_cells(phi1, values, window, scale)
-        pre2 = geomdecomp.preimage_cells(phi2, values, window, scale)
+        pre1, pre2 = (geomdecomp.preimage_cells(phi, values, window, scale) for phi in phis[:2])
         X = pre1.intersection(pre2)
-        img1 = len(geomdecomp.map_image(phi1, X))
-        img2 = len(geomdecomp.map_image(phi2, X))
-        img3 = len(geomdecomp.map_image(phi3, X))
-        rows["x_cells"].append(float(len(X)))
-        rows["value_cells"].append(float(len(values)))
-        rows["phi1_image"].append(float(img1))
-        rows["phi2_image"].append(float(img2))
-        rows["phi3_image"].append(float(img3))
-        rows["eta_x"].append(gridset.nonconcentration_exponent_2d(X, alpha))
-        rows["phi3_margin"].append(math.log2(max(1, img3)) / k - alpha)
+        img1, img2, img3 = (len(geomdecomp.map_image(phi, X)) for phi in phis)
+        return {
+            "x_cells": len(X),
+            "value_cells": len(values),
+            "phi1_image": img1,
+            "phi2_image": img2,
+            "phi3_image": img3,
+            "eta_x": gridset.nonconcentration_exponent_2d(X, alpha),
+            "phi3_margin": math.log2(max(1, img3)) / k - alpha,
+        }
 
-    fits = {
-        "phi3_exponent": fit_exponent(list(zip(scales, rows["phi3_image"]))),
-        "phi1_exponent": fit_exponent(list(zip(scales, rows["phi1_image"]))),
-    }
+    rows = _ladder(scales, measure)
+    fits = _fits(scales, rows, phi3_exponent="phi3_image", phi1_exponent="phi1_image")
     margins = rows["phi3_margin"]
     scalars = {
         "phi3_exponent": fits["phi3_exponent"].slope,
         "phi3_margin_min": min(margins),
-        "phi3_margin_nondegrading": 1.0
-        if all(b >= a - 0.02 for a, b in zip(margins, margins[1:]))
-        else 0.0,
-        "phi1_image_within_construction": 1.0
-        if all(
-            img <= 4 * vals
-            for img, vals in zip(rows["phi1_image"], rows["value_cells"])
-        )
-        else 0.0,
+        "phi3_margin_nondegrading": float(all(b >= a - 0.02 for a, b in zip(margins, margins[1:]))),
+        "phi1_image_within_construction": float(
+            all(img <= 4 * vals for img, vals in zip(rows["phi1_image"], rows["value_cells"]))
+        ),
         "eta_x_max": max(rows["eta_x"]),
     }
     return tuple(scales), rows, fits, scalars
@@ -540,29 +506,22 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
     phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
 
-    rows: Dict[str, List[float]] = {
-        "x_cells": [],
-        "eta_x": [],
-        "best_image": [],
-    }
-    for idx in range(3):
-        rows[f"pin{idx + 1}_image"] = []
-    for k in scales:
+    def measure(k: int) -> Dict[str, float]:
         scale = Scale(k)
         d = scale.delta
         g = half_dimensional_set(scale, offset).keys
         g = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
         X = GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
         images = [len(geomdecomp.map_image(phi, X)) for phi in phis]
-        rows["x_cells"].append(float(len(X)))
-        rows["eta_x"].append(gridset.nonconcentration_exponent_2d(X, alpha))
-        for idx, img in enumerate(images):
-            rows[f"pin{idx + 1}_image"].append(float(img))
-        rows["best_image"].append(float(max(images)))
+        return {
+            "x_cells": len(X),
+            "eta_x": gridset.nonconcentration_exponent_2d(X, alpha),
+            **{f"pin{idx}_image": img for idx, img in enumerate(images, 1)},
+            "best_image": max(images),
+        }
 
-    fits = {
-        "best_pinned_exponent": fit_exponent(list(zip(scales, rows["best_image"])))
-    }
+    rows = _ladder(scales, measure)
+    fits = _fits(scales, rows, best_pinned_exponent="best_image")
     scalars = {
         "best_pinned_exponent": fits["best_pinned_exponent"].slope,
         "pinned_margin": fits["best_pinned_exponent"].slope - alpha,

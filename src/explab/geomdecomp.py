@@ -993,9 +993,12 @@ def preimage_cells(
     """
     if values.scale != scale:
         raise ValueError("value set must live at the target scale")
-    d = scale.delta
-    cols = np.arange(math.ceil(window.x0 / d), math.floor(window.x1 / d), dtype=np.int64)
-    rows = np.arange(math.ceil(window.y0 / d), math.floor(window.y1 / d), dtype=np.int64)
+    d, n = scale.delta, scale.cells
+
+    def side(lo, hi):  # cells inside [lo, hi]; the window may reach past the grid
+        return np.arange(max(0, math.ceil(lo / d)), min(n, math.floor(hi / d)), dtype=np.int64)
+
+    cols, rows = side(window.x0, window.x1), side(window.y0, window.y1)
     i = np.repeat(cols, rows.size)
     j = np.tile(rows, cols.size)
     j0, j1 = phi.enclosure_cells(i, j, scale.k)

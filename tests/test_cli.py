@@ -55,6 +55,14 @@ def test_classify_parse_error_exit_2(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("text, offset", [("x^\u00b2", 2), ("x*y + \u0661", 6)])
+def test_non_ascii_digit_is_parse_error_exit_2(capsys, text, offset):
+    # x^² used to exit 1 with int()'s message; x*y + ١ parsed as x*y + 1.
+    code, out, err = run_cli(capsys, "classify", text)
+    assert code == 2 and not out
+    assert f"unexpected character {text[offset]!r} (at offset {offset})" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "x + y", "--no-such-flag"])

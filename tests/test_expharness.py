@@ -244,6 +244,9 @@ def test_eps_d_energy_rejects_odd_or_small_degree_before_running(monkeypatch, ke
         ("poly_growth", "scales", "8,a,10"),
         ("sum_product", "scales", "8,10.5,12"),
         ("eps_d_energy", "restricted_scales", "10,11,1/2"),
+        # Non-ASCII digits: int() rejects the first and reads the second as 4.
+        ("eps_d_energy", "d_small", "\u00b2"),
+        ("eps_d_energy", "d_small", "\u0664"),
     ],
 )
 def test_run_scenario_rejects_malformed_rational_or_integer_before_running(
@@ -473,6 +476,19 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
         # p_large, x + y and x*y), and p_small on the restricted ladder.
         assert len(tables) == 6 + 3 * (s.family == "eps_d_energy"), s.family
         assert not units, s.family
+
+
+@pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
+@pytest.mark.parametrize(
+    "window, cut", [("-0.5,0.7,0.3,0.7", "0,0.7,0.3,0.7"), ("0.3,1.5,0.3,0.7", "0.3,1,0.3,0.7")]
+)
+def test_projection_window_past_the_unit_square_runs_as_its_cut(family, window, cut):
+    # three_projection used to fail on these windows after measuring.
+    past, inside = (
+        report_to_json(run_scenario(Scenario("w", family, {"scales": "4,5,6", "window": w}, ())))
+        for w in (window, cut)
+    )
+    assert past == inside
 
 
 def test_declared_metrics_are_the_reported_ones():

@@ -788,6 +788,28 @@ def test_map_image_and_preimage_of_nothing_are_empty(phi):
 
 
 @pytest.mark.parametrize(
+    "phi", [PinnedDistance((0.3, 0.0)), LinearProjection(0.4), PolynomialMap(P_QUAD)]
+)
+@pytest.mark.parametrize(
+    "window, cut",
+    [
+        ((-0.5, 0.75, 0.25, 0.75), (0, 0.75, 0.25, 0.75)),
+        ((0.25, 1.5, 0.25, 0.75), (0.25, 1, 0.25, 0.75)),
+        ((0.25, 0.75, -0.5, 0.75), (0.25, 0.75, 0, 0.75)),
+        ((0.25, 0.75, 0.25, 1.5), (0.25, 0.75, 0.25, 1)),
+        ((-1, 2, -1, 2), (0, 1, 0, 1)),
+    ],
+)
+def test_preimage_cells_of_a_window_past_the_grid_are_those_of_its_cut(phi, window, cut):
+    # Such windows used to scan cells off the grid and fail.
+    scale = Scale(5)
+    values = GridSet1D(scale, tuple(range(0, 32, 3)))
+    got = preimage_cells(phi, values, Rect.of(*window), scale)
+    assert got.cells == reference_preimage(phi, values, Rect.of(*cut), scale)
+    assert got.cells
+
+
+@pytest.mark.parametrize(
     "make", [lambda: PinnedDistance((math.inf, 0.0)), lambda: LinearProjection(math.nan)]
 )
 def test_float_maps_reject_non_finite_parameters(make):
