@@ -546,6 +546,8 @@ def main(argv=None) -> int:
         parser.error("scenario needs --name or --file")
     if args.subcommand == "hf" and not (args.poly or args.general):
         parser.error("hf needs a bivariate polynomial or --general")
+    if args.subcommand == "hf" and args.poly is not None and args.general is not None:
+        parser.error("hf takes a bivariate polynomial or --general, not both")
     try:
         if args.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {args.precision}")

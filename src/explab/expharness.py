@@ -467,6 +467,18 @@ def _window(key: str, text: str) -> Rect:
         ) from None
 
 
+def _planar_set(family: str, X: GridSet2D, k: int, p: dict) -> GridSet2D:
+    """X, checked to be nonempty: an empty planar set at scale k is an
+    error that names the family, the scale, the window and the offset."""
+    if not len(X):
+        w = p["window"]
+        raise ValueError(
+            f"{family}: the planar set X is empty at scale {k} "
+            f"(window={w.x0},{w.x1},{w.y0},{w.y1}, offset={p['offset']})"
+        )
+    return X
+
+
 def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
     phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
@@ -475,7 +487,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         scale = Scale(k)
         values = half_dimensional_set(scale, offset)
         pre1, pre2 = (geomdecomp.preimage_cells(phi, values, window, scale) for phi in phis[:2])
-        X = pre1.intersection(pre2)
+        X = _planar_set("three_projection", pre1.intersection(pre2), k, p)
         img1, img2, img3 = (len(geomdecomp.map_image(phi, X)) for phi in phis)
         return {
             "x_cells": len(X),
@@ -510,8 +522,10 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         scale = Scale(k)
         d = scale.delta
         g = half_dimensional_set(scale, offset).keys
-        g = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
-        X = GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
+        gx = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
+        gy = g[(g >= math.ceil(window.y0 / d)) & (g < math.floor(window.y1 / d))]
+        X = GridSet2D._from_keys(scale, gridset.cell_keys(gx[:, None], gy).ravel())
+        X = _planar_set("pinned_distance", X, k, p)
         images = [len(geomdecomp.map_image(phi, X)) for phi in phis]
         return {
             "x_cells": len(X),
@@ -530,7 +544,8 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     return tuple(scales), rows, fits, scalars
 
 
-# The two projection families read the same parameters.
+# The two projection families read the same parameters; three_projection's
+# offset defaults to the builtin's 9/16, as at 3/8 its X is empty at 8, 9, 10.
 _PROJECTION_PARAMS = {
     "alpha": (_float, "0.5"),
     "offset": (_fraction, "3/8"),
@@ -585,7 +600,7 @@ _FAMILIES = {
     ),
     "three_projection": (
         _run_three_projection,
-        _PROJECTION_PARAMS,
+        {**_PROJECTION_PARAMS, "offset": (_fraction, "9/16")},
         (
             "phi3_exponent",
             "phi1_exponent",

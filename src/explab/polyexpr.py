@@ -1,8 +1,8 @@
 """Exact sparse polynomial arithmetic, expression parsing, and the
 special-form / expander dichotomy for bivariate polynomials.
 
-A polynomial is a dictionary from exponent tuples to nonzero Fraction
-coefficients, so every symbolic decision ("does this polynomial vanish
+A polynomial is stored once, as integer numerators over one positive
+denominator, so every symbolic decision ("does this polynomial vanish
 identically?") is exact.  Two variable signatures are supported:
 
   * bivariate, variables (x, y);
@@ -18,8 +18,8 @@ which equals (P_x P_y)^2 * d^2/dxdy log(P_x/P_y) wherever the latter is
 defined.  A bivariate polynomial with P_x, P_y, P_xy not identically zero
 is locally of the shape h(a(x) + b(y)) exactly when M_P is the zero
 polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
-M_P, H_F and parse_poly run on integer numerators, one Fraction per
-output term; parse_poly keeps the term order of Poly arithmetic.
+Poly arithmetic, parse_poly, M_P and H_F all run on those integers; the
+Fraction coefficients (Poly.terms) are built on a polynomial's first read.
 
 The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
@@ -57,15 +57,16 @@ class ExpressionError(ValueError):
 class Poly:
     """Sparse exact-rational polynomial over a fixed variable tuple.
 
-    The term map is canonical: no zero coefficients are stored, so two
-    instances represent the same polynomial exactly when their variables
-    and term dictionaries are equal.  Instances are immutable by
-    convention; all arithmetic returns new objects.  The constructor
-    validates and canonicalises the terms; arithmetic and partial
-    derivatives, whose results are canonical already, use _from_terms.
+    num maps exponent tuples to nonzero int numerators over one common
+    denominator den > 0, with gcd(den, *num.values()) == 1.  The form is
+    canonical: two instances represent the same polynomial exactly when
+    their variables, den and num are equal.  terms, the coefficients as
+    Fractions in num's order, is built on first read.  Instances are
+    immutable by convention; all arithmetic returns new objects, built
+    by _of.  The constructor validates Fraction or int terms.
     """
 
-    __slots__ = ("variables", "terms", "_float_terms")
+    __slots__ = ("variables", "den", "num", "_terms", "_float_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Coefficient]):
         self.variables = tuple(variables)
@@ -78,17 +79,23 @@ class Poly:
             if len(exps) != len(self.variables) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
             clean[exps] = coeff
-        self.terms = clean
-        self._float_terms = None
+        # Over the lcm of the reduced denominators the form is in lowest terms.
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {e: c.numerator * (self.den // c.denominator) for e, c in clean.items()}
+        self._terms = self._float_terms = None
 
     @classmethod
-    def _from_terms(cls, variables: Tuple[str, ...], terms: dict) -> "Poly":
-        """The polynomial of a canonical term map (exponent tuples of the
-        right length to nonzero Fractions), which it keeps unchecked."""
+    def _of(cls, variables: Tuple[str, ...], den: int, num: dict) -> "Poly":
+        """The polynomial of nonzero integer numerators over den > 0, in
+        lowest terms; num keeps its order."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: c // g for e, c in num.items()}
         poly = object.__new__(cls)
-        poly.variables = variables
-        poly.terms = terms
-        poly._float_terms = None
+        poly.variables, poly.den, poly.num = variables, den, num
+        poly._terms = poly._float_terms = None
         return poly
 
     # -- constructors -------------------------------------------------
@@ -112,20 +119,29 @@ class Poly:
     # -- basic queries ------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, in num's order, built on first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(c, den) for e, c in self.num.items()}
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> Optional[int]:
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.variables == other.variables
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     # -- arithmetic ---------------------------------------------------
@@ -137,29 +153,28 @@ class Poly:
             return other
         return Poly.constant(other, self.variables)
 
-    def __add__(self, other) -> "Poly":
+    def __add__(self, other, sign: int = 1) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Poly._from_terms(self.variables, {e: c for e, c in out.items() if c})
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, -sign * (den // other.den)
+        a = {e: c * fa for e, c in self.num.items()}
+        return Poly._of(self.variables, den, _subtract(a, {e: c * fb for e, c in other.num.items()}))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._from_terms(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.variables, self.den, {e: -c for e, c in self.num.items()})
 
     def __sub__(self, other) -> "Poly":
-        return Poly._from_terms(self.variables, _subtract(self.terms, self._coerce(other).terms))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        den_a, a = _numerators(self)
-        den_b, b = _numerators(self._coerce(other))
-        scale = den_a * den_b
-        return Poly._from_terms(self.variables, {e: Fraction(c, scale) for e, c in _convolve(a, b).items()})
+        other = self._coerce(other)
+        return Poly._of(self.variables, self.den * other.den, _convolve(self.num, other.num))
 
     __rmul__ = __mul__
 
@@ -184,10 +199,10 @@ class Poly:
         if order < 1:
             raise ValueError("derivative order must be a positive integer")
         idx = self.variables.index(variable)
-        terms = self.terms
+        num = self.num
         for _ in range(order):
-            terms = _derive(terms, idx)
-        return Poly._from_terms(self.variables, terms)
+            num = _derive(num, idx)
+        return Poly._of(self.variables, self.den, num)
 
     # -- evaluation ---------------------------------------------------
 
@@ -205,8 +220,10 @@ class Poly:
 
     def evaluate_float(self, point: Mapping[str, float]) -> float:
         if self._float_terms is None:
-            # Converted once per polynomial; the terms are never mutated.
-            self._float_terms = [(exps, float(c)) for exps, c in self.terms.items()]
+            # Converted once per polynomial; int / int rounds correctly,
+            # as float(Fraction) does.
+            den = self.den
+            self._float_terms = [(exps, c / den) for exps, c in self.num.items()]
         vals = [float(point[v]) for v in self.variables]
         total = 0.0
         for exps, term in self._float_terms:
@@ -247,16 +264,9 @@ class Poly:
         return f"Poly({self.variables!r}, {str(self)!r})"
 
 
-# Term maps {exponents: coefficient}: Fractions in Poly's sums and partials,
-# integer numerators over an implied common denominator in products, M_P and
-# H_F, where one exact division per output term restores the rationals.  Each
-# helper drops zero terms and keeps its Poly method's loop order and term order.
-
-
-def _numerators(P: Poly) -> Tuple[int, dict]:
-    """The lcm of P's coefficient denominators, and P's numerators over it."""
-    den = math.lcm(*(c.denominator for c in P.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in P.terms.items()}
+# Integer term maps {exponents: numerator} over an implied common
+# denominator, as Poly.num stores them.  Each helper drops zero terms; its
+# loop order fixes the term order, which evaluate_float sums in.
 
 
 def _convolve(a: dict, b: dict) -> dict:
@@ -338,14 +348,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Evaluates on (den, terms): integer numerators over a positive
-    denominator, combined in the loop orders of the Poly operators."""
+    """Evaluates with Poly's own arithmetic, on integer numerators."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
-        self.zero = (0,) * len(variables)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -362,68 +370,55 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Poly:
-        den, terms = self.expr()
+        poly = self.expr()
         kind, value, at = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected {value!r}", at)
-        return Poly._from_terms(self.variables, {e: Fraction(c, den) for e, c in terms.items()})
+        return poly
 
-    def expr(self):
+    def expr(self) -> Poly:
         kind, value, _ = self.peek()
         negate = kind == "op" and value == "-"
         if negate:
             self.advance()
-        den, terms = self.term()
+        poly = self.term()
         if negate:
-            terms = {e: -c for e, c in terms.items()}
+            poly = -poly
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rden, rhs = self.term()
-                # a - b over the lcm of the denominators; a + b is a - (-b).
-                common = math.lcm(den, rden)
-                fa, fb = common // den, (common // rden) * (1 if value == "-" else -1)
-                terms = _subtract({e: c * fa for e, c in terms.items()}, {e: c * fb for e, c in rhs.items()})
-                den = common
+                rhs = self.term()
+                poly = poly + rhs if value == "+" else poly - rhs
             else:
-                return den, terms
+                return poly
 
-    def term(self):
-        den, terms = self.factor()
+    def term(self) -> Poly:
+        poly = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                rden, rhs = self.factor()
-                den, terms = den * rden, _convolve(terms, rhs)
+                poly = poly * self.factor()
             else:
-                return den, terms
+                return poly
 
-    def factor(self):
-        den, terms = self.atom()
+    def factor(self) -> Poly:
+        base = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             kind, value, at = self.peek()
             if kind != "int":
                 raise ExpressionError("exponent must be a non-negative integer", at)
-            _, n, _ = self.advance()
+            self.advance()
             kind, nxt, at = self.peek()
             if kind == "op" and nxt == "/":
                 raise ExpressionError("exponent must be a non-negative integer", at)
-            # Poly.__pow__'s square-and-multiply, product for product.
-            out_den, out = 1, None
-            while n:
-                if n & 1:
-                    out_den, out = out_den * den, terms if out is None else _convolve(out, terms)
-                n >>= 1
-                if n:
-                    den, terms = den * den, _convolve(terms, terms)
-            return (1, {self.zero: 1}) if out is None else (out_den, out)
-        return den, terms
+            return base**value
+        return base
 
-    def atom(self):
+    def atom(self) -> Poly:
         kind, value, at = self.advance()
         if kind == "int":
             numerator, den = value, 1
@@ -436,15 +431,15 @@ class _Parser:
                 if den == 0:
                     raise ExpressionError("zero denominator", dat)
                 self.advance()
-            return den, ({self.zero: numerator} if numerator else {})
+            return Poly._of(self.variables, den, {(0,) * len(self.variables): numerator} if numerator else {})
         if kind == "ident":
             if value not in self.variables:
                 raise ExpressionError(f"unknown identifier {value!r}", at)
-            return 1, {tuple(int(v == value) for v in self.variables): 1}
+            return Poly._of(self.variables, 1, {tuple(int(v == value) for v in self.variables): 1})
         if kind == "op" and value == "(":
-            parsed = self.expr()
+            poly = self.expr()
             self.expect_op(")")
-            return parsed
+            return poly
         raise ExpressionError("syntax error", at)
 
 
@@ -499,9 +494,8 @@ def mp_numerator(P: Poly) -> Poly:
     """
     if P.variables != VARS2:
         raise ValueError("mp_numerator takes a bivariate polynomial")
-    den, p = _numerators(P)
-    px = _derive(p, 0)
-    py = _derive(p, 1)
+    px = _derive(P.num, 0)
+    py = _derive(P.num, 1)
     pxx = _derive(px, 0)
     pxy = _derive(px, 1)
     pyy = _derive(py, 1)
@@ -511,7 +505,7 @@ def mp_numerator(P: Poly) -> Poly:
         _convolve(_convolve(py, py), _subtract(_convolve(px, pxxy), _convolve(pxx, pxy))),
         _convolve(_convolve(px, px), _subtract(_convolve(py, pxyy), _convolve(pxy, pyy))),
     )
-    return Poly._from_terms(VARS2, {e: Fraction(c, den**4) for e, c in mp.items()})
+    return Poly._of(VARS2, P.den**4, mp)
 
 
 def classify_special_form(P: Poly) -> Classification:
@@ -548,14 +542,13 @@ def hf_poly(P: Poly) -> Poly:
     """
     if P.variables != VARS2:
         raise ValueError("hf_poly takes a bivariate polynomial")
-    den, p = _numerators(P)
-    px = _derive(p, 0)
-    g = _convolve(px, _derive(p, 1))
+    px = _derive(P.num, 0)
+    g = _convolve(px, _derive(P.num, 1))
     m = _derive(px, 1)
     # Distinct (g, m) pairs give distinct exponents within each product.
     plus = {(i, k, j, l): cg * cm for (i, j), cg in g.items() for (k, l), cm in m.items()}
     minus = {(k, i, l, j): cg * cm for (i, j), cg in g.items() for (k, l), cm in m.items()}
-    return Poly._from_terms(VARS4, {e: Fraction(c, den**3) for e, c in _subtract(plus, minus).items()})
+    return Poly._of(VARS4, P.den**3, _subtract(plus, minus))
 
 
 def hf_general(F: Poly) -> Poly:
@@ -772,9 +765,8 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     edges = [np.asarray(v) for v in (x0, x1, y0, y1)]
     shape = np.broadcast_shapes(*(e.shape for e in edges))
     deg = P.degree() or 0
-    cden, numerators = _numerators(P)
-    scale = cden * den**deg
-    terms = [(i, j, c) for (i, j), c in numerators.items()]
+    scale = P.den * den**deg
+    terms = [(i, j, c) for (i, j), c in P.num.items()]
 
     def reach(lo_edge, hi_edge) -> Tuple[int, bool]:
         """The largest |corner| (at least 1), and whether no corner is negative."""

@@ -63,6 +63,14 @@ def test_non_ascii_digit_is_parse_error_exit_2(capsys, text, offset):
     assert f"unexpected character {text[offset]!r} (at offset {offset})" in err
 
 
+def test_hf_with_a_polynomial_and_general_is_usage_error_exit_2(capsys):
+    # The positional polynomial used to be ignored, with exit 0.
+    for argv in (["x*y", "--general", "x*yp"], ["--general", "x*yp", ""]):
+        code, out, err = run_cli(capsys, "hf", *argv)
+        assert code == 2 and not out
+        assert "hf takes a bivariate polynomial or --general, not both" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "x + y", "--no-such-flag"])

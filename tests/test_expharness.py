@@ -3,6 +3,7 @@
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,9 @@ from explab.expharness import (
     report_to_json,
     run_scenario,
 )
-from explab.gridset import Scale, covering_number, fit_exponent
+from explab.gridset import GridSet2D, Scale, covering_number, fit_exponent
 from explab.polyexpr import VARS2, Poly, Rect, interval_range
+from test_geomdecomp import reference_map_image, reference_preimage
 
 
 def test_exponent_regression_exact():
@@ -489,6 +491,59 @@ def test_projection_window_past_the_unit_square_runs_as_its_cut(family, window, 
         for w in (window, cut)
     )
     assert past == inside
+
+
+def test_pinned_distance_reads_the_window_rows():
+    # y0 and y1 used to be parsed and checked but read by nothing.
+    full, cut = (
+        run_scenario(Scenario("w", "pinned_distance", {"scales": "6,7,8", "window": w}, ())).metrics["x_cells"]
+        for w in ("0.3,0.7,0,1", "0.3,0.7,0.3,0.7")
+    )
+    assert full != cut
+
+
+def test_three_projection_of_defaults_only_is_the_builtin():
+    # With the shared default offset 3/8 this run failed with "empty set".
+    s = parse_scenario("schema=1\nname=defaults\nfamily=three_projection\n")
+    assert s.parameters == {} and s.expectations == ()
+    got, want = (report_to_dict(run_scenario(t)) for t in (s, builtin_scenario("three_projection")))
+    assert got.pop("scenario") == "defaults" and want.pop("scenario") == "three_projection"
+    # The file carries no expectations, so its outcomes are empty.
+    assert (got.pop("outcomes"), got.pop("all_passed")) == ([], True)
+    del want["outcomes"], want["all_passed"]
+    assert got == want
+
+
+@pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
+def test_empty_planar_set_names_the_family_scale_window_and_offset(family):
+    # An offset of 1 shifts the whole set off the grid.
+    parameters = {"scales": "4,5,6", "offset": "1", "window": "0.25,0.75,0,1"}
+    with pytest.raises(ValueError) as err:
+        run_scenario(Scenario("e", family, parameters, ()))
+    assert str(err.value) == (
+        f"{family}: the planar set X is empty at scale 4 (window=1/4,3/4,0,1, offset=1)"
+    )
+
+
+def test_three_projection_image_rows_equal_per_cell_references():
+    # Off centre, the pins (0, 0) and (1, 0) see different images; in the
+    # builtin's centred window the phi1 and phi2 rows are equal.
+    window = "0.2,0.5,0.3,0.7"
+    report = run_scenario(Scenario("o", "three_projection", {"window": window, "scales": "5,6,7"}, ()))
+    rect = Rect(*(Fraction(t) for t in window.split(",")))
+    phis = [geomdecomp.PinnedDistance(pin) for pin in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+    for row, k in enumerate(report.scales):
+        scale = Scale(k)
+        values = half_dimensional_set(scale, Fraction(9, 16))
+        pre1, pre2 = (set(reference_preimage(phi, values, rect, scale)) for phi in phis[:2])
+        X = GridSet2D.from_cells(scale, pre1 & pre2)
+        assert report.metrics["x_cells"][row] == len(X)
+        for n, phi in enumerate(phis, 1):
+            assert report.metrics[f"phi{n}_image"][row] == len(reference_map_image(phi, X)), (n, k)
+    assert report.metrics["phi1_image"] != report.metrics["phi2_image"]
+    for n in (1, 3):
+        fit = fit_exponent(list(zip(report.scales, report.metrics[f"phi{n}_image"])))
+        assert report.fits[f"phi{n}_exponent"] == fit
 
 
 def test_declared_metrics_are_the_reported_ones():
