@@ -544,6 +544,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "scenario" and not (args.name or args.file):
         parser.error("scenario needs --name or --file")
+    if args.subcommand == "scenario" and args.name is not None and args.file is not None:
+        parser.error("scenario takes --name or --file, not both")
     if args.subcommand == "hf" and not (args.poly or args.general):
         parser.error("hf needs a bivariate polynomial or --general")
     if args.subcommand == "hf" and args.poly is not None and args.general is not None:

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -73,12 +73,10 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    metric: str
-    comparator: str
-    target: float
-    tolerance: float
-    tag: str
+class Outcome(Expectation):
+    """An expectation, field for field, plus what the run measured and
+    whether the measurement passed."""
+
     measured: float
     passed: bool
 
@@ -110,9 +108,7 @@ def format_scenario(s: Scenario) -> str:
     for key in sorted(s.parameters):
         lines.append(f"{key}={s.parameters[key]}")
     for e in s.expectations:
-        lines.append(
-            f"expect={e.metric} {e.comparator} {e.target} {e.tolerance} {e.tag}"
-        )
+        lines.append("expect=" + " ".join(str(getattr(e, f.name)) for f in fields(Expectation)))
     return "\n".join(lines) + "\n"
 
 
@@ -163,27 +159,11 @@ def report_to_dict(report: Report, include_timing: bool = False) -> dict:
         "scales": list(report.scales),
         "metrics": {k: list(v) for k, v in sorted(report.metrics.items())},
         "fits": {
-            k: {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "residual": f.residual,
-                "points": [list(p) for p in f.points],
-            }
+            k: {**vars(f), "points": [list(p) for p in f.points]}
             for k, f in sorted(report.fits.items())
         },
         "scalars": dict(sorted(report.scalars.items())),
-        "outcomes": [
-            {
-                "metric": o.metric,
-                "comparator": o.comparator,
-                "target": o.target,
-                "tolerance": o.tolerance,
-                "tag": o.tag,
-                "measured": o.measured,
-                "passed": o.passed,
-            }
-            for o in report.outcomes
-        ],
+        "outcomes": [vars(o).copy() for o in report.outcomes],
         "all_passed": report.all_passed,
     }
     if include_timing:
@@ -671,17 +651,7 @@ def run_scenario(s: Scenario) -> Report:
     outcomes = []
     for e in s.expectations:
         measured = scalars[e.metric] if e.metric in scalars else fits[e.metric].slope
-        outcomes.append(
-            Outcome(
-                e.metric,
-                e.comparator,
-                e.target,
-                e.tolerance,
-                e.tag,
-                measured,
-                e.check(measured),
-            )
-        )
+        outcomes.append(Outcome(**vars(e), measured=measured, passed=e.check(measured)))
     metrics = {name: tuple(values) for name, values in rows.items()}
     return Report(s.name, scales, metrics, fits, scalars, tuple(outcomes), elapsed)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset
 from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
+from .gridset import _check_dimension
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
@@ -189,11 +190,11 @@ class PolynomialMap(SmoothMap2):
 
     @property
     def is_coordinate_x(self) -> bool:
-        return self.poly.terms == {(1, 0): Fraction(1)}
+        return self.poly.den == 1 and self.poly.num == {(1, 0): 1}
 
     @property
     def is_coordinate_y(self) -> bool:
-        return self.poly.terms == {(0, 1): Fraction(1)}
+        return self.poly.den == 1 and self.poly.num == {(0, 1): 1}
 
 
 class PinnedDistance(_FloatEnclosureMap):
@@ -636,6 +637,7 @@ def band_partition(
         raise ValueError(f"w must be finite, got {w}")
     if w <= 0:
         raise ValueError("w must be positive")
+    _check_dimension("band_partition", A, GridSet2D)
     if A.scale != scale:
         raise ValueError("A must live at the partition scale")
     k = scale.k

@@ -194,6 +194,7 @@ class GridSet2D(_GridSet):
         return self.keys >> 32, self.keys & _LOW
 
     def intersection(self, other: "GridSet2D") -> "GridSet2D":
+        _check_dimension("GridSet2D.intersection", other, GridSet2D)
         if other.scale != self.scale:
             raise ValueError("scale mismatch")
         common = np.intersect1d(self.keys, other.keys, assume_unique=True)
@@ -201,6 +202,13 @@ class GridSet2D(_GridSet):
 
 
 GridSet = Union[GridSet1D, GridSet2D]
+
+
+def _check_dimension(func: str, S, cls: type) -> None:
+    """Raise unless S is a cls: a set of the other dimension gives these
+    functions wrong answers, not errors."""
+    if not isinstance(S, cls):
+        raise ValueError(f"{func} needs a {cls.__name__}, got a {type(S).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +384,7 @@ def nonconcentration_exponent(S: GridSet1D, kappa: float, alpha: float) -> Nonco
 def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
     """Least eta >= 0 with E(X cap B) <= r^alpha * delta^-(2 alpha + eta)
     over all dyadic squares B of side r."""
+    _check_dimension("nonconcentration_exponent_2d", X, GridSet2D)
     if not len(X):
         raise ValueError("empty set")
     if not isfinite(alpha):
@@ -430,6 +439,7 @@ def gen_cantor(branch_pattern: Iterable[int], base: int, depth: int) -> GridSet1
 def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
     """Cells of S whose closed interval meets [lo, hi]: the keys from
     ceil(lo * 2^k) - 1 to floor(hi * 2^k)."""
+    _check_dimension("restrict", S, GridSet1D)
     n = S.scale.cells
     # Clamped to [-1, 2^k], the bounds select the same keys and fit int64.
     first = max(-1, min(ceil(Fraction(lo) * n) - 1, n))
@@ -440,6 +450,7 @@ def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
 
 
 def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
+    _check_dimension("coarsen", S, GridSet1D)
     if k_new > S.scale.k:
         raise ValueError("coarsen target must not exceed the current scale")
     return GridSet1D._from_keys(Scale(k_new), np.unique(S.keys >> (S.scale.k - k_new)))

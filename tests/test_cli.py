@@ -71,6 +71,16 @@ def test_hf_with_a_polynomial_and_general_is_usage_error_exit_2(capsys):
         assert "hf takes a bivariate polynomial or --general, not both" in err
 
 
+def test_scenario_with_name_and_file_is_usage_error_exit_2(tmp_path, capsys):
+    path = tmp_path / "s.scenario"
+    path.write_text("schema=1\nname=s\nfamily=sum_product\nscales=4,5,6\n")
+    for argv in (["--name", "sum_product_cantor", "--file", str(path)],
+                 ["--file", str(path), "--name", ""]):
+        code, out, err = run_cli(capsys, "scenario", *argv)
+        assert code == 2 and not out
+        assert "scenario takes --name or --file, not both" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "x + y", "--no-such-flag"])
@@ -399,6 +409,23 @@ def test_json_outputs_validate_against_shipped_schema(capsys):
         capsys, "scenario", "--name", "sum_product_cantor", "--format", "json"
     )
     jsonschema.validate(json.loads(out), schema)
+
+
+@pytest.mark.parametrize("part", ["outcomes", "fits"])
+def test_schema_rejects_a_report_with_an_extra_outcome_or_fit_key(capsys, part):
+    # The report serialises outcomes and fits from their fields, so a new
+    # field reaches the JSON; the closed schema objects catch it.
+    import jsonschema
+
+    schema_path = os.path.join(os.path.dirname(__file__), "..", "docs", "report.schema.json")
+    schema = json.load(open(schema_path))
+    _, out, _ = run_cli(capsys, "scenario", "--name", "sum_product_cantor", "--format", "json")
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    first = report[part][0] if part == "outcomes" else next(iter(report[part].values()))
+    first["extra"] = 1.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
 
 
 # ---------------------------------------------------------------------------

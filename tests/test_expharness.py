@@ -13,6 +13,7 @@ from explab import expharness, geomdecomp, gridset, polyexpr
 from explab.expharness import (
     _metric_names,
     Expectation,
+    Outcome,
     Scenario,
     builtin_scenario,
     builtin_scenarios,
@@ -566,6 +567,33 @@ def test_run_scenario_reports_failed_expectation_without_raising():
     report = run_scenario(s)
     assert not report.all_passed
     assert report.outcomes[0].passed is False
+
+
+def test_outcome_is_its_expectation_plus_the_measurement():
+    s = builtin_scenario("special_form_collapse")
+    short = Scenario(s.name, s.family, {**s.parameters, "scales": "8,9,10"}, s.expectations)
+    report = run_scenario(short)
+    data = report_to_dict(report)
+    for e, o, d in zip(s.expectations, report.outcomes, data["outcomes"]):
+        assert isinstance(o, Outcome) and isinstance(o, Expectation)
+        fields = (e.metric, e.comparator, e.target, e.tolerance, e.tag, o.measured, o.passed)
+        assert o == Outcome(*fields)
+        assert o.passed is e.check(o.measured)
+        # The serialised outcome, written out field by field.
+        assert d == {
+            "metric": e.metric, "comparator": e.comparator, "target": e.target,
+            "tolerance": e.tolerance, "tag": e.tag, "measured": o.measured, "passed": o.passed,
+        }
+    for name, fit in report.fits.items():
+        assert data["fits"][name] == {
+            "slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual,
+            "points": [list(p) for p in fit.points],
+        }
+    # The base class's checks hold for outcomes too.
+    with pytest.raises(ValueError, match="comparator"):
+        Outcome("m", "??", 1.0, 0.1, "PAPER", 1.0, True)
+    with pytest.raises(ValueError, match="tag"):
+        Outcome("m", "ge", 1.0, 0.1, "GUESS", 1.0, True)
 
 
 def test_special_form_collapse_report_shape():

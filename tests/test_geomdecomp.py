@@ -414,6 +414,20 @@ def test_curvature_product_map_vanishes():
     assert blaschke_curvature(phi1, phi2, phi3, (0.5, 1.0 / 3.0)) == 0.0
 
 
+def test_coordinate_maps_are_detected_without_the_fraction_view():
+    # The coord:x and coord:y maps of the CLI; method auto asks both.
+    phi1 = PolynomialMap(parse_poly("x"))
+    phi2 = PolynomialMap(parse_poly("y"))
+    phi3 = PolynomialMap(P_QUAD)
+    chart = blaschke_curvature(phi1, phi2, phi3, (0.6, 0.7), method="chart")
+    assert blaschke_curvature(phi1, phi2, phi3, (0.6, 0.7)) == chart
+    assert phi1.poly._terms is None and phi2.poly._terms is None
+    assert phi1.is_coordinate_x and not phi1.is_coordinate_y
+    assert phi2.is_coordinate_y and not phi2.is_coordinate_x
+    assert not PolynomialMap(parse_poly("2*x")).is_coordinate_x
+    assert not PolynomialMap(parse_poly("1/2*x")).is_coordinate_x
+
+
 def test_curvature_chart_matches_newton():
     rng = random.Random(25)
     phi1 = PolynomialMap(parse_poly("x"))

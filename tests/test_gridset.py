@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import explab.gridset as gridset_module
+from explab.geomdecomp import PolynomialMap, band_partition
 from explab.gridset import (
     GridSet1D,
     GridSet2D,
@@ -616,6 +617,31 @@ def test_intersection_equals_set_intersection(case, data):
     want = tuple(sorted(set(X.cells) & set(Y.cells)))
     assert X.intersection(Y).cells == want and Y.intersection(X).cells == want
     assert X.intersection(Y) == GridSet2D.from_cells(Scale(k), want)
+
+
+_LINE = GridSet1D(Scale(6), (1, 5, 9, 33))
+_ROW = GridSet2D(Scale(6), ((0, 1), (0, 5), (0, 9)))  # every i is 0
+_PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
+
+
+@pytest.mark.parametrize(
+    "func, call",
+    [
+        ("restrict", lambda: restrict(_PLANE, Fraction(0), Fraction(1))),
+        ("coarsen", lambda: coarsen(_ROW, 3)),
+        ("coarsen", lambda: coarsen(_PLANE, 3)),
+        ("nonconcentration_exponent_2d", lambda: nonconcentration_exponent_2d(_LINE, 0.5)),
+        ("GridSet2D.intersection", lambda: _PLANE.intersection(_LINE)),
+        (
+            "band_partition",
+            lambda: band_partition([PolynomialMap(parse_poly("1"))], 0.5, Scale(6), _LINE),
+        ),
+    ],
+    ids=["restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "intersection", "bands"],
+)
+def test_set_of_the_wrong_dimension_is_rejected(func, call):
+    with pytest.raises(ValueError, match=rf"^{func} needs a GridSet[12]D, got a GridSet[12]D$"):
+        call()
 
 
 def test_intersection_rejects_scale_mismatch():
