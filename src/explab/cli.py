@@ -141,6 +141,18 @@ def _phi_from_spec(option: str, spec: str):
     )
 
 
+# Options that one --gen or --region choice alone reads: their default
+# and that choice.  Given with another choice, an option is an error.
+_SCOPED = {
+    "alpha": (0.5, "gen", "ap"),
+    "eta": (0.0, "gen", "ap"),
+    "base": (4, "gen", "cantor"),
+    "pattern": ("0,1", "gen", "cantor"),
+    "set_file": (None, "gen", "file"),
+    "puncture": ("1/2,1/2", "region", "punctured"),
+}
+
+
 def _region_from_args(args):
     if args.region == "full":
         return FullSquareRegion()
@@ -414,14 +426,22 @@ def _add_common(p):
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+def _add_scoped(p, name: str, text: str, **kw):
+    """An option of _SCOPED, its help text naming the choice and default;
+    main fills in the default."""
+    default, choice, wanted = _SCOPED[name]
+    note = f"--{choice} {wanted} only" + ("" if default is None else f"; default {default}")
+    p.add_argument("--" + name.replace("_", "-"), help=f"{text} ({note})", **kw)
+
+
 def _add_generator(p):
     p.add_argument("--gen", choices=("ap", "cantor", "file"), default="ap")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.0)
+    _add_scoped(p, "alpha", "AP cell count exponent", type=float)
+    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=float)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--base", type=int, default=4, help="cantor base (power of 2)")
-    p.add_argument("--pattern", default="0,1", help="cantor digits, comma separated")
-    p.add_argument("--set-file", help="gridset1d file for --gen file")
+    _add_scoped(p, "base", "cantor base, a power of 2", type=int)
+    _add_scoped(p, "pattern", "cantor digits, comma separated")
+    _add_scoped(p, "set_file", "gridset1d file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="punctured",
         help="full, punctured, poly-pos:EXPR, or poly-neg:EXPR",
     )
-    p.add_argument("--puncture", default="1/2,1/2")
+    _add_scoped(p, "puncture", "the removed point x,y")
     p.add_argument("--kmax", type=int, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_whitney)
@@ -553,8 +573,13 @@ def main(argv=None) -> int:
     try:
         if args.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {args.precision}")
-        if getattr(args, "set_file", None) is not None and getattr(args, "gen", "file") != "file":
-            raise ValueError("--set-file needs --gen file")
+        for name, (default, choice, wanted) in _SCOPED.items():
+            if name not in vars(args):
+                continue
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif getattr(args, choice, wanted) != wanted:
+                raise ValueError(f"--{name.replace('_', '-')} needs --{choice} {wanted}")
         args.func(args)
     except ExpressionError as exc:
         print(f"explab: parse error: {exc}", file=sys.stderr)

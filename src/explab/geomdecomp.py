@@ -45,17 +45,16 @@ class NewtonConvergenceError(RuntimeError):
 class SmoothMap2:
     """A twice-plus differentiable planar map.
 
-    Implementations expose the value, partial derivatives up to total
-    order 3, and a sound interval enclosure of the range on a rectangle.
-    Instances are immutable and shareable.
+    Implementations, a map defined outside explab too, define the value,
+    partial derivatives up to total order 3, a sound interval enclosure
+    of the range on a rectangle and its batch form enclosure_rects (there
+    is no default).  Instances are immutable and shareable.
 
     enclosure_rects(x0, x1, y0, y1, den) is the batch form of enclosure:
     for integer corner arrays over one denominator (broadcasting like
     polyexpr.box_bounds) it returns integer arrays lo, hi and an integer
     scale with [lo/scale, hi/scale] == enclosure() of each rectangle.
-    The arrays are int64 only when scale < 2^63.  The default loops over
-    enclosure() and puts the ends over the lcm of their denominators;
-    PolynomialMap overrides it with the integer kernel.
+    The arrays are int64 only when scale < 2^63.
 
     enclosure_cells(i, j, k) is the array form of enclosure on the grid:
     for int arrays i, j of scale-k cells [i, i+1] x [j, j+1] (in units of
@@ -79,19 +78,7 @@ class SmoothMap2:
         raise NotImplementedError
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Exact integer enclosure ends of a batch of rectangles."""
-        edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
-        encs = [
-            self.enclosure(Rect(*(Fraction(v, den) for v in corners)))
-            for corners in zip(*(e.ravel().tolist() for e in edges))
-        ]
-        scale = math.lcm(*(v.denominator for e in encs for v in (e.lo, e.hi)))
-
-        def ints(values) -> np.ndarray:
-            out = [v.numerator * (scale // v.denominator) for v in values]
-            return np.array(out, dtype=object).reshape(edges[0].shape)
-
-        return ints(e.lo for e in encs), ints(e.hi for e in encs), scale
+        raise NotImplementedError
 
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Clamped value-grid cells of the enclosure's ends on each cell."""
@@ -125,7 +112,8 @@ class _FloatEnclosureMap(SmoothMap2):
     square roots taken by the hypot it is given.
 
     enclosure runs it on one rectangle with _hypot (math.hypot), and that
-    defines the enclosure.  enclosure_cells runs it on whole cell arrays
+    defines the enclosure; enclosure_rects runs it so on a batch, its ends
+    exact over one power of two.  enclosure_cells runs it on cell arrays
     with np.hypot, which may differ from math.hypot in the last bit, as a
     filter: an end v can land in another cell than enclosure's only when
     v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
@@ -144,6 +132,15 @@ class _FloatEnclosureMap(SmoothMap2):
         edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
         lo, hi = self._bounds(*edges, _hypot)
         return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
+
+    def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
+        # int / int rounds as float(Fraction(v, den)); int64 divides do not past 2^53.
+        corners = (np.array([v / den for v in e.ravel().tolist()]) for e in edges)
+        ends = [v.as_integer_ratio() for v in np.hstack(self._bounds(*corners, _hypot)).tolist()]
+        scale = max((d for _, d in ends), default=1)
+        lo, hi = np.array([n * (scale // d) for n, d in ends], dtype=object).reshape(2, -1)
+        return lo.reshape(edges[0].shape), hi.reshape(edges[0].shape), scale
 
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
         d = 0.5**k
@@ -461,44 +458,44 @@ RegionOracle = Callable[[DyadicSquare], Region]
 
 
 class DyadicRegion:
-    """A region oracle with a batch form.
-
-    classify(depth, i, j) answers for the squares (depth, i, j) of the
-    int arrays i, j at once, as boolean arrays (inside, outside); a
-    BOUNDARY square is neither.  The default loops over __call__;
-    PolynomialSignRegion overrides it with the integer enclosure kernel.
+    """A region oracle in batch form: classify(depth, i, j) answers for
+    the squares (depth, i, j) of the int arrays i, j at once, as boolean
+    arrays (inside, outside); a BOUNDARY square is neither.  Every region
+    implements classify, and the call on one DyadicSquare reads it
+    (PolynomialSignRegion keeps its own, the oracle of its kernel).
     """
 
     def __call__(self, square: DyadicSquare) -> Region:
-        raise NotImplementedError
+        inside, outside = self.classify(square.depth, np.array([square.i]), np.array([square.j]))
+        return Region.INSIDE if inside[0] else Region.OUTSIDE if outside[0] else Region.BOUNDARY
 
     def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
-        pairs = zip(np.asarray(i).tolist(), np.asarray(j).tolist())
-        answers = [self(DyadicSquare(depth, a, b)) for a, b in pairs]
-        wants = (Region.INSIDE, Region.OUTSIDE)
-        return tuple(np.array([r is want for r in answers], dtype=bool) for want in wants)
+        raise NotImplementedError
 
 
 class FullSquareRegion(DyadicRegion):
     """The whole open unit square (the ambient boundary is not held
     against membership; only dilates exiting the ambient count as exits)."""
 
-    def __call__(self, square: DyadicSquare) -> Region:
-        return Region.INSIDE
+    def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
+        return np.ones(np.shape(i), dtype=bool), np.zeros(np.shape(i), dtype=bool)
 
 
 class PuncturedSquareRegion(DyadicRegion):
-    """Unit square minus one point (given in exact coordinates)."""
+    """Unit square minus one point p (exact): a depth-d square (i, j) is
+    BOUNDARY iff ceil(p 2^d) - 1 <= i <= floor(p 2^d) and likewise for j,
+    with the bounds clamped to [-1, 2^d]; every other square is INSIDE."""
 
     def __init__(self, point=(Fraction(1, 2), Fraction(1, 2))):
         self.point = (Fraction(point[0]), Fraction(point[1]))
 
-    def __call__(self, square: DyadicSquare) -> Region:
-        r = square.rect()
-        px, py = self.point
-        if r.x0 <= px <= r.x1 and r.y0 <= py <= r.y1:
-            return Region.BOUNDARY
-        return Region.INSIDE
+    def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
+        n = 1 << depth
+        held = np.ones(np.shape(i), dtype=bool)
+        for v, p in zip((np.asarray(i), np.asarray(j)), self.point):
+            lo, hi = (min(max(b, -1), n) for b in (math.ceil(p * n) - 1, math.floor(p * n)))
+            held &= (lo <= v) & (v <= hi)
+        return ~held, np.zeros_like(held)
 
 
 class PolynomialSignRegion(DyadicRegion):
@@ -536,6 +533,12 @@ def _blocks(i: np.ndarray, j: np.ndarray, factor: int, offsets: np.ndarray):
     return bi.ravel(), bj.ravel()
 
 
+def _ask_each(omega: RegionOracle, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
+    pairs = zip(i.tolist(), j.tolist())
+    answers = np.array([omega(DyadicSquare(depth, a, b)) for a, b in pairs], dtype=object)
+    return answers == Region.INSIDE, answers == Region.OUTSIDE
+
+
 _CHILDREN = np.arange(2)
 _DILATE = np.arange(-1, 3)
 
@@ -555,14 +558,11 @@ def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
     classify call per depth d + 1: it answers the children of the depth-d
     BOUNDARY squares together with the dilate squares of the depth-d
     INSIDE squares, each distinct square once.  A plain callable oracle
-    is asked square by square through DyadicRegion.classify.  Cubes are
-    listed by (depth, i, j).
+    is asked square by square.  Cubes are listed by (depth, i, j).
     """
-    if not 1 <= k_max <= 30:
-        raise ValueError("k_max must lie in [1, 30]")
-    classify = (
-        omega.classify if isinstance(omega, DyadicRegion) else partial(DyadicRegion.classify, omega)
-    )
+    if not 1 <= k_max <= MAX_SCALE:
+        raise ValueError(f"k_max must lie in [1, {MAX_SCALE}]")
+    classify = omega.classify if isinstance(omega, DyadicRegion) else partial(_ask_each, omega)
     cubes = []
     flags = []
     i = j = np.zeros(1, dtype=np.int64)
@@ -701,9 +701,13 @@ def band_partition(
 ProductSet = Tuple[GridSet1D, GridSet1D]
 
 
-def _inflation(A: Union[GridSet2D, ProductSet], s) -> Fraction:
-    """s as an exact rational, checked to lie in [delta, 1]."""
-    delta = A.scale.delta if isinstance(A, GridSet2D) else A[0].scale.delta
+def _inflation(func: str, A: Union[GridSet2D, ProductSet], s) -> Fraction:
+    """s as an exact rational, checked to lie in [delta, 1], once A is
+    checked to be a GridSet2D or a pair of GridSet1Ds."""
+    sets = [A] if isinstance(A, (GridSet1D, GridSet2D)) else list(A)
+    for S in sets:
+        _check_dimension(func, S, GridSet2D if len(sets) == 1 else GridSet1D)
+    delta = sets[0].scale.delta
     if isinstance(s, float) and not math.isfinite(s):
         raise ValueError(f"s must lie in [delta, 1], got {s}")
     s = Fraction(s)
@@ -758,7 +762,7 @@ def zero_nbhd_covering(phi: SmoothMap2, A, s) -> int:
     over-approximation of the Euclidean neighborhood.  The enclosures of
     all cells come from one enclosure_rects call (see _level_covering).
     """
-    return _level_covering(phi, A, _inflation(A, s), [Fraction(0)])[0]
+    return _level_covering(phi, A, _inflation("zero_nbhd_covering", A, s), [Fraction(0)])[0]
 
 
 @dataclass(frozen=True)
@@ -778,7 +782,7 @@ def select_level(
     every level is counted against the same sorted ends (see
     _level_covering).
     """
-    s = _inflation(A, s)
+    s = _inflation("select_level", A, s)
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
     if not (float(s) ** (kappa / 2) < t0 <= 0.5):
@@ -935,6 +939,7 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
     product A x B keeps at least half of X.  The report records measured
     non-concentration exponents of the factors.
     """
+    _check_dimension("extract_product", X, GridSet2D)
     if not len(X):
         raise ValueError("extract_product needs a nonempty set")
     # Per side (columns, then rows): the distinct indices, each cell's
@@ -977,6 +982,7 @@ def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
     One enclosure_cells call gives every cell's range [j0, j1] of value
     cells; the image is the sorted union of those ranges.
     """
+    _check_dimension("map_image", X, GridSet2D)
     j0, j1 = phi.enclosure_cells(*X.indices(), X.scale.k)
     return GridSet1D._from_keys(X.scale, range_union(j0, j1))
 
@@ -993,6 +999,7 @@ def preimage_cells(
     set, read by binary search in its sorted cells, so memory does not
     grow with 2^k.
     """
+    _check_dimension("preimage_cells", values, GridSet1D)
     if values.scale != scale:
         raise ValueError("value set must live at the target scale")
     d, n = scale.delta, scale.cells

@@ -538,6 +538,8 @@ class ProductBounds:
     __slots__ = ("P", "A", "B", "lo", "hi", "scale")
 
     def __init__(self, P: Poly, A: GridSet1D, B: GridSet1D):
+        for S in (A, B):
+            _check_dimension("ProductBounds", S, GridSet1D)
         if A.scale != B.scale:
             raise ValueError("A and B must share a scale")
         self.P, self.A, self.B = P, A, B
@@ -655,6 +657,8 @@ def energy_count_brute_force(
 ) -> int:
     """Independent O(N^2) oracle: test range intersection per quadruple,
     with every enclosure taken from interval_range on the cell product."""
+    for S in (A, B):
+        _check_dimension("energy_count_brute_force", S, GridSet1D)
     if A.scale != B.scale:
         raise ValueError("A and B must share a scale")
     d = A.scale.delta

@@ -379,6 +379,47 @@ def test_set_file_without_gen_file_is_domain_error(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, *argv) == (1, "", "explab: --set-file needs --gen file\n")
 
 
+# Each of these exited 0 and ignored the option.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["whitney", "--region", "full", "--puncture", "1/3,3/4"], "--puncture needs --region punctured"),
+        (["whitney", "--region", "poly-pos:x - y", "--puncture", "1/2,1/2"], "--puncture needs --region punctured"),
+        (["cover", "--base", "8"], "--base needs --gen cantor"),
+        (["nonconc", "--gen", "ap", "--pattern", "0,3"], "--pattern needs --gen cantor"),
+        (["cover", "--gen", "file", "--set-file", "SET", "--base", "2"], "--base needs --gen cantor"),
+        (["cover", "--gen", "cantor", "--alpha", "0.25"], "--alpha needs --gen ap"),
+        (["energy", "--poly", "x*y", "--gen", "cantor", "--eta", "0.1"], "--eta needs --gen ap"),
+        (["image", "--poly", "x +", "--gen", "file", "--set-file", "SET", "--alpha", "0.5"], "--alpha needs --gen ap"),
+        (["nonconc", "--gen", "file", "--set-file", "SET", "--eta", "0"], "--eta needs --gen ap"),
+    ],
+)
+def test_option_the_chosen_region_or_generator_never_reads_is_domain_error(
+    tmp_path, capsys, monkeypatch, fresh_shared_parser, argv, message
+):
+    path = tmp_path / "set.grid"
+    path.write_text("gridset1d k=4\n1\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for name in ("_cmd_cover", "_cmd_nonconc", "_cmd_image", "_cmd_energy", "_cmd_whitney"):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = [str(path) if a == "SET" else a for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"explab: {message}\n")
+
+
+def test_help_shows_the_defaults_of_scoped_options(capsys):
+    for argv, defaults in (
+        (["cover", "--help"], ["default 0.5", "default 0.0", "default 4", "default 0,1"]),
+        (["whitney", "--help"], ["default 1/2,1/2"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0 and all(d in text for d in defaults), text
+
+
 def test_extract_names_a_bad_set_file_line(tmp_path, capsys):
     path = tmp_path / "x.grid"
     path.write_text("gridset2d k=3\n0 1\n1 2 3\n")
@@ -578,9 +619,11 @@ def test_negative_precision_is_domain_error_before_any_work(
     assert err == f"explab: --precision must be at least 0, got {value}\n"
 
 
-def test_readme_command_examples_parse():
+def test_readme_command_examples_parse(capsys):
     """Every explab line of README's "Command line" block parses, so a
-    removed option cannot linger in the docs."""
+    removed option cannot linger in the docs, and every line that reads
+    no file runs with exit code 0, so no rejected option combination can
+    either."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         block = fh.read().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -588,6 +631,11 @@ def test_readme_command_examples_parse():
     assert len(commands) >= 10 and all(argv[0] == "explab" for argv in commands)
     for argv in commands:
         cli.build_parser().parse_args(argv[1:])
+    runnable = [argv[1:] for argv in commands if not {"--set-file", "--file"} & set(argv)]
+    assert len(runnable) >= 10
+    for argv in runnable:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_precision_zero_is_accepted(capsys):
@@ -760,6 +808,8 @@ def test_decompositions_build_no_dyadic_squares(capsys, monkeypatch):
         lambda: format_cube_decomposition(whitney_decompose(region, 6)),
         lambda: run_cli(capsys, "bands", "--poly", "x^2*y + x*y^3 + x", "--k", "5"),
         lambda: run_cli(capsys, "whitney", "--region", "poly-pos:x^2 + y^2 - 3/8", "--kmax", "6"),
+        lambda: run_cli(capsys, "whitney", "--region", "punctured", "--puncture", "1/3,3/4", "--kmax", "8"),
+        lambda: run_cli(capsys, "whitney", "--region", "full", "--kmax", "5"),
     )
     before = [request() for request in requests]
 

@@ -38,6 +38,7 @@ from explab.geomdecomp import (
     whitney_decompose,
     zero_nbhd_covering,
 )
+from explab.geomdecomp import _hypot
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
 from explab.polyexpr import VARS2, Poly, Rect, mp_numerator, parse_poly
 
@@ -918,7 +919,9 @@ def test_cube_decomposition_rejects_bad_denominators_and_flags(den, flagged, mes
 # names differ).  They take every enclosure one box at a time through the
 # public scalar enclosure or region call, so they share no code with
 # polyexpr.box_bounds.  Three small helpers they use live here, as only the
-# tests need them.
+# tests need them.  So do the per-rectangle enclosure_rects loop that the
+# float maps' batch formula replaced and the Rect/Fraction calls of the two
+# fixed regions, which the reference walk asks in place of their classify.
 
 
 def children(square: DyadicSquare) -> Tuple[DyadicSquare, ...]:
@@ -1126,6 +1129,51 @@ def reference_enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarra
     return np.array(j0, dtype=np.int64), np.array(j1, dtype=np.int64)
 
 
+def reference_enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact integer enclosure ends of a batch of rectangles."""
+    edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
+    encs = [
+        self.enclosure(Rect(*(Fraction(v, den) for v in corners)))
+        for corners in zip(*(e.ravel().tolist() for e in edges))
+    ]
+    scale = math.lcm(*(v.denominator for e in encs for v in (e.lo, e.hi)))
+
+    def ints(values) -> np.ndarray:
+        out = [v.numerator * (scale // v.denominator) for v in values]
+        return np.array(out, dtype=object).reshape(edges[0].shape)
+
+    return ints(e.lo for e in encs), ints(e.hi for e in encs), scale
+
+
+class ReferencePuncturedRegion:
+    """Unit square minus one point (given in exact coordinates)."""
+
+    def __init__(self, point=(Fraction(1, 2), Fraction(1, 2))):
+        self.point = (Fraction(point[0]), Fraction(point[1]))
+
+    def __call__(self, square: DyadicSquare) -> Region:
+        r = square.rect()
+        px, py = self.point
+        if r.x0 <= px <= r.x1 and r.y0 <= py <= r.y1:
+            return Region.BOUNDARY
+        return Region.INSIDE
+
+
+def reference_full_square(square: DyadicSquare) -> Region:
+    return Region.INSIDE
+
+
+def reference_oracle(region) -> RegionOracle:
+    """The per-square answers the reference walk asks: the Rect/Fraction
+    calls of the fixed regions above, the interval_range call of a sign
+    region (its own), and a bare callable as it is."""
+    if isinstance(region, PuncturedSquareRegion):
+        return ReferencePuncturedRegion(region.point)
+    if isinstance(region, FullSquareRegion):
+        return reference_full_square
+    return region
+
+
 def plain(region):
     """The region as a bare callable, which whitney_decompose asks square
     by square."""
@@ -1163,7 +1211,7 @@ regions = st.one_of(
 @given(regions, st.integers(1, 6), st.booleans())
 def test_whitney_equals_recursive_walk(omega, k_max, as_callable):
     got = whitney_decompose(plain(omega) if as_callable else omega, k_max)
-    want = reference_whitney_decompose(omega, k_max)
+    want = reference_whitney_decompose(reference_oracle(omega), k_max)
     assert format_cube_decomposition(got) == format_cube_decomposition(want)
     assert got == want
 
@@ -1185,8 +1233,66 @@ def test_whitney_cli_regions_equal_recursive_walk(region):
         omega = PolynomialSignRegion(parse_poly(region[9:]), region.startswith("poly-pos"))
     got = whitney_decompose(omega, 7)
     assert format_cube_decomposition(got) == format_cube_decomposition(
-        reference_whitney_decompose(omega, 7)
+        reference_whitney_decompose(reference_oracle(omega), 7)
     )
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [FullSquareRegion()]
+    + [PuncturedSquareRegion(p) for p in ((0.5, 0.5), ("1/3", "3/4"), (0, 0), (1, 1), (2, 2))],
+    ids=["full", "centre", "third", "origin", "corner", "outside"],
+)
+def test_whitney_fixed_regions_at_kmax_12_equal_recursive_walk(omega):
+    got = whitney_decompose(omega, 12)
+    want = reference_whitney_decompose(reference_oracle(omega), 12)
+    assert format_cube_decomposition(got) == format_cube_decomposition(want)
+    assert got == want
+
+
+# Puncture coordinates: on a dyadic edge or corner of some depth (inside or
+# outside the unit square), next to one, any small rational, or one with a
+# large denominator.
+puncture_coordinates = st.one_of(
+    st.builds(lambda m, e: Fraction(m, 2**e), st.integers(-64, 2**12 + 64), st.integers(0, 12)),
+    st.builds(lambda m, e, s: Fraction(m, 2**e) + s * Fraction(1, 3**30), st.integers(0, 64),
+              st.integers(0, 6), st.sampled_from([-1, 1])),
+    st.fractions(min_value=-2, max_value=3, max_denominator=40),
+    st.builds(lambda m: Fraction(m, 7 * 2**61 + 3), st.integers(-(2**62), 2**64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(puncture_coordinates, puncture_coordinates), st.integers(0, 12), st.data())
+def test_punctured_classify_equals_fraction_reference(point, depth, data):
+    n = 2**depth
+    region, reference = PuncturedSquareRegion(point), ReferencePuncturedRegion(point)
+    # The squares around the point (clamped into the grid) and random ones.
+    ci, cj = (min(max(math.floor(p * n), 0), n - 1) for p in region.point)
+    square = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    squares = [(a, b) for a in range(ci - 2, ci + 3) for b in range(cj - 2, cj + 3)]
+    squares = [(a, b) for a, b in squares if 0 <= a < n and 0 <= b < n]
+    squares += data.draw(st.lists(square, max_size=20))
+    i, j = (np.array([c[axis] for c in squares], dtype=np.int64) for axis in (0, 1))
+    inside, outside = region.classify(depth, i, j)
+    want = [reference(DyadicSquare(depth, a, b)) for a, b in squares]
+    assert inside.dtype == outside.dtype == bool and inside.shape == outside.shape == i.shape
+    assert inside.tolist() == [r is Region.INSIDE for r in want]
+    assert outside.tolist() == [r is Region.OUTSIDE for r in want]
+    assert [region(DyadicSquare(depth, a, b)) for a, b in squares] == want
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 12])
+def test_fixed_regions_classify_empty_and_whole_levels(depth):
+    n = 2**depth
+    i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    inside, outside = FullSquareRegion().classify(depth, i, j)
+    assert inside.all() and not outside.any() and inside.shape == (n * n,)
+    centre = PuncturedSquareRegion().classify(depth, i, j)
+    # The centre is a corner of four squares below depth 1, inside the root.
+    assert (~centre[0]).sum() == (1 if depth == 0 else 4) and not centre[1].any()
+    for region in (FullSquareRegion(), PuncturedSquareRegion()):
+        assert [a.shape for a in region.classify(depth, i[:0], j[:0])] == [(0,), (0,)]
 
 
 band_maps = st.one_of(
@@ -1284,6 +1390,79 @@ def test_polynomial_enclosure_cells_equal_per_cell_loop(phi, block):
     want = reference_enclosure_cells(phi, i, j, k)
     assert all(c.dtype == np.int64 and c.shape == i.shape for c in got)
     assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+
+@st.composite
+def rect_batches(draw):
+    """Corners over one denominator, m x 1 in x against 1 x n in y (either
+    may be empty), as int64 when they fit and object arrays otherwise."""
+    den = draw(st.sampled_from([1, 5, 8, 64, 3 * 2**10, 7 * 2**20, 2**54, 3 * 2**61]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def column(size, shape):
+        corner = st.integers(-2 * den, 3 * den)
+        starts = np.array(draw(st.lists(corner, min_size=size, max_size=size)), dtype=object)
+        widths = np.array(draw(st.lists(st.integers(0, den), min_size=size, max_size=size)), dtype=object)
+        return starts.reshape(shape), (starts + widths).reshape(shape)
+
+    x0, x1 = column(m, (m, 1))
+    y0, y1 = column(n, (1, n))
+    edges = (x0, x1, y0, y1)
+    if den < 2**60 and draw(st.booleans()):
+        edges = tuple(e.astype(np.int64) for e in edges)
+    return (*edges, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_maps, rect_batches())
+def test_float_enclosure_rects_equal_per_rectangle_loop(phi, batch):
+    lo, hi, scale = phi.enclosure_rects(*batch)
+    want_lo, want_hi, want_scale = reference_enclosure_rects(phi, *batch)
+    assert scale == want_scale
+    assert lo.shape == hi.shape == want_lo.shape and lo.dtype == hi.dtype == object
+    assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+
+
+def test_float_enclosure_rects_take_math_hypot():
+    """np.hypot and math.hypot differ in the last bit on some of these
+    rectangles; the batch must give math.hypot's ends, as enclosure does."""
+    phi = PinnedDistance((0.3, 0.7))
+    k = 6
+    cells = np.arange(2**k)
+    i, j = cells[:, None], cells[None, :]
+    d = 0.5**k
+    edges = (i * d, (i + 1) * d, j * d, (j + 1) * d)
+    edges = tuple(np.broadcast_to(e, (2**k, 2**k)).ravel() for e in edges)
+    by_numpy, by_math = (np.hstack(phi._bounds(*edges, h)) for h in (np.hypot, _hypot))
+    assert (by_numpy != by_math).any()
+    got = phi.enclosure_rects(i, i + 1, j, j + 1, 2**k)
+    want = reference_enclosure_rects(phi, i, i + 1, j, j + 1, 2**k)
+    assert got[2] == want[2] and [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]]
+
+
+def test_float_map_decompositions_build_no_rects(monkeypatch):
+    k = 5
+    A = (GridSet1D(Scale(k), tuple(range(0, 32, 3))), GridSet1D(Scale(k), tuple(range(32))))
+    X = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(0, 32, 3) for j in range(32)])
+    maps = [PinnedDistance((0.3, -0.2)), LinearProjection(0.7)]
+    requests = (
+        lambda: format_cube_decomposition(band_partition(maps, 0.4, Scale(k), X)),
+        lambda: format_cube_decomposition(band_partition(maps[1:], 0.2, Scale(k), X)),
+        lambda: select_level(maps[0], A, Fraction(1, 32), 0.3, 1.0),
+        lambda: select_level(maps[1], A, Fraction(3, 32), 0.4, 1.0),
+        lambda: zero_nbhd_covering(maps[0], X, Fraction(1, 3)),
+        lambda: zero_nbhd_covering(maps[1], A, 1 / 3),
+    )
+    before = [request() for request in requests]
+
+    def forbidden(self):
+        raise AssertionError("a float map path built a Rect")
+
+    monkeypatch.setattr(Rect, "__post_init__", forbidden)
+    assert [request() for request in requests] == before
+    assert all("cube k=" in text for text in before[:2])
+    with pytest.raises(AssertionError, match="Rect"):
+        maps[0].enclosure(Rect.of(0, 1, 0, 1))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import explab.gridset as gridset_module
-from explab.geomdecomp import PolynomialMap, band_partition
+from explab.geomdecomp import (
+    LinearProjection,
+    PolynomialMap,
+    band_partition,
+    extract_product,
+    map_image,
+    preimage_cells,
+    select_level,
+    zero_nbhd_covering,
+)
 from explab.gridset import (
     GridSet1D,
     GridSet2D,
@@ -636,8 +645,33 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
             "band_partition",
             lambda: band_partition([PolynomialMap(parse_poly("1"))], 0.5, Scale(6), _LINE),
         ),
+        # energy_count(x + y, X, X) was 15 and sum_set(X, X) was {63}.
+        ("ProductBounds", lambda: ProductBounds(P_SUM, _LINE, _PLANE)),
+        ("ProductBounds", lambda: image_set(P_SUM, _PLANE, _LINE)),
+        ("ProductBounds", lambda: energy_count(P_SUM, _PLANE, _PLANE)),
+        ("ProductBounds", lambda: sum_set(_PLANE, _PLANE)),
+        ("ProductBounds", lambda: product_set(_LINE, _ROW)),
+        ("energy_count_brute_force", lambda: energy_count_brute_force(P_SUM, _PLANE, _PLANE)),
+        # An empty set before.
+        (
+            "preimage_cells",
+            lambda: preimage_cells(LinearProjection(0.5), _PLANE, Rect.of(0, 1, 0, 1), Scale(6)),
+        ),
+        # AttributeError before: a GridSet1D has no indices().
+        ("map_image", lambda: map_image(LinearProjection(0.5), _LINE)),
+        ("extract_product", lambda: extract_product(_LINE)),
+        # TypeError before: a GridSet1D is no pair.
+        ("zero_nbhd_covering", lambda: zero_nbhd_covering(LinearProjection(0.5), _LINE, 0.25)),
+        ("zero_nbhd_covering", lambda: zero_nbhd_covering(LinearProjection(0.5), (_LINE, _ROW), 0.25)),
+        ("select_level", lambda: select_level(LinearProjection(0.5), _LINE, 0.25, 0.4, 0.5)),
+        ("select_level", lambda: select_level(LinearProjection(0.5), (_PLANE, _LINE), 0.25, 0.4, 0.5)),
     ],
-    ids=["restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "intersection", "bands"],
+    ids=[
+        "restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "intersection", "bands",
+        "product_bounds", "image_set", "energy_count", "sum_set", "product_set",
+        "energy_brute_force", "preimage_values", "map_image", "extract_product",
+        "zero_nbhd_line", "zero_nbhd_pair", "select_level_line", "select_level_pair",
+    ],
 )
 def test_set_of_the_wrong_dimension_is_rejected(func, call):
     with pytest.raises(ValueError, match=rf"^{func} needs a GridSet[12]D, got a GridSet[12]D$"):
