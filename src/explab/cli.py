@@ -10,7 +10,9 @@ given.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -55,12 +57,16 @@ def _fmt(value, precision):
     return str(value)
 
 
-def _emit(result: dict, text_lines, args) -> None:
+def _emit(result: dict, text_lines, args, csv_text=None) -> None:
+    """Write result as JSON, as CSV (csv_text, or by default a header and
+    one row of result's scalars) or as text_lines."""
     if args.format == "json":
         payload = json.dumps(result, sort_keys=True, separators=(",", ":"))
     elif args.format == "csv":
-        rows = result.get("csv")
-        payload = rows if rows is not None else _dict_to_csv(result)
+        if csv_text is None:
+            flat = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
+            csv_text = _csv_text([list(flat), map(str, flat.values())])
+        payload = csv_text
     else:
         payload = "\n".join(text_lines)
     if not payload.endswith("\n"):
@@ -72,11 +78,12 @@ def _emit(result: dict, text_lines, args) -> None:
         sys.stdout.write(payload)
 
 
-def _dict_to_csv(result: dict) -> str:
-    flat = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
-    header = ",".join(flat)
-    row = ",".join(str(v) for v in flat.values())
-    return f"{header}\n{row}\n"
+def _csv_text(rows) -> str:
+    """The CSV lines of rows, each ending in a newline; a field holding a
+    comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _generator_from_args(args):
@@ -157,7 +164,11 @@ def _region_from_args(args):
     if args.region == "full":
         return FullSquareRegion()
     if args.region == "punctured":
-        return PuncturedSquareRegion(_point("--puncture", args.puncture, Fraction))
+        point = _point("--puncture", args.puncture, Fraction)
+        try:
+            return PuncturedSquareRegion(point)
+        except ValueError as exc:
+            raise ValueError(f"--puncture: {exc}") from None
     if args.region.startswith("poly-pos:"):
         return PolynomialSignRegion(parse_poly(args.region[len("poly-pos:") :]))
     if args.region.startswith("poly-neg:"):
@@ -376,9 +387,10 @@ def _cmd_scenario(args):
     else:
         scenario = builtin_scenario(args.name)
     report = run_scenario(scenario)
+    csv_text = report_to_csv(report)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report_to_csv(report))
+            fh.write(csv_text)
     if args.plot_data:
         os.makedirs(args.plot_data, exist_ok=True)
         write_plot_data(report, args.plot_data)
@@ -397,9 +409,7 @@ def _cmd_scenario(args):
             f"  fit {name}: slope {_fmt(fit.slope, args.precision)} "
             f"residual {_fmt(fit.residual, args.precision)}"
         )
-    if args.format == "csv":
-        data["csv"] = report_to_csv(report)
-    _emit(data, lines, args)
+    _emit(data, lines, args, csv_text)
 
 
 def _cmd_list_scenarios(args):
@@ -412,7 +422,8 @@ def _cmd_list_scenarios(args):
         ],
     }
     lines = [f"{s.name}: {s.description}" for s in scenarios]
-    _emit(data, lines, args)
+    rows = [["name", "family", "description"], *(list(s.values()) for s in data["scenarios"])]
+    _emit(data, lines, args, _csv_text(rows))
 
 
 # ---------------------------------------------------------------------------

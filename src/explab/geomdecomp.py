@@ -27,6 +27,8 @@ from .gridset import _check_dimension
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
+_NEWTON_TOL = 1e-13  # residual at which _newton_invert stops
+_NEWTON_MAX_ITER = 60
 
 
 class DegenerateGradientsError(ValueError):
@@ -46,9 +48,10 @@ class SmoothMap2:
     """A twice-plus differentiable planar map.
 
     Implementations, a map defined outside explab too, define the value,
-    partial derivatives up to total order 3, a sound interval enclosure
-    of the range on a rectangle and its batch form enclosure_rects (there
-    is no default).  Instances are immutable and shareable.
+    partial derivatives up to total order 3 and enclosure_rects, a sound
+    interval enclosure of the range on a batch of rectangles (there is no
+    default).  enclosure, the same on one rectangle, defaults to
+    enclosure_rects on it.  Instances are immutable and shareable.
 
     enclosure_rects(x0, x1, y0, y1, den) is the batch form of enclosure:
     for integer corner arrays over one denominator (broadcasting like
@@ -75,7 +78,13 @@ class SmoothMap2:
         raise NotImplementedError
 
     def enclosure(self, rect: Rect) -> Interval:
-        raise NotImplementedError
+        """enclosure_rects on the one rectangle, over the lcm of its corner
+        denominators."""
+        corners = [Fraction(v) for v in (rect.x0, rect.x1, rect.y0, rect.y1)]
+        den = math.lcm(*(v.denominator for v in corners))
+        edges = (np.array([v.numerator * (den // v.denominator)]) for v in corners)
+        lo, hi, scale = self.enclosure_rects(*edges, den)
+        return Interval(Fraction(int(lo[0]), scale), Fraction(int(hi[0]), scale))
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
         raise NotImplementedError
@@ -111,9 +120,9 @@ class _FloatEnclosureMap(SmoothMap2):
     of a rectangle, evaluated elementwise over float arrays with its
     square roots taken by the hypot it is given.
 
-    enclosure runs it on one rectangle with _hypot (math.hypot), and that
-    defines the enclosure; enclosure_rects runs it so on a batch, its ends
-    exact over one power of two.  enclosure_cells runs it on cell arrays
+    enclosure_rects runs it on a batch with _hypot (math.hypot), its ends
+    exact over one power of two, and that defines the enclosure (enclosure
+    reads it on one rectangle).  enclosure_cells runs it on cell arrays
     with np.hypot, which may differ from math.hypot in the last bit, as a
     filter: an end v can land in another cell than enclosure's only when
     v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
@@ -127,11 +136,6 @@ class _FloatEnclosureMap(SmoothMap2):
 
     def _bounds(self, x0, x1, y0, y1, hypot) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def enclosure(self, rect: Rect) -> Interval:
-        edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
-        lo, hi = self._bounds(*edges, _hypot)
-        return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
         edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
@@ -482,19 +486,21 @@ class FullSquareRegion(DyadicRegion):
 
 
 class PuncturedSquareRegion(DyadicRegion):
-    """Unit square minus one point p (exact): a depth-d square (i, j) is
-    BOUNDARY iff ceil(p 2^d) - 1 <= i <= floor(p 2^d) and likewise for j,
-    with the bounds clamped to [-1, 2^d]; every other square is INSIDE."""
+    """Unit square minus one point p of [0, 1]^2, exact (a point outside
+    the square is a ValueError): a depth-d square (i, j) is BOUNDARY iff
+    ceil(p 2^d) - 1 <= i <= floor(p 2^d) and likewise for j; every other
+    square is INSIDE."""
 
     def __init__(self, point=(Fraction(1, 2), Fraction(1, 2))):
         self.point = (Fraction(point[0]), Fraction(point[1]))
+        if not all(0 <= p <= 1 for p in self.point):
+            raise ValueError("the puncture {},{} lies outside the unit square [0, 1]^2".format(*self.point))
 
     def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
         n = 1 << depth
         held = np.ones(np.shape(i), dtype=bool)
         for v, p in zip((np.asarray(i), np.asarray(j)), self.point):
-            lo, hi = (min(max(b, -1), n) for b in (math.ceil(p * n) - 1, math.floor(p * n)))
-            held &= (lo <= v) & (v <= hi)
+            held &= (math.ceil(p * n) - 1 <= v) & (v <= math.floor(p * n))
         return ~held, np.zeros_like(held)
 
 
@@ -836,12 +842,12 @@ def _chart_curvature(phi3: SmoothMap2, x: float, y: float) -> float:
     return 2.0 * m / (px * py) ** 2
 
 
-def _newton_invert(phi1, phi2, target, start, tol=1e-13, max_iter=60):
+def _newton_invert(phi1, phi2, target, start):
     x, y = start
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         f1 = phi1.value(x, y) - target[0]
         f2 = phi2.value(x, y) - target[1]
-        if abs(f1) < tol and abs(f2) < tol:
+        if abs(f1) < _NEWTON_TOL and abs(f2) < _NEWTON_TOL:
             return x, y
         a, b = phi1.gradient(x, y)
         c, d = phi2.gradient(x, y)

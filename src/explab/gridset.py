@@ -39,7 +39,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, isfinite, log2
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class GridSet2D(_GridSet):
     @staticmethod
     def _check_cells(cells, limit: int) -> None:
         prev = None
-        for ij in cells:
+        for ij in map(tuple, cells):  # numpy rows do not compare as one truth value
             if prev is not None and not prev < ij:
                 raise ValueError("cells must be strictly increasing")
             i, j = ij
@@ -226,27 +226,32 @@ def format_gridset(S: GridSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_digits(text: str) -> GridSet:
-    """parse_gridset on ASCII text of a header line, then lines of one
-    token (two in 2-D) of at most 18 digits, split as str.split and
-    str.splitlines split; other texts raise ValueError, IndexError or KeyError."""
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+def parse_gridset(text: str) -> GridSet:
+    """Inverse of format_gridset, read as one byte array: ASCII text of a
+    header line `gridset1d|gridset2d k=<digits>`, then lines of one token
+    (two in 2-D) of 1-18 digits, split as str.split and str.splitlines do.
+    Any other text raises the ValueError that names its first fault."""
+    try:
+        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"non-ASCII character {text[exc.start]!r} (at offset {exc.start})") from None
     space = (b == 32) | (b - 9 <= 4) | (b - 28 <= 3)  # uint8 wraps below the range
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
     first, stop = edges[::2], edges[1::2]  # token t is text[first[t]:stop[t]]
-    cls = {"gridset1d": GridSet1D, "gridset2d": GridSet2D}[text[first[0] : stop[0]]]
-    k, width = text[first[1] : stop[1]], cls._width
+    kind, k = (text[f:s] for f, s in zip(first[:2], stop[:2])) if first.size > 1 else ("", "")
+    cls, width = (GridSet2D, 2) if kind == "gridset2d" else (GridSet1D, 1)
     # Lines break at \n-\r and \x1c-\x1e; only the header's first token
     # and every width-th cell token may begin one.
     begins = np.diff(np.cumsum((b - 10 <= 3) | (b - 28 <= 2))[first], prepend=-1) > 0
     want = np.zeros_like(begins)
-    want[0] = want[2::width] = True
+    want[:1] = want[2::width] = True
     body, lengths = (first[2] if first.size > 2 else b.size), stop[2:] - first[2:]
     if not (
-        k[:2] == "k=" and k[2:].isdigit() and np.array_equal(begins, want) and lengths.size % width == 0
+        kind in ("gridset1d", "gridset2d") and k[:2] == "k=" and k[2:].isdigit()
+        and np.array_equal(begins, want) and lengths.size % width == 0
         and (lengths <= 18).all() and ((b[body:] - 48 <= 9) | space[body:]).all()
     ):
-        raise ValueError("not a digit-only grid-set text")
+        _raise_text_fault(text)
     # Each cell is its digits times powers of ten, summed a place at a time
     # from every token's last byte; bytes before a short token count 0.
     last, values = stop[2:] - 1, np.zeros(lengths.size, dtype=np.int64)
@@ -255,43 +260,26 @@ def _parse_digits(text: str) -> GridSet:
     return cls(Scale(int(k[2:])), values.reshape(-1, width))
 
 
-def parse_gridset(text: str) -> GridSet:
-    """Inverse of format_gridset; malformed text raises ValueError naming
-    the offending line.  Digit-only cell lines are read as bytes; the line
-    loop reads every other text, and names the line or cell at fault."""
-    try:
-        return _parse_digits(text)
-    except (IndexError, KeyError, ValueError):
-        pass
-    return _parse_lines(text)
-
-
-def _parse_lines(text: str) -> GridSet:
-    """parse_gridset one line at a time, with int() on each token."""
+def _raise_text_fault(text: str) -> NoReturn:
+    """Raise the ValueError naming the first fault of an ASCII text that
+    parse_gridset's arrays refused: the empty text, the header, the
+    scale, the kind, or the first line that is not one cell."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty gridset text")
     header = lines[0].split()
     if len(header) != 2 or not header[1].startswith("k=") or not header[1][2:].isdigit():
         raise ValueError(f"bad gridset header {lines[0]!r}")
-    scale = Scale(int(header[1][2:]))
-    cells = []
-    if header[0] == "gridset1d":
-        for ln in lines[1:]:
-            try:
-                cells.append(int(ln))
-            except ValueError:
-                raise ValueError(f"bad gridset1d line {ln!r}: want one integer") from None
-        return GridSet1D(scale, tuple(cells))
-    if header[0] == "gridset2d":
-        for ln in lines[1:]:
-            try:
-                i, j = ln.split()
-                cells.append((int(i), int(j)))
-            except ValueError:
-                raise ValueError(f"bad gridset2d line {ln!r}: want two integers i j") from None
-        return GridSet2D(scale, tuple(cells))
-    raise ValueError(f"bad gridset kind {header[0]!r}")
+    Scale(int(header[1][2:]))
+    width, want = {"gridset1d": (1, "one integer"), "gridset2d": (2, "two integers i j")}.get(header[0], (0, ""))
+    if not width:
+        raise ValueError(f"bad gridset kind {header[0]!r}")
+    for ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != width or not all(t.isdigit() and len(t) <= 18 for t in tokens):
+            raise ValueError(f"bad {header[0]} line {ln!r}: want {want}")
+    # Not reached: the arrays accept every text whose lines pass the walk.
+    raise ValueError("unreadable gridset text")
 
 
 def save_gridset(S: GridSet, path: str) -> None:

@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, formats, and agreement with library calls."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -672,6 +674,21 @@ def test_point_and_pattern_options_name_themselves(capsys, argv, message):
     assert err.startswith("explab: ") and message in err
 
 
+def test_whitney_puncture_outside_the_unit_square_is_domain_error(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("whitney_decompose ran")
+
+    monkeypatch.setattr(cli, "whitney_decompose", no_work)
+    for puncture in ("2,2", "-1/2,1/2", "1/2,1.5"):
+        code, out, err = run_cli(capsys, "whitney", f"--puncture={puncture}", "--kmax", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("explab: --puncture: the puncture ") and "outside the unit square" in err
+    monkeypatch.undo()
+    for puncture in ("0,0", "1,1", "0,1/3"):
+        code, out, err = run_cli(capsys, "whitney", "--puncture", puncture, "--kmax", "3")
+        assert (code, err) == (0, "") and out.startswith("cube ")
+
+
 PINNED_CURVATURE = [
     "curvature", "--phi1", "dist:0,0", "--phi2", "dist:1,0", "--phi3", "dist:0,1",
     "--point", "0.45,0.62", "--format", "json",
@@ -821,3 +838,51 @@ def test_decompositions_build_no_dyadic_squares(capsys, monkeypatch):
     assert all("cube k=" in text for text in before[:2])
     with pytest.raises(AssertionError, match="DyadicSquare"):
         whitney_decompose(region, 6).cubes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "x^2 + x*y + y^2"],
+        ["mp", "x + y + 3/4*(x^2 + y^2)^2"],
+        ["hf", "x*y"],
+        ["curvature", "--phi1", "coord:x", "--phi2", "coord:y", "--phi3", "poly:x*y + x", "--point", "0.3,0.4"],
+        ["cover", "--k", "8", "--kprime", "4"],
+        ["nonconc", "--k", "8"],
+        ["image", "--poly", "x + y", "--k", "6"],
+        ["energy", "--poly", "x + y", "--k", "6", "--hf-min", "0.01"],
+        ["whitney", "--kmax", "3"],
+        ["bands", "--poly", "x + y", "--k", "4", "--sample-stride", "2"],
+        ["extract"],
+        ["scenario", "--name", "sum_product_cantor"],
+        ["list-scenarios"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_output_reads_back_with_csv_reader(capsys, tmp_path, argv):
+    if argv == ["extract"]:
+        path = tmp_path / "x.txt"
+        path.write_text("gridset2d k=4\n" + "".join(f"{i} {j}\n" for i in range(16) for j in range(0, 16, 1 + i % 3)))
+        argv = ["extract", "--set-file", str(path)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    if argv[0] == "list-scenarios":
+        fields = ["name", "family", "description"]
+        assert rows == [fields] + [[s[f] for f in fields] for s in data["scenarios"]]
+    elif argv[0] == "scenario":
+        assert rows[0][0] == "k" and [r[0] for r in rows[1:]] == [str(k) for k in data["scales"]]
+    else:
+        # One header and one row: every scalar of the JSON result, the
+        # multi-line decompositions of whitney and bands included.
+        assert len(rows) == 2 and len(rows[0]) == len(rows[1])
+        flat = {k: str(v) for k, v in data.items() if not isinstance(v, (dict, list))}
+        assert dict(zip(*rows)) == flat
+    if not any(c in field for row in rows for field in row for c in ',"\r\n'):
+        # Rows that need no quoting are plain comma-joined lines.
+        assert out == "".join(",".join(row) + "\n" for row in rows)
+    else:
+        assert argv[0] in ("whitney", "bands", "list-scenarios")

@@ -40,7 +40,7 @@ from explab.geomdecomp import (
 )
 from explab.geomdecomp import _hypot
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
-from explab.polyexpr import VARS2, Poly, Rect, mp_numerator, parse_poly
+from explab.polyexpr import VARS2, Interval, Poly, Rect, mp_numerator, parse_poly
 
 P_QUAD = parse_poly("x^2 + x*y + y^2")
 
@@ -1117,13 +1117,29 @@ def reference_select_level(
     return best
 
 
+def reference_float_enclosure(phi, rect: Rect) -> Interval:
+    """The float maps' enclosure of one rectangle as they once defined it:
+    _bounds on the corners as floats, with math.hypot."""
+    edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
+    lo, hi = phi._bounds(*edges, _hypot)
+    return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
+
+
+def reference_enclosure(phi, rect: Rect) -> Interval:
+    """enclosure of one rectangle; for a float map, by the reference above,
+    not through the batch formula its enclosure now reads."""
+    if isinstance(phi, (PinnedDistance, LinearProjection)):
+        return reference_float_enclosure(phi, rect)
+    return phi.enclosure(rect)
+
+
 def reference_enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Clamped value-grid cells of the enclosure's ends on each cell."""
     n = 1 << k
     d = Fraction(1, n)
     j0, j1 = [], []
     for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
-        enc = self.enclosure(Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
+        enc = reference_enclosure(self, Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
         j0.append(min(max(math.floor(enc.lo * n), 0), n - 1))
         j1.append(min(max(math.floor(enc.hi * n), 0), n - 1))
     return np.array(j0, dtype=np.int64), np.array(j1, dtype=np.int64)
@@ -1133,7 +1149,7 @@ def reference_enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarra
     """Exact integer enclosure ends of a batch of rectangles."""
     edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
     encs = [
-        self.enclosure(Rect(*(Fraction(v, den) for v in corners)))
+        reference_enclosure(self, Rect(*(Fraction(v, den) for v in corners)))
         for corners in zip(*(e.ravel().tolist() for e in edges))
     ]
     scale = math.lcm(*(v.denominator for e in encs for v in (e.lo, e.hi)))
@@ -1240,8 +1256,8 @@ def test_whitney_cli_regions_equal_recursive_walk(region):
 @pytest.mark.parametrize(
     "omega",
     [FullSquareRegion()]
-    + [PuncturedSquareRegion(p) for p in ((0.5, 0.5), ("1/3", "3/4"), (0, 0), (1, 1), (2, 2))],
-    ids=["full", "centre", "third", "origin", "corner", "outside"],
+    + [PuncturedSquareRegion(p) for p in ((0.5, 0.5), ("1/3", "3/4"), (0, 0), (1, 1), (1, "1/2"))],
+    ids=["full", "centre", "third", "origin", "corner", "edge"],
 )
 def test_whitney_fixed_regions_at_kmax_12_equal_recursive_walk(omega):
     got = whitney_decompose(omega, 12)
@@ -1250,15 +1266,20 @@ def test_whitney_fixed_regions_at_kmax_12_equal_recursive_walk(omega):
     assert got == want
 
 
-# Puncture coordinates: on a dyadic edge or corner of some depth (inside or
-# outside the unit square), next to one, any small rational, or one with a
-# large denominator.
+def unit_dyadics(depth):
+    """m / 2^e in [0, 1], for e up to depth."""
+    return st.integers(0, depth).flatmap(lambda e: st.integers(0, 2**e).map(lambda m: Fraction(m, 2**e)))
+
+
+# Puncture coordinates in [0, 1]: on a dyadic edge or corner of some
+# depth, next to one, any small rational, or one with a large denominator.
 puncture_coordinates = st.one_of(
-    st.builds(lambda m, e: Fraction(m, 2**e), st.integers(-64, 2**12 + 64), st.integers(0, 12)),
-    st.builds(lambda m, e, s: Fraction(m, 2**e) + s * Fraction(1, 3**30), st.integers(0, 64),
-              st.integers(0, 6), st.sampled_from([-1, 1])),
-    st.fractions(min_value=-2, max_value=3, max_denominator=40),
-    st.builds(lambda m: Fraction(m, 7 * 2**61 + 3), st.integers(-(2**62), 2**64)),
+    unit_dyadics(12),
+    st.builds(lambda p, s: p + s * Fraction(1, 3**30), unit_dyadics(6), st.sampled_from([-1, 1])).filter(
+        lambda p: 0 <= p <= 1
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+    st.builds(lambda m: Fraction(m, 7 * 2**61 + 3), st.integers(0, 7 * 2**61 + 3)),
 )
 
 
@@ -1293,6 +1314,16 @@ def test_fixed_regions_classify_empty_and_whole_levels(depth):
     assert (~centre[0]).sum() == (1 if depth == 0 else 4) and not centre[1].any()
     for region in (FullSquareRegion(), PuncturedSquareRegion()):
         assert [a.shape for a in region.classify(depth, i[:0], j[:0])] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(2, 2), (Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), 1 + Fraction(1, 2**70)), (-Fraction(1, 2**70), 0),
+     (0.5, 1.5)],
+)
+def test_puncture_outside_the_unit_square_is_an_error(point):
+    with pytest.raises(ValueError, match=r"^the puncture \S+ lies outside the unit square \[0, 1\]\^2$"):
+        PuncturedSquareRegion(point)
 
 
 band_maps = st.one_of(
@@ -1421,6 +1452,39 @@ def test_float_enclosure_rects_equal_per_rectangle_loop(phi, batch):
     assert scale == want_scale
     assert lo.shape == hi.shape == want_lo.shape and lo.dtype == hi.dtype == object
     assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+
+
+@st.composite
+def fraction_rects(draw):
+    """Rectangles whose corners are rationals over dyadic and non-dyadic
+    denominators, some past 2^53, inside and around the unit square."""
+    def corner():
+        den = draw(st.sampled_from([1, 3, 7, 10, 64, 3 * 2**10, 5**30, 2**70, 3 * 2**61 + 1]))
+        return Fraction(draw(st.integers(-den, 2 * den)), den)
+
+    (x0, x1), (y0, y1) = sorted((corner(), corner())), sorted((corner(), corner()))
+    return Rect(x0, x1, y0, y1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_rects(), st.data())
+def test_float_enclosure_equals_per_rectangle_reference(rect, data):
+    # Pins anywhere, on the unit square's corners and edges, and on the
+    # rectangle's own corners and edges; projections at several angles.
+    on_rect = st.tuples(
+        st.sampled_from([rect.x0, rect.x1, (rect.x0 + rect.x1) / 2]),
+        st.sampled_from([rect.y0, rect.y1, (rect.y0 + rect.y1) / 2]),
+    ).map(lambda p: (float(p[0]), float(p[1])))
+    unit_edges = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1 / 3]), st.sampled_from([0.0, 1.0]))
+    phi = data.draw(
+        st.one_of(
+            float_maps,
+            st.builds(PinnedDistance, st.one_of(on_rect, unit_edges, unit_edges.map(lambda p: p[::-1]))),
+            st.builds(LinearProjection, st.sampled_from([0.0, math.pi / 6, math.pi / 4, math.pi / 2, 2.0, math.pi, -1.0])),
+        )
+    )
+    got, want = phi.enclosure(rect), reference_float_enclosure(phi, rect)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 def test_float_enclosure_rects_take_math_hypot():

@@ -1018,70 +1018,143 @@ def test_empty_gridsets_round_trip():
         assert parse_gridset(format_gridset(S)) == S and len(S) == 0 and S.cells == ()
 
 
-def parse_by_lines(text):
-    """parse_gridset with the byte path switched off, so every text goes
-    through the line loop; its result or its error message."""
-    def switched_off(text):
-        raise ValueError("byte path switched off")
+def reference_parse_gridset(text):
+    """The line loop that parse_gridset once fell back to, one line at a
+    time with int() on each token, plus two rules: a non-ASCII text is
+    refused, and only runs of 1-18 ASCII digits are integers."""
+    for offset, ch in enumerate(text):
+        if not ch.isascii():
+            raise ValueError(f"non-ASCII character {ch!r} (at offset {offset})")
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty gridset text")
+    header = lines[0].split()
+    if len(header) != 2 or not header[1].startswith("k=") or not header[1][2:].isdigit():
+        raise ValueError(f"bad gridset header {lines[0]!r}")
+    scale = Scale(int(header[1][2:]))
+    cells = []
+    if header[0] == "gridset1d":
+        for ln in lines[1:]:
+            try:
+                cells.append(reference_int(ln))
+            except ValueError:
+                raise ValueError(f"bad gridset1d line {ln!r}: want one integer") from None
+        return GridSet1D(scale, tuple(cells))
+    if header[0] == "gridset2d":
+        for ln in lines[1:]:
+            try:
+                i, j = ln.split()
+                cells.append((reference_int(i), reference_int(j)))
+            except ValueError:
+                raise ValueError(f"bad gridset2d line {ln!r}: want two integers i j") from None
+        return GridSet2D(scale, tuple(cells))
+    raise ValueError(f"bad gridset kind {header[0]!r}")
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gridset_module, "_parse_digits", switched_off)
-        return parse_or_message(text)
+
+def reference_int(token):
+    """int(token) for a run of 1-18 ASCII digits; ValueError otherwise."""
+    if not (token.isascii() and token.isdigit() and len(token) <= 18):
+        raise ValueError(f"not a cell index: {token!r}")
+    return int(token)
 
 
-def parse_by_bytes(text):
-    """parse_gridset with the line loop made to raise, so only texts the
-    byte path reads parse."""
-    def line_loop(text):
-        raise AssertionError("the line loop ran")
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gridset_module, "_parse_lines", line_loop)
-        return parse_gridset(text)
-
-
-def parse_or_message(text):
+def outcome(parse, text):
+    """parse(text), or the message of the ValueError it raises."""
     try:
-        return parse_gridset(text)
+        return parse(text)
     except ValueError as exc:
         return f"ValueError: {exc}"
 
-# Whitespace str.split and str.splitlines treat specially, and tokens the
-# array path must convert or refuse as int() does.
+
+def parse_by_arrays(text):
+    """parse_gridset with the line walker made to raise, so only texts the
+    byte arrays accept parse."""
+    def line_walker(text):
+        raise AssertionError("the line walker ran")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gridset_module, "_raise_text_fault", line_walker)
+        return parse_gridset(text)
+
+# Whitespace str.split and str.splitlines treat specially, tokens that
+# are not runs of 1-18 ASCII digits, and non-ASCII spaces, line breaks
+# and digits.
 SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
-BREAKS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\x0b", "\x1c", "\x85", " "]
+BREAKS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\x0b", "\x1c", "\x85", "\u2028"]
 ODD_TOKENS = ["+3", "1_0", "07", "-0", "-1", "٣", "x", "1.5", "99999999999999999999", "16", "0x1"]
+LONG_TOKENS = ["9" * 18, "0" * 17 + "3", "0" * 18 + "3", "1" + "0" * 18, "9" * 19, "0" * 19 + "1", "9" * 20, "000"]
+NON_ASCII = ["\xa0", "\u2003", "\u3000", "\x85", "\u2028", "\u2029", "\u0663", "\uff13", "\u0967", "\xe9"]
+
+
+@st.composite
+def gridset_texts(draw):
+    """Header and cell lines built from the alphabets above: cells in and
+    out of range at k = 1..5, in any order.  One text in four may hold
+    non-ASCII characters, one more of them put anywhere."""
+    wide = draw(st.integers(0, 3)) == 0
+
+    def pick(alphabet):
+        return draw(st.sampled_from([a for a in alphabet if wide or a.isascii()]))
+
+    kind = draw(st.sampled_from(["gridset1d", "gridset2d"]))
+    odd = [t for t in ODD_TOKENS + LONG_TOKENS + ["1073741824", "4294967296"] if wide or t.isascii()]
+    token = st.integers(0, 40).map(str) | st.sampled_from(odd)
+    # Half the texts hold one cell's worth of tokens per row.
+    width = 1 + (kind == "gridset2d") if draw(st.booleans()) else None
+    rows = draw(st.lists(st.lists(token, min_size=width or 0, max_size=width or 3), max_size=8))
+    # Half the headers are split by a space; some of SPACES break lines.
+    split = pick(SPACES) if draw(st.booleans()) else " "
+    parts = [pick(["", "\n", " \n"]), kind, split, f"k={draw(st.integers(1, 5))}"]
+    for row in rows:
+        parts.append(pick(BREAKS))
+        for t in row:
+            parts += [t, pick(SPACES)]
+    text = "".join(parts) + pick(["", "\n", "\t"])
+    if wide:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NON_ASCII)) + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(gridset_texts())
+def test_array_parse_equals_line_loop(text):
+    assert outcome(parse_gridset, text) == outcome(reference_parse_gridset, text)
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    st.sampled_from(["gridset1d", "gridset2d"]),
-    st.integers(1, 5),
-    st.lists(st.lists(st.one_of(st.integers(0, 40).map(str), st.sampled_from(ODD_TOKENS)), max_size=3), max_size=8),
-    st.data(),
-)
-def test_array_parse_equals_line_loop(kind, k, rows, data):
-    parts = [data.draw(st.sampled_from(["", "\n", " \n"])), kind, data.draw(st.sampled_from(SPACES)), f"k={k}"]
-    for row in rows:
-        parts.append(data.draw(st.sampled_from(BREAKS)))
-        for token in row:
-            parts += [token, data.draw(st.sampled_from(SPACES))]
-    text = "".join(parts) + data.draw(st.sampled_from(["", "\n", "\t"]))
-    assert parse_or_message(text) == parse_by_lines(text)
+@given(st.one_of(gridset_texts(), st.text(alphabet="gridset12dk= \t\n\r\x0b\x1c0123456789", max_size=30)))
+def test_line_walker_catch_all_never_runs(text):
+    # The walker's last line raises only for a text whose every line it
+    # accepts; the arrays accept each such text, so parse_gridset never
+    # hands the walker one.
+    walk, messages = gridset_module._raise_text_fault, []
+
+    def line_walker(text):
+        try:
+            walk(text)
+        except ValueError as exc:
+            messages.append(str(exc))
+            raise
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gridset_module, "_raise_text_fault", line_walker)
+        outcome(parse_gridset, text)
+    assert "unreadable gridset text" not in messages
 
 
 def test_array_parse_takes_well_formed_messy_text():
     text = "\n  gridset2d\tk=4 \r\n\n 3\t 1\n\x0b3  2 \n\x1c5 0\n"
     # Every nonblank line holds the header's or a cell's tokens, so the
-    # byte path converts it.
+    # arrays read it.
     want = GridSet2D(Scale(4), ((3, 1), (3, 2), (5, 0)))
-    assert parse_by_bytes(text) == want == parse_by_lines(text)
+    assert parse_by_arrays(text) == want == reference_parse_gridset(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(gridsets())
 def test_formatted_gridsets_take_the_byte_path(S):
-    assert parse_by_bytes(format_gridset(S)) == S
+    assert parse_by_arrays(format_gridset(S)) == S
 
 
 @settings(max_examples=200, deadline=None)
@@ -1090,8 +1163,6 @@ def test_byte_path_sums_every_digit_place(tokens, data):
     # Cells past 2^30 fail the set's check, so a stand-in class records
     # the values the byte path hands it.
     class Recorded:
-        _width = 1
-
         def __init__(self, scale, cells):
             self.values = cells.ravel().tolist()
 
@@ -1101,40 +1172,36 @@ def test_byte_path_sums_every_digit_place(tokens, data):
     text = "gridset1d k=5" + "".join(data.draw(st.sampled_from(["\n", "\r\n", " \n\t"])) + t for t in texts)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gridset_module, "GridSet1D", Recorded)
-        assert gridset_module._parse_digits(text).values == values
+        assert parse_by_arrays(text).values == values
 
 
 @pytest.mark.parametrize(
-    "text, by_bytes",
+    "text, result",
     [
-        # 18 digits at most: the byte path, leading zeros and all.
-        ("gridset1d k=30\n000000000000000005\n000000001073741823\n", True),
-        ("gridset2d k=3\r\n007 000000000000000001\r\n", True),
-        ("gridset1d k=4\r\n\r\n 00\r\n15\r\n", True),
-        ("gridset1d k=30\n999999999999999999\n", False),  # 18 digits, out of range
-        # 19 and 20 digits: the line loop, in range or not.
-        ("gridset1d k=30\n0000000000000000005\n", False),
-        ("gridset1d k=30\n00000000000000000005\n", False),
-        ("gridset1d k=30\n9223372036854775807\n", False),
-        ("gridset2d k=3\n1 9223372036854775808\n", False),
-        ("gridset1d k=30\n99999999999999999999\n", False),
-        # Not ASCII: the line loop.
-        ("gridset1d k=3\n\u0663\n", False),
-        ("gridset1d k=3\n1\u00a0\n2\n", False),
-        ("gridset1d k=3\n1\x852\n", False),
-        ("gridset1d\u00a0k=3\n1\n", False),
+        # 18 digits at most, leading zeros and all.
+        ("gridset1d k=30\n000000000000000005\n000000001073741823\n", GridSet1D(Scale(30), (5, 2**30 - 1))),
+        ("gridset2d k=3\r\n007 000000000000000001\r\n", GridSet2D(Scale(3), ((7, 1),))),
+        ("gridset1d k=4\r\n\r\n 00\r\n15\r\n", GridSet1D(Scale(4), (0, 15))),
+        ("gridset1d k=30\n999999999999999999\n", "cells must be strictly increasing and in range"),
+        # 19 and 20 digits: not a cell index, in range or not.
+        ("gridset1d k=30\n0000000000000000005\n", "bad gridset1d line '0000000000000000005': want one integer"),
+        ("gridset1d k=30\n00000000000000000005\n", "bad gridset1d line '00000000000000000005': want one integer"),
+        ("gridset1d k=30\n9223372036854775807\n", "bad gridset1d line '9223372036854775807': want one integer"),
+        ("gridset2d k=3\n1 9223372036854775808\n", "bad gridset2d line '1 9223372036854775808': want two integers i j"),
+        ("gridset1d k=30\n99999999999999999999\n", "bad gridset1d line '99999999999999999999': want one integer"),
+        # Not ASCII: the character and its offset.
+        ("gridset1d k=3\n\u0663\n", "non-ASCII character '\u0663' (at offset 14)"),
+        ("gridset1d k=3\n1\u00a0\n2\n", "non-ASCII character '\\xa0' (at offset 15)"),
+        ("gridset1d k=3\n1\x852\n", "non-ASCII character '\\x85' (at offset 15)"),
+        ("gridset1d\u00a0k=3\n1\n", "non-ASCII character '\\xa0' (at offset 9)"),
+        ("gridset1d k=\uff13\n1\n", "non-ASCII character '\uff13' (at offset 12)"),
     ],
 )
-def test_byte_path_takes_short_ascii_digit_tokens_only(text, by_bytes):
-    result = parse_or_message(text)
-    assert result == parse_by_lines(text)
-    try:
-        taken = gridset_module._parse_digits(text) == result
-    except ValueError:
-        taken = False
-    assert taken == by_bytes
-    if by_bytes:
-        assert parse_by_bytes(text) == result
+def test_byte_path_takes_short_ascii_digit_tokens_only(text, result):
+    if isinstance(result, str):
+        assert outcome(parse_gridset, text) == f"ValueError: {result}" == outcome(reference_parse_gridset, text)
+    else:
+        assert parse_by_arrays(text) == result == reference_parse_gridset(text)
 
 
 @pytest.mark.parametrize(
@@ -1143,7 +1210,9 @@ def test_byte_path_takes_short_ascii_digit_tokens_only(text, by_bytes):
         ("", "empty gridset text"),
         (" \n\t\n", "empty gridset text"),
         ("gridset3d k=5\n1\n", "bad gridset kind 'gridset3d'"),
+        ("gridset3d k=0\n1\n", "scale k must satisfy 1 <= k <= 30"),
         ("gridset1d\n1\n", "bad gridset header 'gridset1d'"),
+        ("gridset1d\nk=3\n1\n", "bad gridset header 'gridset1d'"),
         ("gridset1d k=3 x\n1\n", "bad gridset header 'gridset1d k=3 x'"),
         ("gridset1d k=0\n", "scale k must satisfy 1 <= k <= 30"),
         ("gridset1d k=3\n1\nx\n", "bad gridset1d line 'x': want one integer"),
@@ -1151,14 +1220,17 @@ def test_byte_path_takes_short_ascii_digit_tokens_only(text, by_bytes):
         ("gridset2d k=3\n1\n", "bad gridset2d line '1': want two integers i j"),
         ("gridset2d k=3\n0 1\n1 2 3\n", "bad gridset2d line '1 2 3': want two integers i j"),
         ("gridset2d k=3\n1 1.5\n", "bad gridset2d line '1 1.5': want two integers i j"),
+        # signs, underscores and other spellings int() takes
+        ("gridset1d k=3\n+3\n", "bad gridset1d line '+3': want one integer"),
+        ("gridset1d k=3\n1_0\n", "bad gridset1d line '1_0': want one integer"),
+        ("gridset1d k=3\n-1\n", "bad gridset1d line '-1': want one integer"),
+        ("gridset2d k=3\n0 -1\n", "bad gridset2d line '0 -1': want two integers i j"),
+        ("gridset1d k=3\n99999999999999999999\n", "bad gridset1d line '99999999999999999999': want one integer"),
+        ("gridset2d k=3\n99999999999999999999 0\n", "bad gridset2d line '99999999999999999999 0': want two integers i j"),
         # out of range
         ("gridset1d k=3\n1\n8\n", "cells must be strictly increasing and in range"),
-        ("gridset1d k=3\n-1\n", "cells must be strictly increasing and in range"),
-        ("gridset1d k=3\n99999999999999999999\n", "cells must be strictly increasing and in range"),
         ("gridset2d k=3\n0 8\n", "cell index out of range"),
-        ("gridset2d k=3\n0 -1\n", "cell index out of range"),
         ("gridset2d k=3\n0 4294967296\n", "cell index out of range"),
-        ("gridset2d k=3\n99999999999999999999 0\n", "cell index out of range"),
         # not increasing
         ("gridset1d k=3\n2\n1\n", "cells must be strictly increasing and in range"),
         ("gridset1d k=3\n2\n2\n", "cells must be strictly increasing and in range"),
@@ -1168,7 +1240,7 @@ def test_byte_path_takes_short_ascii_digit_tokens_only(text, by_bytes):
     ],
 )
 def test_gridset_text_errors_keep_their_messages(text, message):
-    assert parse_or_message(text) == f"ValueError: {message}" == parse_by_lines(text)
+    assert outcome(parse_gridset, text) == f"ValueError: {message}" == outcome(reference_parse_gridset, text)
 
 
 @pytest.mark.parametrize(
@@ -1192,6 +1264,28 @@ def test_gridset_constructor_errors_keep_their_messages(cls, cells, message):
     with pytest.raises(ValueError) as exc:
         cls(Scale(4), cells)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls, cells, message",
+    [
+        (GridSet1D, (3, 1), "cells must be strictly increasing and in range"),
+        (GridSet1D, (3, 3), "cells must be strictly increasing and in range"),
+        (GridSet1D, (1, 16), "cells must be strictly increasing and in range"),
+        (GridSet2D, ((2, 1), (1, 1)), "cells must be strictly increasing"),
+        (GridSet2D, ((1, 2), (1, 1)), "cells must be strictly increasing"),
+        (GridSet2D, ((1, 2), (1, 2)), "cells must be strictly increasing"),
+        (GridSet2D, ((1, 2), (1, 16)), "cell index out of range"),
+        (GridSet2D, ((16, 0), (1, 2)), "cell index out of range"),
+        (GridSet2D, ((0, -1),), "cell index out of range"),
+    ],
+)
+def test_array_and_list_cells_give_the_tuple_messages(cls, cells, message):
+    forms = [cells, np.array(cells, dtype=np.int64), [list(c) if isinstance(c, tuple) else c for c in cells]]
+    for form in forms:
+        with pytest.raises(ValueError) as exc:
+            cls(Scale(4), form)
+        assert str(exc.value) == message
 
 
 def test_gridsets_are_frozen_and_compare_by_scale_and_keys():
