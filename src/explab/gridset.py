@@ -21,14 +21,19 @@ P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
 
 Image sets and energies read one table, ProductBounds(P, A, B): the
-enclosure of P on every cell product from polyexpr.box_bounds, as exact
-integers over a common scale, with the cells broadcast as (m, 1) x
-(1, n).  A caller that wants both the image and the energy of one P on
-one A x B builds the table once and reads both from it; image_set and
-energy_count build a table each.  Energies are counted by sorting
-the lower ends and binary-searching the upper ends; value_cells turns
-integer ends into clamped value-grid cells by exact floor division, for
-image sets here and for smooth maps in geomdecomp.
+enclosure of P on every cell product from polyexpr.filtered_box_bounds,
+with the cells broadcast as (m, 1) x (1, n): exact integers over a
+common scale where they fit int64, and otherwise float64 ends with a
+proven absolute error err.  A caller that wants both the image and the
+energy of one P on one A x B builds the table once and reads both from
+it; image_set and energy_count build a table each.  Energies are counted
+by sorting the lower ends and binary-searching the upper ends;
+value_cells turns integer ends into clamped value-grid cells by exact
+floor division, for image sets here and for smooth maps in geomdecomp.
+On a float table both are a filtered predicate (Shewchuk 1997;
+Bronnimann, Burnikel and Pion 2001): a float comparison or floor decides
+where err puts it beyond doubt, and exact integer ends, from box_bounds
+on the gathered corners of only the pairs in doubt, decide the rest.
 energy_count_brute_force stays on the Fraction enclosures of
 polyexpr.interval_range as an independent oracle.
 """
@@ -43,7 +48,7 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .polyexpr import Poly, Rect, box_bounds, interval_range, unit_square_range
+from .polyexpr import Poly, Rect, box_bounds, filtered_box_bounds, interval_range, unit_square_range
 
 MAX_SCALE = 30
 
@@ -288,8 +293,16 @@ def save_gridset(S: GridSet, path: str) -> None:
 
 
 def load_gridset(path: str) -> GridSet:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_gridset(fh.read())
+    """parse_gridset of a file's text, decoded as UTF-8 so that a
+    non-ASCII character gets parse_gridset's message."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte, at = data[exc.start], exc.start
+        raise ValueError(f"gridset file is not UTF-8: byte {byte:#04x} at offset {at}") from None
+    return parse_gridset(text)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +516,27 @@ def value_cells(v, offset: int, width: int, k: int) -> np.ndarray:
     return np.minimum(np.maximum(cells, 0), n - 1).astype(np.int64)
 
 
-def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np.ndarray, int]:
-    """box_bounds of P on every closed cell product S x T, flat and a-major."""
-    a, b = A.keys[:, None], B.keys[None, :]
-    lo, hi, scale = box_bounds(P, a, a + 1, b, b + 1, A.scale.cells)
+def _corners(A: GridSet1D, B: GridSet1D, pairs=None) -> tuple:
+    """box_bounds' corners and denominator for the closed cell products
+    S x T of A x B: all of them as (m, 1) x (1, n), or those at the flat
+    a-major indices pairs."""
+    if pairs is None:
+        a, b = A.keys[:, None], B.keys[None, :]
+    else:
+        a, b = A.keys[pairs // len(B)], B.keys[pairs % len(B)]
+    return a, a + 1, b, b + 1, A.scale.cells
+
+
+def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> tuple:
+    """filtered_box_bounds of P on every closed cell product S x T, flat and a-major."""
+    lo, hi, scale, err = filtered_box_bounds(P, *_corners(A, B))
+    return lo.ravel(), hi.ravel(), scale, err
+
+
+def _exact_bounds(P: Poly, A: GridSet1D, B: GridSet1D, pairs=None) -> tuple:
+    """box_bounds of P on the closed cell products S x T of A x B, flat:
+    all of them, a-major, or those at the flat indices pairs."""
+    lo, hi, scale = box_bounds(P, *_corners(A, B, pairs))
     return lo.ravel(), hi.ravel(), scale
 
 
@@ -514,16 +544,25 @@ def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> Tuple[np.ndarray, np
 # one vectorised block, which caps the memory of the filtered count.
 _BLOCK_PAIRS = 1 << 16
 
+_U = 2.0**-53  # the unit roundoff of float64
+
 
 class ProductBounds:
     """The enclosures [lo / scale, hi / scale] of P on every closed cell
-    product S x T of A x B, flat and a-major, taken once by box_bounds.
+    product S x T of A x B, flat and a-major, taken once by
+    filtered_box_bounds.
 
     The image set and the energy of P on A x B both read this one table,
-    so a caller that wants both builds it once.
+    so a caller that wants both builds it once.  Where box_bounds' exact
+    ends would be Python ints the table holds float64 ends, each within
+    err of its exact end (polyexpr.filtered_box_bounds derives err); err
+    is None when lo and hi are box_bounds' exact integers.  A float table
+    decides every comparison and floor that err puts beyond doubt and
+    takes box_bounds' exact ends, on the gathered corners of only the
+    pairs in doubt, for the rest, so every count is the exact table's.
     """
 
-    __slots__ = ("P", "A", "B", "lo", "hi", "scale")
+    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "_exact")
 
     def __init__(self, P: Poly, A: GridSet1D, B: GridSet1D):
         for S in (A, B):
@@ -531,7 +570,23 @@ class ProductBounds:
         if A.scale != B.scale:
             raise ValueError("A and B must share a scale")
         self.P, self.A, self.B = P, A, B
-        self.lo, self.hi, self.scale = _product_bounds(P, A, B)
+        self.lo, self.hi, self.scale, self.err = _product_bounds(P, A, B)
+        self._exact = None
+
+    def _exact_at(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """box_bounds' exact ends lo, hi of the pairs at the flat indices pairs."""
+        idx, pos = np.unique(pairs, return_inverse=True)
+        lo, hi, _ = _exact_bounds(self.P, self.A, self.B, idx)
+        return lo[pos], hi[pos]
+
+    def _exact_ends(self) -> Tuple[np.ndarray, np.ndarray]:
+        """box_bounds' exact ends of every pair; a float table builds them
+        on first use and keeps them."""
+        if self.err is None:
+            return self.lo, self.hi
+        if self._exact is None:
+            self._exact = _exact_bounds(self.P, self.A, self.B)[:2]
+        return self._exact
 
     def image(self) -> ImageSet:
         """Over-approximate covering of P(A, B) by output cells at the input scale.
@@ -551,9 +606,66 @@ class ProductBounds:
         # span * scale are integers.  Every lo is at least value_lo; the top
         # cell is half-open, so value_hi lands one past it and is clamped back.
         offset, width = int(total.lo * self.scale), int(span * self.scale)
-        first, last = (value_cells(v, offset, width, grid_scale.k) for v in (self.lo, self.hi))
+        if self.err is not None and max(abs(offset), width) < 2**1000:
+            first, last = self._float_cells(offset, width, grid_scale.k)
+        else:
+            first, last = (value_cells(v, offset, width, grid_scale.k) for v in self._exact_ends())
         cells = range_union(first, last)
         return ImageSet(GridSet1D._from_keys(grid_scale, cells), total.lo, total.hi)
+
+    def _float_cells(self, offset: int, width: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """value_cells(lo, offset, width, k) and value_cells(hi, ...) of a
+        float table, both below 2^1000 in magnitude.
+
+        With r = 2^k / width, an end v lands in cell floor(t), clamped, at
+        t = (v - offset) r, and t lies in [0, 2^k]: every enclosure lies
+        inside the unit square's.  The float t' = (v' - float(offset)) *
+        float(r), with |v' - v| <= err and float(r) correctly rounded (a
+        normal float, as r >= 2^(k-1000)), rounds three times, so |t' - t|
+        <= gamma_3 2^k + 2 (err + u |offset|) r =: eta0.  The additions
+        t' -+ eta round by at most u (|t'| + eta), so eta = 2 eta0 +
+        4 u 2^k keeps t' - eta <= t <= t' + eta as computed; eta below is
+        twice that expression evaluated in five roundings of positive
+        terms, so at least it.  floor is monotone, so where the clamped
+        floors of t' - eta and t' + eta agree they are the cell, and
+        every other end takes value_cells on its exact integer.
+        """
+        n, size = 1 << k, self.lo.size
+        off, r = float(offset), n / width
+        eta = 24 * _U * n + 8 * (self.err + _U * abs(off)) * r
+        t = (np.concatenate((self.lo, self.hi)) - off) * r
+        cells, top = (np.clip(np.floor(t + s), 0, n - 1).astype(np.int64) for s in (-eta, eta))
+        doubt = np.flatnonzero(cells != top)
+        if doubt.size:
+            lo, hi = self._exact_at(doubt % size)
+            cells[doubt] = value_cells(np.where(doubt < size, lo, hi), offset, width, k)
+        return cells[:size], cells[size:]
+
+    def _float_above(self) -> int:
+        """#{(p, q) : lo_p > hi_q} over the ordered pairs of a float table.
+
+        With float ends within err of the exact ones and |hi'| <= (1 +
+        gamma_(deg+m)) bound, lo'_p > hi'_q + 2 err as computed puts lo_p -
+        hi_q above 2 err - 2 gamma_(deg+m) bound - u (|hi'_q| + 2 err) >=
+        0, as err >= gamma_(deg+m+2) bound, and lo'_p < hi'_q - 2 err as
+        computed puts it below 0 the same way.  Only the pairs in between
+        are compared on their exact ends.
+        """
+        lo, hi, n = self.lo, self.hi, self.lo.size
+        band = 2 * self.err
+        sorted_lo = np.sort(lo)
+        sure = np.searchsorted(sorted_lo, hi + band, side="right")
+        maybe = np.searchsorted(sorted_lo, hi - band, side="left")
+        above = n * n - int(sure.sum())
+        counts = sure - maybe
+        if counts.any():
+            # Positions maybe .. sure - 1 never split equal values, so any
+            # sorting order names the same pairs.
+            q = np.repeat(np.arange(n), counts)
+            p = np.argsort(lo)[_runs(maybe, counts)]
+            ends_lo, ends_hi = self._exact_at(np.concatenate((p, q)))
+            above += int(np.count_nonzero(ends_lo[: p.size] > ends_hi[p.size :]))
+        return above
 
     def energy(self, hf_min: Optional[float] = None) -> int:
         """Ordered count of cell quadruples (S, S', T, T') in A^2 x B^2 whose
@@ -569,20 +681,22 @@ class ProductBounds:
         pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort of the lower
         ends and a binary search per upper end, O(N log N).  The filtered
         count visits only the intersecting pairs, found the same way, and
-        tests the bracket in exact integers.
+        tests the bracket in exact integers, on the exact table.
         """
         if hf_min is not None and not isfinite(hf_min):
             raise ValueError("hf_min must be finite")
-        lo, hi = self.lo, self.hi
-        n = lo.size
+        n = self.lo.size
+        if hf_min is None and self.err is not None:
+            return n * n - 2 * self._float_above()
+        lo, hi = self._exact_ends()
         if hf_min is None:
             above = n - np.searchsorted(np.sort(lo), hi, side="right")
             return n * n - 2 * int(above.sum())
 
         P, A, B = self.P, self.A, self.B
         px = P.partial("x")
-        g_lo, g_hi, g_scale = _product_bounds(px * P.partial("y"), A, B)
-        m_lo, m_hi, m_scale = _product_bounds(px.partial("y"), A, B)
+        g_lo, g_hi, g_scale = _exact_bounds(px * P.partial("y"), A, B)
+        m_lo, m_hi, m_scale = _exact_bounds(px.partial("y"), A, B)
         # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
         # test against hf_min is a test against the ceiling of the threshold.
         threshold = ceil(Fraction(hf_min) * g_scale * m_scale)

@@ -712,11 +712,17 @@ def interval_range(P: Poly, cell: Rect) -> Interval:
 def _pow_bounds(
     a: np.ndarray, b: np.ndarray, n: int, nonneg: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval.pow(n) on the integer intervals [a, b], elementwise;
-    nonneg says that every a is at least 0."""
+    """Interval.pow(n) on the intervals [a, b], elementwise; nonneg says
+    that every a is at least 0.  Float powers are n - 1 multiplications,
+    whose rounding filtered_box_bounds bounds (libm pow carries no bound)."""
     if n == 1:
         return a, b
-    lo, hi = a**n, b**n
+    if a.dtype == np.float64:
+        lo, hi = a, b
+        for _ in range(n - 1):
+            lo, hi = lo * a, hi * b
+    else:
+        lo, hi = a**n, b**n
     if n % 2 == 1 or nonneg:
         return lo, hi
     up = a >= 0
@@ -760,9 +766,46 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     that bound, scale and every corner are below 2^63 and hold Python
     ints (dtype object) otherwise.
     """
+    lo, hi, scale, _ = _box_bounds(P, (x0, x1, y0, y1), den, False)
+    return lo, hi, scale
+
+
+def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
+    """box_bounds, or float64 ends within a proven error of it.
+
+    Returns lo, hi, scale, err.  Where box_bounds would hold Python ints,
+    no corner is negative and bound < 2^1000 (bound: the magnitude bound
+    sum over the monomials c x^i y^j of |c| mx^i my^j den^(deg-i-j) that
+    box_bounds sizes its arrays by, with mx, my the largest corners), lo
+    and hi are float64 and every end is within err of box_bounds' end
+    (both over scale).  Otherwise err is None and lo, hi are box_bounds'.
+
+    The error, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham
+    2002, section 3.1).  Every corner is below 2^53, so a float.  A term
+    is x^i * (y^j * w), its powers taken by repeated multiplication
+    (_pow_bounds on floats) and its weight w = |c| den^(deg-i-j) rounded
+    to float once: i + j + 1 factors, all exact but w, and i + j
+    multiplications, so its relative error is at most gamma_(i+j+1) <=
+    gamma_(deg+1).  Adding m terms into 0 rounds m - 1 times, so an end
+    is the exact sum of its terms, each off by at most gamma_(deg+m)
+    relatively; their magnitudes sum to at most bound, so |float end -
+    exact end| <= gamma_(deg+m) bound.  No value is subnormal (each is 0
+    or at least 1), and none overflows: each power, product, term and
+    partial sum is at most (1 + gamma_(deg+m)) bound < 2^1024, as every
+    |c| is at least 1.  err = 2 (deg+m+2) u float(bound) rounds twice,
+    from exact factors, so err >= 2 (deg+m+2) u bound (1-u)^2 >=
+    gamma_(deg+m+2) bound: the end error, and room for two more roundings
+    of values up to 2 bound, which covers adding a threshold such as
+    hi + 2 err (ProductBounds._float_above).
+    """
+    return _box_bounds(P, (x0, x1, y0, y1), den, True)
+
+
+def _box_bounds(P: Poly, edges, den: int, filtered: bool):
+    """The body of box_bounds (filtered False) and filtered_box_bounds."""
     if P.variables != VARS2:
         raise ValueError("box_bounds takes a bivariate polynomial")
-    edges = [np.asarray(v) for v in (x0, x1, y0, y1)]
+    edges = [np.asarray(v) for v in edges]
     shape = np.broadcast_shapes(*(e.shape for e in edges))
     deg = P.degree() or 0
     scale = P.den * den**deg
@@ -778,15 +821,19 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     (mx, x_pos), (my, y_pos) = reach(*edges[:2]), reach(*edges[2:])
     bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
     dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
+    err = None
+    if filtered and dtype is object and x_pos and y_pos and max(mx, my) < 2**53 and bound < 2**1000:
+        dtype, err = np.float64, 2 * (deg + len(terms) + 2) * 2.0**-53 * float(bound)
     lo = np.zeros(shape, dtype=dtype)
     hi = np.zeros(shape, dtype=dtype)
     if not lo.size:
-        return lo, hi, scale
+        return lo, hi, scale, err
     x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
+    cast = float if err is not None else int
     x_pows: dict = {}
     y_pows: dict = {}
     for i, j, c in terms:
-        weight = abs(c) * den ** (deg - i - j)
+        weight = cast(abs(c) * den ** (deg - i - j))
         if i and i not in x_pows:
             x_pows[i] = _pow_bounds(x0, x1, i, x_pos)
         if j and j not in y_pows:
@@ -810,7 +857,7 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
         else:
             lo -= t_hi
             hi -= t_lo
-    return lo, hi, scale
+    return lo, hi, scale, err
 
 
 def unit_square_range(P: Poly) -> Interval:

@@ -144,6 +144,22 @@ def test_image_of_constant_on_empty_set_is_empty(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == 0
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # A UTF-8 no-break space reaches the reader, which names it.
+        (b"gridset1d k=3\n1\xc2\xa0\n", "explab: non-ASCII character '\\xa0' (at offset 15)\n"),
+        (b"gridset1d k=3\n1\xff\n", "explab: gridset file is not UTF-8: byte 0xff at offset 15\n"),
+        (b"\xc3gridset1d k=3\n", "explab: gridset file is not UTF-8: byte 0xc3 at offset 0\n"),
+    ],
+)
+def test_set_file_faults_name_their_offset(tmp_path, capsys, data, message):
+    path = tmp_path / "set.grid"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "nonconc", "--gen", "file", "--set-file", str(path))
+    assert (code, out, err) == (1, "", message)
+
+
 def test_energy_text_on_empty_set_has_no_log_line(tmp_path, capsys):
     path = tmp_path / "empty.grid"
     path.write_text("gridset1d k=4\n")

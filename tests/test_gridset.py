@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import floor, inf, log2, nan
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -885,7 +886,7 @@ def table_inputs(draw):
 def test_product_bounds_equal_oracles(case, hf_min):
     kind, P, A, B = case
     table = ProductBounds(P, A, B)
-    assert kind != "octic" or table.lo.dtype == object
+    assert kind != "octic" or (table.err is not None and table.lo.dtype == np.float64)
     # One table answers every question, in any order.
     assert table.energy() == energy_count_brute_force(P, A, B)
     img = table.image()
@@ -894,6 +895,149 @@ def test_product_bounds_equal_oracles(case, hf_min):
     assert table.energy(hf_min) == energy_count_brute_force(P, A, B, hf_min=hf_min)
     assert table.energy() == energy_count(P, A, B)
     assert table.image() == image_set(P, A, B)
+
+
+def exact_path(P, A, B):
+    """energy and image of P on A x B from box_bounds' exact table: the
+    float filter switched off."""
+
+    def exact_table(P, A, B):
+        return (*gridset_module._exact_bounds(P, A, B), None)
+
+    with mock.patch.object(gridset_module, "_product_bounds", exact_table):
+        table = ProductBounds(P, A, B)
+        assert table.err is None
+        return table.energy(), table.image()
+
+
+def filtered_run(P, A, B):
+    """energy and image of the float table of P on A x B, with the sizes
+    of the exact-end gathers each of them made."""
+    table = ProductBounds(P, A, B)
+    assert table.err is not None and table.lo.dtype == table.hi.dtype == np.float64
+    gathers = []
+    real = gridset_module._exact_bounds
+
+    def spy(P, A, B, pairs=None):
+        gathers.append(None if pairs is None else len(pairs))
+        return real(P, A, B, pairs)
+
+    with mock.patch.object(gridset_module, "_exact_bounds", spy):
+        energy = table.energy()
+        energy_gathers = gathers[:]
+        gathers.clear()
+        image = table.image()
+    return energy, image, energy_gathers, gathers
+
+
+def assert_filtered_equals_oracles(P, A, B):
+    """The float table's energy and image equal brute force, per-box
+    marking and the exact table's; returns the gathers they made."""
+    energy, image, energy_gathers, image_gathers = filtered_run(P, A, B)
+    assert energy == energy_count_brute_force(P, A, B)
+    assert image.grid.cells == marked_cells(P, A, B)
+    assert (energy, image) == exact_path(P, A, B)
+    return energy_gathers, image_gathers
+
+
+positive_coefficients = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+
+
+@st.composite
+def symmetric_ties(draw):
+    """A symmetric P of degree 8-10 with positive coefficients, x + y
+    among its terms, and A holding cells a, b, a + 1, b + 1 at k = 9-20.
+    The enclosure of P rises with each corner, so lo on (a + 1, b + 1)
+    equals hi on (a, b) exactly, and so does lo on (b + 1, a + 1), whose
+    float is the mirrored terms summed in another order."""
+    degree = draw(st.integers(8, 10))
+    k = draw(st.integers(9, 20))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(i, degree + 1 - i) if i + j]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=4, unique=True))
+    terms = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    for i, j in chosen + [(0, degree)]:
+        terms[(i, j)] = terms[(j, i)] = draw(positive_coefficients)
+    a, b = (draw(st.integers(0, 2**k - 2)) for _ in "ab")
+    extra = draw(st.lists(st.integers(0, 2**k - 1), max_size=2))
+    return Poly(VARS2, terms), GridSet1D.from_cells(Scale(k), sorted({a, b, a + 1, b + 1, *extra}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_ties())
+def test_filtered_energy_resolves_exact_ties(case):
+    P, A = case
+    energy_gathers, _ = assert_filtered_equals_oracles(P, A, A)
+    assert energy_gathers and None not in energy_gathers  # the tied pairs' exact ends
+
+
+@st.composite
+def near_ties(draw):
+    """P = x + y + c x^d (d = 8-10) with A holding a and a + 2 (a <= 3)
+    and B holding b and the top cell: lo on (a + 2, b) exceeds hi on
+    (a, b) by c ((a + 2)^d - (a + 1)^d) / den^d, less than the filter's
+    band, so the pair is above only by its exact ends."""
+    d, k = draw(st.integers(8, 10)), draw(st.integers(9, 14))
+    P = P_SUM + Poly.constant(draw(positive_coefficients)) * parse_poly(f"x^{d}")
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0, 2**k - 2))
+    extra = draw(st.lists(st.integers(0, 2**k - 1), max_size=2))
+    A = GridSet1D.from_cells(Scale(k), sorted({a, a + 2, *extra}))
+    B = GridSet1D.from_cells(Scale(k), sorted({b, 2**k - 1}))
+    return P, A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_ties())
+def test_filtered_energy_resolves_pairs_inside_the_band(case):
+    energy_gathers, _ = assert_filtered_equals_oracles(*case)
+    assert energy_gathers and None not in energy_gathers
+
+
+@st.composite
+def edge_ends(draw):
+    """c times a sum of 1, 2 or 4 monomials of degree <= d (d = 6-10, one
+    of degree d), on the single cell 2^(k-1) or 2^(k-1) - 1 at k = d + 2
+    (at least 11, for Python-int ends) to 20: P(1/2, 1/2) is that cell's
+    lo or hi, and it lies exactly on the value-cell edge 2^k P(1/2, 1/2) /
+    (number of monomials c)."""
+    d = draw(st.integers(6, 10))
+    k = draw(st.integers(max(d + 2, 11), 20))
+    monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if 0 < i + j < d]
+    count = draw(st.sampled_from([1, 2, 4]))
+    others = st.lists(st.sampled_from(monomials), min_size=count - 1, max_size=count - 1, unique=True)
+    chosen = draw(others)
+    top = draw(st.integers(0, d))
+    c = draw(positive_coefficients)
+    P = Poly(VARS2, {m: c for m in chosen + [(top, d - top)]})
+    A = GridSet1D.from_cells(Scale(k), [2 ** (k - 1) - draw(st.integers(0, 1))])
+    return P, A
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_ends())
+def test_filtered_image_takes_exact_cells_on_value_cell_edges(case):
+    P, A = case
+    _, image_gathers = assert_filtered_equals_oracles(P, A, A)
+    assert image_gathers and None not in image_gathers  # the end on the edge
+
+
+def test_filtered_table_past_float_range_keeps_exact_ends():
+    # Degree 35 at k = 30: the magnitude bound is about 2^1050, past any
+    # float, so the table holds box_bounds' Python ints.
+    A = GridSet1D.from_cells(Scale(30), [0, 1, 2**29, 2**30 - 1])
+    P = parse_poly("x + y - 1/16*x^35 + 3/7")
+    table = ProductBounds(P, A, A)
+    assert table.err is None and table.lo.dtype == object
+    assert table.energy() == energy_count_brute_force(P, A, A)
+    assert table.image().grid.cells == marked_cells(P, A, A)
+    assert table.energy(0.5) == energy_count_brute_force(P, A, A, hf_min=0.5)
+    # x^35 + y at k = 29 on cells 0 and 1: the ends' bound is 2^987 + 2^35,
+    # so the ends are floats, but the value grid's width 2^1016 is not a
+    # safe float: the image takes the exact table.
+    A = GridSet1D.from_cells(Scale(29), [0, 1])
+    P = parse_poly("x^35 + y")
+    energy_gathers, image_gathers = assert_filtered_equals_oracles(P, A, A)
+    assert image_gathers == [None]
 
 
 def test_product_bounds_rejects_scale_mismatch():

@@ -23,6 +23,7 @@ from explab.polyexpr import (
     Verdict,
     box_bounds,
     classify_special_form,
+    filtered_box_bounds,
     hf_general,
     hf_poly,
     interval_range,
@@ -1137,6 +1138,65 @@ def test_box_bounds_returns_at_once_on_empty_batches(monkeypatch):
         assert scale == 3 * den**4
     lo, hi, scale = box_bounds(P, 0, 8, empty.T, empty.T, 8)
     assert lo.shape == (1, 0) and lo.dtype == np.int64 and scale == 3 * 8**4
+
+
+@st.composite
+def nonneg_batches(draw):
+    """A polynomial of degree <= 12 and (m, 1) x (1, n) boxes with
+    corners in [0, 4 den], den = 2^k or 3 * 2^k: box_bounds on int64 or on
+    Python ints, and every magnitude bound far below 2^1000."""
+    degree = draw(st.integers(0, 12))
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    P = Poly(VARS2, {m: draw(coefficients) for m in chosen})
+    den = draw(st.sampled_from([1, 3])) * 2 ** draw(st.integers(0, 40))
+    edges = []
+    for _ in "xy":
+        starts = draw(st.lists(st.integers(0, 3 * den), min_size=1, max_size=4))
+        widths = draw(st.lists(st.integers(0, den), min_size=len(starts), max_size=len(starts)))
+        edges.append((np.array(starts), np.array(starts) + np.array(widths)))
+    (x0, x1), (y0, y1) = edges
+    return P, (x0[:, None], x1[:, None], y0[None, :], y1[None, :], den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_batches())
+def test_filtered_box_bounds_within_err_of_box_bounds(batch):
+    P, corners = batch
+    lo, hi, scale = box_bounds(P, *corners)
+    f_lo, f_hi, f_scale, err = filtered_box_bounds(P, *corners)
+    assert f_scale == scale
+    # Floats stand in for exactly the Python-int tables here.
+    assert (err is None) == (lo.dtype == np.int64)
+    if err is None:
+        assert f_lo.dtype == np.int64 and np.array_equal(f_lo, lo) and np.array_equal(f_hi, hi)
+        return
+    assert f_lo.dtype == f_hi.dtype == np.float64 and f_lo.shape == lo.shape
+    exact = lo.ravel().tolist() + hi.ravel().tolist()
+    approx = f_lo.ravel().tolist() + f_hi.ravel().tolist()
+    assert all(abs(Fraction(f) - e) <= Fraction(err) for e, f in zip(exact, approx))
+
+
+@pytest.mark.parametrize(
+    "text, den, low, floats",
+    [
+        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 2**30, 0, True),
+        # A negative corner, a magnitude bound of 2^1050 and an int64 table
+        # keep box_bounds' own ends.
+        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 2**30, -1, False),
+        ("x^35 + y", 2**30, 0, False),
+        ("x^2*y - 3/2*x + 1/3", 2**10, 0, False),
+    ],
+)
+def test_filtered_box_bounds_takes_floats_only_where_proven(text, den, low, floats):
+    P = parse_poly(text)
+    x0 = np.array([low, 0, den - 1])[:, None]
+    corners = (x0, x0 + 1, x0.T, x0.T + 1, den)
+    lo, hi, scale = box_bounds(P, *corners)
+    f_lo, f_hi, f_scale, err = filtered_box_bounds(P, *corners)
+    assert (err is not None, f_lo.dtype == np.float64) == (floats, floats)
+    if not floats:
+        assert f_lo.dtype == lo.dtype and np.array_equal(f_lo, lo) and np.array_equal(f_hi, hi)
 
 
 def reference_evaluate_float(P, point):
