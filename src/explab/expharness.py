@@ -251,7 +251,11 @@ def half_dimensional_set(scale: Scale, offset: Fraction = Fraction(0)) -> GridSe
 
     Binary digits at even positions (most significant first) are forced
     to zero; for even k this is the base-4 digit restriction to {0, 2}.
-    An optional dyadic offset translates the set on the cell grid.
+    An optional offset translates the set on the cell grid by
+    int(offset * 2^k) cells.  Any rational is accepted, and int() rounds
+    toward zero, not down: at k = 4 an offset of 1/3 shifts by +5 cells
+    and -1/3 by -5 (floor would give -6).  A dyadic offset with at most k
+    binary places shifts by exactly offset * 2^k.
     """
     k = scale.k
     cells = np.zeros(1, dtype=np.int64)
@@ -466,9 +470,9 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     def measure(k: int) -> Dict[str, float]:
         scale = Scale(k)
         values = half_dimensional_set(scale, offset)
-        pre1, pre2 = (geomdecomp.preimage_cells(phi, values, window, scale) for phi in phis[:2])
-        X = _planar_set("three_projection", pre1.intersection(pre2), k, p)
-        img1, img2, img3 = (len(geomdecomp.map_image(phi, X)) for phi in phis)
+        pre = geomdecomp.common_preimage_cells(phis[:2], values, window, scale)
+        X = _planar_set("three_projection", pre, k, p)
+        img1, img2, img3 = (len(img) for img in geomdecomp.map_images(phis, X))
         return {
             "x_cells": len(X),
             "value_cells": len(values),
@@ -506,7 +510,7 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         gy = g[(g >= math.ceil(window.y0 / d)) & (g < math.floor(window.y1 / d))]
         X = GridSet2D._from_keys(scale, gridset.cell_keys(gx[:, None], gy).ravel())
         X = _planar_set("pinned_distance", X, k, p)
-        images = [len(geomdecomp.map_image(phi, X)) for phi in phis]
+        images = [len(img) for img in geomdecomp.map_images(phis, X)]
         return {
             "x_cells": len(X),
             "eta_x": gridset.nonconcentration_exponent_2d(X, alpha),

@@ -68,6 +68,11 @@ class SmoothMap2:
     enclosure_rects to cells with gridset.value_cells; maps whose
     enclosure is a float formula override it with numpy over the cell
     edges i * 2^-k, which are exact in float (see _FloatEnclosureMap).
+
+    enclosure_cells is elementwise: a cell's range depends on that cell
+    (and the map) alone, never on the other cells of the call.  That is
+    what lets map_images and common_preimage_cells ask several maps about
+    the same cells in one pass, and split or stack batches freely.
     """
 
     def value(self, x: float, y: float) -> float:
@@ -111,7 +116,7 @@ class SmoothMap2:
 
 def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise math.hypot: the square root of every scalar float
-    enclosure, and of the cells enclosure_cells cannot decide with np.hypot."""
+    enclosure, and of the cells _stacked_cells cannot decide with np.hypot."""
     return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), dtype=float, count=a.size)
 
 
@@ -120,46 +125,90 @@ class _FloatEnclosureMap(SmoothMap2):
     of a rectangle, evaluated elementwise over float arrays with its
     square roots taken by the hypot it is given.
 
+    _bounds takes the map's parameters, _params (the pin, or cos and
+    sin), as arrays too, so parameters of shape (m, 1) against edges of
+    shape (n,) evaluate m maps of one class on n cells in one pass: each
+    element sees the float operations of its own map and cell alone, so
+    its value is the one a single map gives.
+
     enclosure_rects runs it on a batch with _hypot (math.hypot), its ends
     exact over one power of two, and that defines the enclosure (enclosure
-    reads it on one rectangle).  enclosure_cells runs it on cell arrays
+    reads it on one rectangle).  _stacked_cells runs it on cell arrays
     with np.hypot, which may differ from math.hypot in the last bit, as a
     filter: an end v can land in another cell than enclosure's only when
     v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
-    hi the cell's upper end.  Those cells are recomputed with _hypot;
-    every other floor(v * 2^k) is certain.  A map whose formula takes no
-    square root keeps _EDGE_BAND = 0 and flags nothing: numpy and Python
-    floats round the same operations alike.
+    hi the cell's upper end.  Those cells, found by row and column, are
+    recomputed with _hypot and their own row's parameters; every other
+    floor(v * 2^k) is certain.  A map whose formula takes no square root
+    keeps _EDGE_BAND = 0 and flags nothing: numpy and Python floats round
+    the same operations alike.  enclosure_cells is the pass with m = 1.
     """
 
     _EDGE_BAND = 0.0
+    _params: Tuple[float, ...]
 
-    def _bounds(self, x0, x1, y0, y1, hypot) -> Tuple[np.ndarray, np.ndarray]:
+    @classmethod
+    def _bounds(cls, params, x0, x1, y0, y1, hypot) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
         edges = np.broadcast_arrays(*(np.asarray(v) for v in (x0, x1, y0, y1)))
         # int / int rounds as float(Fraction(v, den)); int64 divides do not past 2^53.
         corners = (np.array([v / den for v in e.ravel().tolist()]) for e in edges)
-        ends = [v.as_integer_ratio() for v in np.hstack(self._bounds(*corners, _hypot)).tolist()]
+        bounds = self._bounds(self._params, *corners, _hypot)
+        ends = [v.as_integer_ratio() for v in np.hstack(bounds).tolist()]
         scale = max((d for _, d in ends), default=1)
         lo, hi = np.array([n * (scale // d) for n, d in ends], dtype=object).reshape(2, -1)
         return lo.reshape(edges[0].shape), hi.reshape(edges[0].shape), scale
 
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+        j0, j1 = self._stacked_cells((self,), i.ravel(), j.ravel(), k)
+        return j0[0].reshape(i.shape), j1[0].reshape(i.shape)
+
+    @classmethod
+    def _stacked_cells(cls, maps, i: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+        """enclosure_cells of m maps of this class on the same n cells (int64
+        arrays i, j of shape (n,)) in one formula pass and one filter pass:
+        an int64 array of shape (2, m, n) holding j0 and j1, row r of each
+        for maps[r]."""
         d = 0.5**k
-        x0 = np.asarray(i, dtype=float) * d
-        y0 = np.asarray(j, dtype=float) * d
         n = 1 << k
+        x0, y0 = i * d, j * d  # exact: int64 times a power of two
         edges = (x0, x0 + d, y0, y0 + d)
+        params = np.array([phi._params for phi in maps]).T[:, :, None]  # each (m, 1)
         # v * 2^k is exact in float: scaling by a power of two is.
-        lo, hi = (v * n for v in self._bounds(*edges, np.hypot))
-        band = self._EDGE_BAND * (n + np.abs(hi))
-        near = (np.abs(lo - np.rint(lo)) < band) | (np.abs(hi - np.rint(hi)) < band)
+        ends = np.array(cls._bounds(params, *edges, np.hypot))
+        ends *= n
+        band = cls._EDGE_BAND * (n + np.abs(ends[1]))
+        near = (np.abs(ends - np.rint(ends)) < band).any(axis=0)
         if near.any():
-            exact = self._bounds(*(e[near] for e in edges), _hypot)
-            lo[near], hi[near] = (v * n for v in exact)
-        return tuple(np.clip(np.floor(v), 0, n - 1).astype(np.int64) for v in (lo, hi))
+            rows, cols = np.nonzero(near)
+            exact = cls._bounds(params[:, rows, 0], *(e[cols] for e in edges), _hypot)
+            ends[:, rows, cols] = np.array(exact) * n
+        return np.clip(np.floor(ends), 0, n - 1).astype(np.int64)
+
+
+def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
+    """enclosure_cells of every map on the same cells (int64 arrays i, j
+    of shape (n,)): an int64 array of shape (2, m, n) holding j0 and j1,
+    row r of each for phis[r].  The float maps of one class share one
+    _stacked_cells pass; any other map gives its own row from its own
+    enclosure_cells."""
+    groups = {}
+    for r, phi in enumerate(phis):
+        key = type(phi) if isinstance(phi, _FloatEnclosureMap) else r
+        groups.setdefault(key, []).append(r)
+    first = next(iter(groups), None)
+    if len(groups) == 1 and isinstance(first, type):  # one float class: its pass is the result
+        return first._stacked_cells(phis, i, j, k)
+    cells = np.empty((2, len(phis), i.size), dtype=np.int64)
+    for key, rows in groups.items():
+        if isinstance(key, type):
+            cells[:, rows] = key._stacked_cells([phis[r] for r in rows], i, j, k)
+        else:
+            cells[:, key] = phis[key].enclosure_cells(i, j, k)
+    return cells
 
 
 class PolynomialMap(SmoothMap2):
@@ -205,7 +254,7 @@ class PinnedDistance(_FloatEnclosureMap):
     the enclosure is the exact min/max distance from the pin to the
     rectangle with a tiny outward float pad.
 
-    The filter band of enclosure_cells.  np.hypot (libm) and math.hypot
+    The filter band of _stacked_cells.  np.hypot (libm) and math.hypot
     each stay within an ulp of the true hypotenuse; over 2.7M grid inputs
     (k = 3..19, corner, centre and random pins) they differ by at most
     one ulp, on 0.5% of them.  Allow u = 2^-50, four ulps, relative, and
@@ -231,6 +280,7 @@ class PinnedDistance(_FloatEnclosureMap):
         self.center = (float(center[0]), float(center[1]))
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("the pin must be a finite point")
+        self._params = self.center
 
     def value(self, x: float, y: float) -> float:
         r = math.hypot(x - self.center[0], y - self.center[1])
@@ -264,8 +314,9 @@ class PinnedDistance(_FloatEnclosureMap):
             raise ValueError("derivatives available up to total order 3")
         return table[order]
 
-    def _bounds(self, x0, x1, y0, y1, hypot):
-        cx, cy = self.center
+    @classmethod
+    def _bounds(cls, params, x0, x1, y0, y1, hypot):
+        cx, cy = params
         dx = np.maximum(np.maximum(x0 - cx, 0.0), cx - x1)
         dy = np.maximum(np.maximum(y0 - cy, 0.0), cy - y1)
         dmin = hypot(dx, dy)
@@ -273,7 +324,7 @@ class PinnedDistance(_FloatEnclosureMap):
             np.maximum(np.abs(x0 - cx), np.abs(x1 - cx)),
             np.maximum(np.abs(y0 - cy), np.abs(y1 - cy)),
         )
-        pad = self._PAD * (1.0 + dmax)
+        pad = cls._PAD * (1.0 + dmax)
         return np.maximum(dmin - pad, 0.0), dmax + pad
 
 
@@ -286,6 +337,7 @@ class LinearProjection(_FloatEnclosureMap):
             raise ValueError("theta must be finite")
         self.cos = math.cos(self.theta)
         self.sin = math.sin(self.theta)
+        self._params = (self.cos, self.sin)
 
     def value(self, x: float, y: float) -> float:
         return x * self.cos + y * self.sin
@@ -299,8 +351,10 @@ class LinearProjection(_FloatEnclosureMap):
             return self.value(x, y)
         return 0.0
 
-    def _bounds(self, x0, x1, y0, y1, hypot):
-        corners = [x * self.cos + y * self.sin for x in (x0, x1) for y in (y0, y1)]
+    @classmethod
+    def _bounds(cls, params, x0, x1, y0, y1, hypot):
+        c, s = params
+        corners = [x * c + y * s for x in (x0, x1) for y in (y0, y1)]
         return np.minimum.reduce(corners), np.maximum.reduce(corners)
 
     @property
@@ -981,43 +1035,63 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
 # ---------------------------------------------------------------------------
 
 
+def map_images(phis: Sequence[SmoothMap2], X: GridSet2D) -> List[GridSet1D]:
+    """map_image of each map, in order, from one enclosure pass over the
+    cells of X (_enclosure_pass)."""
+    _check_dimension("map_images", X, GridSet2D)
+    j0, j1 = _enclosure_pass(phis, *X.indices(), X.scale.k)
+    return [GridSet1D._from_keys(X.scale, range_union(a, b)) for a, b in zip(j0, j1)]
+
+
 def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
     """Output cells on the [0, 1] value grid met by phi's enclosure on
     some cell of X (values are clamped into [0, 1]).
 
-    One enclosure_cells call gives every cell's range [j0, j1] of value
-    cells; the image is the sorted union of those ranges.
+    One enclosure pass gives every cell's range [j0, j1] of value cells;
+    the image is the sorted union of those ranges.  This is map_images
+    of the one map.
     """
     _check_dimension("map_image", X, GridSet2D)
-    j0, j1 = phi.enclosure_cells(*X.indices(), X.scale.k)
-    return GridSet1D._from_keys(X.scale, range_union(j0, j1))
+    return map_images((phi,), X)[0]
+
+
+def common_preimage_cells(
+    phis: Sequence[SmoothMap2], values: GridSet1D, window: Rect, scale: Scale
+) -> GridSet2D:
+    """Cells of the scale grid inside the window whose enclosure under
+    every map meets some cell of the value set: the intersection of the
+    maps' preimage_cells (with no maps, every window cell), from one
+    enclosure pass over the window.
+
+    The pass gives every window cell's range [j0, j1] of value cells under
+    each map.  A range meets the set when the count of value cells up to
+    j1 exceeds the count below j0; both counts are prefix sums of the set,
+    read by binary search in its sorted cells, so memory does not grow
+    with 2^k.
+    """
+    _check_dimension("common_preimage_cells", values, GridSet1D)
+    if values.scale != scale:
+        raise ValueError("value set must live at the target scale")
+    n = scale.cells
+
+    def side(lo, hi):  # cells inside [lo, hi]; the window may reach past the grid
+        return np.arange(max(0, math.ceil(lo * n)), min(n, math.floor(hi * n)), dtype=np.int64)
+
+    cols, rows = side(window.x0, window.x1), side(window.y0, window.y1)
+    i = np.repeat(cols, rows.size)
+    j = np.tile(rows, cols.size)
+    j0, j1 = _enclosure_pass(phis, i, j, scale.k)
+    member = values.keys
+    meets = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
+    hit = meets.all(axis=0)
+    # The window is scanned column by column, so the hits are in order.
+    return GridSet2D._from_keys(scale, cell_keys(i[hit], j[hit]))
 
 
 def preimage_cells(
     phi: SmoothMap2, values: GridSet1D, window: Rect, scale: Scale
 ) -> GridSet2D:
     """Cells of the scale grid inside the window whose phi-enclosure meets
-    some cell of the value set.
-
-    One enclosure_cells call gives every window cell's range [j0, j1] of
-    value cells.  A range meets the set when the count of value cells up
-    to j1 exceeds the count below j0; both counts are prefix sums of the
-    set, read by binary search in its sorted cells, so memory does not
-    grow with 2^k.
-    """
+    some cell of the value set: common_preimage_cells of the one map."""
     _check_dimension("preimage_cells", values, GridSet1D)
-    if values.scale != scale:
-        raise ValueError("value set must live at the target scale")
-    d, n = scale.delta, scale.cells
-
-    def side(lo, hi):  # cells inside [lo, hi]; the window may reach past the grid
-        return np.arange(max(0, math.ceil(lo / d)), min(n, math.floor(hi / d)), dtype=np.int64)
-
-    cols, rows = side(window.x0, window.x1), side(window.y0, window.y1)
-    i = np.repeat(cols, rows.size)
-    j = np.tile(rows, cols.size)
-    j0, j1 = phi.enclosure_cells(i, j, scale.k)
-    member = values.keys
-    hit = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
-    # The window is scanned column by column, so the hits are in order.
-    return GridSet2D._from_keys(scale, cell_keys(i[hit], j[hit]))
+    return common_preimage_cells((phi,), values, window, scale)

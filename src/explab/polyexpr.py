@@ -863,9 +863,12 @@ def _box_bounds(P: Poly, edges, den: int, filtered: bool):
 def unit_square_range(P: Poly) -> Interval:
     """interval_range(P, [0, 1]^2), in closed form: on the unit square
     every non-constant monomial ranges over [0, 1], so its term c * m over
-    [min(0, c), max(0, c)]."""
+    [min(0, c), max(0, c)].  The sums are taken on the integer numerators
+    over P.den, with one Fraction per end."""
     if P.variables != VARS2:
         raise ValueError("unit_square_range takes a bivariate polynomial")
-    const = P.terms.get((0, 0), Fraction(0))
-    rest = [c for e, c in P.terms.items() if e != (0, 0)]
-    return Interval(const + sum(c for c in rest if c < 0), const + sum(c for c in rest if c > 0))
+    const = P.num.get((0, 0), 0)
+    rest = [c for e, c in P.num.items() if e != (0, 0)]
+    neg = sum(c for c in rest if c < 0)
+    pos = sum(c for c in rest if c > 0)
+    return Interval(Fraction(const + neg, P.den), Fraction(const + pos, P.den))

@@ -65,6 +65,18 @@ def test_half_dimensional_set_counts():
         assert covering_number(S, k) == len(S.cells)
 
 
+@pytest.mark.parametrize(
+    "offset, shift",
+    [("0", 0), ("3/8", 6), ("-3/8", -6), ("1/3", 5), ("-1/3", -5), ("31/32", 15), ("-1/17", 0)],
+)
+def test_half_dimensional_offset_shifts_by_int_toward_zero(offset, shift):
+    # At k = 4: int(offset * 16) cells, so -1/3 shifts by -5, not floor's -6.
+    scale = Scale(4)
+    base = half_dimensional_set(scale).cells
+    want = tuple(c + shift for c in base if 0 <= c + shift < 16)
+    assert half_dimensional_set(scale, Fraction(offset)).cells == want
+
+
 def test_builtin_scenarios_enumerated():
     names = [s.name for s in builtin_scenarios()]
     assert len(names) >= 7
@@ -128,6 +140,8 @@ def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
     "family, parameters, metric, module, work",
     [
         ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "preimage_cells"),
+        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "common_preimage_cells"),
+        ("pinned_distance", {"scales": "8,9,10"}, "pin1_imag", geomdecomp, "map_images"),
         # image_ratio_* are reported only next to a baseline polynomial.
         ("poly_growth", {"poly": "x + y"}, "image_ratio_growth", gridset, "image_set"),
     ],
@@ -149,6 +163,8 @@ def _forbid_work(monkeypatch):
         (gridset, "ProductBounds"),
         (geomdecomp, "map_image"),
         (geomdecomp, "preimage_cells"),
+        (geomdecomp, "map_images"),
+        (geomdecomp, "common_preimage_cells"),
     ):
         monkeypatch.setattr(module, name, None)  # any work would fail differently
 
@@ -479,6 +495,38 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
         # p_large, x + y and x*y), and p_small on the restricted ladder.
         assert len(tables) == 6 + 3 * (s.family == "eps_d_energy"), s.family
         assert not units, s.family
+
+
+@pytest.mark.parametrize(
+    "family, maps_per_pass", [("three_projection", [2, 3]), ("pinned_distance", [3])]
+)
+def test_projection_runs_make_one_enclosure_pass_per_map_set_and_scale(
+    monkeypatch, family, maps_per_pass
+):
+    """three_projection asks phi1 and phi2 about the window, then phi1 to
+    phi3 about X; pinned_distance asks its three pins about X.  Each is one
+    pass with one formula pass in it, and the one-map forms are not used."""
+    scenario = builtin_scenario(family)
+    want = report_to_json(run_scenario(scenario))
+    passes, formulas = [], []
+    real_pass = geomdecomp._enclosure_pass
+    real_cells = geomdecomp._FloatEnclosureMap._stacked_cells.__func__
+
+    def counting_pass(phis, i, j, k):
+        passes.append((len(phis), k))
+        return real_pass(phis, i, j, k)
+
+    def counting_cells(cls, maps, i, j, k):
+        formulas.append((len(maps), k))
+        return real_cells(cls, maps, i, j, k)
+
+    monkeypatch.setattr(geomdecomp, "_enclosure_pass", counting_pass)
+    monkeypatch.setattr(geomdecomp._FloatEnclosureMap, "_stacked_cells", classmethod(counting_cells))
+    monkeypatch.setattr(geomdecomp, "map_image", None)
+    monkeypatch.setattr(geomdecomp, "preimage_cells", None)
+    report = run_scenario(scenario)
+    assert report_to_json(report) == want
+    assert passes == formulas == [(m, k) for k in report.scales for m in maps_per_pass]
 
 
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])

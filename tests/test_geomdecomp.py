@@ -29,16 +29,18 @@ from explab.geomdecomp import (
     SmoothMap2,
     band_partition,
     blaschke_curvature,
+    common_preimage_cells,
     extract_product,
     format_cube_decomposition,
     map_image,
+    map_images,
     parse_cube_decomposition,
     preimage_cells,
     select_level,
     whitney_decompose,
     zero_nbhd_covering,
 )
-from explab.geomdecomp import _hypot
+from explab.geomdecomp import _enclosure_pass, _hypot
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
 from explab.polyexpr import VARS2, Interval, Poly, Rect, mp_numerator, parse_poly
 
@@ -618,13 +620,13 @@ smooth_maps = st.one_of(
 
 
 @st.composite
-def cell_blocks(draw):
-    """A scale and the cells of an axis-aligned block of at most 24 x 24."""
+def cell_blocks(draw, side=24):
+    """A scale and the cells of an axis-aligned block of at most side x side."""
     k = draw(st.integers(1, 12))
     n = 2**k
     i0, j0 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    cols = np.arange(i0, i0 + draw(st.integers(0, min(24, n - i0))))
-    rows = np.arange(j0, j0 + draw(st.integers(0, min(24, n - j0))))
+    cols = np.arange(i0, i0 + draw(st.integers(0, min(side, n - i0))))
+    rows = np.arange(j0, j0 + draw(st.integers(0, min(side, n - j0))))
     return k, np.repeat(cols, rows.size), np.tile(rows, cols.size)
 
 
@@ -731,12 +733,29 @@ def test_float_enclosures_at_exact_grid_distances_equal_reference(case):
     assert_cells_equal_reference(*case)
 
 
-@pytest.mark.parametrize("ulps", [4, -4])
-def test_filter_holds_for_a_hypot_four_ulps_off(ulps):
-    """The band of PinnedDistance allows np.hypot to be up to four ulps
-    off math.hypot.  A stand-in that is exactly that far off must still
-    give the cells of the math.hypot enclosure; with the band shrunk to
-    nothing it does not."""
+def random_in_band_cases(rng, count):
+    """count in_band_case inputs drawn from rng."""
+    cases = []
+    for _ in range(count):
+        k = rng.randint(1, 12)
+        end = rng.choice(["lo", "hi"])
+        m = rng.randint(0 if end == "lo" else 2, 64)
+        a, b = rng.randrange(2**k), rng.randrange(2**k)
+        flips = rng.random() < 0.5, rng.random() < 0.5
+        cases.append(in_band_case(k, a, b, m, end, rng.choice([0.0, 0.5, 1.0]), *flips))
+    return cases
+
+
+def with_neighbours(phi, k, i, j):
+    """The case's cell and its neighbours, so the recomputed cells sit
+    among cells the filter leaves to np.hypot."""
+    cols = np.arange(max(i[0] - 1, 0), min(i[0] + 2, 2**k))
+    rows = np.arange(max(j[0] - 1, 0), min(j[0] + 2, 2**k))
+    return phi, k, np.repeat(cols, rows.size), np.tile(rows, cols.size)
+
+
+def hypot_off_by(ulps):
+    """A stand-in for np.hypot exactly ulps ulps off math.hypot."""
 
     def off_hypot(a, b):
         v = np.fromiter(map(math.hypot, np.ravel(a).tolist(), np.ravel(b).tolist()), float)
@@ -744,22 +763,19 @@ def test_filter_holds_for_a_hypot_four_ulps_off(ulps):
             v = np.nextafter(v, math.copysign(math.inf, ulps))
         return v.reshape(np.shape(a))
 
-    rng = random.Random(ulps)
-    cases = pythagorean_cases()
-    for _ in range(200):
-        k = rng.randint(1, 12)
-        end = rng.choice(["lo", "hi"])
-        m = rng.randint(0 if end == "lo" else 2, 64)
-        a, b = rng.randrange(2**k), rng.randrange(2**k)
-        flips = rng.random() < 0.5, rng.random() < 0.5
-        cases.append(in_band_case(k, a, b, m, end, rng.choice([0.0, 0.5, 1.0]), *flips))
-    with mock.patch.object(np, "hypot", off_hypot):
-        for phi, k, i, j in cases:
-            # The cell and its neighbours, so the recomputed cells sit
-            # among cells the filter leaves to the stand-in.
-            cols = np.arange(max(i[0] - 1, 0), min(i[0] + 2, 2**k))
-            rows = np.arange(max(j[0] - 1, 0), min(j[0] + 2, 2**k))
-            assert_cells_equal_reference(phi, k, np.repeat(cols, rows.size), np.tile(rows, cols.size))
+    return off_hypot
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_filter_holds_for_a_hypot_four_ulps_off(ulps):
+    """The band of PinnedDistance allows np.hypot to be up to four ulps
+    off math.hypot.  A stand-in that is exactly that far off must still
+    give the cells of the math.hypot enclosure; with the band shrunk to
+    nothing it does not."""
+    cases = pythagorean_cases() + random_in_band_cases(random.Random(ulps), 200)
+    with mock.patch.object(np, "hypot", hypot_off_by(ulps)):
+        for case in cases:
+            assert_cells_equal_reference(*with_neighbours(*case))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1121,7 +1137,7 @@ def reference_float_enclosure(phi, rect: Rect) -> Interval:
     """The float maps' enclosure of one rectangle as they once defined it:
     _bounds on the corners as floats, with math.hypot."""
     edges = (np.array([float(v)]) for v in (rect.x0, rect.x1, rect.y0, rect.y1))
-    lo, hi = phi._bounds(*edges, _hypot)
+    lo, hi = phi._bounds(phi._params, *edges, _hypot)
     return Interval(Fraction(float(lo[0])), Fraction(float(hi[0])))
 
 
@@ -1423,6 +1439,117 @@ def test_polynomial_enclosure_cells_equal_per_cell_loop(phi, block):
     assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
 
+# The stacked pass: several maps asked about the same cells at once.  Each
+# row must be the per-cell loop's, whatever the other rows hold.
+
+CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+pass_maps = st.one_of(
+    smooth_maps,
+    st.builds(PinnedDistance, st.sampled_from(CORNERS)),
+    st.builds(LinearProjection, st.sampled_from([0.0, math.pi / 4, math.pi / 2, 2.0])),
+    polys().map(PolynomialMap),
+)
+
+
+def assert_pass_rows_equal_reference(phis, k, i, j):
+    cells = _enclosure_pass(phis, i, j, k)
+    assert cells.dtype == np.int64 and cells.shape == (2, len(phis), i.size)
+    for r, phi in enumerate(phis):
+        want = reference_enclosure_cells(phi, i, j, k)
+        assert [cells[0, r].tolist(), cells[1, r].tolist()] == [w.tolist() for w in want], (r, phi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pass_maps, min_size=1, max_size=5), cell_blocks(side=8))
+def test_enclosure_pass_rows_equal_per_cell_loop(phis, block):
+    k, i, j = block
+    assert_pass_rows_equal_reference(phis, k, i, j)
+
+
+def in_band_rows(phis, k, i, j):
+    """The rows whose ends lie inside PinnedDistance's filter band on some
+    of the cells, by the reference floats."""
+    n, d = 2**k, Fraction(1, 2**k)
+    rows = set()
+    for r, phi in enumerate(phis):
+        for a, b in zip(i.tolist(), j.tolist()):
+            lo, hi = reference_bounds(phi, Rect(a * d, (a + 1) * d, b * d, (b + 1) * d))
+            band = PinnedDistance._EDGE_BAND * (1 + hi) * n
+            if any(abs(v * n - round(v * n)) < band for v in (lo, hi)):
+                rows.add(r)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enclosure_pass_recomputes_in_band_cells_with_their_own_row(seed):
+    """One map's ends fall inside the filter band, the others' do not: the
+    recomputed cells must take that map's pin, not another row's."""
+    rng = random.Random(seed)
+    for case in random_in_band_cases(rng, 40):
+        phi, k, i, j = with_neighbours(*case)
+        others = [PinnedDistance((rng.uniform(-1, 2), rng.uniform(-1, 2))) for _ in range(2)]
+        phis = [others[0], phi, others[1]][: rng.choice([2, 3])]
+        if in_band_rows(phis, k, i, j) == {1}:
+            assert_pass_rows_equal_reference(phis, k, i, j)
+            assert_pass_rows_equal_reference(phis[::-1], k, i, j)
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_stacked_filter_holds_for_a_hypot_four_ulps_off(ulps):
+    """test_filter_holds_for_a_hypot_four_ulps_off with every case one row
+    of a three-map pass, so the recomputed cells sit in rows 0, 1 and 2."""
+    cases = pythagorean_cases() + random_in_band_cases(random.Random(ulps), 100)
+    with mock.patch.object(np, "hypot", hypot_off_by(ulps)):
+        for n, case in enumerate(cases):
+            phi, k, i, j = with_neighbours(*case)
+            phis = [PinnedDistance(CORNERS[n % 4]), PinnedDistance((0.3, 0.6))]
+            phis.insert(n % 3, phi)
+            assert_pass_rows_equal_reference(phis, k, i, j)
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [
+        [PinnedDistance((0.3, 0.0)), PinnedDistance((1.0, 1.0))],
+        [LinearProjection(0.4), PolynomialMap(P_QUAD), PinnedDistance((0.3, 0.0))],
+        [],
+    ],
+)
+def test_enclosure_pass_of_no_cells_is_empty(phis):
+    empty = np.zeros(0, dtype=np.int64)
+    cells = _enclosure_pass(phis, empty, empty, 5)
+    assert cells.dtype == np.int64 and cells.shape == (2, len(phis), 0)
+    scale = Scale(5)
+    assert [img.cells for img in map_images(phis, GridSet2D(scale, ()))] == [()] * len(phis)
+    full = GridSet1D(scale, tuple(range(32)))
+    x = Fraction(1, 3)
+    assert common_preimage_cells(phis, full, Rect.of(x, x, 0, 1), scale).cells == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pass_maps, min_size=1, max_size=4), st.data())
+def test_map_images_equal_per_map_references(phis, data):
+    k = data.draw(st.integers(1, 10))
+    cell = st.integers(0, 2**k - 1)
+    X = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=40)))
+    assert [img.cells for img in map_images(phis, X)] == [reference_map_image(phi, X) for phi in phis]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pass_maps, min_size=1, max_size=3), st.data())
+def test_common_preimage_cells_equal_the_intersection_of_references(phis, data):
+    k = data.draw(st.integers(1, 10))
+    n = 2**k
+    values = GridSet1D.from_cells(Scale(k), data.draw(st.lists(st.integers(0, n - 1), max_size=20)))
+    x0, y0 = (Fraction(data.draw(st.integers(0, 4 * n)), 4 * n) for _ in range(2))
+    x1 = min(Fraction(1), x0 + Fraction(data.draw(st.integers(0, 48)), 4 * n))
+    y1 = min(Fraction(1), y0 + Fraction(data.draw(st.integers(0, 48)), 4 * n))
+    window = Rect(x0, x1, y0, y1)
+    got = common_preimage_cells(phis, values, window, Scale(k))
+    each = [reference_preimage(phi, values, window, Scale(k)) for phi in phis]
+    assert got.cells == tuple(c for c in each[0] if all(c in other for other in each[1:]))
+
+
 @st.composite
 def rect_batches(draw):
     """Corners over one denominator, m x 1 in x against 1 x n in y (either
@@ -1497,7 +1624,7 @@ def test_float_enclosure_rects_take_math_hypot():
     d = 0.5**k
     edges = (i * d, (i + 1) * d, j * d, (j + 1) * d)
     edges = tuple(np.broadcast_to(e, (2**k, 2**k)).ravel() for e in edges)
-    by_numpy, by_math = (np.hstack(phi._bounds(*edges, h)) for h in (np.hypot, _hypot))
+    by_numpy, by_math = (np.hstack(phi._bounds(phi._params, *edges, h)) for h in (np.hypot, _hypot))
     assert (by_numpy != by_math).any()
     got = phi.enclosure_rects(i, i + 1, j, j + 1, 2**k)
     want = reference_enclosure_rects(phi, i, i + 1, j, j + 1, 2**k)

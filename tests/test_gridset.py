@@ -15,8 +15,10 @@ from explab.geomdecomp import (
     LinearProjection,
     PolynomialMap,
     band_partition,
+    common_preimage_cells,
     extract_product,
     map_image,
+    map_images,
     preimage_cells,
     select_level,
     zero_nbhd_covering,
@@ -658,8 +660,13 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
             "preimage_cells",
             lambda: preimage_cells(LinearProjection(0.5), _PLANE, Rect.of(0, 1, 0, 1), Scale(6)),
         ),
+        (
+            "common_preimage_cells",
+            lambda: common_preimage_cells([LinearProjection(0.5)], _PLANE, Rect.of(0, 1, 0, 1), Scale(6)),
+        ),
         # AttributeError before: a GridSet1D has no indices().
         ("map_image", lambda: map_image(LinearProjection(0.5), _LINE)),
+        ("map_images", lambda: map_images([LinearProjection(0.5)], _LINE)),
         ("extract_product", lambda: extract_product(_LINE)),
         # TypeError before: a GridSet1D is no pair.
         ("zero_nbhd_covering", lambda: zero_nbhd_covering(LinearProjection(0.5), _LINE, 0.25)),
@@ -670,7 +677,8 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
     ids=[
         "restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "intersection", "bands",
         "product_bounds", "image_set", "energy_count", "sum_set", "product_set",
-        "energy_brute_force", "preimage_values", "map_image", "extract_product",
+        "energy_brute_force", "preimage_values", "common_preimage_values", "map_image",
+        "map_images", "extract_product",
         "zero_nbhd_line", "zero_nbhd_pair", "select_level_line", "select_level_pair",
     ],
 )

@@ -1231,6 +1231,22 @@ def test_unit_square_range_equals_interval_range(P, factor):
     assert type(enc.lo) is type(enc.hi) is Fraction
 
 
+def reference_unit_square_range(P):
+    """unit_square_range summed over the Fraction coefficients."""
+    const = P.terms.get((0, 0), Fraction(0))
+    rest = [c for e, c in P.terms.items() if e != (0, 0)]
+    return Interval(const + sum(c for c in rest if c < 0), const + sum(c for c in rest if c > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), st.sampled_from([0, 1, Fraction(1, 3), Fraction(-7, 2**40), 2**70]))
+def test_unit_square_range_equals_fraction_sums(P, factor):
+    P = P * factor
+    got, want = unit_square_range(P), reference_unit_square_range(P)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert type(got.lo) is type(got.hi) is Fraction
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(), st.sampled_from([0, 1, 2**70]))
 def test_unit_square_range_is_taken_once_per_polynomial(P, factor):
