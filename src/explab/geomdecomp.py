@@ -140,8 +140,8 @@ class _FloatEnclosureMap(SmoothMap2):
     hi the cell's upper end.  Those cells, found by row and column, are
     recomputed with _hypot and their own row's parameters; every other
     floor(v * 2^k) is certain.  A map whose formula takes no square root
-    keeps _EDGE_BAND = 0 and flags nothing: numpy and Python floats round
-    the same operations alike.  enclosure_cells is the pass with m = 1.
+    keeps _EDGE_BAND = 0 and skips the filter: numpy and Python floats
+    round the same operations alike.  enclosure_cells is the pass with m = 1.
     """
 
     _EDGE_BAND = 0.0
@@ -180,12 +180,13 @@ class _FloatEnclosureMap(SmoothMap2):
         # v * 2^k is exact in float: scaling by a power of two is.
         ends = np.array(cls._bounds(params, *edges, np.hypot))
         ends *= n
-        band = cls._EDGE_BAND * (n + np.abs(ends[1]))
-        near = (np.abs(ends - np.rint(ends)) < band).any(axis=0)
-        if near.any():
-            rows, cols = np.nonzero(near)
-            exact = cls._bounds(params[:, rows, 0], *(e[cols] for e in edges), _hypot)
-            ends[:, rows, cols] = np.array(exact) * n
+        if cls._EDGE_BAND:
+            band = cls._EDGE_BAND * (n + np.abs(ends[1]))
+            near = (np.abs(ends - np.rint(ends)) < band).any(axis=0)
+            if near.any():
+                rows, cols = np.nonzero(near)
+                exact = cls._bounds(params[:, rows, 0], *(e[cols] for e in edges), _hypot)
+                ends[:, rows, cols] = np.array(exact) * n
         return np.clip(np.floor(ends), 0, n - 1).astype(np.int64)
 
 
@@ -747,7 +748,10 @@ def band_partition(
     order = np.argsort(_morton(i << (k - depth), j << (k - depth), k))
     keys = np.sort(cell_keys(np.concatenate(left_i), np.concatenate(left_j)))
     leftover = GridSet2D._from_keys(scale, keys)
-    in_leftover = int(np.isin(A.keys, leftover.keys).sum())
+    # The last leftover key at or below each key a of A equals a when a's
+    # cell is left over; at index -1 (none) it is the largest, above a.
+    at = np.searchsorted(leftover.keys, A.keys, side="right") - 1
+    in_leftover = int(np.count_nonzero(leftover.keys[at] == A.keys)) if len(leftover) else 0
     fraction = in_leftover / len(A) if len(A) else 0.0
     tables = (np.concatenate(ends, axis=1).T[order] for ends in (nums, dens))
     return CubeDecomposition(*cubes[:, order], *tables, frozenset(), leftover, fraction)
@@ -1035,12 +1039,24 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
 # ---------------------------------------------------------------------------
 
 
+def _row_unions(first: np.ndarray, last: np.ndarray, k: int) -> List[np.ndarray]:
+    """range_union of each row of the (m, n) int64 arrays first and last,
+    whose ranges lie in [0, 2^k), from one union: row r's ranges move up
+    by r << k, into a stretch of their own, and the sorted union splits
+    where each stretch begins."""
+    offsets = np.arange(first.shape[0] + 1, dtype=np.int64) << k
+    cells = range_union((first + offsets[:-1, None]).ravel(), (last + offsets[:-1, None]).ravel())
+    ends = np.searchsorted(cells, offsets).tolist()
+    return [cells[a:b] - r for a, b, r in zip(ends, ends[1:], offsets.tolist())]
+
+
 def map_images(phis: Sequence[SmoothMap2], X: GridSet2D) -> List[GridSet1D]:
     """map_image of each map, in order, from one enclosure pass over the
-    cells of X (_enclosure_pass)."""
+    cells of X (_enclosure_pass) and one union of their value ranges
+    (_row_unions)."""
     _check_dimension("map_images", X, GridSet2D)
     j0, j1 = _enclosure_pass(phis, *X.indices(), X.scale.k)
-    return [GridSet1D._from_keys(X.scale, range_union(a, b)) for a, b in zip(j0, j1)]
+    return [GridSet1D._from_keys(X.scale, cells) for cells in _row_unions(j0, j1, X.scale.k)]
 
 
 def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:

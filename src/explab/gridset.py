@@ -337,37 +337,61 @@ class NonconcentrationResult:
     worst: Tuple[int, int]
 
 
-# Tree keys are the cells in 1-D and the packed keys in 2-D (cells are
-# below 2^30); clearing each field's top bit after key >> 1 gives the
-# parent's key.
-_PARENT_MASK = (0x7FFFFFFF << 32) | 0x7FFFFFFF
+# Elements per block of _tree_scan's ancestor matrix: 32 MiB of int64.
+_SCAN_BLOCK = 1 << 22
+# Row s: the shift of the ancestor matrix, and the mask that clears the
+# low s bits of i which keys >> s moves into the top of the j field.
+_SHIFTS = np.arange(MAX_SCALE + 1, dtype=np.int64)[:, None]
+_FIELD_MASKS = ~(((1 << _SHIFTS) - 1) << (32 - _SHIFTS))
 
 
 def _tree_scan(
-    keys: Iterable[int], k: int, slope: float, offset: float
+    keys: np.ndarray, k: int, slope: float, offset: float, packed: bool
 ) -> Tuple[float, Tuple[int, int]]:
     """Largest (log2 E(S cap Q) + level * slope) / k - offset over the
     dyadic cubes Q of every level, and the (level, key) of its first
-    maximiser: the scan runs from the finest level with a strict >, and
-    only a level's largest count can give its largest value.  In 1-D the
-    keys are the cells, ascending, so the first key with the largest
-    count is the smallest prefix.
+    maximiser, from the sorted int64 keys (packed: i << 32 | j keys).
+
+    Row s of the ancestor matrix keys >> s holds every element's cube at
+    level k - s.  In 2-D the shift also moves the low s bits of i into the
+    top of the j field; _FIELD_MASKS clears them, leaving
+    (i >> s) << 32 | j >> s, and one sort per row makes each cube one run
+    of equal keys.  In 1-D the rows are already ascending.  One != between
+    neighbouring columns marks the run starts and one maximum.accumulate
+    over the start positions gives every element's run start, so its
+    position in its run; a row's largest position plus one is its
+    largest run, which is its largest cube count E(S cap Q).
+
+    The scan runs from the finest level with a strict >, and only a
+    level's largest count can give its largest value, which is the same
+    Python float expression as a per-cube scan.  The witness key is the
+    first maximal run of the chosen row (argmax), which in an ascending
+    row is the smallest key with the largest count: in 1-D the smallest
+    prefix.  The levels go in blocks of at most _SCAN_BLOCK elements (at
+    least one level), so memory stays a few times the keys' own.
     """
-    bucket = dict.fromkeys(keys, 1)
+    n = keys.size
+    pos = np.arange(n)
+    rows = max(1, _SCAN_BLOCK // n)
     best = None
     worst = (0, 0)
-    for level in range(k, -1, -1):
-        top = max(bucket.values())
-        value = (log2(top) + level * slope) / k - offset
-        if best is None or value > best:
-            best = value
-            worst = (level, next(key for key, count in bucket.items() if count == top))
-        if level:
-            parent: dict = {}
-            for key, count in bucket.items():
-                key = (key >> 1) & _PARENT_MASK
-                parent[key] = parent.get(key, 0) + count
-            bucket = parent
+    for first in range(0, k + 1, rows):
+        block = slice(first, min(first + rows, k + 1))
+        cubes = keys >> _SHIFTS[block]
+        if packed:
+            cubes &= _FIELD_MASKS[block]
+            cubes.sort(axis=1)
+        run = np.zeros(cubes.shape, dtype=np.int64)
+        np.multiply(cubes[:, 1:] != cubes[:, :-1], pos[1:], out=run[:, 1:])
+        np.maximum.accumulate(run, axis=1, out=run)
+        np.subtract(pos, run, out=run)  # every element's position in its run
+        chosen = None
+        for r, top in enumerate(run.max(axis=1).tolist()):
+            value = (log2(top + 1) + (k - first - r) * slope) / k - offset
+            if best is None or value > best:
+                best, chosen = value, r
+        if chosen is not None:
+            worst = (k - first - chosen, int(cubes[chosen, run[chosen].argmax()]))
     return best, worst
 
 
@@ -378,7 +402,7 @@ def nonconcentration_exponent(S: GridSet1D, kappa: float, alpha: float) -> Nonco
         raise ValueError("kappa must lie in (0, 1]")
     if not isfinite(alpha):
         raise ValueError("alpha must be finite")
-    best, worst = _tree_scan(S.keys.tolist(), S.scale.k, kappa, alpha)
+    best, worst = _tree_scan(S.keys, S.scale.k, kappa, alpha, packed=False)
     return NonconcentrationResult(max(0.0, best), best < 0, best, worst)
 
 
@@ -390,7 +414,7 @@ def nonconcentration_exponent_2d(X: GridSet2D, alpha: float) -> float:
         raise ValueError("empty set")
     if not isfinite(alpha):
         raise ValueError("alpha must be finite")
-    best, _ = _tree_scan(X.keys.tolist(), X.scale.k, alpha, 2 * alpha)
+    best, _ = _tree_scan(X.keys, X.scale.k, alpha, 2 * alpha, packed=True)
     return max(0.0, best)
 
 

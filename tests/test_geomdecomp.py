@@ -40,8 +40,9 @@ from explab.geomdecomp import (
     whitney_decompose,
     zero_nbhd_covering,
 )
-from explab.geomdecomp import _enclosure_pass, _hypot
+from explab.geomdecomp import _enclosure_pass, _hypot, _row_unions
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
+from explab.gridset import range_union
 from explab.polyexpr import VARS2, Interval, Poly, Rect, mp_numerator, parse_poly
 
 P_QUAD = parse_poly("x^2 + x*y + y^2")
@@ -1530,9 +1531,38 @@ def test_enclosure_pass_of_no_cells_is_empty(phis):
 @given(st.lists(pass_maps, min_size=1, max_size=4), st.data())
 def test_map_images_equal_per_map_references(phis, data):
     k = data.draw(st.integers(1, 10))
-    cell = st.integers(0, 2**k - 1)
-    X = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=40)))
+    n = 2**k
+    cell = st.integers(0, n - 1)
+    # Corner cells and a map that reaches both ends put images on cells 0
+    # and 2^k - 1, next to the neighbouring rows' stretches of the union.
+    corners = st.sampled_from([(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)])
+    cells = data.draw(st.lists(st.tuples(cell, cell), max_size=40)) + data.draw(st.lists(corners))
+    X = GridSet2D.from_cells(Scale(k), cells)
+    ends = data.draw(st.sampled_from([PinnedDistance((0.0, 0.0)), LinearProjection(0.0)]))
+    phis = phis[:]
+    phis.insert(data.draw(st.integers(0, len(phis))), ends)
     assert [img.cells for img in map_images(phis, X)] == [reference_map_image(phi, X) for phi in phis]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_unions_equal_per_row_range_unions(data):
+    """Rows of short ranges on cells 0 and 2^k - 1 and in between, some
+    empty (last < first) and one row all empty: a wrong row offset moves
+    a row's cells into its neighbour's or drops them."""
+    k = data.draw(st.integers(1, 30))
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+    top = 2**k - 1
+    cell = st.sampled_from([0, top]) | st.integers(0, top)
+    first = np.array(data.draw(st.lists(cell, min_size=m * n, max_size=m * n)), dtype=np.int64)
+    widths = np.array(data.draw(st.lists(st.integers(-2, 4), min_size=m * n, max_size=m * n)))
+    first = first.reshape(m, n)
+    last = np.clip(first + widths.reshape(m, n), 0, top)
+    if m:
+        empty = data.draw(st.integers(0, m - 1))
+        last[empty] = first[empty] - 1
+    got = _row_unions(first, last, k)
+    assert [g.tolist() for g in got] == [range_union(a, b).tolist() for a, b in zip(first, last)]
 
 
 @settings(max_examples=100, deadline=None)

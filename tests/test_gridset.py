@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import floor, inf, log2, nan
 from unittest import mock
 
@@ -203,20 +204,86 @@ def reference_nonconcentration_exponent_2d(X, alpha):
 exponents = st.sampled_from([1e-9, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 12), exponents, exponents | st.floats(-1.0, 2.0))
-def test_tree_scan_equals_per_prefix_scan(data, k, kappa, alpha):
-    cell = st.integers(0, 2**k - 1)
-    cells = data.draw(st.lists(cell, min_size=1, max_size=40))
+@st.composite
+def tree_cells(draw, k, width):
+    """Cells at scale k (tuples of width indices in 2-D): up to 60 drawn
+    ones plus up to four whole dyadic blocks of one depth, which fill
+    their levels and tie with each other, a few hundred cells at most."""
+    index = st.integers(0, 2**k - 1)
+    cell = index if width == 1 else st.tuples(index, index)
+    cells = set(draw(st.lists(cell, max_size=60)))
+    depth = draw(st.integers(0, min(k, 6 if width == 1 else 3)))
+    prefix = st.integers(0, 2 ** (k - depth) - 1)
+    prefix = prefix if width == 1 else st.tuples(prefix, prefix)
+    for p in draw(st.lists(prefix, max_size=4)):
+        blocks = [range(c << depth, (c + 1) << depth) for c in (p if width == 2 else (p,))]
+        cells.update(product(*blocks) if width == 2 else blocks[0])
+    return sorted(cells) or [draw(cell)]
+
+
+def assert_scans_equal_references(k, cells, squares, kappa, alpha):
     S = GridSet1D.from_cells(Scale(k), cells)
     res = nonconcentration_exponent(S, kappa, alpha)
     assert (res.eta, res.floored, res.raw, res.worst) == reference_nonconcentration_exponent(
         S, kappa, alpha
     )
-    squares = data.draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=40))
     X = GridSet2D.from_cells(Scale(k), squares)
-    expected = reference_nonconcentration_exponent_2d(X, alpha)
-    assert nonconcentration_exponent_2d(X, alpha) == expected
+    assert nonconcentration_exponent_2d(X, alpha) == reference_nonconcentration_exponent_2d(X, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 30), exponents, exponents | st.floats(-1.0, 2.0))
+def test_tree_scan_equals_per_prefix_scan(data, k, kappa, alpha):
+    cells = data.draw(tree_cells(k, 1))
+    squares = data.draw(tree_cells(k, 2))
+    assert_scans_equal_references(k, cells, squares, kappa, alpha)
+
+
+TOP = 2**30 - 1
+
+
+@pytest.mark.parametrize(
+    "squares",
+    [
+        # A full 2 x 2 block at the top of both fields: i = 2^30 - 2 and
+        # 2^30 - 1 share a parent, so must their cells.
+        [(TOP - 1, TOP - 1), (TOP - 1, TOP), (TOP, TOP - 1), (TOP, TOP)],
+        [(TOP, 0), (TOP, 1), (TOP - 1, 0), (TOP - 1, 1), (3, 0)],
+        # Odd i next to even i of the same parent, and of the next parent.
+        [(4, 6), (5, 6), (4, 7), (5, 7), (6, 6), (7, 7)],
+        [(5, 9), (6, 9), (5, 8), (6, 8)],
+        [(2**29 - 1, 0), (2**29, 0), (2**29 - 1, 1), (2**29, 1)],
+        [(i, j) for i in range(TOP - 7, TOP + 1) for j in (0, 1, TOP)],
+        # (0, 2^29) sorts between (0, 0) and (1, 0), whose cube it does not
+        # share before level 0: only a sorted row counts the two together.
+        [(0, 0), (0, 2**29), (1, 0)],
+    ],
+)
+@pytest.mark.parametrize("alpha", [1e-9, 0.03, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("block", [gridset_module._SCAN_BLOCK, 1, 7])
+def test_tree_scan_at_the_top_of_the_packed_fields(squares, alpha, block):
+    cells = sorted({i for i, _ in squares} | {j for _, j in squares})
+    with mock.patch.object(gridset_module, "_SCAN_BLOCK", block):
+        assert_scans_equal_references(30, cells, squares, 1.0, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 30), exponents, exponents | st.floats(-1.0, 2.0))
+def test_tree_scan_in_blocks_equals_one_block(data, k, kappa, alpha):
+    """With the block bound cut to a few levels' worth of keys, the scan
+    runs in several blocks and must still give the one-block result."""
+    S = GridSet1D.from_cells(Scale(k), data.draw(tree_cells(k, 1)))
+    X = GridSet2D.from_cells(Scale(k), data.draw(tree_cells(k, 2)))
+    whole_1d, whole_2d = nonconcentration_exponent(S, kappa, alpha), nonconcentration_exponent_2d(X, alpha)
+    rows = data.draw(st.integers(1, k + 1))
+
+    def block(T):  # rows levels per block, or just under rows + 1, or one level
+        return data.draw(st.sampled_from([rows * len(T), (rows + 1) * len(T) - 1, 1]))
+
+    with mock.patch.object(gridset_module, "_SCAN_BLOCK", block(S)):
+        assert nonconcentration_exponent(S, kappa, alpha) == whole_1d
+    with mock.patch.object(gridset_module, "_SCAN_BLOCK", block(X)):
+        assert nonconcentration_exponent_2d(X, alpha) == whole_2d
 
 
 # ---------------------------------------------------------------------------
