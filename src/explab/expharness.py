@@ -4,9 +4,10 @@ A Scenario bundles a parameter map with a list of expectations
 (metric, comparator, target, tolerance, provenance tag); running one
 produces a Report with per-scale metric tables, exponent fits, scalar
 summaries, and one outcome per expectation.  Expectation failures are
-reported, never raised.  Each family's runner defines measure(k), which
-returns one scale's {row: value} map, and runs it over its scale ladder;
-the exponent fits are taken on named rows of the resulting tables.
+reported, never raised.  Each family's runner measures one {row: value}
+map per scale of its ladder (the projection families take the images of
+the whole ladder in one pass first); the exponent fits are taken on
+named rows of the resulting tables.
 
 Scenario files are line-oriented key=value text (schema=1); reports
 serialize to a canonical JSON object (timing excluded by default so
@@ -22,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -274,12 +275,12 @@ def gradient_floor(P: Poly) -> float:
     return min(float(unit_square_range(P.partial(v)).abs_interval().lo) for v in ("x", "y"))
 
 
-def _ladder(scales: List[int], measure: Callable[[int], dict]) -> Dict[str, List[float]]:
-    """Run measure(k) at each scale of the ladder, in order: each row it
-    returns gets one float per scale."""
+def _ladder(measured: Iterable[dict]) -> Dict[str, List[float]]:
+    """The rows of a ladder from its measurements, one dict per scale in
+    order: each name gets one float per scale."""
     rows: Dict[str, List[float]] = {}
-    for k in scales:
-        for name, value in measure(k).items():
+    for measurement in measured:
+        for name, value in measurement.items():
             rows.setdefault(name, []).append(float(value))
     return rows
 
@@ -341,7 +342,7 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             row.update(baseline_image_count=base_image, image_ratio=image / base_image)
         return row
 
-    rows = _ladder(scales, measure)
+    rows = _ladder(map(measure, scales))
     fits = _fits(scales, rows, image_exponent="image_count", energy_exponent="energy_count")
     scalars = {name: fit.slope for name, fit in fits.items()}  # both slopes are scalars too
     scalars["cs_all_ok"] = float(all(rows["cs_ok"]))
@@ -373,7 +374,7 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             **_cs_rows(floor, len(A), image, e_small),
         }
 
-    rows = _ladder(scales, measure)
+    rows = _ladder(map(measure, scales))
     restricted_points = []
     for k in p["restricted_scales"]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
@@ -417,7 +418,7 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "cs_ok": _cs_rows(floor, len(A), sums, energy)["cs_ok"],
         }
 
-    rows = _ladder(scales, measure)
+    rows = _ladder(map(measure, scales))
     fits = _fits(scales, rows, sum_exponent="sum_count")
     scalars = {
         "min_growth_margin": min(rows["growth_margin"]),
@@ -426,16 +427,18 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     return tuple(scales), rows, fits, scalars
 
 
-def _pins(key: str, text: str) -> List[Tuple[float, float]]:
+def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
+    """The three pinned distance maps of the pins in text."""
     pins = []
     for chunk in text.split(";"):
         try:
             x, y = (float(t) for t in chunk.split(","))
+            pins.append(geomdecomp.PinnedDistance((x, y)))
         except ValueError:
-            x = y = math.nan
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"{key} must be finite x,y points separated by ';', got {text!r}")
-        pins.append((x, y))
+            raise ValueError(
+                f"{key} must be x,y points separated by ';', with coordinates of at most "
+                f"2^500 in absolute value, got {text!r}"
+            ) from None
     if len(pins) != 3:
         raise ValueError("exactly three pins required")
     return pins
@@ -464,18 +467,21 @@ def _planar_set(family: str, X: GridSet2D, k: int, p: dict) -> GridSet2D:
 
 
 def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
-    phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
+    alpha, offset, scales, window, phis = p["alpha"], p["offset"], p["scales"], p["window"], p["pins"]
+    # Every scale's X first (an empty one fails before any image is
+    # taken), then the images of the whole ladder in one pass.
+    values = [half_dimensional_set(Scale(k), offset) for k in scales]
+    sets = []
+    for k, V in zip(scales, values):
+        pre = geomdecomp.common_preimage_cells(phis[:2], V, window, Scale(k))
+        sets.append(_planar_set("three_projection", pre, k, p))
+    images = geomdecomp.map_images(phis, sets)
 
-    def measure(k: int) -> Dict[str, float]:
-        scale = Scale(k)
-        values = half_dimensional_set(scale, offset)
-        pre = geomdecomp.common_preimage_cells(phis[:2], values, window, scale)
-        X = _planar_set("three_projection", pre, k, p)
-        img1, img2, img3 = (len(img) for img in geomdecomp.map_images(phis, X))
+    def measure(k: int, V: GridSet1D, X: GridSet2D, image: list) -> Dict[str, float]:
+        img1, img2, img3 = map(len, image)
         return {
             "x_cells": len(X),
-            "value_cells": len(values),
+            "value_cells": len(V),
             "phi1_image": img1,
             "phi2_image": img2,
             "phi3_image": img3,
@@ -483,7 +489,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "phi3_margin": math.log2(max(1, img3)) / k - alpha,
         }
 
-    rows = _ladder(scales, measure)
+    rows = _ladder(map(measure, scales, values, sets, images))
     fits = _fits(scales, rows, phi3_exponent="phi3_image", phi1_exponent="phi1_image")
     margins = rows["phi3_margin"]
     scalars = {
@@ -499,26 +505,30 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 
 def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
-    alpha, offset, scales, window = p["alpha"], p["offset"], p["scales"], p["window"]
-    phis = [geomdecomp.PinnedDistance(pin) for pin in p["pins"]]
+    alpha, offset, scales, window, phis = p["alpha"], p["offset"], p["scales"], p["window"], p["pins"]
 
-    def measure(k: int) -> Dict[str, float]:
+    def planar_set(k: int) -> GridSet2D:
         scale = Scale(k)
         d = scale.delta
         g = half_dimensional_set(scale, offset).keys
         gx = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
         gy = g[(g >= math.ceil(window.y0 / d)) & (g < math.floor(window.y1 / d))]
         X = GridSet2D._from_keys(scale, gridset.cell_keys(gx[:, None], gy).ravel())
-        X = _planar_set("pinned_distance", X, k, p)
-        images = [len(img) for img in geomdecomp.map_images(phis, X)]
+        return _planar_set("pinned_distance", X, k, p)
+
+    # Every scale's X first, then the images of the whole ladder in one pass.
+    sets = [planar_set(k) for k in scales]
+
+    def measure(X: GridSet2D, image: list) -> Dict[str, float]:
+        sizes = [len(img) for img in image]
         return {
             "x_cells": len(X),
             "eta_x": gridset.nonconcentration_exponent_2d(X, alpha),
-            **{f"pin{idx}_image": img for idx, img in enumerate(images, 1)},
-            "best_image": max(images),
+            **{f"pin{idx}_image": size for idx, size in enumerate(sizes, 1)},
+            "best_image": max(sizes),
         }
 
-    rows = _ladder(scales, measure)
+    rows = _ladder(map(measure, sets, geomdecomp.map_images(phis, sets)))
     fits = _fits(scales, rows, best_pinned_exponent="best_image")
     scalars = {
         "best_pinned_exponent": fits["best_pinned_exponent"].slope,

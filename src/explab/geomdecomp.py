@@ -72,7 +72,8 @@ class SmoothMap2:
     enclosure_cells is elementwise: a cell's range depends on that cell
     (and the map) alone, never on the other cells of the call.  That is
     what lets map_images and common_preimage_cells ask several maps about
-    the same cells in one pass, and split or stack batches freely.
+    the same cells in one pass, and split or stack batches freely: across
+    the sets of a scale ladder, or as the columns and rows of a window.
     """
 
     def value(self, x: float, y: float) -> float:
@@ -126,10 +127,12 @@ class _FloatEnclosureMap(SmoothMap2):
     square roots taken by the hypot it is given.
 
     _bounds takes the map's parameters, _params (the pin, or cos and
-    sin), as arrays too, so parameters of shape (m, 1) against edges of
-    shape (n,) evaluate m maps of one class on n cells in one pass: each
-    element sees the float operations of its own map and cell alone, so
-    its value is the one a single map gives.
+    sin), as arrays too, so parameters of shape (m, 1, ...) against edges
+    of any shape evaluate m maps of one class on all those cells in one
+    pass: each element sees the float operations of its own map and cell
+    alone, so its value is the one a single map gives.  Edges of shape
+    (c, 1) and (1, r), the columns and rows of a window, keep the
+    per-axis operations at (m, c, 1) and (m, 1, r).
 
     enclosure_rects runs it on a batch with _hypot (math.hypot), its ends
     exact over one power of two, and that defines the enclosure (enclosure
@@ -137,11 +140,12 @@ class _FloatEnclosureMap(SmoothMap2):
     with np.hypot, which may differ from math.hypot in the last bit, as a
     filter: an end v can land in another cell than enclosure's only when
     v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
-    hi the cell's upper end.  Those cells, found by row and column, are
-    recomputed with _hypot and their own row's parameters; every other
-    floor(v * 2^k) is certain.  A map whose formula takes no square root
-    keeps _EDGE_BAND = 0 and skips the filter: numpy and Python floats
-    round the same operations alike.  enclosure_cells is the pass with m = 1.
+    hi the cell's upper end.  Those cells, found by map and cell, are
+    recomputed with _hypot, their own row's parameters and their own
+    scale; every other floor(v * 2^k) is certain.  A map whose formula
+    takes no square root keeps _EDGE_BAND = 0 and skips the filter: numpy
+    and Python floats round the same operations alike.  enclosure_cells
+    is the pass with m = 1.
     """
 
     _EDGE_BAND = 0.0
@@ -162,40 +166,51 @@ class _FloatEnclosureMap(SmoothMap2):
         return lo.reshape(edges[0].shape), hi.reshape(edges[0].shape), scale
 
     def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
-        j0, j1 = self._stacked_cells((self,), i.ravel(), j.ravel(), k)
-        return j0[0].reshape(i.shape), j1[0].reshape(i.shape)
+        i, j = (np.asarray(v, dtype=np.int64) for v in (i, j))
+        j0, j1 = self._stacked_cells((self,), i, j, k)
+        return j0[0], j1[0]
 
     @classmethod
-    def _stacked_cells(cls, maps, i: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
-        """enclosure_cells of m maps of this class on the same n cells (int64
-        arrays i, j of shape (n,)) in one formula pass and one filter pass:
-        an int64 array of shape (2, m, n) holding j0 and j1, row r of each
-        for maps[r]."""
-        d = 0.5**k
-        n = 1 << k
-        x0, y0 = i * d, j * d  # exact: int64 times a power of two
+    def _stacked_cells(cls, maps, i: np.ndarray, j: np.ndarray, k) -> np.ndarray:
+        """enclosure_cells of m maps of this class in one formula pass and
+        one filter pass: the int64 arrays i, j and the scales k (an int or
+        an int64 array) broadcast together to the cells' shape, so one call
+        can take a column against a row of a window, or the cells of
+        several sets at their own scales.  The result is an int64 array of
+        shape (2, m, *shape) holding j0 and j1, row r of each for maps[r].
+
+        Each element takes d = 2^-k and n = 2^k of its own scale, so it
+        sees the float operations that enclosure_cells at that scale gives
+        it alone, and its cells are the same bit for bit; so are the cells
+        the filter recomputes, each with its own row's parameters and its
+        own scale."""
+        shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(k))
+        n = np.ldexp(1.0, k)
+        d = 1.0 / n  # exact, as is every product below with a power of two
+        x0, y0 = i * d, j * d
         edges = (x0, x0 + d, y0, y0 + d)
-        params = np.array([phi._params for phi in maps]).T[:, :, None]  # each (m, 1)
-        # v * 2^k is exact in float: scaling by a power of two is.
-        ends = np.array(cls._bounds(params, *edges, np.hypot))
+        params = np.array([phi._params for phi in maps]).T  # one (m,) row per parameter
+        ends = np.array(cls._bounds(params.reshape(*params.shape, *(1,) * len(shape)), *edges, np.hypot))
         ends *= n
         if cls._EDGE_BAND:
             band = cls._EDGE_BAND * (n + np.abs(ends[1]))
             near = (np.abs(ends - np.rint(ends)) < band).any(axis=0)
             if near.any():
-                rows, cols = np.nonzero(near)
-                exact = cls._bounds(params[:, rows, 0], *(e[cols] for e in edges), _hypot)
-                ends[:, rows, cols] = np.array(exact) * n
+                rows, *at = np.nonzero(near)
+                cells = [np.broadcast_to(e, shape)[tuple(at)] for e in (*edges, n)]
+                exact = cls._bounds(params[:, rows], *cells[:4], _hypot)
+                ends[(slice(None), rows, *at)] = np.array(exact) * cells[4]
         return np.clip(np.floor(ends), 0, n - 1).astype(np.int64)
 
 
-def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
-    """enclosure_cells of every map on the same cells (int64 arrays i, j
-    of shape (n,)): an int64 array of shape (2, m, n) holding j0 and j1,
-    row r of each for phis[r].  The float maps of one class share one
-    _stacked_cells pass; any other map gives its own row from its own
-    enclosure_cells."""
+def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k) -> np.ndarray:
+    """enclosure_cells of every map on the same cells: the int64 arrays i,
+    j and the scales k (an int or an int64 array) broadcast together to
+    the cells' shape, and the result is an int64 array of shape
+    (2, m, *shape) holding j0 and j1, row r of each for phis[r].  The
+    float maps of one class share one _stacked_cells pass; any other map
+    gives its own row from its own enclosure_cells, one call per distinct
+    scale."""
     groups = {}
     for r, phi in enumerate(phis):
         key = type(phi) if isinstance(phi, _FloatEnclosureMap) else r
@@ -203,12 +218,18 @@ def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k:
     first = next(iter(groups), None)
     if len(groups) == 1 and isinstance(first, type):  # one float class: its pass is the result
         return first._stacked_cells(phis, i, j, k)
-    cells = np.empty((2, len(phis), i.size), dtype=np.int64)
+    shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(k))
+    cells = np.empty((2, len(phis), *shape), dtype=np.int64)
+    scales = np.broadcast_to(k, shape)
     for key, rows in groups.items():
         if isinstance(key, type):
             cells[:, rows] = key._stacked_cells([phis[r] for r in rows], i, j, k)
-        else:
-            cells[:, key] = phis[key].enclosure_cells(i, j, k)
+            continue
+        for s in np.unique(scales).tolist():
+            at = scales == s
+            cells[:, key, at] = phis[key].enclosure_cells(
+                np.broadcast_to(i, shape)[at], np.broadcast_to(j, shape)[at], s
+            )
     return cells
 
 
@@ -272,15 +293,23 @@ class PinnedDistance(_FloatEnclosureMap):
     hi >= dmax, is 2^9 times that.  Ends at an exact grid distance, such
     as (3/16, 4/16) from (0, 0), sit _PAD * D * 2^k from their integer,
     just outside the band, and are still certain there.
+
+    The pin's coordinates are at most 2^500 in absolute value, so every
+    intermediate of _bounds on edges in [-2^500, 2^500] stays below about
+    2^502 and v * 2^k below 2^533: finite, where a pin near the float
+    maximum overflows np.hypot and turns lo into NaN.
     """
 
     _PAD = 1e-12
     _EDGE_BAND = 2.0**-40
+    _MAX_COORDINATE = 2.0**500
 
     def __init__(self, center: Tuple[float, float]):
         self.center = (float(center[0]), float(center[1]))
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("the pin must be a finite point")
+        if not all(abs(c) <= self._MAX_COORDINATE for c in self.center):
+            raise ValueError(
+                f"the pin must be a point with coordinates of at most 2^500 in absolute value, got {self.center}"
+            )
         self._params = self.center
 
     def value(self, x: float, y: float) -> float:
@@ -1039,24 +1068,41 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
 # ---------------------------------------------------------------------------
 
 
-def _row_unions(first: np.ndarray, last: np.ndarray, k: int) -> List[np.ndarray]:
-    """range_union of each row of the (m, n) int64 arrays first and last,
-    whose ranges lie in [0, 2^k), from one union: row r's ranges move up
-    by r << k, into a stretch of their own, and the sorted union splits
-    where each stretch begins."""
-    offsets = np.arange(first.shape[0] + 1, dtype=np.int64) << k
-    cells = range_union((first + offsets[:-1, None]).ravel(), (last + offsets[:-1, None]).ravel())
+def _row_unions(first: np.ndarray, last: np.ndarray, row: np.ndarray, rows: int, k: int) -> List[np.ndarray]:
+    """range_union of the ranges [first, last] of each row r < rows, where
+    the int64 array row names each range's row (the three arrays broadcast
+    together) and every range lies in [0, 2^k), from one union: row r's
+    ranges move up by r << k, into a stretch of their own, and the sorted
+    union splits where each stretch begins."""
+    shift = row << k
+    cells = range_union((first + shift).ravel(), (last + shift).ravel())
+    offsets = np.arange(rows + 1, dtype=np.int64) << k
     ends = np.searchsorted(cells, offsets).tolist()
     return [cells[a:b] - r for a, b, r in zip(ends, ends[1:], offsets.tolist())]
 
 
-def map_images(phis: Sequence[SmoothMap2], X: GridSet2D) -> List[GridSet1D]:
-    """map_image of each map, in order, from one enclosure pass over the
-    cells of X (_enclosure_pass) and one union of their value ranges
-    (_row_unions)."""
-    _check_dimension("map_images", X, GridSet2D)
-    j0, j1 = _enclosure_pass(phis, *X.indices(), X.scale.k)
-    return [GridSet1D._from_keys(X.scale, cells) for cells in _row_unions(j0, j1, X.scale.k)]
+def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[List[GridSet1D]]:
+    """map_image of each map on each set, one list of images (in map
+    order) per set, from one enclosure pass over the cells of all the
+    sets and one union of all their value ranges.
+
+    The sets may live at different scales: the pass takes each cell at
+    its own set's scale (_enclosure_pass with an array of scales), and
+    _row_unions takes one row per (set, map) pair, set by set, with
+    offsets r << K for the largest scale K, so that every set's value
+    grid fits in its stretch.
+    """
+    for X in sets:
+        _check_dimension("map_images", X, GridSet2D)
+    sizes = [len(X) for X in sets]
+    ks = [X.scale.k for X in sets]
+    i, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *(X.indices() for X in sets)], axis=1)
+    j0, j1 = _enclosure_pass(phis, i, j, np.repeat(np.array(ks, dtype=np.int64), sizes))
+    m = len(phis)
+    # Row s * m + r holds map r on set s.
+    row = np.repeat(np.arange(len(sets), dtype=np.int64) * m, sizes) + np.arange(m, dtype=np.int64)[:, None]
+    images = iter(_row_unions(j0, j1, row, len(sets) * m, max(ks, default=0)))
+    return [[GridSet1D._from_keys(X.scale, next(images)) for _ in phis] for X in sets]
 
 
 def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
@@ -1065,10 +1111,10 @@ def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
 
     One enclosure pass gives every cell's range [j0, j1] of value cells;
     the image is the sorted union of those ranges.  This is map_images
-    of the one map.
+    of the one map on the one set.
     """
     _check_dimension("map_image", X, GridSet2D)
-    return map_images((phi,), X)[0]
+    return map_images((phi,), (X,))[0][0]
 
 
 def common_preimage_cells(
@@ -1079,11 +1125,15 @@ def common_preimage_cells(
     maps' preimage_cells (with no maps, every window cell), from one
     enclosure pass over the window.
 
-    The pass gives every window cell's range [j0, j1] of value cells under
-    each map.  A range meets the set when the count of value cells up to
-    j1 exceeds the count below j0; both counts are prefix sums of the set,
-    read by binary search in its sorted cells, so memory does not grow
-    with 2^k.
+    The window is the product of its columns and its rows, and the pass
+    takes it as one: the column indices as a column against the row
+    indices as a row, so the per-axis part of a map's formula runs once
+    per column and once per row, and only the rest once per window cell.
+    It gives every window cell's range [j0, j1] of value cells under each
+    map, an (m, columns, rows) array.  A range meets the set when the
+    count of value cells up to j1 exceeds the count below j0; both counts
+    are prefix sums of the set, read by binary search in its sorted
+    cells, so memory does not grow with 2^k.
     """
     _check_dimension("common_preimage_cells", values, GridSet1D)
     if values.scale != scale:
@@ -1094,14 +1144,12 @@ def common_preimage_cells(
         return np.arange(max(0, math.ceil(lo * n)), min(n, math.floor(hi * n)), dtype=np.int64)
 
     cols, rows = side(window.x0, window.x1), side(window.y0, window.y1)
-    i = np.repeat(cols, rows.size)
-    j = np.tile(rows, cols.size)
-    j0, j1 = _enclosure_pass(phis, i, j, scale.k)
+    j0, j1 = _enclosure_pass(phis, cols[:, None], rows[None, :], scale.k)
     member = values.keys
     meets = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
-    hit = meets.all(axis=0)
-    # The window is scanned column by column, so the hits are in order.
-    return GridSet2D._from_keys(scale, cell_keys(i[hit], j[hit]))
+    # Row-major over (column, row): the hits come column by column, in order.
+    at_col, at_row = np.nonzero(meets.all(axis=0))
+    return GridSet2D._from_keys(scale, cell_keys(cols[at_col], rows[at_row]))
 
 
 def preimage_cells(

@@ -690,6 +690,12 @@ def test_point_and_pattern_options_name_themselves(capsys, argv, message):
     assert err.startswith("explab: ") and message in err
 
 
+@pytest.mark.parametrize("pin", ["1.7e308,1.7e308", "0,-1e200"])
+def test_dist_pin_past_two_to_the_500_is_a_domain_error(capsys, pin):
+    code, out, err = run_cli(capsys, *CURVATURE, "--phi3", f"dist:{pin}", "--point", "0.3,0.4")
+    assert (code, out) == (1, "") and "at most 2^500 in absolute value" in err
+
+
 def test_whitney_puncture_outside_the_unit_square_is_domain_error(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("whitney_decompose ran")

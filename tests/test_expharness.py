@@ -1,10 +1,16 @@
 """Tests for scenarios, reports, and the regression helper."""
 
+import hashlib
+import importlib.util
+import itertools
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +35,7 @@ from explab.expharness import (
 from explab.gridset import GridSet2D, Scale, covering_number, fit_exponent
 from explab.polyexpr import VARS2, Poly, Rect, interval_range
 from test_geomdecomp import reference_map_image, reference_preimage
+from test_golden import GOLDEN
 
 
 def test_exponent_regression_exact():
@@ -234,10 +241,22 @@ def test_cantor_half_ignores_alpha_and_eta():
 
 
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
-@pytest.mark.parametrize("pins", ["0,0;1,nan;0,1", "inf,0;1,0;0,1", "0,0;1;0,1"])
+@pytest.mark.parametrize(
+    "pins",
+    [
+        "0,0;1,nan;0,1",
+        "inf,0;1,0;0,1",
+        "0,0;1;0,1",
+        # Past 2^500: the first used to overflow np.hypot, and
+        # pinned_distance reported every value cell as its image and passed.
+        "1.7e308,1.7e308;1,0;0,1",
+        "0,0;1,0;0,-1e200",
+        "0,0;3.28e150,0;0,1",
+    ],
+)
 def test_run_scenario_rejects_bad_pins_before_running(monkeypatch, family, pins):
     _forbid_work(monkeypatch)
-    with pytest.raises(ValueError, match="^pins must be"):
+    with pytest.raises(ValueError, match=r"^pins must be .* at most 2\^500 in absolute value"):
         run_scenario(Scenario("bad", family, {"pins": pins}, ()))
 
 
@@ -497,27 +516,29 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
         assert not units, s.family
 
 
-@pytest.mark.parametrize(
-    "family, maps_per_pass", [("three_projection", [2, 3]), ("pinned_distance", [3])]
-)
-def test_projection_runs_make_one_enclosure_pass_per_map_set_and_scale(
-    monkeypatch, family, maps_per_pass
+@pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])
+def test_projection_runs_make_one_preimage_pass_per_scale_and_one_image_pass_per_ladder(
+    monkeypatch, family
 ):
-    """three_projection asks phi1 and phi2 about the window, then phi1 to
-    phi3 about X; pinned_distance asks its three pins about X.  Each is one
-    pass with one formula pass in it, and the one-map forms are not used."""
+    """three_projection asks phi1 and phi2 about the window of each scale,
+    then phi1 to phi3 about the X of every scale at once; pinned_distance
+    asks its three pins about every scale's X at once.  Each is one pass
+    with one formula pass in it, the one-map forms are not used, and the
+    report keeps its golden digest."""
     scenario = builtin_scenario(family)
-    want = report_to_json(run_scenario(scenario))
     passes, formulas = [], []
     real_pass = geomdecomp._enclosure_pass
     real_cells = geomdecomp._FloatEnclosureMap._stacked_cells.__func__
 
+    def scales_of(k):  # the scales of a pass's cells, set by set
+        return [s for s, _ in itertools.groupby(np.ravel(k).tolist())]
+
     def counting_pass(phis, i, j, k):
-        passes.append((len(phis), k))
+        passes.append((len(phis), scales_of(k)))
         return real_pass(phis, i, j, k)
 
     def counting_cells(cls, maps, i, j, k):
-        formulas.append((len(maps), k))
+        formulas.append((len(maps), scales_of(k)))
         return real_cells(cls, maps, i, j, k)
 
     monkeypatch.setattr(geomdecomp, "_enclosure_pass", counting_pass)
@@ -525,8 +546,58 @@ def test_projection_runs_make_one_enclosure_pass_per_map_set_and_scale(
     monkeypatch.setattr(geomdecomp, "map_image", None)
     monkeypatch.setattr(geomdecomp, "preimage_cells", None)
     report = run_scenario(scenario)
-    assert report_to_json(report) == want
-    assert passes == formulas == [(m, k) for k in report.scales for m in maps_per_pass]
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == GOLDEN[family]
+    ladder = list(report.scales)
+    preimages = [(2, [k]) for k in ladder] if family == "three_projection" else []
+    assert passes == formulas == preimages + [(3, ladder)]
+
+
+def test_a_projection_ladder_pass_takes_one_image_call_per_ladder(monkeypatch):
+    """The benchmark's projection_ladder pass runs nine ladders of three
+    scales: nine map_images calls (not one per scale) and one
+    common_preimage_cells call per three_projection scale."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(geomdecomp, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("map_images", "common_preimage_cells"):
+        monkeypatch.setattr(geomdecomp, name, counted(name))
+    ops = workloads.projection_ladder(101).ops
+    outputs = [op.call() for op in ops]
+    assert all(op.check(text) == [] for op, text in zip(ops, outputs))
+    assert calls == {"map_images": 9, "common_preimage_cells": 18}
+
+
+@pytest.mark.parametrize(
+    "family, parameters",
+    [
+        # X has one cell at 4 and none at 5.
+        ("three_projection", {"scales": "4,5,6", "offset": "1/8", "window": "0,1/4,1/4,3/8"}),
+        # A window narrower than a scale-5 cell holds scale-6 cells.
+        ("pinned_distance", {"scales": "6,5,4", "offset": "0", "window": "1/64,3/64,1/64,3/64"}),
+    ],
+)
+def test_empty_planar_set_at_a_later_scale_fails_before_any_image(monkeypatch, family, parameters):
+    monkeypatch.setattr(geomdecomp, "map_images", None)  # an image pass would fail differently
+    monkeypatch.setattr(geomdecomp, "map_image", None)
+    with pytest.raises(ValueError) as err:
+        run_scenario(Scenario("e", family, parameters, ()))
+    window = ",".join(str(Fraction(t)) for t in parameters["window"].split(","))
+    assert str(err.value) == (
+        f"{family}: the planar set X is empty at scale 5 (window={window}, offset={parameters['offset']})"
+    )
 
 
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from explab.geomdecomp import (
@@ -842,11 +842,32 @@ def test_preimage_cells_of_a_window_past_the_grid_are_those_of_its_cut(phi, wind
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: PinnedDistance((math.inf, 0.0)), lambda: LinearProjection(math.nan)]
+    "make",
+    [
+        lambda: PinnedDistance((math.inf, 0.0)),
+        lambda: LinearProjection(math.nan),
+        # Pins past 2^500: (1.7e308, 1.7e308) used to overflow np.hypot
+        # into NaN ends, and map_image reported every value cell.
+        lambda: PinnedDistance((1.7e308, 1.7e308)),
+        lambda: PinnedDistance((0.0, -(2.0**501))),
+        lambda: PinnedDistance((math.nextafter(2.0**500, math.inf), 0.5)),
+    ],
 )
 def test_float_maps_reject_non_finite_parameters(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("pin", [(2.0**500, 2.0**500), (-(2.0**500), 0.25)])
+def test_pinned_distance_at_two_to_the_500_has_finite_ends(pin):
+    phi = PinnedDistance(pin)
+    for k in (5, 30):
+        n = 2**k
+        cols = np.array([0, 1, n - 1], dtype=np.int64)
+        i, j = np.repeat(cols, 3), np.tile(cols, 3)
+        assert_cells_equal_reference(phi, k, i, j)
+        X = GridSet2D.from_cells(Scale(k), zip(i.tolist(), j.tolist()))
+        assert map_image(phi, X).cells == reference_map_image(phi, X) == (n - 1,)
 
 
 def test_cube_decomposition_round_trip():
@@ -1521,7 +1542,8 @@ def test_enclosure_pass_of_no_cells_is_empty(phis):
     cells = _enclosure_pass(phis, empty, empty, 5)
     assert cells.dtype == np.int64 and cells.shape == (2, len(phis), 0)
     scale = Scale(5)
-    assert [img.cells for img in map_images(phis, GridSet2D(scale, ()))] == [()] * len(phis)
+    assert [img.cells for img in map_images(phis, [GridSet2D(scale, ())])[0]] == [()] * len(phis)
+    assert map_images(phis, []) == []
     full = GridSet1D(scale, tuple(range(32)))
     x = Fraction(1, 3)
     assert common_preimage_cells(phis, full, Rect.of(x, x, 0, 1), scale).cells == ()
@@ -1541,7 +1563,7 @@ def test_map_images_equal_per_map_references(phis, data):
     ends = data.draw(st.sampled_from([PinnedDistance((0.0, 0.0)), LinearProjection(0.0)]))
     phis = phis[:]
     phis.insert(data.draw(st.integers(0, len(phis))), ends)
-    assert [img.cells for img in map_images(phis, X)] == [reference_map_image(phi, X) for phi in phis]
+    assert [img.cells for img in map_images(phis, [X])[0]] == [reference_map_image(phi, X) for phi in phis]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1561,7 +1583,7 @@ def test_row_unions_equal_per_row_range_unions(data):
     if m:
         empty = data.draw(st.integers(0, m - 1))
         last[empty] = first[empty] - 1
-    got = _row_unions(first, last, k)
+    got = _row_unions(first, last, np.arange(m, dtype=np.int64)[:, None], m, k)
     assert [g.tolist() for g in got] == [range_union(a, b).tolist() for a, b in zip(first, last)]
 
 
@@ -1578,6 +1600,117 @@ def test_common_preimage_cells_equal_the_intersection_of_references(phis, data):
     got = common_preimage_cells(phis, values, window, Scale(k))
     each = [reference_preimage(phi, values, window, Scale(k)) for phi in phis]
     assert got.cells == tuple(c for c in each[0] if all(c in other for other in each[1:]))
+
+
+# A ladder pass: the cells of several sets, each at its own scale, in one
+# enclosure pass and one union.
+
+
+@st.composite
+def ladders(draw):
+    """1-4 sets of at most 12 cells at scales in [1, 30], repeated scales
+    and empty sets included, corner cells often."""
+    pool = draw(st.lists(st.integers(1, 30) | st.sampled_from([1, 30]), min_size=1, max_size=3))
+    sets = []
+    for k in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+        top = 2**k - 1
+        cell = st.sampled_from([0, top]) | st.integers(0, top)
+        sets.append(GridSet2D.from_cells(Scale(k), draw(st.lists(st.tuples(cell, cell), max_size=12))))
+    return sets
+
+
+def assert_ladder_equals_per_set_references(phis, sets):
+    got = map_images(phis, sets)
+    assert [[img.scale for img in row] for row in got] == [[X.scale] * len(phis) for X in sets]
+    want = [[reference_map_image(phi, X) for phi in phis] for X in sets]
+    assert [[img.cells for img in row] for row in got] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pass_maps, min_size=1, max_size=3), ladders())
+@example(
+    [PinnedDistance((0.0, 0.0)), LinearProjection(0.0), PolynomialMap(P_QUAD)],
+    [GridSet2D.from_cells(Scale(k), [(0, 0), (2**k - 1, 2**k - 1), (1, 2**k - 1)]) for k in (3, 9, 5, 9)],
+)
+def test_map_images_of_a_ladder_equal_per_set_references(phis, sets):
+    assert_ladder_equals_per_set_references(phis, sets)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ladder_pass_recomputes_in_band_cells_at_their_own_scale(seed):
+    """Each in-band case is a set of a ladder behind sets at other scales,
+    its pin one row among others: the recomputed ends must take the case's
+    own scale and its own pin."""
+    rng = random.Random(seed)
+    for case in random_in_band_cases(rng, 30):
+        phi, k, i, j = with_neighbours(*case)
+        others = [rng.choice([s for s in (1, 4, 7, 12, 20, 30) if s != k]) for _ in range(2)]
+        sets = [
+            GridSet2D.from_cells(Scale(s), [(rng.randrange(2**s), rng.randrange(2**s)) for _ in range(3)])
+            for s in others
+        ]
+        sets.insert(rng.choice([1, 2]), GridSet2D.from_cells(Scale(k), zip(i.tolist(), j.tolist())))
+        phis = [PinnedDistance((rng.uniform(-1, 2), rng.uniform(-1, 2))), phi, LinearProjection(0.3)]
+        assert 1 in in_band_rows(phis, k, i, j)
+        assert_ladder_equals_per_set_references(phis, sets)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_window_pass_recomputes_in_band_cells_at_their_own_column_and_row(seed):
+    """A window pass takes columns against rows: an in-band cell found in
+    the (map, column, row) array must be recomputed with its own map's
+    pin, column and row."""
+    rng = random.Random(seed)
+    for phi, k, i, j in random_in_band_cases(rng, 40):
+        cols = np.arange(max(i[0] - 1, 0), min(i[0] + 3, 2**k))
+        rows = np.arange(max(j[0] - 2, 0), min(j[0] + 2, 2**k))
+        phis = [PinnedDistance((rng.uniform(-1, 2), rng.uniform(-1, 2))), phi]
+        got = _enclosure_pass(phis, cols[:, None], rows[None, :], k)
+        assert got.shape == (2, 2, cols.size, rows.size)
+        ci, cj = np.repeat(cols, rows.size), np.tile(rows, cols.size)
+        assert 1 in in_band_rows(phis, k, ci, cj)
+        for r, p in enumerate(phis):
+            want = reference_enclosure_cells(p, ci, cj, k)
+            assert [got[0, r].ravel().tolist(), got[1, r].ravel().tolist()] == [w.tolist() for w in want]
+
+
+WINDOW_MAPS = [PinnedDistance((0.2, 0.9)), LinearProjection(0.3), PolynomialMap(parse_poly("x^2 - 1/3*y"))]
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [WINDOW_MAPS[:1], WINDOW_MAPS, [PinnedDistance((0.2, 0.9)), PinnedDistance((1.0, 0.3))], []],
+    ids=["pin", "mixed", "pins", "none"],
+)
+@pytest.mark.parametrize(
+    "window, cut",
+    [
+        # Wider than tall, and taller than wide.
+        (("1/10", "4/5", "3/10", "9/20"), None),
+        (("3/10", "9/20", "1/10", "4/5"), None),
+        # Past the grid on two sides, and on all four.
+        (("-1/2", "3/4", "1/4", "3/2"), ("0", "3/4", "1/4", "1")),
+        (("-1", "2", "-1", "2"), ("0", "1", "0", "1")),
+        # One column, one row, one cell.
+        (("3/8", "13/32", "0", "1"), None),
+        (("0", "1", "5/32", "3/16"), None),
+        (("3/8", "13/32", "5/32", "3/16"), None),
+        # No column, or no row: zero width, or 1/3 to 1/3 + 1/64, narrower
+        # than a cell.
+        (("1/3", "1/3", "0", "1"), None),
+        (("0", "1", "1/3", "67/192"), None),
+    ],
+)
+def test_common_preimage_window_is_the_product_of_its_columns_and_rows(phis, window, cut):
+    scale = Scale(5)
+    values = GridSet1D(scale, tuple(range(0, 32, 3)))
+    rect, cut = (Rect(*map(Fraction, w)) for w in (window, cut or window))
+    got = common_preimage_cells(phis, values, rect, scale)
+    d = scale.delta
+    cols = range(math.ceil(cut.x0 / d), math.floor(cut.x1 / d))
+    rows = range(math.ceil(cut.y0 / d), math.floor(cut.y1 / d))
+    each = [set(reference_preimage(phi, values, cut, scale)) for phi in phis]
+    assert got.cells == tuple((a, b) for a in cols for b in rows if all((a, b) in e for e in each))
 
 
 @st.composite

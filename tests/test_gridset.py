@@ -733,7 +733,7 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
         ),
         # AttributeError before: a GridSet1D has no indices().
         ("map_image", lambda: map_image(LinearProjection(0.5), _LINE)),
-        ("map_images", lambda: map_images([LinearProjection(0.5)], _LINE)),
+        ("map_images", lambda: map_images([LinearProjection(0.5)], [_PLANE, _LINE])),
         ("extract_product", lambda: extract_product(_LINE)),
         # TypeError before: a GridSet1D is no pair.
         ("zero_nbhd_covering", lambda: zero_nbhd_covering(LinearProjection(0.5), _LINE, 0.25)),
