@@ -24,7 +24,7 @@ import numpy as np
 from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset
 from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
 from .gridset import _check_dimension
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, mp_numerator
+from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, joint_box_bounds, mp_numerator
 
 WEDGE_FLOOR = 1e-8
 _NEWTON_TOL = 1e-13  # residual at which _newton_invert stops
@@ -319,6 +319,13 @@ class PinnedDistance(_FloatEnclosureMap):
         return r
 
     def partial(self, x: float, y: float, ax: int, ay: int) -> float:
+        """The closed forms below, taken on u, v and r scaled by 2^-e, with
+        r = m 2^e and m in [1/2, 1), so no power or product leaves the
+        float range; a partial of order n is homogeneous of degree 1 - n,
+        so it is the scaled value times 2^(e (1 - n)).  Scaling by a power
+        of two is exact and rounding commutes with it, so wherever the
+        unscaled products stay normal the result is theirs bit for bit;
+        the unscaled r^5 overflows past about 2^204 and u v^2 past 2^341."""
         u = x - self.center[0]
         v = y - self.center[1]
         r = math.hypot(u, v)
@@ -327,22 +334,27 @@ class PinnedDistance(_FloatEnclosureMap):
         order = (ax, ay)
         if order == (0, 0):
             return r
-        r3 = r * r * r
-        r5 = r3 * r * r
+        m, e = math.frexp(r)
+        u, v = math.ldexp(u, -e), math.ldexp(v, -e)
+        m3 = m * m * m
+        m5 = m3 * m * m
         table = {
-            (1, 0): u / r,
-            (0, 1): v / r,
-            (2, 0): v * v / r3,
-            (1, 1): -u * v / r3,
-            (0, 2): u * u / r3,
-            (3, 0): -3 * u * v * v / r5,
-            (2, 1): v * (2 * u * u - v * v) / r5,
-            (1, 2): u * (2 * v * v - u * u) / r5,
-            (0, 3): -3 * u * u * v / r5,
+            (1, 0): u / m,
+            (0, 1): v / m,
+            (2, 0): v * v / m3,
+            (1, 1): -u * v / m3,
+            (0, 2): u * u / m3,
+            (3, 0): -3 * u * v * v / m5,
+            (2, 1): v * (2 * u * u - v * v) / m5,
+            (1, 2): u * (2 * v * v - u * u) / m5,
+            (0, 3): -3 * u * u * v / m5,
         }
         if order not in table:
             raise ValueError("derivatives available up to total order 3")
-        return table[order]
+        value = table[order]
+        for _ in range(ax + ay - 1):  # two steps keep 2^(-2e) itself in range
+            value = math.ldexp(value, -e)
+        return value
 
     @classmethod
     def _bounds(cls, params, x0, x1, y0, y1, hypot):
@@ -425,15 +437,21 @@ class CubeDecomposition:
     Cubes are stored once, in listing order: cube c is the square
     (depth[c], i[c], j[c]) of three int64 arrays, and band_num[c, f] /
     band_den[c, f] (integers; one column per tracked function) is the
-    pinned value v with v <= |f| < 4v on it.  The views cubes
-    (DyadicSquares) and bands (rows of Fractions) are built on first
-    read.  flagged marks cubes emitted without their geometric
-    certificate; leftover holds the uncovered delta-cells.
+    pinned value v with v <= |f| < 4v on it.  A band table given as an
+    int64 array stays int64 (band_partition's do wherever every end and
+    scale is below 2^63); any other table is held as Python ints (dtype
+    object).  The views cubes (DyadicSquares) and bands (rows of
+    Fractions) are built on first read.  flagged marks cubes emitted
+    without their geometric certificate; leftover holds the uncovered
+    delta-cells.
     """
 
     def __init__(self, depth, i, j, band_num, band_den, flagged, leftover, fraction=None):
         self.depth, self.i, self.j = (np.asarray(a, dtype=np.int64) for a in (depth, i, j))
-        self.band_num, self.band_den = (np.asarray(t, dtype=object) for t in (band_num, band_den))
+        self.band_num, self.band_den = (
+            t if isinstance(t, np.ndarray) and t.dtype == np.int64 else np.asarray(t, dtype=object)
+            for t in (band_num, band_den)
+        )
         self.flagged, self.leftover = flagged, leftover
         self.a_leftover_fraction = fraction
         n = self.depth.shape
@@ -613,14 +631,18 @@ class PolynomialSignRegion(DyadicRegion):
         return lo > 0, hi <= 0
 
 
-def _blocks(i: np.ndarray, j: np.ndarray, factor: int, offsets: np.ndarray):
-    """Squares (factor i + a, factor j + b) for a, b in offsets, listed
-    square by square: with factor 2 and offsets 0, 1 the children of each
-    (i, j), with offsets -1..2 its dilate one level down."""
-    bi, bj = np.broadcast_arrays(
-        (factor * i)[:, None, None] + offsets[:, None], (factor * j)[:, None, None] + offsets
-    )
-    return bi.ravel(), bj.ravel()
+def _offset_pairs(offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b) for a, b in offsets, a-major, as two columns."""
+    return np.repeat(offsets, offsets.size), np.tile(offsets, offsets.size)
+
+
+def _blocks(i: np.ndarray, j: np.ndarray, factor: int, pairs: Tuple[np.ndarray, np.ndarray]):
+    """Squares (factor i + a, factor j + b) for the offset pairs (a, b) of
+    _offset_pairs, listed square by square: with factor 2 and offsets 0, 1
+    the children of each (i, j), with offsets -1..2 its dilate one level
+    down."""
+    a, b = pairs
+    return ((factor * i)[:, None] + a).ravel(), ((factor * j)[:, None] + b).ravel()
 
 
 def _ask_each(omega: RegionOracle, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
@@ -629,8 +651,8 @@ def _ask_each(omega: RegionOracle, depth: int, i, j) -> Tuple[np.ndarray, np.nda
     return answers == Region.INSIDE, answers == Region.OUTSIDE
 
 
-_CHILDREN = np.arange(2)
-_DILATE = np.arange(-1, 3)
+_CHILDREN = _offset_pairs(np.arange(2))
+_DILATE = _offset_pairs(np.arange(-1, 3))
 
 
 def whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecomposition:
@@ -717,11 +739,16 @@ def band_partition(
     delta-cells, where unresolved cells also join the leftover.  The
     fraction of A's cells landing in the leftover is reported.
 
-    The quadtree is walked one depth at a time, with one enclosure_rects
-    call per tracked function per depth; the functions are tried in
-    order and a square leaves the level at the first one that rejects
-    it.  Cubes are listed in the pre-order of the recursive walk (by
-    Morton key of their corner).
+    The quadtree is walked one depth at a time, and every function is
+    enclosed on every square of the depth in one call: the PolynomialMaps
+    share one joint_box_bounds call, and any other map answers through
+    its own enclosure_rects.  The functions are tried in order, so a
+    square is dead when some function tops out below delta^w on it while
+    every function before it pins it; the running AND of the (functions x
+    squares) verdicts gives that, and each decision reads only the
+    square's own ends.  Cubes are listed in the pre-order of the recursive
+    walk (by Morton key of their corner).  The band tables are int64 when
+    every function's ends are, and Python ints otherwise.
     """
     if not math.isfinite(w):
         raise ValueError(f"w must be finite, got {w}")
@@ -733,40 +760,41 @@ def band_partition(
     k = scale.k
     threshold = Fraction(2.0 ** (-k * w))
 
+    polys = [f.poly for f in fs if isinstance(f, PolynomialMap)]
     # Per depth, the accepted cubes and their pinned ends: integers over
     # each function's scale, one row per function and one column per cube.
     cubes, nums, dens = [], [], []
     left_i, left_j = [], []
     i = j = np.zeros(1, dtype=np.int64)
     for depth in range(k + 1):
-        pinned = np.arange(i.size)  # squares every function so far pins
-        dead = np.zeros(i.size, dtype=bool)
-        lows = []
-        for f in fs:
-            a, b = i[pinned], j[pinned]
-            lo, hi, f_scale = f.enclosure_rects(a, a + 1, b, b + 1, 1 << depth)
-            # The ends of the enclosure of |f| (Interval.abs_interval).
-            up, down = lo >= 0, hi <= 0
-            alo = np.where(up, lo, np.where(down, -hi, 0))
-            ahi = np.where(up, hi, np.where(down, -lo, np.maximum(-lo, hi)))
-            # For an integer v, v/scale < threshold iff v < ceil(threshold*scale).
-            floor_at = math.ceil(threshold * f_scale)
-            dead[pinned[ahi < floor_at]] = True
-            keep = (alo >= floor_at) & (ahi // 4 < alo)
-            pinned = pinned[keep]
-            lows = [(v[keep], sc) for v, sc in lows] + [(alo[keep], f_scale)]
+        edges = (i, i + 1, j, j + 1, 1 << depth)
+        joint = iter(joint_box_bounds(polys, *edges))
+        ends = [next(joint) if isinstance(f, PolynomialMap) else f.enclosure_rects(*edges) for f in fs]
+        # One row per function, int64 when every function's ends are.
+        dtype = np.int64 if all(lo.dtype == np.int64 for lo, _, _ in ends) else object
+        lo, hi, scales = (np.array([e[n] for e in ends], dtype=dtype) for n in range(3))
+        lo, hi = lo.reshape(len(fs), i.size), hi.reshape(len(fs), i.size)
+        # The ends of the enclosures of |f| (Interval.abs_interval).
+        up, down = lo >= 0, hi <= 0
+        alo = np.where(up, lo, np.where(down, -hi, 0))
+        ahi = np.where(up, hi, np.where(down, -lo, np.maximum(-lo, hi)))
+        # For an integer v, v/scale < threshold iff v < ceil(threshold*scale).
+        floor_at = np.array([math.ceil(threshold * sc) for sc in scales.tolist()], dtype=dtype)[:, None]
+        # Row f of pins: every function before f pins the square.
+        pins = np.ones((len(fs) + 1, i.size), dtype=bool)
+        np.logical_and.accumulate((alo >= floor_at) & (ahi // 4 < alo), axis=0, out=pins[1:])
+        pinned = pins[-1]
+        dead = (pins[:-1] & (ahi < floor_at)).any(axis=0)
         ci, cj = i[pinned], j[pinned]
         cubes.append(np.stack((np.full(ci.size, depth), ci, cj)))
-        shape = (len(fs), ci.size)
-        nums.append(np.array([v for v, _ in lows], dtype=object).reshape(shape))
-        dens.append(np.array([[sc] * ci.size for _, sc in lows], dtype=object).reshape(shape))
+        nums.append(alo[:, pinned])
+        dens.append(np.repeat(scales[:, None], ci.size, axis=1))
         if dead.any():  # a dead square's delta-cells all join the leftover
             span = 1 << (k - depth)
-            li, lj = _blocks(i[dead], j[dead], span, np.arange(span))
+            li, lj = _blocks(i[dead], j[dead], span, _offset_pairs(np.arange(span)))
             left_i.append(li)
             left_j.append(lj)
-        split = ~dead
-        split[pinned] = False
+        split = ~(dead | pinned)
         if depth == k:
             left_i.append(i[split])
             left_j.append(j[split])

@@ -48,7 +48,8 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .polyexpr import Poly, Rect, box_bounds, filtered_box_bounds, interval_range, unit_square_range
+from .polyexpr import Poly, Rect, box_bounds, filtered_box_bounds, interval_range, joint_box_bounds
+from .polyexpr import unit_square_range
 
 MAX_SCALE = 30
 
@@ -699,13 +700,14 @@ class ProductBounds:
         (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
         of P_xy) has supremum bound below hf_min are excluded.
 
-        Enclosures of P_x P_y and P_xy come from box_bounds on the cell
-        products too.  Two closed intervals miss each other exactly when
-        one starts after the other ends, so the unfiltered count over N
-        pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort of the lower
-        ends and a binary search per upper end, O(N log N).  The filtered
-        count visits only the intersecting pairs, found the same way, and
-        tests the bracket in exact integers, on the exact table.
+        Enclosures of P_x P_y and P_xy come from one joint_box_bounds
+        call on the cell products.  Two closed intervals miss each other
+        exactly when one starts after the other ends, so the unfiltered
+        count over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort
+        of the lower ends and a binary search per upper end, O(N log N).
+        The filtered count visits only the intersecting pairs, found the
+        same way, and tests the bracket in exact integers, on the exact
+        table.
         """
         if hf_min is not None and not isfinite(hf_min):
             raise ValueError("hf_min must be finite")
@@ -719,8 +721,10 @@ class ProductBounds:
 
         P, A, B = self.P, self.A, self.B
         px = P.partial("x")
-        g_lo, g_hi, g_scale = _exact_bounds(px * P.partial("y"), A, B)
-        m_lo, m_hi, m_scale = _exact_bounds(px.partial("y"), A, B)
+        (g_lo, g_hi, g_scale), (m_lo, m_hi, m_scale) = (
+            (lo.ravel(), hi.ravel(), scale)
+            for lo, hi, scale in joint_box_bounds((px * P.partial("y"), px.partial("y")), *_corners(A, B))
+        )
         # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
         # test against hf_min is a test against the ceiling of the threshold.
         threshold = ceil(Fraction(hf_min) * g_scale * m_scale)

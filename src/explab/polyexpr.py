@@ -25,8 +25,9 @@ The module also provides sound interval enclosures of polynomial ranges
 on axis-aligned rational boxes (per-monomial interval products, exact
 rational endpoints), which the grid measurements build on: interval_range
 on one box in Fractions, box_bounds, the same enclosure of a bivariate
-polynomial on whole arrays of rectangles in exact integers, and
-unit_square_range, its closed form on the unit square.
+polynomial on whole arrays of rectangles in exact integers (and
+joint_box_bounds, of several polynomials on the same rectangles in one
+call), and unit_square_range, its closed form on the unit square.
 """
 
 from __future__ import annotations
@@ -236,19 +237,22 @@ class Poly:
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        """Canonical form: graded-lex term order, rationals as a/b."""
-        if not self.terms:
+        """Canonical form: graded-lex term order, rationals as a/b, each
+        reduced from its integer numerator over den."""
+        if not self.num:
             return "0"
         # Exponent tuples are distinct, so the reversed sort has no ties.
-        ordered = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        ordered = sorted(self.num.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        den = self.den
         pieces = []
-        for exps, coeff in ordered:
+        for exps, c in ordered:
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.variables, exps)
                 if e
             )
-            n, d = coeff.numerator, coeff.denominator
+            g = math.gcd(c, den)
+            n, d = c // g, den // g
             mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not mono:
                 body = mag
@@ -709,39 +713,45 @@ def interval_range(P: Poly, cell: Rect) -> Interval:
     return Interval(lo, hi)
 
 
-def _pow_bounds(
-    a: np.ndarray, b: np.ndarray, n: int, nonneg: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval.pow(n) on the intervals [a, b], elementwise; nonneg says
-    that every a is at least 0.  Float powers are n - 1 multiplications,
-    whose rounding filtered_box_bounds bounds (libm pow carries no bound)."""
+def _pow_bounds(ab: np.ndarray, n: int, nonneg: bool) -> np.ndarray:
+    """Interval.pow(n) on the intervals [ab[0], ab[1]], elementwise, stacked
+    the same way; nonneg says that every ab[0] is at least 0.  Float powers
+    are n - 1 multiplications, whose rounding filtered_box_bounds bounds
+    (libm pow carries no bound)."""
     if n == 1:
-        return a, b
-    if a.dtype == np.float64:
-        lo, hi = a, b
+        return ab
+    if ab.dtype == np.float64:
+        p = ab
         for _ in range(n - 1):
-            lo, hi = lo * a, hi * b
+            p = p * ab
     else:
-        lo, hi = a**n, b**n
+        p = ab**n
     if n % 2 == 1 or nonneg:
-        return lo, hi
+        return p
+    (a, b), (lo, hi) = ab, p
     up = a >= 0
     down = b <= 0
-    return (
-        np.where(up, lo, np.where(down, hi, 0)),
-        np.where(up, hi, np.where(down, lo, np.maximum(lo, hi))),
+    return np.stack(
+        (
+            np.where(up, lo, np.where(down, hi, 0)),
+            np.where(up, hi, np.where(down, lo, np.maximum(lo, hi))),
+        )
     )
 
 
-def _mul_bounds(a, b, c, d, nonneg: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval.__mul__ of [a, b] and [c, d], elementwise; nonneg says
-    that every a and every c is at least 0."""
+def _mul_bounds(xs: np.ndarray, ys: np.ndarray, nonneg: bool) -> np.ndarray:
+    """Interval.__mul__ of the stacked intervals [xs[0], xs[1]] and [ys[0],
+    ys[1]], elementwise, stacked the same way; nonneg says that every
+    xs[0] and every ys[0] is at least 0."""
     if nonneg:
-        return a * c, b * d
+        return xs * ys
+    (a, b), (c, d) = xs, ys
     ac, ad, bc, bd = a * c, a * d, b * c, b * d
-    return (
-        np.minimum(np.minimum(ac, ad), np.minimum(bc, bd)),
-        np.maximum(np.maximum(ac, ad), np.maximum(bc, bd)),
+    return np.stack(
+        (
+            np.minimum(np.minimum(ac, ad), np.minimum(bc, bd)),
+            np.maximum(np.maximum(ac, ad), np.maximum(bc, bd)),
+        )
     )
 
 
@@ -764,10 +774,22 @@ def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarra
     max(1, |corner|)^deg * sum|c| * scale in magnitude (den^e stands in
     for the missing powers of a monomial), so the arrays are int64 when
     that bound, scale and every corner are below 2^63 and hold Python
-    ints (dtype object) otherwise.
+    ints (dtype object) otherwise.  This is joint_box_bounds of the one
+    polynomial.
     """
-    lo, hi, scale, _ = _box_bounds(P, (x0, x1, y0, y1), den, False)
-    return lo, hi, scale
+    return joint_box_bounds((P,), x0, x1, y0, y1, den)[0]
+
+
+def joint_box_bounds(polys: Sequence[Poly], x0, x1, y0, y1, den: int) -> list:
+    """[box_bounds(P, x0, x1, y0, y1, den) for P in polys], in one call.
+
+    The corners are reduced to their largest magnitude and sign once, cast
+    once per dtype, and each power table x^i, y^j is built once per dtype
+    for every polynomial that has the exponent.  Each polynomial picks its
+    dtype from its own bound, so every (lo, hi, scale) equals box_bounds'
+    in value and dtype.
+    """
+    return [ends[:3] for ends in _box_bounds(polys, (x0, x1, y0, y1), den, False)]
 
 
 def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
@@ -798,66 +820,77 @@ def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
     of values up to 2 bound, which covers adding a threshold such as
     hi + 2 err (ProductBounds._float_above).
     """
-    return _box_bounds(P, (x0, x1, y0, y1), den, True)
+    return _box_bounds((P,), (x0, x1, y0, y1), den, True)[0]
 
 
-def _box_bounds(P: Poly, edges, den: int, filtered: bool):
-    """The body of box_bounds (filtered False) and filtered_box_bounds."""
-    if P.variables != VARS2:
+def _reach(lo_edge: np.ndarray, hi_edge: np.ndarray) -> Tuple[int, bool]:
+    """The largest |corner| (at least 1), and whether no corner is negative."""
+    if not lo_edge.size or not hi_edge.size:
+        return 1, True
+    low = int(lo_edge.min())
+    return max(1, abs(low), abs(int(hi_edge.max()))), low >= 0
+
+
+def _stacked(a: np.ndarray, b: np.ndarray, ndim: int, dtype) -> np.ndarray:
+    """The corners a, b broadcast together, cast to dtype and stacked as
+    one (2, ...) array, padded to ndim dimensions after the first."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return np.array((a, b), dtype=dtype).reshape(2, *(1,) * (ndim - a.ndim), *a.shape)
+
+
+def _box_bounds(polys: Sequence[Poly], edges, den: int, filtered: bool) -> list:
+    """The one enclosure kernel: (lo, hi, scale, err) of each polynomial,
+    as box_bounds (filtered False) or filtered_box_bounds gives it."""
+    if any(P.variables != VARS2 for P in polys):
         raise ValueError("box_bounds takes a bivariate polynomial")
     edges = [np.asarray(v) for v in edges]
     shape = np.broadcast_shapes(*(e.shape for e in edges))
-    deg = P.degree() or 0
-    scale = P.den * den**deg
-    terms = [(i, j, c) for (i, j), c in P.num.items()]
-
-    def reach(lo_edge, hi_edge) -> Tuple[int, bool]:
-        """The largest |corner| (at least 1), and whether no corner is negative."""
-        if not lo_edge.size or not hi_edge.size:
-            return 1, True
-        low = int(lo_edge.min())
-        return max(1, abs(low), abs(int(hi_edge.max()))), low >= 0
-
-    (mx, x_pos), (my, y_pos) = reach(*edges[:2]), reach(*edges[2:])
-    bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
-    dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
-    err = None
-    if filtered and dtype is object and x_pos and y_pos and max(mx, my) < 2**53 and bound < 2**1000:
-        dtype, err = np.float64, 2 * (deg + len(terms) + 2) * 2.0**-53 * float(bound)
-    lo = np.zeros(shape, dtype=dtype)
-    hi = np.zeros(shape, dtype=dtype)
-    if not lo.size:
-        return lo, hi, scale, err
-    x0, x1, y0, y1 = (e.astype(dtype) for e in edges)
-    cast = float if err is not None else int
-    x_pows: dict = {}
-    y_pows: dict = {}
-    for i, j, c in terms:
-        weight = cast(abs(c) * den ** (deg - i - j))
-        if i and i not in x_pows:
-            x_pows[i] = _pow_bounds(x0, x1, i, x_pos)
-        if j and j not in y_pows:
-            y_pows[j] = _pow_bounds(y0, y1, j, y_pos)
-        # Scaling one factor by the positive weight first keeps every
-        # intermediate below the bound and changes no min or max.  The
-        # lower end of an even power is never negative.
-        if i and j:
-            ya, yb = y_pows[j]
-            nonneg = (x_pos or i % 2 == 0) and (y_pos or j % 2 == 0)
-            t_lo, t_hi = _mul_bounds(*x_pows[i], ya * weight, yb * weight, nonneg)
-        elif i:
-            t_lo, t_hi = (v * weight for v in x_pows[i])
-        elif j:
-            t_lo, t_hi = (v * weight for v in y_pows[j])
-        else:
-            t_lo = t_hi = weight
-        if c > 0:
-            lo += t_lo
-            hi += t_hi
-        else:
-            lo -= t_hi
-            hi -= t_lo
-    return lo, hi, scale, err
+    (mx, x_pos), (my, y_pos) = _reach(*edges[:2]), _reach(*edges[2:])
+    # Per dtype, the power tables of each axis: x^i as one (2, ...) array
+    # of its lower and upper ends, padded to the rectangles' dimensions.
+    tables: dict = {}
+    out = []
+    for P in polys:
+        deg = P.degree() or 0
+        scale = P.den * den**deg
+        terms = [(i, j, c) for (i, j), c in P.num.items()]
+        bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
+        dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
+        err = None
+        if filtered and dtype is object and x_pos and y_pos and max(mx, my) < 2**53 and bound < 2**1000:
+            dtype, err = np.float64, 2 * (deg + len(terms) + 2) * 2.0**-53 * float(bound)
+        ends = np.zeros((2, *shape), dtype=dtype)  # lo and hi
+        out.append((ends[0], ends[1], scale, err))
+        if not ends.size:
+            continue
+        if dtype not in tables:
+            tables[dtype] = [{1: _stacked(a, b, len(shape), dtype)} for a, b in (edges[:2], edges[2:])]
+        x_pows, y_pows = tables[dtype]
+        cast = float if err is not None else int
+        for i, j, c in terms:
+            weight = cast(abs(c) * den ** (deg - i - j))
+            if i and i not in x_pows:
+                x_pows[i] = _pow_bounds(x_pows[1], i, x_pos)
+            if j and j not in y_pows:
+                y_pows[j] = _pow_bounds(y_pows[1], j, y_pos)
+            # Scaling one factor by the positive weight first keeps every
+            # intermediate below the bound and changes no min or max.  The
+            # lower end of an even power is never negative.
+            if i and j:
+                nonneg = (x_pos or i % 2 == 0) and (y_pos or j % 2 == 0)
+                term = _mul_bounds(x_pows[i], y_pows[j] * weight, nonneg)
+            elif i:
+                term = x_pows[i] * weight
+            elif j:
+                term = y_pows[j] * weight
+            else:
+                term = weight
+            if c > 0:
+                ends += term
+            else:  # lo -= the term's upper end, hi -= its lower end
+                ends -= term[::-1] if i or j else term
+    return out
 
 
 def unit_square_range(P: Poly) -> Interval:

@@ -126,6 +126,85 @@ def test_derivatives_match_finite_differences(make_map):
                 assert abs(fd - exact) <= 1e-4 * max(1.0, abs(exact))
 
 
+PARTIAL_ORDERS = [(ax, ay) for ax in range(4) for ay in range(4 - ax) if ax + ay]
+
+
+def reference_pinned_partial(center, x, y, ax, ay):
+    """PinnedDistance.partial as it was, on the unscaled u, v and r: the
+    bit pattern every ordinary pin keeps."""
+    u, v = x - center[0], y - center[1]
+    r = math.hypot(u, v)
+    r3 = r * r * r
+    r5 = r3 * r * r
+    return {
+        (1, 0): u / r,
+        (0, 1): v / r,
+        (2, 0): v * v / r3,
+        (1, 1): -u * v / r3,
+        (0, 2): u * u / r3,
+        (3, 0): -3 * u * v * v / r5,
+        (2, 1): v * (2 * u * u - v * v) / r5,
+        (1, 2): u * (2 * v * v - u * u) / r5,
+        (0, 3): -3 * u * u * v / r5,
+    }[ax, ay]
+
+
+def fraction_pinned_partial(center, x, y, ax, ay):
+    """The closed form of d^(ax+ay)|q - c| / dx^ax dy^ay in Fractions, with
+    r = |q - c| to 200 bits: u, v and r^2 are exact."""
+    u, v = Fraction(x) - Fraction(center[0]), Fraction(y) - Fraction(center[1])
+    r2 = u * u + v * v
+    r = Fraction(math.isqrt(r2.numerator * r2.denominator << 400), r2.denominator << 200)
+    numerators = {
+        (1, 0): u,
+        (0, 1): v,
+        (2, 0): v * v,
+        (1, 1): -u * v,
+        (0, 2): u * u,
+        (3, 0): -3 * u * v * v,
+        (2, 1): v * (2 * u * u - v * v),
+        (1, 2): u * (2 * v * v - u * u),
+        (0, 3): -3 * u * u * v,
+    }
+    return numerators[ax, ay] / r ** (2 * (ax + ay) - 1)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [(2.0**100, 0.0), (0.0, -(2.0**204)), (2.0**204, 2.0**204), (2.0**300, 0.0), (-(2.0**300), 0.5),
+     (2.0**500, 2.0**500), (1e100, 0.0), (0.1, -0.2)],
+)
+def test_pinned_distance_partials_equal_the_closed_form_at_far_pins(center):
+    phi = PinnedDistance(center)
+    for x, y in ((0.3, 0.4), (0.0, 1.0), (0.7, 0.2)):
+        for ax, ay in PARTIAL_ORDERS:
+            want = float(fraction_pinned_partial(center, x, y, ax, ay))
+            got = phi.partial(x, y, ax, ay)
+            assert abs(got - want) <= 8 * math.ulp(want), (x, y, ax, ay, got, want)
+    # The case that read 0.0: about 8e-301, a normal float.
+    if center == (1e100, 0.0):
+        assert phi.partial(0.3, 0.4, 2, 1) == pytest.approx(8e-301, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.floats(min_value=-1e20, max_value=1e20)] * 2),
+    st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 2),
+)
+def test_pinned_distance_partials_keep_their_bits_at_ordinary_pins(center, point):
+    # Wherever the unscaled products stay normal, the scaled form rounds the
+    # same operations to the same bits.
+    u, v = point[0] - center[0], point[1] - center[1]
+    r = math.hypot(u, v)
+    factors = [a for a in (u, v) if a]  # a zero factor makes its products exact zeros
+    products = [r * r * r, r * r * r * r * r] + [a * b * c for a in factors for b in factors for c in factors]
+    if not all(2.0**-1022 <= abs(p) < math.inf for p in products):
+        return
+    phi = PinnedDistance(center)
+    for ax, ay in PARTIAL_ORDERS:
+        assert phi.partial(*point, ax, ay).hex() == reference_pinned_partial(center, *point, ax, ay).hex()
+
+
 def test_enclosures_are_sound():
     rng = random.Random(22)
     maps = [
@@ -948,6 +1027,22 @@ def test_cube_decomposition_rejects_bad_denominators_and_flags(den, flagged, mes
     assert format_cube_decomposition(kept).splitlines()[0] == "cube k=1 i=0 j=0 band j=0 v=1/3 flagged"
 
 
+def test_cube_decomposition_keeps_int64_band_tables_and_exact_lists():
+    leftover = GridSet2D(Scale(2), ())
+    num, den = np.array([[6, 1], [3, 4]]), np.array([[4, 1], [9, 8]])
+    tables = CubeDecomposition([1, 1], [0, 1], [0, 0], num, den, frozenset(), leftover)
+    lists = CubeDecomposition([1, 1], [0, 1], [0, 0], num.tolist(), den.tolist(), frozenset(), leftover)
+    assert tables.band_num.dtype == tables.band_den.dtype == np.int64
+    assert lists.band_num.dtype == lists.band_den.dtype == object
+    text = format_cube_decomposition(tables)
+    assert text == format_cube_decomposition(lists) and tables == lists
+    assert text.splitlines()[:2] == ["cube k=1 i=0 j=0 band j=0 v=3/2 band j=1 v=1", "cube k=1 i=1 j=0 band j=0 v=1/3 band j=1 v=1/2"]
+    # Integers past int64 in a list stay exact (numpy alone reads [[2^63, 3]] as floats).
+    big = CubeDecomposition([0], [0], [0], [[2**63, 3]], [[2**64 + 2, 2**62]], frozenset(), leftover)
+    assert big.bands == ((Fraction(2**62, 2**63 + 1), Fraction(3, 2**62)),)
+    assert format_cube_decomposition(big).startswith(f"cube k=0 i=0 j=0 band j=0 v={2**62}/{2**63 + 1} band j=1 v=3/{2**62}")
+
+
 # ---------------------------------------------------------------------------
 # batched enclosures against reference copies of the per-box code
 # ---------------------------------------------------------------------------
@@ -1406,6 +1501,54 @@ def test_band_partition_quartic_equals_recursive_walk():
     want = reference_band_partition(fs, 0.2, Scale(k), A)
     assert got.cubes and format_cube_decomposition(got) == format_cube_decomposition(want)
     assert got.a_leftover_fraction == want.a_leftover_fraction
+
+
+class DepthStep(SmoothMap2):
+    """Enclosed by [0, 0] on the unit square and by [1, 1] on every smaller
+    rectangle: not inclusion isotone, so whether a square that tops out
+    below delta^w is dead or split shows in the result."""
+
+    def enclosure_rects(self, x0, x1, y0, y1, den: int):
+        value = np.full(np.broadcast_shapes(*(np.shape(v) for v in (x0, x1, y0, y1))), int(den > 1))
+        return value, value.copy(), 1
+
+
+QUARTIC = parse_poly("x + y + (x^2 + y^2)^2")
+QUARTIC_BANDS = [QUARTIC.partial("x"), QUARTIC.partial("y"), QUARTIC.partial("x").partial("y"), mp_numerator(QUARTIC)]
+
+
+@pytest.mark.parametrize(
+    "fs, w, dtype",
+    [
+        # Polynomial maps around float maps, in several orders.
+        ([PolynomialMap(QUARTIC_BANDS[0]), LinearProjection(0.7), PolynomialMap(QUARTIC_BANDS[3])], 0.2, object),
+        ([PinnedDistance((-0.5, 1.5)), PolynomialMap(QUARTIC_BANDS[1]), PolynomialMap(QUARTIC_BANDS[2])], 0.2, object),
+        ([PolynomialMap(parse_poly("x")), PinnedDistance((0.3, 0.3)), PolynomialMap(parse_poly("y + 1/4"))], 0.5, object),
+        # x splits the root while 1/1000*y tops out below delta^w on it: the
+        # root is split, not dead, as x does not pin it.
+        ([PolynomialMap(parse_poly("x")), PolynomialMap(parse_poly("1/1000*y"))], 0.5, np.int64),
+        ([PolynomialMap(parse_poly("1/1000*y + 1/2")), PolynomialMap(parse_poly("x"))], 0.5, np.int64),
+        # The root: x does not pin it, so DepthStep's [0, 0] splits it; first
+        # in the list, DepthStep kills it.
+        ([PolynomialMap(parse_poly("x")), DepthStep()], 0.5, np.int64),
+        ([DepthStep(), PolynomialMap(parse_poly("x"))], 0.5, np.int64),
+        ([PolynomialMap(parse_poly("x + y")), LinearProjection(0.3), DepthStep()], 0.5, object),
+        ([PolynomialMap(f) for f in QUARTIC_BANDS], 0.2, np.int64),
+        # 2^70 x puts its ends and scale past int64.
+        ([PolynomialMap(QUARTIC_BANDS[0]), PolynomialMap(parse_poly("2^70*x + 2^70"))], 0.2, object),
+        ([], 0.2, np.int64),
+    ],
+)
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_band_partition_on_mixed_lists_equals_recursive_walk(fs, w, dtype, k):
+    A = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(0, 2**k, 3) for j in range(1, 2**k, 2)])
+    got = band_partition(fs, w, Scale(k), A)
+    want = reference_band_partition(fs, w, Scale(k), A)
+    assert format_cube_decomposition(got) == format_cube_decomposition(want)
+    assert got == want and got.a_leftover_fraction == want.a_leftover_fraction
+    # The band tables stay int64 only where every function's ends are.
+    assert got.band_num.dtype == got.band_den.dtype == dtype
+    assert got.band_num.shape == got.band_den.shape == (got.depth.size, len(fs))
 
 
 @settings(max_examples=80, deadline=None)

@@ -27,6 +27,7 @@ from explab.polyexpr import (
     hf_general,
     hf_poly,
     interval_range,
+    joint_box_bounds,
     mp_numerator,
     parse_poly,
     unit_square_range,
@@ -402,6 +403,7 @@ def test_integer_arithmetic_equals_fraction_implementation(pair, n, m, points):
 def test_integer_paths_never_read_the_fraction_view(monkeypatch):
     texts = ["x + y + 3/4*(x^2 + y^2)^2", "-(1/3*x - 2/9*y)^3*(x + 1) + 5/6", "x^2*y - 1/2"]
     expected = [reference_str(reference_parse_poly(text)) for text in texts]
+    expected_hf = [reference_str(reference_hf_poly(parse_poly(text))) for text in texts]
     view = Poly.terms
 
     def forbidden(P):
@@ -409,22 +411,16 @@ def test_integer_paths_never_read_the_fraction_view(monkeypatch):
 
     monkeypatch.setattr(Poly, "terms", property(forbidden))
     corners = np.array([0, 3]), np.array([1, 8]), np.array([[2]]), np.array([[5]])
-    for text in texts:
+    for text, want, want_hf in zip(texts, expected, expected_hf):
         P = parse_poly(text)
-        P.partial("x", 2), mp_numerator(P), hf_poly(P), classify_special_form(P), box_bounds(P, *corners, 8)
+        P.partial("x", 2), mp_numerator(P), classify_special_form(P), box_bounds(P, *corners, 8)
+        joint_box_bounds((P, P.partial("y")), *corners, 8)
+        assert str(P) == str(P) == want and str(hf_poly(P)) == want_hf
     hf_general(parse_poly("(x - xp)*(y + 1/2*yp)^2", 4))
-    builds = []
-
-    def counted(P):
-        if P._terms is None:
-            builds.append(P)
-        return view.fget(P)
-
-    monkeypatch.setattr(Poly, "terms", property(counted))
-    for text, want in zip(texts, expected):
-        P = parse_poly(text)
-        assert str(P) == str(P) == want
-        assert builds.pop() is P and not builds
+    monkeypatch.setattr(Poly, "terms", view)
+    # The view itself is built once, on the first read.
+    P = parse_poly(texts[1])
+    assert P._terms is None and P.terms is P.terms
 
 
 # The parser as it was when it evaluated on Fraction Poly objects, kept
@@ -1138,6 +1134,51 @@ def test_box_bounds_returns_at_once_on_empty_batches(monkeypatch):
         assert scale == 3 * den**4
     lo, hi, scale = box_bounds(P, 0, 8, empty.T, empty.T, 8)
     assert lo.shape == (1, 0) and lo.dtype == np.int64 and scale == 3 * 8**4
+
+
+@st.composite
+def joint_batches(draw):
+    """1-4 polynomials (constants and the zero polynomial included, some
+    scaled past the int64 cliff) and one batch of signed rectangles for
+    all of them: (m, 1) x (1, n), flat, or empty."""
+    scaled = st.builds(operator.mul, polys(), st.sampled_from([0, 1, 2**40, 2**70]))
+    ps = draw(st.lists(scaled, min_size=1, max_size=4))
+    den = draw(st.sampled_from([1, 3, 2**7, 3 * 2**20, 2**40]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    (x0, x1), (y0, y1) = (np.array(draw(signed_edges(den, size)), dtype=np.int64) for size in (m, n))
+    if draw(st.booleans()):
+        return ps, (x0[:, None], x1[:, None], y0[None, :], y1[None, :], den)
+    size = min(m, n)
+    return ps, (x0[:size], x1[:size], y0[:size], y1[:size], den)
+
+
+def assert_joint_equals_each(ps, corners):
+    got = joint_box_bounds(ps, *corners)
+    assert len(got) == len(ps)
+    for P, (lo, hi, scale) in zip(ps, got):
+        want_lo, want_hi, want_scale = box_bounds(P, *corners)
+        assert scale == want_scale
+        for a, b in ((lo, want_lo), (hi, want_hi)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tolist() == b.tolist()
+    return [lo.dtype for lo, _, _ in got]
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint_batches())
+def test_joint_box_bounds_equal_per_polynomial_box_bounds(batch):
+    assert_joint_equals_each(*batch)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+def test_joint_box_bounds_mix_int64_and_python_int_tables(order):
+    # x^2*y - 1/3 fits int64 at den 2^8; x^8 and 2^70*x do not.
+    texts = ["x^2*y - 1/3", "x^8", "2^70*x + y"]
+    ps = [parse_poly(texts[n]) for n in order]
+    edges = np.array([-256, 0, 255, 512]), np.array([-255, 1, 256, 768])
+    corners = (edges[0][:, None], edges[1][:, None], edges[0][None, :], edges[1][None, :], 256)
+    dtypes = assert_joint_equals_each(ps, corners)
+    assert dtypes == [np.int64 if n == 0 else object for n in order]
+    assert joint_box_bounds([], *corners) == []
 
 
 @st.composite
