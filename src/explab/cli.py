@@ -598,6 +598,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, NewtonConvergenceError) as exc:
         print(f"explab: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # a float past its range, or a divisor that underflowed to 0
+        print(f"explab: arithmetic error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

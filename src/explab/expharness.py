@@ -509,10 +509,8 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
     def planar_set(k: int) -> GridSet2D:
         scale = Scale(k)
-        d = scale.delta
         g = half_dimensional_set(scale, offset).keys
-        gx = g[(g >= math.ceil(window.x0 / d)) & (g < math.floor(window.x1 / d))]
-        gy = g[(g >= math.ceil(window.y0 / d)) & (g < math.floor(window.y1 / d))]
+        gx, gy = (g[slice(*np.searchsorted(g, ends))] for ends in gridset.window_cells(window, scale))
         X = GridSet2D._from_keys(scale, gridset.cell_keys(gx[:, None], gy).ravel())
         return _planar_set("pinned_distance", X, k, p)
 

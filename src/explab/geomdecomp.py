@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset
+from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset, window_cells
 from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
 from .gridset import _check_dimension
 from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, joint_box_bounds, mp_numerator
@@ -57,23 +57,12 @@ class SmoothMap2:
     for integer corner arrays over one denominator (broadcasting like
     polyexpr.box_bounds) it returns integer arrays lo, hi and an integer
     scale with [lo/scale, hi/scale] == enclosure() of each rectangle.
-    The arrays are int64 only when scale < 2^63.
-
-    enclosure_cells(i, j, k) is the array form of enclosure on the grid:
-    for int arrays i, j of scale-k cells [i, i+1] x [j, j+1] (in units of
-    2^-k) it returns int64 arrays (j0, j1) with j0 = floor(lo * 2^k) and
-    j1 = floor(hi * 2^k), each clamped to [0, 2^k - 1], where [lo, hi] is
-    enclosure() of the cell.  Every implementation must agree with
-    enclosure() cell for cell.  The default maps the ends from
-    enclosure_rects to cells with gridset.value_cells; maps whose
-    enclosure is a float formula override it with numpy over the cell
-    edges i * 2^-k, which are exact in float (see _FloatEnclosureMap).
-
-    enclosure_cells is elementwise: a cell's range depends on that cell
-    (and the map) alone, never on the other cells of the call.  That is
-    what lets map_images and common_preimage_cells ask several maps about
-    the same cells in one pass, and split or stack batches freely: across
-    the sets of a scale ladder, or as the columns and rows of a window.
+    The arrays are int64 only when scale < 2^63.  It is elementwise: a
+    rectangle's ends depend on that rectangle (and the map) alone, never
+    on the other rectangles of the call.  That is what lets
+    _enclosure_pass ask several maps about the same cells at once, and
+    split or stack batches freely: across the sets of a scale ladder, or
+    as the columns and rows of a window.
     """
 
     def value(self, x: float, y: float) -> float:
@@ -94,13 +83,6 @@ class SmoothMap2:
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
         raise NotImplementedError
-
-    def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Clamped value-grid cells of the enclosure's ends on each cell."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        lo, hi, scale = self.enclosure_rects(i, i + 1, j, j + 1, 1 << k)
-        return value_cells(lo, 0, scale, k), value_cells(hi, 0, scale, k)
 
     def gradient(self, x: float, y: float) -> Tuple[float, float]:
         return self.partial(x, y, 1, 0), self.partial(x, y, 0, 1)
@@ -144,8 +126,7 @@ class _FloatEnclosureMap(SmoothMap2):
     recomputed with _hypot, their own row's parameters and their own
     scale; every other floor(v * 2^k) is certain.  A map whose formula
     takes no square root keeps _EDGE_BAND = 0 and skips the filter: numpy
-    and Python floats round the same operations alike.  enclosure_cells
-    is the pass with m = 1.
+    and Python floats round the same operations alike.
     """
 
     _EDGE_BAND = 0.0
@@ -165,14 +146,9 @@ class _FloatEnclosureMap(SmoothMap2):
         lo, hi = np.array([n * (scale // d) for n, d in ends], dtype=object).reshape(2, -1)
         return lo.reshape(edges[0].shape), hi.reshape(edges[0].shape), scale
 
-    def enclosure_cells(self, i, j, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        i, j = (np.asarray(v, dtype=np.int64) for v in (i, j))
-        j0, j1 = self._stacked_cells((self,), i, j, k)
-        return j0[0], j1[0]
-
     @classmethod
     def _stacked_cells(cls, maps, i: np.ndarray, j: np.ndarray, k) -> np.ndarray:
-        """enclosure_cells of m maps of this class in one formula pass and
+        """_enclosure_pass of m maps of this class in one formula pass and
         one filter pass: the int64 arrays i, j and the scales k (an int or
         an int64 array) broadcast together to the cells' shape, so one call
         can take a column against a row of a window, or the cells of
@@ -180,10 +156,9 @@ class _FloatEnclosureMap(SmoothMap2):
         shape (2, m, *shape) holding j0 and j1, row r of each for maps[r].
 
         Each element takes d = 2^-k and n = 2^k of its own scale, so it
-        sees the float operations that enclosure_cells at that scale gives
-        it alone, and its cells are the same bit for bit; so are the cells
-        the filter recomputes, each with its own row's parameters and its
-        own scale."""
+        sees the float operations of its own map, cell and scale alone, and
+        its cells are the same bit for bit; so are the cells the filter
+        recomputes, each with its own row's parameters and its own scale."""
         shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(k))
         n = np.ldexp(1.0, k)
         d = 1.0 / n  # exact, as is every product below with a power of two
@@ -204,13 +179,15 @@ class _FloatEnclosureMap(SmoothMap2):
 
 
 def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k) -> np.ndarray:
-    """enclosure_cells of every map on the same cells: the int64 arrays i,
-    j and the scales k (an int or an int64 array) broadcast together to
-    the cells' shape, and the result is an int64 array of shape
-    (2, m, *shape) holding j0 and j1, row r of each for phis[r].  The
-    float maps of one class share one _stacked_cells pass; any other map
-    gives its own row from its own enclosure_cells, one call per distinct
-    scale."""
+    """Value-grid cells of every map's enclosure on the same cells
+    [i, i+1] x [j, j+1] (in units of 2^-k): the int64 arrays i, j and the
+    scales k (an int or an int64 array) broadcast together to the cells'
+    shape, and the result is an int64 array of shape (2, m, *shape)
+    holding j0 = floor(lo * 2^k) and j1 = floor(hi * 2^k), each clamped
+    to [0, 2^k - 1], where [lo, hi] is phis[r].enclosure() of the cell in
+    row r.  The float maps of one class share one _stacked_cells pass;
+    any other map takes value_cells of its enclosure_rects ends, one call
+    per distinct scale."""
     groups = {}
     for r, phi in enumerate(phis):
         key = type(phi) if isinstance(phi, _FloatEnclosureMap) else r
@@ -227,9 +204,9 @@ def _enclosure_pass(phis: Sequence[SmoothMap2], i: np.ndarray, j: np.ndarray, k)
             continue
         for s in np.unique(scales).tolist():
             at = scales == s
-            cells[:, key, at] = phis[key].enclosure_cells(
-                np.broadcast_to(i, shape)[at], np.broadcast_to(j, shape)[at], s
-            )
+            ci, cj = (np.broadcast_to(v, shape)[at] for v in (i, j))
+            lo, hi, scale = phis[key].enclosure_rects(ci, ci + 1, cj, cj + 1, 1 << s)
+            cells[:, key, at] = value_cells(lo, 0, scale, s), value_cells(hi, 0, scale, s)
     return cells
 
 
@@ -1110,9 +1087,11 @@ def _row_unions(first: np.ndarray, last: np.ndarray, row: np.ndarray, rows: int,
 
 
 def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[List[GridSet1D]]:
-    """map_image of each map on each set, one list of images (in map
-    order) per set, from one enclosure pass over the cells of all the
-    sets and one union of all their value ranges.
+    """The image of each map on each set, one list of images (in map
+    order) per set: the cells of the [0, 1] value grid met by the map's
+    enclosure on some cell of the set, values clamped into [0, 1].  One
+    enclosure pass over the cells of all the sets gives every cell's
+    range [j0, j1] of value cells, and one union takes all the ranges.
 
     The sets may live at different scales: the pass takes each cell at
     its own set's scale (_enclosure_pass with an array of scales), and
@@ -1133,25 +1112,12 @@ def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[Li
     return [[GridSet1D._from_keys(X.scale, next(images)) for _ in phis] for X in sets]
 
 
-def map_image(phi: SmoothMap2, X: GridSet2D) -> GridSet1D:
-    """Output cells on the [0, 1] value grid met by phi's enclosure on
-    some cell of X (values are clamped into [0, 1]).
-
-    One enclosure pass gives every cell's range [j0, j1] of value cells;
-    the image is the sorted union of those ranges.  This is map_images
-    of the one map on the one set.
-    """
-    _check_dimension("map_image", X, GridSet2D)
-    return map_images((phi,), (X,))[0][0]
-
-
 def common_preimage_cells(
     phis: Sequence[SmoothMap2], values: GridSet1D, window: Rect, scale: Scale
 ) -> GridSet2D:
     """Cells of the scale grid inside the window whose enclosure under
-    every map meets some cell of the value set: the intersection of the
-    maps' preimage_cells (with no maps, every window cell), from one
-    enclosure pass over the window.
+    every map meets some cell of the value set (with no maps, every
+    window cell), from one enclosure pass over the window.
 
     The window is the product of its columns and its rows, and the pass
     takes it as one: the column indices as a column against the row
@@ -1166,12 +1132,7 @@ def common_preimage_cells(
     _check_dimension("common_preimage_cells", values, GridSet1D)
     if values.scale != scale:
         raise ValueError("value set must live at the target scale")
-    n = scale.cells
-
-    def side(lo, hi):  # cells inside [lo, hi]; the window may reach past the grid
-        return np.arange(max(0, math.ceil(lo * n)), min(n, math.floor(hi * n)), dtype=np.int64)
-
-    cols, rows = side(window.x0, window.x1), side(window.y0, window.y1)
+    cols, rows = (np.arange(first, stop, dtype=np.int64) for first, stop in window_cells(window, scale))
     j0, j1 = _enclosure_pass(phis, cols[:, None], rows[None, :], scale.k)
     member = values.keys
     meets = np.searchsorted(member, j1, side="right") > np.searchsorted(member, j0, side="left")
@@ -1179,11 +1140,3 @@ def common_preimage_cells(
     at_col, at_row = np.nonzero(meets.all(axis=0))
     return GridSet2D._from_keys(scale, cell_keys(cols[at_col], rows[at_row]))
 
-
-def preimage_cells(
-    phi: SmoothMap2, values: GridSet1D, window: Rect, scale: Scale
-) -> GridSet2D:
-    """Cells of the scale grid inside the window whose phi-enclosure meets
-    some cell of the value set: common_preimage_cells of the one map."""
-    _check_dimension("preimage_cells", values, GridSet1D)
-    return common_preimage_cells((phi,), values, window, scale)

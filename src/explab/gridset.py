@@ -199,13 +199,6 @@ class GridSet2D(_GridSet):
         """The int64 arrays i and j of the cells, in order."""
         return self.keys >> 32, self.keys & _LOW
 
-    def intersection(self, other: "GridSet2D") -> "GridSet2D":
-        _check_dimension("GridSet2D.intersection", other, GridSet2D)
-        if other.scale != self.scale:
-            raise ValueError("scale mismatch")
-        common = np.intersect1d(self.keys, other.keys, assume_unique=True)
-        return GridSet2D._from_keys(self.scale, common)
-
 
 GridSet = Union[GridSet1D, GridSet2D]
 
@@ -460,6 +453,15 @@ def gen_cantor(branch_pattern: Iterable[int], base: int, depth: int) -> GridSet1
     for _ in range(depth):
         cells = (cells[:, None] * base + np.array(pattern, dtype=np.int64)).ravel()
     return GridSet1D._from_keys(Scale(k), cells)
+
+
+def window_cells(window: Rect, scale: Scale) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The cells inside the window, which may reach past the unit square:
+    for its x side and its y side, the index range first <= i < stop of
+    the cells [i, i + 1] * delta inside [lo, hi], cut to the grid."""
+    n = scale.cells
+    sides = ((window.x0, window.x1), (window.y0, window.y1))
+    return tuple((max(0, ceil(lo * n)), min(n, floor(hi * n))) for lo, hi in sides)
 
 
 def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:

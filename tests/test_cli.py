@@ -734,6 +734,23 @@ def test_curvature_bad_step_is_domain_error(capsys, step, message):
     assert err == f"explab: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Third-order partials near 1e400 ended in an OverflowError traceback.
+        CURVATURE + ["--phi3", "dist:1e-200,1e-200", "--point", "0,0"],
+        # h * h underflows to 0: a ZeroDivisionError traceback.
+        ["curvature", "--phi1", "dist:0,0", "--phi2", "dist:1,0", "--phi3", "dist:0,1", "--point", "0.3,0.4"]
+        + ["--step", "1e-200"],
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_curvature_arithmetic_error_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("explab: arithmetic error: ") and err.count("\n") == 1
+
+
 def test_curvature_negative_step_works(capsys):
     code, out, _ = run_cli(capsys, *PINNED_CURVATURE, "--step=-1e-4")
     pins = [PinnedDistance(c) for c in ((0, 0), (1, 0), (0, 1))]

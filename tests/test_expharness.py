@@ -146,7 +146,7 @@ def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
 @pytest.mark.parametrize(
     "family, parameters, metric, module, work",
     [
-        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "preimage_cells"),
+        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "map_images"),
         ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "common_preimage_cells"),
         ("pinned_distance", {"scales": "8,9,10"}, "pin1_imag", geomdecomp, "map_images"),
         # image_ratio_* are reported only next to a baseline polynomial.
@@ -168,8 +168,6 @@ def _forbid_work(monkeypatch):
         (gridset, "energy_count"),
         (gridset, "image_set"),
         (gridset, "ProductBounds"),
-        (geomdecomp, "map_image"),
-        (geomdecomp, "preimage_cells"),
         (geomdecomp, "map_images"),
         (geomdecomp, "common_preimage_cells"),
     ):
@@ -523,8 +521,7 @@ def test_projection_runs_make_one_preimage_pass_per_scale_and_one_image_pass_per
     """three_projection asks phi1 and phi2 about the window of each scale,
     then phi1 to phi3 about the X of every scale at once; pinned_distance
     asks its three pins about every scale's X at once.  Each is one pass
-    with one formula pass in it, the one-map forms are not used, and the
-    report keeps its golden digest."""
+    with one formula pass in it, and the report keeps its golden digest."""
     scenario = builtin_scenario(family)
     passes, formulas = [], []
     real_pass = geomdecomp._enclosure_pass
@@ -543,8 +540,6 @@ def test_projection_runs_make_one_preimage_pass_per_scale_and_one_image_pass_per
 
     monkeypatch.setattr(geomdecomp, "_enclosure_pass", counting_pass)
     monkeypatch.setattr(geomdecomp._FloatEnclosureMap, "_stacked_cells", classmethod(counting_cells))
-    monkeypatch.setattr(geomdecomp, "map_image", None)
-    monkeypatch.setattr(geomdecomp, "preimage_cells", None)
     report = run_scenario(scenario)
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == GOLDEN[family]
     ladder = list(report.scales)
@@ -591,7 +586,6 @@ def test_a_projection_ladder_pass_takes_one_image_call_per_ladder(monkeypatch):
 )
 def test_empty_planar_set_at_a_later_scale_fails_before_any_image(monkeypatch, family, parameters):
     monkeypatch.setattr(geomdecomp, "map_images", None)  # an image pass would fail differently
-    monkeypatch.setattr(geomdecomp, "map_image", None)
     with pytest.raises(ValueError) as err:
         run_scenario(Scenario("e", family, parameters, ()))
     window = ",".join(str(Fraction(t)) for t in parameters["window"].split(","))

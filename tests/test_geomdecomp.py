@@ -32,10 +32,8 @@ from explab.geomdecomp import (
     common_preimage_cells,
     extract_product,
     format_cube_decomposition,
-    map_image,
     map_images,
     parse_cube_decomposition,
-    preimage_cells,
     select_level,
     whitney_decompose,
     zero_nbhd_covering,
@@ -615,7 +613,7 @@ def test_map_image_distance_annulus():
     k = 7
     X = GridSet2D.from_cells(Scale(k), [(40, 40), (41, 40), (40, 41)])
     phi = PinnedDistance((0.0, 0.0))
-    img = map_image(phi, X)
+    img = map_images((phi,), (X,))[0][0]
     d = 1.0 / 2**k
     r = math.hypot(40.5 * d, 40.5 * d)
     assert any(abs((c + 0.5) * d - r) < 4 * d for c in img.cells)
@@ -626,7 +624,7 @@ def test_preimage_cells_annulus():
     k = 7
     values = GridSet1D.from_cells(Scale(k), [64])  # distances near 1/2
     phi = PinnedDistance((0.0, 0.0))
-    X = preimage_cells(phi, values, Rect.of(0, 1, 0, 1), Scale(k))
+    X = common_preimage_cells((phi,), values, Rect.of(0, 1, 0, 1), Scale(k))
     d = 1.0 / 2**k
     for i, j in X.cells:
         r = math.hypot((i + 0.5) * d, (j + 0.5) * d)
@@ -636,8 +634,8 @@ def test_preimage_cells_annulus():
 
 # Reference copies of the per-cell code the array kernel replaced: the
 # float enclosure formulas of the two float maps, written with Python
-# floats and math.hypot, and the per-cell bodies of map_image and
-# preimage_cells.
+# floats and math.hypot, and the per-cell bodies of a map's image and
+# preimage.
 
 
 def reference_bounds(phi, rect):
@@ -713,7 +711,7 @@ def cell_blocks(draw, side=24):
 def assert_cells_equal_reference(phi, k, i, j):
     n = 2**k
     d = Fraction(1, n)
-    cells = phi.enclosure_cells(i, j, k)
+    cells = _enclosure_pass((phi,), i, j, k)[:, 0]
     assert all(c.dtype == np.int64 and c.shape == i.shape for c in cells)
     for a, b, j0, j1 in zip(i.tolist(), j.tolist(), *(c.tolist() for c in cells)):
         rect = Rect(a * d, (a + 1) * d, b * d, (b + 1) * d)
@@ -731,7 +729,7 @@ def test_float_enclosures_are_bit_identical_to_reference(phi, block):
     assert_cells_equal_reference(phi, *block)
 
 
-# Inputs inside the filter band of PinnedDistance.enclosure_cells: ends
+# Inputs inside the filter band of PinnedDistance's cells: ends
 # that lie within an ulp or two of a cell edge m * 2^-k, where np.hypot
 # alone could pick the wrong cell.
 
@@ -864,7 +862,7 @@ def test_map_image_equals_per_cell_loop(phi, data):
     k = data.draw(st.integers(1, 12))
     cell = st.integers(0, 2**k - 1)
     X = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=60)))
-    assert map_image(phi, X).cells == reference_map_image(phi, X)
+    assert map_images((phi,), (X,))[0][0].cells == reference_map_image(phi, X)
 
 
 @settings(max_examples=100, deadline=None)
@@ -880,7 +878,7 @@ def test_preimage_cells_equals_per_cell_loop(phi, data):
     x1 = min(Fraction(1), x0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
     y1 = min(Fraction(1), y0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
     window = Rect(x0, x1, y0, y1)
-    got = preimage_cells(phi, values, window, Scale(k))
+    got = common_preimage_cells((phi,), values, window, Scale(k))
     assert got.cells == reference_preimage(phi, values, window, Scale(k))
 
 
@@ -889,13 +887,13 @@ def test_preimage_cells_equals_per_cell_loop(phi, data):
 )
 def test_map_image_and_preimage_of_nothing_are_empty(phi):
     scale = Scale(5)
-    assert map_image(phi, GridSet2D(scale, ())).cells == ()
+    assert map_images((phi,), (GridSet2D(scale, ()),))[0][0].cells == ()
     full = GridSet1D(scale, tuple(range(32)))
     # A window of zero width, and one narrower than a cell between two edges.
     x = Fraction(1, 3)
     for window in (Rect.of(x, x, 0, 1), Rect.of(x, x + Fraction(1, 64), 0, 1)):
-        assert preimage_cells(phi, full, window, scale).cells == ()
-    assert preimage_cells(phi, GridSet1D(scale, ()), Rect.of(0, 1, 0, 1), scale).cells == ()
+        assert common_preimage_cells((phi,), full, window, scale).cells == ()
+    assert common_preimage_cells((phi,), GridSet1D(scale, ()), Rect.of(0, 1, 0, 1), scale).cells == ()
 
 
 @pytest.mark.parametrize(
@@ -915,7 +913,7 @@ def test_preimage_cells_of_a_window_past_the_grid_are_those_of_its_cut(phi, wind
     # Such windows used to scan cells off the grid and fail.
     scale = Scale(5)
     values = GridSet1D(scale, tuple(range(0, 32, 3)))
-    got = preimage_cells(phi, values, Rect.of(*window), scale)
+    got = common_preimage_cells((phi,), values, Rect.of(*window), scale)
     assert got.cells == reference_preimage(phi, values, Rect.of(*cut), scale)
     assert got.cells
 
@@ -926,7 +924,7 @@ def test_preimage_cells_of_a_window_past_the_grid_are_those_of_its_cut(phi, wind
         lambda: PinnedDistance((math.inf, 0.0)),
         lambda: LinearProjection(math.nan),
         # Pins past 2^500: (1.7e308, 1.7e308) used to overflow np.hypot
-        # into NaN ends, and map_image reported every value cell.
+        # into NaN ends, and the image held every value cell.
         lambda: PinnedDistance((1.7e308, 1.7e308)),
         lambda: PinnedDistance((0.0, -(2.0**501))),
         lambda: PinnedDistance((math.nextafter(2.0**500, math.inf), 0.5)),
@@ -946,7 +944,7 @@ def test_pinned_distance_at_two_to_the_500_has_finite_ends(pin):
         i, j = np.repeat(cols, 3), np.tile(cols, 3)
         assert_cells_equal_reference(phi, k, i, j)
         X = GridSet2D.from_cells(Scale(k), zip(i.tolist(), j.tolist()))
-        assert map_image(phi, X).cells == reference_map_image(phi, X) == (n - 1,)
+        assert map_images((phi,), (X,))[0][0].cells == reference_map_image(phi, X) == (n - 1,)
 
 
 def test_cube_decomposition_round_trip():
@@ -1048,7 +1046,7 @@ def test_cube_decomposition_keeps_int64_band_tables_and_exact_lists():
 # ---------------------------------------------------------------------------
 
 # Verbatim copies of the recursive walks, the per-cell level count and the
-# per-cell enclosure_cells loop that the batched kernels replaced (only the
+# per-cell enclosure loop that the batched kernels replaced (only the
 # names differ).  They take every enclosure one box at a time through the
 # public scalar enclosure or region call, so they share no code with
 # polyexpr.box_bounds.  Three small helpers they use live here, as only the
@@ -1598,7 +1596,7 @@ def polys(draw):
 @given(polys().map(PolynomialMap), cell_blocks())
 def test_polynomial_enclosure_cells_equal_per_cell_loop(phi, block):
     k, i, j = block
-    got = phi.enclosure_cells(i, j, k)
+    got = _enclosure_pass((phi,), i, j, k)[:, 0]
     want = reference_enclosure_cells(phi, i, j, k)
     assert all(c.dtype == np.int64 and c.shape == i.shape for c in got)
     assert [c.tolist() for c in got] == [c.tolist() for c in want]
@@ -1629,6 +1627,33 @@ def assert_pass_rows_equal_reference(phis, k, i, j):
 def test_enclosure_pass_rows_equal_per_cell_loop(phis, block):
     k, i, j = block
     assert_pass_rows_equal_reference(phis, k, i, j)
+
+
+# A map that is not a float map takes value_cells of its enclosure_rects
+# ends, one call per distinct scale of the pass: each cell must still be
+# taken at its own scale, not at another cell's.
+
+
+def test_enclosure_pass_asks_a_non_float_map_once_per_scale():
+    """DepthStep's every cell is the top one of its own grid, 2^k - 1, so
+    a cell taken at another scale shows."""
+    dens = []
+
+    class CountedDepthStep(DepthStep):
+        def enclosure_rects(self, x0, x1, y0, y1, den: int):
+            dens.append(den)
+            return super().enclosure_rects(x0, x1, y0, y1, den)
+
+    ks = np.array([3, 30, 3, 5, 9, 30, 3], dtype=np.int64)
+    i, j = np.arange(7, dtype=np.int64), 2**ks - 1
+    phis = [CountedDepthStep(), PinnedDistance((0.3, 0.6)), PolynomialMap(P_QUAD), PolynomialMap(parse_poly("x - y"))]
+    cells = _enclosure_pass(phis, i, j, ks)
+    assert sorted(dens) == [2**3, 2**5, 2**9, 2**30]
+    assert cells[:, 0].tolist() == [(2**ks - 1).tolist()] * 2
+    for r, phi in enumerate(phis):
+        for c, k in enumerate(ks.tolist()):
+            want = reference_enclosure_cells(phi, i[c : c + 1], j[c : c + 1], k)
+            assert cells[:, r, c].tolist() == [int(w[0]) for w in want], (r, c)
 
 
 def in_band_rows(phis, k, i, j):

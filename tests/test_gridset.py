@@ -18,9 +18,7 @@ from explab.geomdecomp import (
     band_partition,
     common_preimage_cells,
     extract_product,
-    map_image,
     map_images,
-    preimage_cells,
     select_level,
     zero_nbhd_covering,
 )
@@ -47,6 +45,7 @@ from explab.gridset import (
     restrict,
     sum_set,
     value_cells,
+    window_cells,
 )
 from explab.polyexpr import VARS2, Poly, Rect, box_bounds, interval_range, parse_poly
 
@@ -683,19 +682,24 @@ def test_array_built_gridset_2d_equals_from_cells(case):
     assert [a.tolist() for a in got.indices()] == [[c[n] for c in want.cells] for n in (0, 1)]
 
 
+window_ends = st.one_of(
+    st.fractions(min_value=-2, max_value=3, max_denominator=60),
+    st.builds(lambda m, e: Fraction(m, 2**e), st.integers(-64, 128), st.integers(0, 14)),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-(10**20)), Fraction(10**20)]),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(cell_lists_2d(), st.data())
-def test_intersection_equals_set_intersection(case, data):
-    k, cells = case
-    cell = st.integers(0, 2**k - 1)
-    # The second set reuses some cells of the first, so they overlap.
-    others = data.draw(st.lists(st.sampled_from(cells), max_size=20)) if cells else []
-    others += data.draw(st.lists(st.tuples(cell, cell), max_size=20))
-    X = GridSet2D.from_cells(Scale(k), cells)
-    Y = GridSet2D.from_cells(Scale(k), others)
-    want = tuple(sorted(set(X.cells) & set(Y.cells)))
-    assert X.intersection(Y).cells == want and Y.intersection(X).cells == want
-    assert X.intersection(Y) == GridSet2D.from_cells(Scale(k), want)
+@given(st.integers(1, 8), *[window_ends] * 4)
+def test_window_cells_equal_fraction_reference(k, a, b, c, d):
+    """Non-dyadic ends, ends on a cell edge of some scale, and windows
+    that reach past the unit square."""
+    n = 2**k
+    window = Rect(min(a, b), max(a, b), min(c, d), max(c, d))
+    sides = window_cells(window, Scale(k))
+    for (first, stop), (lo, hi) in zip(sides, ((window.x0, window.x1), (window.y0, window.y1))):
+        assert type(first) is int and type(stop) is int and 0 <= first and stop <= n
+        assert list(range(first, stop)) == [i for i in range(n) if lo <= Fraction(i, n) and Fraction(i + 1, n) <= hi]
 
 
 _LINE = GridSet1D(Scale(6), (1, 5, 9, 33))
@@ -710,7 +714,6 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
         ("coarsen", lambda: coarsen(_ROW, 3)),
         ("coarsen", lambda: coarsen(_PLANE, 3)),
         ("nonconcentration_exponent_2d", lambda: nonconcentration_exponent_2d(_LINE, 0.5)),
-        ("GridSet2D.intersection", lambda: _PLANE.intersection(_LINE)),
         (
             "band_partition",
             lambda: band_partition([PolynomialMap(parse_poly("1"))], 0.5, Scale(6), _LINE),
@@ -722,17 +725,14 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
         ("ProductBounds", lambda: sum_set(_PLANE, _PLANE)),
         ("ProductBounds", lambda: product_set(_LINE, _ROW)),
         ("energy_count_brute_force", lambda: energy_count_brute_force(P_SUM, _PLANE, _PLANE)),
-        # An empty set before.
-        (
-            "preimage_cells",
-            lambda: preimage_cells(LinearProjection(0.5), _PLANE, Rect.of(0, 1, 0, 1), Scale(6)),
-        ),
+        # An empty set before, with no maps or one.
+        ("common_preimage_cells", lambda: common_preimage_cells([], _PLANE, Rect.of(0, 1, 0, 1), Scale(6))),
         (
             "common_preimage_cells",
             lambda: common_preimage_cells([LinearProjection(0.5)], _PLANE, Rect.of(0, 1, 0, 1), Scale(6)),
         ),
         # AttributeError before: a GridSet1D has no indices().
-        ("map_image", lambda: map_image(LinearProjection(0.5), _LINE)),
+        ("map_images", lambda: map_images([LinearProjection(0.5)], [_LINE])),
         ("map_images", lambda: map_images([LinearProjection(0.5)], [_PLANE, _LINE])),
         ("extract_product", lambda: extract_product(_LINE)),
         # TypeError before: a GridSet1D is no pair.
@@ -742,7 +742,7 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
         ("select_level", lambda: select_level(LinearProjection(0.5), (_PLANE, _LINE), 0.25, 0.4, 0.5)),
     ],
     ids=[
-        "restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "intersection", "bands",
+        "restrict", "coarsen_row", "coarsen_plane", "nonconc_2d", "bands",
         "product_bounds", "image_set", "energy_count", "sum_set", "product_set",
         "energy_brute_force", "preimage_values", "common_preimage_values", "map_image",
         "map_images", "extract_product",
@@ -752,11 +752,6 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
 def test_set_of_the_wrong_dimension_is_rejected(func, call):
     with pytest.raises(ValueError, match=rf"^{func} needs a GridSet[12]D, got a GridSet[12]D$"):
         call()
-
-
-def test_intersection_rejects_scale_mismatch():
-    with pytest.raises(ValueError, match="scale"):
-        GridSet2D(Scale(3), ()).intersection(GridSet2D(Scale(4), ()))
 
 
 @pytest.mark.parametrize(
