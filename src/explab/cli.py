@@ -172,9 +172,7 @@ def _region_from_args(args):
     if args.region.startswith("poly-pos:"):
         return PolynomialSignRegion(parse_poly(args.region[len("poly-pos:") :]))
     if args.region.startswith("poly-neg:"):
-        return PolynomialSignRegion(
-            parse_poly(args.region[len("poly-neg:") :]), positive=False
-        )
+        return PolynomialSignRegion(-parse_poly(args.region[len("poly-neg:") :]))
     raise ValueError(f"unknown region {args.region!r}")
 
 

@@ -307,13 +307,16 @@ def _cs_rows(floor: float, count: int, image: int, energy: int) -> Dict[str, flo
 
 def _scales(key: str, text: str) -> List[int]:
     """The scale ladder in text, checked before any measurement: an
-    exponent fit needs three points, and every scale must be valid."""
+    exponent fit needs three points, not all at one scale, and every scale
+    must be valid."""
     try:
         ladder = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ValueError(f"{key} must be comma-separated integers, got {text!r}") from None
     if len(ladder) < 3:
         raise ValueError(f"{key} needs at least 3 scales for an exponent fit, got {len(ladder)}")
+    if len(set(ladder)) == 1:
+        raise ValueError(f"{key} needs two distinct scales for an exponent fit, got {ladder}")
     if not all(1 <= k <= gridset.MAX_SCALE for k in ladder):
         raise ValueError(f"{key} must lie in [1, {gridset.MAX_SCALE}], got {ladder}")
     return ladder

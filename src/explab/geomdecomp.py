@@ -21,10 +21,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, cell_keys, format_gridset, window_cells
-from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
-from .gridset import _check_dimension
-from .polyexpr import Interval, Poly, Rect, box_bounds, interval_range, joint_box_bounds, mp_numerator
+from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, box_bounds, cell_keys, format_gridset
+from .gridset import joint_box_bounds, nonconcentration_exponent, parse_gridset, range_union, value_cells
+from .gridset import window_cells, _abs_ends, _check_dimension
+from .polyexpr import Interval, Poly, Rect, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
 _NEWTON_TOL = 1e-13  # residual at which _newton_invert stops
@@ -55,7 +55,7 @@ class SmoothMap2:
 
     enclosure_rects(x0, x1, y0, y1, den) is the batch form of enclosure:
     for integer corner arrays over one denominator (broadcasting like
-    polyexpr.box_bounds) it returns integer arrays lo, hi and an integer
+    gridset.box_bounds) it returns integer arrays lo, hi and an integer
     scale with [lo/scale, hi/scale] == enclosure() of each rectangle.
     The arrays are int64 only when scale < 2^63.  It is elementwise: a
     rectangle's ends depend on that rectangle (and the map) alone, never
@@ -584,18 +584,17 @@ class PuncturedSquareRegion(DyadicRegion):
 
 
 class PolynomialSignRegion(DyadicRegion):
-    """Omega = {P > 0} (or {P < 0}), decided by interval enclosures."""
+    """Omega = {P > 0}, decided by interval enclosures; {P < 0} is the
+    region of -P."""
 
-    def __init__(self, poly: Poly, positive: bool = True):
+    def __init__(self, poly: Poly):
         self.poly = poly
-        self.positive = positive
 
     def __call__(self, square: DyadicSquare) -> Region:
         enc = interval_range(self.poly, square.rect())
-        lo, hi = (enc.lo, enc.hi) if self.positive else (-enc.hi, -enc.lo)
-        if lo > 0:
+        if enc.lo > 0:
             return Region.INSIDE
-        if hi <= 0:
+        if enc.hi <= 0:
             return Region.OUTSIDE
         return Region.BOUNDARY
 
@@ -603,8 +602,6 @@ class PolynomialSignRegion(DyadicRegion):
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         lo, hi, _ = box_bounds(self.poly, i, i + 1, j, j + 1, 1 << depth)
-        if not self.positive:
-            lo, hi = -hi, -lo
         return lo > 0, hi <= 0
 
 
@@ -751,10 +748,7 @@ def band_partition(
         dtype = np.int64 if all(lo.dtype == np.int64 for lo, _, _ in ends) else object
         lo, hi, scales = (np.array([e[n] for e in ends], dtype=dtype) for n in range(3))
         lo, hi = lo.reshape(len(fs), i.size), hi.reshape(len(fs), i.size)
-        # The ends of the enclosures of |f| (Interval.abs_interval).
-        up, down = lo >= 0, hi <= 0
-        alo = np.where(up, lo, np.where(down, -hi, 0))
-        ahi = np.where(up, hi, np.where(down, -lo, np.maximum(-lo, hi)))
+        alo, ahi = _abs_ends(lo, hi)  # the enclosures of |f|
         # For an integer v, v/scale < threshold iff v < ceil(threshold*scale).
         floor_at = np.array([math.ceil(threshold * sc) for sc in scales.tolist()], dtype=dtype)[:, None]
         # Row f of pins: every function before f pins the square.

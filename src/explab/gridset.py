@@ -20,21 +20,27 @@ interval enclosures, collision ("energy") counts of value quadruples
 P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
 
+The array enclosure kernel lives here too: box_bounds, the natural
+enclosure (Moore 1966) of polyexpr.interval_range on arrays of rectangles
+in integers, joint_box_bounds, of several polynomials in one call, and
+filtered_box_bounds, in float64 with a proven error err.  _abs_ends,
+_pow_bounds and _mul_bounds write each of Interval's sign rules once.
+
 Image sets and energies read one table, ProductBounds(P, A, B): the
-enclosure of P on every cell product from polyexpr.filtered_box_bounds,
-with the cells broadcast as (m, 1) x (1, n): exact integers over a
-common scale where they fit int64, and otherwise float64 ends with a
-proven absolute error err.  A caller that wants both the image and the
-energy of one P on one A x B builds the table once and reads both from
-it; image_set and energy_count build a table each.  Energies are counted
-by sorting the lower ends and binary-searching the upper ends;
-value_cells turns integer ends into clamped value-grid cells by exact
-floor division, for image sets here and for smooth maps in geomdecomp.
-On a float table both are a filtered predicate (Shewchuk 1997;
-Bronnimann, Burnikel and Pion 2001): a float comparison or floor decides
-where err puts it beyond doubt, and exact integer ends, from box_bounds
-on the gathered corners of only the pairs in doubt, decide the rest.
-energy_count_brute_force stays on the Fraction enclosures of
+enclosure of P on every cell product from filtered_box_bounds (integers
+where they fit int64, else float64 within err), with the cells broadcast
+as (m, 1) x (1, n).  A caller that wants both the image and the energy
+of one P on one A x B builds the table once and reads both from it;
+image_set and energy_count build a table each.  Energies are counted by
+sorting the lower ends and binary-searching the upper ends; value_cells
+turns integer ends into clamped value-grid cells by exact floor
+division, for image sets here and for smooth maps in geomdecomp.  On a
+float table both are a filtered predicate (Shewchuk 1997; Bronnimann,
+Burnikel and Pion 2001): a float comparison or floor decides where err
+puts it beyond doubt, and exact integer ends, from box_bounds on the
+gathered corners of only the pairs in doubt, decide the rest;
+filtered_box_bounds derives err with the slack that those comparisons
+spend.  energy_count_brute_force stays on the Fraction enclosures of
 polyexpr.interval_range as an independent oracle.
 """
 
@@ -48,8 +54,7 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .polyexpr import Poly, Rect, box_bounds, filtered_box_bounds, interval_range, joint_box_bounds
-from .polyexpr import unit_square_range
+from .polyexpr import VARS2, Poly, Rect, interval_range, unit_square_range
 
 MAX_SCALE = 30
 
@@ -485,6 +490,184 @@ def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
 
 
 # ---------------------------------------------------------------------------
+# Enclosures on arrays of rectangles
+# ---------------------------------------------------------------------------
+
+
+def _abs_ends(lo, hi) -> tuple:
+    """Interval.abs_interval on the intervals [lo, hi], elementwise: the
+    pair of ends of |[lo, hi]|."""
+    up, down = lo >= 0, hi <= 0
+    return np.where(up, lo, np.where(down, -hi, 0)), np.where(up, hi, np.where(down, -lo, np.maximum(-lo, hi)))
+
+
+def _mul_bounds(xs, ys) -> tuple:
+    """Interval.__mul__ of the intervals of the pairs xs = (a, b) and
+    ys = (c, d), elementwise: the pair of ends of the product."""
+    (a, b), (c, d) = xs, ys
+    ac, ad, bc, bd = a * c, a * d, b * c, b * d
+    return np.minimum(np.minimum(ac, ad), np.minimum(bc, bd)), np.maximum(np.maximum(ac, ad), np.maximum(bc, bd))
+
+
+def _pow_bounds(ab: np.ndarray, n: int, nonneg: bool) -> np.ndarray:
+    """Interval.pow(n) on the intervals [ab[0], ab[1]], elementwise, stacked
+    the same way; nonneg says that every ab[0] is at least 0.  An even
+    power is the power of |[ab[0], ab[1]]| (_abs_ends), whose ends are
+    Interval.pow's bit for bit: float powers are n - 1 multiplications,
+    monotone on non-negative floats, whose rounding filtered_box_bounds
+    bounds (libm pow carries no bound)."""
+    if n % 2 == 0 and not nonneg:
+        ab = np.array(_abs_ends(*ab))
+    if ab.dtype != np.float64:
+        return ab**n
+    p = ab
+    for _ in range(n - 1):
+        p = p * ab
+    return p
+
+
+def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """interval_range of a bivariate P on arrays of rectangles, in integers.
+
+    The corners x0, x1, y0, y1 are integer arrays over one common
+    denominator den > 0: the rectangles are [x0/den, x1/den] x
+    [y0/den, y1/den], with x0 <= x1 and y0 <= y1.  Corners may be
+    negative and may exceed den, and the four arrays broadcast, so
+    (m, 1) x-corners against (1, n) y-corners give the product set.
+    Returns integer arrays lo, hi of the broadcast shape and an integer
+    scale with [lo/scale, hi/scale] == interval_range(P, rect) exactly for
+    every rectangle.  The per-monomial sign cases of Interval.pow and
+    Interval.__mul__ are reproduced, so the result is the same natural
+    enclosure (Moore 1966), only scaled by scale = lcm(coefficient
+    denominators) * den^deg.
+
+    Every corner, power, product, term and partial sum is at most
+    max(1, |corner|)^deg * sum|c| * scale in magnitude (den^e stands in
+    for the missing powers of a monomial), so the arrays are int64 when
+    that bound, scale and every corner are below 2^63 and hold Python
+    ints (dtype object) otherwise.  This is joint_box_bounds of the one
+    polynomial.
+    """
+    return joint_box_bounds((P,), x0, x1, y0, y1, den)[0]
+
+
+def joint_box_bounds(polys: Sequence[Poly], x0, x1, y0, y1, den: int) -> list:
+    """[box_bounds(P, x0, x1, y0, y1, den) for P in polys], in one call.
+
+    The corners are reduced to their largest magnitude and sign once, cast
+    once per dtype, and each power table x^i, y^j is built once per dtype
+    for every polynomial that has the exponent.  Each polynomial picks its
+    dtype from its own bound, so every (lo, hi, scale) equals box_bounds'
+    in value and dtype.
+    """
+    return [ends[:3] for ends in _box_bounds(polys, (x0, x1, y0, y1), den, False)]
+
+
+def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
+    """box_bounds, or float64 ends within a proven error of it.
+
+    Returns lo, hi, scale, err.  Where box_bounds would hold Python ints,
+    no corner is negative and bound < 2^1000 (bound: the magnitude bound
+    sum over the monomials c x^i y^j of |c| mx^i my^j den^(deg-i-j) that
+    box_bounds sizes its arrays by, with mx, my the largest corners), lo
+    and hi are float64 and every end is within err of box_bounds' end
+    (both over scale).  Otherwise err is None and lo, hi are box_bounds'.
+
+    The error, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham
+    2002, section 3.1).  Every corner is below 2^53, so a float.  A term
+    is x^i * (y^j * w), its powers taken by repeated multiplication
+    (_pow_bounds on floats) and its weight w = |c| den^(deg-i-j) rounded
+    to float once: i + j + 1 factors, all exact but w, and i + j
+    multiplications, so its relative error is at most gamma_(i+j+1) <=
+    gamma_(deg+1).  Adding m terms into 0 rounds m - 1 times, so an end
+    is the exact sum of its terms, each off by at most gamma_(deg+m)
+    relatively; their magnitudes sum to at most bound, so |float end -
+    exact end| <= gamma_(deg+m) bound.  No value is subnormal (each is 0
+    or at least 1), and none overflows: each power, product, term and
+    partial sum is at most (1 + gamma_(deg+m)) bound < 2^1024, as every
+    |c| is at least 1.  err = 2 (deg+m+2) u float(bound) rounds twice,
+    from exact factors, so err >= 2 (deg+m+2) u bound (1-u)^2 >=
+    gamma_(deg+m+2) bound: the end error, and room for two more roundings
+    of values up to 2 bound, which covers adding a threshold such as
+    hi + 2 err (ProductBounds._float_above).
+    """
+    return _box_bounds((P,), (x0, x1, y0, y1), den, True)[0]
+
+
+def _reach(lo_edge: np.ndarray, hi_edge: np.ndarray) -> Tuple[int, bool]:
+    """The largest |corner| (at least 1), and whether no corner is negative."""
+    if not lo_edge.size or not hi_edge.size:
+        return 1, True
+    low = int(lo_edge.min())
+    return max(1, abs(low), abs(int(hi_edge.max()))), low >= 0
+
+
+def _stacked(a: np.ndarray, b: np.ndarray, ndim: int, dtype) -> np.ndarray:
+    """The corners a, b broadcast together, cast to dtype and stacked as
+    one (2, ...) array, padded to ndim dimensions after the first."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return np.array((a, b), dtype=dtype).reshape(2, *(1,) * (ndim - a.ndim), *a.shape)
+
+
+def _box_bounds(polys: Sequence[Poly], edges, den: int, filtered: bool) -> list:
+    """The one enclosure kernel: (lo, hi, scale, err) of each polynomial,
+    as box_bounds (filtered False) or filtered_box_bounds gives it.  Ends
+    are one (2, ...) array, the pair (lo, hi), so that a sign-free step is
+    one array operation on both; signed products take _mul_bounds' pair."""
+    if any(P.variables != VARS2 for P in polys):
+        raise ValueError("box_bounds takes a bivariate polynomial")
+    edges = [np.asarray(v) for v in edges]
+    shape = np.broadcast_shapes(*(e.shape for e in edges))
+    (mx, x_pos), (my, y_pos) = _reach(*edges[:2]), _reach(*edges[2:])
+    # Per dtype, the power tables of each axis: x^i as one (2, ...) array
+    # of its lower and upper ends, padded to the rectangles' dimensions.
+    tables: dict = {}
+    out = []
+    for P in polys:
+        deg = P.degree() or 0
+        scale = P.den * den**deg
+        terms = [(i, j, c) for (i, j), c in P.num.items()]
+        bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
+        dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
+        err = None
+        if filtered and dtype is object and x_pos and y_pos and max(mx, my) < 2**53 and bound < 2**1000:
+            dtype, err = np.float64, 2 * (deg + len(terms) + 2) * 2.0**-53 * float(bound)
+        ends = np.zeros((2, *shape), dtype=dtype)  # lo and hi
+        out.append((ends[0], ends[1], scale, err))
+        if not ends.size:
+            continue
+        if dtype not in tables:
+            tables[dtype] = [{1: _stacked(a, b, len(shape), dtype)} for a, b in (edges[:2], edges[2:])]
+        x_pows, y_pows = tables[dtype]
+        cast = float if err is not None else int
+        for i, j, c in terms:
+            weight = cast(abs(c) * den ** (deg - i - j))
+            if i and i not in x_pows:
+                x_pows[i] = _pow_bounds(x_pows[1], i, x_pos)
+            if j and j not in y_pows:
+                y_pows[j] = _pow_bounds(y_pows[1], j, y_pos)
+            # Scaling one factor by the positive weight first keeps every
+            # intermediate below the bound and changes no min or max.  The
+            # lower end of an even power is never negative.
+            if i and j:
+                nonneg = (x_pos or i % 2 == 0) and (y_pos or j % 2 == 0)
+                y = y_pows[j] * weight
+                term = x_pows[i] * y if nonneg else _mul_bounds(x_pows[i], y)
+            elif i:
+                term = x_pows[i] * weight
+            elif j:
+                term = y_pows[j] * weight
+            else:
+                term = weight
+            if c > 0:
+                ends += term
+            else:  # lo -= the term's upper end, hi -= its lower end
+                ends -= term[::-1] if i or j else term
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Image sets
 # ---------------------------------------------------------------------------
 
@@ -582,7 +765,7 @@ class ProductBounds:
     The image set and the energy of P on A x B both read this one table,
     so a caller that wants both builds it once.  Where box_bounds' exact
     ends would be Python ints the table holds float64 ends, each within
-    err of its exact end (polyexpr.filtered_box_bounds derives err); err
+    err of its exact end (filtered_box_bounds derives err); err
     is None when lo and hi are box_bounds' exact integers.  A float table
     decides every comparison and floor that err puts beyond doubt and
     takes box_bounds' exact ends, on the gathered corners of only the
@@ -747,11 +930,10 @@ class ProductBounds:
             counts = ends[rows] - rows
             p = order[np.repeat(rows, counts)]
             q = order[_runs(rows, counts)]
-            first = [g_lo[p] * m_lo[q], g_lo[p] * m_hi[q], g_hi[p] * m_lo[q], g_hi[p] * m_hi[q]]
-            second = [g_lo[q] * m_lo[p], g_lo[q] * m_hi[p], g_hi[q] * m_lo[p], g_hi[q] * m_hi[p]]
+            first_lo, first_hi = _mul_bounds((g_lo[p], g_hi[p]), (m_lo[q], m_hi[q]))
+            second_lo, second_hi = _mul_bounds((g_lo[q], g_hi[q]), (m_lo[p], m_hi[p]))
             # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
-            low = np.minimum.reduce(first) - np.maximum.reduce(second)
-            high = np.maximum.reduce(first) - np.minimum.reduce(second)
+            low, high = first_lo - second_hi, first_hi - second_lo
             passes = np.maximum(high, -low) >= threshold
             total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
         return total
@@ -849,8 +1031,10 @@ def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     if all(abs(k - ks[0]) <= 1e-08 + 1e-05 * abs(ks[0]) for k in ks):
         raise ValueError("degenerate fit: all scales equal")
     ks = np.array(ks)
-    values = np.array([float(v) for _, v in points])
-    if np.any(values <= 0):
+    values = [float(v) for _, v in points]
+    if not all(map(isfinite, values)):
+        raise ValueError("values must be finite")
+    if min(values) <= 0:
         raise ValueError("values must be positive")
     logs = np.log2(values)
     slope, intercept = np.polyfit(ks, logs, 1)

@@ -21,13 +21,13 @@ polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
 Poly arithmetic, parse_poly, M_P and H_F all run on those integers; the
 Fraction coefficients (Poly.terms) are built on a polynomial's first read.
 
-The module also provides sound interval enclosures of polynomial ranges
-on axis-aligned rational boxes (per-monomial interval products, exact
-rational endpoints), which the grid measurements build on: interval_range
-on one box in Fractions, box_bounds, the same enclosure of a bivariate
-polynomial on whole arrays of rectangles in exact integers (and
-joint_box_bounds, of several polynomials on the same rectangles in one
-call), and unit_square_range, its closed form on the unit square.
+The module also defines the natural interval enclosure (Moore 1966) of
+a polynomial's range on an axis-aligned rational box, in Fractions:
+Interval, whose sign rules are the definition, interval_range on one
+box, and unit_square_range, its closed form on the unit square.  The
+module uses the standard library only; the same enclosure on whole
+arrays of rectangles is gridset.box_bounds, and interval_range is its
+oracle.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 VARS2 = ("x", "y")
 VARS4 = ("x", "xp", "y", "yp")
@@ -711,186 +709,6 @@ def interval_range(P: Poly, cell: Rect) -> Interval:
         lo += term.lo
         hi += term.hi
     return Interval(lo, hi)
-
-
-def _pow_bounds(ab: np.ndarray, n: int, nonneg: bool) -> np.ndarray:
-    """Interval.pow(n) on the intervals [ab[0], ab[1]], elementwise, stacked
-    the same way; nonneg says that every ab[0] is at least 0.  Float powers
-    are n - 1 multiplications, whose rounding filtered_box_bounds bounds
-    (libm pow carries no bound)."""
-    if n == 1:
-        return ab
-    if ab.dtype == np.float64:
-        p = ab
-        for _ in range(n - 1):
-            p = p * ab
-    else:
-        p = ab**n
-    if n % 2 == 1 or nonneg:
-        return p
-    (a, b), (lo, hi) = ab, p
-    up = a >= 0
-    down = b <= 0
-    return np.stack(
-        (
-            np.where(up, lo, np.where(down, hi, 0)),
-            np.where(up, hi, np.where(down, lo, np.maximum(lo, hi))),
-        )
-    )
-
-
-def _mul_bounds(xs: np.ndarray, ys: np.ndarray, nonneg: bool) -> np.ndarray:
-    """Interval.__mul__ of the stacked intervals [xs[0], xs[1]] and [ys[0],
-    ys[1]], elementwise, stacked the same way; nonneg says that every
-    xs[0] and every ys[0] is at least 0."""
-    if nonneg:
-        return xs * ys
-    (a, b), (c, d) = xs, ys
-    ac, ad, bc, bd = a * c, a * d, b * c, b * d
-    return np.stack(
-        (
-            np.minimum(np.minimum(ac, ad), np.minimum(bc, bd)),
-            np.maximum(np.maximum(ac, ad), np.maximum(bc, bd)),
-        )
-    )
-
-
-def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """interval_range of a bivariate P on arrays of rectangles, in integers.
-
-    The corners x0, x1, y0, y1 are integer arrays over one common
-    denominator den > 0: the rectangles are [x0/den, x1/den] x
-    [y0/den, y1/den], with x0 <= x1 and y0 <= y1.  Corners may be
-    negative and may exceed den, and the four arrays broadcast, so
-    (m, 1) x-corners against (1, n) y-corners give the product set.
-    Returns integer arrays lo, hi of the broadcast shape and an integer
-    scale with [lo/scale, hi/scale] == interval_range(P, rect) exactly for
-    every rectangle.  The per-monomial sign cases of Interval.pow and
-    Interval.__mul__ are reproduced, so the result is the same natural
-    enclosure (Moore 1966), only scaled by scale = lcm(coefficient
-    denominators) * den^deg.
-
-    Every corner, power, product, term and partial sum is at most
-    max(1, |corner|)^deg * sum|c| * scale in magnitude (den^e stands in
-    for the missing powers of a monomial), so the arrays are int64 when
-    that bound, scale and every corner are below 2^63 and hold Python
-    ints (dtype object) otherwise.  This is joint_box_bounds of the one
-    polynomial.
-    """
-    return joint_box_bounds((P,), x0, x1, y0, y1, den)[0]
-
-
-def joint_box_bounds(polys: Sequence[Poly], x0, x1, y0, y1, den: int) -> list:
-    """[box_bounds(P, x0, x1, y0, y1, den) for P in polys], in one call.
-
-    The corners are reduced to their largest magnitude and sign once, cast
-    once per dtype, and each power table x^i, y^j is built once per dtype
-    for every polynomial that has the exponent.  Each polynomial picks its
-    dtype from its own bound, so every (lo, hi, scale) equals box_bounds'
-    in value and dtype.
-    """
-    return [ends[:3] for ends in _box_bounds(polys, (x0, x1, y0, y1), den, False)]
-
-
-def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
-    """box_bounds, or float64 ends within a proven error of it.
-
-    Returns lo, hi, scale, err.  Where box_bounds would hold Python ints,
-    no corner is negative and bound < 2^1000 (bound: the magnitude bound
-    sum over the monomials c x^i y^j of |c| mx^i my^j den^(deg-i-j) that
-    box_bounds sizes its arrays by, with mx, my the largest corners), lo
-    and hi are float64 and every end is within err of box_bounds' end
-    (both over scale).  Otherwise err is None and lo, hi are box_bounds'.
-
-    The error, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham
-    2002, section 3.1).  Every corner is below 2^53, so a float.  A term
-    is x^i * (y^j * w), its powers taken by repeated multiplication
-    (_pow_bounds on floats) and its weight w = |c| den^(deg-i-j) rounded
-    to float once: i + j + 1 factors, all exact but w, and i + j
-    multiplications, so its relative error is at most gamma_(i+j+1) <=
-    gamma_(deg+1).  Adding m terms into 0 rounds m - 1 times, so an end
-    is the exact sum of its terms, each off by at most gamma_(deg+m)
-    relatively; their magnitudes sum to at most bound, so |float end -
-    exact end| <= gamma_(deg+m) bound.  No value is subnormal (each is 0
-    or at least 1), and none overflows: each power, product, term and
-    partial sum is at most (1 + gamma_(deg+m)) bound < 2^1024, as every
-    |c| is at least 1.  err = 2 (deg+m+2) u float(bound) rounds twice,
-    from exact factors, so err >= 2 (deg+m+2) u bound (1-u)^2 >=
-    gamma_(deg+m+2) bound: the end error, and room for two more roundings
-    of values up to 2 bound, which covers adding a threshold such as
-    hi + 2 err (ProductBounds._float_above).
-    """
-    return _box_bounds((P,), (x0, x1, y0, y1), den, True)[0]
-
-
-def _reach(lo_edge: np.ndarray, hi_edge: np.ndarray) -> Tuple[int, bool]:
-    """The largest |corner| (at least 1), and whether no corner is negative."""
-    if not lo_edge.size or not hi_edge.size:
-        return 1, True
-    low = int(lo_edge.min())
-    return max(1, abs(low), abs(int(hi_edge.max()))), low >= 0
-
-
-def _stacked(a: np.ndarray, b: np.ndarray, ndim: int, dtype) -> np.ndarray:
-    """The corners a, b broadcast together, cast to dtype and stacked as
-    one (2, ...) array, padded to ndim dimensions after the first."""
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    return np.array((a, b), dtype=dtype).reshape(2, *(1,) * (ndim - a.ndim), *a.shape)
-
-
-def _box_bounds(polys: Sequence[Poly], edges, den: int, filtered: bool) -> list:
-    """The one enclosure kernel: (lo, hi, scale, err) of each polynomial,
-    as box_bounds (filtered False) or filtered_box_bounds gives it."""
-    if any(P.variables != VARS2 for P in polys):
-        raise ValueError("box_bounds takes a bivariate polynomial")
-    edges = [np.asarray(v) for v in edges]
-    shape = np.broadcast_shapes(*(e.shape for e in edges))
-    (mx, x_pos), (my, y_pos) = _reach(*edges[:2]), _reach(*edges[2:])
-    # Per dtype, the power tables of each axis: x^i as one (2, ...) array
-    # of its lower and upper ends, padded to the rectangles' dimensions.
-    tables: dict = {}
-    out = []
-    for P in polys:
-        deg = P.degree() or 0
-        scale = P.den * den**deg
-        terms = [(i, j, c) for (i, j), c in P.num.items()]
-        bound = sum(abs(c) * mx**i * my**j * den ** (deg - i - j) for i, j, c in terms)
-        dtype = np.int64 if max(bound, scale, mx, my) < 2**63 else object
-        err = None
-        if filtered and dtype is object and x_pos and y_pos and max(mx, my) < 2**53 and bound < 2**1000:
-            dtype, err = np.float64, 2 * (deg + len(terms) + 2) * 2.0**-53 * float(bound)
-        ends = np.zeros((2, *shape), dtype=dtype)  # lo and hi
-        out.append((ends[0], ends[1], scale, err))
-        if not ends.size:
-            continue
-        if dtype not in tables:
-            tables[dtype] = [{1: _stacked(a, b, len(shape), dtype)} for a, b in (edges[:2], edges[2:])]
-        x_pows, y_pows = tables[dtype]
-        cast = float if err is not None else int
-        for i, j, c in terms:
-            weight = cast(abs(c) * den ** (deg - i - j))
-            if i and i not in x_pows:
-                x_pows[i] = _pow_bounds(x_pows[1], i, x_pos)
-            if j and j not in y_pows:
-                y_pows[j] = _pow_bounds(y_pows[1], j, y_pos)
-            # Scaling one factor by the positive weight first keeps every
-            # intermediate below the bound and changes no min or max.  The
-            # lower end of an even power is never negative.
-            if i and j:
-                nonneg = (x_pos or i % 2 == 0) and (y_pos or j % 2 == 0)
-                term = _mul_bounds(x_pows[i], y_pows[j] * weight, nonneg)
-            elif i:
-                term = x_pows[i] * weight
-            elif j:
-                term = y_pows[j] * weight
-            else:
-                term = weight
-            if c > 0:
-                ends += term
-            else:  # lo -= the term's upper end, hi -= its lower end
-                ends -= term[::-1] if i or j else term
-    return out
 
 
 def unit_square_range(P: Poly) -> Interval:

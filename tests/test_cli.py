@@ -297,6 +297,14 @@ def test_whitney_command(capsys):
     assert "cube k=" in data["decomposition"]
 
 
+@pytest.mark.parametrize("expr", ["x^2 + y^2 - 3/8", "x*y - 1/8 + x^3"])
+def test_whitney_poly_neg_is_poly_pos_of_the_negation(capsys, expr):
+    regions = (f"poly-neg:{expr}", f"poly-pos:-({expr})")
+    runs = [run_cli(capsys, "whitney", "--region", region, "--kmax", "7") for region in regions]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "cube k=" in runs[0][1]
+
+
 def test_extract_command(tmp_path, capsys):
     from explab.gridset import GridSet2D, format_gridset
 

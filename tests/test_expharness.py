@@ -182,6 +182,9 @@ def _forbid_work(monkeypatch):
         ("poly_growth", "scales", "10,"),
         ("sum_product", "scales", "8,10,31"),
         ("eps_d_energy", "restricted_scales", "10,11"),
+        ("poly_growth", "scales", "14,14,14"),
+        ("sum_product", "scales", "8,8,8"),
+        ("eps_d_energy", "restricted_scales", "12,12,12"),
     ],
 )
 def test_run_scenario_rejects_bad_ladder_before_running(monkeypatch, family, key, ladder):
@@ -494,14 +497,14 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
         "_product_bounds",
         lambda P, A, B: tables.append((P, A.scale.k)) or real_tables(P, A, B),
     )
-    real_bounds = polyexpr.box_bounds
+    real_bounds = gridset.box_bounds
 
     def counting_bounds(P, *corners):
         if corners == (0, 1, 0, 1, 1):
             units.append(P)
         return real_bounds(P, *corners)
 
-    monkeypatch.setattr(polyexpr, "box_bounds", counting_bounds)
+    monkeypatch.setattr(gridset, "box_bounds", counting_bounds)
     for s, want in zip(GUARD_SCENARIOS, expected):
         tables.clear()
         units.clear()

@@ -1048,8 +1048,9 @@ def test_cube_decomposition_keeps_int64_band_tables_and_exact_lists():
 # Verbatim copies of the recursive walks, the per-cell level count and the
 # per-cell enclosure loop that the batched kernels replaced (only the
 # names differ).  They take every enclosure one box at a time through the
-# public scalar enclosure or region call, so they share no code with
-# polyexpr.box_bounds.  Three small helpers they use live here, as only the
+# public scalar enclosure or region call, on polyexpr's Fraction intervals,
+# so they share no code with gridset's array kernel (box_bounds and its
+# sign-rule helpers).  Three small helpers they use live here, as only the
 # tests need them.  So do the per-rectangle enclosure_rects loop that the
 # float maps' batch formula replaced and the Rect/Fraction calls of the two
 # fixed regions, which the reference walk asks in place of their classify.
@@ -1347,7 +1348,7 @@ region_polys = st.one_of(
 )
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=12)
 regions = st.one_of(
-    st.builds(PolynomialSignRegion, region_polys, st.booleans()),
+    st.builds(lambda P, positive: PolynomialSignRegion(P if positive else -P), region_polys, st.booleans()),
     st.builds(PuncturedSquareRegion, st.tuples(unit_points, unit_points)),
     st.just(FullSquareRegion()),
     st.just(EmptyRegion()),
@@ -1377,7 +1378,8 @@ def test_whitney_cli_regions_equal_recursive_walk(region):
     if region == "punctured":
         omega = PuncturedSquareRegion((Fraction(1, 3), Fraction(3, 4)))
     else:
-        omega = PolynomialSignRegion(parse_poly(region[9:]), region.startswith("poly-pos"))
+        P = parse_poly(region[9:])
+        omega = PolynomialSignRegion(P if region.startswith("poly-pos") else -P)
     got = whitney_decompose(omega, 7)
     assert format_cube_decomposition(got) == format_cube_decomposition(
         reference_whitney_decompose(reference_oracle(omega), 7)

@@ -27,6 +27,7 @@ from explab.gridset import (
     GridSet2D,
     ProductBounds,
     Scale,
+    box_bounds,
     box_dim_fit,
     coarsen,
     covering_number,
@@ -47,7 +48,7 @@ from explab.gridset import (
     value_cells,
     window_cells,
 )
-from explab.polyexpr import VARS2, Poly, Rect, box_bounds, interval_range, parse_poly
+from explab.polyexpr import VARS2, Interval, Poly, Rect, interval_range, parse_poly
 
 P_SUM = parse_poly("x + y")
 
@@ -579,8 +580,11 @@ def test_fit_exponent_rejects_degenerate():
         fit_exponent([(8, 1.0), (9, 2.0)])
     with pytest.raises(ValueError):
         fit_exponent([(8, 1.0), (8, 2.0), (8, 3.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^values must be positive$"):
         fit_exponent([(8, 1.0), (9, 0.0), (10, 2.0)])
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            fit_exponent([(1, 1.0), (2, bad), (3, 4.0)])
 
 
 def test_box_dim_full_interval():
@@ -829,6 +833,47 @@ def test_image_constant_polynomial_on_empty_sets_is_empty():
 # ---------------------------------------------------------------------------
 # the integer pair-enclosure kernel against per-box interval_range
 # ---------------------------------------------------------------------------
+
+
+# Ends of at most 2^10 keep every power up to the fifth and every product
+# exact in int64 and float64; object arrays take ends past 2^63.
+_END_BOUNDS = {np.int64: 2**10, np.float64: 2**10, object: 2**70}
+
+
+@st.composite
+def end_pairs(draw):
+    """A dtype and two pairs (lo, hi) of arrays, each a batch of the same
+    number of intervals, signed, straddling zero or touching it."""
+    dtype = draw(st.sampled_from(list(_END_BOUNDS)))
+    bound = _END_BOUNDS[dtype]
+    ends = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-bound, bound))
+    size = draw(st.integers(1, 12))
+    rows = st.lists(st.tuples(ends, ends).map(sorted), min_size=size, max_size=size)
+    return dtype, *(tuple(np.array(side, dtype=dtype) for side in zip(*draw(rows))) for _ in range(2))
+
+
+def as_intervals(ends):
+    return [Interval(Fraction(int(a)), Fraction(int(b))) for a, b in zip(*ends)]
+
+
+def assert_ends_equal(got, want, dtype):
+    assert all(np.asarray(end).dtype == np.dtype(dtype) for end in got)
+    assert [(int(a), int(b)) for a, b in zip(*got)] == [(w.lo, w.hi) for w in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(end_pairs(), st.integers(1, 5))
+def test_sign_rule_helpers_equal_interval_arithmetic(batch, n):
+    """_abs_ends, _pow_bounds and _mul_bounds against Interval's
+    abs_interval, pow and __mul__, elementwise."""
+    dtype, xs, ys = batch
+    xi, yi = as_intervals(xs), as_intervals(ys)
+    assert_ends_equal(gridset_module._abs_ends(*xs), [x.abs_interval() for x in xi], dtype)
+    powers = [x.pow(n) for x in xi]
+    assert_ends_equal(gridset_module._pow_bounds(np.array(xs), n, False), powers, dtype)
+    if (xs[0] >= 0).all():
+        assert_ends_equal(gridset_module._pow_bounds(np.array(xs), n, True), powers, dtype)
+    assert_ends_equal(gridset_module._mul_bounds(xs, ys), [x * y for x, y in zip(xi, yi)], dtype)
 
 
 def cell_rect(k, a, b):

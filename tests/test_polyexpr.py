@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explab import polyexpr
+from explab import gridset, polyexpr
+from explab.gridset import box_bounds, filtered_box_bounds, joint_box_bounds
 from explab.polyexpr import (
     VARS2,
     VARS4,
@@ -21,13 +22,10 @@ from explab.polyexpr import (
     Rect,
     Reason,
     Verdict,
-    box_bounds,
     classify_special_form,
-    filtered_box_bounds,
     hf_general,
     hf_poly,
     interval_range,
-    joint_box_bounds,
     mp_numerator,
     parse_poly,
     unit_square_range,
@@ -1123,8 +1121,8 @@ def test_box_bounds_returns_at_once_on_empty_batches(monkeypatch):
     def forbidden(*args):
         raise AssertionError("box_bounds did per-term work on an empty batch")
 
-    monkeypatch.setattr(polyexpr, "_pow_bounds", forbidden)
-    monkeypatch.setattr(polyexpr, "_mul_bounds", forbidden)
+    monkeypatch.setattr(gridset, "_pow_bounds", forbidden)
+    monkeypatch.setattr(gridset, "_mul_bounds", forbidden)
     P = parse_poly("x^3*y - 1/3*y^2")
     empty = np.array([], dtype=np.int64)[:, None]
     # The dtype still follows the non-empty corners and the scale.
@@ -1293,6 +1291,6 @@ def test_unit_square_range_equals_fraction_sums(P, factor):
 def test_unit_square_range_is_taken_once_per_polynomial(P, factor):
     P = P * factor
     want = interval_range(P, Rect.of(0, 1, 0, 1))
-    with mock.patch.object(polyexpr, "box_bounds", wraps=box_bounds) as spy:
+    with mock.patch.object(gridset, "box_bounds", wraps=box_bounds) as spy:
         assert unit_square_range(P) == unit_square_range(P) == want
     assert spy.call_count == 0
