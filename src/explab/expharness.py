@@ -29,7 +29,7 @@ import numpy as np
 
 from . import geomdecomp, gridset
 from .gridset import ExponentFit, GridSet1D, GridSet2D, Scale, fit_exponent
-from .polyexpr import Poly, Rect, parse_poly, unit_square_range
+from .polyexpr import VARS2, Poly, Rect, parse_poly, unit_square_range
 
 SCHEMA_VERSION = 1
 PROVENANCE_TAGS = ("PAPER", "TRIVIAL", "DERIVED")
@@ -325,13 +325,15 @@ def _scales(key: str, text: str) -> List[int]:
 def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     P, baseline, scales = p["poly"], p["baseline_poly"], p["scales"]
     floor = gradient_floor(P)
+    if p["generator"] == "ap":
+        sets = [gridset.gen_ap(p["alpha"], p["eta"], Scale(k)) for k in scales]
+    else:
+        sets = [half_dimensional_set(Scale(k)) for k in scales]
+    polys = (P,) if baseline is None else (P, baseline)
+    tables = gridset.ProductBounds.ladder(polys, [(A, A) for A in sets])
+    bases = tables[1] if baseline is not None else [None] * len(sets)
 
-    def measure(k: int) -> Dict[str, float]:
-        if p["generator"] == "ap":
-            A = gridset.gen_ap(p["alpha"], p["eta"], Scale(k))
-        else:
-            A = half_dimensional_set(Scale(k))
-        table = gridset.ProductBounds(P, A, A)
+    def measure(A: GridSet1D, table, base) -> Dict[str, float]:
         image = len(table.image().grid)
         energy = table.energy()
         row = {
@@ -340,12 +342,12 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "energy_count": energy,
             **_cs_rows(floor, len(A), image, energy),
         }
-        if baseline is not None:
-            base_image = len(gridset.image_set(baseline, A, A).grid)
+        if base is not None:
+            base_image = len(base.image().grid)
             row.update(baseline_image_count=base_image, image_ratio=image / base_image)
         return row
 
-    rows = _ladder(map(measure, scales))
+    rows = _ladder(map(measure, sets, tables[0], bases))
     fits = _fits(scales, rows, image_exponent="image_count", energy_exponent="energy_count")
     scalars = {name: fit.slope for name, fit in fits.items()}  # both slopes are scalars too
     scalars["cs_all_ok"] = float(all(rows["cs_ok"]))
@@ -358,33 +360,34 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, eta, c, d_small, scales = p["alpha"], p["eta"], p["c"], p["d_small"], p["scales"]
-    linear, radial = parse_poly("x + y"), parse_poly("x^2 + y^2")
+    radial = Poly(VARS2, {(2, 0): 1, (0, 2): 1})  # x^2 + y^2
     p_small, p_large = (
-        linear + Poly.constant(c) * radial ** (d // 2) for d in (d_small, p["d_large"])
+        gridset.SUM_POLY + Poly.constant(c) * radial ** (d // 2) for d in (d_small, p["d_large"])
     )
     floor = gradient_floor(p_small)
+    sets = [gridset.gen_ap(alpha, eta, Scale(k)) for k in scales]
+    tables = gridset.ProductBounds.ladder((p_small, p_large), [(A, A) for A in sets])
 
-    def measure(k: int) -> Dict[str, float]:
-        A = gridset.gen_ap(alpha, eta, Scale(k))
-        table = gridset.ProductBounds(p_small, A, A)
-        e_small = table.energy()
-        e_large = gridset.energy_count(p_large, A, A)
-        image = len(table.image().grid)
+    def measure(A: GridSet1D, small, large) -> Dict[str, float]:
+        e_small = small.energy()
+        image = len(small.image().grid)
         return {
             "energy_d_small": e_small,
-            "energy_d_large": e_large,
+            "energy_d_large": large.energy(),
             "image_count": image,
             **_cs_rows(floor, len(A), image, e_small),
         }
 
-    rows = _ladder(map(measure, scales))
-    restricted_points = []
+    rows = _ladder(map(measure, sets, *tables))
+    restricted = []
     for k in p["restricted_scales"]:
         A = gridset.gen_ap(alpha, eta, Scale(k))
         box_hi = Fraction(1, 4) * Fraction(2.0 ** (-k / d_small))
         Ar = gridset.restrict(A, Fraction(0), box_hi)
         if len(Ar):
-            restricted_points.append((k, gridset.energy_count(p_small, Ar, Ar)))
+            restricted.append((k, Ar))
+    (r_tables,) = gridset.ProductBounds.ladder((p_small,), [(Ar, Ar) for _, Ar in restricted])
+    restricted_points = [(k, table.energy()) for (k, _), table in zip(restricted, r_tables)]
 
     fits = {
         "restricted_energy_exponent": fit_exponent(restricted_points),
@@ -403,15 +406,15 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
 
 def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     scales = p["scales"]
-    p_sum = parse_poly("x + y")
-    floor = gradient_floor(p_sum)
+    floor = gradient_floor(gridset.SUM_POLY)
+    sets = [half_dimensional_set(Scale(k)) for k in scales]
+    # The images of x + y and x * y are the sum and product sets.
+    polys = (gridset.SUM_POLY, gridset.PRODUCT_POLY)
+    ladders = gridset.ProductBounds.ladder(polys, [(A, A) for A in sets])
 
-    def measure(k: int) -> Dict[str, float]:
-        A = half_dimensional_set(Scale(k))
-        # p_sum is x + y, so its image is the sum set.
-        table = gridset.ProductBounds(p_sum, A, A)
+    def measure(A: GridSet1D, table, product) -> Dict[str, float]:
         sums = len(table.image().grid)
-        prods = len(gridset.product_set(A, A))
+        prods = len(product.image().grid)
         energy = table.energy()
         return {
             "cover_a": len(A),
@@ -421,7 +424,7 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "cs_ok": _cs_rows(floor, len(A), sums, energy)["cs_ok"],
         }
 
-    rows = _ladder(map(measure, scales))
+    rows = _ladder(map(measure, sets, *ladders))
     fits = _fits(scales, rows, sum_exponent="sum_count")
     scalars = {
         "min_growth_margin": min(rows["growth_margin"]),

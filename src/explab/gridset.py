@@ -27,21 +27,23 @@ filtered_box_bounds, in float64 with a proven error err.  _abs_ends,
 _pow_bounds and _mul_bounds write each of Interval's sign rules once.
 
 Image sets and energies read one table, ProductBounds(P, A, B): the
-enclosure of P on every cell product from filtered_box_bounds (integers
-where they fit int64, else float64 within err), with the cells broadcast
-as (m, 1) x (1, n).  A caller that wants both the image and the energy
-of one P on one A x B builds the table once and reads both from it;
-image_set and energy_count build a table each.  Energies are counted by
-sorting the lower ends and binary-searching the upper ends; value_cells
-turns integer ends into clamped value-grid cells by exact floor
-division, for image sets here and for smooth maps in geomdecomp.  On a
-float table both are a filtered predicate (Shewchuk 1997; Bronnimann,
-Burnikel and Pion 2001): a float comparison or floor decides where err
-puts it beyond doubt, and exact integer ends, from box_bounds on the
-gathered corners of only the pairs in doubt, decide the rest;
-filtered_box_bounds derives err with the slack that those comparisons
-spend.  energy_count_brute_force stays on the Fraction enclosures of
-polyexpr.interval_range as an independent oracle.
+enclosure of P on every cell product, flat and a-major, from the
+filtered kernel (integers where they fit int64, else float64 within
+err).  A caller that wants both the image and the energy of one P on one
+A x B builds the table once and reads both from it; image_set and
+energy_count build a table each.  ProductBounds.ladder builds the tables
+of several polynomials on every set of a scale ladder in shared kernel
+calls, the cells of each scale shifted onto the top scale's grid.
+Energies are counted by sorting the lower ends and binary-searching the
+upper ends; value_cells turns integer ends into clamped value-grid cells
+by exact floor division, for image sets here and for smooth maps in
+geomdecomp.  On a float table both are a filtered predicate (Shewchuk
+1997; Bronnimann, Burnikel and Pion 2001): a float comparison or floor
+decides where err puts it beyond doubt, and exact integer ends, from
+box_bounds on the gathered corners of only the pairs in doubt, decide
+the rest; filtered_box_bounds derives err with the slack that those
+comparisons spend.  energy_count_brute_force stays on the Fraction
+enclosures of polyexpr.interval_range as an independent oracle.
 """
 
 from __future__ import annotations
@@ -726,27 +728,22 @@ def value_cells(v, offset: int, width: int, k: int) -> np.ndarray:
     return np.minimum(np.maximum(cells, 0), n - 1).astype(np.int64)
 
 
-def _corners(A: GridSet1D, B: GridSet1D, pairs=None) -> tuple:
+def _corners(A: GridSet1D, B: GridSet1D, shift: int = 0, pairs=None) -> tuple:
     """box_bounds' corners and denominator for the closed cell products
-    S x T of A x B: all of them as (m, 1) x (1, n), or those at the flat
+    S x T of A x B, every index shifted left by shift over the denominator
+    2^(k + shift): all of them as (m, 1) x (1, n), or those at the flat
     a-major indices pairs."""
+    a, b, width = A.keys << shift, B.keys << shift, 1 << shift
     if pairs is None:
-        a, b = A.keys[:, None], B.keys[None, :]
+        a, b = a[:, None], b[None, :]
     else:
-        a, b = A.keys[pairs // len(B)], B.keys[pairs % len(B)]
-    return a, a + 1, b, b + 1, A.scale.cells
+        a, b = a[pairs // len(B)], b[pairs % len(B)]
+    return a, a + width, b, b + width, A.scale.cells << shift
 
 
-def _product_bounds(P: Poly, A: GridSet1D, B: GridSet1D) -> tuple:
-    """filtered_box_bounds of P on every closed cell product S x T, flat and a-major."""
-    lo, hi, scale, err = filtered_box_bounds(P, *_corners(A, B))
-    return lo.ravel(), hi.ravel(), scale, err
-
-
-def _exact_bounds(P: Poly, A: GridSet1D, B: GridSet1D, pairs=None) -> tuple:
-    """box_bounds of P on the closed cell products S x T of A x B, flat:
-    all of them, a-major, or those at the flat indices pairs."""
-    lo, hi, scale = box_bounds(P, *_corners(A, B, pairs))
+def _exact_bounds(P: Poly, A: GridSet1D, B: GridSet1D, shift: int, pairs=None) -> tuple:
+    """box_bounds of P on _corners(A, B, shift, pairs), flat."""
+    lo, hi, scale = box_bounds(P, *_corners(A, B, shift, pairs))
     return lo.ravel(), hi.ravel(), scale
 
 
@@ -756,11 +753,15 @@ _BLOCK_PAIRS = 1 << 16
 
 _U = 2.0**-53  # the unit roundoff of float64
 
+# Sets of a ladder share a kernel call while its rows times its columns
+# stay within this; past it the cross-set pairs would cost more than a call.
+_LADDER_PAIRS = 1 << 14
+
 
 class ProductBounds:
     """The enclosures [lo / scale, hi / scale] of P on every closed cell
-    product S x T of A x B, flat and a-major, taken once by
-    filtered_box_bounds.
+    product S x T of A x B, flat and a-major, from the filtered kernel
+    (filtered_box_bounds).
 
     The image set and the energy of P on A x B both read this one table,
     so a caller that wants both builds it once.  Where box_bounds' exact
@@ -770,23 +771,74 @@ class ProductBounds:
     decides every comparison and floor that err puts beyond doubt and
     takes box_bounds' exact ends, on the gathered corners of only the
     pairs in doubt, for the rest, so every count is the exact table's.
+
+    ProductBounds.ladder(polys, sets) builds the tables of several
+    polynomials on every set (A, B) of a scale ladder, and ProductBounds(P,
+    A, B) is the ladder of one set.  Consecutive sets share one kernel
+    call while its rows (cells of A) times its columns (cells of B) stay
+    within _LADDER_PAIRS, and each table reads its own block of it.  With
+    K the call's top scale, a set at scale k enters it with its cell
+    indices shifted left by shift = K - k over the denominator 2^K: the
+    same rectangles.  A table keeps the call's scale and err and its
+    shift, at which it takes its exact ends too, and counts as the set
+    alone: box_bounds sums c x^i y^j den^(deg-i-j) over the monomials, on
+    corners picked by Interval's sign rules, and the shift multiplies
+    every such term, and scale = P.den den^deg, by 2^(shift deg) > 0.  So
+    every sign rule picks the same end, every comparison of two ends in
+    energy() comes out the same, and every floor((v - offset) 2^k /
+    width) of value_cells is unchanged, offset and width being taken over
+    the table's scale.  A filtered call's err bounds every end of the
+    call (filtered_box_bounds: corners below 2^53 are exact floats, no
+    value is subnormal, bound < 2^1000 holds for the whole call), so each
+    float decision stands; a set below the top scale may be filtered
+    where its own table would be int64, and counts the same.
     """
 
-    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "_exact")
+    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "shift", "_total", "_exact")
 
-    def __init__(self, P: Poly, A: GridSet1D, B: GridSet1D):
-        for S in (A, B):
-            _check_dimension("ProductBounds", S, GridSet1D)
-        if A.scale != B.scale:
-            raise ValueError("A and B must share a scale")
-        self.P, self.A, self.B = P, A, B
-        self.lo, self.hi, self.scale, self.err = _product_bounds(P, A, B)
-        self._exact = None
+    def __new__(cls, P: Poly, A: GridSet1D, B: GridSet1D):
+        return cls.ladder((P,), [(A, B)])[0][0]
+
+    @classmethod
+    def ladder(cls, polys: Sequence[Poly], sets: Sequence[Tuple[GridSet1D, GridSet1D]]) -> list:
+        """[[table of P on A x B for (A, B) in sets] for P in polys]; the
+        tables of one P share unit_square_range(P)."""
+        groups, rows, cols = [], 0, 0
+        for A, B in sets:
+            for S in (A, B):
+                _check_dimension("ProductBounds", S, GridSet1D)
+            if A.scale != B.scale:
+                raise ValueError("A and B must share a scale")
+            rows, cols = rows + len(A), cols + len(B)
+            if not groups or rows * cols > _LADDER_PAIRS:
+                groups.append([])
+                rows, cols = len(A), len(B)
+            groups[-1].append((A, B))
+        totals = [[] for _ in polys]  # unit_square_range(P), once an image needs it
+        out = [[] for _ in polys]
+        for group in groups:
+            top = max(A.scale.k for A, _ in group)
+            corners = [_corners(A, B, top - A.scale.k)[:4] for A, B in group]
+            edges = corners[0] if len(group) == 1 else [
+                np.concatenate([c[e] for c in corners], axis=e // 2) for e in range(4)
+            ]
+            ends = _box_bounds(polys, edges, 1 << top, True)
+            for tables, P, total, (lo, hi, scale, err) in zip(out, polys, totals, ends):
+                r = c = 0
+                for A, B in group:
+                    table = object.__new__(cls)
+                    table.P, table.A, table.B, table.shift = P, A, B, top - A.scale.k
+                    block = np.s_[r : r + len(A), c : c + len(B)]
+                    table.lo, table.hi = lo[block].ravel(), hi[block].ravel()
+                    table.scale, table.err, table._total, table._exact = scale, err, total, None
+                    tables.append(table)
+                    r, c = r + len(A), c + len(B)
+        return out
 
     def _exact_at(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """box_bounds' exact ends lo, hi of the pairs at the flat indices pairs."""
         idx, pos = np.unique(pairs, return_inverse=True)
-        lo, hi, _ = _exact_bounds(self.P, self.A, self.B, idx)
+        lo, hi, _ = _exact_bounds(self.P, self.A, self.B, self.shift, idx)
         return lo[pos], hi[pos]
 
     def _exact_ends(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -795,7 +847,7 @@ class ProductBounds:
         if self.err is None:
             return self.lo, self.hi
         if self._exact is None:
-            self._exact = _exact_bounds(self.P, self.A, self.B)[:2]
+            self._exact = _exact_bounds(self.P, self.A, self.B, self.shift)[:2]
         return self._exact
 
     def image(self) -> ImageSet:
@@ -806,8 +858,9 @@ class ProductBounds:
         P's range on the unit square, from unit_square_range, onto [0, 1]).
         A constant P fills cell 0 when A x B is nonempty.
         """
-        grid_scale = self.A.scale
-        total = unit_square_range(self.P)
+        if not self._total:
+            self._total.append(unit_square_range(self.P))
+        grid_scale, total = self.A.scale, self._total[0]
         span = total.width()
         if span == 0:
             return ImageSet(GridSet1D(grid_scale, (0,) if self.lo.size else ()), total.lo, total.hi)
@@ -944,16 +997,16 @@ def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
     return ProductBounds(P, A, B).image()
 
 
-_SUM_POLY = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})
-_PRODUCT_POLY = Poly(("x", "y"), {(1, 1): 1})
+SUM_POLY = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1})
+PRODUCT_POLY = Poly(("x", "y"), {(1, 1): 1})
 
 
 def sum_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
-    return image_set(_SUM_POLY, A, B).grid
+    return image_set(SUM_POLY, A, B).grid
 
 
 def product_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
-    return image_set(_PRODUCT_POLY, A, B).grid
+    return image_set(PRODUCT_POLY, A, B).grid
 
 
 # ---------------------------------------------------------------------------
@@ -1037,7 +1090,11 @@ def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     if min(values) <= 0:
         raise ValueError("values must be positive")
     logs = np.log2(values)
-    slope, intercept = np.polyfit(ks, logs, 1)
+    # np.polyfit(ks, logs, 1), bit for bit, without its argument checks:
+    # columns (k, 1) scaled to unit norm, lstsq at polyfit's rcond.
+    lhs = np.vander(ks, 2)
+    scale = np.sqrt((lhs * lhs).sum(0))
+    slope, intercept = np.linalg.lstsq(lhs / scale, logs, len(ks) * np.finfo(float).eps)[0] / scale
     predicted = slope * ks + intercept
     residual = float(np.sqrt(np.mean((logs - predicted) ** 2)))
     stored = tuple((int(k), float(y)) for k, y in zip(ks, logs))

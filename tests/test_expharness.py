@@ -487,34 +487,68 @@ def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
         assert len(floors) == 1, s.family
 
 
+def spy_ladders(monkeypatch) -> list:
+    """Patch ProductBounds.ladder to record the tables of every call."""
+    ladders = []
+    real = gridset.ProductBounds.ladder.__func__
+
+    def ladder(cls, polys, sets):
+        ladders.append(real(cls, polys, sets))
+        return ladders[-1]
+
+    monkeypatch.setattr(gridset.ProductBounds, "ladder", classmethod(ladder))
+    return ladders
+
+
 def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
+    """Each ladder's tables come from one filtered kernel call over the
+    top scale's denominator, one per group of polynomials on the same
+    sets: P with its baseline, p_small with p_large and then p_small on
+    the restricted ladder, x + y with x * y."""
     expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
+    ladders, calls = spy_ladders(monkeypatch), []
+    real_kernel = gridset._box_bounds
 
-    tables, units = [], []  # the polynomials, kept alive so their ids stay theirs
-    real_tables = gridset._product_bounds
-    monkeypatch.setattr(
-        gridset,
-        "_product_bounds",
-        lambda P, A, B: tables.append((P, A.scale.k)) or real_tables(P, A, B),
-    )
-    real_bounds = gridset.box_bounds
+    def counting_kernel(polys, edges, den, filtered):
+        if filtered:
+            calls.append((len(polys), den))
+        return real_kernel(polys, edges, den, filtered)
 
-    def counting_bounds(P, *corners):
-        if corners == (0, 1, 0, 1, 1):
-            units.append(P)
-        return real_bounds(P, *corners)
+    monkeypatch.setattr(gridset, "_box_bounds", counting_kernel)
+    want = {
+        "poly_growth": [(2, [6, 7, 8])],
+        "eps_d_energy": [(2, [6, 7, 8]), (1, [10, 11, 12])],
+        "sum_product": [(2, [6, 8, 10])],
+    }
+    for s, text in zip(GUARD_SCENARIOS, expected):
+        ladders.clear()
+        calls.clear()
+        assert report_to_json(run_scenario(s)) == text
+        got = [(len(tables), [t.A.scale.k for t in tables[0]]) for tables in ladders]
+        assert got == want[s.family]
+        assert calls == [(n, 2 ** max(ks)) for n, ks in got], s.family
+        for tables in ladders:
+            for P_tables in tables:
+                assert len({id(t.P) for t in P_tables}) == 1, s.family
 
-    monkeypatch.setattr(gridset, "box_bounds", counting_bounds)
-    for s, want in zip(GUARD_SCENARIOS, expected):
-        tables.clear()
+
+def test_ladders_take_unit_square_range_once_per_polynomial(monkeypatch):
+    """The tables of one polynomial in a ladder share unit_square_range,
+    taken by the first image: once for P and its baseline, p_small's
+    main ladder (p_large and the restricted ladder take energies only),
+    x + y and x * y."""
+    expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
+    ladders, units = spy_ladders(monkeypatch), []
+    real_unit = gridset.unit_square_range
+    monkeypatch.setattr(gridset, "unit_square_range", lambda P: units.append(P) or real_unit(P))
+    want = {"poly_growth": [0, 1], "eps_d_energy": [0], "sum_product": [0, 1]}
+    for s, text in zip(GUARD_SCENARIOS, expected):
+        ladders.clear()
         units.clear()
-        assert report_to_json(run_scenario(s)) == want
-        per_table = Counter((id(P), k) for P, k in tables)
-        assert set(per_table.values()) == {1}, s.family
-        # Two polynomials at three scales (P and the baseline, p_small and
-        # p_large, x + y and x*y), and p_small on the restricted ladder.
-        assert len(tables) == 6 + 3 * (s.family == "eps_d_energy"), s.family
-        assert not units, s.family
+        assert report_to_json(run_scenario(s)) == text
+        # The polynomials stay alive in the tables, so their ids stay theirs.
+        first = [P_tables[0].P for P_tables in ladders[0]]
+        assert [id(first[i]) for i in want[s.family]] == [id(P) for P in units], s.family
 
 
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])

@@ -587,6 +587,35 @@ def test_fit_exponent_rejects_degenerate():
             fit_exponent([(1, 1.0), (2, bad), (3, 4.0)])
 
 
+def polyfit_reference(points):
+    """(slope, intercept) of np.polyfit on the points, as fit_exponent reads them."""
+    ks = np.array([float(k) for k, _ in points])
+    logs = np.log2([float(v) for _, v in points])
+    return tuple(float(c) for c in np.polyfit(ks, logs, 1))
+
+
+@st.composite
+def fit_points(draw):
+    """3-8 points with positive values: at distinct integer scales up to
+    30, or near-degenerate, every scale k0 but one at k0 + 2^-e (e up to
+    10, past fit_exponent's tolerance of 1e-8 + 1e-5 k0)."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True))
+    else:
+        k0 = draw(st.integers(1, 30))
+        ks = draw(st.permutations([k0] * (n - 1) + [k0 + 2.0 ** -draw(st.integers(0, 10))]))
+    values = st.floats(min_value=1e-3, max_value=1e18)
+    return [(k, draw(values)) for k in ks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_points())
+def test_fit_exponent_equals_polyfit(points):
+    fit = fit_exponent(points)
+    assert (fit.slope, fit.intercept) == polyfit_reference(points)
+
+
 def test_box_dim_full_interval():
     fit = box_dim_fit(
         lambda k: GridSet1D(Scale(k), tuple(range(2**k))), range(6, 11)
@@ -979,6 +1008,16 @@ def test_energy_equals_brute_force_property(P, sets, hf_min):
     )
 
 
+def table_polys(kind):
+    """Polynomials of a kind: any of degree <= 8, constant (zero
+    included), or x + y + c (x^2 + y^2)^4, past int64 from k = 8 on."""
+    if kind == "poly":
+        return polys()
+    if kind == "constant":
+        return (coefficients | st.just(Fraction(0))).map(Poly.constant)
+    return coefficients.map(lambda c: P_SUM + Poly.constant(c) * parse_poly("(x^2 + y^2)^4"))
+
+
 @st.composite
 def table_inputs(draw):
     """P, A and B for ProductBounds: empty A or B, constant P (zero
@@ -987,13 +1026,7 @@ def table_inputs(draw):
     k = draw(st.integers(8 if kind == "octic" else 1, 30))
     cell = st.integers(0, 2**k - 1)
     A, B = (GridSet1D.from_cells(Scale(k), draw(st.lists(cell, max_size=4))) for _ in "AB")
-    if kind == "poly":
-        P = draw(polys())
-    elif kind == "constant":
-        P = Poly.constant(draw(coefficients | st.just(Fraction(0))))
-    else:
-        P = P_SUM + Poly.constant(draw(coefficients)) * parse_poly("(x^2 + y^2)^4")
-    return kind, P, A, B
+    return kind, draw(table_polys(kind)), A, B
 
 
 @settings(max_examples=150, deadline=None)
@@ -1012,14 +1045,62 @@ def test_product_bounds_equal_oracles(case, hf_min):
     assert table.image() == image_set(P, A, B)
 
 
+@st.composite
+def ladder_inputs(draw):
+    """P and a ladder of 1-4 sets (A, B) at mixed scales up to 9: empty
+    sets and A != B among them, and for the octic a top scale of 8 or 9,
+    so that its call is past int64 and filtered while a set below the
+    top alone may be int64."""
+    kind = draw(st.sampled_from(("poly", "constant", "octic")))
+    scales = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    if kind == "octic":
+        scales[0] = draw(st.integers(8, 9))
+    sets = []
+    for k in scales:
+        cells = st.lists(st.integers(0, 2**k - 1), max_size=4)
+        sets.append(tuple(GridSet1D.from_cells(Scale(k), draw(cells)) for _ in "AB"))
+    return draw(table_polys(kind)), draw(st.permutations(sets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder_inputs(), st.sampled_from([None, 1, 40]))
+def test_ladder_tables_equal_one_set_tables_and_oracles(case, budget):
+    """Each table of a ladder is its one-set table with every exact end
+    and the scale multiplied by 2^(shift deg), shift = K - k: the same
+    image and energy, which brute force confirms.  These ladders share
+    one call; with a budget of 1 or 40 pairs the sets split into calls,
+    and K is the top scale of a set's own call."""
+    P, sets = case
+    deg = P.degree() or 0
+    top = max(A.scale.k for A, _ in sets)
+    with mock.patch.object(gridset_module, "_LADDER_PAIRS", budget or gridset_module._LADDER_PAIRS):
+        (tables,) = ProductBounds.ladder((P,), sets)
+    assert len(tables) == len(sets)
+    for table, (A, B) in zip(tables, sets):
+        one = ProductBounds(P, A, B)
+        assert (table.A, table.B) == (A, B) and 0 <= table.shift <= top - A.scale.k
+        assert budget or table.shift == top - A.scale.k
+        factor = 2 ** (table.shift * deg)
+        assert table.scale == one.scale * factor
+        want = [[int(v) * factor for v in ends] for ends in one._exact_ends()]
+        assert [[int(v) for v in ends] for ends in table._exact_ends()] == want
+        pairs = np.arange(len(A) * len(B))
+        assert [[int(v) for v in ends] for ends in table._exact_at(pairs)] == want
+        assert table.image() == one.image()
+        assert table.image().grid.cells == marked_cells(P, A, B)
+        assert table.energy() == one.energy() == energy_count_brute_force(P, A, B)
+
+
 def exact_path(P, A, B):
     """energy and image of P on A x B from box_bounds' exact table: the
     float filter switched off."""
 
-    def exact_table(P, A, B):
-        return (*gridset_module._exact_bounds(P, A, B), None)
+    real = gridset_module._box_bounds
 
-    with mock.patch.object(gridset_module, "_product_bounds", exact_table):
+    def unfiltered(polys, edges, den, filtered):
+        return real(polys, edges, den, False)
+
+    with mock.patch.object(gridset_module, "_box_bounds", unfiltered):
         table = ProductBounds(P, A, B)
         assert table.err is None
         return table.energy(), table.image()
@@ -1033,9 +1114,9 @@ def filtered_run(P, A, B):
     gathers = []
     real = gridset_module._exact_bounds
 
-    def spy(P, A, B, pairs=None):
+    def spy(P, A, B, shift, pairs=None):
         gathers.append(None if pairs is None else len(pairs))
-        return real(P, A, B, pairs)
+        return real(P, A, B, shift, pairs)
 
     with mock.patch.object(gridset_module, "_exact_bounds", spy):
         energy = table.energy()
@@ -1158,6 +1239,10 @@ def test_filtered_table_past_float_range_keeps_exact_ends():
 def test_product_bounds_rejects_scale_mismatch():
     with pytest.raises(ValueError, match="share a scale"):
         ProductBounds(P_SUM, GridSet1D(Scale(4), (1,)), GridSet1D(Scale(5), (1,)))
+    A = GridSet1D(Scale(4), (1,))
+    with pytest.raises(ValueError, match="share a scale"):
+        ProductBounds.ladder((P_SUM,), [(A, A), (A, GridSet1D(Scale(5), (1,)))])
+    assert ProductBounds.ladder((P_SUM, P_SUM), []) == [[], []]
 
 
 def test_kernel_empty_set():
