@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (message names the violated
-precondition), 2 usage or expression-parse error.  Numeric output is
-printed at a configurable number of significant digits (default 6);
-exact rationals print as a/b.  Output goes to stdout unless --out is
-given.
+precondition), 2 usage or expression-parse error.  Text output prints
+floats at a configurable number of significant digits (default 6;
+--precision, on the subcommands whose text shows a float); exact
+rationals print as a/b.  Output goes to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _phi_from_spec(option: str, spec: str):
     )
 
 
-# Options that one --gen or --region choice alone reads: their default
-# and that choice.  Given with another choice, an option is an error.
+# Options that one --gen, --region or --format choice alone reads: their
+# default and that choice.  Given with another choice, an option is an error.
 _SCOPED = {
     "alpha": (0.5, "gen", "ap"),
     "eta": (0.0, "gen", "ap"),
@@ -157,6 +157,8 @@ _SCOPED = {
     "pattern": ("0,1", "gen", "cantor"),
     "set_file": (None, "gen", "file"),
     "puncture": ("1/2,1/2", "region", "punctured"),
+    "precision": (6, "format", "text"),
+    "timing": (False, "format", "json"),
 }
 
 
@@ -335,7 +337,7 @@ def _cmd_bands(args):
     # The sample grid, stride apart in both axes, as ascending keys.
     g = np.arange(0, 2**args.k, args.sample_stride, dtype=np.int64)
     A = gridset.GridSet2D._from_keys(scale, gridset.cell_keys(g[:, None], g).ravel())
-    decomp = band_partition(fs, args.w, scale, A)
+    decomp = band_partition(fs, args.w, A)
     text = format_cube_decomposition(decomp)
     data = {
         "command": "bands",
@@ -431,16 +433,16 @@ def _cmd_list_scenarios(args):
 
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--precision", type=int, default=6, help="significant digits")
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
 def _add_scoped(p, name: str, text: str, **kw):
-    """An option of _SCOPED, its help text naming the choice and default;
-    main fills in the default."""
+    """An option of _SCOPED, its help text naming the choice and default.
+    Its parsed default is None, a flag's too, so that main can tell an
+    option not given from one given, and fill in the default."""
     default, choice, wanted = _SCOPED[name]
     note = f"--{choice} {wanted} only" + ("" if default is None else f"; default {default}")
-    p.add_argument("--" + name.replace("_", "-"), help=f"{text} ({note})", **kw)
+    p.add_argument("--" + name.replace("_", "-"), help=f"{text} ({note})", default=None, **kw)
 
 
 def _add_generator(p):
@@ -483,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi3", required=True)
     p.add_argument("--point", required=True, help="x,y")
     p.add_argument("--method", choices=("auto", "chart", "newton"), default="auto")
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, help="Newton stencil half-width (newton method only; default 1e-4)")
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_curvature)
 
@@ -497,12 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator(p)
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--target-alpha", type=float, default=0.5)
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_nonconc)
 
     p = sub.add_parser("image", help="covering count of P(A, A)")
     p.add_argument("--poly", required=True)
     _add_generator(p)
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_image)
 
@@ -510,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--hf-min", type=float, default=None)
     _add_generator(p)
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_energy)
 
@@ -530,11 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--funcs", default="px,py,pxy,mp")
     p.add_argument("--sample-stride", type=int, default=8)
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("extract", help="extract a large Cartesian product")
     p.add_argument("--set-file", required=True, dest="set_file")
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -545,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--plot-data", default=None, help="also write two-column .dat files here"
     )
-    p.add_argument("--timing", action="store_true", help="include wall clock in JSON")
+    _add_scoped(p, "timing", "include wall clock in JSON", action="store_true")
+    _add_scoped(p, "precision", "significant digits", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_scenario)
 
@@ -580,8 +589,6 @@ def main(argv=None) -> int:
     if args.subcommand == "hf" and args.poly is not None and args.general is not None:
         parser.error("hf takes a bivariate polynomial or --general, not both")
     try:
-        if args.precision < 0:
-            raise ValueError(f"--precision must be at least 0, got {args.precision}")
         for name, (default, choice, wanted) in _SCOPED.items():
             if name not in vars(args):
                 continue
@@ -589,6 +596,8 @@ def main(argv=None) -> int:
                 setattr(args, name, default)
             elif getattr(args, choice, wanted) != wanted:
                 raise ValueError(f"--{name.replace('_', '-')} needs --{choice} {wanted}")
+        if getattr(args, "precision", 0) < 0:
+            raise ValueError(f"--precision must be at least 0, got {args.precision}")
         args.func(args)
     except ExpressionError as exc:
         print(f"explab: parse error: {exc}", file=sys.stderr)

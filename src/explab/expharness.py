@@ -21,7 +21,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -100,17 +100,6 @@ class Report:
 # ---------------------------------------------------------------------------
 # Scenario file format (schema=1)
 # ---------------------------------------------------------------------------
-
-
-def format_scenario(s: Scenario) -> str:
-    lines = [f"schema={SCHEMA_VERSION}", f"name={s.name}", f"family={s.family}"]
-    if s.description:
-        lines.append(f"description={s.description}")
-    for key in sorted(s.parameters):
-        lines.append(f"{key}={s.parameters[key]}")
-    for e in s.expectations:
-        lines.append("expect=" + " ".join(str(getattr(e, f.name)) for f in fields(Expectation)))
-    return "\n".join(lines) + "\n"
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -479,7 +468,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     values = [half_dimensional_set(Scale(k), offset) for k in scales]
     sets = []
     for k, V in zip(scales, values):
-        pre = geomdecomp.common_preimage_cells(phis[:2], V, window, Scale(k))
+        pre = geomdecomp.common_preimage_cells(phis[:2], V, window)
         sets.append(_planar_set("three_projection", pre, k, p))
     images = geomdecomp.map_images(phis, sets)
 
@@ -648,8 +637,13 @@ def run_scenario(s: Scenario) -> Report:
     values = {
         key: parse(key, s.parameters.get(key, default)) for key, (parse, default) in params.items()
     }
-    # The ap generator's condition (gridset.gen_ap); cantor_half reads neither key.
-    if "eta" in values and values.get("generator") != "cantor_half":
+    # alpha and eta shape the ap generator alone: cantor_half reads neither,
+    # so it takes neither, and its defaults meet gridset.gen_ap's condition.
+    if values.get("generator") == "cantor_half":
+        for key in ("alpha", "eta"):
+            if key in s.parameters:
+                raise ValueError(f"{key} needs generator=ap")
+    if "eta" in values:
         alpha, eta = values["alpha"], values["eta"]
         if not (0 < alpha <= 1 and eta >= 0 and alpha + eta <= 1):
             raise ValueError(

@@ -700,7 +700,6 @@ def _morton(i: np.ndarray, j: np.ndarray, bits: int) -> np.ndarray:
 def band_partition(
     fs: Sequence[SmoothMap2],
     w: float,
-    scale: Scale,
     A: GridSet2D,
 ) -> CubeDecomposition:
     """Quadtree partition pinning every |f_j| into a band [v, 4v), v >= delta^w.
@@ -710,8 +709,9 @@ def band_partition(
     strictly below four times the lower end; the pinned value is the
     lower end.  Squares whose enclosure tops out below delta^w can never
     be accepted and join the leftover; everything else splits until the
-    delta-cells, where unresolved cells also join the leftover.  The
-    fraction of A's cells landing in the leftover is reported.
+    delta-cells, where unresolved cells also join the leftover.  delta
+    is A's scale, and the fraction of A's cells landing in the leftover
+    is reported.
 
     The quadtree is walked one depth at a time, and every function is
     enclosed on every square of the depth in one call: the PolynomialMaps
@@ -729,8 +729,7 @@ def band_partition(
     if w <= 0:
         raise ValueError("w must be positive")
     _check_dimension("band_partition", A, GridSet2D)
-    if A.scale != scale:
-        raise ValueError("A must live at the partition scale")
+    scale = A.scale
     k = scale.k
     threshold = Fraction(2.0 ** (-k * w))
 
@@ -964,7 +963,7 @@ def blaschke_curvature(
     phi3: SmoothMap2,
     p: Tuple[float, float],
     method: str = "auto",
-    step: float = 1e-4,
+    step: Optional[float] = None,
 ) -> float:
     """Coefficient of the 3-web curvature form 2 d/dphi1 d/dphi2
     log((dphi3/dphi1) / (dphi3/dphi2)) dphi1 ^ dphi2 at p.
@@ -972,16 +971,19 @@ def blaschke_curvature(
     method 'chart' requires phi1 = x and phi2 = y and uses the closed
     form (exact rational arithmetic when phi3 is polynomial); 'newton'
     inverts the chart (phi1, phi2) on a four-point stencil of half-width
-    step (nonzero and finite) and takes a centered mixed difference;
-    'auto' picks 'chart' when applicable.
+    step (nonzero and finite; None means 1e-4) and takes a centered
+    mixed difference; 'auto' picks 'chart' when applicable.  The chart
+    method reads no step, so a step given to it is an error.
     """
     x, y = float(p[0]), float(p[1])
-    h = float(step)
+    h = 1e-4 if step is None else float(step)
     if h == 0.0 or not math.isfinite(h):
         raise ValueError(f"step must be a nonzero finite number, got {step!r}")
-    _check_gradients((phi1, phi2, phi3), x, y)
     if method == "auto":
         method = "chart" if phi1.is_coordinate_x and phi2.is_coordinate_y else "newton"
+    if method == "chart" and step is not None:
+        raise ValueError("step needs method 'newton'; the chart method reads no step")
+    _check_gradients((phi1, phi2, phi3), x, y)
     if method == "chart":
         if not (phi1.is_coordinate_x and phi2.is_coordinate_y):
             raise ValueError("chart method needs phi1 = x and phi2 = y")
@@ -1106,12 +1108,10 @@ def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[Li
     return [[GridSet1D._from_keys(X.scale, next(images)) for _ in phis] for X in sets]
 
 
-def common_preimage_cells(
-    phis: Sequence[SmoothMap2], values: GridSet1D, window: Rect, scale: Scale
-) -> GridSet2D:
-    """Cells of the scale grid inside the window whose enclosure under
-    every map meets some cell of the value set (with no maps, every
-    window cell), from one enclosure pass over the window.
+def common_preimage_cells(phis: Sequence[SmoothMap2], values: GridSet1D, window: Rect) -> GridSet2D:
+    """Cells of the grid at the value set's scale inside the window whose
+    enclosure under every map meets some cell of the value set (with no
+    maps, every window cell), from one enclosure pass over the window.
 
     The window is the product of its columns and its rows, and the pass
     takes it as one: the column indices as a column against the row
@@ -1124,8 +1124,7 @@ def common_preimage_cells(
     cells, so memory does not grow with 2^k.
     """
     _check_dimension("common_preimage_cells", values, GridSet1D)
-    if values.scale != scale:
-        raise ValueError("value set must live at the target scale")
+    scale = values.scale
     cols, rows = (np.arange(first, stop, dtype=np.int64) for first, stop in window_cells(window, scale))
     j0, j1 = _enclosure_pass(phis, cols[:, None], rows[None, :], scale.k)
     member = values.keys

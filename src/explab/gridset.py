@@ -484,13 +484,6 @@ def restrict(S: GridSet1D, lo: Fraction, hi: Fraction) -> GridSet1D:
     return GridSet1D._from_keys(S.scale, kept)
 
 
-def coarsen(S: GridSet1D, k_new: int) -> GridSet1D:
-    _check_dimension("coarsen", S, GridSet1D)
-    if k_new > S.scale.k:
-        raise ValueError("coarsen target must not exceed the current scale")
-    return GridSet1D._from_keys(Scale(k_new), np.unique(S.keys >> (S.scale.k - k_new)))
-
-
 # ---------------------------------------------------------------------------
 # Enclosures on arrays of rectangles
 # ---------------------------------------------------------------------------
@@ -1081,6 +1074,8 @@ def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     if len(points) < 3:
         raise ValueError("need at least 3 scales for an exponent fit")
     ks = [float(k) for k, _ in points]
+    if not all(map(isfinite, ks)):  # LAPACK would reject them, writing to stderr
+        raise ValueError("scales must be finite")
     if all(abs(k - ks[0]) <= 1e-08 + 1e-05 * abs(ks[0]) for k in ks):
         raise ValueError("degenerate fit: all scales equal")
     ks = np.array(ks)

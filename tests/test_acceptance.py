@@ -210,7 +210,7 @@ def test_criterion_07_whitney_and_bands():
         A = GridSet2D.from_cells(
             scale, [(i, j) for i in range(0, 2**k, 8) for j in range(0, 2**k, 8)]
         )
-        decomp = band_partition(fs, 0.2, scale, A)
+        decomp = band_partition(fs, 0.2, A)
         fractions.append(len(decomp.leftover.cells) / 4**k)
         if k == 10:
             floor = 2.0 ** (-k * 0.2)

@@ -521,7 +521,7 @@ MIXED_SEQUENCE = [
     ["cover", "--k", "0"],
     ["bands", "--poly", "x + y", "--k", "4", "--sample-stride", "2", "--funcs", "px,py"],
     ["bands", "--poly", "x + y", "--k", "4"],
-    ["classify", "x^2 + x*y + y^2", "--precision", "-1"],
+    ["energy", "--poly", "x+y", "--k", "6", "--precision", "-1"],
     ["classify", "x^2 + x*y + y^2"],
 ]
 
@@ -608,22 +608,24 @@ def test_ap_nan_is_domain_error(capsys, command, option):
     assert err == "explab: need 0 < alpha <= 1, eta >= 0, alpha + eta <= 1\n"
 
 
+# A request per subcommand, the seven whose text output prints a float first.
 PRECISION_REQUESTS = {
-    "classify": ["x*y"],
-    "mp": ["x*y"],
-    "hf": ["x*y"],
     "curvature": ["--phi1", "coord:x", "--phi2", "coord:y", "--phi3", "poly:x*y",
                   "--point", "0.5,0.5"],
-    "cover": ["--k", "6"],
     "nonconc": ["--k", "6"],
     "image": ["--poly", "x+y", "--k", "6"],
     "energy": ["--poly", "x+y", "--k", "6"],
-    "whitney": ["--kmax", "3"],
     "bands": ["--poly", "x+y", "--k", "3"],
     "extract": ["--set-file", "no-such-file.grid"],
     "scenario": ["--name", "sum_product_cantor"],
+    "classify": ["x*y"],
+    "mp": ["x*y"],
+    "hf": ["x*y"],
+    "cover": ["--k", "6"],
+    "whitney": ["--kmax", "3"],
     "list-scenarios": [],
 }
+PRINTS_FLOATS = ("curvature", "nonconc", "image", "energy", "bands", "extract", "scenario")
 
 
 def test_precision_requests_cover_every_subcommand():
@@ -631,7 +633,7 @@ def test_precision_requests_cover_every_subcommand():
     assert set(sub.choices) == set(PRECISION_REQUESTS)
 
 
-@pytest.mark.parametrize("command", sorted(PRECISION_REQUESTS))
+@pytest.mark.parametrize("command", PRINTS_FLOATS)
 @pytest.mark.parametrize("value", ["-1", "-2"])
 def test_negative_precision_is_domain_error_before_any_work(
     capsys, monkeypatch, fresh_shared_parser, command, value
@@ -643,6 +645,54 @@ def test_negative_precision_is_domain_error_before_any_work(
     code, out, err = run_cli(capsys, command, *PRECISION_REQUESTS[command], "--precision", value)
     assert code == 1 and out == ""
     assert err == f"explab: --precision must be at least 0, got {value}\n"
+
+
+@pytest.mark.parametrize("command", sorted(PRECISION_REQUESTS))
+def test_precision_is_taken_by_the_subcommands_that_print_a_float(
+    capsys, monkeypatch, fresh_shared_parser, command
+):
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), lambda args: None)
+    code, _, err = run_cli(capsys, command, *PRECISION_REQUESTS[command], "--precision", "3")
+    if command in PRINTS_FLOATS:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and "unrecognized arguments: --precision 3" in err
+
+
+# Per _SCOPED row: a request that gives the option, and a choice other
+# than the one that reads it.
+SCOPED_REQUESTS = {
+    "alpha": (["cover", "--k", "6", "--alpha", "0.25"], "cantor"),
+    "eta": (["image", "--poly", "x+y", "--k", "6", "--eta", "0.25"], "cantor"),
+    "base": (["cover", "--k", "6", "--base", "8"], "ap"),
+    "pattern": (["nonconc", "--k", "6", "--pattern", "0,3"], "file"),
+    "set_file": (["cover", "--set-file", "SET"], "cantor"),
+    "puncture": (["whitney", "--kmax", "3", "--puncture", "1/3,3/4"], "full"),
+    "precision": (["energy", "--poly", "x+y", "--k", "6", "--precision", "3"], "json"),
+    "timing": (["scenario", "--name", "sum_product_cantor", "--timing"], "text"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._SCOPED))
+def test_scoped_option_is_taken_with_its_choice_alone(tmp_path, capsys, name):
+    path = tmp_path / "set.grid"
+    path.write_text("gridset1d k=4\n1\n")
+    argv, other = SCOPED_REQUESTS[name]
+    argv = [str(path) if a == "SET" else a for a in argv]
+    _, choice, wanted = cli._SCOPED[name]
+    code, out, err = run_cli(capsys, *argv, f"--{choice}", wanted)
+    assert (code, err) == (0, "") and out
+    message = f"explab: --{name.replace('_', '-')} needs --{choice} {wanted}\n"
+    assert run_cli(capsys, *argv, f"--{choice}", other) == (1, "", message)
+
+
+def test_timing_adds_the_wall_clock_to_the_json_report(capsys):
+    argv = ["scenario", "--name", "sum_product_cantor", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--timing")
+    timed = json.loads(out)
+    assert code == 0 and timed.pop("wall_clock_seconds") >= 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out) == timed
 
 
 def test_readme_command_examples_parse(capsys):
@@ -807,6 +857,15 @@ def test_curvature_bad_step_is_domain_error_on_the_chart_path(capsys, step):
     assert code == 0 and out == "-1.77778\n"
 
 
+@pytest.mark.parametrize("method", ["auto", "chart"])
+def test_curvature_step_on_the_chart_path_is_domain_error(capsys, method):
+    # The chart never reads the step; a valid one was ignored, with exit 0.
+    argv = CURVATURE + ["--phi3", "poly:x^2+x*y", "--point", "0.5,0.5", "--method", method]
+    message = "explab: step needs method 'newton'; the chart method reads no step\n"
+    assert run_cli(capsys, *argv, "--step", "1e-3") == (1, "", message)
+    assert run_cli(capsys, *argv, "--step", "1e-3", "--method", "newton")[:2] == (0, "-1.77778\n")
+
+
 def test_bands_builds_only_the_named_functions(capsys, monkeypatch):
     calls = []
 
@@ -868,7 +927,7 @@ def test_decompositions_build_no_dyadic_squares(capsys, monkeypatch):
     A = GridSet2D.from_cells(Scale(5), [(i, j) for i in range(0, 32, 3) for j in range(32)])
     region = PolynomialSignRegion(parse_poly("x^2 + y^2 - 3/8"))
     requests = (
-        lambda: format_cube_decomposition(band_partition(fs, 0.4, Scale(5), A)),
+        lambda: format_cube_decomposition(band_partition(fs, 0.4, A)),
         lambda: format_cube_decomposition(whitney_decompose(region, 6)),
         lambda: run_cli(capsys, "bands", "--poly", "x^2*y + x*y^3 + x", "--k", "5"),
         lambda: run_cli(capsys, "whitney", "--region", "poly-pos:x^2 + y^2 - 3/8", "--kmax", "6"),

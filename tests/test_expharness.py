@@ -7,6 +7,7 @@ import os
 import random
 import sys
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +18,13 @@ from hypothesis import strategies as st
 
 from explab import expharness, geomdecomp, gridset, polyexpr
 from explab.expharness import (
+    SCHEMA_VERSION,
     _metric_names,
     Expectation,
     Outcome,
     Scenario,
     builtin_scenario,
     builtin_scenarios,
-    format_scenario,
     gradient_floor,
     half_dimensional_set,
     parse_scenario,
@@ -97,6 +98,18 @@ def test_builtin_scenarios_enumerated():
         "pinned_distance",
     ):
         assert required in names
+
+
+def format_scenario(s: Scenario) -> str:
+    """The scenario file text of s, which parse_scenario reads back."""
+    lines = [f"schema={SCHEMA_VERSION}", f"name={s.name}", f"family={s.family}"]
+    if s.description:
+        lines.append(f"description={s.description}")
+    for key in sorted(s.parameters):
+        lines.append(f"{key}={s.parameters[key]}")
+    for e in s.expectations:
+        lines.append("expect=" + " ".join(str(getattr(e, f.name)) for f in fields(Expectation)))
+    return "\n".join(lines) + "\n"
 
 
 def test_scenario_file_round_trip():
@@ -235,9 +248,21 @@ def test_run_scenario_rejects_ap_parameters_before_running(monkeypatch, family, 
         run_scenario(Scenario("bad", family, parameters, ()))
 
 
-def test_cantor_half_ignores_alpha_and_eta():
-    parameters = {"poly": "x + y", "generator": "cantor_half", "alpha": "0.5", "eta": "0.75"}
-    report = run_scenario(Scenario("cantor", "poly_growth", {**parameters, "scales": "4,6,8"}, ()))
+@pytest.mark.parametrize("given", [{"alpha": "0.5"}, {"eta": "0.75"}, {"alpha": "0.5", "eta": "0"}])
+def test_cantor_half_rejects_alpha_and_eta_before_running(monkeypatch, given):
+    # cantor_half reads neither key; a run with alpha=0.5, eta=0.75 used
+    # to pass the ap check and measure the cantor set.
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(expharness, "half_dimensional_set", None)
+    monkeypatch.setattr(expharness, "gradient_floor", None)
+    parameters = {"poly": "x + y", "generator": "cantor_half", **given}
+    with pytest.raises(ValueError, match=f"^{min(given)} needs generator=ap$"):
+        run_scenario(Scenario("cantor", "poly_growth", parameters, ()))
+
+
+def test_cantor_half_runs_without_alpha_and_eta():
+    parameters = {"poly": "x + y", "generator": "cantor_half", "scales": "4,6,8"}
+    report = run_scenario(Scenario("cantor", "poly_growth", parameters, ()))
     assert report.metrics["cover_a"] == (4.0, 8.0, 16.0)
 
 

@@ -323,7 +323,7 @@ def test_band_partition_constant_function():
     k = 6
     A = full_grid_2d(3)
     A = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(2**k) for j in range(2**k)])
-    decomp = band_partition([PolynomialMap(parse_poly("1"))], 0.5, Scale(k), A)
+    decomp = band_partition([PolynomialMap(parse_poly("1"))], 0.5, A)
     assert len(decomp.cubes) == 1
     assert decomp.cubes[0].depth == 0
     assert len(decomp.leftover.cells) == 0
@@ -335,7 +335,7 @@ def test_band_partition_coordinate_strip():
     # x < 1/8 and accepted cubes pin x into dyadic bands [v, 2v].
     k = 6
     A = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(2**k) for j in range(2**k)])
-    decomp = band_partition([PolynomialMap(parse_poly("x"))], 0.5, Scale(k), A)
+    decomp = band_partition([PolynomialMap(parse_poly("x"))], 0.5, A)
     strip = {(i, j) for i in range(8) for j in range(2**k)}
     assert set(decomp.leftover.cells) == strip
     assert decomp.a_leftover_fraction == pytest.approx(8 / 64)
@@ -354,7 +354,7 @@ def test_band_partition_certificates_sampled():
     py = PolynomialMap(P_QUAD.partial("y"))
     pxy = PolynomialMap(P_QUAD.partial("x").partial("y"))
     mp = PolynomialMap(mp_numerator(P_QUAD))
-    decomp = band_partition([px, py, pxy, mp], 0.2, Scale(k), A)
+    decomp = band_partition([px, py, pxy, mp], 0.2, A)
     rng = random.Random(23)
     assert decomp.cubes
     for cube, bands in list(zip(decomp.cubes, decomp.bands))[:50]:
@@ -375,7 +375,7 @@ def test_band_partition_leftover_shrinks_with_scale():
             Scale(k), [(i, j) for i in range(0, 2**k, 8) for j in range(0, 2**k, 8)]
         )
         px = PolynomialMap(P_QUAD.partial("x"))
-        decomp = band_partition([px], 0.2, Scale(k), A)
+        decomp = band_partition([px], 0.2, A)
         fractions.append(decomp.a_leftover_fraction)
     assert fractions[0] >= fractions[1] >= fractions[2]
 
@@ -527,6 +527,15 @@ def test_curvature_chart_matches_newton():
     assert checked >= 10
 
 
+def test_curvature_step_is_read_by_the_newton_method_alone():
+    phi1, phi2, phi3 = (PolynomialMap(parse_poly(e)) for e in ("x", "y", "x^2 + x*y"))
+    for method in ("auto", "chart"):
+        with pytest.raises(ValueError, match="^step needs method 'newton'; the chart method reads no step$"):
+            blaschke_curvature(phi1, phi2, phi3, (0.5, 0.5), method=method, step=1e-4)
+    newton = blaschke_curvature(phi1, phi2, phi3, (0.5, 0.5), method="newton")
+    assert blaschke_curvature(phi1, phi2, phi3, (0.5, 0.5), method="newton", step=1e-4) == newton
+
+
 def test_curvature_special_form_consistency():
     # A special form with nonvanishing P_x, P_y, P_xy has zero curvature
     # wherever defined; an expander has nonzero curvature somewhere.
@@ -624,7 +633,7 @@ def test_preimage_cells_annulus():
     k = 7
     values = GridSet1D.from_cells(Scale(k), [64])  # distances near 1/2
     phi = PinnedDistance((0.0, 0.0))
-    X = common_preimage_cells((phi,), values, Rect.of(0, 1, 0, 1), Scale(k))
+    X = common_preimage_cells((phi,), values, Rect.of(0, 1, 0, 1))
     d = 1.0 / 2**k
     for i, j in X.cells:
         r = math.hypot((i + 0.5) * d, (j + 0.5) * d)
@@ -878,7 +887,7 @@ def test_preimage_cells_equals_per_cell_loop(phi, data):
     x1 = min(Fraction(1), x0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
     y1 = min(Fraction(1), y0 + Fraction(data.draw(st.integers(0, 96)), 4 * n))
     window = Rect(x0, x1, y0, y1)
-    got = common_preimage_cells((phi,), values, window, Scale(k))
+    got = common_preimage_cells((phi,), values, window)
     assert got.cells == reference_preimage(phi, values, window, Scale(k))
 
 
@@ -892,8 +901,8 @@ def test_map_image_and_preimage_of_nothing_are_empty(phi):
     # A window of zero width, and one narrower than a cell between two edges.
     x = Fraction(1, 3)
     for window in (Rect.of(x, x, 0, 1), Rect.of(x, x + Fraction(1, 64), 0, 1)):
-        assert common_preimage_cells((phi,), full, window, scale).cells == ()
-    assert common_preimage_cells((phi,), GridSet1D(scale, ()), Rect.of(0, 1, 0, 1), scale).cells == ()
+        assert common_preimage_cells((phi,), full, window).cells == ()
+    assert common_preimage_cells((phi,), GridSet1D(scale, ()), Rect.of(0, 1, 0, 1)).cells == ()
 
 
 @pytest.mark.parametrize(
@@ -913,7 +922,7 @@ def test_preimage_cells_of_a_window_past_the_grid_are_those_of_its_cut(phi, wind
     # Such windows used to scan cells off the grid and fail.
     scale = Scale(5)
     values = GridSet1D(scale, tuple(range(0, 32, 3)))
-    got = common_preimage_cells((phi,), values, Rect.of(*window), scale)
+    got = common_preimage_cells((phi,), values, Rect.of(*window))
     assert got.cells == reference_preimage(phi, values, Rect.of(*cut), scale)
     assert got.cells
 
@@ -950,7 +959,7 @@ def test_pinned_distance_at_two_to_the_500_has_finite_ends(pin):
 def test_cube_decomposition_round_trip():
     k = 6
     A = full_grid_2d(k)
-    decomp = band_partition([PolynomialMap(parse_poly("x"))], 0.5, Scale(k), A)
+    decomp = band_partition([PolynomialMap(parse_poly("x"))], 0.5, A)
     text = format_cube_decomposition(decomp)
     parsed = parse_cube_decomposition(text)
     assert parsed.cubes == decomp.cubes
@@ -1141,7 +1150,6 @@ def reference_whitney_decompose(omega: RegionOracle, k_max: int) -> CubeDecompos
 def reference_band_partition(
     fs: Sequence[SmoothMap2],
     w: float,
-    scale: Scale,
     A: GridSet2D,
 ) -> CubeDecomposition:
     """Quadtree partition pinning every |f_j| into a band [v, 4v), v >= delta^w.
@@ -1156,8 +1164,7 @@ def reference_band_partition(
     """
     if w <= 0:
         raise ValueError("w must be positive")
-    if A.scale != scale:
-        raise ValueError("A must live at the partition scale")
+    scale = A.scale
     k = scale.k
     threshold = Fraction(2.0 ** (-k * w))
 
@@ -1482,8 +1489,8 @@ band_maps = st.one_of(
 def test_band_partition_equals_recursive_walk(fs, w, k, data):
     cell = st.integers(0, 2**k - 1)
     A = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=40)))
-    got = band_partition(fs, w, Scale(k), A)
-    want = reference_band_partition(fs, w, Scale(k), A)
+    got = band_partition(fs, w, A)
+    want = reference_band_partition(fs, w, A)
     assert format_cube_decomposition(got) == format_cube_decomposition(want)
     assert got == want
 
@@ -1497,8 +1504,8 @@ def test_band_partition_quartic_equals_recursive_walk():
     A = GridSet2D.from_cells(
         Scale(k), [(i, j) for i in range(0, 2**k, 4) for j in range(0, 2**k, 4)]
     )
-    got = band_partition(fs, 0.2, Scale(k), A)
-    want = reference_band_partition(fs, 0.2, Scale(k), A)
+    got = band_partition(fs, 0.2, A)
+    want = reference_band_partition(fs, 0.2, A)
     assert got.cubes and format_cube_decomposition(got) == format_cube_decomposition(want)
     assert got.a_leftover_fraction == want.a_leftover_fraction
 
@@ -1542,8 +1549,8 @@ QUARTIC_BANDS = [QUARTIC.partial("x"), QUARTIC.partial("y"), QUARTIC.partial("x"
 @pytest.mark.parametrize("k", [1, 4, 6])
 def test_band_partition_on_mixed_lists_equals_recursive_walk(fs, w, dtype, k):
     A = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(0, 2**k, 3) for j in range(1, 2**k, 2)])
-    got = band_partition(fs, w, Scale(k), A)
-    want = reference_band_partition(fs, w, Scale(k), A)
+    got = band_partition(fs, w, A)
+    want = reference_band_partition(fs, w, A)
     assert format_cube_decomposition(got) == format_cube_decomposition(want)
     assert got == want and got.a_leftover_fraction == want.a_leftover_fraction
     # The band tables stay int64 only where every function's ends are.
@@ -1716,7 +1723,7 @@ def test_enclosure_pass_of_no_cells_is_empty(phis):
     assert map_images(phis, []) == []
     full = GridSet1D(scale, tuple(range(32)))
     x = Fraction(1, 3)
-    assert common_preimage_cells(phis, full, Rect.of(x, x, 0, 1), scale).cells == ()
+    assert common_preimage_cells(phis, full, Rect.of(x, x, 0, 1)).cells == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1767,7 +1774,7 @@ def test_common_preimage_cells_equal_the_intersection_of_references(phis, data):
     x1 = min(Fraction(1), x0 + Fraction(data.draw(st.integers(0, 48)), 4 * n))
     y1 = min(Fraction(1), y0 + Fraction(data.draw(st.integers(0, 48)), 4 * n))
     window = Rect(x0, x1, y0, y1)
-    got = common_preimage_cells(phis, values, window, Scale(k))
+    got = common_preimage_cells(phis, values, window)
     each = [reference_preimage(phi, values, window, Scale(k)) for phi in phis]
     assert got.cells == tuple(c for c in each[0] if all(c in other for other in each[1:]))
 
@@ -1875,7 +1882,7 @@ def test_common_preimage_window_is_the_product_of_its_columns_and_rows(phis, win
     scale = Scale(5)
     values = GridSet1D(scale, tuple(range(0, 32, 3)))
     rect, cut = (Rect(*map(Fraction, w)) for w in (window, cut or window))
-    got = common_preimage_cells(phis, values, rect, scale)
+    got = common_preimage_cells(phis, values, rect)
     d = scale.delta
     cols = range(math.ceil(cut.x0 / d), math.floor(cut.x1 / d))
     rows = range(math.ceil(cut.y0 / d), math.floor(cut.y1 / d))
@@ -1970,8 +1977,8 @@ def test_float_map_decompositions_build_no_rects(monkeypatch):
     X = GridSet2D.from_cells(Scale(k), [(i, j) for i in range(0, 32, 3) for j in range(32)])
     maps = [PinnedDistance((0.3, -0.2)), LinearProjection(0.7)]
     requests = (
-        lambda: format_cube_decomposition(band_partition(maps, 0.4, Scale(k), X)),
-        lambda: format_cube_decomposition(band_partition(maps[1:], 0.2, Scale(k), X)),
+        lambda: format_cube_decomposition(band_partition(maps, 0.4, X)),
+        lambda: format_cube_decomposition(band_partition(maps[1:], 0.2, X)),
         lambda: select_level(maps[0], A, Fraction(1, 32), 0.3, 1.0),
         lambda: select_level(maps[1], A, Fraction(3, 32), 0.4, 1.0),
         lambda: zero_nbhd_covering(maps[0], X, Fraction(1, 3)),
@@ -2099,12 +2106,12 @@ def test_extract_product_reference_sees_several_rounds():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: band_partition([PolynomialMap(parse_poly(e)) for e in ("x", "y")], 0.4, Scale(5), full_grid_2d(5)),
+        lambda: band_partition([PolynomialMap(parse_poly(e)) for e in ("x", "y")], 0.4, full_grid_2d(5)),
         lambda: band_partition(
-            [PolynomialMap(mp_numerator(parse_poly("x^2*y + x*y^3 + x")))], 0.2, Scale(5), full_grid_2d(5)
+            [PolynomialMap(mp_numerator(parse_poly("x^2*y + x*y^3 + x")))], 0.2, full_grid_2d(5)
         ),
-        lambda: band_partition([PolynomialMap(parse_poly("3*x + 1"))], 0.2, Scale(4), full_grid_2d(4)),
-        lambda: band_partition([], 0.2, Scale(3), full_grid_2d(3)),
+        lambda: band_partition([PolynomialMap(parse_poly("3*x + 1"))], 0.2, full_grid_2d(4)),
+        lambda: band_partition([], 0.2, full_grid_2d(3)),
         lambda: whitney_decompose(PolynomialSignRegion(parse_poly("x^2 + y^2 - 3/8")), 6),
         lambda: whitney_decompose(PuncturedSquareRegion(), 5),
     ],
