@@ -53,6 +53,8 @@ class Expectation:
             raise ValueError(f"unknown comparator {self.comparator!r}")
         if self.tag not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {self.tag!r}")
+        if not (math.isfinite(self.target) and math.isfinite(self.tolerance)):
+            raise ValueError("target and tolerance must be finite")
 
     def check(self, measured: float) -> bool:
         if self.comparator == "approx":

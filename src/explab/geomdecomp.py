@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, box_bounds, cell_keys, format_gridset
-from .gridset import joint_box_bounds, nonconcentration_exponent, parse_gridset, range_union, value_cells
+from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
 from .gridset import window_cells, _abs_ends, _check_dimension
 from .polyexpr import Interval, Poly, Rect, interval_range, mp_numerator
 
@@ -54,9 +54,10 @@ class SmoothMap2:
     enclosure_rects on it.  Instances are immutable and shareable.
 
     enclosure_rects(x0, x1, y0, y1, den) is the batch form of enclosure:
-    for integer corner arrays over one denominator (broadcasting like
-    gridset.box_bounds) it returns integer arrays lo, hi and an integer
-    scale with [lo/scale, hi/scale] == enclosure() of each rectangle.
+    for integer corner arrays over one denominator, broadcasting like
+    gridset.box_bounds' corners, it returns integer arrays lo, hi and an
+    integer scale with [lo/scale, hi/scale] == enclosure() of each
+    rectangle.
     The arrays are int64 only when scale < 2^63.  It is elementwise: a
     rectangle's ends depend on that rectangle (and the map) alone, never
     on the other rectangles of the call.  That is what lets
@@ -235,7 +236,7 @@ class PolynomialMap(SmoothMap2):
         return interval_range(self.poly, rect)
 
     def enclosure_rects(self, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        return box_bounds(self.poly, x0, x1, y0, y1, den)
+        return box_bounds((self.poly,), x0, x1, y0, y1, den)[0][:3]
 
     @property
     def is_coordinate_x(self) -> bool:
@@ -601,7 +602,7 @@ class PolynomialSignRegion(DyadicRegion):
     def classify(self, depth: int, i, j) -> Tuple[np.ndarray, np.ndarray]:
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        lo, hi, _ = box_bounds(self.poly, i, i + 1, j, j + 1, 1 << depth)
+        ((lo, hi, _, _),) = box_bounds((self.poly,), i, i + 1, j, j + 1, 1 << depth)
         return lo > 0, hi <= 0
 
 
@@ -715,7 +716,7 @@ def band_partition(
 
     The quadtree is walked one depth at a time, and every function is
     enclosed on every square of the depth in one call: the PolynomialMaps
-    share one joint_box_bounds call, and any other map answers through
+    share one box_bounds call, and any other map answers through
     its own enclosure_rects.  The functions are tried in order, so a
     square is dead when some function tops out below delta^w on it while
     every function before it pins it; the running AND of the (functions x
@@ -741,10 +742,10 @@ def band_partition(
     i = j = np.zeros(1, dtype=np.int64)
     for depth in range(k + 1):
         edges = (i, i + 1, j, j + 1, 1 << depth)
-        joint = iter(joint_box_bounds(polys, *edges))
+        joint = iter(box_bounds(polys, *edges))
         ends = [next(joint) if isinstance(f, PolynomialMap) else f.enclosure_rects(*edges) for f in fs]
         # One row per function, int64 when every function's ends are.
-        dtype = np.int64 if all(lo.dtype == np.int64 for lo, _, _ in ends) else object
+        dtype = np.int64 if all(e[0].dtype == np.int64 for e in ends) else object
         lo, hi, scales = (np.array([e[n] for e in ends], dtype=dtype) for n in range(3))
         lo, hi = lo.reshape(len(fs), i.size), hi.reshape(len(fs), i.size)
         alo, ahi = _abs_ends(lo, hi)  # the enclosures of |f|

@@ -20,10 +20,11 @@ interval enclosures, collision ("energy") counts of value quadruples
 P(x, y) = P(xp, yp), and least-squares scaling exponents across a ladder
 of scales.
 
-The array enclosure kernel lives here too: box_bounds, the natural
-enclosure (Moore 1966) of polyexpr.interval_range on arrays of rectangles
-in integers, joint_box_bounds, of several polynomials in one call, and
-filtered_box_bounds, in float64 with a proven error err.  _abs_ends,
+The array enclosure kernel lives here too, with one entry:
+box_bounds(polys, x0, x1, y0, y1, den, filtered=False), the natural
+enclosure (Moore 1966) of polyexpr.interval_range on arrays of
+rectangles, of several polynomials in one call, in integers or, with
+filtered set, in float64 within a proven error err.  _abs_ends,
 _pow_bounds and _mul_bounds write each of Interval's sign rules once.
 
 Image sets and energies read one table, ProductBounds(P, A, B): the
@@ -41,9 +42,9 @@ geomdecomp.  On a float table both are a filtered predicate (Shewchuk
 1997; Bronnimann, Burnikel and Pion 2001): a float comparison or floor
 decides where err puts it beyond doubt, and exact integer ends, from
 box_bounds on the gathered corners of only the pairs in doubt, decide
-the rest; filtered_box_bounds derives err with the slack that those
-comparisons spend.  energy_count_brute_force stays on the Fraction
-enclosures of polyexpr.interval_range as an independent oracle.
+the rest; box_bounds derives err with the slack that those comparisons
+spend.  energy_count_brute_force stays on the Fraction enclosures of
+polyexpr.interval_range as an independent oracle.
 """
 
 from __future__ import annotations
@@ -509,7 +510,7 @@ def _pow_bounds(ab: np.ndarray, n: int, nonneg: bool) -> np.ndarray:
     the same way; nonneg says that every ab[0] is at least 0.  An even
     power is the power of |[ab[0], ab[1]]| (_abs_ends), whose ends are
     Interval.pow's bit for bit: float powers are n - 1 multiplications,
-    monotone on non-negative floats, whose rounding filtered_box_bounds
+    monotone on non-negative floats, whose rounding box_bounds' err
     bounds (libm pow carries no bound)."""
     if n % 2 == 0 and not nonneg:
         ab = np.array(_abs_ends(*ab))
@@ -519,74 +520,6 @@ def _pow_bounds(ab: np.ndarray, n: int, nonneg: bool) -> np.ndarray:
     for _ in range(n - 1):
         p = p * ab
     return p
-
-
-def box_bounds(P: Poly, x0, x1, y0, y1, den: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """interval_range of a bivariate P on arrays of rectangles, in integers.
-
-    The corners x0, x1, y0, y1 are integer arrays over one common
-    denominator den > 0: the rectangles are [x0/den, x1/den] x
-    [y0/den, y1/den], with x0 <= x1 and y0 <= y1.  Corners may be
-    negative and may exceed den, and the four arrays broadcast, so
-    (m, 1) x-corners against (1, n) y-corners give the product set.
-    Returns integer arrays lo, hi of the broadcast shape and an integer
-    scale with [lo/scale, hi/scale] == interval_range(P, rect) exactly for
-    every rectangle.  The per-monomial sign cases of Interval.pow and
-    Interval.__mul__ are reproduced, so the result is the same natural
-    enclosure (Moore 1966), only scaled by scale = lcm(coefficient
-    denominators) * den^deg.
-
-    Every corner, power, product, term and partial sum is at most
-    max(1, |corner|)^deg * sum|c| * scale in magnitude (den^e stands in
-    for the missing powers of a monomial), so the arrays are int64 when
-    that bound, scale and every corner are below 2^63 and hold Python
-    ints (dtype object) otherwise.  This is joint_box_bounds of the one
-    polynomial.
-    """
-    return joint_box_bounds((P,), x0, x1, y0, y1, den)[0]
-
-
-def joint_box_bounds(polys: Sequence[Poly], x0, x1, y0, y1, den: int) -> list:
-    """[box_bounds(P, x0, x1, y0, y1, den) for P in polys], in one call.
-
-    The corners are reduced to their largest magnitude and sign once, cast
-    once per dtype, and each power table x^i, y^j is built once per dtype
-    for every polynomial that has the exponent.  Each polynomial picks its
-    dtype from its own bound, so every (lo, hi, scale) equals box_bounds'
-    in value and dtype.
-    """
-    return [ends[:3] for ends in _box_bounds(polys, (x0, x1, y0, y1), den, False)]
-
-
-def filtered_box_bounds(P: Poly, x0, x1, y0, y1, den: int):
-    """box_bounds, or float64 ends within a proven error of it.
-
-    Returns lo, hi, scale, err.  Where box_bounds would hold Python ints,
-    no corner is negative and bound < 2^1000 (bound: the magnitude bound
-    sum over the monomials c x^i y^j of |c| mx^i my^j den^(deg-i-j) that
-    box_bounds sizes its arrays by, with mx, my the largest corners), lo
-    and hi are float64 and every end is within err of box_bounds' end
-    (both over scale).  Otherwise err is None and lo, hi are box_bounds'.
-
-    The error, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham
-    2002, section 3.1).  Every corner is below 2^53, so a float.  A term
-    is x^i * (y^j * w), its powers taken by repeated multiplication
-    (_pow_bounds on floats) and its weight w = |c| den^(deg-i-j) rounded
-    to float once: i + j + 1 factors, all exact but w, and i + j
-    multiplications, so its relative error is at most gamma_(i+j+1) <=
-    gamma_(deg+1).  Adding m terms into 0 rounds m - 1 times, so an end
-    is the exact sum of its terms, each off by at most gamma_(deg+m)
-    relatively; their magnitudes sum to at most bound, so |float end -
-    exact end| <= gamma_(deg+m) bound.  No value is subnormal (each is 0
-    or at least 1), and none overflows: each power, product, term and
-    partial sum is at most (1 + gamma_(deg+m)) bound < 2^1024, as every
-    |c| is at least 1.  err = 2 (deg+m+2) u float(bound) rounds twice,
-    from exact factors, so err >= 2 (deg+m+2) u bound (1-u)^2 >=
-    gamma_(deg+m+2) bound: the end error, and room for two more roundings
-    of values up to 2 bound, which covers adding a threshold such as
-    hi + 2 err (ProductBounds._float_above).
-    """
-    return _box_bounds((P,), (x0, x1, y0, y1), den, True)[0]
 
 
 def _reach(lo_edge: np.ndarray, hi_edge: np.ndarray) -> Tuple[int, bool]:
@@ -605,14 +538,61 @@ def _stacked(a: np.ndarray, b: np.ndarray, ndim: int, dtype) -> np.ndarray:
     return np.array((a, b), dtype=dtype).reshape(2, *(1,) * (ndim - a.ndim), *a.shape)
 
 
-def _box_bounds(polys: Sequence[Poly], edges, den: int, filtered: bool) -> list:
-    """The one enclosure kernel: (lo, hi, scale, err) of each polynomial,
-    as box_bounds (filtered False) or filtered_box_bounds gives it.  Ends
-    are one (2, ...) array, the pair (lo, hi), so that a sign-free step is
-    one array operation on both; signed products take _mul_bounds' pair."""
+def box_bounds(polys: Sequence[Poly], x0, x1, y0, y1, den: int, filtered: bool = False) -> list:
+    """The one enclosure kernel: interval_range of each bivariate P in
+    polys on arrays of rectangles, as one (lo, hi, scale, err) per P.
+
+    The corners x0, x1, y0, y1 are integer arrays over one common
+    denominator den > 0: the rectangles are [x0/den, x1/den] x
+    [y0/den, y1/den], with x0 <= x1 and y0 <= y1.  Corners may be
+    negative and may exceed den, and the four arrays broadcast, so
+    (m, 1) x-corners against (1, n) y-corners give the product set.  lo
+    and hi have the broadcast shape, and the integer scale gives
+    [lo/scale, hi/scale] == interval_range(P, rect) exactly for every
+    rectangle.  The per-monomial sign cases of Interval.pow and
+    Interval.__mul__ are reproduced, so the result is the same natural
+    enclosure (Moore 1966), only scaled by scale = lcm(coefficient
+    denominators) * den^deg.
+
+    Every corner, power, product, term and partial sum is at most bound
+    = sum over the monomials c x^i y^j of |c| mx^i my^j den^(deg-i-j) in
+    magnitude, with mx, my the largest |corner| (at least 1; den^e
+    stands in for the missing powers of a monomial).  So lo and hi are
+    int64 when bound, scale and every corner are below 2^63, hold Python
+    ints (dtype object) otherwise, and err is None.  The corners are
+    reduced to their largest magnitude and sign once and cast once per
+    dtype, and each power table x^i, y^j is built once per dtype for
+    every polynomial that has the exponent; each P picks its dtype from
+    its own bound, so its ends are the same in any company.
+
+    With filtered set, where the ends would be Python ints, no corner is
+    negative and bound < 2^1000, lo and hi are float64 instead, every
+    end within err of the exact end (both over scale).  The error, with
+    u = 2^-53 and gamma_n = n u / (1 - n u) (Higham 2002, section 3.1):
+    every corner is below 2^53, so a float.  A term is x^i * (y^j * w),
+    its powers taken by repeated multiplication (_pow_bounds on floats)
+    and its weight w = |c| den^(deg-i-j) rounded to float once: i + j +
+    1 factors, all exact but w, and i + j multiplications, so its
+    relative error is at most gamma_(i+j+1) <= gamma_(deg+1).  Adding m
+    terms into 0 rounds m - 1 times, so an end is the exact sum of its
+    terms, each off by at most gamma_(deg+m) relatively; their
+    magnitudes sum to at most bound, so |float end - exact end| <=
+    gamma_(deg+m) bound.  No value is subnormal (each is 0 or at least
+    1), and none overflows: each power, product, term and partial sum is
+    at most (1 + gamma_(deg+m)) bound < 2^1024, as every |c| is at least
+    1.  err = 2 (deg+m+2) u float(bound) rounds twice, from exact
+    factors, so err >= 2 (deg+m+2) u bound (1-u)^2 >= gamma_(deg+m+2)
+    bound: the end error, and room for two more roundings of values up
+    to 2 bound, which covers adding a threshold such as hi + 2 err
+    (ProductBounds._above).
+
+    Ends are one (2, ...) array, the pair (lo, hi), so that a sign-free
+    step is one array operation on both; signed products take
+    _mul_bounds' pair.
+    """
     if any(P.variables != VARS2 for P in polys):
         raise ValueError("box_bounds takes a bivariate polynomial")
-    edges = [np.asarray(v) for v in edges]
+    edges = [np.asarray(v) for v in (x0, x1, y0, y1)]
     shape = np.broadcast_shapes(*(e.shape for e in edges))
     (mx, x_pos), (my, y_pos) = _reach(*edges[:2]), _reach(*edges[2:])
     # Per dtype, the power tables of each axis: x^i as one (2, ...) array
@@ -734,12 +714,6 @@ def _corners(A: GridSet1D, B: GridSet1D, shift: int = 0, pairs=None) -> tuple:
     return a, a + width, b, b + width, A.scale.cells << shift
 
 
-def _exact_bounds(P: Poly, A: GridSet1D, B: GridSet1D, shift: int, pairs=None) -> tuple:
-    """box_bounds of P on _corners(A, B, shift, pairs), flat."""
-    lo, hi, scale = box_bounds(P, *_corners(A, B, shift, pairs))
-    return lo.ravel(), hi.ravel(), scale
-
-
 # Upper bound on the intersecting pairs whose H_F bracket is evaluated in
 # one vectorised block, which caps the memory of the filtered count.
 _BLOCK_PAIRS = 1 << 16
@@ -753,17 +727,17 @@ _LADDER_PAIRS = 1 << 14
 
 class ProductBounds:
     """The enclosures [lo / scale, hi / scale] of P on every closed cell
-    product S x T of A x B, flat and a-major, from the filtered kernel
-    (filtered_box_bounds).
+    product S x T of A x B, flat and a-major, from box_bounds with
+    filtered set.
 
     The image set and the energy of P on A x B both read this one table,
     so a caller that wants both builds it once.  Where box_bounds' exact
     ends would be Python ints the table holds float64 ends, each within
-    err of its exact end (filtered_box_bounds derives err); err
-    is None when lo and hi are box_bounds' exact integers.  A float table
-    decides every comparison and floor that err puts beyond doubt and
-    takes box_bounds' exact ends, on the gathered corners of only the
-    pairs in doubt, for the rest, so every count is the exact table's.
+    err of its exact end (box_bounds derives err); err is None when lo
+    and hi are box_bounds' exact integers.  A float table decides every
+    comparison and floor that err puts beyond doubt and takes box_bounds'
+    exact ends, on the gathered corners of only the pairs in doubt, for
+    the rest, so every count is the exact table's.
 
     ProductBounds.ladder(polys, sets) builds the tables of several
     polynomials on every set (A, B) of a scale ladder, and ProductBounds(P,
@@ -781,7 +755,7 @@ class ProductBounds:
     energy() comes out the same, and every floor((v - offset) 2^k /
     width) of value_cells is unchanged, offset and width being taken over
     the table's scale.  A filtered call's err bounds every end of the
-    call (filtered_box_bounds: corners below 2^53 are exact floats, no
+    call (box_bounds: corners below 2^53 are exact floats, no
     value is subnormal, bound < 2^1000 holds for the whole call), so each
     float decision stands; a set below the top scale may be filtered
     where its own table would be int64, and counts the same.
@@ -815,7 +789,7 @@ class ProductBounds:
             edges = corners[0] if len(group) == 1 else [
                 np.concatenate([c[e] for c in corners], axis=e // 2) for e in range(4)
             ]
-            ends = _box_bounds(polys, edges, 1 << top, True)
+            ends = box_bounds(polys, *edges, 1 << top, filtered=True)
             for tables, P, total, (lo, hi, scale, err) in zip(out, polys, totals, ends):
                 r = c = 0
                 for A, B in group:
@@ -828,20 +802,20 @@ class ProductBounds:
                     r, c = r + len(A), c + len(B)
         return out
 
-    def _exact_at(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """box_bounds' exact ends lo, hi of the pairs at the flat indices pairs."""
+    def _exact_at(self, pairs: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """box_bounds' exact ends lo, hi of the pairs at the flat indices
+        pairs, or of every pair when pairs is None: an exact table's own
+        lo and hi, a float table's built on first use and kept."""
+        if pairs is None:
+            if self.err is None:
+                return self.lo, self.hi
+            if self._exact is None:
+                ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift))
+                self._exact = lo.ravel(), hi.ravel()
+            return self._exact
         idx, pos = np.unique(pairs, return_inverse=True)
-        lo, hi, _ = _exact_bounds(self.P, self.A, self.B, self.shift, idx)
+        ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift, idx))
         return lo[pos], hi[pos]
-
-    def _exact_ends(self) -> Tuple[np.ndarray, np.ndarray]:
-        """box_bounds' exact ends of every pair; a float table builds them
-        on first use and keeps them."""
-        if self.err is None:
-            return self.lo, self.hi
-        if self._exact is None:
-            self._exact = _exact_bounds(self.P, self.A, self.B, self.shift)[:2]
-        return self._exact
 
     def image(self) -> ImageSet:
         """Over-approximate covering of P(A, B) by output cells at the input scale.
@@ -865,7 +839,7 @@ class ProductBounds:
         if self.err is not None and max(abs(offset), width) < 2**1000:
             first, last = self._float_cells(offset, width, grid_scale.k)
         else:
-            first, last = (value_cells(v, offset, width, grid_scale.k) for v in self._exact_ends())
+            first, last = (value_cells(v, offset, width, grid_scale.k) for v in self._exact_at())
         cells = range_union(first, last)
         return ImageSet(GridSet1D._from_keys(grid_scale, cells), total.lo, total.hi)
 
@@ -897,19 +871,22 @@ class ProductBounds:
             cells[doubt] = value_cells(np.where(doubt < size, lo, hi), offset, width, k)
         return cells[:size], cells[size:]
 
-    def _float_above(self) -> int:
-        """#{(p, q) : lo_p > hi_q} over the ordered pairs of a float table.
+    def _above(self) -> int:
+        """#{(p, q) : lo_p > hi_q} over the ordered pairs.
 
-        With float ends within err of the exact ones and |hi'| <= (1 +
-        gamma_(deg+m)) bound, lo'_p > hi'_q + 2 err as computed puts lo_p -
-        hi_q above 2 err - 2 gamma_(deg+m) bound - u (|hi'_q| + 2 err) >=
-        0, as err >= gamma_(deg+m+2) bound, and lo'_p < hi'_q - 2 err as
-        computed puts it below 0 the same way.  Only the pairs in between
-        are compared on their exact ends.
+        An exact table takes n^2 less the binary-search count of lo_p <=
+        hi_q.  On a float table, with ends within err of the exact ones
+        and |hi'| <= (1 + gamma_(deg+m)) bound, lo'_p > hi'_q + 2 err as
+        computed puts lo_p - hi_q above 2 err - 2 gamma_(deg+m) bound - u
+        (|hi'_q| + 2 err) >= 0, as err >= gamma_(deg+m+2) bound, and lo'_p
+        < hi'_q - 2 err as computed puts it below 0 the same way.  Only
+        the pairs in between are compared on their exact ends.
         """
         lo, hi, n = self.lo, self.hi, self.lo.size
-        band = 2 * self.err
         sorted_lo = np.sort(lo)
+        if self.err is None:
+            return n * n - int(np.searchsorted(sorted_lo, hi, side="right").sum())
+        band = 2 * self.err
         sure = np.searchsorted(sorted_lo, hi + band, side="right")
         maybe = np.searchsorted(sorted_lo, hi - band, side="left")
         above = n * n - int(sure.sum())
@@ -931,11 +908,12 @@ class ProductBounds:
         (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
         of P_xy) has supremum bound below hf_min are excluded.
 
-        Enclosures of P_x P_y and P_xy come from one joint_box_bounds
-        call on the cell products.  Two closed intervals miss each other
-        exactly when one starts after the other ends, so the unfiltered
-        count over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q}: one sort
-        of the lower ends and a binary search per upper end, O(N log N).
+        Enclosures of P_x P_y and P_xy come from one box_bounds call on
+        the cell products.  Two closed intervals miss each other exactly
+        when one starts after the other ends, so the unfiltered count
+        over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q} (_above): one
+        sort of the lower ends and a binary search per upper end, O(N log
+        N).
         The filtered count visits only the intersecting pairs, found the
         same way, and tests the bracket in exact integers, on the exact
         table.
@@ -943,18 +921,15 @@ class ProductBounds:
         if hf_min is not None and not isfinite(hf_min):
             raise ValueError("hf_min must be finite")
         n = self.lo.size
-        if hf_min is None and self.err is not None:
-            return n * n - 2 * self._float_above()
-        lo, hi = self._exact_ends()
         if hf_min is None:
-            above = n - np.searchsorted(np.sort(lo), hi, side="right")
-            return n * n - 2 * int(above.sum())
+            return n * n - 2 * self._above()
 
+        lo, hi = self._exact_at()
         P, A, B = self.P, self.A, self.B
         px = P.partial("x")
         (g_lo, g_hi, g_scale), (m_lo, m_hi, m_scale) = (
             (lo.ravel(), hi.ravel(), scale)
-            for lo, hi, scale in joint_box_bounds((px * P.partial("y"), px.partial("y")), *_corners(A, B))
+            for lo, hi, scale, _ in box_bounds((px * P.partial("y"), px.partial("y")), *_corners(A, B))
         )
         # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
         # test against hf_min is a test against the ceiling of the threshold.
@@ -1067,7 +1042,7 @@ class ExponentFit:
     slope: float
     intercept: float
     residual: float
-    points: Tuple[Tuple[int, float], ...]
+    points: Tuple[Tuple[Union[int, float], float], ...]
 
 
 def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
@@ -1092,7 +1067,8 @@ def fit_exponent(points: Sequence[Tuple[int, float]]) -> ExponentFit:
     slope, intercept = np.linalg.lstsq(lhs / scale, logs, len(ks) * np.finfo(float).eps)[0] / scale
     predicted = slope * ks + intercept
     residual = float(np.sqrt(np.mean((logs - predicted) ** 2)))
-    stored = tuple((int(k), float(y)) for k, y in zip(ks, logs))
+    # An integral scale is stored as an int, as the reports print it.
+    stored = tuple((int(k) if k.is_integer() else float(k), float(y)) for k, y in zip(ks, logs))
     return ExponentFit(float(slope), float(intercept), residual, stored)
 
 

@@ -25,9 +25,9 @@ The module also defines the natural interval enclosure (Moore 1966) of
 a polynomial's range on an axis-aligned rational box, in Fractions:
 Interval, whose sign rules are the definition, interval_range on one
 box, and unit_square_range, its closed form on the unit square.  The
-module uses the standard library only; the same enclosure on whole
-arrays of rectangles is gridset.box_bounds, and interval_range is its
-oracle.
+module uses the standard library only; the same enclosure of several
+polynomials on whole arrays of rectangles, in one call, is
+gridset.box_bounds, and interval_range is its oracle.
 """
 
 from __future__ import annotations

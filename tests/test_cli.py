@@ -372,6 +372,10 @@ def test_unknown_scenario_is_domain_error(capsys):
             "schema=1\nname=x\nfamily=poly_growth\npoly=x + y\nexpect=image_exponent approx x 0.1 PAPER\n",
             "bad expectation 'image_exponent approx x 0.1 PAPER'",
         ),
+        *(
+            (f"schema=1\nname=x\nfamily=sum_product\nexpect=sum_exponent {e}\n", "target and tolerance must be finite")
+            for e in ("approx nan 0.1 PAPER", "ge 0 inf TRIVIAL", "le -inf 0 DERIVED")
+        ),
     ],
 )
 def test_malformed_scenario_file_is_domain_error(tmp_path, capsys, body, message):

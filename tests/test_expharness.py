@@ -137,6 +137,17 @@ def test_expectation_comparators():
         Expectation("m", "ge", 1.0, 0.1, "GUESS")
 
 
+@pytest.mark.parametrize("target, tolerance", [("nan", "0.1"), ("0", "inf"), ("-inf", "0.1"), ("1", "-inf")])
+def test_non_finite_expectation_is_rejected(target, tolerance):
+    # A nan target failed every run, an inf tolerance passed every run, and
+    # either one made report_to_json print NaN or Infinity, which is not JSON.
+    text = f"schema=1\nname=x\nfamily=sum_product\nexpect=sum_exponent approx {target} {tolerance} PAPER\n"
+    with pytest.raises(ValueError, match="^target and tolerance must be finite$"):
+        parse_scenario(text)
+    with pytest.raises(ValueError, match="^target and tolerance must be finite$"):
+        Expectation("sum_exponent", "ge", float(target), float(tolerance), "PAPER")
+
+
 def test_run_scenario_rejects_bad_parameters():
     s = Scenario(
         "bad",
@@ -423,7 +434,7 @@ def scenarios(draw):
     family = draw(st.sampled_from(sorted(expharness._FAMILIES)))
     _, params, metrics = expharness._FAMILIES[family]
     keys = draw(st.lists(st.sampled_from(sorted(params)), unique=True))
-    number = st.floats(allow_nan=False)
+    number = st.floats(allow_nan=False, allow_infinity=False)
     expectations = st.builds(
         Expectation,
         st.sampled_from(metrics),
@@ -532,14 +543,14 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
     the restricted ladder, x + y with x * y."""
     expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
     ladders, calls = spy_ladders(monkeypatch), []
-    real_kernel = gridset._box_bounds
+    real_kernel = gridset.box_bounds
 
-    def counting_kernel(polys, edges, den, filtered):
+    def counting_kernel(polys, x0, x1, y0, y1, den, filtered=False):
         if filtered:
             calls.append((len(polys), den))
-        return real_kernel(polys, edges, den, filtered)
+        return real_kernel(polys, x0, x1, y0, y1, den, filtered)
 
-    monkeypatch.setattr(gridset, "_box_bounds", counting_kernel)
+    monkeypatch.setattr(gridset, "box_bounds", counting_kernel)
     want = {
         "poly_growth": [(2, [6, 7, 8])],
         "eps_d_energy": [(2, [6, 7, 8]), (1, [10, 11, 12])],

@@ -1,6 +1,7 @@
 """Tests for grid sets, generators, image/energy measurements, and fits."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import floor, inf, log2, nan
@@ -587,6 +588,17 @@ def test_fit_exponent_rejects_non_finite_scale_quietly(capfd, bad):
     assert capfd.readouterr().err == ""
 
 
+def test_fit_exponent_stores_scales_untruncated():
+    # These points fit slope 5; int(k) stored their scales as 0, 0, 0.
+    fit = fit_exponent([(0.4, 2.0), (0.6, 4.0), (0.8, 8.0)])
+    assert fit.slope == pytest.approx(5.0)
+    assert fit.points == ((0.4, 1.0), (0.6, 2.0), (0.8, 3.0))
+    # An integral scale, whatever its type, is stored as an int.
+    fit = fit_exponent([(6, 2.0), (7.0, 4.0), (np.int64(8), 8.0)])
+    assert fit.points == ((6, 1.0), (7, 2.0), (8, 3.0))
+    assert [type(k) for k, _ in fit.points] == [int] * 3
+
+
 def polyfit_reference(points):
     """(slope, intercept) of np.polyfit on the points, as fit_exponent reads them."""
     ks = np.array([float(k) for k, _ in points])
@@ -930,7 +942,7 @@ def grid_product_bounds(P, A, B):
     """box_bounds on every cell product of A x B, flat and a-major."""
     a = np.array(A.cells, dtype=np.int64)[:, None]
     b = np.array(B.cells, dtype=np.int64)[None, :]
-    lo, hi, scale = box_bounds(P, a, a + 1, b, b + 1, 2**A.scale.k)
+    ((lo, hi, scale, _),) = box_bounds((P,), a, a + 1, b, b + 1, 2**A.scale.k)
     return lo.ravel(), hi.ravel(), scale
 
 
@@ -1080,8 +1092,8 @@ def test_ladder_tables_equal_one_set_tables_and_oracles(case, budget):
         assert budget or table.shift == top - A.scale.k
         factor = 2 ** (table.shift * deg)
         assert table.scale == one.scale * factor
-        want = [[int(v) * factor for v in ends] for ends in one._exact_ends()]
-        assert [[int(v) for v in ends] for ends in table._exact_ends()] == want
+        want = [[int(v) * factor for v in ends] for ends in one._exact_at()]
+        assert [[int(v) for v in ends] for ends in table._exact_at()] == want
         pairs = np.arange(len(A) * len(B))
         assert [[int(v) for v in ends] for ends in table._exact_at(pairs)] == want
         assert table.image() == one.image()
@@ -1093,15 +1105,31 @@ def exact_path(P, A, B):
     """energy and image of P on A x B from box_bounds' exact table: the
     float filter switched off."""
 
-    real = gridset_module._box_bounds
+    real = gridset_module.box_bounds
 
-    def unfiltered(polys, edges, den, filtered):
-        return real(polys, edges, den, False)
+    def unfiltered(polys, x0, x1, y0, y1, den, filtered=False):
+        return real(polys, x0, x1, y0, y1, den)
 
-    with mock.patch.object(gridset_module, "_box_bounds", unfiltered):
+    with mock.patch.object(gridset_module, "box_bounds", unfiltered):
         table = ProductBounds(P, A, B)
         assert table.err is None
         return table.energy(), table.image()
+
+
+@contextmanager
+def kernel_calls():
+    """Record (polys, filtered, size) for every box_bounds call made
+    inside: size None for corners (m, 1) x (1, n), every cell product,
+    else the number of flat rectangles, the pairs of an exact gather."""
+    calls = []
+    real = gridset_module.box_bounds
+
+    def spy(polys, x0, x1, y0, y1, den, filtered=False):
+        calls.append((tuple(polys), filtered, None if np.ndim(x0) == 2 else np.size(x0)))
+        return real(polys, x0, x1, y0, y1, den, filtered)
+
+    with mock.patch.object(gridset_module, "box_bounds", spy):
+        yield calls
 
 
 def filtered_run(P, A, B):
@@ -1109,19 +1137,14 @@ def filtered_run(P, A, B):
     of the exact-end gathers each of them made."""
     table = ProductBounds(P, A, B)
     assert table.err is not None and table.lo.dtype == table.hi.dtype == np.float64
-    gathers = []
-    real = gridset_module._exact_bounds
-
-    def spy(P, A, B, shift, pairs=None):
-        gathers.append(None if pairs is None else len(pairs))
-        return real(P, A, B, shift, pairs)
-
-    with mock.patch.object(gridset_module, "_exact_bounds", spy):
+    with kernel_calls() as calls:
         energy = table.energy()
-        energy_gathers = gathers[:]
-        gathers.clear()
+        energy_gathers = calls[:]
+        calls.clear()
         image = table.image()
-    return energy, image, energy_gathers, gathers
+    for polys, filtered, _ in energy_gathers + calls:
+        assert polys == (P,) and not filtered
+    return energy, image, [size for *_, size in energy_gathers], [size for *_, size in calls]
 
 
 def assert_filtered_equals_oracles(P, A, B):
@@ -1232,6 +1255,44 @@ def test_filtered_table_past_float_range_keeps_exact_ends():
     P = parse_poly("x^35 + y")
     energy_gathers, image_gathers = assert_filtered_equals_oracles(P, A, A)
     assert image_gathers == [None]
+
+
+@pytest.mark.parametrize(
+    "text, k, cells",
+    [
+        # The value grid's width is past a safe float, so image() takes the
+        # exact table too.
+        ("x^35 + y", 29, [0, 1]),
+        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 9, [0, 3, 256, 511]),
+    ],
+)
+def test_float_table_takes_its_exact_table_once(text, k, cells):
+    """image() and energy(hf_min), twice each: one kernel call for every
+    pair's exact ends, kept by the table, beside the H_F tables' calls."""
+    P, A = parse_poly(text), GridSet1D.from_cells(Scale(k), cells)
+    table = ProductBounds(P, A, A)
+    assert table.err is not None
+    with kernel_calls() as calls:
+        for _ in range(2):
+            assert table.image().grid.cells == marked_cells(P, A, A)
+            assert table.energy(0.5) == energy_count_brute_force(P, A, A, hf_min=0.5)
+    assert [c for c in calls if c[0] == (P,) and c[2] is None] == [((P,), False, None)]
+
+
+@pytest.mark.parametrize(
+    "text, k, dtype",
+    [("x + y", 6, np.int64), ("x + y - 1/16*x^35 + 3/7", 30, object)],
+)
+def test_exact_table_counts_pairs_without_gathers(text, k, dtype):
+    """An exact table (err None) counts ordered pairs with lo_p > hi_q by
+    binary search alone: the ties lo_p == hi_q of neighbouring cells
+    make no exact gather and no kernel call."""
+    P, A = parse_poly(text), GridSet1D.from_cells(Scale(k), [0, 1, 2, 5, 6])
+    table = ProductBounds(P, A, A)
+    assert table.err is None and table.lo.dtype == dtype
+    with kernel_calls() as calls:
+        assert table.energy() == energy_count_brute_force(P, A, A)
+    assert calls == []
 
 
 def test_product_bounds_rejects_scale_mismatch():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explab import gridset, polyexpr
-from explab.gridset import box_bounds, filtered_box_bounds, joint_box_bounds
+from explab.gridset import box_bounds
 from explab.polyexpr import (
     VARS2,
     VARS4,
@@ -411,8 +411,8 @@ def test_integer_paths_never_read_the_fraction_view(monkeypatch):
     corners = np.array([0, 3]), np.array([1, 8]), np.array([[2]]), np.array([[5]])
     for text, want, want_hf in zip(texts, expected, expected_hf):
         P = parse_poly(text)
-        P.partial("x", 2), mp_numerator(P), classify_special_form(P), box_bounds(P, *corners, 8)
-        joint_box_bounds((P, P.partial("y")), *corners, 8)
+        P.partial("x", 2), mp_numerator(P), classify_special_form(P), box_bounds((P,), *corners, 8)
+        box_bounds((P, P.partial("y")), *corners, 8)
         assert str(P) == str(P) == want and str(hf_poly(P)) == want_hf
     hf_general(parse_poly("(x - xp)*(y + 1/2*yp)^2", 4))
     monkeypatch.setattr(Poly, "terms", view)
@@ -1069,14 +1069,15 @@ def box_batches(draw):
 def assert_box_bounds_exact(P, den, xs, ys, product, dtype):
     (x0, x1), (y0, y1) = ([np.array(v, dtype=dtype) for v in e] for e in (xs, ys))
     if product:
-        lo, hi, scale = box_bounds(P, x0[:, None], x1[:, None], y0[None, :], y1[None, :], den)
+        ((lo, hi, scale, err),) = box_bounds((P,), x0[:, None], x1[:, None], y0[None, :], y1[None, :], den)
         assert lo.shape == hi.shape == (x0.size, y0.size)
         pairs = [(a, b) for a in range(x0.size) for b in range(y0.size)]
     else:
         size = min(x0.size, y0.size)
-        lo, hi, scale = box_bounds(P, x0[:size], x1[:size], y0[:size], y1[:size], den)
+        ((lo, hi, scale, err),) = box_bounds((P,), x0[:size], x1[:size], y0[:size], y1[:size], den)
         assert lo.shape == hi.shape == (size,)
         pairs = [(a, a) for a in range(size)]
+    assert err is None
     for (a, b), l, h in zip(pairs, lo.ravel().tolist(), hi.ravel().tolist()):
         rect = Rect(*(Fraction(int(v), den) for v in (x0[a], x1[a], y0[b], y1[b])))
         iv = interval_range(P, rect)
@@ -1110,10 +1111,10 @@ def test_box_bounds_int64_and_object_paths(text, den, dtype):
 
 
 def test_box_bounds_zero_polynomial_and_empty_batch():
-    lo, hi, scale = box_bounds(Poly.zero(), np.array([0, 1]), np.array([1, 2]), 0, 5, 4)
+    ((lo, hi, scale, _),) = box_bounds((Poly.zero(),), np.array([0, 1]), np.array([1, 2]), 0, 5, 4)
     assert lo.tolist() == hi.tolist() == [0, 0] and scale == 1
     empty = np.array([], dtype=np.int64)
-    lo, hi, _ = box_bounds(parse_poly("x*y - 1"), empty[:, None], empty[:, None], [[0]], [[1]], 8)
+    ((lo, hi, _, _),) = box_bounds((parse_poly("x*y - 1"),), empty[:, None], empty[:, None], [[0]], [[1]], 8)
     assert lo.shape == hi.shape == (0, 1)
 
 
@@ -1127,10 +1128,10 @@ def test_box_bounds_returns_at_once_on_empty_batches(monkeypatch):
     empty = np.array([], dtype=np.int64)[:, None]
     # The dtype still follows the non-empty corners and the scale.
     for den, y1, dtype in ((8, 8, np.int64), (8, 2**62, object), (2**40, 2**40, object)):
-        lo, hi, scale = box_bounds(P, empty, empty, np.array([[0]]), np.array([[y1]]), den)
+        ((lo, hi, scale, _),) = box_bounds((P,), empty, empty, np.array([[0]]), np.array([[y1]]), den)
         assert lo.shape == hi.shape == (0, 1) and lo.dtype == hi.dtype == dtype
         assert scale == 3 * den**4
-    lo, hi, scale = box_bounds(P, 0, 8, empty.T, empty.T, 8)
+    ((lo, hi, scale, _),) = box_bounds((P,), 0, 8, empty.T, empty.T, 8)
     assert lo.shape == (1, 0) and lo.dtype == np.int64 and scale == 3 * 8**4
 
 
@@ -1150,21 +1151,21 @@ def joint_batches(draw):
     return ps, (x0[:size], x1[:size], y0[:size], y1[:size], den)
 
 
-def assert_joint_equals_each(ps, corners):
-    got = joint_box_bounds(ps, *corners)
+def assert_joint_equals_each(ps, corners, filtered=False):
+    got = box_bounds(ps, *corners, filtered=filtered)
     assert len(got) == len(ps)
-    for P, (lo, hi, scale) in zip(ps, got):
-        want_lo, want_hi, want_scale = box_bounds(P, *corners)
-        assert scale == want_scale
+    for P, (lo, hi, scale, err) in zip(ps, got):
+        ((want_lo, want_hi, want_scale, want_err),) = box_bounds((P,), *corners, filtered=filtered)
+        assert (scale, err) == (want_scale, want_err)
         for a, b in ((lo, want_lo), (hi, want_hi)):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tolist() == b.tolist()
-    return [lo.dtype for lo, _, _ in got]
+    return [lo.dtype for lo, *_ in got]
 
 
 @settings(max_examples=300, deadline=None)
-@given(joint_batches())
-def test_joint_box_bounds_equal_per_polynomial_box_bounds(batch):
-    assert_joint_equals_each(*batch)
+@given(joint_batches(), st.booleans())
+def test_joint_box_bounds_equal_per_polynomial_box_bounds(batch, filtered):
+    assert_joint_equals_each(*batch, filtered)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
@@ -1176,7 +1177,7 @@ def test_joint_box_bounds_mix_int64_and_python_int_tables(order):
     corners = (edges[0][:, None], edges[1][:, None], edges[0][None, :], edges[1][None, :], 256)
     dtypes = assert_joint_equals_each(ps, corners)
     assert dtypes == [np.int64 if n == 0 else object for n in order]
-    assert joint_box_bounds([], *corners) == []
+    assert box_bounds([], *corners) == []
 
 
 @st.composite
@@ -1202,8 +1203,8 @@ def nonneg_batches(draw):
 @given(nonneg_batches())
 def test_filtered_box_bounds_within_err_of_box_bounds(batch):
     P, corners = batch
-    lo, hi, scale = box_bounds(P, *corners)
-    f_lo, f_hi, f_scale, err = filtered_box_bounds(P, *corners)
+    ((lo, hi, scale, _),) = box_bounds((P,), *corners)
+    ((f_lo, f_hi, f_scale, err),) = box_bounds((P,), *corners, filtered=True)
     assert f_scale == scale
     # Floats stand in for exactly the Python-int tables here.
     assert (err is None) == (lo.dtype == np.int64)
@@ -1231,8 +1232,8 @@ def test_filtered_box_bounds_takes_floats_only_where_proven(text, den, low, floa
     P = parse_poly(text)
     x0 = np.array([low, 0, den - 1])[:, None]
     corners = (x0, x0 + 1, x0.T, x0.T + 1, den)
-    lo, hi, scale = box_bounds(P, *corners)
-    f_lo, f_hi, f_scale, err = filtered_box_bounds(P, *corners)
+    ((lo, hi, scale, _),) = box_bounds((P,), *corners)
+    ((f_lo, f_hi, f_scale, err),) = box_bounds((P,), *corners, filtered=True)
     assert (err is not None, f_lo.dtype == np.float64) == (floats, floats)
     if not floats:
         assert f_lo.dtype == lo.dtype and np.array_equal(f_lo, lo) and np.array_equal(f_hi, hi)
