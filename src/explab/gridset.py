@@ -667,19 +667,22 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
-def range_union(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Sorted int64 cells of the union of the inclusive ranges [first, last].
-
-    In order of first, each range adds the cells beyond everything the
-    earlier ranges reached, so the work is O(m log m) in the number of
-    ranges plus the number of cells marked, whatever the grid size.
-    """
+def _disjoint_runs(first: np.ndarray, last: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Starts and counts of the disjoint runs whose union is the union of
+    the inclusive ranges [first, last]: in order of first, each range adds
+    the cells beyond everything the earlier ranges reached, O(m log m) in
+    the number m of ranges, whatever the grid size."""
     first = np.asarray(first, dtype=np.int64)
     order = np.argsort(first, kind="stable")
     first, last = first[order], np.asarray(last, dtype=np.int64)[order]
     reached = np.maximum.accumulate(np.concatenate(([-1], last)))[:-1]
     starts = np.maximum(first, reached + 1)
-    return _runs(starts, np.maximum(last - starts + 1, 0))
+    return starts, np.maximum(last - starts + 1, 0)
+
+
+def range_union(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Sorted int64 cells of the union of the inclusive ranges [first, last]."""
+    return _runs(*_disjoint_runs(first, last))
 
 
 def value_cells(v, offset: int, width: int, k: int) -> np.ndarray:
@@ -817,6 +820,24 @@ class ProductBounds:
         ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift, idx))
         return lo[pos], hi[pos]
 
+    def _cell_ranges(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The first and last output cells of every pair's enclosure, as
+        image() renormalizes them, or None when P is constant."""
+        if not self._total:
+            self._total.append(unit_square_range(self.P))
+        total = self._total[0]
+        span = total.width()
+        if span == 0:
+            return None
+        # On the unit square every non-constant monomial ranges over [0, 1], so
+        # value_lo and span are sums of coefficients and value_lo * scale and
+        # span * scale are integers.  Every lo is at least value_lo; the top
+        # cell is half-open, so value_hi lands one past it and is clamped back.
+        offset, width, k = int(total.lo * self.scale), int(span * self.scale), self.A.scale.k
+        if self.err is not None and max(abs(offset), width) < 2**1000:
+            return self._float_cells(offset, width, k)
+        return tuple(value_cells(v, offset, width, k) for v in self._exact_at())
+
     def image(self) -> ImageSet:
         """Over-approximate covering of P(A, B) by output cells at the input scale.
 
@@ -825,23 +846,16 @@ class ProductBounds:
         P's range on the unit square, from unit_square_range, onto [0, 1]).
         A constant P fills cell 0 when A x B is nonempty.
         """
-        if not self._total:
-            self._total.append(unit_square_range(self.P))
-        grid_scale, total = self.A.scale, self._total[0]
-        span = total.width()
-        if span == 0:
-            return ImageSet(GridSet1D(grid_scale, (0,) if self.lo.size else ()), total.lo, total.hi)
-        # On the unit square every non-constant monomial ranges over [0, 1], so
-        # value_lo and span are sums of coefficients and value_lo * scale and
-        # span * scale are integers.  Every lo is at least value_lo; the top
-        # cell is half-open, so value_hi lands one past it and is clamped back.
-        offset, width = int(total.lo * self.scale), int(span * self.scale)
-        if self.err is not None and max(abs(offset), width) < 2**1000:
-            first, last = self._float_cells(offset, width, grid_scale.k)
-        else:
-            first, last = (value_cells(v, offset, width, grid_scale.k) for v in self._exact_at())
-        cells = range_union(first, last)
-        return ImageSet(GridSet1D._from_keys(grid_scale, cells), total.lo, total.hi)
+        ranges = self._cell_ranges()
+        total = self._total[0]  # taken by _cell_ranges
+        cells = range_union(*ranges) if ranges else np.arange(min(self.lo.size, 1))
+        return ImageSet(GridSet1D._from_keys(self.A.scale, cells), total.lo, total.hi)
+
+    def image_count(self) -> int:
+        """len(self.image().grid), counted from the same cell ranges
+        without marking the cells: the scenario runners read only this."""
+        ranges = self._cell_ranges()
+        return int(_disjoint_runs(*ranges)[1].sum()) if ranges else min(self.lo.size, 1)
 
     def _float_cells(self, offset: int, width: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """value_cells(lo, offset, width, k) and value_cells(hi, ...) of a

@@ -1,13 +1,15 @@
 """Tests for scenarios, reports, and the regression helper."""
 
+import copy
 import hashlib
 import importlib.util
 import itertools
 import os
 import random
+import re
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +343,92 @@ def test_run_scenario_rejects_missing_required_key_before_running(monkeypatch, p
         run_scenario(Scenario("bad", "poly_growth", parameters, ()))
 
 
+@pytest.mark.parametrize("key", ["scales", "restricted_scales"])
+@pytest.mark.parametrize(
+    "ladder",
+    [
+        "8,9,1_0",  # int() takes underscores
+        "8,9,\uff11\uff10",  # and full-width digits
+        "8,,10",  # empty tokens were skipped
+        "8,9,10,",
+        "8,9,+-10",
+        "8,9,10.0",
+    ],
+)
+def test_scales_take_ascii_integers_only(monkeypatch, key, ladder):
+    _forbid_work(monkeypatch)
+    message = f"{key} must be comma-separated integers, got {ladder!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenario(Scenario("bad", "eps_d_energy", {key: ladder}, ()))
+
+
+def test_scales_keep_signs_and_spaces():
+    assert expharness._scales("scales", " +8, 9 ,10") == (8, 9, 10)
+    with pytest.raises(ValueError, match=r"^scales must lie in \[1, 30\], got \[-1, 8, 9\]$"):
+        expharness._scales("scales", "-1,8,9")
+
+
+def spy_parses(monkeypatch) -> list:
+    """Record the texts given to parse_poly and to the pins parser."""
+    texts = []
+    real_poly, real_pins = expharness.parse_poly, expharness._pins
+    monkeypatch.setattr(expharness, "parse_poly", lambda text: texts.append(text) or real_poly(text))
+    pins = (lambda key, text: texts.append(text) or real_pins(key, text), "0,0;1,0;0,1")
+    monkeypatch.setitem(expharness._PROJECTION_PARAMS, "pins", pins)
+    monkeypatch.setitem(expharness._FAMILIES["three_projection"][1], "pins", pins)
+    return texts
+
+
+def test_second_run_takes_the_parsed_parameters(monkeypatch):
+    poly = {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"}
+    scenarios = [
+        Scenario("cached", "poly_growth", poly, ()),
+        Scenario("cached", "pinned_distance", {"scales": "6,7,8"}, ()),
+        Scenario("cached", "three_projection", {"scales": "6,7,8"}, ()),
+    ]
+    first = [report_to_json(run_scenario(s)) for s in scenarios]
+    texts = spy_parses(monkeypatch)
+    assert [report_to_json(run_scenario(s)) for s in scenarios] == first
+    assert texts == []
+    # A new Scenario on the same parameters parses them again.
+    assert [report_to_json(run_scenario(replace(s))) for s in scenarios] == first
+    assert texts == ["x + y + (x^2 + y^2)^2", "x + y", "0,0;1,0;0,1", "0,0;1,0;0,1"]
+
+
+def test_parsed_parameters_are_immutable():
+    s = builtin_scenario("three_projection")
+    first = report_to_json(run_scenario(s))
+    values = expharness._parsed(s)
+    assert isinstance(values["scales"], tuple) and isinstance(values["pins"], tuple)
+    values["scales"] = (8, 9, 10, 11)  # a runner's dict is its own
+    assert report_to_json(run_scenario(s)) == first
+    # A run scenario still copies like any other.
+    assert report_to_json(run_scenario(copy.deepcopy(s))) == first
+
+
+def test_changed_parameters_are_parsed_again():
+    s = Scenario("mutated", "sum_product", {"scales": "6,8,10"}, ())
+    first = report_to_json(run_scenario(s))
+    s.parameters["scales"] = "6,7,8"
+    assert run_scenario(s).scales == (6, 7, 8)
+    s.parameters["scales"] = "8"
+    with pytest.raises(ValueError, match="^scales needs at least 3 scales"):
+        run_scenario(s)
+    s.parameters["scales"] = "6,8,10"
+    assert report_to_json(run_scenario(s)) == first
+
+    poly = {"poly": "x + y", "baseline_poly": "x * y", "scales": "6,7,8"}
+    ratio = Expectation("image_ratio_last", "ge", 0, 0, "DERIVED")
+    s = Scenario("mutated", "poly_growth", dict(poly), (ratio,))
+    before = run_scenario(s).metrics
+    s.parameters["poly"] = "x + y + x*y"
+    fresh = Scenario("fresh", "poly_growth", dict(poly, poly="x + y + x*y"), (ratio,))
+    assert before != run_scenario(s).metrics == run_scenario(fresh).metrics
+    del s.parameters["baseline_poly"]  # image_ratio_* are reported only beside a baseline
+    with pytest.raises(ValueError, match="unknown metric 'image_ratio_last'"):
+        run_scenario(s)
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -506,14 +594,19 @@ GUARD_SCENARIOS = [
 
 
 def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
+    """interval_range is the oracle, not a kernel, and the runners count
+    image cells with image_count(): they mark none (ProductBounds.image,
+    range_union)."""
     expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
 
     def forbidden(*args):
-        raise AssertionError("interval_range is the oracle, not a kernel")
+        raise AssertionError("a scenario run called an oracle or marked image cells")
 
     for module in (polyexpr, gridset, geomdecomp, expharness):
-        if hasattr(module, "interval_range"):
-            monkeypatch.setattr(module, "interval_range", forbidden)
+        for name in ("interval_range", "range_union"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(gridset.ProductBounds, "image", forbidden)
     floors = []
     real_floor = expharness.gradient_floor
     monkeypatch.setattr(expharness, "gradient_floor", lambda P: floors.append(P) or real_floor(P))

@@ -1,7 +1,7 @@
 """Tests for grid sets, generators, image/energy measurements, and fits."""
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import product
 from math import floor, inf, log2, nan
@@ -856,6 +856,7 @@ def test_image_constant_polynomial_single_cell():
     A = GridSet1D.from_cells(Scale(6), [0, 5, 9])
     img = image_set(parse_poly("3"), A, A)
     assert img.grid.cells == (0,)
+    assert ProductBounds(parse_poly("3"), A, A).image_count() == 1
     assert img.value_lo == img.value_hi == 3
 
 
@@ -866,6 +867,7 @@ def test_image_constant_polynomial_on_empty_sets_is_empty():
         for X, Y in ((empty, empty), (empty, A), (A, empty)):
             img = image_set(P, X, Y)
             assert img.grid.cells == () == image_set(P_SUM, X, Y).grid.cells
+            assert ProductBounds(P, X, Y).image_count() == 0 == ProductBounds(P_SUM, X, Y).image_count()
             assert_value_range_exact(P, img)
 
 
@@ -1101,19 +1103,46 @@ def test_ladder_tables_equal_one_set_tables_and_oracles(case, budget):
         assert table.energy() == one.energy() == energy_count_brute_force(P, A, B)
 
 
-def exact_path(P, A, B):
-    """energy and image of P on A x B from box_bounds' exact table: the
-    float filter switched off."""
-
+@contextmanager
+def unfiltered_kernel():
+    """box_bounds with the float filter switched off: every table built
+    inside holds box_bounds' exact ends, int64 or Python ints."""
     real = gridset_module.box_bounds
 
     def unfiltered(polys, x0, x1, y0, y1, den, filtered=False):
         return real(polys, x0, x1, y0, y1, den)
 
     with mock.patch.object(gridset_module, "box_bounds", unfiltered):
+        yield
+
+
+def exact_path(P, A, B):
+    """energy and image of P on A x B from box_bounds' exact table."""
+    with unfiltered_kernel():
         table = ProductBounds(P, A, B)
         assert table.err is None
         return table.energy(), table.image()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_inputs(), st.sampled_from([None, 1, 40]), st.booleans())
+def test_image_count_equals_image_and_per_box_marking(case, budget, exact):
+    """image_count() counts the cells that image() marks and that the
+    per-box marking marks, on every kind of table: int64, Python ints
+    (the octic past int64 with the filter off), float-filtered (the
+    octic at a top scale of 8 or 9), constant P, empty A or B, and sets
+    shifted inside a ladder call, whole or split by a budget of 1 or 40
+    pairs."""
+    P, sets = case
+    with unfiltered_kernel() if exact else nullcontext():
+        with mock.patch.object(gridset_module, "_LADDER_PAIRS", budget or gridset_module._LADDER_PAIRS):
+            (tables,) = ProductBounds.ladder((P,), sets)
+    for table, (A, B) in zip(tables, sets):
+        if (P.degree() or 0) == 8 and A.scale.k + table.shift >= 8:
+            assert table.lo.dtype == (object if exact else np.float64)
+        count = table.image_count()
+        assert count == len(table.image().grid) == len(marked_cells(P, A, B))
+        assert table.image_count() == count  # a second count reads the same table
 
 
 @contextmanager
