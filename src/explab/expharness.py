@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,7 +276,7 @@ def _ladder(measured: Iterable[dict]) -> Dict[str, List[float]]:
     return rows
 
 
-def _fits(scales: Tuple[int, ...], rows: Dict[str, List[float]], **named: str) -> Dict[str, ExponentFit]:
+def _fits(scales: List[int], rows: Dict[str, List[float]], **named: str) -> Dict[str, ExponentFit]:
     """One exponent fit per name, on the row it names, across the ladder."""
     return {fit: fit_exponent(list(zip(scales, rows[row]))) for fit, row in named.items()}
 
@@ -297,12 +296,14 @@ def _cs_rows(floor: float, count: int, image: int, energy: int) -> Dict[str, flo
 # ---------------------------------------------------------------------------
 
 
-def _scales(key: str, text: str) -> Tuple[int, ...]:
+def _scales(key: str, text: str) -> List[int]:
     """The scale ladder in text, checked before any measurement: ASCII
-    integers (int() also reads underscores and other scripts' digits), at
-    least three and not all equal for an exponent fit, each a valid scale."""
+    integers with at most one sign (int() also reads underscores and other
+    scripts' digits), at least three and not all equal for an exponent
+    fit, each a valid scale."""
     tokens = [tok.strip() for tok in text.split(",")]
-    if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in tokens):
+    digits = [tok[1:] if tok[:1] in ("+", "-") else tok for tok in tokens]
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise ValueError(f"{key} must be comma-separated integers, got {text!r}")
     ladder = [int(tok) for tok in tokens]
     if len(ladder) < 3:
@@ -311,7 +312,7 @@ def _scales(key: str, text: str) -> Tuple[int, ...]:
         raise ValueError(f"{key} needs two distinct scales for an exponent fit, got {ladder}")
     if not all(1 <= k <= gridset.MAX_SCALE for k in ladder):
         raise ValueError(f"{key} must lie in [1, {gridset.MAX_SCALE}], got {ladder}")
-    return tuple(ladder)
+    return ladder
 
 
 def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
@@ -347,7 +348,7 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         ratios = rows["image_ratio"]
         scalars.update(image_ratio_first=ratios[0], image_ratio_last=ratios[-1])
         scalars["image_ratio_growth"] = ratios[-1] / ratios[0]
-    return scales, rows, fits, scalars
+    return tuple(scales), rows, fits, scalars
 
 
 def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
@@ -393,7 +394,7 @@ def _run_eps_d_energy(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         # The fit above needs three points, so the list is not empty here.
         "restricted_cells_last": float(restricted_points[-1][1]),
     }
-    return scales, rows, fits, scalars
+    return tuple(scales), rows, fits, scalars
 
 
 def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
@@ -422,10 +423,10 @@ def _run_sum_product(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         "min_growth_margin": min(rows["growth_margin"]),
         "cs_all_ok": float(all(rows["cs_ok"])),
     }
-    return scales, rows, fits, scalars
+    return tuple(scales), rows, fits, scalars
 
 
-def _pins(key: str, text: str) -> Tuple[geomdecomp.PinnedDistance, ...]:
+def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
     """The three pinned distance maps of the pins in text."""
     pins = []
     for chunk in text.split(";"):
@@ -439,7 +440,7 @@ def _pins(key: str, text: str) -> Tuple[geomdecomp.PinnedDistance, ...]:
             ) from None
     if len(pins) != 3:
         raise ValueError("exactly three pins required")
-    return tuple(pins)
+    return pins
 
 
 def _window(key: str, text: str) -> Rect:
@@ -499,7 +500,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         ),
         "eta_x_max": max(rows["eta_x"]),
     }
-    return scales, rows, fits, scalars
+    return tuple(scales), rows, fits, scalars
 
 
 def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
@@ -531,7 +532,7 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         "pinned_margin": fits["best_pinned_exponent"].slope - alpha,
         "eta_x_max": max(rows["eta_x"]),
     }
-    return scales, rows, fits, scalars
+    return tuple(scales), rows, fits, scalars
 
 
 # The two projection families read the same parameters; three_projection's
@@ -617,18 +618,17 @@ def _metric_names(family: str, parameters: Dict[str, str]) -> FrozenSet[str]:
     return frozenset(metrics + _BASELINE_METRICS if parameters.get("baseline_poly") else metrics)
 
 
-def _parsed(s: Scenario) -> dict:
-    """The parsed parameters of s, after every check run_scenario makes
-    before measuring.  They are kept on s, immutable, under its parameter
-    items: later runs skip the parse and get a new dict of the same
-    values, and a changed parameters map is parsed and checked again."""
-    items = tuple(s.parameters.items())
-    kept = vars(s).get("_kept")
-    if kept and kept[0] == items:
-        return dict(kept[1])
+def run_scenario(s: Scenario) -> Report:
+    """Execute a scenario and evaluate its expectations.
+
+    Unknown, missing and malformed parameters and unknown metric names
+    raise before any measurement, and parameter errors found while
+    measuring raise too; expectation failures never do (they land in
+    the report's outcomes).
+    """
     if s.family not in _FAMILIES:
         raise ValueError(f"unknown scenario family {s.family!r}")
-    _, params, _ = _FAMILIES[s.family]
+    run, params, _ = _FAMILIES[s.family]
     for key in sorted(s.parameters):
         if key not in params:
             raise ValueError(
@@ -660,21 +660,8 @@ def _parsed(s: Scenario) -> dict:
                 f"expectation names unknown metric {e.metric!r} for scenario family "
                 f"{s.family!r}; known: {', '.join(sorted(metrics))}"
             )
-    object.__setattr__(s, "_kept", (items, tuple(values.items())))
-    return values
-
-
-def run_scenario(s: Scenario) -> Report:
-    """Execute a scenario and evaluate its expectations.
-
-    Unknown, missing and malformed parameters and unknown metric names
-    raise before any measurement, and parameter errors found while
-    measuring raise too; expectation failures never do (they land in
-    the report's outcomes).  Only the first run of s parses (_parsed).
-    """
-    values = _parsed(s)
     start = time.perf_counter()
-    scales, rows, fits, scalars = _FAMILIES[s.family][0](values)
+    scales, rows, fits, scalars = run(values)
     elapsed = time.perf_counter() - start
 
     outcomes = []

@@ -57,7 +57,7 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .polyexpr import VARS2, Poly, Rect, interval_range, unit_square_range
+from .polyexpr import VARS2, Interval, Poly, Rect, interval_range, unit_square_range
 
 MAX_SCALE = 30
 
@@ -820,12 +820,16 @@ class ProductBounds:
         ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift, idx))
         return lo[pos], hi[pos]
 
+    def _unit_range(self) -> Interval:
+        """unit_square_range(P), taken once for every table that shares _total."""
+        if not self._total:
+            self._total.append(unit_square_range(self.P))
+        return self._total[0]
+
     def _cell_ranges(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The first and last output cells of every pair's enclosure, as
         image() renormalizes them, or None when P is constant."""
-        if not self._total:
-            self._total.append(unit_square_range(self.P))
-        total = self._total[0]
+        total = self._unit_range()
         span = total.width()
         if span == 0:
             return None
@@ -836,7 +840,8 @@ class ProductBounds:
         offset, width, k = int(total.lo * self.scale), int(span * self.scale), self.A.scale.k
         if self.err is not None and max(abs(offset), width) < 2**1000:
             return self._float_cells(offset, width, k)
-        return tuple(value_cells(v, offset, width, k) for v in self._exact_at())
+        cells = value_cells(np.concatenate(self._exact_at()), offset, width, k)
+        return cells[: self.lo.size], cells[self.lo.size :]
 
     def image(self) -> ImageSet:
         """Over-approximate covering of P(A, B) by output cells at the input scale.
@@ -846,8 +851,7 @@ class ProductBounds:
         P's range on the unit square, from unit_square_range, onto [0, 1]).
         A constant P fills cell 0 when A x B is nonempty.
         """
-        ranges = self._cell_ranges()
-        total = self._total[0]  # taken by _cell_ranges
+        ranges, total = self._cell_ranges(), self._unit_range()
         cells = range_union(*ranges) if ranges else np.arange(min(self.lo.size, 1))
         return ImageSet(GridSet1D._from_keys(self.A.scale, cells), total.lo, total.hi)
 

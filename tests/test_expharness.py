@@ -1,6 +1,5 @@
 """Tests for scenarios, reports, and the regression helper."""
 
-import copy
 import hashlib
 import importlib.util
 import itertools
@@ -9,7 +8,7 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,70 +362,9 @@ def test_scales_take_ascii_integers_only(monkeypatch, key, ladder):
 
 
 def test_scales_keep_signs_and_spaces():
-    assert expharness._scales("scales", " +8, 9 ,10") == (8, 9, 10)
+    assert expharness._scales("scales", " +8, 9 ,10") == [8, 9, 10]
     with pytest.raises(ValueError, match=r"^scales must lie in \[1, 30\], got \[-1, 8, 9\]$"):
         expharness._scales("scales", "-1,8,9")
-
-
-def spy_parses(monkeypatch) -> list:
-    """Record the texts given to parse_poly and to the pins parser."""
-    texts = []
-    real_poly, real_pins = expharness.parse_poly, expharness._pins
-    monkeypatch.setattr(expharness, "parse_poly", lambda text: texts.append(text) or real_poly(text))
-    pins = (lambda key, text: texts.append(text) or real_pins(key, text), "0,0;1,0;0,1")
-    monkeypatch.setitem(expharness._PROJECTION_PARAMS, "pins", pins)
-    monkeypatch.setitem(expharness._FAMILIES["three_projection"][1], "pins", pins)
-    return texts
-
-
-def test_second_run_takes_the_parsed_parameters(monkeypatch):
-    poly = {"poly": "x + y + (x^2 + y^2)^2", "baseline_poly": "x + y", "scales": "6,7,8"}
-    scenarios = [
-        Scenario("cached", "poly_growth", poly, ()),
-        Scenario("cached", "pinned_distance", {"scales": "6,7,8"}, ()),
-        Scenario("cached", "three_projection", {"scales": "6,7,8"}, ()),
-    ]
-    first = [report_to_json(run_scenario(s)) for s in scenarios]
-    texts = spy_parses(monkeypatch)
-    assert [report_to_json(run_scenario(s)) for s in scenarios] == first
-    assert texts == []
-    # A new Scenario on the same parameters parses them again.
-    assert [report_to_json(run_scenario(replace(s))) for s in scenarios] == first
-    assert texts == ["x + y + (x^2 + y^2)^2", "x + y", "0,0;1,0;0,1", "0,0;1,0;0,1"]
-
-
-def test_parsed_parameters_are_immutable():
-    s = builtin_scenario("three_projection")
-    first = report_to_json(run_scenario(s))
-    values = expharness._parsed(s)
-    assert isinstance(values["scales"], tuple) and isinstance(values["pins"], tuple)
-    values["scales"] = (8, 9, 10, 11)  # a runner's dict is its own
-    assert report_to_json(run_scenario(s)) == first
-    # A run scenario still copies like any other.
-    assert report_to_json(run_scenario(copy.deepcopy(s))) == first
-
-
-def test_changed_parameters_are_parsed_again():
-    s = Scenario("mutated", "sum_product", {"scales": "6,8,10"}, ())
-    first = report_to_json(run_scenario(s))
-    s.parameters["scales"] = "6,7,8"
-    assert run_scenario(s).scales == (6, 7, 8)
-    s.parameters["scales"] = "8"
-    with pytest.raises(ValueError, match="^scales needs at least 3 scales"):
-        run_scenario(s)
-    s.parameters["scales"] = "6,8,10"
-    assert report_to_json(run_scenario(s)) == first
-
-    poly = {"poly": "x + y", "baseline_poly": "x * y", "scales": "6,7,8"}
-    ratio = Expectation("image_ratio_last", "ge", 0, 0, "DERIVED")
-    s = Scenario("mutated", "poly_growth", dict(poly), (ratio,))
-    before = run_scenario(s).metrics
-    s.parameters["poly"] = "x + y + x*y"
-    fresh = Scenario("fresh", "poly_growth", dict(poly, poly="x + y + x*y"), (ratio,))
-    assert before != run_scenario(s).metrics == run_scenario(fresh).metrics
-    del s.parameters["baseline_poly"]  # image_ratio_* are reported only beside a baseline
-    with pytest.raises(ValueError, match="unknown metric 'image_ratio_last'"):
-        run_scenario(s)
 
 
 @pytest.mark.parametrize(
