@@ -122,7 +122,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 5:
                 raise ValueError(f"bad expectation {value!r}")
             try:
-                target, tolerance = float(parts[2]), float(parts[3])
+                target, tolerance = (float(_number_text(t)) for t in parts[2:4])
             except ValueError:
                 raise ValueError(
                     f"bad expectation {value!r}: target and tolerance must be numbers"
@@ -199,10 +199,19 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def _number_text(text: str) -> str:
+    """text, checked to hold no character that float and Fraction read
+    but a scenario number may not: one outside ASCII (another script's
+    digits or spaces) or an underscore."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
+
+
 def _float(key: str, text: str) -> float:
     """The finite float in text."""
     try:
-        value = float(text)
+        value = float(_number_text(text))
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -213,7 +222,7 @@ def _float(key: str, text: str) -> float:
 def _fraction(key: str, text: str) -> Fraction:
     """The rational number in text."""
     try:
-        return Fraction(text)
+        return Fraction(_number_text(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{key} must be a rational number, got {text!r}") from None
 
@@ -431,7 +440,7 @@ def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
     pins = []
     for chunk in text.split(";"):
         try:
-            x, y = (float(t) for t in chunk.split(","))
+            x, y = (float(_number_text(t)) for t in chunk.split(","))
             pins.append(geomdecomp.PinnedDistance((x, y)))
         except ValueError:
             raise ValueError(
@@ -445,7 +454,7 @@ def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
 
 def _window(key: str, text: str) -> Rect:
     try:
-        x0, x1, y0, y1 = (Fraction(t) for t in text.split(","))
+        x0, x1, y0, y1 = (Fraction(_number_text(t)) for t in text.split(","))
         return Rect(x0, x1, y0, y1)
     except (ValueError, ZeroDivisionError):
         raise ValueError(

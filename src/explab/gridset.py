@@ -32,9 +32,11 @@ enclosure of P on every cell product, flat and a-major, from the
 filtered kernel (integers where they fit int64, else float64 within
 err).  A caller that wants both the image and the energy of one P on one
 A x B builds the table once and reads both from it; image_set and
-energy_count build a table each.  ProductBounds.ladder builds the tables
-of several polynomials on every set of a scale ladder in shared kernel
-calls, the cells of each scale shifted onto the top scale's grid.
+energy_count build a table each, but energy_count with hf_min takes the
+exact ends of P, P_x P_y and P_xy from one box_bounds call and builds
+no table.  ProductBounds.ladder builds the tables of several
+polynomials on every set of a scale ladder in shared kernel calls, the
+cells of each scale shifted onto the top scale's grid.
 Energies are counted by sorting the lower ends and binary-searching the
 upper ends; value_cells turns integer ends into clamped value-grid cells
 by exact floor division, for image sets here and for smooth maps in
@@ -216,6 +218,14 @@ def _check_dimension(func: str, S, cls: type) -> None:
     functions wrong answers, not errors."""
     if not isinstance(S, cls):
         raise ValueError(f"{func} needs a {cls.__name__}, got a {type(S).__name__}")
+
+
+def _check_product(func: str, A, B) -> None:
+    """Raise unless A and B are GridSet1Ds at one scale."""
+    for S in (A, B):
+        _check_dimension(func, S, GridSet1D)
+    if A.scale != B.scale:
+        raise ValueError("A and B must share a scale")
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +774,7 @@ class ProductBounds:
     where its own table would be int64, and counts the same.
     """
 
-    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "shift", "_total", "_exact")
+    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "shift", "_total")
 
     def __new__(cls, P: Poly, A: GridSet1D, B: GridSet1D):
         return cls.ladder((P,), [(A, B)])[0][0]
@@ -775,10 +785,7 @@ class ProductBounds:
         tables of one P share unit_square_range(P)."""
         groups, rows, cols = [], 0, 0
         for A, B in sets:
-            for S in (A, B):
-                _check_dimension("ProductBounds", S, GridSet1D)
-            if A.scale != B.scale:
-                raise ValueError("A and B must share a scale")
+            _check_product("ProductBounds", A, B)
             rows, cols = rows + len(A), cols + len(B)
             if not groups or rows * cols > _LADDER_PAIRS:
                 groups.append([])
@@ -800,7 +807,7 @@ class ProductBounds:
                     table.P, table.A, table.B, table.shift = P, A, B, top - A.scale.k
                     block = np.s_[r : r + len(A), c : c + len(B)]
                     table.lo, table.hi = lo[block].ravel(), hi[block].ravel()
-                    table.scale, table.err, table._total, table._exact = scale, err, total, None
+                    table.scale, table.err, table._total = scale, err, total
                     tables.append(table)
                     r, c = r + len(A), c + len(B)
         return out
@@ -808,14 +815,12 @@ class ProductBounds:
     def _exact_at(self, pairs: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """box_bounds' exact ends lo, hi of the pairs at the flat indices
         pairs, or of every pair when pairs is None: an exact table's own
-        lo and hi, a float table's built on first use and kept."""
+        lo and hi, a float table's from one more kernel call."""
         if pairs is None:
             if self.err is None:
                 return self.lo, self.hi
-            if self._exact is None:
-                ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift))
-                self._exact = lo.ravel(), hi.ravel()
-            return self._exact
+            ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift))
+            return lo.ravel(), hi.ravel()
         idx, pos = np.unique(pairs, return_inverse=True)
         ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift, idx))
         return lo[pos], hi[pos]
@@ -918,64 +923,17 @@ class ProductBounds:
             above += int(np.count_nonzero(ends_lo[: p.size] > ends_hi[p.size :]))
         return above
 
-    def energy(self, hf_min: Optional[float] = None) -> int:
+    def energy(self) -> int:
         """Ordered count of cell quadruples (S, S', T, T') in A^2 x B^2 whose
         interval enclosures of P on S x T and S' x T' intersect.
 
-        With hf_min set, quadruples whose four-variable enclosure of |H_F|
-        (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
-        of P_xy) has supremum bound below hf_min are excluded.
-
-        Enclosures of P_x P_y and P_xy come from one box_bounds call on
-        the cell products.  Two closed intervals miss each other exactly
-        when one starts after the other ends, so the unfiltered count
-        over N pairs is N^2 - 2 * sum_q #{p : lo_p > hi_q} (_above): one
-        sort of the lower ends and a binary search per upper end, O(N log
-        N).
-        The filtered count visits only the intersecting pairs, found the
-        same way, and tests the bracket in exact integers, on the exact
-        table.
+        Two closed intervals miss each other exactly when one starts after
+        the other ends, so the count over N pairs is N^2 - 2 * sum_q #{p :
+        lo_p > hi_q} (_above): one sort of the lower ends and a binary
+        search per upper end, O(N log N).
         """
-        if hf_min is not None and not isfinite(hf_min):
-            raise ValueError("hf_min must be finite")
         n = self.lo.size
-        if hf_min is None:
-            return n * n - 2 * self._above()
-
-        lo, hi = self._exact_at()
-        P, A, B = self.P, self.A, self.B
-        px = P.partial("x")
-        (g_lo, g_hi, g_scale), (m_lo, m_hi, m_scale) = (
-            (lo.ravel(), hi.ravel(), scale)
-            for lo, hi, scale, _ in box_bounds((px * P.partial("y"), px.partial("y")), *_corners(A, B))
-        )
-        # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
-        # test against hf_min is a test against the ceiling of the threshold.
-        threshold = ceil(Fraction(hf_min) * g_scale * m_scale)
-        # Products of two table entries need twice their bits.
-        largest = [int(np.abs(t).max(initial=0)) for t in (g_lo, g_hi, m_lo, m_hi)]
-        if 2 * max(largest[:2]) * max(largest[2:]) >= 2**63:
-            g_lo, g_hi, m_lo, m_hi = (t.astype(object) for t in (g_lo, g_hi, m_lo, m_hi))
-
-        # Sorted by lo, the pair at position r meets exactly the pairs at
-        # positions r .. ends[r] - 1: they start no earlier and no later than
-        # it ends.  Each unordered pair is visited once, the diagonal included.
-        order = np.argsort(lo, kind="stable")
-        ends = np.searchsorted(lo[order], hi[order], side="right")
-        total = 0
-        step = max(1, _BLOCK_PAIRS // max(n, 1))
-        for r0 in range(0, n, step):
-            rows = np.arange(r0, min(r0 + step, n))
-            counts = ends[rows] - rows
-            p = order[np.repeat(rows, counts)]
-            q = order[_runs(rows, counts)]
-            first_lo, first_hi = _mul_bounds((g_lo[p], g_hi[p]), (m_lo[q], m_hi[q]))
-            second_lo, second_hi = _mul_bounds((g_lo[q], g_hi[q]), (m_lo[p], m_hi[p]))
-            # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
-            low, high = first_lo - second_hi, first_hi - second_lo
-            passes = np.maximum(high, -low) >= threshold
-            total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
-        return total
+        return n * n - 2 * self._above()
 
 
 def image_set(P: Poly, A: GridSet1D, B: GridSet1D) -> ImageSet:
@@ -1001,8 +959,52 @@ def product_set(A: GridSet1D, B: GridSet1D) -> GridSet1D:
 
 
 def energy_count(P: Poly, A: GridSet1D, B: GridSet1D, hf_min: Optional[float] = None) -> int:
-    """ProductBounds(P, A, B).energy(hf_min)."""
-    return ProductBounds(P, A, B).energy(hf_min)
+    """ProductBounds(P, A, B).energy(), or with hf_min set, that count
+    without the quadruples whose four-variable enclosure of |H_F|
+    (computed as G M' - G' M from the per-pair ranges G of P_x P_y and M
+    of P_xy) has supremum bound below hf_min.  That count takes the exact
+    ends of P, P_x P_y and P_xy on the cell products from one box_bounds
+    call, visits only the pairs whose P enclosures intersect, found by
+    sorting the lower ends, and tests the bracket in exact integers.
+    """
+    if hf_min is None:
+        return ProductBounds(P, A, B).energy()
+    _check_product("ProductBounds", A, B)
+    if not isfinite(hf_min):
+        raise ValueError("hf_min must be finite")
+    px = P.partial("x")
+    (lo, hi, _), (g_lo, g_hi, g_scale), (m_lo, m_hi, m_scale) = (
+        (lo.ravel(), hi.ravel(), scale)
+        for lo, hi, scale, _ in box_bounds((P, px * P.partial("y"), px.partial("y")), *_corners(A, B))
+    )
+    n = lo.size
+    # sup|bracket| is an integer in units of 1/(g_scale * m_scale), so the
+    # test against hf_min is a test against the ceiling of the threshold.
+    threshold = ceil(Fraction(hf_min) * g_scale * m_scale)
+    # Products of two table entries need twice their bits.
+    largest = [int(np.abs(t).max(initial=0)) for t in (g_lo, g_hi, m_lo, m_hi)]
+    if 2 * max(largest[:2]) * max(largest[2:]) >= 2**63:
+        g_lo, g_hi, m_lo, m_hi = (t.astype(object) for t in (g_lo, g_hi, m_lo, m_hi))
+
+    # Sorted by lo, the pair at position r meets exactly the pairs at
+    # positions r .. ends[r] - 1: they start no earlier and no later than
+    # it ends.  Each unordered pair is visited once, the diagonal included.
+    order = np.argsort(lo, kind="stable")
+    ends = np.searchsorted(lo[order], hi[order], side="right")
+    total = 0
+    step = max(1, _BLOCK_PAIRS // max(n, 1))
+    for r0 in range(0, n, step):
+        rows = np.arange(r0, min(r0 + step, n))
+        counts = ends[rows] - rows
+        p = order[np.repeat(rows, counts)]
+        q = order[_runs(rows, counts)]
+        first_lo, first_hi = _mul_bounds((g_lo[p], g_hi[p]), (m_lo[q], m_hi[q]))
+        second_lo, second_hi = _mul_bounds((g_lo[q], g_hi[q]), (m_lo[p], m_hi[p]))
+        # The interval G_p M_q - G_q M_p; its sup |.| is max(hi, -lo).
+        low, high = first_lo - second_hi, first_hi - second_lo
+        passes = np.maximum(high, -low) >= threshold
+        total += 2 * int(np.count_nonzero(passes)) - int(np.count_nonzero(passes[p == q]))
+    return total
 
 
 def energy_count_brute_force(
@@ -1010,10 +1012,7 @@ def energy_count_brute_force(
 ) -> int:
     """Independent O(N^2) oracle: test range intersection per quadruple,
     with every enclosure taken from interval_range on the cell product."""
-    for S in (A, B):
-        _check_dimension("energy_count_brute_force", S, GridSet1D)
-    if A.scale != B.scale:
-        raise ValueError("A and B must share a scale")
+    _check_product("energy_count_brute_force", A, B)
     d = A.scale.delta
     rects = [Rect(a * d, (a + 1) * d, b * d, (b + 1) * d) for a in A.cells for b in B.cells]
     intervals = [interval_range(P, r) for r in rects]

@@ -387,6 +387,47 @@ def test_malformed_scenario_file_is_domain_error(tmp_path, capsys, body, message
 
 
 @pytest.mark.parametrize(
+    "family, line, message",
+    [
+        ("sum_product", "growth_exponent=1.0_5", "growth_exponent must be a finite number, got '1.0_5'"),
+        ("pinned_distance", "pins=0,0;1_0,0;0,1", "pins must be x,y points separated by ';'"),
+        ("pinned_distance", "pins=0,0;1,0;0,１", "pins must be x,y points separated by ';'"),
+        ("pinned_distance", "window=５/16,11/16,5/16,11/16", "window must be four rationals"),
+        ("eps_d_energy", "c=1_0", "c must be a rational number, got '1_0'"),
+        ("three_projection", "offset=１/２", "offset must be a rational number"),
+        ("poly_growth", "poly=x + y\nalpha=0.5_0", "alpha must be a finite number, got '0.5_0'"),
+        ("sum_product", "expect=sum_exponent ge 1_0 0.1 PAPER", "target and tolerance must be numbers"),
+        ("sum_product", "expect=sum_exponent ge 1 0.١ PAPER", "target and tolerance must be numbers"),
+    ],
+)
+def test_scenario_numbers_take_ascii_without_underscores(tmp_path, capsys, family, line, message):
+    """float and Fraction read underscores and other scripts' digits; a
+    scenario number may hold neither."""
+    path = tmp_path / "bad.scenario"
+    path.write_text(f"schema=1\nname=x\nfamily={family}\n{line}\n")
+    code, out, err = run_cli(capsys, "scenario", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("explab: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "family=sum_product\nscales=4,5,6\ngrowth_exponent=1e-3\nexpect=sum_exponent ge 1e-3 0.375 PAPER",
+        "family=pinned_distance\nscales=6,7,8\nalpha=0.375\noffset=3/8\n"
+        "window= 5/16 , 11/16 ,5/16, 11/16\npins= 0 , 0 ; 1 ,0;0, 1",
+        "family=eps_d_energy\nc=-1/2\nscales=4,5,6\nrestricted_scales=4,5,6",
+    ],
+    ids=["sum_product", "pinned_distance", "eps_d_energy"],
+)
+def test_scenario_numbers_still_read(tmp_path, capsys, body):
+    path = tmp_path / "good.scenario"
+    path.write_text(f"schema=1\nname=x\n{body}\n")
+    code, out, err = run_cli(capsys, "scenario", "--file", str(path))
+    assert (code, err) == (0, "") and "all expectations passed" in out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cover", "--set-file", "SET"],

@@ -1052,7 +1052,7 @@ def test_product_bounds_equal_oracles(case, hf_min):
     img = table.image()
     assert img.grid.cells == marked_cells(P, A, B)
     assert_value_range_exact(P, img)
-    assert table.energy(hf_min) == energy_count_brute_force(P, A, B, hf_min=hf_min)
+    assert energy_count(P, A, B, hf_min) == energy_count_brute_force(P, A, B, hf_min=hf_min)
     assert table.energy() == energy_count(P, A, B)
     assert table.image() == image_set(P, A, B)
 
@@ -1276,7 +1276,7 @@ def test_filtered_table_past_float_range_keeps_exact_ends():
     assert table.err is None and table.lo.dtype == object
     assert table.energy() == energy_count_brute_force(P, A, A)
     assert table.image().grid.cells == marked_cells(P, A, A)
-    assert table.energy(0.5) == energy_count_brute_force(P, A, A, hf_min=0.5)
+    assert energy_count(P, A, A, 0.5) == energy_count_brute_force(P, A, A, hf_min=0.5)
     # x^35 + y at k = 29 on cells 0 and 1: the ends' bound is 2^987 + 2^35,
     # so the ends are floats, but the value grid's width 2^1016 is not a
     # safe float: the image takes the exact table.
@@ -1287,25 +1287,41 @@ def test_filtered_table_past_float_range_keeps_exact_ends():
 
 
 @pytest.mark.parametrize(
-    "text, k, cells",
+    "text, k, cells, dtype",
     [
-        # The value grid's width is past a safe float, so image() takes the
-        # exact table too.
-        ("x^35 + y", 29, [0, 1]),
-        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 9, [0, 3, 256, 511]),
+        ("x + y + (x^2 + y^2)^2", 8, [0, 3, 17, 128, 255], np.int64),
+        # Its ProductBounds table would be float, filtered.
+        ("x + y - 1/16*(x^2 + y^2)^4 + 3/7", 9, [0, 3, 256, 511], object),
+        ("x + y - 1/16*x^35 + 3/7", 30, [0, 1, 2**29, 2**30 - 1], object),
     ],
 )
-def test_float_table_takes_its_exact_table_once(text, k, cells):
-    """image() and energy(hf_min), twice each: one kernel call for every
-    pair's exact ends, kept by the table, beside the H_F tables' calls."""
+@pytest.mark.parametrize("hf_min", [0, 0.001, 0.5, 4])
+def test_hf_energy_takes_one_kernel_call(text, k, cells, dtype, hf_min):
+    """energy_count with hf_min reads the exact ends of P, P_x P_y and
+    P_xy from one unfiltered call on every cell product, and builds no
+    ProductBounds table."""
     P, A = parse_poly(text), GridSet1D.from_cells(Scale(k), cells)
-    table = ProductBounds(P, A, A)
-    assert table.err is not None
-    with kernel_calls() as calls:
-        for _ in range(2):
-            assert table.image().grid.cells == marked_cells(P, A, A)
-            assert table.energy(0.5) == energy_count_brute_force(P, A, A, hf_min=0.5)
-    assert [c for c in calls if c[0] == (P,) and c[2] is None] == [((P,), False, None)]
+    px = P.partial("x")
+    polys = (P, px * P.partial("y"), px.partial("y"))
+    with kernel_calls() as calls, mock.patch.object(ProductBounds, "ladder", side_effect=AssertionError):
+        count = energy_count(P, A, A, hf_min=hf_min)
+    assert calls == [(polys, False, None)]
+    assert count == energy_count_brute_force(P, A, A, hf_min=hf_min)
+    (lo, _, _, _), *_ = gridset_module.box_bounds(polys, *gridset_module._corners(A, A))
+    assert lo.dtype == dtype
+
+
+def test_hf_energy_checks_sets_before_hf_min():
+    """A set of the wrong dimension, then a scale mismatch, then a hf_min
+    that is not finite: each is named while the ones after it hold too."""
+    A, B = GridSet1D(Scale(4), (1,)), GridSet1D(Scale(5), (1,))
+    with pytest.raises(ValueError, match="^ProductBounds needs a GridSet1D, got a GridSet2D$"):
+        energy_count(P_SUM, _PLANE, B, hf_min=nan)
+    with pytest.raises(ValueError, match="^A and B must share a scale$"):
+        energy_count(P_SUM, A, B, hf_min=nan)
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="^hf_min must be finite$"):
+            energy_count(P_SUM, A, A, hf_min=bad)
 
 
 @pytest.mark.parametrize(
