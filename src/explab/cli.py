@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gridset
 from .expharness import (
+    _number_text,
     builtin_scenario,
     builtin_scenarios,
     parse_scenario,
@@ -431,6 +432,22 @@ def _cmd_list_scenarios(args):
 # ---------------------------------------------------------------------------
 
 
+def _ascii(convert):
+    """An argparse type that reads text with convert (int or float) once it
+    holds no underscore and no character outside ASCII, as scenario numbers
+    do.  It keeps convert's name, so a refused text reads "invalid int
+    value: '1_0'"."""
+
+    def read(text: str):
+        return convert(_number_text(text))
+
+    read.__name__ = convert.__name__
+    return read
+
+
+_INT, _FLOAT = _ascii(int), _ascii(float)
+
+
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write output to a file instead of stdout")
@@ -447,10 +464,10 @@ def _add_scoped(p, name: str, text: str, **kw):
 
 def _add_generator(p):
     p.add_argument("--gen", choices=("ap", "cantor", "file"), default="ap")
-    _add_scoped(p, "alpha", "AP cell count exponent", type=float)
-    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=float)
-    p.add_argument("--k", type=int, default=10)
-    _add_scoped(p, "base", "cantor base, a power of 2", type=int)
+    _add_scoped(p, "alpha", "AP cell count exponent", type=_FLOAT)
+    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=_FLOAT)
+    p.add_argument("--k", type=_INT, default=10)
+    _add_scoped(p, "base", "cantor base, a power of 2", type=_INT)
     _add_scoped(p, "pattern", "cantor digits, comma separated")
     _add_scoped(p, "set_file", "gridset1d file")
 
@@ -485,37 +502,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi3", required=True)
     p.add_argument("--point", required=True, help="x,y")
     p.add_argument("--method", choices=("auto", "chart", "newton"), default="auto")
-    p.add_argument("--step", type=float, help="Newton stencil half-width (newton method only; default 1e-4)")
-    _add_scoped(p, "precision", "significant digits", type=int)
+    p.add_argument("--step", type=_FLOAT, help="Newton stencil half-width (newton method only; default 1e-4)")
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("cover", help="covering number of a grid set")
     _add_generator(p)
-    p.add_argument("--kprime", type=int, default=None)
+    p.add_argument("--kprime", type=_INT, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("nonconc", help="non-concentration exponent")
     _add_generator(p)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--target-alpha", type=float, default=0.5)
-    _add_scoped(p, "precision", "significant digits", type=int)
+    p.add_argument("--kappa", type=_FLOAT, default=0.5)
+    p.add_argument("--target-alpha", type=_FLOAT, default=0.5)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_nonconc)
 
     p = sub.add_parser("image", help="covering count of P(A, A)")
     p.add_argument("--poly", required=True)
     _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=int)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_image)
 
     p = sub.add_parser("energy", help="value-collision quadruple count")
     p.add_argument("--poly", required=True)
-    p.add_argument("--hf-min", type=float, default=None)
+    p.add_argument("--hf-min", type=_FLOAT, default=None)
     _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=int)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_energy)
 
@@ -526,23 +543,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="full, punctured, poly-pos:EXPR, or poly-neg:EXPR",
     )
     _add_scoped(p, "puncture", "the removed point x,y")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_INT, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_whitney)
 
     p = sub.add_parser("bands", help="band partition pinning |f| into [v, 4v)")
     p.add_argument("--poly", required=True)
-    p.add_argument("--w", type=float, default=0.2)
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--w", type=_FLOAT, default=0.2)
+    p.add_argument("--k", type=_INT, default=8)
     p.add_argument("--funcs", default="px,py,pxy,mp")
-    p.add_argument("--sample-stride", type=int, default=8)
-    _add_scoped(p, "precision", "significant digits", type=int)
+    p.add_argument("--sample-stride", type=_INT, default=8)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("extract", help="extract a large Cartesian product")
     p.add_argument("--set-file", required=True, dest="set_file")
-    _add_scoped(p, "precision", "significant digits", type=int)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -554,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot-data", default=None, help="also write two-column .dat files here"
     )
     _add_scoped(p, "timing", "include wall clock in JSON", action="store_true")
-    _add_scoped(p, "precision", "significant digits", type=int)
+    _add_scoped(p, "precision", "significant digits", type=_INT)
     _add_common(p)
     p.set_defaults(func=_cmd_scenario)
 

@@ -200,9 +200,9 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 
 
 def _number_text(text: str) -> str:
-    """text, checked to hold no character that float and Fraction read
-    but a scenario number may not: one outside ASCII (another script's
-    digits or spaces) or an underscore."""
+    """text, checked to hold no character that int, float and Fraction
+    read but a scenario number or a CLI number option may not: one
+    outside ASCII (another script's digits or spaces) or an underscore."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
     return text
@@ -477,16 +477,16 @@ def _planar_set(family: str, X: GridSet2D, k: int, p: dict) -> GridSet2D:
 def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
     alpha, offset, scales, window, phis = p["alpha"], p["offset"], p["scales"], p["window"], p["pins"]
     # Every scale's X first (an empty one fails before any image is
-    # taken), then the images of the whole ladder in one pass.
+    # counted), then the image counts of the whole ladder in one pass.
     values = [half_dimensional_set(Scale(k), offset) for k in scales]
     sets = []
     for k, V in zip(scales, values):
         pre = geomdecomp.common_preimage_cells(phis[:2], V, window)
         sets.append(_planar_set("three_projection", pre, k, p))
-    images = geomdecomp.map_images(phis, sets)
+    counts = geomdecomp.map_image_counts(phis, sets)
 
-    def measure(k: int, V: GridSet1D, X: GridSet2D, image: list) -> Dict[str, float]:
-        img1, img2, img3 = map(len, image)
+    def measure(k: int, V: GridSet1D, X: GridSet2D, image: List[int]) -> Dict[str, float]:
+        img1, img2, img3 = image
         return {
             "x_cells": len(X),
             "value_cells": len(V),
@@ -497,7 +497,7 @@ def _run_three_projection(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "phi3_margin": math.log2(max(1, img3)) / k - alpha,
         }
 
-    rows = _ladder(map(measure, scales, values, sets, images))
+    rows = _ladder(map(measure, scales, values, sets, counts))
     fits = _fits(scales, rows, phi3_exponent="phi3_image", phi1_exponent="phi1_image")
     margins = rows["phi3_margin"]
     scalars = {
@@ -522,11 +522,10 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         X = GridSet2D._from_keys(scale, gridset.cell_keys(gx[:, None], gy).ravel())
         return _planar_set("pinned_distance", X, k, p)
 
-    # Every scale's X first, then the images of the whole ladder in one pass.
+    # Every scale's X first, then the image counts of the whole ladder in one pass.
     sets = [planar_set(k) for k in scales]
 
-    def measure(X: GridSet2D, image: list) -> Dict[str, float]:
-        sizes = [len(img) for img in image]
+    def measure(X: GridSet2D, sizes: List[int]) -> Dict[str, float]:
         return {
             "x_cells": len(X),
             "eta_x": gridset.nonconcentration_exponent_2d(X, alpha),
@@ -534,7 +533,7 @@ def _run_pinned_distance(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             "best_image": max(sizes),
         }
 
-    rows = _ladder(map(measure, sets, geomdecomp.map_images(phis, sets)))
+    rows = _ladder(map(measure, sets, geomdecomp.map_image_counts(phis, sets)))
     fits = _fits(scales, rows, best_pinned_exponent="best_image")
     scalars = {
         "best_pinned_exponent": fits["best_pinned_exponent"].slope,

@@ -22,8 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, box_bounds, cell_keys, format_gridset
-from .gridset import nonconcentration_exponent, parse_gridset, range_union, value_cells
-from .gridset import window_cells, _abs_ends, _check_dimension
+from .gridset import nonconcentration_exponent, parse_gridset, value_cells
+from .gridset import window_cells, _abs_ends, _check_dimension, _disjoint_runs
 from .polyexpr import Interval, Poly, Rect, interval_range, mp_numerator
 
 WEDGE_FLOOR = 1e-8
@@ -100,8 +100,12 @@ class SmoothMap2:
 
 def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise math.hypot: the square root of every scalar float
-    enclosure, and of the cells _stacked_cells cannot decide with np.hypot."""
+    enclosure, and of the cells _stacked_cells cannot decide with _sqrt_hypot."""
     return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), dtype=float, count=a.size)
+
+
+def _sqrt_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # _stacked_cells' hypotenuse, see PinnedDistance
+    return np.sqrt(a * a + b * b)
 
 
 class _FloatEnclosureMap(SmoothMap2):
@@ -120,10 +124,10 @@ class _FloatEnclosureMap(SmoothMap2):
     enclosure_rects runs it on a batch with _hypot (math.hypot), its ends
     exact over one power of two, and that defines the enclosure (enclosure
     reads it on one rectangle).  _stacked_cells runs it on cell arrays
-    with np.hypot, which may differ from math.hypot in the last bit, as a
-    filter: an end v can land in another cell than enclosure's only when
-    v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer, with
-    hi the cell's upper end.  Those cells, found by map and cell, are
+    with _sqrt_hypot, which may differ from math.hypot in the last bits,
+    as a filter: an end v can land in another cell than enclosure's only
+    when v * 2^k lies within _EDGE_BAND * (1 + |hi|) * 2^k of an integer,
+    with hi the cell's upper end.  Those cells, found by map and cell, are
     recomputed with _hypot, their own row's parameters and their own
     scale; every other floor(v * 2^k) is certain.  A map whose formula
     takes no square root keeps _EDGE_BAND = 0 and skips the filter: numpy
@@ -149,12 +153,13 @@ class _FloatEnclosureMap(SmoothMap2):
 
     @classmethod
     def _stacked_cells(cls, maps, i: np.ndarray, j: np.ndarray, k) -> np.ndarray:
-        """_enclosure_pass of m maps of this class in one formula pass and
-        one filter pass: the int64 arrays i, j and the scales k (an int or
-        an int64 array) broadcast together to the cells' shape, so one call
-        can take a column against a row of a window, or the cells of
-        several sets at their own scales.  The result is an int64 array of
-        shape (2, m, *shape) holding j0 and j1, row r of each for maps[r].
+        """_enclosure_pass of m maps of this class in one formula pass, its
+        square roots by _sqrt_hypot, and one filter pass: the int64 arrays
+        i, j and the scales k (an int or an int64 array) broadcast together
+        to the cells' shape, so one call can take a column against a row of
+        a window (whose squares then run per column and per row), or the
+        cells of several sets at their own scales.  The result is an int64
+        array of shape (2, m, *shape): j0 and j1, row r of each for maps[r].
 
         Each element takes d = 2^-k and n = 2^k of its own scale, so it
         sees the float operations of its own map, cell and scale alone, and
@@ -166,7 +171,7 @@ class _FloatEnclosureMap(SmoothMap2):
         x0, y0 = i * d, j * d
         edges = (x0, x0 + d, y0, y0 + d)
         params = np.array([phi._params for phi in maps]).T  # one (m,) row per parameter
-        ends = np.array(cls._bounds(params.reshape(*params.shape, *(1,) * len(shape)), *edges, np.hypot))
+        ends = np.array(cls._bounds(params.reshape(*params.shape, *(1,) * len(shape)), *edges, _sqrt_hypot))
         ends *= n
         if cls._EDGE_BAND:
             band = cls._EDGE_BAND * (n + np.abs(ends[1]))
@@ -254,11 +259,12 @@ class PinnedDistance(_FloatEnclosureMap):
     the enclosure is the exact min/max distance from the pin to the
     rectangle with a tiny outward float pad.
 
-    The filter band of _stacked_cells.  np.hypot (libm) and math.hypot
-    each stay within an ulp of the true hypotenuse; over 2.7M grid inputs
-    (k = 3..19, corner, centre and random pins) they differ by at most
-    one ulp, on 0.5% of them.  Allow u = 2^-50, four ulps, relative, and
-    write D = 1 + dmax:
+    The filter band of _stacked_cells.  Its fl(sqrt(fl(fl(a^2) + fl(b^2))))
+    lies within 2 eps = 2^-52 of the true hypotenuse, relative, and
+    math.hypot within an ulp (one ulp apart on 6.3% of 1.7M grid inputs),
+    so the two differ by less than u = 2^-50.  An underflowing square
+    moves the root by under sqrt(2 * 2^-1074) ~ 2^-537, far below the
+    2^-49 * D below.  Write D = 1 + dmax:
     - dmin and dmax move by at most u * dmax;
     - pad = _PAD * (1 + dmax) moves by less than 2^-88 * D (_PAD < 2^-39);
     - hi = dmax + pad moves by less than u * dmax + 2^-88 * D plus the
@@ -272,10 +278,10 @@ class PinnedDistance(_FloatEnclosureMap):
     as (3/16, 4/16) from (0, 0), sit _PAD * D * 2^k from their integer,
     just outside the band, and are still certain there.
 
-    The pin's coordinates are at most 2^500 in absolute value, so every
-    intermediate of _bounds on edges in [-2^500, 2^500] stays below about
-    2^502 and v * 2^k below 2^533: finite, where a pin near the float
-    maximum overflows np.hypot and turns lo into NaN.
+    The pin's coordinates are at most 2^500 in absolute value, so on edges
+    in [0, 1] every intermediate of _bounds stays below about 2^502, a
+    square below 2^1003 and v * 2^k below 2^533: finite, where a pin near
+    the float maximum would overflow a square and make lo NaN.
     """
 
     _PAD = 1e-12
@@ -1070,34 +1076,28 @@ def extract_product(X: GridSet2D) -> Tuple[GridSet1D, GridSet1D, ExtractionRepor
 # ---------------------------------------------------------------------------
 
 
-def _row_unions(first: np.ndarray, last: np.ndarray, row: np.ndarray, rows: int, k: int) -> List[np.ndarray]:
-    """range_union of the ranges [first, last] of each row r < rows, where
-    the int64 array row names each range's row (the three arrays broadcast
-    together) and every range lies in [0, 2^k), from one union: row r's
-    ranges move up by r << k, into a stretch of their own, and the sorted
-    union splits where each stretch begins."""
+def _row_counts(first: np.ndarray, last: np.ndarray, row: np.ndarray, rows: int, k: int) -> List[int]:
+    """len(range_union) of the ranges [first, last] in [0, 2^k) of each row
+    r < rows (row names each range's row; the three broadcast together).
+    Row r moves up by r << k into a stretch of its own.  The union's
+    disjoint runs start in order, one of nonzero count in its own row's
+    stretch, so the counts' prefix sums at each stretch split the total."""
     shift = row << k
-    cells = range_union((first + shift).ravel(), (last + shift).ravel())
-    offsets = np.arange(rows + 1, dtype=np.int64) << k
-    ends = np.searchsorted(cells, offsets).tolist()
-    return [cells[a:b] - r for a, b, r in zip(ends, ends[1:], offsets.tolist())]
+    starts, counts = _disjoint_runs((first + shift).ravel(), (last + shift).ravel())
+    at = np.searchsorted(starts, np.arange(rows + 1, dtype=np.int64) << k)
+    return np.diff(np.concatenate(([0], np.cumsum(counts)))[at]).tolist()
 
 
-def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[List[GridSet1D]]:
-    """The image of each map on each set, one list of images (in map
-    order) per set: the cells of the [0, 1] value grid met by the map's
+def map_image_counts(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[List[int]]:
+    """The size of each map's image on each set, one list (in map order)
+    per set: the number of [0, 1] value-grid cells met by the map's
     enclosure on some cell of the set, values clamped into [0, 1].  One
-    enclosure pass over the cells of all the sets gives every cell's
-    range [j0, j1] of value cells, and one union takes all the ranges.
-
-    The sets may live at different scales: the pass takes each cell at
-    its own set's scale (_enclosure_pass with an array of scales), and
-    _row_unions takes one row per (set, map) pair, set by set, with
-    offsets r << K for the largest scale K, so that every set's value
-    grid fits in its stretch.
-    """
+    enclosure pass over all the sets' cells, each at its own set's scale,
+    gives every cell's range [j0, j1] of value cells; _row_counts counts
+    the ranges of every (set, map) pair without marking them, with
+    offsets r << K for the largest scale K so every value grid fits."""
     for X in sets:
-        _check_dimension("map_images", X, GridSet2D)
+        _check_dimension("map_image_counts", X, GridSet2D)
     sizes = [len(X) for X in sets]
     ks = [X.scale.k for X in sets]
     i, j = np.concatenate([np.zeros((2, 0), dtype=np.int64), *(X.indices() for X in sets)], axis=1)
@@ -1105,8 +1105,8 @@ def map_images(phis: Sequence[SmoothMap2], sets: Sequence[GridSet2D]) -> List[Li
     m = len(phis)
     # Row s * m + r holds map r on set s.
     row = np.repeat(np.arange(len(sets), dtype=np.int64) * m, sizes) + np.arange(m, dtype=np.int64)[:, None]
-    images = iter(_row_unions(j0, j1, row, len(sets) * m, max(ks, default=0)))
-    return [[GridSet1D._from_keys(X.scale, next(images)) for _ in phis] for X in sets]
+    counts = iter(_row_counts(j0, j1, row, len(sets) * m, max(ks, default=0)))
+    return [[next(counts) for _ in phis] for _ in sets]
 
 
 def common_preimage_cells(phis: Sequence[SmoothMap2], values: GridSet1D, window: Rect) -> GridSet2D:

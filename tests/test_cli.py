@@ -411,6 +411,41 @@ def test_scenario_numbers_take_ascii_without_underscores(tmp_path, capsys, famil
 
 
 @pytest.mark.parametrize(
+    "argv, option, kind, text",
+    [
+        (["cover", "--k", "1_0"], "--k", "int", "1_0"),
+        (["cover", "--k", "１０"], "--k", "int", "１０"),
+        (["energy", "--poly", "x+y", "--k", "4", "--hf-min", "0_5"], "--hf-min", "float", "0_5"),
+        (["energy", "--poly", "x+y", "--k", "4", "--hf-min", "０.5"], "--hf-min", "float", "０.5"),
+        (["nonconc", "--k", "8", "--kappa", "0.2_5"], "--kappa", "float", "0.2_5"),
+        (["nonconc", "--k", "8", "--kappa", "0.\u0662"], "--kappa", "float", "0.\u0662"),
+        (["nonconc", "--k", "6", "--precision", "1_2"], "--precision", "int", "1_2"),
+        (["nonconc", "--k", "6", "--precision", "\u0663"], "--precision", "int", "\u0663"),
+    ],
+)
+def test_number_options_take_ascii_without_underscores(capsys, argv, option, kind, text):
+    """int and float read underscores and other scripts' digits; a number
+    option holds neither, and a refused one is a usage error."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: argument {option}: invalid {kind} value: {text!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--k", " 10 "],
+        ["energy", "--poly", "x+y", "--k", "4", "--hf-min", "5e-1"],
+        ["nonconc", "--k", "8", "--kappa", "0.25"],
+        ["nonconc", "--k", "6", "--precision", "0"],
+    ],
+)
+def test_number_options_still_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
     "body",
     [
         "family=sum_product\nscales=4,5,6\ngrowth_exponent=1e-3\nexpect=sum_exponent ge 1e-3 0.375 PAPER",

@@ -7,9 +7,13 @@ oracles had already checked, so any change to a count, a value range or a
 printed float fails here.  The rows cover the ProductBounds tables where
 they are float-filtered (the quartic at k = 16, the octic at k = 10),
 the H_F-filtered energy on int64 ends (the quartic at k = 14) and on
-Python ints (the octic at k = 9 and 10), and x^35 + y on two cells at
+Python ints (the octic at k = 9 and 10), x^35 + y on two cells at
 k = 29, whose image takes the exact table because its value grid is
-past 2^1000.
+past 2^1000.  The JSON reports of the projection scenarios, one scale
+past their builtin ladders, cover the enclosure pass and the image
+counts: three_projection with the default pins and with pins off the
+square's corners, pinned_distance at 9, 10, 11, and pinned_distance with
+a centre pin, whose exact grid distances land on the filter band.
 
 Run as a script, this file prints the table of the tree it imports,
 for example from the repository root on an unchanged tree:
@@ -31,9 +35,21 @@ from explab.cli import main
 TABLE = Path(__file__).with_name("cli_digests.json")
 QUARTIC = "x + y + (x^2 + y^2)^2"
 OCTIC = "x + y + 3/8*(x^2 + y^2)^4"
-SET_FILE = "{set_file}"  # replaced by a gridset1d file of cells 0 and 1 at k = 29
-SET_TEXT = "gridset1d k=29\n0\n1\n"
-FILE_SET = ["--gen", "file", "--set-file", SET_FILE]
+# A request argument "{name}" is replaced by the path of a file holding
+# FILES[name], written to the test's temporary directory.
+FILES = {
+    "set_file": "gridset1d k=29\n0\n1\n",
+    "three_default": "schema=1\nname=three_default\nfamily=three_projection\nscales=9,10,11\n",
+    "three_off_corner": (
+        "schema=1\nname=three_off_corner\nfamily=three_projection\nscales=9,10,11\n"
+        "pins=0.1,0.2;0.9,0.15;0.5,1.3\n"
+    ),
+    "pinned_default": "schema=1\nname=pinned_default\nfamily=pinned_distance\nscales=9,10,11\n",
+    "pinned_centre": (
+        "schema=1\nname=pinned_centre\nfamily=pinned_distance\nscales=8,10,12\npins=0,0;1,0;0.5,0.5\n"
+    ),
+}
+FILE_SET = ["--gen", "file", "--set-file", "{set_file}"]
 
 REQUESTS = [
     ["energy", "--poly", OCTIC, "--k", "9", "--hf-min", "0.5"],
@@ -46,15 +62,30 @@ REQUESTS = [
     ["image", "--poly", "x^35 + y", *FILE_SET],
     ["energy", "--poly", "x^35 + y", *FILE_SET, "--hf-min", "0.5"],
     ["energy", "--poly", "x^35 + y", *FILE_SET, "--hf-min", "0"],
+    ["scenario", "--file", "{three_default}", "--format", "json"],
+    ["scenario", "--file", "{three_off_corner}", "--format", "json"],
+    ["scenario", "--file", "{pinned_default}", "--format", "json"],
+    ["scenario", "--file", "{pinned_centre}", "--format", "json"],
 ]
 
 
-def run_request(argv, set_file):
-    """(exit code, SHA-256 of stdout) of one main call."""
+def write_files(directory: Path) -> dict:
+    """Each placeholder "{name}" mapped to a file of FILES[name] in directory."""
+    paths = {}
+    for name, text in FILES.items():
+        path = directory / f"{name}.txt"
+        path.write_text(text)
+        paths[f"{{{name}}}"] = str(path)
+    return paths
+
+
+def run_request(argv, paths):
+    """(exit code, SHA-256 of stdout) of one main call, with the
+    placeholders in argv replaced by their paths."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
-            code = main([set_file if a == SET_FILE else a for a in argv])
+            code = main([paths.get(a, a) for a in argv])
         except SystemExit as exc:
             code = exc.code
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
@@ -67,19 +98,16 @@ def test_table_rows_are_the_requests():
 @pytest.mark.parametrize("index", range(len(REQUESTS)), ids=[" ".join(argv) for argv in REQUESTS])
 def test_request_matches_stored_digest(index, tmp_path):
     row = json.loads(TABLE.read_text())[index]
-    set_file = tmp_path / "cells.txt"
-    set_file.write_text(SET_TEXT)
-    assert run_request(REQUESTS[index], str(set_file)) == (row["rc"], row["stdout_sha256"])
+    assert run_request(REQUESTS[index], write_files(tmp_path)) == (row["rc"], row["stdout_sha256"])
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        set_file = Path(tmp) / "cells.txt"
-        set_file.write_text(SET_TEXT)
+        paths = write_files(Path(tmp))
         rows = []
         for argv in REQUESTS:
-            rc, digest = run_request(argv, str(set_file))
+            rc, digest = run_request(argv, paths)
             rows.append({"argv": argv, "rc": rc, "stdout_sha256": digest})
     sys.stdout.write("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")

@@ -171,9 +171,9 @@ def test_run_scenario_rejects_unknown_parameter_before_running(monkeypatch):
 @pytest.mark.parametrize(
     "family, parameters, metric, module, work",
     [
-        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "map_images"),
+        ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "map_image_counts"),
         ("three_projection", {"scales": "8,9,10"}, "phi3_exponnt", geomdecomp, "common_preimage_cells"),
-        ("pinned_distance", {"scales": "8,9,10"}, "pin1_imag", geomdecomp, "map_images"),
+        ("pinned_distance", {"scales": "8,9,10"}, "pin1_imag", geomdecomp, "map_image_counts"),
         # image_ratio_* are reported only next to a baseline polynomial.
         ("poly_growth", {"poly": "x + y"}, "image_ratio_growth", gridset, "image_set"),
     ],
@@ -193,7 +193,7 @@ def _forbid_work(monkeypatch):
         (gridset, "energy_count"),
         (gridset, "image_set"),
         (gridset, "ProductBounds"),
-        (geomdecomp, "map_images"),
+        (geomdecomp, "map_image_counts"),
         (geomdecomp, "common_preimage_cells"),
     ):
         monkeypatch.setattr(module, name, None)  # any work would fail differently
@@ -554,6 +554,23 @@ def test_runs_take_no_interval_range_and_one_gradient_floor(monkeypatch):
         assert len(floors) == 1, s.family
 
 
+@pytest.mark.parametrize("name", ["three_projection", "pinned_distance"])
+def test_projection_runs_mark_no_image_cells(monkeypatch, name):
+    """The projection runners count image cells with map_image_counts:
+    they mark none (range_union, _runs)."""
+    s = builtin_scenario(name)
+    want = report_to_json(run_scenario(s))
+
+    def forbidden(*args):
+        raise AssertionError("a projection run marked image cells")
+
+    for module in (gridset, geomdecomp):
+        for attr in ("range_union", "_runs"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    assert report_to_json(run_scenario(s)) == want
+
+
 def spy_ladders(monkeypatch) -> list:
     """Patch ProductBounds.ladder to record the tables of every call."""
     ladders = []
@@ -653,7 +670,7 @@ def test_projection_runs_make_one_preimage_pass_per_scale_and_one_image_pass_per
 
 def test_a_projection_ladder_pass_takes_one_image_call_per_ladder(monkeypatch):
     """The benchmark's projection_ladder pass runs nine ladders of three
-    scales: nine map_images calls (not one per scale) and one
+    scales: nine map_image_counts calls (not one per scale) and one
     common_preimage_cells call per three_projection scale."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -671,12 +688,12 @@ def test_a_projection_ladder_pass_takes_one_image_call_per_ladder(monkeypatch):
 
         return call
 
-    for name in ("map_images", "common_preimage_cells"):
+    for name in ("map_image_counts", "common_preimage_cells"):
         monkeypatch.setattr(geomdecomp, name, counted(name))
     ops = workloads.projection_ladder(101).ops
     outputs = [op.call() for op in ops]
     assert all(op.check(text) == [] for op, text in zip(ops, outputs))
-    assert calls == {"map_images": 9, "common_preimage_cells": 18}
+    assert calls == {"map_image_counts": 9, "common_preimage_cells": 18}
 
 
 @pytest.mark.parametrize(
@@ -689,7 +706,7 @@ def test_a_projection_ladder_pass_takes_one_image_call_per_ladder(monkeypatch):
     ],
 )
 def test_empty_planar_set_at_a_later_scale_fails_before_any_image(monkeypatch, family, parameters):
-    monkeypatch.setattr(geomdecomp, "map_images", None)  # an image pass would fail differently
+    monkeypatch.setattr(geomdecomp, "map_image_counts", None)  # an image pass would fail differently
     with pytest.raises(ValueError) as err:
         run_scenario(Scenario("e", family, parameters, ()))
     window = ",".join(str(Fraction(t)) for t in parameters["window"].split(","))

@@ -32,13 +32,14 @@ from explab.geomdecomp import (
     common_preimage_cells,
     extract_product,
     format_cube_decomposition,
-    map_images,
+    map_image_counts,
     parse_cube_decomposition,
     select_level,
     whitney_decompose,
     zero_nbhd_covering,
 )
-from explab.geomdecomp import _enclosure_pass, _hypot, _row_unions
+from explab import geomdecomp
+from explab.geomdecomp import _enclosure_pass, _hypot, _row_counts, _sqrt_hypot
 from explab.gridset import GridSet1D, GridSet2D, Scale, gen_ap, nonconcentration_exponent
 from explab.gridset import range_union
 from explab.polyexpr import VARS2, Interval, Poly, Rect, mp_numerator, parse_poly
@@ -622,11 +623,12 @@ def test_map_image_distance_annulus():
     k = 7
     X = GridSet2D.from_cells(Scale(k), [(40, 40), (41, 40), (40, 41)])
     phi = PinnedDistance((0.0, 0.0))
-    img = map_images((phi,), (X,))[0][0]
+    img = reference_map_image(phi, X)
+    assert map_image_counts((phi,), (X,)) == [[len(img)]]
     d = 1.0 / 2**k
     r = math.hypot(40.5 * d, 40.5 * d)
-    assert any(abs((c + 0.5) * d - r) < 4 * d for c in img.cells)
-    assert len(img.cells) <= 12
+    assert any(abs((c + 0.5) * d - r) < 4 * d for c in img)
+    assert len(img) <= 12
 
 
 def test_preimage_cells_annulus():
@@ -738,8 +740,8 @@ def test_float_enclosures_are_bit_identical_to_reference(phi, block):
     assert_cells_equal_reference(phi, *block)
 
 
-# Inputs inside the filter band of PinnedDistance's cells: ends
-# that lie within an ulp or two of a cell edge m * 2^-k, where np.hypot
+# Inputs inside the filter band of PinnedDistance's cells: ends that lie
+# within an ulp or two of a cell edge m * 2^-k, where the fast hypotenuse
 # alone could pick the wrong cell.
 
 
@@ -835,34 +837,76 @@ def random_in_band_cases(rng, count):
 
 def with_neighbours(phi, k, i, j):
     """The case's cell and its neighbours, so the recomputed cells sit
-    among cells the filter leaves to np.hypot."""
+    among cells the filter leaves to the fast hypotenuse."""
     cols = np.arange(max(i[0] - 1, 0), min(i[0] + 2, 2**k))
     rows = np.arange(max(j[0] - 1, 0), min(j[0] + 2, 2**k))
     return phi, k, np.repeat(cols, rows.size), np.tile(rows, cols.size)
 
 
 def hypot_off_by(ulps):
-    """A stand-in for np.hypot exactly ulps ulps off math.hypot."""
+    """A stand-in for the fast hypotenuse exactly ulps ulps off math.hypot."""
 
     def off_hypot(a, b):
-        v = np.fromiter(map(math.hypot, np.ravel(a).tolist(), np.ravel(b).tolist()), float)
+        a, b = np.broadcast_arrays(a, b)
+        v = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float)
         for _ in range(abs(ulps)):
             v = np.nextafter(v, math.copysign(math.inf, ulps))
-        return v.reshape(np.shape(a))
+        return v.reshape(a.shape)
 
     return off_hypot
 
 
 @pytest.mark.parametrize("ulps", [4, -4])
 def test_filter_holds_for_a_hypot_four_ulps_off(ulps):
-    """The band of PinnedDistance allows np.hypot to be up to four ulps
-    off math.hypot.  A stand-in that is exactly that far off must still
-    give the cells of the math.hypot enclosure; with the band shrunk to
-    nothing it does not."""
+    """The band of PinnedDistance allows the fast hypotenuse to be up to
+    four ulps off math.hypot.  A stand-in that is exactly that far off
+    must still give the cells of the math.hypot enclosure; with the band
+    shrunk to nothing it does not."""
     cases = pythagorean_cases() + random_in_band_cases(random.Random(ulps), 200)
-    with mock.patch.object(np, "hypot", hypot_off_by(ulps)):
+    with mock.patch.object(geomdecomp, "_sqrt_hypot", hypot_off_by(ulps)):
         for case in cases:
             assert_cells_equal_reference(*with_neighbours(*case))
+
+
+def sqrt_filter_cases(rng):
+    """Blocks of 8 x 8 cells at k = 3..16 from corner, centre and random
+    pins, the exact grid distances of pythagorean_cases, and 60 in-band
+    cases per scale, each with its neighbours."""
+    cases = pythagorean_cases()
+    block = np.arange(8)
+    for k in range(3, 17):
+        n = 2**k
+        for pin in (*CORNERS, (0.5, 0.5), (rng.random(), rng.random()), (rng.uniform(-1, 2), rng.random())):
+            a, b = rng.randrange(n - 7), rng.randrange(n - 7)
+            cases.append((PinnedDistance(pin), k, np.repeat(a + block, 8), np.tile(b + block, 8)))
+        for _ in range(60):
+            end = rng.choice(["lo", "hi"])
+            m = rng.randint(0 if end == "lo" else 2, 64)
+            a, b = rng.randrange(n), rng.randrange(n)
+            flips = rng.random() < 0.5, rng.random() < 0.5
+            cases.append(with_neighbours(*in_band_case(k, a, b, m, end, rng.choice([0.0, 0.5, 1.0]), *flips)))
+    return cases
+
+
+def fast_cells_differ(phi, k, i, j) -> bool:
+    """Whether sqrt(a*a + b*b) in place of math.hypot moves some end of
+    these cells into another value cell."""
+    n = 2.0**k
+    edges = (i / n, (i + 1) / n, j / n, (j + 1) / n)
+    fast, exact = (np.floor(np.array(phi._bounds(phi._params, *edges, h)) * n) for h in (_sqrt_hypot, _hypot))
+    return bool((np.clip(fast, 0, n - 1) != np.clip(exact, 0, n - 1)).any())
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sqrt_filter_cells_equal_per_cell_enclosures(seed):
+    """The square-root pass gives the cells of math.hypot's enclosure,
+    also where the square root alone would not: some inputs here land an
+    end of sqrt(a*a + b*b) in another cell, so a band of zero, or in-band
+    cells recomputed with the square root or not at all, fail."""
+    cases = sqrt_filter_cases(random.Random(seed))
+    assert sum(fast_cells_differ(*case) for case in cases) >= 2
+    for case in cases:
+        assert_cells_equal_reference(*case)
 
 
 @settings(max_examples=100, deadline=None)
@@ -871,7 +915,7 @@ def test_map_image_equals_per_cell_loop(phi, data):
     k = data.draw(st.integers(1, 12))
     cell = st.integers(0, 2**k - 1)
     X = GridSet2D.from_cells(Scale(k), data.draw(st.lists(st.tuples(cell, cell), max_size=60)))
-    assert map_images((phi,), (X,))[0][0].cells == reference_map_image(phi, X)
+    assert map_image_counts((phi,), (X,)) == [[len(reference_map_image(phi, X))]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -896,7 +940,7 @@ def test_preimage_cells_equals_per_cell_loop(phi, data):
 )
 def test_map_image_and_preimage_of_nothing_are_empty(phi):
     scale = Scale(5)
-    assert map_images((phi,), (GridSet2D(scale, ()),))[0][0].cells == ()
+    assert map_image_counts((phi,), (GridSet2D(scale, ()),)) == [[0]]
     full = GridSet1D(scale, tuple(range(32)))
     # A window of zero width, and one narrower than a cell between two edges.
     x = Fraction(1, 3)
@@ -953,7 +997,8 @@ def test_pinned_distance_at_two_to_the_500_has_finite_ends(pin):
         i, j = np.repeat(cols, 3), np.tile(cols, 3)
         assert_cells_equal_reference(phi, k, i, j)
         X = GridSet2D.from_cells(Scale(k), zip(i.tolist(), j.tolist()))
-        assert map_images((phi,), (X,))[0][0].cells == reference_map_image(phi, X) == (n - 1,)
+        assert reference_map_image(phi, X) == (n - 1,)
+        assert map_image_counts((phi,), (X,)) == [[1]]
 
 
 def test_cube_decomposition_round_trip():
@@ -1698,7 +1743,7 @@ def test_stacked_filter_holds_for_a_hypot_four_ulps_off(ulps):
     """test_filter_holds_for_a_hypot_four_ulps_off with every case one row
     of a three-map pass, so the recomputed cells sit in rows 0, 1 and 2."""
     cases = pythagorean_cases() + random_in_band_cases(random.Random(ulps), 100)
-    with mock.patch.object(np, "hypot", hypot_off_by(ulps)):
+    with mock.patch.object(geomdecomp, "_sqrt_hypot", hypot_off_by(ulps)):
         for n, case in enumerate(cases):
             phi, k, i, j = with_neighbours(*case)
             phis = [PinnedDistance(CORNERS[n % 4]), PinnedDistance((0.3, 0.6))]
@@ -1719,8 +1764,8 @@ def test_enclosure_pass_of_no_cells_is_empty(phis):
     cells = _enclosure_pass(phis, empty, empty, 5)
     assert cells.dtype == np.int64 and cells.shape == (2, len(phis), 0)
     scale = Scale(5)
-    assert [img.cells for img in map_images(phis, [GridSet2D(scale, ())])[0]] == [()] * len(phis)
-    assert map_images(phis, []) == []
+    assert map_image_counts(phis, [GridSet2D(scale, ())]) == [[0] * len(phis)]
+    assert map_image_counts(phis, []) == []
     full = GridSet1D(scale, tuple(range(32)))
     x = Fraction(1, 3)
     assert common_preimage_cells(phis, full, Rect.of(x, x, 0, 1)).cells == ()
@@ -1728,7 +1773,7 @@ def test_enclosure_pass_of_no_cells_is_empty(phis):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(pass_maps, min_size=1, max_size=4), st.data())
-def test_map_images_equal_per_map_references(phis, data):
+def test_map_image_counts_equal_per_map_references(phis, data):
     k = data.draw(st.integers(1, 10))
     n = 2**k
     cell = st.integers(0, n - 1)
@@ -1740,15 +1785,15 @@ def test_map_images_equal_per_map_references(phis, data):
     ends = data.draw(st.sampled_from([PinnedDistance((0.0, 0.0)), LinearProjection(0.0)]))
     phis = phis[:]
     phis.insert(data.draw(st.integers(0, len(phis))), ends)
-    assert [img.cells for img in map_images(phis, [X])[0]] == [reference_map_image(phi, X) for phi in phis]
+    assert map_image_counts(phis, [X]) == [[len(reference_map_image(phi, X)) for phi in phis]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_row_unions_equal_per_row_range_unions(data):
+def test_row_counts_equal_per_row_range_union_sizes(data):
     """Rows of short ranges on cells 0 and 2^k - 1 and in between, some
     empty (last < first) and one row all empty: a wrong row offset moves
-    a row's cells into its neighbour's or drops them."""
+    a row's cells into its neighbour's count or drops them."""
     k = data.draw(st.integers(1, 30))
     m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
     top = 2**k - 1
@@ -1760,8 +1805,8 @@ def test_row_unions_equal_per_row_range_unions(data):
     if m:
         empty = data.draw(st.integers(0, m - 1))
         last[empty] = first[empty] - 1
-    got = _row_unions(first, last, np.arange(m, dtype=np.int64)[:, None], m, k)
-    assert [g.tolist() for g in got] == [range_union(a, b).tolist() for a, b in zip(first, last)]
+    got = _row_counts(first, last, np.arange(m, dtype=np.int64)[:, None], m, k)
+    assert got == [len(range_union(a, b)) for a, b in zip(first, last)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1797,10 +1842,8 @@ def ladders(draw):
 
 
 def assert_ladder_equals_per_set_references(phis, sets):
-    got = map_images(phis, sets)
-    assert [[img.scale for img in row] for row in got] == [[X.scale] * len(phis) for X in sets]
-    want = [[reference_map_image(phi, X) for phi in phis] for X in sets]
-    assert [[img.cells for img in row] for row in got] == want
+    want = [[len(reference_map_image(phi, X)) for phi in phis] for X in sets]
+    assert map_image_counts(phis, sets) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -1809,7 +1852,7 @@ def assert_ladder_equals_per_set_references(phis, sets):
     [PinnedDistance((0.0, 0.0)), LinearProjection(0.0), PolynomialMap(P_QUAD)],
     [GridSet2D.from_cells(Scale(k), [(0, 0), (2**k - 1, 2**k - 1), (1, 2**k - 1)]) for k in (3, 9, 5, 9)],
 )
-def test_map_images_of_a_ladder_equal_per_set_references(phis, sets):
+def test_map_image_counts_of_a_ladder_equal_per_set_references(phis, sets):
     assert_ladder_equals_per_set_references(phis, sets)
 
 
@@ -1955,8 +1998,9 @@ def test_float_enclosure_equals_per_rectangle_reference(rect, data):
 
 
 def test_float_enclosure_rects_take_math_hypot():
-    """np.hypot and math.hypot differ in the last bit on some of these
-    rectangles; the batch must give math.hypot's ends, as enclosure does."""
+    """The fast hypotenuse and math.hypot differ in the last bits on some
+    of these rectangles; the batch must give math.hypot's ends, as
+    enclosure does."""
     phi = PinnedDistance((0.3, 0.7))
     k = 6
     cells = np.arange(2**k)
@@ -1964,8 +2008,8 @@ def test_float_enclosure_rects_take_math_hypot():
     d = 0.5**k
     edges = (i * d, (i + 1) * d, j * d, (j + 1) * d)
     edges = tuple(np.broadcast_to(e, (2**k, 2**k)).ravel() for e in edges)
-    by_numpy, by_math = (np.hstack(phi._bounds(phi._params, *edges, h)) for h in (np.hypot, _hypot))
-    assert (by_numpy != by_math).any()
+    by_sqrt, by_math = (np.hstack(phi._bounds(phi._params, *edges, h)) for h in (_sqrt_hypot, _hypot))
+    assert (by_sqrt != by_math).any()
     got = phi.enclosure_rects(i, i + 1, j, j + 1, 2**k)
     want = reference_enclosure_rects(phi, i, i + 1, j, j + 1, 2**k)
     assert got[2] == want[2] and [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]]

@@ -19,7 +19,7 @@ from explab.geomdecomp import (
     band_partition,
     common_preimage_cells,
     extract_product,
-    map_images,
+    map_image_counts,
     select_level,
     zero_nbhd_covering,
 )
@@ -775,8 +775,8 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
             lambda: common_preimage_cells([LinearProjection(0.5)], _PLANE, Rect.of(0, 1, 0, 1)),
         ),
         # AttributeError before: a GridSet1D has no indices().
-        ("map_images", lambda: map_images([LinearProjection(0.5)], [_LINE])),
-        ("map_images", lambda: map_images([LinearProjection(0.5)], [_PLANE, _LINE])),
+        ("map_image_counts", lambda: map_image_counts([LinearProjection(0.5)], [_LINE])),
+        ("map_image_counts", lambda: map_image_counts([LinearProjection(0.5)], [_PLANE, _LINE])),
         ("extract_product", lambda: extract_product(_LINE)),
         # TypeError before: a GridSet1D is no pair.
         ("zero_nbhd_covering", lambda: zero_nbhd_covering(LinearProjection(0.5), _LINE, 0.25)),
@@ -787,8 +787,8 @@ _PLANE = GridSet2D(Scale(6), ((1, 2), (3, 5), (7, 9)))
     ids=[
         "restrict", "nonconc_2d", "bands",
         "product_bounds", "image_set", "energy_count", "sum_set", "product_set",
-        "energy_brute_force", "preimage_values", "common_preimage_values", "map_image",
-        "map_images", "extract_product",
+        "energy_brute_force", "preimage_values", "common_preimage_values", "map_image_counts",
+        "map_image_counts_ladder", "extract_product",
         "zero_nbhd_line", "zero_nbhd_pair", "select_level_line", "select_level_pair",
     ],
 )
