@@ -51,8 +51,6 @@ from .polyexpr import ExpressionError, classify_special_form, hf_general, hf_pol
 
 
 def _fmt(value, precision):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.{precision}g}"
     return str(value)
@@ -99,7 +97,7 @@ def _generator_from_args(args):
                 f"--k must be a multiple of log2(--base) = {bits}, got --k {args.k}"
             )
         try:
-            pattern = [int(t) for t in args.pattern.split(",")]
+            pattern = [int(_number_text(t)) for t in args.pattern.split(",")]
         except ValueError:
             pattern = [-1]
         if not all(0 <= d < args.base for d in pattern):
@@ -121,7 +119,7 @@ def _point(option: str, text: str, number=float):
     """The finite x,y pair in text, each coordinate read by number; errors
     name the option."""
     try:
-        x, y = (number(t) for t in text.split(","))
+        x, y = (number(_number_text(t)) for t in text.split(","))
         if math.isfinite(x) and math.isfinite(y):
             return x, y
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -135,7 +133,7 @@ def _phi_from_spec(option: str, spec: str):
         return PolynomialMap(parse_poly(rest))
     if kind == "proj":
         try:
-            theta = float(rest)
+            theta = float(_number_text(rest))
         except ValueError:
             raise ValueError(f"{option} proj:THETA needs a number THETA, got {spec!r}") from None
         return LinearProjection(theta)

@@ -163,10 +163,9 @@ def report_to_dict(report: Report, include_timing: bool = False) -> dict:
     return data
 
 
-def report_to_json(report: Report, include_timing: bool = False) -> str:
-    return json.dumps(
-        report_to_dict(report, include_timing), sort_keys=True, separators=(",", ":")
-    )
+def report_to_json(report: Report) -> str:
+    """The canonical JSON of report: report_to_dict's keys sorted, no timing."""
+    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
 
 
 def report_to_csv(report: Report) -> str:
@@ -333,9 +332,8 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
         sets = [half_dimensional_set(Scale(k)) for k in scales]
     polys = (P,) if baseline is None else (P, baseline)
     tables = gridset.ProductBounds.ladder(polys, [(A, A) for A in sets])
-    bases = tables[1] if baseline is not None else [None] * len(sets)
 
-    def measure(A: GridSet1D, table, base) -> Dict[str, float]:
+    def measure(A: GridSet1D, table, base=None) -> Dict[str, float]:
         image = table.image_count()
         energy = table.energy()
         row = {
@@ -349,7 +347,7 @@ def _run_poly_growth(p: dict) -> Tuple[Tuple[int, ...], dict, dict, dict]:
             row.update(baseline_image_count=base_image, image_ratio=image / base_image)
         return row
 
-    rows = _ladder(map(measure, sets, tables[0], bases))
+    rows = _ladder(map(measure, sets, *tables))
     fits = _fits(scales, rows, image_exponent="image_count", energy_exponent="energy_count")
     scalars = {name: fit.slope for name, fit in fits.items()}  # both slopes are scalars too
     scalars["cs_all_ok"] = float(all(rows["cs_ok"]))

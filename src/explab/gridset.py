@@ -36,7 +36,9 @@ energy_count build a table each, but energy_count with hf_min takes the
 exact ends of P, P_x P_y and P_xy from one box_bounds call and builds
 no table.  ProductBounds.ladder builds the tables of several
 polynomials on every set of a scale ladder in shared kernel calls, the
-cells of each scale shifted onto the top scale's grid.
+cells of each scale shifted onto the top scale's grid, and takes
+unit_square_range(P), the range that images renormalize by, once per
+polynomial per call.  A constant P's cell ranges are all cell 0.
 Energies are counted by sorting the lower ends and binary-searching the
 upper ends; value_cells turns integer ends into clamped value-grid cells
 by exact floor division, for image sets here and for smooth maps in
@@ -59,7 +61,7 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .polyexpr import VARS2, Interval, Poly, Rect, interval_range, unit_square_range
+from .polyexpr import VARS2, Poly, Rect, interval_range, unit_square_range
 
 MAX_SCALE = 30
 
@@ -774,7 +776,7 @@ class ProductBounds:
     where its own table would be int64, and counts the same.
     """
 
-    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "shift", "_total")
+    __slots__ = ("P", "A", "B", "lo", "hi", "scale", "err", "shift", "total")
 
     def __new__(cls, P: Poly, A: GridSet1D, B: GridSet1D):
         return cls.ladder((P,), [(A, B)])[0][0]
@@ -782,7 +784,8 @@ class ProductBounds:
     @classmethod
     def ladder(cls, polys: Sequence[Poly], sets: Sequence[Tuple[GridSet1D, GridSet1D]]) -> list:
         """[[table of P on A x B for (A, B) in sets] for P in polys]; the
-        tables of one P share unit_square_range(P)."""
+        tables of one P share its total = unit_square_range(P), taken once
+        per polynomial per call."""
         groups, rows, cols = [], 0, 0
         for A, B in sets:
             _check_product("ProductBounds", A, B)
@@ -791,7 +794,7 @@ class ProductBounds:
                 groups.append([])
                 rows, cols = len(A), len(B)
             groups[-1].append((A, B))
-        totals = [[] for _ in polys]  # unit_square_range(P), once an image needs it
+        totals = [unit_square_range(P) for P in polys]
         out = [[] for _ in polys]
         for group in groups:
             top = max(A.scale.k for A, _ in group)
@@ -807,7 +810,7 @@ class ProductBounds:
                     table.P, table.A, table.B, table.shift = P, A, B, top - A.scale.k
                     block = np.s_[r : r + len(A), c : c + len(B)]
                     table.lo, table.hi = lo[block].ravel(), hi[block].ravel()
-                    table.scale, table.err, table._total = scale, err, total
+                    table.scale, table.err, table.total = scale, err, total
                     tables.append(table)
                     r, c = r + len(A), c + len(B)
         return out
@@ -825,19 +828,14 @@ class ProductBounds:
         ((lo, hi, _, _),) = box_bounds((self.P,), *_corners(self.A, self.B, self.shift, idx))
         return lo[pos], hi[pos]
 
-    def _unit_range(self) -> Interval:
-        """unit_square_range(P), taken once for every table that shares _total."""
-        if not self._total:
-            self._total.append(unit_square_range(self.P))
-        return self._total[0]
-
-    def _cell_ranges(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def _cell_ranges(self) -> Tuple[np.ndarray, np.ndarray]:
         """The first and last output cells of every pair's enclosure, as
-        image() renormalizes them, or None when P is constant."""
-        total = self._unit_range()
+        image() renormalizes them: cell 0 for every pair when P is constant."""
+        total = self.total
         span = total.width()
         if span == 0:
-            return None
+            zeros = np.zeros(self.lo.size, dtype=np.int64)
+            return zeros, zeros
         # On the unit square every non-constant monomial ranges over [0, 1], so
         # value_lo and span are sums of coefficients and value_lo * scale and
         # span * scale are integers.  Every lo is at least value_lo; the top
@@ -853,18 +851,17 @@ class ProductBounds:
 
         An output cell is included when the interval enclosure of P on some
         closed cell product S x T meets it (after affine renormalization of
-        P's range on the unit square, from unit_square_range, onto [0, 1]).
-        A constant P fills cell 0 when A x B is nonempty.
+        P's range on the unit square, self.total, onto [0, 1]).  A constant
+        P's cell ranges are all cell 0, so it fills cell 0 when A x B is
+        nonempty.
         """
-        ranges, total = self._cell_ranges(), self._unit_range()
-        cells = range_union(*ranges) if ranges else np.arange(min(self.lo.size, 1))
-        return ImageSet(GridSet1D._from_keys(self.A.scale, cells), total.lo, total.hi)
+        cells = range_union(*self._cell_ranges())
+        return ImageSet(GridSet1D._from_keys(self.A.scale, cells), self.total.lo, self.total.hi)
 
     def image_count(self) -> int:
         """len(self.image().grid), counted from the same cell ranges
         without marking the cells: the scenario runners read only this."""
-        ranges = self._cell_ranges()
-        return int(_disjoint_runs(*ranges)[1].sum()) if ranges else min(self.lo.size, 1)
+        return int(_disjoint_runs(*self._cell_ranges())[1].sum())
 
     def _float_cells(self, offset: int, width: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """value_cells(lo, offset, width, k) and value_cells(hi, ...) of a

@@ -16,6 +16,7 @@ from explab import cli, gridset
 from explab.cli import main
 from explab.geomdecomp import (
     DyadicSquare,
+    LinearProjection,
     PinnedDistance,
     PolynomialMap,
     PolynomialSignRegion,
@@ -820,12 +821,60 @@ CURVATURE = ["curvature", "--phi1", "coord:x", "--phi2", "coord:y"]
             ["nonconc", "--gen", "cantor", "--pattern", "0,9"],
             "--pattern must be comma-separated digits in [0, 4), got '0,9'",
         ),
+        # float, Fraction and int read underscores and other scripts' digits;
+        # these texts ran with a pin at (10, 0), theta 0.5 or pattern 0,1.
+        (CURVATURE + ["--phi3", "dist:1_0,0", "--point", "0.3,0.4"],
+         "--phi3 must be a point x,y of finite numbers, got '1_0,0'"),
+        (CURVATURE + ["--phi3", "dist:１,0", "--point", "0.3,0.4"],
+         "--phi3 must be a point x,y of finite numbers, got '１,0'"),
+        (CURVATURE + ["--phi3", "proj:0.5_0", "--point", "0.3,0.4"],
+         "--phi3 proj:THETA needs a number THETA, got 'proj:0.5_0'"),
+        (CURVATURE + ["--phi3", "proj:0.٥", "--point", "0.3,0.4"],
+         "--phi3 proj:THETA needs a number THETA, got 'proj:0.٥'"),
+        (CURVATURE + ["--phi3", "poly:x*y + x", "--point", "0.3,0_4"],
+         "--point must be a point x,y of finite numbers, got '0.3,0_4'"),
+        (["whitney", "--puncture", "1_0/2_0,1/2"],
+         "--puncture must be a point x,y of finite numbers, got '1_0/2_0,1/2'"),
+        (["whitney", "--puncture", "1/2,١/2"], "--puncture must be a point x,y of finite numbers, got '1/2,١/2'"),
+        (["cover", "--gen", "cantor", "--pattern", "０,１", "--k", "4"],
+         "--pattern must be comma-separated digits in [0, 4), got '０,１'"),
+        (["cover", "--gen", "cantor", "--pattern", "0,1_0", "--base", "16", "--k", "4"],
+         "--pattern must be comma-separated digits in [0, 16), got '0,1_0'"),
     ],
 )
 def test_point_and_pattern_options_name_themselves(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("explab: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (CURVATURE + ["--phi3", "dist:1e1,0", "--point", "0.3,0.4", "--format", "json"],
+         blaschke_curvature(PolynomialMap(parse_poly("x")), PolynomialMap(parse_poly("y")),
+                            PinnedDistance((10.0, 0.0)), (0.3, 0.4))),
+        (CURVATURE + ["--phi3", "proj: 0.5", "--point", " 0.3 , 0.4 ", "--format", "json"],
+         blaschke_curvature(PolynomialMap(parse_poly("x")), PolynomialMap(parse_poly("y")),
+                            LinearProjection(0.5), (0.3, 0.4))),
+    ],
+)
+def test_map_and_point_texts_still_read(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["curvature"] == want
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["whitney", "--puncture", " 1/3 ,5/7", "--kmax", "5"], ["whitney", "--puncture", "1/3,5/7", "--kmax", "5"]),
+        (["cover", "--gen", "cantor", "--pattern", " 0, 2", "--k", "4"],
+         ["cover", "--gen", "cantor", "--pattern", "0,2", "--k", "4"]),
+    ],
+)
+def test_puncture_and_pattern_texts_still_read(capsys, argv, want):
+    got, expected = run_cli(capsys, *argv), run_cli(capsys, *want)
+    assert got == expected and expected[0] == 0 and expected[1]
 
 
 @pytest.mark.parametrize("pin", ["1.7e308,1.7e308", "0,-1e200"])

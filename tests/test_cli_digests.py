@@ -13,7 +13,13 @@ past 2^1000.  The JSON reports of the projection scenarios, one scale
 past their builtin ladders, cover the enclosure pass and the image
 counts: three_projection with the default pins and with pins off the
 square's corners, pinned_distance at 9, 10, 11, and pinned_distance with
-a centre pin, whose exact grid distances land on the filter band.
+a centre pin, whose exact grid distances land on the filter band.  The
+quadtree walkers on Python ints are pinned by an octic band partition at
+k = 9 and two octic sign regions at kmax 12, beside a punctured square;
+then the tree scan at k = 24 on an arithmetic progression and a Cantor
+set, the curvature on the chart and the Newton path, an extraction, the
+image of a constant (cell 0), and the exit codes of a parse error and a
+domain error.
 
 Run as a script, this file prints the table of the tree it imports,
 for example from the repository root on an unchanged tree:
@@ -35,6 +41,7 @@ from explab.cli import main
 TABLE = Path(__file__).with_name("cli_digests.json")
 QUARTIC = "x + y + (x^2 + y^2)^2"
 OCTIC = "x + y + 3/8*(x^2 + y^2)^4"
+SKEW_OCTIC = "x^8 + 3*x^5*y^3 + y^8 + x*y"
 # A request argument "{name}" is replaced by the path of a file holding
 # FILES[name], written to the test's temporary directory.
 FILES = {
@@ -47,6 +54,9 @@ FILES = {
     "pinned_default": "schema=1\nname=pinned_default\nfamily=pinned_distance\nscales=9,10,11\n",
     "pinned_centre": (
         "schema=1\nname=pinned_centre\nfamily=pinned_distance\nscales=8,10,12\npins=0,0;1,0;0.5,0.5\n"
+    ),
+    "block": "gridset2d k=6\n" + "".join(
+        f"{i} {j}\n" for i in range(64) for j in range(64) if max(i, j) < 40 or (7 * i + 3 * j) % 11 == 0
     ),
 }
 FILE_SET = ["--gen", "file", "--set-file", "{set_file}"]
@@ -66,6 +76,20 @@ REQUESTS = [
     ["scenario", "--file", "{three_off_corner}", "--format", "json"],
     ["scenario", "--file", "{pinned_default}", "--format", "json"],
     ["scenario", "--file", "{pinned_centre}", "--format", "json"],
+    ["bands", "--poly", SKEW_OCTIC + " + x + 2*y", "--k", "9", "--format", "json"],
+    ["whitney", "--region", f"poly-pos:{SKEW_OCTIC} - 1/4", "--kmax", "12"],
+    ["whitney", "--region", f"poly-pos:{SKEW_OCTIC} + x - 2*y", "--kmax", "12"],
+    ["whitney", "--region", "punctured", "--puncture", "1/3,5/7", "--kmax", "12"],
+    ["nonconc", "--k", "24", "--format", "json"],
+    ["nonconc", "--gen", "cantor", "--base", "4", "--pattern", "0,2", "--kappa", "0.8", "--k", "24", "--format", "json"],
+    ["curvature", "--phi1", "coord:x", "--phi2", "coord:y", "--phi3", "poly:x + y + x^2*y^2",
+     "--point", "0.3,0.4", "--format", "json"],
+    ["curvature", "--phi1", "dist:0,0", "--phi2", "dist:1,0", "--phi3", "dist:0,1",
+     "--point", "0.3,0.4", "--format", "json"],
+    ["extract", "--set-file", "{block}", "--format", "json"],
+    ["image", "--poly", "3/7", "--k", "6"],
+    ["energy", "--poly", "x +"],
+    ["nonconc", "--kappa", "2"],
 ]
 
 

@@ -35,7 +35,7 @@ from explab.expharness import (
     run_scenario,
 )
 from explab.gridset import GridSet2D, Scale, covering_number, fit_exponent
-from explab.polyexpr import VARS2, Poly, Rect, interval_range
+from explab.polyexpr import VARS2, Poly, Rect, interval_range, parse_poly
 from test_geomdecomp import reference_map_image, reference_preimage
 from test_golden import GOLDEN
 
@@ -617,22 +617,43 @@ def test_runs_build_one_table_per_polynomial_and_scale(monkeypatch):
 
 
 def test_ladders_take_unit_square_range_once_per_polynomial(monkeypatch):
-    """The tables of one polynomial in a ladder share unit_square_range,
-    taken by the first image: once for P and its baseline, p_small's
-    main ladder (p_large and the restricted ladder take energies only),
-    x + y and x * y."""
+    """Each ProductBounds.ladder call takes unit_square_range once per
+    polynomial, in order, as it builds the tables, and the tables read it
+    from their total slot, so no image takes it again: P and its
+    baseline; p_small and p_large, then p_small alone for the restricted
+    ladder; x + y and x * y."""
     expected = [report_to_json(run_scenario(s)) for s in GUARD_SCENARIOS]
-    ladders, units = spy_ladders(monkeypatch), []
-    real_unit = gridset.unit_square_range
-    monkeypatch.setattr(gridset, "unit_square_range", lambda P: units.append(P) or real_unit(P))
-    want = {"poly_growth": [0, 1], "eps_d_energy": [0], "sum_product": [0, 1]}
+    # ("ladder", *polys) and ("built",) around each call, ("unit", P) at each range
+    events = []
+    real_ladder, real_unit = gridset.ProductBounds.ladder.__func__, gridset.unit_square_range
+
+    def ladder(cls, polys, sets):
+        events.append(("ladder", *polys))
+        tables = real_ladder(cls, polys, sets)
+        events.append(("built",))
+        return tables
+
+    monkeypatch.setattr(gridset.ProductBounds, "ladder", classmethod(ladder))
+    monkeypatch.setattr(gridset, "unit_square_range", lambda P: events.append(("unit", P)) or real_unit(P))
+    growth = [str(parse_poly(text)) for text in ("x + y + (x^2 + y^2)^2", "x + y")]
     for s, text in zip(GUARD_SCENARIOS, expected):
-        ladders.clear()
-        units.clear()
+        events.clear()
         assert report_to_json(run_scenario(s)) == text
-        # The polynomials stay alive in the tables, so their ids stay theirs.
-        first = [P_tables[0].P for P_tables in ladders[0]]
-        assert [id(first[i]) for i in want[s.family]] == [id(P) for P in units], s.family
+        # The polynomials stay alive in events, so their ids stay theirs.
+        got = [(kind, *map(id, polys)) for kind, *polys in events]
+        ladders = [polys for kind, *polys in events if kind == "ladder"]
+        ids = [[id(P) for P in polys] for polys in ladders]
+        want = []
+        for polys in ids:
+            want += [("ladder", *polys), *(("unit", P) for P in polys), ("built",)]
+        assert got == want, s.family
+        if s.family == "poly_growth":
+            assert [[str(P) for P in polys] for polys in ladders] == [growth]
+        elif s.family == "eps_d_energy":
+            (small, large), restricted = ids
+            assert small != large and restricted == [small]
+        else:
+            assert ids == [[id(gridset.SUM_POLY), id(gridset.PRODUCT_POLY)]]
 
 
 @pytest.mark.parametrize("family", ["three_projection", "pinned_distance"])

@@ -68,3 +68,26 @@ def test_polyexpr_classifies_without_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{want.verdict.value} {want.reason.value} {want.witness}\n"
+
+
+
+NUMBER_READERS = {"int", "float", "Fraction", "number", "convert"}
+
+
+def calls_to(node, names):
+    """Whether node is a call of a plain name in names."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def test_cli_reads_every_number_text_through_number_text():
+    """int, float and Fraction read underscores and other scripts' digits,
+    so every call in cli.py that reads a number from text takes its one
+    argument from expharness._number_text, which refuses both."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    unguarded = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if calls_to(node, NUMBER_READERS)
+        and not (len(node.args) == 1 and not node.keywords and calls_to(node.args[0], {"_number_text"}))
+    ]
+    assert not unguarded

@@ -1164,12 +1164,12 @@ def assert_joint_equals_each(ps, corners, filtered=False):
 
 @settings(max_examples=300, deadline=None)
 @given(joint_batches(), st.booleans())
-def test_joint_box_bounds_equal_per_polynomial_box_bounds(batch, filtered):
+def test_box_bounds_of_several_polynomials_equal_one_call_each(batch, filtered):
     assert_joint_equals_each(*batch, filtered)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
-def test_joint_box_bounds_mix_int64_and_python_int_tables(order):
+def test_box_bounds_of_several_polynomials_mix_int64_and_python_int_tables(order):
     # x^2*y - 1/3 fits int64 at den 2^8; x^8 and 2^70*x do not.
     texts = ["x^2*y - 1/3", "x^8", "2^70*x + y"]
     ps = [parse_poly(texts[n]) for n in order]
