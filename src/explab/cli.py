@@ -17,13 +17,11 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import gridset
 from .expharness import (
-    _number_text,
     builtin_scenario,
     builtin_scenarios,
     parse_scenario,
@@ -48,12 +46,11 @@ from .geomdecomp import (
 )
 from .gridset import Scale, gen_ap, gen_cantor, load_gridset
 from .polyexpr import ExpressionError, classify_special_form, hf_general, hf_poly, mp_numerator, parse_poly
+from .polyexpr import read_float, read_fraction, read_int
 
 
 def _fmt(value, precision):
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
+    return f"{value:.{precision}g}"
 
 
 def _emit(result: dict, text_lines, args, csv_text=None) -> None:
@@ -97,7 +94,7 @@ def _generator_from_args(args):
                 f"--k must be a multiple of log2(--base) = {bits}, got --k {args.k}"
             )
         try:
-            pattern = [int(_number_text(t)) for t in args.pattern.split(",")]
+            pattern = [read_int(t) for t in args.pattern.split(",")]
         except ValueError:
             pattern = [-1]
         if not all(0 <= d < args.base for d in pattern):
@@ -115,11 +112,11 @@ def _generator_from_args(args):
     raise ValueError(f"unknown generator {args.gen!r}")
 
 
-def _point(option: str, text: str, number=float):
+def _point(option: str, text: str, number=read_float):
     """The finite x,y pair in text, each coordinate read by number; errors
     name the option."""
     try:
-        x, y = (number(_number_text(t)) for t in text.split(","))
+        x, y = map(number, text.split(","))
         if math.isfinite(x) and math.isfinite(y):
             return x, y
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -133,7 +130,7 @@ def _phi_from_spec(option: str, spec: str):
         return PolynomialMap(parse_poly(rest))
     if kind == "proj":
         try:
-            theta = float(_number_text(rest))
+            theta = read_float(rest)
         except ValueError:
             raise ValueError(f"{option} proj:THETA needs a number THETA, got {spec!r}") from None
         return LinearProjection(theta)
@@ -165,7 +162,7 @@ def _region_from_args(args):
     if args.region == "full":
         return FullSquareRegion()
     if args.region == "punctured":
-        point = _point("--puncture", args.puncture, Fraction)
+        point = _point("--puncture", args.puncture, read_fraction)
         try:
             return PuncturedSquareRegion(point)
         except ValueError as exc:
@@ -430,22 +427,6 @@ def _cmd_list_scenarios(args):
 # ---------------------------------------------------------------------------
 
 
-def _ascii(convert):
-    """An argparse type that reads text with convert (int or float) once it
-    holds no underscore and no character outside ASCII, as scenario numbers
-    do.  It keeps convert's name, so a refused text reads "invalid int
-    value: '1_0'"."""
-
-    def read(text: str):
-        return convert(_number_text(text))
-
-    read.__name__ = convert.__name__
-    return read
-
-
-_INT, _FLOAT = _ascii(int), _ascii(float)
-
-
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write output to a file instead of stdout")
@@ -462,10 +443,10 @@ def _add_scoped(p, name: str, text: str, **kw):
 
 def _add_generator(p):
     p.add_argument("--gen", choices=("ap", "cantor", "file"), default="ap")
-    _add_scoped(p, "alpha", "AP cell count exponent", type=_FLOAT)
-    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=_FLOAT)
-    p.add_argument("--k", type=_INT, default=10)
-    _add_scoped(p, "base", "cantor base, a power of 2", type=_INT)
+    _add_scoped(p, "alpha", "AP cell count exponent", type=read_float)
+    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=read_float)
+    p.add_argument("--k", type=read_int, default=10)
+    _add_scoped(p, "base", "cantor base, a power of 2", type=read_int)
     _add_scoped(p, "pattern", "cantor digits, comma separated")
     _add_scoped(p, "set_file", "gridset1d file")
 
@@ -500,37 +481,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi3", required=True)
     p.add_argument("--point", required=True, help="x,y")
     p.add_argument("--method", choices=("auto", "chart", "newton"), default="auto")
-    p.add_argument("--step", type=_FLOAT, help="Newton stencil half-width (newton method only; default 1e-4)")
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    p.add_argument("--step", type=read_float, help="Newton stencil half-width (newton method only; default 1e-4)")
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("cover", help="covering number of a grid set")
     _add_generator(p)
-    p.add_argument("--kprime", type=_INT, default=None)
+    p.add_argument("--kprime", type=read_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("nonconc", help="non-concentration exponent")
     _add_generator(p)
-    p.add_argument("--kappa", type=_FLOAT, default=0.5)
-    p.add_argument("--target-alpha", type=_FLOAT, default=0.5)
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    p.add_argument("--kappa", type=read_float, default=0.5)
+    p.add_argument("--target-alpha", type=read_float, default=0.5)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_nonconc)
 
     p = sub.add_parser("image", help="covering count of P(A, A)")
     p.add_argument("--poly", required=True)
     _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_image)
 
     p = sub.add_parser("energy", help="value-collision quadruple count")
     p.add_argument("--poly", required=True)
-    p.add_argument("--hf-min", type=_FLOAT, default=None)
+    p.add_argument("--hf-min", type=read_float, default=None)
     _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_energy)
 
@@ -541,23 +522,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="full, punctured, poly-pos:EXPR, or poly-neg:EXPR",
     )
     _add_scoped(p, "puncture", "the removed point x,y")
-    p.add_argument("--kmax", type=_INT, default=6)
+    p.add_argument("--kmax", type=read_int, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_whitney)
 
     p = sub.add_parser("bands", help="band partition pinning |f| into [v, 4v)")
     p.add_argument("--poly", required=True)
-    p.add_argument("--w", type=_FLOAT, default=0.2)
-    p.add_argument("--k", type=_INT, default=8)
+    p.add_argument("--w", type=read_float, default=0.2)
+    p.add_argument("--k", type=read_int, default=8)
     p.add_argument("--funcs", default="px,py,pxy,mp")
-    p.add_argument("--sample-stride", type=_INT, default=8)
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    p.add_argument("--sample-stride", type=read_int, default=8)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("extract", help="extract a large Cartesian product")
     p.add_argument("--set-file", required=True, dest="set_file")
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -569,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot-data", default=None, help="also write two-column .dat files here"
     )
     _add_scoped(p, "timing", "include wall clock in JSON", action="store_true")
-    _add_scoped(p, "precision", "significant digits", type=_INT)
+    _add_scoped(p, "precision", "significant digits", type=read_int)
     _add_common(p)
     p.set_defaults(func=_cmd_scenario)
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import geomdecomp, gridset
 from .gridset import ExponentFit, GridSet1D, GridSet2D, Scale, fit_exponent
-from .polyexpr import VARS2, Poly, Rect, parse_poly, unit_square_range
+from .polyexpr import VARS2, Poly, Rect, parse_poly, read_float, read_fraction, read_int
+from .polyexpr import unit_square_range
 
 SCHEMA_VERSION = 1
 PROVENANCE_TAGS = ("PAPER", "TRIVIAL", "DERIVED")
@@ -122,7 +123,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 5:
                 raise ValueError(f"bad expectation {value!r}")
             try:
-                target, tolerance = (float(_number_text(t)) for t in parts[2:4])
+                target, tolerance = map(read_float, parts[2:4])
             except ValueError:
                 raise ValueError(
                     f"bad expectation {value!r}: target and tolerance must be numbers"
@@ -198,19 +199,10 @@ def write_plot_data(report: Report, directory: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _number_text(text: str) -> str:
-    """text, checked to hold no character that int, float and Fraction
-    read but a scenario number or a CLI number option may not: one
-    outside ASCII (another script's digits or spaces) or an underscore."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
-    return text
-
-
 def _float(key: str, text: str) -> float:
     """The finite float in text."""
     try:
-        value = float(_number_text(text))
+        value = read_float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -221,7 +213,7 @@ def _float(key: str, text: str) -> float:
 def _fraction(key: str, text: str) -> Fraction:
     """The rational number in text."""
     try:
-        return Fraction(_number_text(text))
+        return read_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{key} must be a rational number, got {text!r}") from None
 
@@ -305,15 +297,13 @@ def _cs_rows(floor: float, count: int, image: int, energy: int) -> Dict[str, flo
 
 
 def _scales(key: str, text: str) -> List[int]:
-    """The scale ladder in text, checked before any measurement: ASCII
-    integers with at most one sign (int() also reads underscores and other
-    scripts' digits), at least three and not all equal for an exponent
+    """The scale ladder in text, checked before any measurement: integers
+    read by read_int, at least three and not all equal for an exponent
     fit, each a valid scale."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    digits = [tok[1:] if tok[:1] in ("+", "-") else tok for tok in tokens]
-    if not all(d.isascii() and d.isdigit() for d in digits):
-        raise ValueError(f"{key} must be comma-separated integers, got {text!r}")
-    ladder = [int(tok) for tok in tokens]
+    try:
+        ladder = [read_int(tok.strip()) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated integers, got {text!r}") from None
     if len(ladder) < 3:
         raise ValueError(f"{key} needs at least 3 scales for an exponent fit, got {len(ladder)}")
     if len(set(ladder)) == 1:
@@ -438,7 +428,7 @@ def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
     pins = []
     for chunk in text.split(";"):
         try:
-            x, y = (float(_number_text(t)) for t in chunk.split(","))
+            x, y = map(read_float, chunk.split(","))
             pins.append(geomdecomp.PinnedDistance((x, y)))
         except ValueError:
             raise ValueError(
@@ -452,7 +442,7 @@ def _pins(key: str, text: str) -> List[geomdecomp.PinnedDistance]:
 
 def _window(key: str, text: str) -> Rect:
     try:
-        x0, x1, y0, y1 = (Fraction(_number_text(t)) for t in text.split(","))
+        x0, x1, y0, y1 = map(read_fraction, text.split(","))
         return Rect(x0, x1, y0, y1)
     except (ValueError, ZeroDivisionError):
         raise ValueError(

@@ -24,7 +24,7 @@ import numpy as np
 from .gridset import MAX_SCALE, GridSet1D, GridSet2D, Scale, box_bounds, cell_keys, format_gridset
 from .gridset import nonconcentration_exponent, parse_gridset, value_cells
 from .gridset import window_cells, _abs_ends, _check_dimension, _disjoint_runs
-from .polyexpr import Interval, Poly, Rect, interval_range, mp_numerator
+from .polyexpr import Interval, Poly, Rect, interval_range, mp_numerator, read_fraction, read_int
 
 WEDGE_FLOOR = 1e-8
 _NEWTON_TOL = 1e-13  # residual at which _newton_invert stops
@@ -479,7 +479,7 @@ def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, List[Fraction], b
     fields = dict(t.split("=", 1) for t in tokens[1:4] if "=" in t)
     if tokens[0] != "cube" or set(fields) != {"k", "i", "j"}:
         raise ValueError("expected 'cube k=<depth> i=<i> j=<j>'")
-    cube = DyadicSquare(int(fields["k"]), int(fields["i"]), int(fields["j"]))
+    cube = DyadicSquare(read_int(fields["k"]), read_int(fields["i"]), read_int(fields["j"]))
     if cube.depth > MAX_SCALE:
         raise ValueError(f"cube depth above {MAX_SCALE}")
     values = []
@@ -492,7 +492,7 @@ def _parse_cube_line(tokens: List[str]) -> Tuple[DyadicSquare, List[Fraction], b
             index, value = next(rest, ""), next(rest, "")
             if not (index == f"j={len(values)}" and value.startswith("v=")):
                 raise ValueError(f"band {len(values)} needs 'j={len(values)} v=<rational>'")
-            values.append(Fraction(value[2:]))
+            values.append(read_fraction(value[2:]))
         else:
             raise ValueError(f"unknown token {tok!r}")
     return cube, values, flagged

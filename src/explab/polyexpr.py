@@ -21,6 +21,11 @@ polynomial; otherwise image sets P(A, B) grow and M_P is the witness.
 Poly arithmetic, parse_poly, M_P and H_F all run on those integers; the
 Fraction coefficients (Poly.terms) are built on a polynomial's first read.
 
+Every number text explab reads outside an expression (scenario values,
+CLI options, cube files) goes through read_int, read_float or
+read_fraction: int, float and Fraction on a text that is ASCII and holds
+no underscore.
+
 The module also defines the natural interval enclosure (Moore 1966) of
 a polynomial's range on an axis-aligned rational box, in Fractions:
 Interval, whose sign rules are the definition, interval_range on one
@@ -106,14 +111,6 @@ class Poly:
     @classmethod
     def constant(cls, value: Coefficient, variables: Sequence[str] = VARS2) -> "Poly":
         return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    @classmethod
-    def variable(cls, name: str, variables: Sequence[str] = VARS2) -> "Poly":
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}")
-        exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
 
     # -- basic queries ------------------------------------------------
 
@@ -460,6 +457,25 @@ def parse_poly(text: str, arity: int = 2) -> Poly:
     return _Parser(_tokenize(text), variables).parse()
 
 
+def _ascii_reader(convert):
+    """convert (int, float or Fraction) on a text that holds no character
+    that convert reads but a number text may not: one outside ASCII
+    (another script's digits or spaces) or an underscore.  The reader
+    keeps convert's name, so argparse reports a refused option as
+    "invalid int value: '1_0'"."""
+
+    def read(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not an ASCII number: {text!r}")
+        return convert(text)
+
+    read.__name__ = convert.__name__
+    return read
+
+
+read_int, read_float, read_fraction = map(_ascii_reader, (int, float, Fraction))
+
+
 # ---------------------------------------------------------------------------
 # The dichotomy test and its four-variable companion
 # ---------------------------------------------------------------------------
@@ -602,14 +618,8 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
         products = (

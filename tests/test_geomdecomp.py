@@ -1028,11 +1028,33 @@ def test_cube_decomposition_round_trip():
         "cube k=1 i=0 j=0 band j=5 v=1/2",
         "cube k=1 i=0 j=0 band j=0 v=1\ncube k=1 i=1 j=0",
         "cube k=40 i=0 j=0",
+        # int and Fraction read underscores and other scripts' digits.
+        "cube k=1_0 i=0 j=0",
+        "cube k=\uff11 i=0 j=0",
+        "cube k=1 i=0 j=0 band j=0 v=1_0/3",
+        "cube k=1 i=0 j=0 band j=0 v=\uff11/3",
     ],
 )
 def test_cube_decomposition_rejects_malformed_line(line):
     with pytest.raises(ValueError, match="bad cube line"):
         parse_cube_decomposition(line + "\ngridset2d k=1\n")
+
+
+def test_cube_decomposition_rejects_number_texts_by_name():
+    with pytest.raises(ValueError, match=r"^bad cube line 'cube k=1_0 i=0 j=0': not an ASCII number: '1_0'$"):
+        parse_cube_decomposition("cube k=1_0 i=0 j=0\ngridset2d k=3\n")
+
+
+def test_cube_decomposition_skips_blank_cube_lines():
+    text = "cube k=1 i=0 j=0 band j=0 v=1/2\ncube k=1 i=1 j=0 band j=0 v=3\ngridset2d k=3\n5 6\n"
+    spaced = text.replace("\n", "\n\n \t\n", 1)
+    assert parse_cube_decomposition(spaced) == parse_cube_decomposition(text)
+
+
+@pytest.mark.parametrize("cubes", ["", "cube k=1 i=0 j=0\n"])
+def test_cube_decomposition_rejects_a_gridset1d_leftover_block(cubes):
+    with pytest.raises(ValueError, match="^bad cube line 'gridset1d k=3'"):
+        parse_cube_decomposition(cubes + "gridset1d k=3\n5\n")
 
 
 ONE_BAND = np.array([[1]], dtype=object)
@@ -1634,6 +1656,38 @@ def test_select_level_float_maps_equal_per_cell_loop(phi):
     A = (GridSet1D(Scale(k), tuple(range(32))), GridSet1D(Scale(k), tuple(range(0, 32, 2))))
     s = Fraction(1, 32)
     assert select_level(phi, A, s, 0.3, 1.0) == reference_select_level(phi, A, s, 0.3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "phi", [PolynomialMap(parse_poly("x - y + 1/3")), PinnedDistance((0.3, -0.2)), LinearProjection(0.7)]
+)
+def test_level_counts_past_int64_equal_per_cell_loop(phi):
+    """s over 2^70 puts the inflated corners past int64: the cells reach
+    enclosure_rects as Python ints, and the counts stay the loop's."""
+    k = 5
+    A = (GridSet1D(Scale(k), tuple(range(32))), GridSet1D(Scale(k), tuple(range(0, 32, 2))))
+    s = Fraction(2**65 + 1, 2**70)
+    want = reference_level_covering(phi, A, s, 0), reference_select_level(phi, A, s, 0.3, 1.0)
+    enclosure_rects, dtypes = type(phi).enclosure_rects, []
+
+    def spy(self, x0, *rest):
+        dtypes.append(x0.dtype)
+        return enclosure_rects(self, x0, *rest)
+
+    with mock.patch.object(type(phi), "enclosure_rects", spy):
+        got = zero_nbhd_covering(phi, A, s), select_level(phi, A, s, 0.3, 1.0)
+    assert got == want and dtypes == [object, object]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [zero_nbhd_covering, lambda phi, A, s: select_level(phi, A, s, 0.5, 1.0)],
+    ids=["zero_nbhd_covering", "select_level"],
+)
+def test_product_factors_at_two_scales_are_rejected(count):
+    A = (GridSet1D(Scale(3), (1, 2)), GridSet1D(Scale(4), (1, 2)))
+    with pytest.raises(ValueError, match="^product factors must share a scale$"):
+        count(LinearProjection(0.7), A, Fraction(1, 8))
 
 
 @st.composite

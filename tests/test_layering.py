@@ -70,24 +70,38 @@ def test_polyexpr_classifies_without_numpy():
     assert result.stdout == f"{want.verdict.value} {want.reason.value} {want.witness}\n"
 
 
+NUMBER_TYPES = {"int", "float", "Fraction"}
+# cli.py whole, and each function of a lower layer that reads number texts.
+NUMBER_TEXT_SCOPES = [
+    "cli",
+    *(f"expharness.{f}" for f in ("parse_scenario", "_float", "_fraction", "_scales", "_pins", "_window")),
+    "geomdecomp._parse_cube_line",
+]
 
-NUMBER_READERS = {"int", "float", "Fraction", "number", "convert"}
+
+def number_type_names(tree):
+    """Where tree names int, float or Fraction outside an annotation, an
+    import included."""
+    annotations = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                annotations.update(map(id, ast.walk(annotation)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in NUMBER_TYPES and id(node) not in annotations:
+            yield f"line {node.lineno}: {node.id}"
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"line {node.lineno}: import {a.name}" for a in node.names if a.name in NUMBER_TYPES)
 
 
-def calls_to(node, names):
-    """Whether node is a call of a plain name in names."""
-    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
-
-
-def test_cli_reads_every_number_text_through_number_text():
+@pytest.mark.parametrize("scope", NUMBER_TEXT_SCOPES)
+def test_number_texts_are_read_through_polyexpr_readers(scope):
     """int, float and Fraction read underscores and other scripts' digits,
-    so every call in cli.py that reads a number from text takes its one
-    argument from expharness._number_text, which refuses both."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    unguarded = [
-        f"line {node.lineno}: {ast.unparse(node)}"
-        for node in ast.walk(tree)
-        if calls_to(node, NUMBER_READERS)
-        and not (len(node.args) == 1 and not node.keywords and calls_to(node.args[0], {"_number_text"}))
-    ]
-    assert not unguarded
+    so these scopes name none of them, not even as an argparse type or a
+    map's function: a number text goes through polyexpr's read_int,
+    read_float or read_fraction, which refuse both."""
+    module, _, function = scope.partition(".")
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    if function:
+        (tree,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert not list(number_type_names(tree))

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +29,9 @@ from explab.polyexpr import (
     interval_range,
     mp_numerator,
     parse_poly,
+    read_float,
+    read_fraction,
+    read_int,
     unit_square_range,
 )
 
@@ -110,6 +114,22 @@ def test_parse_rejects_fractional_exponent():
 def test_parse_rejects_implicit_multiplication():
     with pytest.raises(ExpressionError):
         parse_poly("2x")
+
+
+NUMBER_READERS = [(read_int, int, " -12 "), (read_float, float, "+5e-1"), (read_fraction, Fraction, " 3/8 ")]
+
+
+@pytest.mark.parametrize("read, convert, text", NUMBER_READERS)
+def test_number_readers_read_what_their_converter_reads(read, convert, text):
+    assert read(text) == convert(text) and type(read(text)) is type(convert(text))
+    assert read.__name__ == convert.__name__  # argparse names a refused option's type by it
+
+
+@pytest.mark.parametrize("read", [read_int, read_float, read_fraction])
+@pytest.mark.parametrize("text", ["1_0", "\uff11", "\u0661", "1\u00a0", "\u00b2"])
+def test_number_readers_refuse_underscores_and_non_ascii(read, text):
+    with pytest.raises(ValueError, match=f"^not an ASCII number: {re.escape(repr(text))}$"):
+        read(text)
 
 
 def test_print_graded_lex():
