@@ -102,14 +102,13 @@ def _generator_from_args(args):
                 f"--pattern must be comma-separated digits in [0, {args.base}), got {args.pattern!r}"
             )
         return gen_cantor(pattern, args.base, args.k // bits)
-    if args.gen == "file":
-        if not args.set_file:
-            raise ValueError("--gen file needs --set-file")
-        S = load_gridset(args.set_file)
-        if not isinstance(S, gridset.GridSet1D):
-            raise ValueError("expected a gridset1d file")
-        return S
-    raise ValueError(f"unknown generator {args.gen!r}")
+    # --gen file: argparse's choices refuse any other name.
+    if not args.set_file:
+        raise ValueError("--gen file needs --set-file")
+    S = load_gridset(args.set_file)
+    if not isinstance(S, gridset.GridSet1D):
+        raise ValueError("expected a gridset1d file")
+    return S
 
 
 def _point(option: str, text: str, number=read_float):
@@ -427,11 +426,6 @@ def _cmd_list_scenarios(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", help="write output to a file instead of stdout")
-
-
 def _add_scoped(p, name: str, text: str, **kw):
     """An option of _SCOPED, its help text naming the choice and default.
     Its parsed default is None, a flag's too, so that main can tell an
@@ -439,16 +433,6 @@ def _add_scoped(p, name: str, text: str, **kw):
     default, choice, wanted = _SCOPED[name]
     note = f"--{choice} {wanted} only" + ("" if default is None else f"; default {default}")
     p.add_argument("--" + name.replace("_", "-"), help=f"{text} ({note})", default=None, **kw)
-
-
-def _add_generator(p):
-    p.add_argument("--gen", choices=("ap", "cantor", "file"), default="ap")
-    _add_scoped(p, "alpha", "AP cell count exponent", type=read_float)
-    _add_scoped(p, "eta", "AP spacing exponent beyond alpha", type=read_float)
-    p.add_argument("--k", type=read_int, default=10)
-    _add_scoped(p, "base", "cantor base, a power of 2", type=read_int)
-    _add_scoped(p, "pattern", "cantor digits, comma separated")
-    _add_scoped(p, "set_file", "gridset1d file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,63 +443,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("classify", help="special form or expander")
+    # The option groups that several subcommands share, each declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    common.add_argument("--out", help="write output to a file instead of stdout")
+    precise = argparse.ArgumentParser(add_help=False, parents=[common])
+    _add_scoped(precise, "precision", "significant digits", type=read_int)
+    generated = argparse.ArgumentParser(add_help=False)
+    generated.add_argument("--gen", choices=("ap", "cantor", "file"), default="ap")
+    _add_scoped(generated, "alpha", "AP cell count exponent", type=read_float)
+    _add_scoped(generated, "eta", "AP spacing exponent beyond alpha", type=read_float)
+    generated.add_argument("--k", type=read_int, default=10)
+    _add_scoped(generated, "base", "cantor base, a power of 2", type=read_int)
+    _add_scoped(generated, "pattern", "cantor digits, comma separated")
+    _add_scoped(generated, "set_file", "gridset1d file")
+
+    p = sub.add_parser("classify", parents=[common], help="special form or expander")
     p.add_argument("poly")
-    _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("mp", help="degeneracy numerator M_P")
+    p = sub.add_parser("mp", parents=[common], help="degeneracy numerator M_P")
     p.add_argument("poly")
-    _add_common(p)
     p.set_defaults(func=_cmd_mp)
 
-    p = sub.add_parser("hf", help="four-variable collision bracket H_F")
+    p = sub.add_parser("hf", parents=[common], help="four-variable collision bracket H_F")
     p.add_argument("poly", nargs="?", default=None)
     p.add_argument("--general", help="four-variable polynomial over x,xp,y,yp")
-    _add_common(p)
     p.set_defaults(func=_cmd_hf)
 
-    p = sub.add_parser("curvature", help="3-web curvature at a point")
+    p = sub.add_parser("curvature", parents=[precise], help="3-web curvature at a point")
     p.add_argument("--phi1", required=True)
     p.add_argument("--phi2", required=True)
     p.add_argument("--phi3", required=True)
     p.add_argument("--point", required=True, help="x,y")
     p.add_argument("--method", choices=("auto", "chart", "newton"), default="auto")
     p.add_argument("--step", type=read_float, help="Newton stencil half-width (newton method only; default 1e-4)")
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("cover", help="covering number of a grid set")
-    _add_generator(p)
+    p = sub.add_parser("cover", parents=[common, generated], help="covering number of a grid set")
     p.add_argument("--kprime", type=read_int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("nonconc", help="non-concentration exponent")
-    _add_generator(p)
+    p = sub.add_parser("nonconc", parents=[precise, generated], help="non-concentration exponent")
     p.add_argument("--kappa", type=read_float, default=0.5)
     p.add_argument("--target-alpha", type=read_float, default=0.5)
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_nonconc)
 
-    p = sub.add_parser("image", help="covering count of P(A, A)")
+    p = sub.add_parser("image", parents=[precise, generated], help="covering count of P(A, A)")
     p.add_argument("--poly", required=True)
-    _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_image)
 
-    p = sub.add_parser("energy", help="value-collision quadruple count")
+    p = sub.add_parser("energy", parents=[precise, generated], help="value-collision quadruple count")
     p.add_argument("--poly", required=True)
     p.add_argument("--hf-min", type=read_float, default=None)
-    _add_generator(p)
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("whitney", help="dyadic decomposition of a region")
+    p = sub.add_parser("whitney", parents=[common], help="dyadic decomposition of a region")
     p.add_argument(
         "--region",
         default="punctured",
@@ -523,26 +506,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scoped(p, "puncture", "the removed point x,y")
     p.add_argument("--kmax", type=read_int, default=6)
-    _add_common(p)
     p.set_defaults(func=_cmd_whitney)
 
-    p = sub.add_parser("bands", help="band partition pinning |f| into [v, 4v)")
+    p = sub.add_parser("bands", parents=[precise], help="band partition pinning |f| into [v, 4v)")
     p.add_argument("--poly", required=True)
     p.add_argument("--w", type=read_float, default=0.2)
     p.add_argument("--k", type=read_int, default=8)
     p.add_argument("--funcs", default="px,py,pxy,mp")
     p.add_argument("--sample-stride", type=read_int, default=8)
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_bands)
 
-    p = sub.add_parser("extract", help="extract a large Cartesian product")
+    p = sub.add_parser("extract", parents=[precise], help="extract a large Cartesian product")
     p.add_argument("--set-file", required=True, dest="set_file")
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("scenario", help="run a named or file scenario")
+    p = sub.add_parser("scenario", parents=[precise], help="run a named or file scenario")
     p.add_argument("--name", default=None)
     p.add_argument("--file", default=None)
     p.add_argument("--csv", default=None, help="also write per-scale CSV here")
@@ -550,12 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot-data", default=None, help="also write two-column .dat files here"
     )
     _add_scoped(p, "timing", "include wall clock in JSON", action="store_true")
-    _add_scoped(p, "precision", "significant digits", type=read_int)
-    _add_common(p)
     p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("list-scenarios", help="list builtin scenarios")
-    _add_common(p)
+    p = sub.add_parser("list-scenarios", parents=[common], help="list builtin scenarios")
     p.set_defaults(func=_cmd_list_scenarios)
 
     return parser
@@ -569,6 +544,9 @@ def _shared_parser() -> argparse.ArgumentParser:
     and does not mutate the parser, every default is immutable (None, a
     number, a string or False), the help width is read when help is
     formatted, and `set_defaults(func=...)` binds each handler once, here.
+    The actions of the shared option groups (`common`, `precise`,
+    `generated`) are one set of objects held by several subparsers;
+    `parse_args` only reads them, so that sharing is safe too.
     """
     return build_parser()
 

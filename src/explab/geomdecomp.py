@@ -406,8 +406,8 @@ class DyadicSquare:
     j: int
 
     def __post_init__(self):
-        limit = 2**self.depth
-        if self.depth < 0 or not (0 <= self.i < limit and 0 <= self.j < limit):
+        # Shifts, not 2**depth: a depth read from a file is not bounded yet.
+        if self.depth < 0 or min(self.i, self.j) < 0 or (self.i | self.j) >> self.depth:
             raise ValueError("dyadic square out of range")
 
     def rect(self) -> Rect:
@@ -911,7 +911,6 @@ def _check_gradients(phis, x, y):
                     f"gradients of maps {a+1} and {b+1} are nearly parallel at "
                     f"({x}, {y})"
                 )
-    return grads
 
 
 def _chart_curvature(phi3: SmoothMap2, x: float, y: float) -> float:
@@ -990,13 +989,13 @@ def blaschke_curvature(
         method = "chart" if phi1.is_coordinate_x and phi2.is_coordinate_y else "newton"
     if method == "chart" and step is not None:
         raise ValueError("step needs method 'newton'; the chart method reads no step")
+    if method == "chart" and not (phi1.is_coordinate_x and phi2.is_coordinate_y):
+        raise ValueError("chart method needs phi1 = x and phi2 = y")
+    if method not in ("chart", "newton"):
+        raise ValueError(f"unknown method {method!r}")
     _check_gradients((phi1, phi2, phi3), x, y)
     if method == "chart":
-        if not (phi1.is_coordinate_x and phi2.is_coordinate_y):
-            raise ValueError("chart method needs phi1 = x and phi2 = y")
         return _chart_curvature(phi3, x, y)
-    if method != "newton":
-        raise ValueError(f"unknown method {method!r}")
 
     u0 = phi1.value(x, y)
     v0 = phi2.value(x, y)

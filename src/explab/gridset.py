@@ -443,9 +443,7 @@ def gen_ap(alpha: float, eta: float, scale: Scale) -> GridSet1D:
     if not (0 < alpha <= 1 and eta >= 0 and alpha + eta <= 1):  # NaN fails too
         raise ValueError("need 0 < alpha <= 1, eta >= 0, alpha + eta <= 1")
     k = scale.k
-    count = floor(2.0 ** (k * alpha) + 1e-9)
-    if count < 1:
-        raise ValueError("delta^-alpha must be at least 1")
+    count = floor(2.0 ** (k * alpha) + 1e-9)  # at least 1, as alpha > 0
     spacing = max(1, ceil(2.0 ** (k * (1 - alpha - eta)) - 1e-9))
     # The multiples of spacing below 2^k, at most count of them.
     cells = np.arange(min(count, -(-scale.cells // spacing)), dtype=np.int64) * spacing

@@ -26,7 +26,7 @@ from explab.geomdecomp import (
     whitney_decompose,
 )
 from explab.gridset import GridSet2D, Scale, gen_ap
-from explab.polyexpr import Poly, classify_special_form, mp_numerator, parse_poly
+from explab.polyexpr import Poly, classify_special_form, mp_numerator, parse_poly, read_float, read_int
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,27 @@ def test_set_file_faults_name_their_offset(tmp_path, capsys, data, message):
     path.write_bytes(data)
     code, out, err = run_cli(capsys, "nonconc", "--gen", "file", "--set-file", str(path))
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cover", "--gen", "file"], "--gen file needs --set-file"),
+        (["cover", "--gen", "file", "--set-file", "SET2"], "expected a gridset1d file"),
+        (["extract", "--set-file", "SET1"], "extract needs a gridset2d file"),
+        (
+            ["curvature", "--phi1", "foo:1", "--phi2", "coord:y", "--phi3", "poly:x*y", "--point", "0.5,0.5"],
+            "bad map spec 'foo:1': use coord:x, coord:y, proj:THETA, dist:CX,CY, or poly:EXPR",
+        ),
+        (["whitney", "--region", "bogus"], "unknown region 'bogus'"),
+    ],
+)
+def test_set_file_map_and_region_faults_are_domain_errors(tmp_path, capsys, argv, message):
+    files = {"SET1": "gridset1d k=3\n1\n", "SET2": "gridset2d k=3\n1 2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"explab: {message}\n")
 
 
 def test_energy_text_on_empty_set_has_no_log_line(tmp_path, capsys):
@@ -340,6 +361,14 @@ def test_scenario_command_and_csv(tmp_path, capsys):
     assert len(rows) == 1 + len(data["scales"])
 
 
+def test_scenario_plot_data_makes_its_directory(tmp_path, capsys):
+    target = tmp_path / "plots" / "sub"
+    code, out, err = run_cli(capsys, "scenario", "--name", "sum_product_cantor", "--plot-data", str(target))
+    assert (code, err) == (0, "") and "all expectations passed" in out
+    files = sorted(os.listdir(target))
+    assert len(files) == 5 and all(f.endswith(".dat") for f in files)
+
+
 def test_list_scenarios(capsys):
     code, out, _ = run_cli(capsys, "list-scenarios")
     assert code == 0
@@ -377,6 +406,12 @@ def test_unknown_scenario_is_domain_error(capsys):
             (f"schema=1\nname=x\nfamily=sum_product\nexpect=sum_exponent {e}\n", "target and tolerance must be finite")
             for e in ("approx nan 0.1 PAPER", "ge 0 inf TRIVIAL", "le -inf 0 DERIVED")
         ),
+        ("schema=1\nname=x\nbogus\nfamily=sum_product\n", "bad scenario line 'bogus'"),
+        ("schema=1\nname=x\nfamily=sum_product\nexpect=a b\n", "bad expectation 'a b'"),
+        ("schema=1\nname=x\n", "scenario needs schema, name, and family lines"),
+        ("schema=1\nname=x\nfamily=poly_growth\npoly=x + y\ngenerator=foo\n", "unknown generator 'foo'"),
+        ("schema=1\nname=x\nfamily=pinned_distance\npins=0,0;1,0\n", "exactly three pins required"),
+        ("schema=1\nname=x\nfamily=nope\n", "unknown scenario family 'nope'"),
     ],
 )
 def test_malformed_scenario_file_is_domain_error(tmp_path, capsys, body, message):
@@ -712,6 +747,35 @@ PRINTS_FLOATS = ("curvature", "nonconc", "image", "energy", "bands", "extract", 
 def test_precision_requests_cover_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
     assert set(sub.choices) == set(PRECISION_REQUESTS)
+
+
+# The shared options, as (default, choices, type, help) by option string.
+COMMON_OPTIONS = {
+    "--format": ("text", ("text", "json", "csv"), None, None),
+    "--out": (None, None, None, "write output to a file instead of stdout"),
+}
+GENERATOR_OPTIONS = {
+    "--gen": ("ap", ("ap", "cantor", "file"), None, None),
+    "--alpha": (None, None, read_float, "AP cell count exponent (--gen ap only; default 0.5)"),
+    "--eta": (None, None, read_float, "AP spacing exponent beyond alpha (--gen ap only; default 0.0)"),
+    "--k": (10, None, read_int, None),
+    "--base": (None, None, read_int, "cantor base, a power of 2 (--gen cantor only; default 4)"),
+    "--pattern": (None, None, None, "cantor digits, comma separated (--gen cantor only; default 0,1)"),
+    "--set-file": (None, None, None, "gridset1d file (--gen file only)"),
+}
+
+
+def test_shared_options_reach_the_subcommands_that_take_them():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    for command, p in sub.choices.items():
+        options = {s: (a.default, a.choices, a.type, a.help) for a in p._actions for s in a.option_strings}
+        assert {o: options.get(o) for o in COMMON_OPTIONS} == COMMON_OPTIONS, command
+        generated = {o: options.get(o) for o in GENERATOR_OPTIONS}
+        if command in ("cover", "nonconc", "image", "energy"):
+            assert generated == GENERATOR_OPTIONS, command
+        else:
+            # bands has its own --k and extract its own --set-file.
+            assert all(generated[o] != spec for o, spec in GENERATOR_OPTIONS.items()), command
 
 
 @pytest.mark.parametrize("command", PRINTS_FLOATS)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple, Union
 from unittest import mock
@@ -570,6 +571,18 @@ def test_curvature_degenerate_gradients_raise():
         blaschke_curvature(*phis, (0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "method, message",
+    [("bogus", "unknown method 'bogus'"), ("chart", "chart method needs phi1 = x and phi2 = y")],
+)
+def test_curvature_method_is_checked_before_the_gradients(method, message):
+    # The maps' gradients are parallel too; the method is the first fault.
+    x = PolynomialMap(parse_poly("x"))
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        blaschke_curvature(x, x, x, (0.3, 0.4), method=method)
+    assert not isinstance(exc.value, DegenerateGradientsError)
+
+
 # ---------------------------------------------------------------------------
 # product extraction
 # ---------------------------------------------------------------------------
@@ -1043,6 +1056,36 @@ def test_cube_decomposition_rejects_malformed_line(line):
 def test_cube_decomposition_rejects_number_texts_by_name():
     with pytest.raises(ValueError, match=r"^bad cube line 'cube k=1_0 i=0 j=0': not an ASCII number: '1_0'$"):
         parse_cube_decomposition("cube k=1_0 i=0 j=0\ngridset2d k=3\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("cube k=100000000 i=0 j=0", "cube depth above 30"), ("cube k=40 i=-1 j=0", "dyadic square out of range")],
+)
+def test_cube_depth_is_refused_without_building_two_to_the_depth(line, message):
+    # 2**(10**8) alone is a 12.5 MB integer.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^bad cube line '{line}': {message}$"):
+            parse_cube_decomposition(line + "\ngridset2d k=3\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_dyadic_square_range_equals_the_power_of_two_bound():
+    for depth in range(-1, 4):
+        for i in range(-2, 2**max(depth, 0) + 2):
+            for j in (-1, 0, 2**max(depth, 0) - 1, 2**max(depth, 0)):
+                inside = depth >= 0 and 0 <= i < 2**depth and 0 <= j < 2**depth
+                try:
+                    DyadicSquare(depth, i, j)
+                    built = True
+                except ValueError as exc:
+                    assert str(exc) == "dyadic square out of range"
+                    built = False
+                assert built == inside, (depth, i, j)
 
 
 def test_cube_decomposition_skips_blank_cube_lines():
